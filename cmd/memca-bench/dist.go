@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"memca/internal/dsweep"
@@ -46,35 +45,11 @@ func maybeRunWorker() (bool, error) {
 	})
 }
 
-// distDriversFor maps a -fig target to dist driver names.
-func distDriversFor(fig string) ([]string, error) {
-	switch fig {
-	case "2":
-		return []string{"fig2"}, nil
-	case "planner":
-		return []string{"planner"}, nil
-	case "ablations":
-		var names []string
-		for _, n := range figures.DistDrivers() {
-			if strings.HasPrefix(n, "ablation-") {
-				names = append(names, n)
-			}
-		}
-		return names, nil
-	default:
-		return nil, fmt.Errorf("distributed mode (-shards/-manifest-out) supports -fig 2, planner, or ablations; for anything else use the in-process path")
-	}
-}
-
 // runDistributedBench handles -shards > 1 and -manifest-out: it builds
 // one manifest per driver and either just writes them (for memca-sweep
 // to run, possibly on several machines) or coordinates local worker
 // subprocesses right here and finalizes the artifacts.
-func runDistributedBench(fig string, opts figures.Options, shards int, manifestOut string) error {
-	drivers, err := distDriversFor(fig)
-	if err != nil {
-		return err
-	}
+func runDistributedBench(drivers []string, opts figures.Options, shards int, manifestOut string) error {
 	for _, driver := range drivers {
 		base := filepath.Join(opts.OutDir, "dsweep", driver)
 		manifestPath := filepath.Join(base, "manifest.json")
@@ -93,22 +68,23 @@ func runDistributedBench(fig string, opts figures.Options, shards int, manifestO
 				manifestPath, m.Jobs, m.Shards, manifestPath)
 			continue
 		}
-		fmt.Printf("=== %s (%d shards) ===\n", driver, shards)
-		err = coord.Run(context.Background(), coord.Options{
-			Manifest: m,
-			Worker:   func(shard int) (*exec.Cmd, error) { return benchWorker(manifestPath, shard) },
-			Retries:  1,
-			Poll:     2 * time.Second,
-			Log:      os.Stderr,
+		err = timed(driver, func() (string, error) {
+			err := coord.Run(context.Background(), coord.Options{
+				Manifest: m,
+				Worker:   func(shard int) (*exec.Cmd, error) { return benchWorker(manifestPath, shard) },
+				Retries:  1,
+				Poll:     2 * time.Second,
+				Log:      os.Stderr,
+			})
+			if err != nil {
+				return "", err
+			}
+			_, summary, err := figures.RunDistributed(m)
+			return summary, err
 		})
 		if err != nil {
 			return err
 		}
-		_, summary, err := figures.RunDistributed(m)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %s\n\n", summary)
 	}
 	return nil
 }

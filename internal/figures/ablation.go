@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"memca/internal/analytical"
@@ -12,7 +13,6 @@ import (
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
-	"memca/internal/trace"
 	"memca/internal/workload"
 )
 
@@ -81,46 +81,35 @@ type attackVariant struct {
 
 // newVariantRun builds the DistRun for a closed-loop ablation sweep: one
 // job per variant, each an AblationPoint record; the finalizer assembles
-// the result in variant order and writes the sweep's CSV. AblationPoint
-// has no map fields, so its gob encoding is stable (see encodeRecord).
+// the result in variant order and writes the sweep's CSV.
 func newVariantRun(opts Options, name, csv string, variants []attackVariant) *DistRun {
-	return &DistRun{
-		Jobs: len(variants),
-		Job: func(a *stats.Arena, i int) ([]byte, error) {
-			p, err := runAttackVariant(opts, a, variants[i].label, variants[i].mutate)
-			if err != nil {
-				return nil, err
-			}
-			return encodeRecord(p)
-		},
-		Finalize: newAblationFinalize(opts, name, csv),
-	}
+	return newRun(len(variants), func(a *stats.Arena, i int) (AblationPoint, error) {
+		return runAttackVariant(opts, a, variants[i].label, variants[i].mutate)
+	}, newAblationFinalize(opts, name, csv))
 }
 
-// newAblationFinalize decodes AblationPoint records in variant order,
-// writes the sweep CSV, and summarizes the damage range.
-func newAblationFinalize(opts Options, name, csv string) func([][]byte) (any, string, error) {
-	return func(payloads [][]byte) (any, string, error) {
-		res := &AblationResult{Name: name, Points: make([]AblationPoint, len(payloads))}
-		for i, data := range payloads {
-			if err := decodeRecord(data, &res.Points[i]); err != nil {
-				return nil, "", err
-			}
+// newAblationFinalize assembles AblationPoint records in variant order,
+// writes the sweep CSV, and summarizes one line per point.
+func newAblationFinalize(opts Options, name, csv string) func([]AblationPoint) (any, string, error) {
+	return func(points []AblationPoint) (any, string, error) {
+		lines := make([]string, 0, len(points))
+		rows := make([][]string, 0, len(points))
+		for _, p := range points {
+			lines = append(lines, fmt.Sprintf("%-16s p95=%-9v p99=%-9v coarse-util=%4.0f%%  drops=%d",
+				p.Label, p.ClientP95.Round(time.Millisecond), p.ClientP99.Round(time.Millisecond),
+				p.CoarseUtil*100, p.Drops))
+			rows = append(rows, []string{
+				p.Label,
+				strconv.FormatFloat(p.ClientP95.Seconds()*1000, 'f', 1, 64),
+				strconv.FormatFloat(p.ClientP99.Seconds()*1000, 'f', 1, 64),
+				strconv.FormatFloat(p.CoarseUtil, 'f', 4, 64),
+				strconv.FormatUint(p.Drops, 10),
+			})
 		}
-		if err := writeAblation(opts, csv, res); err != nil {
+		if err := opts.writeCSV(csv, []string{"config", "client_p95_ms", "client_p99_ms", "coarse_util", "drops"}, rows); err != nil {
 			return nil, "", err
 		}
-		lo, hi := time.Duration(0), time.Duration(0)
-		for i, p := range res.Points {
-			if i == 0 || p.ClientP95 < lo {
-				lo = p.ClientP95
-			}
-			if p.ClientP95 > hi {
-				hi = p.ClientP95
-			}
-		}
-		summary := fmt.Sprintf("ablation %s: %d points, client p95 %v..%v", name, len(res.Points), lo, hi)
-		return res, summary, nil
+		return &AblationResult{Name: name, Points: points}, strings.Join(lines, "\n"), nil
 	}
 }
 
@@ -154,11 +143,7 @@ func init() {
 
 // runAblation executes one registered ablation driver fully in-process.
 func runAblation(driver string, opts Options) (*AblationResult, error) {
-	res, _, err := runDistLocal(driver, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*AblationResult), nil
+	return runAs[*AblationResult](driver, opts)
 }
 
 // burstLengthVariants sweeps the burst length L at fixed I = 2 s.
@@ -199,48 +184,43 @@ func AblationInterval(opts Options) (*AblationResult, error) {
 	return runAblation("ablation-interval", opts)
 }
 
+// mechanismVariants are the mechanism-removal ablation's cells.
+var mechanismVariants = []struct {
+	label      string
+	mode       queueing.Mode
+	infinite   bool
+	retransmit bool
+}{
+	{"full", queueing.ModeNTierRPC, false, true},
+	{"no-retransmit", queueing.ModeNTierRPC, false, false},
+	{"infinite-queues", queueing.ModeNTierRPC, true, false},
+	{"no-slot-holding", queueing.ModeTandem, true, false},
+}
+
 // newMechanismsRun prepares the mechanism-removal ablation, which uses
 // the model-level network (open-loop arrivals) so the mechanisms can be
 // toggled independently of the closed-loop client population.
 func newMechanismsRun(opts Options) (*DistRun, error) {
 	d, params := fig6Attack()
 	horizon := opts.duration(2 * time.Minute)
-
-	type variant struct {
-		label      string
-		mode       queueing.Mode
-		infinite   bool
-		retransmit bool
-	}
-	variants := []variant{
-		{"full", queueing.ModeNTierRPC, false, true},
-		{"no-retransmit", queueing.ModeNTierRPC, false, false},
-		{"infinite-queues", queueing.ModeNTierRPC, true, false},
-		{"no-slot-holding", queueing.ModeTandem, true, false},
-	}
-	m := rubbosModelLimits()
-	return &DistRun{
-		Jobs: len(variants),
-		Job: func(a *stats.Arena, i int) ([]byte, error) {
-			v := variants[i]
-			limits := m
-			if v.infinite {
-				limits = [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}
-			}
-			e := sim.NewEngine(opts.Seed)
-			n, sources, err := buildModelNetwork(e, a, v.mode, limits, v.retransmit)
-			if err != nil {
-				return nil, fmt.Errorf("figures: ablation %s: %w", v.label, err)
-			}
-			point, err := runModelAttack(e, n, sources, d, params, horizon)
-			if err != nil {
-				return nil, fmt.Errorf("figures: ablation %s: %w", v.label, err)
-			}
-			point.Label = v.label
-			return encodeRecord(point)
-		},
-		Finalize: newAblationFinalize(opts, "mechanisms", "ablation_mechanisms.csv"),
-	}, nil
+	return newRun(len(mechanismVariants), func(a *stats.Arena, i int) (AblationPoint, error) {
+		v := mechanismVariants[i]
+		limits := [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}
+		if !v.infinite {
+			limits = rubbosModelLimits()
+		}
+		e := sim.NewEngine(opts.Seed)
+		n, sources, err := buildModelNetwork(e, a, v.mode, limits, v.retransmit)
+		if err != nil {
+			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
+		}
+		point, err := runModelAttack(e, n, sources, d, params, horizon)
+		if err != nil {
+			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
+		}
+		point.Label = v.label
+		return point, nil
+	}, newAblationFinalize(opts, "mechanisms", "ablation_mechanisms.csv")), nil
 }
 
 // AblationMechanisms removes the three amplification mechanisms one at a
@@ -338,24 +318,6 @@ func serviceDistributionVariants() []attackVariant {
 // by service-time variance.
 func AblationServiceDistribution(opts Options) (*AblationResult, error) {
 	return runAblation("ablation-service-distribution", opts)
-}
-
-func writeAblation(opts Options, name string, res *AblationResult) error {
-	path := opts.path(name)
-	if path == "" {
-		return nil
-	}
-	rows := make([][]string, 0, len(res.Points))
-	for _, p := range res.Points {
-		rows = append(rows, []string{
-			p.Label,
-			strconv.FormatFloat(p.ClientP95.Seconds()*1000, 'f', 1, 64),
-			strconv.FormatFloat(p.ClientP99.Seconds()*1000, 'f', 1, 64),
-			strconv.FormatFloat(p.CoarseUtil, 'f', 4, 64),
-			strconv.FormatUint(p.Drops, 10),
-		})
-	}
-	return trace.WriteCSV(path, []string{"config", "client_p95_ms", "client_p99_ms", "coarse_util", "drops"}, rows)
 }
 
 // rubbosModelLimits returns the analytical model's queue limits.

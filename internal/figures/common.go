@@ -7,7 +7,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -16,9 +15,7 @@ import (
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
-	"memca/internal/sweep"
 	"memca/internal/trace"
-	"memca/internal/workload"
 )
 
 // Options control figure generation.
@@ -57,33 +54,6 @@ func (o Options) duration(full time.Duration) time.Duration {
 	return d
 }
 
-// runJobs fans one figure driver's independent runs out over the sweep
-// engine and returns the results in job-index order, which keeps every
-// scalar and CSV artifact byte-identical to the serial path regardless
-// of Options.Parallel. Jobs must be pure functions of their index: each
-// builds its own engine (or pure model) and shares no mutable state.
-func runJobs[T any](o Options, n int, job func(index int) (T, error)) ([]T, error) {
-	opts := sweep.Options{Workers: o.Parallel, Progress: o.Progress}
-	return sweep.Run(context.Background(), opts, n, func(_ context.Context, i int) (T, error) {
-		return job(i)
-	})
-}
-
-// runArenaJobs is runJobs with one stats arena per sweep worker: the job
-// receives the worker's arena, which is reset as soon as the job returns,
-// so every run after a worker's first records into warm slabs. Jobs must
-// therefore copy anything they keep out of arena-backed objects before
-// returning — results that alias live experiment state (tier integrators,
-// generator series, tracer slabs) belong on plain runJobs instead.
-func runArenaJobs[T any](o Options, n int, job func(a *stats.Arena, index int) (T, error)) ([]T, error) {
-	opts := sweep.Options{Workers: o.Parallel, Progress: o.Progress}
-	return sweep.RunState(context.Background(), opts, n, stats.GetArena, stats.PutArena,
-		func(_ context.Context, a *stats.Arena, i int) (T, error) {
-			defer a.Reset()
-			return job(a, i)
-		})
-}
-
 // path joins OutDir with name; it returns "" when output is disabled.
 func (o Options) path(name string) string {
 	if o.OutDir == "" {
@@ -92,12 +62,28 @@ func (o Options) path(name string) string {
 	return filepath.Join(o.OutDir, name)
 }
 
-// writeCurves writes a percentile-curve CSV unless output is disabled.
-func writeCurves(path string, percentiles []float64, order []string, curves map[string][]time.Duration) error {
+// writeCSV writes OutDir/name unless output is disabled.
+func (o Options) writeCSV(name string, header []string, rows [][]string) error {
+	if o.OutDir == "" {
+		return nil
+	}
+	return trace.WriteCSV(o.path(name), header, rows)
+}
+
+// writeCurves writes a percentile-curve CSV, one named column per curve,
+// unless output is disabled.
+func writeCurves(path string, percentiles []float64, names []string, curves [][]time.Duration) error {
 	if path == "" {
 		return nil
 	}
-	return trace.PercentileCurveCSV(path, percentiles, order, curves)
+	if len(curves) != len(names) {
+		return fmt.Errorf("figures: %d curves for %d names", len(curves), len(names))
+	}
+	byName := make(map[string][]time.Duration, len(names))
+	for i, name := range names {
+		byName[name] = curves[i]
+	}
+	return trace.PercentileCurveCSV(path, percentiles, names, byName)
 }
 
 // writeBuckets writes a bucket CSV unless output is disabled.
@@ -109,11 +95,11 @@ func writeBuckets(path string, buckets []stats.Bucket) error {
 }
 
 // writeSeries writes a raw series CSV unless output is disabled.
-func writeSeries(path string, ts *stats.TimeSeries) error {
+func writeSeries(path string, points []stats.Point) error {
 	if path == "" {
 		return nil
 	}
-	return trace.SeriesCSV(path, ts)
+	return trace.SeriesCSV(path, &stats.TimeSeries{Points: points})
 }
 
 // modelNetwork builds the 3-tier queueing network matching the analytical
@@ -166,12 +152,3 @@ func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits
 
 // rubbosTierNames returns the canonical tier labels.
 func rubbosTierNames() []string { return []string{"apache", "tomcat", "mysql"} }
-
-// checkTiersMatch guards figure code against topology drift.
-func checkTiersMatch() error {
-	tiers := workload.RUBBoSTiers()
-	if len(tiers) != 3 {
-		return fmt.Errorf("figures: expected 3 RUBBoS tiers, got %d", len(tiers))
-	}
-	return nil
-}

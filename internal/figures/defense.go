@@ -3,15 +3,16 @@ package figures
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"memca/internal/core"
 	"memca/internal/defense"
 	"memca/internal/memmodel"
 	"memca/internal/monitor"
+	"memca/internal/stats"
 	"memca/internal/sweep"
 	"memca/internal/telemetry"
-	"memca/internal/trace"
 )
 
 // DefensePoint is one (attack, defense) cell of the countermeasure matrix.
@@ -58,11 +59,27 @@ type DefenseResult struct {
 	TriggeredP95 time.Duration
 }
 
-// DefenseEvaluation runs the attack under no defense, bandwidth
-// reservation, and split-lock protection, for both attack kinds, and runs
-// the millibottleneck detector against the undefended lock attack.
-func DefenseEvaluation(opts Options) (*DefenseResult, error) {
-	res := &DefenseResult{}
+func init() {
+	registerDist(DistDriver{Name: "defense", New: newDefenseRun})
+}
+
+// defenseRecord is one defense job's outcome. Matrix cells fill Point;
+// the undefended lock cell also carries its detector pass over the victim
+// tier's CPU signal; the traced runs (that cell and the clean tuning
+// replication) carry their 50 ms feature series.
+type defenseRecord struct {
+	Point          DefensePoint
+	Episodes       int
+	Verdict        defense.Classification
+	CoarseEpisodes int
+	Features       featuresRecord
+}
+
+// newDefenseRun prepares the countermeasure driver: the attack under no
+// defense, bandwidth reservation, and split-lock protection, for both
+// attack kinds, plus one seed-derived attack-free replication (the last
+// job) whose feature stream calibrates the attribution trigger.
+func newDefenseRun(opts Options) (*DistRun, error) {
 	type cell struct {
 		attackName string
 		kind       memmodel.AttackKind
@@ -79,43 +96,29 @@ func DefenseEvaluation(opts Options) (*DefenseResult, error) {
 		{"bus-saturation", memmodel.AttackBusSaturation, "bandwidth-reservation", reservation},
 		{"bus-saturation", memmodel.AttackBusSaturation, "split-lock-protection", splitLock},
 	}
+	// The undefended lock attack is both the detectors' subject and the
+	// trigger's positive example; the reservation cell is what the
+	// trigger switches to.
+	const undefendedLock, lockReservation = 0, 1
+	horizon := opts.duration(90 * time.Second)
 
-	// Plain runJobs (no arena): each cell keeps its live experiment so the
-	// detection pass below can replay the undefended lock attack's exact
-	// CPU signal after the sweep returns. The extra job past the matrix
-	// cells is a seed-derived attack-free replication whose feature stream
-	// calibrates the attribution trigger.
-	featureSpec := func() *telemetry.Spec {
-		spec := telemetry.DefaultSpec()
-		spec.EventRing = 0
-		spec.TailKeep = 0
-		spec.HeadEvery = 0
-		spec.HeadKeep = 0
-		spec.Resolutions = nil
-		spec.FeatureWindows = []time.Duration{monitor.GranularityFine}
-		spec.TailOver = time.Second
-		return &spec
-	}
-	type cellRun struct {
-		point DefensePoint
-		x     *core.Experiment
-	}
-	runs, err := runJobs(opts, len(cells)+1, func(i int) (*cellRun, error) {
+	return newRun(len(cells)+1, func(a *stats.Arena, i int) (defenseRecord, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = opts.Seed
-		cfg.Duration = opts.duration(90 * time.Second)
+		cfg.Duration = horizon
+		cfg.Arena = a
 		if i == len(cells) {
 			cfg.Seed = sweep.DeriveSeed(opts.Seed, 200)
 			cfg.Attack = nil
-			cfg.Trace = featureSpec()
+			cfg.Trace = featureTrace(monitor.GranularityFine)
 			x, err := core.NewExperiment(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("figures: defense clean tuning run: %w", err)
+				return defenseRecord{}, fmt.Errorf("figures: defense clean tuning run: %w", err)
 			}
 			if _, err := x.Run(); err != nil {
-				return nil, fmt.Errorf("figures: defense clean tuning run: %w", err)
+				return defenseRecord{}, fmt.Errorf("figures: defense clean tuning run: %w", err)
 			}
-			return &cellRun{x: x}, nil
+			return defenseRecord{Features: captureFeatures(x.Tracer().FeaturesAt(monitor.GranularityFine))}, nil
 		}
 		c := cells[i]
 		cfg.Attack.Kind = c.kind
@@ -124,116 +127,106 @@ func DefenseEvaluation(opts Options) (*DefenseResult, error) {
 			cfg.Attack.AdversaryVMs = 4
 		}
 		cfg.Defense = c.spec
-		if c.kind == memmodel.AttackMemoryLock && c.spec == nil {
-			cfg.Trace = featureSpec()
+		if i == undefendedLock {
+			cfg.Trace = featureTrace(monitor.GranularityFine)
 		}
 		x, err := core.NewExperiment(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("figures: defense %s/%s: %w", c.attackName, c.defName, err)
+			return defenseRecord{}, fmt.Errorf("figures: defense %s/%s: %w", c.attackName, c.defName, err)
 		}
 		rep, err := x.Run()
 		if err != nil {
-			return nil, fmt.Errorf("figures: defense %s/%s run: %w", c.attackName, c.defName, err)
+			return defenseRecord{}, fmt.Errorf("figures: defense %s/%s run: %w", c.attackName, c.defName, err)
 		}
-		return &cellRun{
-			point: DefensePoint{
-				Attack:       c.attackName,
-				Defense:      c.defName,
-				ClientP95:    rep.Client.P95,
-				DegradationD: rep.LastDegradation,
-				Mitigated:    rep.Client.P95 < time.Second,
-			},
-			x: x,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var undefendedLock *core.Experiment
-	var lockP95, reservationP95 time.Duration
-	for i, c := range cells {
-		res.Matrix = append(res.Matrix, runs[i].point)
-		if c.kind == memmodel.AttackMemoryLock {
-			switch {
-			case c.spec == nil:
-				undefendedLock = runs[i].x
-				lockP95 = runs[i].point.ClientP95
-			case c.spec == reservation:
-				reservationP95 = runs[i].point.ClientP95
-			}
+		rec := defenseRecord{Point: DefensePoint{
+			Attack:       c.attackName,
+			Defense:      c.defName,
+			ClientP95:    rep.Client.P95,
+			DegradationD: rep.LastDegradation,
+			Mitigated:    rep.Client.P95 < time.Second,
+		}}
+		if i != undefendedLock {
+			return rec, nil
 		}
-	}
-	cleanTuning := runs[len(cells)].x
 
-	// Detection side: run the fine- and coarse-grained detectors over
-	// the undefended lock attack's exact CPU signal.
-	busy, err := undefendedLock.Network().TierBusy(2)
-	if err != nil {
-		return nil, err
-	}
-	warmup := 20 * time.Second
-	source := func(from, to time.Duration) float64 {
-		return busy.WindowAverage(warmup+from, warmup+to) / 2
-	}
-	horizon := opts.duration(90 * time.Second)
+		// Detection side: run the fine- and coarse-grained detectors over
+		// this run's exact CPU signal.
+		busy, err := x.Network().TierBusy(2)
+		if err != nil {
+			return defenseRecord{}, err
+		}
+		source := func(from, to time.Duration) float64 {
+			return busy.WindowAverage(cfg.Warmup+from, cfg.Warmup+to) / 2
+		}
+		fine, err := defense.NewDetector(defense.DefaultDetector())
+		if err != nil {
+			return defenseRecord{}, err
+		}
+		episodes, err := fine.Detect(source, horizon)
+		if err != nil {
+			return defenseRecord{}, err
+		}
+		rec.Episodes = len(episodes)
+		rec.Verdict = defense.Classify(episodes, 5)
 
-	fine, err := defense.NewDetector(defense.DefaultDetector())
-	if err != nil {
-		return nil, err
-	}
-	episodes, err := fine.Detect(source, horizon)
-	if err != nil {
-		return nil, err
-	}
-	res.DetectorEpisodes = len(episodes)
-	res.DetectorVerdict = defense.Classify(episodes, 5)
-	res.DetectorOverhead = defense.DefaultDetector().OverheadFraction()
+		coarseCfg := defense.DefaultDetector()
+		coarseCfg.Granularity = time.Second
+		coarse, err := defense.NewDetector(coarseCfg)
+		if err != nil {
+			return defenseRecord{}, err
+		}
+		coarseEpisodes, err := coarse.Detect(source, horizon)
+		if err != nil {
+			return defenseRecord{}, err
+		}
+		rec.CoarseEpisodes = len(coarseEpisodes)
+		rec.Features = captureFeatures(x.Tracer().FeaturesAt(monitor.GranularityFine))
+		return rec, nil
+	}, func(recs []defenseRecord) (any, string, error) {
+		lock := recs[undefendedLock]
+		res := &DefenseResult{
+			DetectorEpisodes:       lock.Episodes,
+			DetectorVerdict:        lock.Verdict,
+			DetectorOverhead:       defense.DefaultDetector().OverheadFraction(),
+			CoarseDetectorEpisodes: lock.CoarseEpisodes,
+		}
+		for _, rec := range recs[:len(cells)] {
+			res.Matrix = append(res.Matrix, rec.Point)
+		}
 
-	coarseCfg := defense.DefaultDetector()
-	coarseCfg.Granularity = time.Second
-	coarse, err := defense.NewDetector(coarseCfg)
-	if err != nil {
-		return nil, err
-	}
-	coarseEpisodes, err := coarse.Detect(source, horizon)
-	if err != nil {
-		return nil, err
-	}
-	res.CoarseDetectorEpisodes = len(coarseEpisodes)
+		// Attribution trigger: tune the feature detector on the
+		// seed-derived clean replication against the undefended lock
+		// attack, then use it as the activation condition for bandwidth
+		// reservation. The triggered row's p95 is not a new simulation —
+		// the trigger decides which of the two measured outcomes applies:
+		// the reservation cell's when the detector fires, the undefended
+		// cell's when it stays silent.
+		lockFeatures := lock.Features.series()
+		attribution, _, err := monitor.TuneAttribution(
+			[]*telemetry.FeatureSeries{lockFeatures},
+			[]*telemetry.FeatureSeries{recs[len(cells)].Features.series()},
+			detectorMinCount,
+		)
+		if err != nil {
+			return nil, "", fmt.Errorf("figures: tuning defense trigger: %w", err)
+		}
+		res.Attribution = attribution
+		res.AttributionAlarms = len(attribution.DetectFeatures(lockFeatures))
+		res.AttributionTriggered = res.AttributionAlarms > 0
+		res.TriggeredP95 = lock.Point.ClientP95
+		if res.AttributionTriggered {
+			res.TriggeredP95 = recs[lockReservation].Point.ClientP95
+		}
+		res.Matrix = append(res.Matrix, DefensePoint{
+			Attack:       "memory-lock",
+			Defense:      "attribution-triggered-reservation",
+			ClientP95:    res.TriggeredP95,
+			DegradationD: lock.Point.DegradationD,
+			Mitigated:    res.TriggeredP95 < time.Second,
+		})
 
-	// Attribution trigger: tune the feature detector on the seed-derived
-	// clean replication against the undefended lock attack, then use it as
-	// the activation condition for bandwidth reservation. The triggered
-	// row's p95 is not a new simulation — the trigger decides which of the
-	// two measured outcomes applies: the reservation cell's when the
-	// detector fires, the undefended cell's when it stays silent.
-	lockFeatures := undefendedLock.Tracer().FeaturesAt(monitor.GranularityFine)
-	cleanFeatures := cleanTuning.Tracer().FeaturesAt(monitor.GranularityFine)
-	attribution, _, err := monitor.TuneAttribution(
-		[]*telemetry.FeatureSeries{lockFeatures},
-		[]*telemetry.FeatureSeries{cleanFeatures},
-		detectorMinCount,
-	)
-	if err != nil {
-		return nil, fmt.Errorf("figures: tuning defense trigger: %w", err)
-	}
-	res.Attribution = attribution
-	res.AttributionAlarms = len(attribution.DetectFeatures(lockFeatures))
-	res.AttributionTriggered = res.AttributionAlarms > 0
-	res.TriggeredP95 = lockP95
-	if res.AttributionTriggered {
-		res.TriggeredP95 = reservationP95
-	}
-	res.Matrix = append(res.Matrix, DefensePoint{
-		Attack:       "memory-lock",
-		Defense:      "attribution-triggered-reservation",
-		ClientP95:    res.TriggeredP95,
-		DegradationD: res.Matrix[0].DegradationD,
-		Mitigated:    res.TriggeredP95 < time.Second,
-	})
-
-	if path := opts.path("defense_matrix.csv"); path != "" {
 		rows := make([][]string, 0, len(res.Matrix))
+		lines := make([]string, 0, len(res.Matrix)+2)
 		for _, p := range res.Matrix {
 			rows = append(rows, []string{
 				p.Attack, p.Defense,
@@ -241,10 +234,23 @@ func DefenseEvaluation(opts Options) (*DefenseResult, error) {
 				strconv.FormatFloat(p.DegradationD, 'f', 3, 64),
 				strconv.FormatBool(p.Mitigated),
 			})
+			lines = append(lines, fmt.Sprintf("%-15s + %-22s p95=%-9v D=%.3f mitigated=%v",
+				p.Attack, p.Defense, p.ClientP95.Round(time.Millisecond), p.DegradationD, p.Mitigated))
 		}
-		if err := trace.WriteCSV(path, []string{"attack", "defense", "client_p95_ms", "degradation_d", "mitigated"}, rows); err != nil {
-			return nil, err
+		if err := opts.writeCSV("defense_matrix.csv", []string{"attack", "defense", "client_p95_ms", "degradation_d", "mitigated"}, rows); err != nil {
+			return nil, "", err
 		}
-	}
-	return res, nil
+		lines = append(lines,
+			fmt.Sprintf("50ms detector: %d episodes, attack classified: %v (overhead %.3f%% of a core)",
+				res.DetectorEpisodes, res.DetectorVerdict.PulsatingAttack, res.DetectorOverhead*100),
+			fmt.Sprintf("1s detector: %d episodes (the stealth window)", res.CoarseDetectorEpisodes))
+		return res, strings.Join(lines, "\n"), nil
+	}), nil
+}
+
+// DefenseEvaluation runs the attack under no defense, bandwidth
+// reservation, and split-lock protection, for both attack kinds, and runs
+// the millibottleneck detector against the undefended lock attack.
+func DefenseEvaluation(opts Options) (*DefenseResult, error) {
+	return runAs[*DefenseResult]("defense", opts)
 }

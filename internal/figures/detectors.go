@@ -3,13 +3,14 @@ package figures
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"memca/internal/core"
 	"memca/internal/monitor"
+	"memca/internal/stats"
 	"memca/internal/sweep"
 	"memca/internal/telemetry"
-	"memca/internal/trace"
 )
 
 // Detector-comparison scenario labels.
@@ -93,40 +94,70 @@ var detectorScenarios = []struct {
 	{ScenarioFlashCrowd, false, true},
 }
 
-// detectorSignal is one scenario run's evidence: the victim-tier CPU
-// signal the sampled detectors see and the tracer whose feature series the
-// attribution detector consumes.
-type detectorSignal struct {
-	source  monitor.UtilizationSource
-	horizon time.Duration
-	tracer  *telemetry.Tracer
+// detectorGranularities are the grid's monitoring granularities, in
+// record and CSV order.
+var detectorGranularities = []time.Duration{monitor.GranularityUser, monitor.GranularityFine}
+
+// detectorRecord is one scenario run's evidence, one entry per
+// detectorGranularities element: the victim-tier CPU signal sampled as
+// the CPU detectors see it, and the feature series the attribution
+// detector consumes.
+type detectorRecord struct {
+	Buckets  [][]stats.Bucket
+	Features []featuresRecord
 }
 
-// runDetectorScenario runs one scenario with feature tracing enabled. The
-// flash crowd raises the closed-loop population by 50% over the middle
-// half of the run: enough to lift the 1 s CPU signal well above the clean
-// band, while the queues (not drop cascades) absorb the surge — the benign
-// overload a CPU detector cannot tell from an attack.
-func runDetectorScenario(opts Options, seed int64, attack, flash bool) (*detectorSignal, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Duration = opts.duration(2 * time.Minute)
-	if !attack {
-		cfg.Attack = nil
-	}
+// featuresRecord is a telemetry.FeatureSeries as plain record values.
+type featuresRecord struct {
+	Res, TailThreshold, Base time.Duration
+	Windows                  []telemetry.WindowFeatures
+}
+
+// featureTrace is the tracing spec of the detection studies: streaming
+// features at the given windows (tail threshold 1 s) and nothing else.
+func featureTrace(windows ...time.Duration) *telemetry.Spec {
 	spec := telemetry.DefaultSpec()
 	spec.EventRing = 0
 	spec.TailKeep = 0
 	spec.HeadEvery = 0
 	spec.HeadKeep = 0
 	spec.Resolutions = nil
-	spec.FeatureWindows = []time.Duration{monitor.GranularityFine, monitor.GranularityUser}
+	spec.FeatureWindows = windows
 	spec.TailOver = time.Second
-	cfg.Trace = &spec
+	return &spec
+}
 
+// captureFeatures copies a live feature series into a record.
+func captureFeatures(fs *telemetry.FeatureSeries) featuresRecord {
+	return featuresRecord{Res: fs.Res, TailThreshold: fs.TailThreshold, Base: fs.Base(), Windows: fs.Windows()}
+}
+
+// series rebuilds the recorded feature series.
+func (r featuresRecord) series() *telemetry.FeatureSeries {
+	fs := telemetry.RestoreFeatureSeries(r.Res, r.TailThreshold, r.Base, r.Windows)
+	return &fs
+}
+
+// runDetectorScenario runs one scenario with feature tracing enabled and
+// samples its evidence. The flash crowd raises the closed-loop population
+// by 50% over the middle half of the run: enough to lift the 1 s CPU
+// signal well above the clean band, while the queues (not drop cascades)
+// absorb the surge — the benign overload a CPU detector cannot tell from
+// an attack.
+func runDetectorScenario(opts Options, a *stats.Arena, seed int64, attack, flash bool) (detectorRecord, error) {
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	cfg.Duration = opts.duration(2 * time.Minute)
+	cfg.Arena = a
+	if !attack {
+		cfg.Attack = nil
+	}
+	cfg.Trace = featureTrace(monitor.GranularityFine, monitor.GranularityUser)
+
+	var rec detectorRecord
 	x, err := core.NewExperiment(cfg)
 	if err != nil {
-		return nil, err
+		return rec, err
 	}
 	if flash {
 		surgeStart := cfg.Warmup + cfg.Duration/4
@@ -137,131 +168,120 @@ func runDetectorScenario(opts Options, seed int64, attack, flash bool) (*detecto
 		engine.At(surgeEnd, func() { x.Generator().SetPopulation(cfg.Clients, 0) })
 	}
 	if _, err := x.Run(); err != nil {
-		return nil, err
+		return rec, err
 	}
 	busy, err := x.Network().TierBusy(2)
 	if err != nil {
-		return nil, err
+		return rec, err
 	}
-	warmup := cfg.Warmup
 	source := func(from, to time.Duration) float64 {
-		return busy.WindowAverage(warmup+from, warmup+to) / 2
+		return busy.WindowAverage(cfg.Warmup+from, cfg.Warmup+to) / 2
 	}
-	return &detectorSignal{source: source, horizon: cfg.Duration, tracer: x.Tracer()}, nil
+	for _, g := range detectorGranularities {
+		sampler, err := monitor.NewSampler("cpu", g, source)
+		if err != nil {
+			return rec, err
+		}
+		buckets, err := sampler.Collect(cfg.Duration)
+		if err != nil {
+			return rec, err
+		}
+		rec.Buckets = append(rec.Buckets, buckets)
+		rec.Features = append(rec.Features, captureFeatures(x.Tracer().FeaturesAt(g)))
+	}
+	return rec, nil
 }
 
-// DetectorComparison evaluates the detector grid: three scenarios (attack,
-// clean, flash crowd) × {tuned CPU detectors, attribution detector} ×
-// {1 s, 50 ms}. Every run is replicated at a seed-derived tuning seed and
-// the evaluation seed; the tuners see only the tuning replications, so the
-// evaluated alarms are out-of-sample.
-func DetectorComparison(opts Options) (*DetectorComparisonResult, error) {
-	granularities := []time.Duration{monitor.GranularityUser, monitor.GranularityFine}
+func init() {
+	registerDist(DistDriver{Name: "detectors", New: newDetectorRun})
+}
 
-	// Jobs 0-2 are the tuning replications (seed-derived), jobs 3-5 the
-	// evaluation runs. Plain runJobs (no arena): the returned signals
-	// close over live busy integrators and tracer slabs, read after the
-	// sweep returns.
-	n := 2 * len(detectorScenarios)
-	signals, err := runJobs(opts, n, func(i int) (*detectorSignal, error) {
-		scen := detectorScenarios[i%len(detectorScenarios)]
+// newDetectorRun prepares the detector grid: three scenarios (attack,
+// clean, flash crowd) × {tuned CPU detectors, attribution detector} ×
+// {1 s, 50 ms}. Jobs 0-2 are tuning replications at seed-derived seeds,
+// jobs 3-5 the evaluation runs at the figure seed; the tuners see only
+// the tuning replications, so the evaluated alarms are out-of-sample.
+func newDetectorRun(opts Options) (*DistRun, error) {
+	n := len(detectorScenarios)
+	return newRun(2*n, func(a *stats.Arena, i int) (detectorRecord, error) {
+		scen := detectorScenarios[i%n]
 		seed := opts.Seed
 		label := "eval"
-		if i < len(detectorScenarios) {
+		if i < n {
 			seed = sweep.DeriveSeed(opts.Seed, 100+i)
 			label = "tuning"
 		}
-		s, err := runDetectorScenario(opts, seed, scen.attack, scen.flash)
+		rec, err := runDetectorScenario(opts, a, seed, scen.attack, scen.flash)
 		if err != nil {
-			return nil, fmt.Errorf("figures: detector comparison %s %s run: %w", scen.name, label, err)
+			return rec, fmt.Errorf("figures: detector comparison %s %s run: %w", scen.name, label, err)
 		}
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tune, eval := signals[:len(detectorScenarios)], signals[len(detectorScenarios):]
-	tuneAttack, tuneClean, tuneFlash := tune[0], tune[1], tune[2]
-
-	res := &DetectorComparisonResult{}
-
-	// Calibrate the CPU detectors per granularity on the clean tuning
-	// replication's signal.
-	cpuTuned := make(map[time.Duration]monitor.TunedCPUDetectors, len(granularities))
-	for _, g := range granularities {
-		sampler, err := monitor.NewSampler("cpu", g, tuneClean.source)
-		if err != nil {
-			return nil, err
+		return rec, nil
+	}, func(recs []detectorRecord) (any, string, error) {
+		for i, rec := range recs {
+			if len(rec.Buckets) != len(detectorGranularities) || len(rec.Features) != len(detectorGranularities) {
+				return nil, "", fmt.Errorf("figures: detector record %d covers %d/%d granularities, want %d",
+					i, len(rec.Buckets), len(rec.Features), len(detectorGranularities))
+			}
 		}
-		buckets, err := sampler.Collect(tuneClean.horizon)
-		if err != nil {
-			return nil, err
-		}
-		tuned, err := monitor.TuneCPUDetectors(buckets)
-		if err != nil {
-			return nil, fmt.Errorf("figures: tuning CPU detectors at %v: %w", g, err)
-		}
-		cpuTuned[g] = tuned
-		res.Tuning = append(res.Tuning, DetectorTuning{Granularity: g, CPU: tuned})
-	}
+		tune, eval := recs[:n], recs[n:]
+		tuneAttack, tuneClean, tuneFlash := tune[0], tune[1], tune[2]
+		res := &DetectorComparisonResult{}
 
-	// ROC-sweep the attribution threshold over the labeled tuning
-	// replications, pooling both granularities so one threshold serves
-	// the whole grid (the share is scale-free).
-	pos := []*telemetry.FeatureSeries{}
-	neg := []*telemetry.FeatureSeries{}
-	for _, g := range granularities {
-		pos = append(pos, tuneAttack.tracer.FeaturesAt(g))
-		neg = append(neg, tuneClean.tracer.FeaturesAt(g), tuneFlash.tracer.FeaturesAt(g))
-	}
-	attribution, roc, err := monitor.TuneAttribution(pos, neg, detectorMinCount)
-	if err != nil {
-		return nil, fmt.Errorf("figures: tuning attribution detector: %w", err)
-	}
-	res.Attribution = attribution
-	res.ROC = roc
-
-	// Evaluate the grid on the out-of-sample runs.
-	for si, scen := range detectorScenarios {
-		sig := eval[si]
-		for _, g := range granularities {
-			sampler, err := monitor.NewSampler("cpu", g, sig.source)
+		// Calibrate the CPU detectors per granularity on the clean tuning
+		// replication's signal.
+		cpuTuned := make([]monitor.TunedCPUDetectors, len(detectorGranularities))
+		for gi, g := range detectorGranularities {
+			tuned, err := monitor.TuneCPUDetectors(tuneClean.Buckets[gi])
 			if err != nil {
-				return nil, err
+				return nil, "", fmt.Errorf("figures: tuning CPU detectors at %v: %w", g, err)
 			}
-			buckets, err := sampler.Collect(sig.horizon)
-			if err != nil {
-				return nil, err
-			}
-			detectors := append(cpuTuned[g].Detectors(),
-				monitor.BridgeFeatures(attribution, sig.tracer.FeaturesAt(g)))
-			for _, det := range detectors {
-				res.Cells = append(res.Cells, DetectorCell{
-					Scenario:    scen.name,
-					Detector:    det.Name(),
-					Granularity: g,
-					Alarms:      len(det.Detect(buckets)),
-				})
+			cpuTuned[gi] = tuned
+			res.Tuning = append(res.Tuning, DetectorTuning{Granularity: g, CPU: tuned})
+		}
+
+		// ROC-sweep the attribution threshold over the labeled tuning
+		// replications, pooling both granularities so one threshold serves
+		// the whole grid (the share is scale-free).
+		pos := []*telemetry.FeatureSeries{}
+		neg := []*telemetry.FeatureSeries{}
+		for gi := range detectorGranularities {
+			pos = append(pos, tuneAttack.Features[gi].series())
+			neg = append(neg, tuneClean.Features[gi].series(), tuneFlash.Features[gi].series())
+		}
+		attribution, roc, err := monitor.TuneAttribution(pos, neg, detectorMinCount)
+		if err != nil {
+			return nil, "", fmt.Errorf("figures: tuning attribution detector: %w", err)
+		}
+		res.Attribution = attribution
+		res.ROC = roc
+
+		// Evaluate the grid on the out-of-sample runs.
+		for si, scen := range detectorScenarios {
+			rec := eval[si]
+			for gi, g := range detectorGranularities {
+				detectors := append(cpuTuned[gi].Detectors(),
+					monitor.BridgeFeatures(attribution, rec.Features[gi].series()))
+				for _, det := range detectors {
+					res.Cells = append(res.Cells, DetectorCell{
+						Scenario:    scen.name,
+						Detector:    det.Name(),
+						Granularity: g,
+						Alarms:      len(det.Detect(rec.Buckets[gi])),
+					})
+				}
 			}
 		}
-	}
 
-	if path := opts.path("detector_comparison.csv"); path != "" {
 		rows := make([][]string, 0, len(res.Cells))
+		lines := make([]string, 0, len(res.Cells)+1+len(res.Tuning))
 		for _, c := range res.Cells {
-			rows = append(rows, []string{
-				c.Scenario,
-				c.Detector,
-				c.Granularity.String(),
-				strconv.Itoa(c.Alarms),
-			})
+			rows = append(rows, []string{c.Scenario, c.Detector, c.Granularity.String(), strconv.Itoa(c.Alarms)})
+			lines = append(lines, fmt.Sprintf("%-12s %-10s @ %-5v alarms=%d", c.Scenario, c.Detector, c.Granularity, c.Alarms))
 		}
-		if err := trace.WriteCSV(path, []string{"scenario", "detector", "granularity", "alarms"}, rows); err != nil {
-			return nil, err
+		if err := opts.writeCSV("detector_comparison.csv", []string{"scenario", "detector", "granularity", "alarms"}, rows); err != nil {
+			return nil, "", err
 		}
-	}
-	if path := opts.path("detector_roc.csv"); path != "" {
-		rows := make([][]string, 0, len(res.ROC))
+		rows = make([][]string, 0, len(res.ROC))
 		for _, p := range res.ROC {
 			rows = append(rows, []string{
 				strconv.FormatFloat(p.Threshold, 'f', 6, 64),
@@ -271,9 +291,25 @@ func DetectorComparison(opts Options) (*DetectorComparisonResult, error) {
 				strconv.FormatFloat(p.FPR, 'f', 4, 64),
 			})
 		}
-		if err := trace.WriteCSV(path, []string{"threshold", "tp", "fp", "tpr", "fpr"}, rows); err != nil {
-			return nil, err
+		if err := opts.writeCSV("detector_roc.csv", []string{"threshold", "tp", "fp", "tpr", "fpr"}, rows); err != nil {
+			return nil, "", err
 		}
-	}
-	return res, nil
+		lines = append(lines, fmt.Sprintf("attribution threshold (ROC-tuned): retrans share > %.4f (min %d traces/window)",
+			res.Attribution.ShareThreshold, res.Attribution.MinCount))
+		for _, tn := range res.Tuning {
+			lines = append(lines, fmt.Sprintf("tuned CPU @ %-5v threshold=%.2f ewma(K=%.0f,a=%.1f) cusum(target=%.2f,k=%.2f,h=%.1f)",
+				tn.Granularity, tn.CPU.Threshold.Threshold, tn.CPU.EWMA.K, tn.CPU.EWMA.Alpha,
+				tn.CPU.CUSUM.Target, tn.CPU.CUSUM.Slack, tn.CPU.CUSUM.DecisionThreshold))
+		}
+		return res, strings.Join(lines, "\n"), nil
+	}), nil
+}
+
+// DetectorComparison evaluates the detector grid: three scenarios (attack,
+// clean, flash crowd) × {tuned CPU detectors, attribution detector} ×
+// {1 s, 50 ms}. Every run is replicated at a seed-derived tuning seed and
+// the evaluation seed; the tuners see only the tuning replications, so the
+// evaluated alarms are out-of-sample.
+func DetectorComparison(opts Options) (*DetectorComparisonResult, error) {
+	return runAs[*DetectorComparisonResult]("detectors", opts)
 }

@@ -9,6 +9,7 @@ import (
 
 	"memca/internal/dsweep"
 	"memca/internal/stats"
+	"memca/internal/sweep"
 )
 
 // DistRun is one figure driver prepared for distributable execution: a
@@ -19,10 +20,10 @@ import (
 // The split is what makes sharding safe: Job never writes files and is a
 // pure function of (Options, index) — every worker computes identical
 // bytes for an index — while Finalize is the only stage that touches
-// OutDir, and runs exactly once on the merged stream. The in-process
-// figure functions (Fig2, the ablations, FigPlanner) run through the same
-// Job/Finalize pair, so a distributed run's outputs are byte-identical to
-// theirs by construction, not by testing alone.
+// OutDir, and runs exactly once on the merged stream. Every in-process
+// figure function runs through the same Job/Finalize pair (RunLocal), so
+// a distributed run's outputs are byte-identical to theirs by
+// construction, not by testing alone.
 type DistRun struct {
 	// Jobs is the total job count; indices run 0..Jobs-1.
 	Jobs int
@@ -32,11 +33,14 @@ type DistRun struct {
 	Job func(a *stats.Arena, index int) ([]byte, error)
 	// Finalize consumes the records in index order, writes the figure's
 	// CSV artifacts (honoring Options.OutDir), and returns the figure's
-	// result plus a one-line human summary.
+	// result plus its human summary (newline-separated lines in a fixed
+	// order). It is the only stage that writes files.
 	Finalize func(payloads [][]byte) (result any, summary string, err error)
 }
 
-// DistDriver is a registered distributable figure driver.
+// DistDriver is a registered figure driver. Every figure, table, and
+// study the package regenerates is one, so each runs in-process
+// (RunLocal) or sharded (NewManifest, RunShard, RunDistributed) alike.
 type DistDriver struct {
 	// Name is the manifest key (e.g. "fig2", "ablation-interval").
 	Name string
@@ -74,11 +78,44 @@ func LookupDist(name string) (DistDriver, bool) {
 	return d, ok
 }
 
-// runDistLocal executes a driver fully in-process: jobs fan out over the
-// sweep engine (one arena per worker, same as every figure), then the
-// finalizer consumes the records in index order. This is the path the
-// plain figure functions use.
-func runDistLocal(name string, o Options) (any, string, error) {
+// newRun builds a driver's DistRun from a typed job and finalizer. Job
+// returns a plain value record, which is gob-encoded before the arena is
+// reset (so anything read from live experiment state must be copied into
+// the record inside the job); the finalizer sees the records decoded and
+// in index order. A record stream of the wrong length or with an
+// undecodable record is rejected before the finalizer runs, so a bad
+// merged artifact is an error, never a panic.
+func newRun[R any](jobs int, job func(a *stats.Arena, i int) (R, error), finalize func(recs []R) (any, string, error)) *DistRun {
+	return &DistRun{
+		Jobs: jobs,
+		Job: func(a *stats.Arena, i int) ([]byte, error) {
+			rec, err := job(a, i)
+			if err != nil {
+				return nil, err
+			}
+			return encodeRecord(rec)
+		},
+		Finalize: func(payloads [][]byte) (any, string, error) {
+			if len(payloads) != jobs {
+				return nil, "", fmt.Errorf("figures: got %d job records, want %d", len(payloads), jobs)
+			}
+			recs := make([]R, jobs)
+			for i, data := range payloads {
+				if err := decodeRecord(data, &recs[i]); err != nil {
+					return nil, "", fmt.Errorf("record %d: %w", i, err)
+				}
+			}
+			return finalize(recs)
+		},
+	}
+}
+
+// RunLocal executes a registered driver fully in-process and returns its
+// result and human summary. This is the one place jobs fan out: over the
+// sweep engine with one stats arena per worker, reset after every job, so
+// each run after a worker's first records into warm slabs. Every figure
+// function is a typed wrapper over it.
+func RunLocal(name string, o Options) (any, string, error) {
 	d, ok := LookupDist(name)
 	if !ok {
 		return nil, "", fmt.Errorf("figures: no dist driver %q (have %v)", name, DistDrivers())
@@ -87,11 +124,31 @@ func runDistLocal(name string, o Options) (any, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	payloads, err := runArenaJobs(o, r.Jobs, r.Job)
+	payloads, err := runLocalJobs(o, r)
 	if err != nil {
 		return nil, "", err
 	}
 	return r.Finalize(payloads)
+}
+
+// runLocalJobs computes every job record of r in index order.
+func runLocalJobs(o Options, r *DistRun) ([][]byte, error) {
+	opts := sweep.Options{Workers: o.Parallel, Progress: o.Progress}
+	return sweep.RunState(context.Background(), opts, r.Jobs, stats.GetArena, stats.PutArena,
+		func(_ context.Context, a *stats.Arena, i int) ([]byte, error) {
+			defer a.Reset()
+			return r.Job(a, i)
+		})
+}
+
+// runAs runs a driver in-process and returns its typed result.
+func runAs[T any](name string, o Options) (T, error) {
+	res, _, err := RunLocal(name, o)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return res.(T), nil
 }
 
 // encodeRecord gob-encodes one job record with a fresh encoder, so the
@@ -184,7 +241,7 @@ func RunShard(ctx context.Context, m *dsweep.Manifest, shard int, opts dsweep.Sh
 // RunDistributed finalizes a distributed run from its merged artifact:
 // it decodes the index-ordered records, writes the figure's CSV
 // artifacts into the manifest's OutDir, and returns the figure result
-// with a one-line summary. Merge must have completed first.
+// with its summary. Merge must have completed first.
 func RunDistributed(m *dsweep.Manifest) (any, string, error) {
 	r, err := newDistRun(m)
 	if err != nil {

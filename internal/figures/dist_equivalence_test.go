@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,37 +15,77 @@ import (
 	"memca/internal/sweep"
 )
 
-// distEquivalenceDrivers are the drivers the sharded-vs-local contract is
-// pinned at: the headline figure, one ablation sweep, and the planner
-// validation (the largest job grid).
+// distEquivalenceDrivers get the full shard ladder and the kill/resume
+// test: the headline figure, one ablation sweep, and the planner
+// validation (the largest job grid). Every other driver is pinned at
+// distShards.
 var distEquivalenceDrivers = []string{"fig2", "ablation-interval", "planner"}
 
+// distShards is the shard count every driver is checked at: more shards
+// than most drivers have jobs, so empty shards must merge too.
+const distShards = 3
+
 // distShardCounts cover the serial case, the power-of-two ladder, and
-// more shards than some drivers have jobs (empty shards must merge too).
+// more shards than some drivers have jobs.
 var distShardCounts = []int{1, 2, 4, 8}
 
-// distReference runs a driver fully in-process and returns the canonical
-// merged encoding of its job records plus the scalar fingerprint of its
-// finalized result (CSV artifacts land in o.OutDir).
-func distReference(t *testing.T, name string, o Options) ([]byte, string) {
+// reference is one driver's canonical in-process run (quick, seed 7,
+// serial): the merged encoding of its job records and its finalized
+// scalars, summary, and CSV artifacts.
+type reference struct {
+	merged  []byte
+	print   string
+	summary string
+	files   map[string][]byte
+}
+
+var (
+	referencesMu sync.Mutex
+	references   = map[string]*reference{}
+)
+
+// localReference runs a driver fully in-process once per test binary and
+// shares the result between the worker and shard equivalence suites.
+func localReference(t *testing.T, name string) *reference {
 	t.Helper()
+	referencesMu.Lock()
+	defer referencesMu.Unlock()
+	if ref, ok := references[name]; ok {
+		return ref
+	}
 	d, ok := LookupDist(name)
 	if !ok {
 		t.Fatalf("no dist driver %q", name)
 	}
+	dir, err := os.MkdirTemp("", "figures-ref-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	o := Options{OutDir: dir, Quick: true, Seed: 7, Parallel: 1}
 	r, err := d.New(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads, err := runArenaJobs(o, r.Jobs, r.Job)
+	payloads, err := runLocalJobs(o, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := r.Finalize(payloads)
+	res, summary, err := r.Finalize(payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sweep.EncodeRecords(payloads), fingerprint(res)
+	ref := &reference{
+		merged:  sweep.EncodeRecords(payloads),
+		print:   fingerprint(res),
+		summary: summary,
+		files:   readArtifacts(t, dir),
+	}
+	if len(ref.files) == 0 {
+		t.Fatalf("%s reference run wrote no artifacts", name)
+	}
+	references[name] = ref
+	return ref
 }
 
 // writeDistManifest builds and persists a manifest for the driver into a
@@ -83,22 +125,23 @@ func runAllShards(t *testing.T, m *dsweep.Manifest) {
 }
 
 // TestDistShardEquivalence pins the fabric's core contract at the figure
-// level: for every shard count, the merged artifact is byte-identical to
-// the canonical encoding of an in-process run, and the finalized scalars
-// and CSV artifacts are identical too. A regression here means the shard
-// plan, the record codec, or a driver's job purity leaked into results.
+// level: the merged artifact is byte-identical to the canonical encoding
+// of an in-process run, and the finalized scalars, summary, and CSV
+// artifacts are identical too — for every registered driver at distShards,
+// and across the full ladder for distEquivalenceDrivers. A regression
+// here means the shard plan, the record codec, or a driver's job purity
+// (a record aliasing state the arena reset reclaimed) leaked into results.
 func TestDistShardEquivalence(t *testing.T) {
-	for _, name := range distEquivalenceDrivers {
+	for _, name := range DistDrivers() {
 		name := name
+		counts := []int{distShards}
+		if slices.Contains(distEquivalenceDrivers, name) {
+			counts = append(counts, distShardCounts...)
+		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			refDir := t.TempDir()
-			refMerged, refPrint := distReference(t, name, Options{OutDir: refDir, Quick: true, Seed: 7})
-			refFiles := readArtifacts(t, refDir)
-			if len(refFiles) == 0 {
-				t.Fatalf("%s reference run wrote no artifacts", name)
-			}
-			for _, shards := range distShardCounts {
+			ref := localReference(t, name)
+			for _, shards := range counts {
 				outDir := t.TempDir()
 				m := writeDistManifest(t, name, Options{OutDir: outDir, Quick: true, Seed: 7}, shards)
 				runAllShards(t, m)
@@ -109,31 +152,21 @@ func TestDistShardEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(merged, refMerged) {
+				if !bytes.Equal(merged, ref.merged) {
 					t.Errorf("%s with %d shards: merged artifact differs from in-process run (%d vs %d bytes)",
-						name, shards, len(merged), len(refMerged))
+						name, shards, len(merged), len(ref.merged))
 				}
-				res, _, err := RunDistributed(m)
+				res, summary, err := RunDistributed(m)
 				if err != nil {
 					t.Fatalf("%s with %d shards: finalize: %v", name, shards, err)
 				}
-				if got := fingerprint(res); got != refPrint {
-					t.Errorf("%s with %d shards: scalars differ:\n%s\nvs\n%s", name, shards, got, refPrint)
+				if got := fingerprint(res); got != ref.print {
+					t.Errorf("%s with %d shards: scalars differ:\n%s\nvs\n%s", name, shards, got, ref.print)
 				}
-				files := readArtifacts(t, outDir)
-				if len(files) != len(refFiles) {
-					t.Errorf("%s with %d shards wrote %d artifacts, in-process wrote %d", name, shards, len(files), len(refFiles))
+				if summary != ref.summary {
+					t.Errorf("%s with %d shards: summary differs:\n%s\nvs\n%s", name, shards, summary, ref.summary)
 				}
-				for fname, ref := range refFiles {
-					got, ok := files[fname]
-					if !ok {
-						t.Errorf("%s with %d shards did not write %s", name, shards, fname)
-						continue
-					}
-					if !bytes.Equal(got, ref) {
-						t.Errorf("%s with %d shards: artifact %s differs from in-process run", name, shards, fname)
-					}
-				}
+				compareArtifacts(t, fmt.Sprintf("%s with %d shards", name, shards), ref.files, readArtifacts(t, outDir))
 			}
 		})
 	}
@@ -149,9 +182,7 @@ func TestDistKillResumeEquivalence(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			refDir := t.TempDir()
-			refMerged, refPrint := distReference(t, name, Options{OutDir: refDir, Quick: true, Seed: 7})
-			refFiles := readArtifacts(t, refDir)
+			ref := localReference(t, name)
 
 			const shards = 3
 			outDir := t.TempDir()
@@ -198,26 +229,71 @@ func TestDistKillResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(merged, refMerged) {
+			if !bytes.Equal(merged, ref.merged) {
 				t.Errorf("%s: merged artifact after kill+resume differs from in-process run", name)
 			}
 			res, _, err := RunDistributed(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fingerprint(res); got != refPrint {
-				t.Errorf("%s: scalars after kill+resume differ:\n%s\nvs\n%s", name, got, refPrint)
+			if got := fingerprint(res); got != ref.print {
+				t.Errorf("%s: scalars after kill+resume differ:\n%s\nvs\n%s", name, got, ref.print)
 			}
-			for fname, ref := range refFiles {
+			for fname, want := range ref.files {
 				got, err := os.ReadFile(filepath.Join(outDir, fname))
 				if err != nil {
 					t.Errorf("%s: missing artifact %s after kill+resume: %v", name, fname, err)
 					continue
 				}
-				if !bytes.Equal(got, ref) {
+				if !bytes.Equal(got, want) {
 					t.Errorf("%s: artifact %s differs after kill+resume", name, fname)
 				}
 			}
 		})
+	}
+}
+
+// TestDistFinalizeRejectsBadRecords pins every driver's finalizer against
+// a record stream it cannot trust (a merged artifact read back from
+// disk): too few records, undecodable records, and — for fig2, whose
+// finalizer indexes per-tier data — well-formed records of the wrong
+// shape must each be an error, never a panic.
+func TestDistFinalizeRejectsBadRecords(t *testing.T) {
+	garbage := func(n int) [][]byte {
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = []byte("not a job record")
+		}
+		return payloads
+	}
+	fig2NoTiers, err := encodeRecord(fig2Record{Env: "ec2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range DistDrivers() {
+		d, _ := LookupDist(name)
+		r, err := d.New(Options{Quick: true, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cases := map[string][][]byte{
+			"short":   garbage(r.Jobs)[1:],
+			"garbage": garbage(r.Jobs),
+		}
+		if name == "fig2" {
+			cases["no tiers"] = [][]byte{fig2NoTiers, fig2NoTiers}
+		}
+		for what, payloads := range cases {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s: %s records: Finalize panicked: %v", name, what, p)
+					}
+				}()
+				if _, _, err := r.Finalize(payloads); err == nil {
+					t.Errorf("%s: %s records: Finalize returned no error", name, what)
+				}
+			}()
+		}
 	}
 }

@@ -3,13 +3,13 @@ package figures
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"memca/internal/core"
 	"memca/internal/defense"
 	"memca/internal/monitor"
 	"memca/internal/stats"
-	"memca/internal/trace"
 )
 
 // EvasionPoint is one jitter level's outcome.
@@ -40,19 +40,21 @@ type EvasionResult struct {
 	Points []EvasionPoint
 }
 
-// JitterEvasion sweeps the attack's interval jitter and evaluates damage
-// versus detectability at each level.
-func JitterEvasion(opts Options) (*EvasionResult, error) {
-	res := &EvasionResult{}
+func init() {
+	registerDist(DistDriver{Name: "evasion", New: newEvasionRun})
+}
+
+// newEvasionRun prepares the jitter-evasion driver: one attack run per
+// interval-jitter level, each judged for damage and detectability inside
+// its job.
+func newEvasionRun(opts Options) (*DistRun, error) {
 	jitters := []float64{0, 0.25, 0.5, 0.75}
-	points, err := runArenaJobs(opts, len(jitters), func(a *stats.Arena, ji int) (EvasionPoint, error) {
+	return newRun(len(jitters), func(a *stats.Arena, ji int) (EvasionPoint, error) {
 		jitter := jitters[ji]
 		cfg := core.DefaultConfig()
 		cfg.Seed = opts.Seed
 		cfg.Duration = opts.duration(2 * time.Minute)
 		cfg.Attack.Params.Jitter = jitter
-		// The busy integrator read below is arena-backed; it is consumed
-		// in full before the job returns and the arena resets.
 		cfg.Arena = a
 		x, err := core.NewExperiment(cfg)
 		if err != nil {
@@ -101,15 +103,12 @@ func JitterEvasion(opts Options) (*EvasionResult, error) {
 		point.Classified = verdict.PulsatingAttack
 		point.IntervalCV = verdict.IntervalCV
 		return point, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Points = points
-
-	if path := opts.path("evasion_jitter.csv"); path != "" {
-		rows := make([][]string, 0, len(res.Points))
-		for _, p := range res.Points {
+	}, func(points []EvasionPoint) (any, string, error) {
+		lines := make([]string, 0, len(points))
+		rows := make([][]string, 0, len(points))
+		for _, p := range points {
+			lines = append(lines, fmt.Sprintf("jitter=%.2f  p95=%-9v periodicity=%.2f  gap-CV=%.2f  classified=%v",
+				p.Jitter, p.ClientP95.Round(time.Millisecond), p.Periodicity, p.IntervalCV, p.Classified))
 			rows = append(rows, []string{
 				strconv.FormatFloat(p.Jitter, 'f', 2, 64),
 				strconv.FormatFloat(p.ClientP95.Seconds()*1000, 'f', 1, 64),
@@ -118,9 +117,15 @@ func JitterEvasion(opts Options) (*EvasionResult, error) {
 				strconv.FormatFloat(p.IntervalCV, 'f', 3, 64),
 			})
 		}
-		if err := trace.WriteCSV(path, []string{"jitter", "client_p95_ms", "periodicity", "classified", "interval_cv"}, rows); err != nil {
-			return nil, err
+		if err := opts.writeCSV("evasion_jitter.csv", []string{"jitter", "client_p95_ms", "periodicity", "classified", "interval_cv"}, rows); err != nil {
+			return nil, "", err
 		}
-	}
-	return res, nil
+		return &EvasionResult{Points: points}, strings.Join(lines, "\n"), nil
+	}), nil
+}
+
+// JitterEvasion sweeps the attack's interval jitter and evaluates damage
+// versus detectability at each level.
+func JitterEvasion(opts Options) (*EvasionResult, error) {
+	return runAs[*EvasionResult]("evasion", opts)
 }

@@ -43,89 +43,79 @@ func init() {
 	registerDist(DistDriver{Name: "fig2", New: newFig2Run})
 }
 
+// fig2Envs are the cloud environments of Figure 2, one job each.
+var fig2Envs = []core.Env{core.EnvEC2, core.EnvPrivateCloud}
+
 // newFig2Run prepares the Figure 2 driver: one job per cloud environment,
 // each running the paper's headline experiment — the 3-minute RUBBoS run
 // under the memory-lock MemCA attack (I = 2 s, L = 500 ms).
 func newFig2Run(opts Options) (*DistRun, error) {
-	if err := checkTiersMatch(); err != nil {
-		return nil, err
+	job := func(a *stats.Arena, i int) (fig2Record, error) {
+		env := fig2Envs[i]
+		cfg := core.DefaultConfig()
+		cfg.Seed = opts.Seed
+		cfg.Env = env
+		cfg.Duration = opts.duration(3 * time.Minute)
+		cfg.Arena = a // the Report holds only heap copies; see core.Config
+		x, err := core.NewExperiment(cfg)
+		if err != nil {
+			return fig2Record{}, fmt.Errorf("figures: fig2 %v: %w", env, err)
+		}
+		rep, err := x.Run()
+		if err != nil {
+			return fig2Record{}, fmt.Errorf("figures: fig2 %v run: %w", env, err)
+		}
+		rec := fig2Record{
+			Env:         env.String(),
+			ClientP95:   rep.Client.P95,
+			ClientP98:   rep.Client.P98,
+			ClientCurve: rep.ClientCurve,
+			Tiers:       make([]fig2Tier, 0, len(rep.Tiers)),
+		}
+		for _, t := range rep.Tiers {
+			rec.Tiers = append(rec.Tiers, fig2Tier{Name: t.Name, Curve: t.Curve, P95: t.Summary.P95})
+		}
+		return rec, nil
 	}
-	envs := []core.Env{core.EnvEC2, core.EnvPrivateCloud}
-	return &DistRun{
-		Jobs: len(envs),
-		Job: func(a *stats.Arena, i int) ([]byte, error) {
-			env := envs[i]
-			cfg := core.DefaultConfig()
-			cfg.Seed = opts.Seed
-			cfg.Env = env
-			cfg.Duration = opts.duration(3 * time.Minute)
-			cfg.Arena = a // the Report holds only heap copies; see core.Config
-			x, err := core.NewExperiment(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("figures: fig2 %v: %w", env, err)
+	finalize := func(recs []fig2Record) (any, string, error) {
+		res := &Fig2Result{
+			ClientP95:       make(map[string]time.Duration),
+			ClientP98:       make(map[string]time.Duration),
+			AmplificationOK: true,
+		}
+		lines := make([]string, 0, len(recs)+1)
+		for i, rec := range recs {
+			if len(rec.Tiers) != 3 {
+				return nil, "", fmt.Errorf("figures: fig2 record %d has %d tiers, want 3", i, len(rec.Tiers))
 			}
-			rep, err := x.Run()
-			if err != nil {
-				return nil, fmt.Errorf("figures: fig2 %v run: %w", env, err)
-			}
-			rec := fig2Record{
-				Env:         env.String(),
-				ClientP95:   rep.Client.P95,
-				ClientP98:   rep.Client.P98,
-				ClientCurve: rep.ClientCurve,
-			}
-			for _, t := range rep.Tiers {
-				rec.Tiers = append(rec.Tiers, fig2Tier{Name: t.Name, Curve: t.Curve, P95: t.Summary.P95})
-			}
-			return encodeRecord(rec)
-		},
-		Finalize: func(payloads [][]byte) (any, string, error) {
-			res := &Fig2Result{
-				ClientP95:       make(map[string]time.Duration),
-				ClientP98:       make(map[string]time.Duration),
-				AmplificationOK: true,
-			}
-			lines := make([]string, 0, len(payloads))
-			for i, env := range envs {
-				rec := fig2Record{}
-				if err := decodeRecord(payloads[i], &rec); err != nil {
-					return nil, "", err
-				}
-				res.ClientP95[rec.Env] = rec.ClientP95
-				res.ClientP98[rec.Env] = rec.ClientP98
+			res.ClientP95[rec.Env] = rec.ClientP95
+			res.ClientP98[rec.Env] = rec.ClientP98
 
-				curves := map[string][]time.Duration{"client": rec.ClientCurve}
-				order := []string{"client"}
-				for _, t := range rec.Tiers {
-					curves[t.Name] = t.Curve
-					order = append(order, t.Name)
-				}
-				if err := writeCurves(opts.path(fmt.Sprintf("fig2_%s.csv", env)), core.FigurePercentiles, order, curves); err != nil {
-					return nil, "", err
-				}
-
-				tol := 5 * time.Millisecond
-				apache, tomcat, mysql := rec.Tiers[0].P95, rec.Tiers[1].P95, rec.Tiers[2].P95
-				if mysql > tomcat+tol || tomcat > apache+tol || apache > rec.ClientP95+tol {
-					res.AmplificationOK = false
-				}
-				lines = append(lines, fmt.Sprintf("%s client p95=%v p98=%v", rec.Env, rec.ClientP95, rec.ClientP98))
+			names := append(make([]string, 0, 1+len(rec.Tiers)), "client")
+			curves := append(make([][]time.Duration, 0, 1+len(rec.Tiers)), rec.ClientCurve)
+			for _, t := range rec.Tiers {
+				names, curves = append(names, t.Name), append(curves, t.Curve)
 			}
-			summary := fmt.Sprintf("fig2: %s, amplification ok=%t", strings.Join(lines, "; "), res.AmplificationOK)
-			return res, summary, nil
-		},
-	}, nil
+			if err := writeCurves(opts.path(fmt.Sprintf("fig2_%s.csv", fig2Envs[i])), core.FigurePercentiles, names, curves); err != nil {
+				return nil, "", err
+			}
+
+			tol := 5 * time.Millisecond
+			apache, tomcat, mysql := rec.Tiers[0].P95, rec.Tiers[1].P95, rec.Tiers[2].P95
+			if mysql > tomcat+tol || tomcat > apache+tol || apache > rec.ClientP95+tol {
+				res.AmplificationOK = false
+			}
+			lines = append(lines, fmt.Sprintf("%-14s client p95 = %-8v p98 = %v",
+				rec.Env, rec.ClientP95.Round(time.Millisecond), rec.ClientP98.Round(time.Millisecond)))
+		}
+		lines = append(lines, fmt.Sprintf("per-tier amplification ordering held: %v", res.AmplificationOK))
+		return res, strings.Join(lines, "\n"), nil
+	}
+	return newRun(len(fig2Envs), job, finalize), nil
 }
 
 // Fig2 runs the paper's headline experiment — the 3-minute RUBBoS run
 // under the memory-lock MemCA attack (I = 2 s, L = 500 ms) — in the EC2
 // and private-cloud parameterizations, and writes one percentile-curve CSV
-// per environment. It runs through the same job/finalize pair as the
-// distributed fabric, so its outputs match a sharded run byte for byte.
-func Fig2(opts Options) (*Fig2Result, error) {
-	res, _, err := runDistLocal("fig2", opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig2Result), nil
-}
+// per environment.
+func Fig2(opts Options) (*Fig2Result, error) { return runAs[*Fig2Result]("fig2", opts) }

@@ -10,7 +10,6 @@ import (
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
-	"memca/internal/trace"
 )
 
 // fig6Attack is the attack parameterization of the model experiments
@@ -37,33 +36,49 @@ type Fig6Result struct {
 	RPCFillOrder [3]time.Duration
 }
 
-// Fig6 runs both queueing models under identical ON-OFF attacks and
-// writes per-tier occupancy time lines.
-func Fig6(opts Options) (*Fig6Result, error) {
+func init() {
+	registerDist(DistDriver{Name: "fig6", New: newFig6Run})
+}
+
+// fig6Record is one model's run: the exported window's 20 ms occupancy
+// timeline as CSV rows, the peak occupancies, and the first-full
+// instants.
+type fig6Record struct {
+	Timeline [][]string
+	MaxOcc   [3]float64
+	FullAt   [3]time.Duration
+}
+
+// newFig6Run prepares the Figure 6 driver: two independent models under
+// the same attack — the tandem baseline (infinite queues, work piles at
+// the bottleneck) and the paper's RPC model (finite descending queues,
+// overflow propagates front).
+func newFig6Run(opts Options) (*DistRun, error) {
 	d, params := fig6Attack()
 	horizon := opts.duration(40 * time.Second)
-	res := &Fig6Result{RPCFilled: true}
 	m := analytical.RUBBoS3Tier()
-	limits := [3]int{m.Tiers[0].Queue, m.Tiers[1].Queue, m.Tiers[2].Queue}
-
-	type runResult struct {
-		buckets [][4]float64 // t, apache, tomcat, mysql
-		maxOcc  [3]float64
-		fullAt  [3]time.Duration
+	variants := []struct {
+		name   string
+		mode   queueing.Mode
+		limits [3]int
+	}{
+		{"tandem", queueing.ModeTandem, [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}},
+		{"rpc", queueing.ModeNTierRPC, [3]int{m.Tiers[0].Queue, m.Tiers[1].Queue, m.Tiers[2].Queue}},
 	}
-	run := func(a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (*runResult, error) {
+	run := func(a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (fig6Record, error) {
+		rr := fig6Record{}
 		e := sim.NewEngine(opts.Seed)
 		n, sources, err := modelNetwork(e, a, mode, queueLimits)
 		if err != nil {
-			return nil, err
+			return rr, err
 		}
 		inj, err := attack.NewDirectInjector(n, 2, d)
 		if err != nil {
-			return nil, err
+			return rr, err
 		}
 		b, err := attack.NewBurster(e, inj, params)
 		if err != nil {
-			return nil, err
+			return rr, err
 		}
 		for _, s := range sources {
 			s.Start()
@@ -73,7 +88,6 @@ func Fig6(opts Options) (*Fig6Result, error) {
 		b.Start()
 		attackStart := e.Now()
 
-		rr := &runResult{}
 		// Track first-full instants with a fine poller.
 		var poll func()
 		poll = func() {
@@ -83,11 +97,11 @@ func Fig6(opts Options) (*Fig6Result, error) {
 					return
 				}
 				occ := float64(st.InUse)
-				if occ > rr.maxOcc[i] {
-					rr.maxOcc[i] = occ
+				if occ > rr.MaxOcc[i] {
+					rr.MaxOcc[i] = occ
 				}
-				if queueLimits[i] != queueing.Infinite && rr.fullAt[i] == 0 && st.InUse >= queueLimits[i] {
-					rr.fullAt[i] = e.Now() - attackStart
+				if queueLimits[i] != queueing.Infinite && rr.FullAt[i] == 0 && st.InUse >= queueLimits[i] {
+					rr.FullAt[i] = e.Now() - attackStart
 				}
 			}
 			if e.Now() < horizon {
@@ -105,74 +119,53 @@ func Fig6(opts Options) (*Fig6Result, error) {
 		// at 20 ms resolution.
 		const width = 20 * time.Millisecond
 		for t := attackStart; t < attackStart+8*time.Second; t += width {
-			row := [4]float64{(t - attackStart).Seconds()}
+			row := []string{strconv.FormatFloat((t - attackStart).Seconds(), 'f', 3, 64)}
 			for i := 0; i < 3; i++ {
 				occ, err := n.TierOccupancy(i)
 				if err != nil {
-					return nil, err
+					return rr, err
 				}
-				row[i+1] = occ.WindowAverage(t, t+width)
+				row = append(row, strconv.FormatFloat(occ.WindowAverage(t, t+width), 'f', 2, 64))
 			}
-			rr.buckets = append(rr.buckets, row)
+			rr.Timeline = append(rr.Timeline, row)
 		}
 		return rr, nil
 	}
 
-	// Two independent models under the same attack: the tandem baseline
-	// (infinite queues, work piles at the bottleneck) and the paper's
-	// RPC model (finite descending queues, overflow propagates front).
-	variants := []struct {
-		name   string
-		mode   queueing.Mode
-		limits [3]int
-	}{
-		{"tandem", queueing.ModeTandem, [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}},
-		{"rpc", queueing.ModeNTierRPC, limits},
-	}
-	runs, err := runArenaJobs(opts, len(variants), func(a *stats.Arena, i int) (*runResult, error) {
+	return newRun(len(variants), func(a *stats.Arena, i int) (fig6Record, error) {
 		rr, err := run(a, variants[i].mode, variants[i].limits)
 		if err != nil {
-			return nil, fmt.Errorf("figures: fig6 %s: %w", variants[i].name, err)
+			return rr, fmt.Errorf("figures: fig6 %s: %w", variants[i].name, err)
 		}
 		return rr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tandem, rpc := runs[0], runs[1]
-	res.TandemMySQLMax = tandem.maxOcc[2]
-	res.TandemUpstreamMax = tandem.maxOcc[0]
-	if tandem.maxOcc[1] > res.TandemUpstreamMax {
-		res.TandemUpstreamMax = tandem.maxOcc[1]
-	}
-	for i := 0; i < 3; i++ {
-		if rpc.fullAt[i] == 0 {
-			res.RPCFilled = false
+	}, func(runs []fig6Record) (any, string, error) {
+		tandem, rpc := runs[0], runs[1]
+		res := &Fig6Result{RPCFilled: true}
+		res.TandemMySQLMax = tandem.MaxOcc[2]
+		res.TandemUpstreamMax = tandem.MaxOcc[0]
+		if tandem.MaxOcc[1] > res.TandemUpstreamMax {
+			res.TandemUpstreamMax = tandem.MaxOcc[1]
 		}
-		res.RPCFillOrder[i] = rpc.fullAt[i]
-	}
-
-	writeRun := func(name string, rr *runResult) error {
-		path := opts.path(name)
-		if path == "" {
-			return nil
+		for i := 0; i < 3; i++ {
+			if rpc.FullAt[i] == 0 {
+				res.RPCFilled = false
+			}
+			res.RPCFillOrder[i] = rpc.FullAt[i]
 		}
-		rows := make([][]string, 0, len(rr.buckets))
-		for _, b := range rr.buckets {
-			rows = append(rows, []string{
-				strconv.FormatFloat(b[0], 'f', 3, 64),
-				strconv.FormatFloat(b[1], 'f', 2, 64),
-				strconv.FormatFloat(b[2], 'f', 2, 64),
-				strconv.FormatFloat(b[3], 'f', 2, 64),
-			})
+		for i, v := range variants {
+			if err := opts.writeCSV(fmt.Sprintf("fig6_%s.csv", v.name), []string{"t_s", "apache_q", "tomcat_q", "mysql_q"}, runs[i].Timeline); err != nil {
+				return nil, "", err
+			}
 		}
-		return trace.WriteCSV(path, []string{"t_s", "apache_q", "tomcat_q", "mysql_q"}, rows)
-	}
-	if err := writeRun("fig6_tandem.csv", tandem); err != nil {
-		return nil, err
-	}
-	if err := writeRun("fig6_rpc.csv", rpc); err != nil {
-		return nil, err
-	}
-	return res, nil
+		summary := fmt.Sprintf("tandem: mysql max occupancy %.0f, upstream max %.0f\nrpc: all queues filled %v, fill order mysql %v -> tomcat %v -> apache %v",
+			res.TandemMySQLMax, res.TandemUpstreamMax, res.RPCFilled,
+			res.RPCFillOrder[2].Round(time.Millisecond),
+			res.RPCFillOrder[1].Round(time.Millisecond),
+			res.RPCFillOrder[0].Round(time.Millisecond))
+		return res, summary, nil
+	}), nil
 }
+
+// Fig6 runs both queueing models under identical ON-OFF attacks and
+// writes per-tier occupancy time lines.
+func Fig6(opts Options) (*Fig6Result, error) { return runAs[*Fig6Result]("fig6", opts) }

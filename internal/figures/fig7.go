@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"memca/internal/analytical"
@@ -45,14 +46,27 @@ type Fig7Result struct {
 	Cases map[Fig7Case]Fig7CaseResult
 }
 
-// Fig7 runs the three variants and writes one percentile-curve CSV per
-// case.
-func Fig7(opts Options) (*Fig7Result, error) {
+func init() {
+	registerDist(DistDriver{Name: "fig7", New: newFig7Run})
+}
+
+// fig7Record is one case's run: percentile curves for the client and
+// each tier (in fig7CurveOrder) plus the case summary.
+type fig7Record struct {
+	Curves [][]time.Duration
+	Result Fig7CaseResult
+}
+
+// fig7CurveOrder names a fig7Record's curves, which is also the CSV's
+// column order.
+var fig7CurveOrder = append([]string{"client"}, rubbosTierNames()...)
+
+// newFig7Run prepares the Figure 7 driver: one independent model
+// simulation per case under the same attack.
+func newFig7Run(opts Options) (*DistRun, error) {
 	d, params := fig6Attack()
 	horizon := opts.duration(3 * time.Minute)
 	m := analytical.RUBBoS3Tier()
-	res := &Fig7Result{Cases: make(map[Fig7Case]Fig7CaseResult)}
-
 	variants := []struct {
 		name   Fig7Case
 		mode   queueing.Mode
@@ -62,27 +76,20 @@ func Fig7(opts Options) (*Fig7Result, error) {
 		{Fig7InfiniteFront, queueing.ModeNTierRPC, [3]int{queueing.Infinite, m.Tiers[1].Queue, m.Tiers[2].Queue}},
 		{Fig7Finite, queueing.ModeNTierRPC, [3]int{m.Tiers[0].Queue, m.Tiers[1].Queue, m.Tiers[2].Queue}},
 	}
-	// Each variant is an independent simulation; run them over the sweep
-	// engine, then summarize and write CSVs serially in variant order.
-	type caseRun struct {
-		curves map[string][]time.Duration
-		order  []string
-		result Fig7CaseResult
-	}
-	runs, err := runArenaJobs(opts, len(variants), func(a *stats.Arena, vi int) (*caseRun, error) {
+	return newRun(len(variants), func(a *stats.Arena, vi int) (fig7Record, error) {
 		v := variants[vi]
 		e := sim.NewEngine(opts.Seed)
 		n, sources, err := modelNetwork(e, a, v.mode, v.limits)
 		if err != nil {
-			return nil, fmt.Errorf("figures: fig7 %s: %w", v.name, err)
+			return fig7Record{}, fmt.Errorf("figures: fig7 %s: %w", v.name, err)
 		}
 		inj, err := attack.NewDirectInjector(n, 2, d)
 		if err != nil {
-			return nil, err
+			return fig7Record{}, err
 		}
 		b, err := attack.NewBurster(e, inj, params)
 		if err != nil {
-			return nil, err
+			return fig7Record{}, err
 		}
 		for _, s := range sources {
 			s.Start()
@@ -96,7 +103,7 @@ func Fig7(opts Options) (*Fig7Result, error) {
 			s.Stop()
 		}
 		if err := e.RunAll(100_000_000); err != nil {
-			return nil, fmt.Errorf("figures: fig7 %s drain: %w", v.name, err)
+			return fig7Record{}, fmt.Errorf("figures: fig7 %s drain: %w", v.name, err)
 		}
 
 		// Client RT: merge the per-source samples (deep class dominates).
@@ -106,40 +113,43 @@ func Fig7(opts Options) (*Fig7Result, error) {
 				client.Add(rt)
 			}
 		}
-		cr := &caseRun{
-			curves: map[string][]time.Duration{"client": client.PercentileCurve(fig7Percentiles)},
-			order:  []string{"client"},
-		}
-		for i, name := range rubbosTierNames() {
+		rec := fig7Record{Curves: [][]time.Duration{client.PercentileCurve(fig7Percentiles)}}
+		for i := range rubbosTierNames() {
 			sample, err := n.TierRT(i)
 			if err != nil {
-				return nil, err
+				return fig7Record{}, err
 			}
-			cr.curves[name] = sample.PercentileCurve(fig7Percentiles)
-			cr.order = append(cr.order, name)
+			rec.Curves = append(rec.Curves, sample.PercentileCurve(fig7Percentiles))
 		}
 
 		mysqlSample, err := n.TierRT(2)
 		if err != nil {
-			return nil, err
+			return fig7Record{}, err
 		}
-		cr.result = Fig7CaseResult{
+		rec.Result = Fig7CaseResult{
 			ClientP99: client.Percentile(99),
 			MySQLP99:  mysqlSample.Percentile(99),
 			Drops:     n.Drops(),
 		}
-		cr.result.SpreadP99 = cr.result.ClientP99 - cr.result.MySQLP99
-		return cr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		cr := runs[i]
-		if err := writeCurves(opts.path(fmt.Sprintf("fig7_%s.csv", v.name)), fig7Percentiles, cr.order, cr.curves); err != nil {
-			return nil, err
+		rec.Result.SpreadP99 = rec.Result.ClientP99 - rec.Result.MySQLP99
+		return rec, nil
+	}, func(recs []fig7Record) (any, string, error) {
+		res := &Fig7Result{Cases: make(map[Fig7Case]Fig7CaseResult)}
+		lines := make([]string, 0, len(recs))
+		for i, v := range variants {
+			if err := writeCurves(opts.path(fmt.Sprintf("fig7_%s.csv", v.name)), fig7Percentiles, fig7CurveOrder, recs[i].Curves); err != nil {
+				return nil, "", err
+			}
+			r := recs[i].Result
+			res.Cases[v.name] = r
+			lines = append(lines, fmt.Sprintf("%-15s client p99 = %-9v mysql p99 = %-9v spread = %-9v drops = %d",
+				v.name, r.ClientP99.Round(time.Millisecond), r.MySQLP99.Round(time.Millisecond),
+				r.SpreadP99.Round(time.Millisecond), r.Drops))
 		}
-		res.Cases[v.name] = cr.result
-	}
-	return res, nil
+		return res, strings.Join(lines, "\n"), nil
+	}), nil
 }
+
+// Fig7 runs the three variants and writes one percentile-curve CSV per
+// case.
+func Fig7(opts Options) (*Fig7Result, error) { return runAs[*Fig7Result]("fig7", opts) }

@@ -7,7 +7,6 @@ import (
 
 	"memca/internal/core"
 	"memca/internal/stats"
-	"memca/internal/trace"
 )
 
 // Fig9Result captures Figure 9: the 8-second fine-grained (50 ms) snapshot
@@ -26,103 +25,107 @@ type Fig9Result struct {
 	MaxClientRT time.Duration
 }
 
+func init() {
+	registerDist(DistDriver{Name: "fig9", New: newFig9Run})
+}
+
+// fig9Record is the run's verdict plus its four panels over the
+// snapshot window, with times relative to the window start.
+type fig9Record struct {
+	Result   Fig9Result
+	Bursts   []stats.Bucket // panel (a): adversary activity
+	MySQLCPU []stats.Bucket // panel (b): MySQL CPU
+	Queues   [][]string     // panel (c): CSV rows of per-tier occupancy
+	ClientRT []stats.Point  // panel (d): client response times
+}
+
+// newFig9Run prepares the Figure 9 driver: the standard attack with
+// fine-grained recording, sampled at 50 ms over an 8-second window
+// starting shortly after measurement begins.
+func newFig9Run(opts Options) (*DistRun, error) {
+	return newRun(1, func(a *stats.Arena, _ int) (fig9Record, error) {
+		cfg := core.DefaultConfig()
+		cfg.Seed = opts.Seed
+		cfg.Duration = opts.duration(time.Minute)
+		cfg.RecordSeries = true
+		cfg.Arena = a
+		x, err := core.NewExperiment(cfg)
+		if err != nil {
+			return fig9Record{}, fmt.Errorf("figures: fig9: %w", err)
+		}
+		if _, err := x.Run(); err != nil {
+			return fig9Record{}, fmt.Errorf("figures: fig9 run: %w", err)
+		}
+		start := cfg.Warmup + 4*time.Second
+		end := start + 8*time.Second
+		const width = 50 * time.Millisecond
+		var rec fig9Record
+		res := &rec.Result
+		busy, err := x.Network().TierBusy(2)
+		if err != nil {
+			return fig9Record{}, err
+		}
+		adversary := x.Burster().Busy()
+		prev, maxU, peaks := 0.0, 0.0, [3]float64{}
+		for t := start; t < end; t += width {
+			// Attack bursts, counted by rising edges.
+			u := adversary.Utilization(t, t+width)
+			if u > 0.5 && prev <= 0.5 {
+				res.BurstsInWindow++
+			}
+			prev = u
+			rec.Bursts = append(rec.Bursts, stats.Bucket{Start: t - start, Mean: u, Max: u, Min: u, Count: 1})
+			u = busy.WindowAverage(t, t+width) / 2 // 2 servers
+			if u > maxU {
+				maxU = u
+			}
+			rec.MySQLCPU = append(rec.MySQLCPU, stats.Bucket{Start: t - start, Mean: u, Max: u, Min: u, Count: 1})
+			row := []string{strconv.FormatFloat((t - start).Seconds(), 'f', 3, 64)}
+			for i := range peaks {
+				occ, err := x.Network().TierOccupancy(i)
+				if err != nil {
+					return fig9Record{}, err
+				}
+				v := occ.WindowAverage(t, t+width)
+				if v > peaks[i] {
+					peaks[i] = v
+				}
+				row = append(row, strconv.FormatFloat(v, 'f', 2, 64))
+			}
+			rec.Queues = append(rec.Queues, row)
+		}
+		res.MySQLSaturated = maxU > 0.99
+		res.QueuePropagated = peaks[0] > 30 && peaks[1] > 30 && peaks[2] > 20
+		for _, p := range x.Generator().RTSeries().Points {
+			if p.T >= start && p.T < end {
+				rec.ClientRT = append(rec.ClientRT, stats.Point{T: p.T - start, V: p.V})
+				if rt := time.Duration(p.V * float64(time.Second)); rt > res.MaxClientRT {
+					res.MaxClientRT = rt
+				}
+			}
+		}
+		return rec, nil
+	}, func(recs []fig9Record) (any, string, error) {
+		rec := recs[0]
+		if err := writeBuckets(opts.path("fig9a_attack_bursts.csv"), rec.Bursts); err != nil {
+			return nil, "", err
+		}
+		if err := writeBuckets(opts.path("fig9b_mysql_cpu.csv"), rec.MySQLCPU); err != nil {
+			return nil, "", err
+		}
+		if err := opts.writeCSV("fig9c_queues.csv", []string{"t_s", "apache_q", "tomcat_q", "mysql_q"}, rec.Queues); err != nil {
+			return nil, "", err
+		}
+		if err := writeSeries(opts.path("fig9d_client_rt.csv"), rec.ClientRT); err != nil {
+			return nil, "", err
+		}
+		res := rec.Result
+		summary := fmt.Sprintf("%d bursts in the 8s window; mysql transiently saturated: %v; queues propagated: %v; worst client RT %v",
+			res.BurstsInWindow, res.MySQLSaturated, res.QueuePropagated, res.MaxClientRT.Round(time.Millisecond))
+		return &res, summary, nil
+	}), nil
+}
+
 // Fig9 runs the standard attack with fine-grained recording and exports
 // the four panels over an 8-second window.
-func Fig9(opts Options) (*Fig9Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = opts.Seed
-	cfg.Duration = opts.duration(time.Minute)
-	cfg.RecordSeries = true
-	x, err := core.NewExperiment(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("figures: fig9: %w", err)
-	}
-	if _, err := x.Run(); err != nil {
-		return nil, fmt.Errorf("figures: fig9 run: %w", err)
-	}
-
-	// Window: 8 seconds starting shortly after measurement begins.
-	start := cfg.Warmup + 4*time.Second
-	end := start + 8*time.Second
-	const width = 50 * time.Millisecond
-	res := &Fig9Result{}
-
-	// Panel (a): adversary VM activity (the attack bursts).
-	adversary := x.Burster().Busy()
-	var panelA []stats.Bucket
-	for t := start; t < end; t += width {
-		u := adversary.Utilization(t, t+width)
-		panelA = append(panelA, stats.Bucket{Start: t - start, Mean: u, Max: u, Min: u, Count: 1})
-	}
-	// Count rising edges for BurstsInWindow.
-	prev := 0.0
-	for _, b := range panelA {
-		if b.Mean > 0.5 && prev <= 0.5 {
-			res.BurstsInWindow++
-		}
-		prev = b.Mean
-	}
-	if err := writeBuckets(opts.path("fig9a_attack_bursts.csv"), panelA); err != nil {
-		return nil, err
-	}
-
-	// Panel (b): MySQL CPU at 50 ms.
-	busy, err := x.Network().TierBusy(2)
-	if err != nil {
-		return nil, err
-	}
-	var panelB []stats.Bucket
-	maxU := 0.0
-	for t := start; t < end; t += width {
-		u := busy.WindowAverage(t, t+width) / 2 // 2 servers
-		if u > maxU {
-			maxU = u
-		}
-		panelB = append(panelB, stats.Bucket{Start: t - start, Mean: u, Max: u, Min: u, Count: 1})
-	}
-	res.MySQLSaturated = maxU > 0.99
-	if err := writeBuckets(opts.path("fig9b_mysql_cpu.csv"), panelB); err != nil {
-		return nil, err
-	}
-
-	// Panel (c): queued requests per tier.
-	rows := make([][]string, 0, int(end-start)/int(width))
-	peaks := [3]float64{}
-	for t := start; t < end; t += width {
-		row := []string{strconv.FormatFloat((t - start).Seconds(), 'f', 3, 64)}
-		for i := 0; i < 3; i++ {
-			occ, err := x.Network().TierOccupancy(i)
-			if err != nil {
-				return nil, err
-			}
-			v := occ.WindowAverage(t, t+width)
-			if v > peaks[i] {
-				peaks[i] = v
-			}
-			row = append(row, strconv.FormatFloat(v, 'f', 2, 64))
-		}
-		rows = append(rows, row)
-	}
-	res.QueuePropagated = peaks[0] > 30 && peaks[1] > 30 && peaks[2] > 20
-	if path := opts.path("fig9c_queues.csv"); path != "" {
-		if err := trace.WriteCSV(path, []string{"t_s", "apache_q", "tomcat_q", "mysql_q"}, rows); err != nil {
-			return nil, err
-		}
-	}
-
-	// Panel (d): client response times in the window.
-	rtSeries := x.Generator().RTSeries()
-	window := stats.NewTimeSeries("client-rt-window")
-	for _, p := range rtSeries.Points {
-		if p.T >= start && p.T < end {
-			window.Add(p.T-start, p.V)
-			if rt := time.Duration(p.V * float64(time.Second)); rt > res.MaxClientRT {
-				res.MaxClientRT = rt
-			}
-		}
-	}
-	if err := writeSeries(opts.path("fig9d_client_rt.csv"), window); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig9(opts Options) (*Fig9Result, error) { return runAs[*Fig9Result]("fig9", opts) }

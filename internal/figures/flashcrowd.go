@@ -26,41 +26,41 @@ type FlashCrowdResult struct {
 	AbsorbedP95 time.Duration
 }
 
-// FlashCrowd doubles the client population for two minutes of a four-
-// minute attackless run with a live scaling group attached.
-func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
-	// The driver reads the generator's arena-backed RT series after the
-	// single run, so the arena is scoped to the whole driver (released,
-	// and thereby reset, only after the CSV is written) rather than
-	// per-job as in runArenaJobs.
-	arena := stats.GetArena()
-	defer stats.PutArena(arena)
-	cfg := core.DefaultConfig()
-	cfg.Seed = opts.Seed
-	cfg.Arena = arena
-	cfg.Attack = nil
-	cfg.Duration = 5 * time.Minute // fixed: the 1-min trigger needs room
-	cfg.Scaling = &core.ScalingSpec{
-		Trigger:        monitor.DefaultAutoScaler(),
-		MaxInstances:   4,
-		ProvisionDelay: 30 * time.Second,
-	}
-	// The crowd spans three minutes: long enough for the 1-minute
-	// trigger to fire (~t+70s), the instance to boot (+30s), and the
-	// overload backlog to drain before the absorbed-phase measurement.
-	crowdStart := cfg.Warmup + 30*time.Second
-	crowdEnd := cfg.Warmup + 210*time.Second
+func init() {
+	registerDist(DistDriver{Name: "crowd", New: newFlashCrowdRun})
+}
 
-	// A single run, still routed through the sweep engine so every
-	// figure driver shares one execution and progress path.
-	type crowdRun struct {
-		x   *core.Experiment
-		rep *core.Report
-	}
-	runs, err := runJobs(opts, 1, func(int) (*crowdRun, error) {
+// flashCrowdRecord is the run's verdict plus the per-completion client
+// RT series the CSV exports.
+type flashCrowdRecord struct {
+	Result   FlashCrowdResult
+	ClientRT []stats.Point
+}
+
+// newFlashCrowdRun prepares the flash-crowd driver: a single attackless
+// run whose client population doubles for three minutes, with a live
+// scaling group attached.
+func newFlashCrowdRun(opts Options) (*DistRun, error) {
+	return newRun(1, func(a *stats.Arena, _ int) (flashCrowdRecord, error) {
+		cfg := core.DefaultConfig()
+		cfg.Seed = opts.Seed
+		cfg.Arena = a
+		cfg.Attack = nil
+		cfg.Duration = 5 * time.Minute // fixed: the 1-min trigger needs room
+		cfg.Scaling = &core.ScalingSpec{
+			Trigger:        monitor.DefaultAutoScaler(),
+			MaxInstances:   4,
+			ProvisionDelay: 30 * time.Second,
+		}
+		// The crowd spans three minutes: long enough for the 1-minute
+		// trigger to fire (~t+70s), the instance to boot (+30s), and the
+		// overload backlog to drain before the absorbed-phase measurement.
+		crowdStart := cfg.Warmup + 30*time.Second
+		crowdEnd := cfg.Warmup + 210*time.Second
+
 		x, err := core.NewExperiment(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("figures: flash crowd: %w", err)
+			return flashCrowdRecord{}, fmt.Errorf("figures: flash crowd: %w", err)
 		}
 		engine := x.Engine()
 		engine.At(crowdStart, func() { x.Generator().SetPopulation(cfg.Clients*2, 5*time.Second) })
@@ -70,43 +70,48 @@ func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
 		x.Generator().RecordSeries(true)
 		rep, err := x.Run()
 		if err != nil {
-			return nil, fmt.Errorf("figures: flash crowd run: %w", err)
+			return flashCrowdRecord{}, fmt.Errorf("figures: flash crowd run: %w", err)
 		}
-		return &crowdRun{x: x, rep: rep}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	x, rep := runs[0].x, runs[0].rep
 
-	res := &FlashCrowdResult{ScaleEvents: len(rep.ScaleEvents)}
-	for _, v := range rep.VictimUtilization {
-		if v.Granularity == monitor.GranularityCloud && v.Max > res.PeakCoarseUtil {
-			res.PeakCoarseUtil = v.Max
+		res := FlashCrowdResult{ScaleEvents: len(rep.ScaleEvents)}
+		for _, v := range rep.VictimUtilization {
+			if v.Granularity == monitor.GranularityCloud && v.Max > res.PeakCoarseUtil {
+				res.PeakCoarseUtil = v.Max
+			}
 		}
-	}
-	// Phase percentiles from the per-completion series.
-	crowdRTs := make([]time.Duration, 0, 4096)
-	absorbedRTs := make([]time.Duration, 0, 4096)
-	absorbedFrom := crowdStart + 140*time.Second // provision landed + backlog drained
-	for _, p := range x.Generator().RTSeries().Points {
-		rt := time.Duration(p.V * float64(time.Second))
-		switch {
-		case p.T >= crowdStart+30*time.Second && p.T < crowdStart+90*time.Second:
-			crowdRTs = append(crowdRTs, rt)
-		case p.T >= absorbedFrom && p.T < crowdEnd:
-			absorbedRTs = append(absorbedRTs, rt)
+		// Phase percentiles from the per-completion series.
+		series := x.Generator().RTSeries()
+		crowdRTs := make([]time.Duration, 0, 4096)
+		absorbedRTs := make([]time.Duration, 0, 4096)
+		absorbedFrom := crowdStart + 140*time.Second // provision landed + backlog drained
+		for _, p := range series.Points {
+			rt := time.Duration(p.V * float64(time.Second))
+			switch {
+			case p.T >= crowdStart+30*time.Second && p.T < crowdStart+90*time.Second:
+				crowdRTs = append(crowdRTs, rt)
+			case p.T >= absorbedFrom && p.T < crowdEnd:
+				absorbedRTs = append(absorbedRTs, rt)
+			}
 		}
-	}
-	res.CrowdP95 = percentileOf(crowdRTs, 0.95)
-	res.AbsorbedP95 = percentileOf(absorbedRTs, 0.95)
+		res.CrowdP95 = percentileOf(crowdRTs, 0.95)
+		res.AbsorbedP95 = percentileOf(absorbedRTs, 0.95)
+		return flashCrowdRecord{Result: res, ClientRT: series.Points}, nil
+	}, func(recs []flashCrowdRecord) (any, string, error) {
+		if err := writeSeries(opts.path("flashcrowd.csv"), recs[0].ClientRT); err != nil {
+			return nil, "", err
+		}
+		res := recs[0].Result
+		summary := fmt.Sprintf("peak 1-min CPU %.0f%%, %d scale events; p95 %v during surge -> %v after absorption",
+			res.PeakCoarseUtil*100, res.ScaleEvents,
+			res.CrowdP95.Round(time.Millisecond), res.AbsorbedP95.Round(time.Millisecond))
+		return &res, summary, nil
+	}), nil
+}
 
-	if path := opts.path("flashcrowd.csv"); path != "" {
-		if err := writeSeries(path, x.Generator().RTSeries()); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+// FlashCrowd doubles the client population for two minutes of a four-
+// minute attackless run with a live scaling group attached.
+func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
+	return runAs[*FlashCrowdResult]("crowd", opts)
 }
 
 // percentileOf computes a simple order-statistic percentile.

@@ -36,7 +36,7 @@ func init() {
 // newPlannerRun prepares the planner-validation driver. plan.Solve runs
 // once per process here (plan.NewValidation), so every worker sizes the
 // grid identically and the per-index jobs stay sim-only; each job record
-// is one gob-encoded plan.CellResult (no map fields, stable bytes).
+// is one plan.CellResult (no map fields, stable bytes).
 func newPlannerRun(opts Options) (*DistRun, error) {
 	vopts := plan.ValidateOptions{
 		BaseSeed: opts.Seed,
@@ -46,55 +46,41 @@ func newPlannerRun(opts Options) (*DistRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	slo := spec.DefaultSLO()
-	return &DistRun{
-		Jobs: v.Jobs(),
-		Job: func(_ *stats.Arena, i int) ([]byte, error) {
-			// Planner runs manage their own stats (see plan.Validate); the
-			// worker arena is unused here.
-			r, err := v.Run(i)
-			if err != nil {
-				return nil, err
+	return newRun(v.Jobs(), func(_ *stats.Arena, i int) (plan.CellResult, error) {
+		// Planner runs manage their own stats (see plan.Validate); the
+		// worker arena is unused here.
+		return v.Run(i)
+	}, func(results []plan.CellResult) (any, string, error) {
+		res := &PlannerResult{
+			Cells:             len(plan.DefaultGrid()),
+			Runs:              len(results),
+			AllSizedOK:        true,
+			AllSmallerViolate: true,
+		}
+		for i, r := range results {
+			if !r.SizedOK {
+				res.AllSizedOK = false
 			}
-			return encodeRecord(r)
-		},
-		Finalize: func(payloads [][]byte) (any, string, error) {
-			results := make([]plan.CellResult, len(payloads))
-			for i, data := range payloads {
-				if err := decodeRecord(data, &results[i]); err != nil {
-					return nil, "", err
-				}
+			if !r.SmallerViolates {
+				res.AllSmallerViolate = false
 			}
-			res := &PlannerResult{
-				Cells:             len(plan.DefaultGrid()),
-				Runs:              len(results),
-				AllSizedOK:        true,
-				AllSmallerViolate: true,
+			if r.SizedP99 > res.MaxSizedP99 {
+				res.MaxSizedP99 = r.SizedP99
 			}
-			for i, r := range results {
-				if !r.SizedOK {
-					res.AllSizedOK = false
-				}
-				if !r.SmallerViolates {
-					res.AllSmallerViolate = false
-				}
-				if r.SizedP99 > res.MaxSizedP99 {
-					res.MaxSizedP99 = r.SizedP99
-				}
-				if i == 0 || r.SmallerP99 < res.MinSmallerP99 {
-					res.MinSmallerP99 = r.SmallerP99
-				}
+			if i == 0 || r.SmallerP99 < res.MinSmallerP99 {
+				res.MinSmallerP99 = r.SmallerP99
 			}
-			if path := opts.path("planner_validation.csv"); path != "" {
-				if err := plan.ValidationCSV(path, results); err != nil {
-					return nil, "", err
-				}
+		}
+		if path := opts.path("planner_validation.csv"); path != "" {
+			if err := plan.ValidationCSV(path, results); err != nil {
+				return nil, "", err
 			}
-			summary := fmt.Sprintf("planner: %d runs, sized ok=%t (max p99 %v vs target %v), smaller violates=%t",
-				res.Runs, res.AllSizedOK, res.MaxSizedP99, slo.TargetRT, res.AllSmallerViolate)
-			return res, summary, nil
-		},
-	}, nil
+		}
+		summary := fmt.Sprintf("%d cells x %d runs: sized OK %v (worst p99 %v), witnesses violate %v (best p99 %v)",
+			res.Cells, res.Runs/res.Cells, res.AllSizedOK, res.MaxSizedP99.Round(time.Millisecond),
+			res.AllSmallerViolate, res.MinSmallerP99.Round(time.Millisecond))
+		return res, summary, nil
+	}), nil
 }
 
 // FigPlanner validates the capacity planner against the simulator: each
@@ -103,10 +89,4 @@ func newPlannerRun(opts Options) (*DistRun, error) {
 // simulation at every seed. It writes planner_validation.csv (one row
 // per cell and seed, byte-identical at any worker count — and, via the
 // dist driver, at any shard count).
-func FigPlanner(opts Options) (*PlannerResult, error) {
-	res, _, err := runDistLocal("planner", opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*PlannerResult), nil
-}
+func FigPlanner(opts Options) (*PlannerResult, error) { return runAs[*PlannerResult]("planner", opts) }

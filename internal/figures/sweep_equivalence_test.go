@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,68 +9,38 @@ import (
 )
 
 // equivalenceWorkers are the worker counts the parallel-vs-serial
-// contract is pinned at: the serial path, oversubscription, and a
-// power-of-two in between.
+// contract is pinned at: the serial path (the shared reference run),
+// oversubscription, and a power-of-two in between.
 var equivalenceWorkers = []int{1, 4, 8}
 
-// sweepDrivers enumerates every figure driver that fans out over the
-// sweep engine, each returning a scalar fingerprint of its result.
-// fmt prints map keys in sorted order, so equal fingerprints mean
-// equal results.
-var sweepDrivers = []struct {
-	name string
-	run  func(Options) (string, error)
-}{
-	{"Fig2", func(o Options) (string, error) {
-		res, err := Fig2(o)
-		return fingerprint(res), err
-	}},
-	{"Fig3", func(o Options) (string, error) {
-		res, err := Fig3(o)
-		return fingerprint(res), err
-	}},
-	{"Fig6", func(o Options) (string, error) {
-		res, err := Fig6(o)
-		return fingerprint(res), err
-	}},
-	{"Fig7", func(o Options) (string, error) {
-		res, err := Fig7(o)
-		return fingerprint(res), err
-	}},
-	{"AblationBurstLength", func(o Options) (string, error) {
-		res, err := AblationBurstLength(o)
-		return fingerprint(res), err
-	}},
-	{"AblationMechanisms", func(o Options) (string, error) {
-		res, err := AblationMechanisms(o)
-		return fingerprint(res), err
-	}},
-	{"DetectorComparison", func(o Options) (string, error) {
-		res, err := DetectorComparison(o)
-		return fingerprint(res), err
-	}},
-	{"JitterEvasion", func(o Options) (string, error) {
-		res, err := JitterEvasion(o)
-		return fingerprint(res), err
-	}},
-	{"DefenseEvaluation", func(o Options) (string, error) {
-		res, err := DefenseEvaluation(o)
-		return fingerprint(res), err
-	}},
-	{"FlashCrowd", func(o Options) (string, error) {
-		res, err := FlashCrowd(o)
-		return fingerprint(res), err
-	}},
-	{"FigAttribution", func(o Options) (string, error) {
-		res, err := FigAttribution(o)
-		return fingerprint(res), err
-	}},
-	{"FigPlanner", func(o Options) (string, error) {
-		res, err := FigPlanner(o)
-		return fingerprint(res), err
-	}},
+// legacySubtests maps drivers to the subtest names they had before the
+// registry drove this suite, keeping their test IDs stable; drivers
+// without an entry run under their registry name.
+var legacySubtests = map[string]string{
+	"fig2":                  "Fig2",
+	"fig3":                  "Fig3",
+	"fig6":                  "Fig6",
+	"fig7":                  "Fig7",
+	"ablation-burst-length": "AblationBurstLength",
+	"ablation-mechanisms":   "AblationMechanisms",
+	"detectors":             "DetectorComparison",
+	"evasion":               "JitterEvasion",
+	"defense":               "DefenseEvaluation",
+	"crowd":                 "FlashCrowd",
+	"attribution":           "FigAttribution",
+	"planner":               "FigPlanner",
 }
 
+// subtestName is the driver's subtest name in the registry-driven suites.
+func subtestName(driver string) string {
+	if name, ok := legacySubtests[driver]; ok {
+		return name
+	}
+	return driver
+}
+
+// fmt prints map keys in sorted order, so equal fingerprints mean equal
+// results.
 func fingerprint(res any) string { return fmt.Sprintf("%#v", res) }
 
 // readArtifacts returns every CSV under dir keyed by relative path.
@@ -97,51 +68,50 @@ func readArtifacts(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// compareArtifacts reports every CSV of ref that got lacks or differs in,
+// and a differing artifact count.
+func compareArtifacts(t *testing.T, what string, ref, got map[string][]byte) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Errorf("%s wrote %d artifacts, reference wrote %d", what, len(got), len(ref))
+	}
+	for name, want := range ref {
+		data, ok := got[name]
+		if !ok {
+			t.Errorf("%s did not write %s", what, name)
+			continue
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s: artifact %s differs from the reference", what, name)
+		}
+	}
+}
+
 // TestSweepWorkerEquivalence pins the engine's core contract at the
-// figure level: every driver converted onto internal/sweep produces
-// byte-identical CSV artifacts and identical scalar results for every
+// figure level: every registered driver produces byte-identical CSV
+// artifacts, identical scalar results, and an identical summary for every
 // worker count. A regression here means parallelism leaked into the
 // results — the one thing the sweep engine exists to prevent.
 func TestSweepWorkerEquivalence(t *testing.T) {
-	for _, d := range sweepDrivers {
-		d := d
-		t.Run(d.name, func(t *testing.T) {
-			var refPrint string
-			var refFiles map[string][]byte
-			for wi, workers := range equivalenceWorkers {
+	for _, name := range DistDrivers() {
+		name := name
+		t.Run(subtestName(name), func(t *testing.T) {
+			ref := localReference(t, name)
+			for _, workers := range equivalenceWorkers[1:] {
 				dir := t.TempDir()
-				opts := Options{OutDir: dir, Quick: true, Seed: 7, Parallel: workers}
-				print, err := d.run(opts)
+				res, summary, err := RunLocal(name, Options{OutDir: dir, Quick: true, Seed: 7, Parallel: workers})
 				if err != nil {
-					t.Fatalf("%s with %d workers: %v", d.name, workers, err)
+					t.Fatalf("%s with %d workers: %v", name, workers, err)
 				}
-				files := readArtifacts(t, dir)
-				if len(files) == 0 {
-					t.Fatalf("%s with %d workers wrote no artifacts", d.name, workers)
-				}
-				if wi == 0 {
-					refPrint, refFiles = print, files
-					continue
-				}
-				if print != refPrint {
+				if got := fingerprint(res); got != ref.print {
 					t.Errorf("%s scalars differ between %d and %d workers:\n%s\nvs\n%s",
-						d.name, equivalenceWorkers[0], workers, refPrint, print)
+						name, equivalenceWorkers[0], workers, ref.print, got)
 				}
-				if len(files) != len(refFiles) {
-					t.Errorf("%s wrote %d artifacts with %d workers, %d with %d",
-						d.name, len(refFiles), equivalenceWorkers[0], len(files), workers)
+				if summary != ref.summary {
+					t.Errorf("%s summary differs between %d and %d workers:\n%s\nvs\n%s",
+						name, equivalenceWorkers[0], workers, ref.summary, summary)
 				}
-				for name, ref := range refFiles {
-					got, ok := files[name]
-					if !ok {
-						t.Errorf("%s with %d workers did not write %s", d.name, workers, name)
-						continue
-					}
-					if string(got) != string(ref) {
-						t.Errorf("%s artifact %s differs between %d and %d workers",
-							d.name, name, equivalenceWorkers[0], workers)
-					}
-				}
+				compareArtifacts(t, fmt.Sprintf("%s with %d workers", name, workers), ref.files, readArtifacts(t, dir))
 			}
 		})
 	}

@@ -170,3 +170,11 @@ func (fs *FeatureSeries) Windows() []WindowFeatures { return fs.windows }
 func (fs *FeatureSeries) WindowStart(i int) time.Duration {
 	return fs.base + time.Duration(i)*fs.Res
 }
+
+// RestoreFeatureSeries rebuilds a read-only feature series from another
+// series' Res, TailThreshold, Base, and Windows — for detecting on or
+// exporting a series that crossed a process boundary as plain values. It
+// books no further traces.
+func RestoreFeatureSeries(res, tailThreshold, base time.Duration, windows []WindowFeatures) FeatureSeries {
+	return FeatureSeries{Res: res, TailThreshold: tailThreshold, base: base, windows: windows}
+}

@@ -155,3 +155,10 @@ func BlindnessRatio(fine, coarse *Timeline) float64 {
 	}
 	return float64(fp) / float64(cm)
 }
+
+// RestoreTimeline rebuilds a read-only timeline from another timeline's
+// Res, Base, and Points — for exporting a timeline that crossed a process
+// boundary as plain values. It books no further traces.
+func RestoreTimeline(res, base time.Duration, points []TimelinePoint) Timeline {
+	return Timeline{Res: res, base: base, points: points}
+}
