@@ -45,14 +45,16 @@ equivalence:
 dsweep-smoke:
 	$(GO) run ./cmd/memca-sweep smoke
 
-# Short fuzz passes over the file-facing config schema and the stats
-# kernels (seed corpora are checked in under the packages'
-# testdata/fuzz). FUZZTIME tunes the per-target budget.
+# Short fuzz passes over the file-facing config schema, the stats
+# kernels, and the span exporters' encoder oracle (seed corpora are
+# checked in under the packages' testdata/fuzz or seeded from the
+# golden streams). FUZZTIME tunes the per-target budget.
 FUZZTIME = 30s
 fuzz:
 	$(GO) test -run FuzzConfigJSON -fuzz FuzzConfigJSON -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzHistogramAdd -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSampleQuantile -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzSpanExport -fuzztime $(FUZZTIME) ./internal/telemetry
 
 # Engine performance regression report and gate: run the kernel and
 # headline-figure benchmarks for real (default benchtime), diff them
@@ -62,7 +64,7 @@ fuzz:
 # additionally gated per the baseline's gate_ns_pct when the CPU matches
 # the one that produced the baseline. The unanchored QueueingThroughput
 # pattern also matches its Traced variant.
-BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkQueueingThroughput|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract
+BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkQueueingThroughput|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract|BenchmarkSpanExport
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_REGRESSION)' -benchmem . \
 		| tee /dev/stderr \

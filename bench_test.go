@@ -12,6 +12,8 @@ package memca_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -505,5 +507,78 @@ func BenchmarkFeatureExtract(b *testing.B) {
 	}
 	if len(fs.Windows()) == 0 {
 		b.Fatal("no windows booked")
+	}
+}
+
+// spanExportEvents builds BenchmarkSpanExport's fixed span-event stream:
+// n events from overlapping requests through three tiers, started every
+// 400µs. Every 8th request is preempted once in tier-1 service, every
+// 16th is dropped at the front and retransmitted 1s later, and every 64th
+// is dropped and abandoned. The stream is a pure function of n, so the
+// benchmark's allocations are an exact contract.
+func spanExportEvents(n int) []telemetry.SpanEvent {
+	var evs []telemetry.SpanEvent
+	at := func(t time.Duration, id uint64, kind telemetry.EventKind, tier int8, attempt uint16, aux time.Duration) {
+		evs = append(evs, telemetry.SpanEvent{T: t, TraceID: id, Kind: kind, Tier: tier, Attempt: attempt, Aux: aux})
+	}
+	k := func(s queueing.SpanKind) telemetry.EventKind { return telemetry.EventKind(s) }
+	for id := uint64(1); len(evs) < n+n/4; id++ {
+		t := time.Duration(id) * 400 * time.Microsecond
+		var attempt uint16
+		at(t, id, k(queueing.SpanSubmit), -1, 0, 0)
+		if id%16 == 0 {
+			at(t, id, k(queueing.SpanTierRequest), 0, 0, 0)
+			at(t, id, k(queueing.SpanDrop), 0, 0, 0)
+			if id%64 == 0 {
+				at(t+time.Second, id, telemetry.EvAbandoned, -1, 0, 0)
+				continue
+			}
+			attempt = 1
+			at(t, id, telemetry.EvRetransmitScheduled, -1, attempt, t+time.Second)
+			t += time.Second
+			at(t, id, k(queueing.SpanSubmit), -1, attempt, 0)
+		}
+		for tier := int8(0); tier < 3; tier++ {
+			queued := time.Duration(id%7) * 137 * time.Microsecond
+			service := time.Duration(300+int(tier)*250+int(id%5)*61) * time.Microsecond
+			at(t, id, k(queueing.SpanTierRequest), tier, attempt, 0)
+			at(t+queued, id, k(queueing.SpanServiceStart), tier, attempt, 0)
+			if tier == 1 && id%8 == 0 {
+				at(t+queued+service/2, id, k(queueing.SpanServicePreempt), tier, attempt, 0)
+			}
+			at(t+queued+service, id, k(queueing.SpanServiceEnd), tier, attempt, 0)
+			t += queued + service
+		}
+		at(t, id, k(queueing.SpanComplete), -1, attempt, 0)
+	}
+	// Interleave the requests as a tracer ring would hold them: time
+	// order, stamped with sequence numbers, the oldest n/4 overwritten.
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
+	for i := range evs {
+		evs[i].Seq = uint64(i)
+	}
+	return evs[len(evs)-n:]
+}
+
+// BenchmarkSpanExport measures the span exporters: one Chrome trace-event
+// export plus one OTLP/JSON export of a fixed 2^16-event stream (the
+// shape of memca-trace's event ring after a wrap) to files in a temp
+// directory. The allocs/op contract pins the direct-appender encoders:
+// compact per-event records and one buffered writer per file, no
+// per-event encoding garbage.
+func BenchmarkSpanExport(b *testing.B) {
+	events := spanExportEvents(1 << 16)
+	tiers := []string{"apache", "tomcat", "mysql"}
+	dir := b.TempDir()
+	chrome, otlp := filepath.Join(dir, "trace.json"), filepath.Join(dir, "otlp.json")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := telemetry.WriteChromeTrace(chrome, tiers, events); err != nil {
+			b.Fatal(err)
+		}
+		if err := telemetry.WriteOTLP(otlp, telemetry.DefaultOTLPSpec(), tiers, events); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

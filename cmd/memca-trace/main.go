@@ -104,14 +104,16 @@ func traceRun(out string, attacked bool, duration, warmup time.Duration, seed in
 	// Exports: raw Chrome trace, the slowest-N and head-sample
 	// attributions, and one timeline CSV per resolution.
 	if ring > 0 {
+		// One copy of the event ring feeds both span exports.
+		ev := tr.Events()
 		path := filepath.Join(out, fmt.Sprintf("trace_%s.json", name))
-		if err := tr.WriteChromeTrace(path); err != nil {
+		if err := telemetry.WriteChromeTrace(path, tierNames, ev); err != nil {
 			return err
 		}
-		fmt.Printf("  %s: %d span events (%d overwritten)\n", path, len(tr.Events()), tr.EventsDropped())
+		fmt.Printf("  %s: %d span events (%d overwritten)\n", path, len(ev), tr.EventsDropped())
 		if otlp {
 			path := filepath.Join(out, fmt.Sprintf("otlp_%s.json", name))
-			if err := tr.WriteOTLP(path, telemetry.DefaultOTLPSpec()); err != nil {
+			if err := telemetry.WriteOTLP(path, telemetry.DefaultOTLPSpec(), tierNames, ev); err != nil {
 				return err
 			}
 			fmt.Printf("  %s: OTLP span batches\n", path)

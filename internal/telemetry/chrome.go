@@ -1,42 +1,52 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"cmp"
+	"slices"
+	"strconv"
 	"time"
 
 	"memca/internal/queueing"
 )
 
-// chromeEvent is one Chrome trace-event (the about://tracing and Perfetto
-// interchange format). Field order fixes the JSON key order, keeping
-// exports byte-identical across runs.
-type chromeEvent struct {
-	Name string      `json:"name"`
-	Ph   string      `json:"ph"`
-	TS   float64     `json:"ts"`
-	Dur  *float64    `json:"dur,omitempty"`
-	PID  int         `json:"pid"`
-	TID  uint64      `json:"tid"`
-	S    string      `json:"s,omitempty"`
-	Args *chromeArgs `json:"args,omitempty"`
+// chromeKind names one kind of Chrome trace-event record.
+type chromeKind uint8
+
+const (
+	chromeMeta       chromeKind = iota // process_name metadata row
+	chromeRequest                      // client request span
+	chromeQueue                        // tier queue span
+	chromeService                      // tier service span
+	chromePreempt                      // capacity-preempt instant
+	chromeDrop                         // drop instant
+	chromeAbandoned                    // abandoned instant
+	chromeRetransmit                   // retransmit-scheduled instant with args
+)
+
+var chromeNames = [...]string{
+	chromeMeta:       "process_name",
+	chromeRequest:    "request",
+	chromeQueue:      "queue",
+	chromeService:    "service",
+	chromePreempt:    "capacity-preempt",
+	chromeDrop:       "drop",
+	chromeAbandoned:  "abandoned",
+	chromeRetransmit: "retransmit-scheduled",
 }
 
-type chromeArgs struct {
-	Name     string   `json:"name,omitempty"`
-	Attempt  *int     `json:"attempt,omitempty"`
-	FireAtMs *float64 `json:"fire_at_ms,omitempty"`
-}
-
-// sort key: primary start time, secondary origin sequence number so ties
-// at one virtual instant keep the tracer's causal order.
+// chromeRecord is one Chrome trace-event in compact form. The line it
+// renders to is what encoding/json makes of the event object
+// {name, ph, ts, dur, pid, tid, s, args{name, attempt, fire_at_ms}} with
+// omitempty on dur, s and the args fields.
 type chromeRecord struct {
-	ev  chromeEvent
-	ts  time.Duration
-	seq uint64
+	ts    time.Duration // event or span start time
+	dur   time.Duration // span length; the fire time for retransmit-scheduled
+	seq   uint64        // origin sequence number: orders ties at one instant
+	tid   uint64        // trace ID
+	pid   int32         // tier+1; 0 is the client
+	att   uint16        // attempt
+	kind  chromeKind
+	order int32 // emission order: the final sort key, keeping the sort stable
 }
 
 func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
@@ -52,131 +62,154 @@ func msec(d time.Duration) float64 { return float64(d) / float64(time.Millisecon
 //
 // The ring may have overwritten the oldest events; spans whose start was
 // lost are skipped.
-func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) (err error) {
-	type openSpan struct {
-		t   time.Duration
-		seq uint64
-		ok  bool
+func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) error {
+	// Open spans: the client request per trace, queue and service per
+	// (trace, tier). reqOpen doubles as the dense trace index.
+	var reqOpen denseMap[openSpan]
+	var tierSpans denseMap[tierOpen]
+	openAt := func(e *SpanEvent) *tierOpen {
+		trace, _, _ := reqOpen.at(e.TraceID)
+		_, o, _ := tierSpans.at(tierKey(trace, e.Tier))
+		return o
 	}
-	type spanKey struct {
-		trace uint64
-		tier  int8
-	}
-	queueOpen := make(map[spanKey]openSpan)
-	svcOpen := make(map[spanKey]openSpan)
-	reqOpen := make(map[uint64]openSpan)
 
 	recs := make([]chromeRecord, 0, len(events)+len(tierNames)+1)
-	addMeta := func(pid int, name string) {
-		recs = append(recs, chromeRecord{
-			ev: chromeEvent{Name: "process_name", Ph: "M", PID: pid, Args: &chromeArgs{Name: name}},
-		})
+	add := func(r chromeRecord) {
+		r.order = int32(len(recs))
+		recs = append(recs, r)
 	}
-	addMeta(0, "client")
-	for i, name := range tierNames {
-		addMeta(i+1, fmt.Sprintf("tier%d:%s", i, name))
+	for pid := 0; pid <= len(tierNames); pid++ {
+		add(chromeRecord{kind: chromeMeta, pid: int32(pid)})
 	}
-
-	addX := func(name string, pid int, trace uint64, open openSpan, end time.Duration, attempt uint16) {
-		dur := usec(end - open.t)
-		at := int(attempt)
-		recs = append(recs, chromeRecord{
-			ev: chromeEvent{
-				Name: name, Ph: "X", TS: usec(open.t), Dur: &dur,
-				PID: pid, TID: trace, Args: &chromeArgs{Attempt: &at},
-			},
-			ts: open.t, seq: open.seq,
-		})
+	addX := func(kind chromeKind, pid int32, trace uint64, open openSpan, end time.Duration, attempt uint16) {
+		add(chromeRecord{ts: open.t, dur: end - open.t, seq: open.seq, tid: trace, pid: pid, att: attempt, kind: kind})
 	}
-	addI := func(name string, pid int, e *SpanEvent, args *chromeArgs) {
-		recs = append(recs, chromeRecord{
-			ev: chromeEvent{Name: name, Ph: "i", TS: usec(e.T), PID: pid, TID: e.TraceID, S: "t", Args: args},
-			ts: e.T, seq: e.Seq,
-		})
+	addI := func(kind chromeKind, pid int32, e *SpanEvent) {
+		add(chromeRecord{ts: e.T, dur: e.Aux, seq: e.Seq, tid: e.TraceID, pid: pid, att: e.Attempt, kind: kind})
 	}
 
 	for i := range events {
 		e := &events[i]
-		k := spanKey{e.TraceID, e.Tier}
+		tierPID := int32(e.Tier) + 1
 		switch e.Kind {
 		case EventKind(queueing.SpanSubmit):
 			if e.Attempt == 0 {
-				reqOpen[e.TraceID] = openSpan{e.T, e.Seq, true}
+				_, req, _ := reqOpen.at(e.TraceID)
+				*req = openSpan{e.T, e.Seq, true}
 			}
 		case EventKind(queueing.SpanTierRequest):
-			queueOpen[k] = openSpan{e.T, e.Seq, true}
+			openAt(e).queue = openSpan{e.T, e.Seq, true}
 		case EventKind(queueing.SpanServiceStart):
-			if o := queueOpen[k]; o.ok {
-				addX("queue", int(e.Tier)+1, e.TraceID, o, e.T, e.Attempt)
-				delete(queueOpen, k)
+			o := openAt(e)
+			if o.queue.ok {
+				addX(chromeQueue, tierPID, e.TraceID, o.queue, e.T, e.Attempt)
+				o.queue.ok = false
 			}
-			svcOpen[k] = openSpan{e.T, e.Seq, true}
+			o.svc = openSpan{e.T, e.Seq, true}
 		case EventKind(queueing.SpanServiceEnd):
-			if o := svcOpen[k]; o.ok {
-				addX("service", int(e.Tier)+1, e.TraceID, o, e.T, e.Attempt)
-				delete(svcOpen, k)
+			if o := openAt(e); o.svc.ok {
+				addX(chromeService, tierPID, e.TraceID, o.svc, e.T, e.Attempt)
+				o.svc.ok = false
 			}
 		case EventKind(queueing.SpanServicePreempt):
-			addI("capacity-preempt", int(e.Tier)+1, e, nil)
+			addI(chromePreempt, tierPID, e)
 		case EventKind(queueing.SpanDrop):
-			delete(queueOpen, k)
-			addI("drop", int(e.Tier)+1, e, nil)
+			openAt(e).queue.ok = false
+			addI(chromeDrop, tierPID, e)
 		case EventKind(queueing.SpanComplete):
-			if o := reqOpen[e.TraceID]; o.ok {
-				addX("request", 0, e.TraceID, o, e.T, e.Attempt)
-				delete(reqOpen, e.TraceID)
+			if _, req, _ := reqOpen.at(e.TraceID); req.ok {
+				addX(chromeRequest, 0, e.TraceID, *req, e.T, e.Attempt)
+				req.ok = false
 			}
 		case EvRetransmitScheduled:
-			at := int(e.Attempt)
-			fire := msec(e.Aux)
-			addI("retransmit-scheduled", 0, e, &chromeArgs{Attempt: &at, FireAtMs: &fire})
+			addI(chromeRetransmit, 0, e)
 		case EvAbandoned:
-			delete(reqOpen, e.TraceID)
-			addI("abandoned", 0, e, nil)
+			_, req, _ := reqOpen.at(e.TraceID)
+			req.ok = false
+			addI(chromeAbandoned, 0, e)
 		}
 	}
 
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].ts != recs[j].ts {
-			return recs[i].ts < recs[j].ts
+	// Primary start time, secondary origin sequence number so ties at one
+	// virtual instant keep the tracer's causal order; emission order makes
+	// the sort stable.
+	slices.SortFunc(recs, func(a, b chromeRecord) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
 		}
-		return recs[i].seq < recs[j].seq
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.order, b.order)
 	})
 
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("telemetry: creating directory for %s: %w", path, err)
+	// The process names, pre-quoted: pid 0 is the client, pid i+1 tier i.
+	procNames := make([][]byte, 0, len(tierNames)+1)
+	procNames = append(procNames, appendString(nil, "client"))
+	for i, name := range tierNames {
+		procNames = append(procNames, appendString(nil, "tier"+strconv.Itoa(i)+":"+name))
 	}
-	f, err := os.Create(path)
+
+	x, err := createExport(path)
 	if err != nil {
-		return fmt.Errorf("telemetry: creating %s: %w", path, err)
+		return err
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("telemetry: closing %s: %w", path, cerr)
-		}
-	}()
 	// One event per line keeps the file diffable and the goldens readable.
-	if _, err := f.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return fmt.Errorf("telemetry: writing %s: %w", path, err)
-	}
+	x.put(append(x.line(), "{\"traceEvents\":[\n"...))
 	for i := range recs {
-		data, err := json.Marshal(recs[i].ev)
-		if err != nil {
-			return fmt.Errorf("telemetry: marshaling event %d for %s: %w", i, path, err)
+		b := appendChromeRecord(x.line(), &recs[i], procNames)
+		if i < len(recs)-1 {
+			b = append(b, ',')
 		}
-		sep := ",\n"
-		if i == len(recs)-1 {
-			sep = "\n"
-		}
-		if _, err := f.Write(append(data, sep...)); err != nil {
-			return fmt.Errorf("telemetry: writing %s: %w", path, err)
-		}
+		x.put(append(b, '\n'))
 	}
-	if _, err := f.WriteString("],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
-		return fmt.Errorf("telemetry: writing %s: %w", path, err)
-	}
-	return nil
+	x.put(append(x.line(), "],\"displayTimeUnit\":\"ms\"}\n"...))
+	return x.close()
 }
+
+// appendChromeRecord appends r's trace-event object.
+func appendChromeRecord(b []byte, r *chromeRecord, procNames [][]byte) []byte {
+	b = append(b, `{"name":"`...)
+	b = append(b, chromeNames[r.kind]...)
+	switch r.kind {
+	case chromeMeta:
+		b = append(b, `","ph":"M","ts":0,"pid":`...)
+		b = appendInt32(b, r.pid)
+		b = append(b, `,"tid":0,"args":{"name":`...)
+		b = append(b, procNames[r.pid]...)
+		return append(b, "}}"...)
+	case chromeRequest, chromeQueue, chromeService:
+		b = append(b, `","ph":"X","ts":`...)
+		b = appendFloat(b, usec(r.ts))
+		b = append(b, `,"dur":`...)
+		b = appendFloat(b, usec(r.dur))
+		b = appendPIDTID(b, r)
+		b = append(b, `,"args":{"attempt":`...)
+		b = appendInt32(b, int32(r.att))
+		return append(b, "}}"...)
+	}
+	b = append(b, `","ph":"i","ts":`...)
+	b = appendFloat(b, usec(r.ts))
+	b = appendPIDTID(b, r)
+	b = append(b, `,"s":"t"`...)
+	if r.kind == chromeRetransmit {
+		b = append(b, `,"args":{"attempt":`...)
+		b = appendInt32(b, int32(r.att))
+		b = append(b, `,"fire_at_ms":`...)
+		b = appendFloat(b, msec(r.dur))
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+func appendPIDTID(b []byte, r *chromeRecord) []byte {
+	b = append(b, `,"pid":`...)
+	b = appendInt32(b, r.pid)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendUint(b, r.tid, 10)
+}
+
+func appendInt32(b []byte, v int32) []byte { return strconv.AppendInt(b, int64(v), 10) }
 
 // WriteChromeTrace exports the tracer's event ring as Chrome trace-event
 // JSON.

@@ -50,7 +50,7 @@ func checkGolden(t *testing.T, name string, write func(path string) error) {
 // goldenScenario runs a small deterministic two-tier scenario that
 // exercises every export surface: queueing, two-tier service, a drop
 // followed by a retransmission, and a drop followed by abandonment.
-func goldenScenario(t *testing.T) *Tracer {
+func goldenScenario(t testing.TB) *Tracer {
 	t.Helper()
 	e := sim.NewEngine(1)
 	spec := Spec{

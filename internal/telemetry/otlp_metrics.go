@@ -1,11 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 )
 
 // The metrics exporter emits the feature series in the standard OTLP/JSON
@@ -13,129 +9,88 @@ import (
 // opentelemetry.proto.metrics.v1), again without any OpenTelemetry
 // dependency: each detection feature becomes one gauge metric with one
 // data point per window, so the same series a detector consumes in
-// process can be shipped to any OTLP-speaking metrics backend. Field
-// order is fixed by the struct layouts, keeping same-seed exports
+// process can be shipped to any OTLP-speaking metrics backend. Each
+// metric line is what encoding/json makes of
+// {name, description, unit, gauge{dataPoints[{startTimeUnixNano,
+// timeUnixNano, asDouble|asInt}]}}, keeping same-seed exports
 // byte-identical.
 
-type otlpNumberPoint struct {
-	StartTimeUnixNano string   `json:"startTimeUnixNano"`
-	TimeUnixNano      string   `json:"timeUnixNano"`
-	AsDouble          *float64 `json:"asDouble,omitempty"`
-	AsInt             *string  `json:"asInt,omitempty"`
-}
-
-type otlpGauge struct {
-	DataPoints []otlpNumberPoint `json:"dataPoints"`
-}
-
-type otlpMetric struct {
-	Name        string    `json:"name"`
-	Description string    `json:"description,omitempty"`
-	Unit        string    `json:"unit,omitempty"`
-	Gauge       otlpGauge `json:"gauge"`
+// featureMetrics lists the exported gauges in file order. Exactly one of
+// asInt and asDouble is set.
+var featureMetrics = []struct {
+	name, desc, unit string
+	asInt            func(WindowFeatures) int64
+	asDouble         func(WindowFeatures) float64
+}{
+	{name: "memca.features.count", desc: "traces closed in the window", unit: "1",
+		asInt: func(w WindowFeatures) int64 { return int64(w.Count) }},
+	{name: "memca.features.tail_over", desc: "closed traces at or above the tail threshold", unit: "1",
+		asInt: func(w WindowFeatures) int64 { return int64(w.TailOver) }},
+	{name: "memca.features.retrans_share", desc: "retransmission-wait share of summed response time", unit: "1",
+		asDouble: WindowFeatures.RetransShare},
+	{name: "memca.features.drop_rate", desc: "rejected fraction of submitted attempts", unit: "1",
+		asDouble: WindowFeatures.DropRate},
+	{name: "memca.features.queue_share", desc: "queueing share of summed response time", unit: "1",
+		asDouble: WindowFeatures.QueueShare},
+	{name: "memca.features.service_share", desc: "service share of summed response time", unit: "1",
+		asDouble: WindowFeatures.ServiceShare},
 }
 
 // WriteFeaturesOTLP exports one feature series as OTLP/JSON gauge metrics
 // under the resource "<prefix>-features". Each window contributes one data
 // point per feature, stamped at the window's right edge with the window's
 // left edge as the start time.
-func WriteFeaturesOTLP(path string, spec OTLPSpec, fs *FeatureSeries) (err error) {
+func WriteFeaturesOTLP(path string, spec OTLPSpec, fs *FeatureSeries) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	if fs == nil {
 		return fmt.Errorf("telemetry: feature series must not be nil")
 	}
-	nanos := func(i int, edge int64) string {
-		t := fs.WindowStart(i).Nanoseconds() + edge*fs.Res.Nanoseconds()
-		return strconv.FormatInt(spec.EpochNanos+t, 10)
+	nanos := func(i int, edge int64) int64 {
+		return spec.EpochNanos + fs.WindowStart(i).Nanoseconds() + edge*fs.Res.Nanoseconds()
 	}
-	wins := fs.Windows()
-	doubleMetric := func(name, desc string, value func(WindowFeatures) float64) otlpMetric {
-		points := make([]otlpNumberPoint, 0, len(wins))
-		for i, w := range wins {
-			v := value(w)
-			points = append(points, otlpNumberPoint{
-				StartTimeUnixNano: nanos(i, 0),
-				TimeUnixNano:      nanos(i, 1),
-				AsDouble:          &v,
-			})
-		}
-		return otlpMetric{Name: name, Description: desc, Unit: "1", Gauge: otlpGauge{DataPoints: points}}
-	}
-	intMetric := func(name, desc, unit string, value func(WindowFeatures) int64) otlpMetric {
-		points := make([]otlpNumberPoint, 0, len(wins))
-		for i, w := range wins {
-			v := strconv.FormatInt(value(w), 10)
-			points = append(points, otlpNumberPoint{
-				StartTimeUnixNano: nanos(i, 0),
-				TimeUnixNano:      nanos(i, 1),
-				AsInt:             &v,
-			})
-		}
-		return otlpMetric{Name: name, Description: desc, Unit: unit, Gauge: otlpGauge{DataPoints: points}}
-	}
-
-	metrics := []otlpMetric{
-		intMetric("memca.features.count", "traces closed in the window", "1",
-			func(w WindowFeatures) int64 { return int64(w.Count) }),
-		intMetric("memca.features.tail_over", "closed traces at or above the tail threshold", "1",
-			func(w WindowFeatures) int64 { return int64(w.TailOver) }),
-		doubleMetric("memca.features.retrans_share", "retransmission-wait share of summed response time",
-			func(w WindowFeatures) float64 { return w.RetransShare() }),
-		doubleMetric("memca.features.drop_rate", "rejected fraction of submitted attempts",
-			func(w WindowFeatures) float64 { return w.DropRate() }),
-		doubleMetric("memca.features.queue_share", "queueing share of summed response time",
-			func(w WindowFeatures) float64 { return w.QueueShare() }),
-		doubleMetric("memca.features.service_share", "service share of summed response time",
-			func(w WindowFeatures) float64 { return w.ServiceShare() }),
-	}
-
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("telemetry: creating directory for %s: %w", path, err)
-	}
-	f, err := os.Create(path)
+	x, err := createExport(path)
 	if err != nil {
-		return fmt.Errorf("telemetry: creating %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("telemetry: closing %s: %w", path, cerr)
-		}
-	}()
-	write := func(s string) error {
-		if _, werr := f.WriteString(s); werr != nil {
-			return fmt.Errorf("telemetry: writing %s: %w", path, werr)
-		}
-		return nil
-	}
-
-	res := struct {
-		Attributes []otlpKeyValue `json:"attributes"`
-	}{Attributes: []otlpKeyValue{
-		strAttr("service.name", spec.ServicePrefix+"-features"),
-		intAttr("memca.feature_window_ms", fs.Res.Milliseconds()),
-	}}
-	resData, merr := json.Marshal(res)
-	if merr != nil {
-		return fmt.Errorf("telemetry: marshaling features resource: %w", merr)
-	}
-	if err := write("{\"resourceMetrics\":[\n{\"resource\":" + string(resData) +
-		",\"scopeMetrics\":[{\"scope\":{\"name\":\"memca/telemetry\"},\"metrics\":[\n"); err != nil {
 		return err
 	}
-	for i := range metrics {
-		data, merr := json.Marshal(&metrics[i])
-		if merr != nil {
-			return fmt.Errorf("telemetry: marshaling metric %s: %w", metrics[i].Name, merr)
+	b := append(x.line(), "{\"resourceMetrics\":[\n{\"resource\":{\"attributes\":[{\"key\":\"service.name\",\"value\":{\"stringValue\":"...)
+	b = appendString(b, spec.ServicePrefix+"-features")
+	b = append(b, "}},"...)
+	b = appendIntAttr(b, "memca.feature_window_ms", fs.Res.Milliseconds())
+	x.put(append(b, "]},\"scopeMetrics\":[{\"scope\":{\"name\":\"memca/telemetry\"},\"metrics\":[\n"...))
+	wins := fs.Windows()
+	for mi, m := range featureMetrics {
+		b := append(x.line(), `{"name":"`...)
+		b = append(b, m.name...)
+		b = append(b, `","description":"`...)
+		b = append(b, m.desc...)
+		b = append(b, `","unit":"`...)
+		b = append(b, m.unit...)
+		b = append(b, `","gauge":{"dataPoints":[`...)
+		for i, w := range wins {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"startTimeUnixNano":`...)
+			b = appendQuotedInt(b, nanos(i, 0))
+			b = append(b, `,"timeUnixNano":`...)
+			b = appendQuotedInt(b, nanos(i, 1))
+			if m.asInt != nil {
+				b = append(b, `,"asInt":`...)
+				b = appendQuotedInt(b, m.asInt(w))
+			} else {
+				b = append(b, `,"asDouble":`...)
+				b = appendFloat(b, m.asDouble(w))
+			}
+			b = append(b, '}')
 		}
-		sep := ",\n"
-		if i == len(metrics)-1 {
-			sep = "\n"
+		b = append(b, "]}}"...)
+		if mi < len(featureMetrics)-1 {
+			b = append(b, ',')
 		}
-		if err := write(string(data) + sep); err != nil {
-			return err
-		}
+		x.put(append(b, '\n'))
 	}
-	return write("]}]}\n]}\n")
+	x.put(append(x.line(), "]}]}\n]}\n"...))
+	return x.close()
 }
