@@ -101,13 +101,15 @@ quick-figures:
 trace:
 	$(GO) run ./cmd/memca-trace -out out/trace
 
-# Capacity-planner smoke: solve the RUBBoS plan spec (forecast shaping)
-# and re-size an experiment config lifted through Config.Spec(), both on
-# the reduced -quick search space. Exercises the spec loader, the config
-# bridge, the solver, and both report formats end to end.
+# Config-file smoke: plan the RUBBoS plan file and the paper-default
+# scenario file (forecast shaping, default spec sections) on the reduced
+# -quick search space, then simulate the plan file's spec-described
+# system. Exercises core.Load, the solver, both report formats, and
+# Config.FromSpec end to end.
 plan-smoke:
-	$(GO) run ./cmd/memca-plan -quick -spec configs/plan-rubbos.json
+	$(GO) run ./cmd/memca-plan -quick -config configs/plan-rubbos.json
 	$(GO) run ./cmd/memca-plan -quick -config configs/paper-default.json -json
+	$(GO) run ./cmd/memca-sim -config configs/plan-rubbos.json
 
 # Live end-to-end demo on real sockets.
 demo:

@@ -453,18 +453,6 @@ func BenchmarkStatsRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkP2Quantile measures the streaming quantile estimator.
-func BenchmarkP2Quantile(b *testing.B) {
-	p2, err := stats.NewP2Quantile(0.95)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p2.Add(float64(i % 1000))
-	}
-}
-
 // BenchmarkBandwidthAllocation measures the host bandwidth allocator.
 func BenchmarkBandwidthAllocation(b *testing.B) {
 	spec := memca.ProfileSpec{

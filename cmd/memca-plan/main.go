@@ -6,14 +6,14 @@
 // verdict, the maximum sustainable load in each regime, and the minimality
 // witness (one bottleneck replica fewer fails).
 //
-// Inputs: a plan spec file (-spec, see internal/spec.PlanJSON), or an
-// experiment config (-config) whose topology and population are lifted
-// into a spec; with neither, the paper's RUBBoS defaults.
+// Input: a config file (-config, see core.Load) whose system, traffic
+// and slo sections seed the plan; a file without them, or no file at all,
+// plans the paper's RUBBoS defaults.
 //
 // Usage:
 //
 //	go run ./cmd/memca-plan                           # RUBBoS defaults
-//	go run ./cmd/memca-plan -spec configs/plan-rubbos.json
+//	go run ./cmd/memca-plan -config configs/plan-rubbos.json
 //	go run ./cmd/memca-plan -config configs/paper-default.json -quick
 //	go run ./cmd/memca-plan -clients 2600 -think 1s -json
 package main
@@ -30,8 +30,7 @@ import (
 
 func main() {
 	var (
-		specPath   = flag.String("spec", "", "plan spec file (system/traffic/slo JSON; missing sections default to RUBBoS)")
-		configPath = flag.String("config", "", "experiment config file; its topology and population seed the plan")
+		configPath = flag.String("config", "", "config file; its system/traffic/slo sections seed the plan (missing sections default to RUBBoS)")
 		jsonOut    = flag.Bool("json", false, "emit the JSON report instead of text")
 		quick      = flag.Bool("quick", false, "shrink the search caps (4 replicas/tier, one adversary interval) for smoke runs")
 		clients    = flag.Int("clients", 0, "override the client population")
@@ -46,13 +45,13 @@ func main() {
 	if flag.NArg() != 0 {
 		fatal(fmt.Errorf("unexpected arguments %v", flag.Args()))
 	}
-	if *specPath != "" && *configPath != "" {
-		fatal(fmt.Errorf("-spec and -config are mutually exclusive"))
-	}
 
-	sys, traffic, slo, err := loadInputs(*specPath, *configPath)
-	if err != nil {
-		fatal(err)
+	sys, traffic, slo := spec.RUBBoSSystem(), spec.RUBBoSTraffic(), spec.DefaultSLO()
+	if *configPath != "" {
+		var err error
+		if _, sys, traffic, slo, err = core.Load(*configPath); err != nil {
+			fatal(err)
+		}
 	}
 	if *clients > 0 {
 		traffic.Clients = *clients
@@ -104,27 +103,6 @@ func main() {
 	}
 	if _, err := os.Stdout.Write(report); err != nil {
 		fatal(err)
-	}
-}
-
-// loadInputs resolves the system/traffic/SLO triple from a plan spec
-// file, an experiment config, or the RUBBoS defaults.
-func loadInputs(specPath, configPath string) (spec.System, spec.Traffic, spec.SLO, error) {
-	switch {
-	case specPath != "":
-		return spec.LoadPlan(specPath)
-	case configPath != "":
-		cfg, err := core.LoadConfig(configPath)
-		if err != nil {
-			return spec.System{}, spec.Traffic{}, spec.SLO{}, err
-		}
-		sys, traffic, err := cfg.Spec()
-		if err != nil {
-			return spec.System{}, spec.Traffic{}, spec.SLO{}, err
-		}
-		return sys, traffic, spec.DefaultSLO(), nil
-	default:
-		return spec.RUBBoSSystem(), spec.RUBBoSTraffic(), spec.DefaultSLO(), nil
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"memca"
@@ -30,35 +31,51 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "memca-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// configFlags are the flags that still apply alongside -config; every
+// other flag sets a scenario field the config file owns.
+var configFlags = map[string]bool{"config": true, "json": true, "runs": true, "parallel": true}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("memca-sim", flag.ExitOnError)
 	var (
-		configPath = flag.String("config", "", "JSON experiment config (overrides other flags; see configs/)")
-		baseline   = flag.Bool("baseline", false, "run without the attack")
-		env        = flag.String("env", "ec2", "environment: ec2 or private")
-		kind       = flag.String("attack", "lock", "attack kind: lock or saturation")
-		duration   = flag.Duration("duration", 3*time.Minute, "measured phase length")
-		warmup     = flag.Duration("warmup", 20*time.Second, "warm-up phase length")
-		clients    = flag.Int("clients", 3500, "emulated user population")
-		burst      = flag.Duration("burst", 500*time.Millisecond, "attack burst length L")
-		interval   = flag.Duration("interval", 2*time.Second, "attack burst interval I")
-		intensity  = flag.Float64("intensity", 1.0, "attack intensity R in (0,1]")
-		feedback   = flag.Bool("feedback", false, "enable the Kalman-filtered commander")
-		scaling    = flag.Bool("scaling", false, "attach a live auto-scaling group to MySQL")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		jsonOut    = flag.String("json", "", "write the report as JSON to this path")
-		runs       = flag.Int("runs", 1, "independent replications with deterministically derived seeds")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker count when -runs > 1 (1 = serial; results are identical either way)")
+		configPath = fs.String("config", "", "JSON config file (see configs/); combines only with -json, -runs and -parallel")
+		baseline   = fs.Bool("baseline", false, "run without the attack")
+		env        = fs.String("env", "ec2", "environment: ec2 or private")
+		kind       = fs.String("attack", "lock", "attack kind: lock or saturation")
+		duration   = fs.Duration("duration", 3*time.Minute, "measured phase length")
+		warmup     = fs.Duration("warmup", 20*time.Second, "warm-up phase length")
+		clients    = fs.Int("clients", 3500, "emulated user population")
+		burst      = fs.Duration("burst", 500*time.Millisecond, "attack burst length L")
+		interval   = fs.Duration("interval", 2*time.Second, "attack burst interval I")
+		intensity  = fs.Float64("intensity", 1.0, "attack intensity R in (0,1]")
+		feedback   = fs.Bool("feedback", false, "enable the Kalman-filtered commander")
+		scaling    = fs.Bool("scaling", false, "attach a live auto-scaling group to MySQL")
+		seed       = fs.Int64("seed", 1, "simulation seed")
+		jsonOut    = fs.String("json", "", "write the report as JSON to this path")
+		runs       = fs.Int("runs", 1, "independent replications with deterministically derived seeds")
+		parallel   = fs.Int("parallel", runtime.NumCPU(), "worker count when -runs > 1 (1 = serial; results are identical either way)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *configPath != "" {
-		cfg, err := core.LoadConfig(*configPath)
+		var conflict []string
+		fs.Visit(func(f *flag.Flag) {
+			if !configFlags[f.Name] {
+				conflict = append(conflict, "-"+f.Name)
+			}
+		})
+		if len(conflict) > 0 {
+			return fmt.Errorf("%s cannot be combined with -config: set it in the config file", strings.Join(conflict, ", "))
+		}
+		cfg, _, _, _, err := core.Load(*configPath)
 		if err != nil {
 			return err
 		}

@@ -177,7 +177,7 @@ type Config struct {
 	// Arena, when non-nil, backs every stats object of the run (tier and
 	// client samples, level integrators, the tracer's duration slab) with
 	// recycled slab storage; see stats.Arena. It is a runtime-only knob —
-	// the file-facing config schema (ConfigJSON) does not carry it. The
+	// the config file format (see Load) does not carry it. The
 	// arena must not be Reset before the run's Report has been built:
 	// the Report itself holds only heap copies and survives a Reset.
 	Arena *stats.Arena

@@ -1,26 +1,30 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"memca/internal/attack"
 	"memca/internal/memmodel"
 	"memca/internal/monitor"
+	"memca/internal/spec"
 )
 
-// ConfigJSON is the file-facing experiment schema: durations are Go
-// duration strings ("500ms", "2s"), enums are lowercase names. It covers
-// everything except custom tier topologies, which remain code-level.
-type ConfigJSON struct {
-	Seed      int64  `json:"seed"`
-	Env       string `json:"env"`        // "ec2" or "private-cloud"
-	Duration  string `json:"duration"`   // e.g. "3m"
-	Warmup    string `json:"warmup"`     // e.g. "20s"
-	Clients   int    `json:"clients"`    // e.g. 3500
-	ThinkTime string `json:"think_time"` // e.g. "7s"
+// document is the one config file format memca-sim and memca-plan share:
+// the spec sections (system, traffic, slo; see spec.PlanJSON) next to the
+// experiment's scenario fields. Durations are Go duration strings
+// ("500ms", "2s"), enums are lowercase names. Every key is optional, and
+// an unknown key is an error rather than a silent default.
+type document struct {
+	spec.PlanJSON
+
+	Seed     int64  `json:"seed"`
+	Env      string `json:"env"`      // "ec2" or "private-cloud"
+	Duration string `json:"duration"` // e.g. "3m"
+	Warmup   string `json:"warmup"`   // e.g. "20s"
 
 	Attack *struct {
 		Kind         string  `json:"kind"` // "lock" or "saturation"
@@ -50,45 +54,69 @@ type ConfigJSON struct {
 	LLCSamplePeriod string `json:"llc_sample_period,omitempty"`
 }
 
-// LoadConfig reads a ConfigJSON file and converts it to a validated
-// Config. Missing fields fall back to DefaultConfig values.
-func LoadConfig(path string) (Config, error) {
+// Load reads a config document and resolves it into a validated
+// experiment Config plus the spec triple it describes. Missing fields
+// fall back to DefaultConfig and the RUBBoS spec defaults. The population
+// always comes from the traffic section. A system section replaces the
+// topology through FromSpec; without one, Tiers stays nil and the run
+// uses the class-aware RUBBoS default.
+func Load(path string) (Config, spec.System, spec.Traffic, spec.SLO, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Config{}, fmt.Errorf("core: reading config: %w", err)
+		return Config{}, spec.System{}, spec.Traffic{}, spec.SLO{}, fmt.Errorf("core: reading config: %w", err)
 	}
-	var j ConfigJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return Config{}, fmt.Errorf("core: parsing config %s: %w", path, err)
-	}
-	return j.ToConfig()
-}
-
-// parseDur parses a duration string, returning def for empty input.
-func parseDur(s string, def time.Duration) (time.Duration, error) {
-	if s == "" {
-		return def, nil
-	}
-	d, err := time.ParseDuration(s)
+	cfg, sys, traffic, slo, err := parse(data)
 	if err != nil {
-		return 0, fmt.Errorf("core: bad duration %q: %w", s, err)
+		return Config{}, spec.System{}, spec.Traffic{}, spec.SLO{}, fmt.Errorf("core: config %s: %w", path, err)
 	}
-	return d, nil
+	return cfg, sys, traffic, slo, nil
 }
 
-// ToConfig converts the file schema into a validated Config.
-func (j ConfigJSON) ToConfig() (Config, error) {
+// parse is Load's bytes-level half.
+func parse(data []byte) (Config, spec.System, spec.Traffic, spec.SLO, error) {
+	fail := func(err error) (Config, spec.System, spec.Traffic, spec.SLO, error) {
+		return Config{}, spec.System{}, spec.Traffic{}, spec.SLO{}, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var j document
+	if err := dec.Decode(&j); err != nil {
+		return fail(err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fail(fmt.Errorf("trailing data after the config document"))
+	}
+	sys, traffic, slo, err := j.Resolve()
+	if err != nil {
+		return fail(err)
+	}
+	cfg, err := j.toConfig(traffic)
+	if err != nil {
+		return fail(err)
+	}
+	if j.System != nil {
+		if cfg, err = cfg.FromSpec(sys, traffic); err != nil {
+			return fail(err)
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return fail(err)
+	}
+	return cfg, sys, traffic, slo, nil
+}
+
+// toConfig converts the scenario fields into a Config running the given
+// traffic's population on the default topology.
+func (j document) toConfig(traffic spec.Traffic) (Config, error) {
 	def := DefaultConfig()
 	cfg := Config{
 		Seed:         j.Seed,
-		Clients:      j.Clients,
+		Clients:      traffic.Clients,
+		ThinkTime:    traffic.ThinkTime,
 		RecordSeries: j.RecordSeries,
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = def.Seed
-	}
-	if cfg.Clients == 0 {
-		cfg.Clients = def.Clients
 	}
 	switch j.Env {
 	case "", "ec2":
@@ -99,56 +127,51 @@ func (j ConfigJSON) ToConfig() (Config, error) {
 		return Config{}, fmt.Errorf("core: unknown env %q", j.Env)
 	}
 	var err error
-	if cfg.Duration, err = parseDur(j.Duration, def.Duration); err != nil {
+	if cfg.Duration, err = spec.ParseDuration(j.Duration, def.Duration); err != nil {
 		return Config{}, err
 	}
-	if cfg.Warmup, err = parseDur(j.Warmup, def.Warmup); err != nil {
+	if cfg.Warmup, err = spec.ParseDuration(j.Warmup, def.Warmup); err != nil {
 		return Config{}, err
 	}
-	if cfg.ThinkTime, err = parseDur(j.ThinkTime, def.ThinkTime); err != nil {
+	if cfg.LLCSamplePeriod, err = spec.ParseDuration(j.LLCSamplePeriod, 0); err != nil {
 		return Config{}, err
-	}
-	if j.LLCSamplePeriod != "" {
-		if cfg.LLCSamplePeriod, err = parseDur(j.LLCSamplePeriod, 0); err != nil {
-			return Config{}, err
-		}
 	}
 
 	if j.Attack != nil {
-		spec := AttackSpec{AdversaryVMs: j.Attack.AdversaryVMs}
-		if spec.AdversaryVMs == 0 {
-			spec.AdversaryVMs = 1
+		a := AttackSpec{AdversaryVMs: j.Attack.AdversaryVMs}
+		if a.AdversaryVMs == 0 {
+			a.AdversaryVMs = 1
 		}
 		switch j.Attack.Kind {
 		case "", "lock", "memory-lock":
-			spec.Kind = memmodel.AttackMemoryLock
+			a.Kind = memmodel.AttackMemoryLock
 		case "saturation", "bus-saturation":
-			spec.Kind = memmodel.AttackBusSaturation
+			a.Kind = memmodel.AttackBusSaturation
 		default:
 			return Config{}, fmt.Errorf("core: unknown attack kind %q", j.Attack.Kind)
 		}
-		spec.Params = attack.Params{Intensity: j.Attack.Intensity}
-		if spec.Params.Intensity == 0 {
-			spec.Params.Intensity = 1
+		a.Params = attack.Params{Intensity: j.Attack.Intensity}
+		if a.Params.Intensity == 0 {
+			a.Params.Intensity = 1
 		}
-		if spec.Params.BurstLength, err = parseDur(j.Attack.BurstLength, def.Attack.Params.BurstLength); err != nil {
+		if a.Params.BurstLength, err = spec.ParseDuration(j.Attack.BurstLength, def.Attack.Params.BurstLength); err != nil {
 			return Config{}, err
 		}
-		if spec.Params.Interval, err = parseDur(j.Attack.Interval, def.Attack.Params.Interval); err != nil {
+		if a.Params.Interval, err = spec.ParseDuration(j.Attack.Interval, def.Attack.Params.Interval); err != nil {
 			return Config{}, err
 		}
-		cfg.Attack = &spec
+		cfg.Attack = &a
 	}
 
 	if j.Feedback != nil {
 		fb := DefaultFeedback()
-		if fb.Goal.TargetRT, err = parseDur(j.Feedback.TargetP95, fb.Goal.TargetRT); err != nil {
+		if fb.Goal.TargetRT, err = spec.ParseDuration(j.Feedback.TargetP95, fb.Goal.TargetRT); err != nil {
 			return Config{}, err
 		}
-		if fb.Goal.MaxMillibottleneck, err = parseDur(j.Feedback.MaxMillibottleneck, fb.Goal.MaxMillibottleneck); err != nil {
+		if fb.Goal.MaxMillibottleneck, err = spec.ParseDuration(j.Feedback.MaxMillibottleneck, fb.Goal.MaxMillibottleneck); err != nil {
 			return Config{}, err
 		}
-		if fb.DecisionEvery, err = parseDur(j.Feedback.DecisionEvery, fb.DecisionEvery); err != nil {
+		if fb.DecisionEvery, err = spec.ParseDuration(j.Feedback.DecisionEvery, fb.DecisionEvery); err != nil {
 			return Config{}, err
 		}
 		cfg.Feedback = &fb
@@ -171,10 +194,6 @@ func (j ConfigJSON) ToConfig() (Config, error) {
 			SplitLockProtection:   j.Defense.SplitLockProtection,
 			VictimReservationMBps: j.Defense.VictimReservationMBps,
 		}
-	}
-
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
 	}
 	return cfg, nil
 }

@@ -416,9 +416,6 @@ func (x *Experiment) Prober() *control.Prober { return x.prober }
 // Scaling exposes the auto-scaling group, or nil without scaling.
 func (x *Experiment) Scaling() *cloud.ScalingGroup { return x.scaling }
 
-// VictimHost exposes the physical host co-hosting MySQL and adversaries.
-func (x *Experiment) VictimHost() *cloud.HostNode { return x.victim }
-
 // Tracer exposes the per-request tracer, or nil when Config.Trace is unset.
 func (x *Experiment) Tracer() *telemetry.Tracer { return x.tracer }
 

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/spec"
-	"memca/internal/workload"
 )
 
 // FromSpec returns a copy of the config with the tier topology and the
@@ -41,56 +38,4 @@ func (c Config) FromSpec(sys spec.System, traffic spec.Traffic) (Config, error) 
 	c.Clients = traffic.Clients
 	c.ThinkTime = traffic.ThinkTime
 	return c, nil
-}
-
-// Spec returns the shared spec description of the config's system and
-// traffic: the inverse of FromSpec up to pooling. Replica counts cannot
-// be recovered from a pooled station, so the returned system is in
-// Pooled normal form (Replicas 1, fleet-wide threads and servers);
-// FromSpec(cfg.Spec()) reproduces the config's topology exactly, and
-// sys.Pooled() == cfg.Spec() for any sys the config was built from. The
-// default topology (nil Tiers) resolves to the RUBBoS templates,
-// including their demand factors; explicit topologies default the demand
-// factor to 1 (the spec cannot see the workload's class mix).
-func (c Config) Spec() (spec.System, spec.Traffic, error) {
-	tiers := c.Tiers
-	if tiers == nil {
-		sys := spec.RUBBoSSystem().Pooled()
-		return sys, c.trafficSpec(), nil
-	}
-	sys := spec.System{Tiers: make([]spec.TierSpec, len(tiers))}
-	for i, t := range tiers {
-		if t.Service == nil {
-			return spec.System{}, spec.Traffic{}, fmt.Errorf("core: tier %q has no service distribution", t.Name)
-		}
-		if t.QueueLimit == queueing.Infinite {
-			return spec.System{}, spec.Traffic{}, fmt.Errorf("core: tier %q has an unbounded queue; specs describe finite pools", t.Name)
-		}
-		sys.Tiers[i] = spec.TierSpec{
-			Name:         t.Name,
-			Threads:      t.QueueLimit,
-			Servers:      t.Servers,
-			Service:      t.Service.Mean(),
-			DemandFactor: 1,
-			Replicas:     1,
-		}
-	}
-	return sys, c.trafficSpec(), nil
-}
-
-// trafficSpec returns the config's population as a flat-forecast traffic
-// spec with the RUBBoS tier mix when the topology is the default 3-tier
-// one.
-func (c Config) trafficSpec() spec.Traffic {
-	t := spec.Traffic{Clients: c.Clients, ThinkTime: c.ThinkTime}
-	n := len(c.Tiers)
-	if c.Tiers == nil {
-		n = len(workload.RUBBoSTiers())
-	}
-	if n == len(spec.RUBBoSTierMix) {
-		mix := make([]float64, len(spec.RUBBoSTierMix))
-		copy(mix, spec.RUBBoSTierMix)
-		t.TierMix = mix
-	}
-	return t
 }

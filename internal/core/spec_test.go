@@ -1,12 +1,9 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
-	"memca/internal/queueing"
-	"memca/internal/sim"
 	"memca/internal/spec"
 )
 
@@ -36,72 +33,34 @@ func TestFromSpecRoundTrip(t *testing.T) {
 			t.Errorf("tier %d service mean %v, want %v", i, got, want.Service)
 		}
 	}
-
-	// Spec(FromSpec(sys, traffic)) is sys.Pooled() except for the demand
-	// factors, which the config cannot see.
-	back, backTraffic, err := cfg.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled := sys.Pooled()
-	for i, tier := range back.Tiers {
-		want := pooled.Tiers[i]
-		if tier.Name != want.Name || tier.Threads != want.Threads ||
-			tier.Servers != want.Servers || tier.Service != want.Service || tier.Replicas != 1 {
-			t.Errorf("tier %d round-tripped as %+v, want %+v", i, tier, want)
-		}
-	}
-	if backTraffic.Clients != 2600 || backTraffic.ThinkTime != time.Second {
-		t.Errorf("traffic round-tripped as %+v", backTraffic)
-	}
-	if len(backTraffic.TierMix) != 3 {
-		t.Errorf("3-tier config should recover the RUBBoS mix, got %v", backTraffic.TierMix)
-	}
-
-	// FromSpec(cfg.Spec()) reproduces the config's topology exactly.
-	again, err := cfg.FromSpec(back, backTraffic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tier := range again.Tiers {
-		orig := cfg.Tiers[i]
-		if tier.QueueLimit != orig.QueueLimit || tier.Servers != orig.Servers ||
-			tier.Service.Mean() != orig.Service.Mean() {
-			t.Errorf("tier %d not reproduced: %+v vs %+v", i, tier, orig)
-		}
-	}
 }
 
+// TestSpecDefaultTopology pins what a config document without a system
+// section means: the RUBBoS spec for the planner and the nil (class-aware
+// RUBBoS) topology for the simulator, with the paper's population.
 func TestSpecDefaultTopology(t *testing.T) {
-	sys, traffic, err := DefaultConfig().Spec()
+	cfg, sys, traffic, slo, err := parse([]byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled := spec.RUBBoSSystem().Pooled()
-	if len(sys.Tiers) != len(pooled.Tiers) {
-		t.Fatalf("default topology has %d tiers", len(sys.Tiers))
+	if cfg.Tiers != nil {
+		t.Errorf("default topology should stay nil, got %d tiers", len(cfg.Tiers))
+	}
+	want := spec.RUBBoSSystem()
+	if len(sys.Tiers) != len(want.Tiers) {
+		t.Fatalf("default system has %d tiers", len(sys.Tiers))
 	}
 	for i, tier := range sys.Tiers {
-		if tier != pooled.Tiers[i] {
-			t.Errorf("tier %d = %+v, want RUBBoS template %+v", i, tier, pooled.Tiers[i])
+		if tier != want.Tiers[i] {
+			t.Errorf("tier %d = %+v, want RUBBoS template %+v", i, tier, want.Tiers[i])
 		}
 	}
-	if traffic.Clients != 3500 || traffic.ThinkTime != 7*time.Second {
-		t.Errorf("traffic = %+v", traffic)
+	if traffic.Clients != 3500 || traffic.ThinkTime != 7*time.Second ||
+		cfg.Clients != traffic.Clients || cfg.ThinkTime != traffic.ThinkTime {
+		t.Errorf("population: traffic %+v, config %d clients %v think", traffic, cfg.Clients, cfg.ThinkTime)
 	}
-}
-
-func TestSpecRejectsUnboundedQueue(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tiers = []queueing.TierConfig{{
-		Name:       "open",
-		QueueLimit: queueing.Infinite,
-		Servers:    2,
-		Service:    sim.NewExponential(time.Millisecond),
-	}}
-	_, _, err := cfg.Spec()
-	if err == nil || !strings.Contains(err.Error(), "unbounded") {
-		t.Errorf("Spec() = %v, want unbounded-queue error", err)
+	if slo != spec.DefaultSLO() {
+		t.Errorf("slo = %+v, want the default", slo)
 	}
 }
 

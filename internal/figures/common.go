@@ -37,11 +37,6 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// DefaultOptions returns full-scale generation into out/.
-func DefaultOptions() Options {
-	return Options{OutDir: "out", Seed: 1}
-}
-
 // duration returns full, or full/4 in quick mode (minimum 20 s).
 func (o Options) duration(full time.Duration) time.Duration {
 	if !o.Quick {

@@ -28,13 +28,6 @@ type Config struct {
 	// zero-alloc hot-path packages whose compiler escape analysis must
 	// match the checked-in budget file. Entries are exact import paths.
 	EscapeBudget []string
-
-	// DeprecatedCalls lists fully qualified functions ("import/path.Name")
-	// that sim-path packages must not call: the legacy positional wrappers
-	// kept only so external callers keep compiling. Test files are outside
-	// the loader's scope, so wrapper-equivalence regression tests may still
-	// exercise them.
-	DeprecatedCalls []string
 }
 
 // DefaultConfig returns the project policy.
@@ -112,13 +105,6 @@ func DefaultConfig() *Config {
 			"memca/internal/telemetry",
 			"memca/internal/telemetry/live",
 			"memca/internal/workload",
-		},
-		DeprecatedCalls: []string{
-			"memca.PlanAttackArgs",
-			"memca.ProfileBandwidth",
-			"memca.BandwidthSweep",
-			"memca/internal/memmodel.ProfileBandwidth",
-			"memca/internal/memmodel.BandwidthSweep",
 		},
 	}
 }

@@ -65,32 +65,6 @@ func TestEngineFilesClean(t *testing.T) {
 	}
 }
 
-// TestSimPathFreeOfDeprecatedCalls loads the real packages that sit on
-// the sim path around the legacy positional wrappers — the facade that
-// declares them, the package that implements them, and the planner and
-// figure pipelines built on top — and asserts none of them calls a
-// wrapper. This is the deprecation arc's finish line: when this test and
-// the wrapper-equivalence tests both pass, the wrappers are pure
-// compatibility surface and can be deleted in a future major version.
-func TestSimPathFreeOfDeprecatedCalls(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and typechecks real packages")
-	}
-	pkgs, err := Load("../..",
-		".", "./internal/memmodel", "./internal/core",
-		"./internal/plan", "./internal/spec", "./internal/figures")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if len(pkgs) != 6 {
-		t.Fatalf("loaded %d packages, want 6", len(pkgs))
-	}
-	diags := Run(pkgs, []*Analyzer{AnalyzerDeprecatedCall()}, DefaultConfig())
-	for _, d := range diags {
-		t.Errorf("deprecated wrapper still called: %v", d)
-	}
-}
-
 // TestEveryInternalPackageClassified walks internal/ on disk and fails if
 // any package directory is classified neither SimPath, ClockAllowed, nor
 // Tools. This closes the PR-5 gap where a freshly added package

@@ -17,10 +17,6 @@
 //   - atomicmix: a variable accessed through sync/atomic anywhere in a
 //     package is never read or written plainly elsewhere in that package,
 //     and typed atomics are never copied by value.
-//   - deprecatedcall: simulation-path packages never call the legacy
-//     positional wrappers (ProfileBandwidth, BandwidthSweep,
-//     PlanAttackArgs); in-repo code uses the spec-based API so the
-//     wrappers stay deletable.
 //   - allocbound (wired through cmd/memca-lint, not a per-package AST
 //     pass): the compiler's own escape analysis over the hot-path packages
 //     must match the checked-in budget; any new heap escape fails lint.
@@ -80,7 +76,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerErrDrop(),
 		AnalyzerHotPathAlloc(),
 		AnalyzerAtomicMix(),
-		AnalyzerDeprecatedCall(),
 	}
 }
 

@@ -69,27 +69,6 @@ func TestAtomicMixGolden(t *testing.T) {
 	runGolden(t, "atomicmix", AnalyzerAtomicMix(), goldenConfig())
 }
 
-func TestDeprecatedCallGolden(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.DeprecatedCalls = []string{
-		"memca/internal/lint/testdata/deprecatedcall.profileBandwidth",
-		"memca/internal/memmodel.ProfileBandwidth",
-		"memca/internal/memmodel.BandwidthSweep",
-	}
-	runGolden(t, "deprecatedcall", AnalyzerDeprecatedCall(), cfg)
-}
-
-// TestDeprecatedCallSilentOffSimPath pins the scoping: the deprecation
-// gate polices the sim path only, so binaries and external-style callers
-// may keep using the wrappers until they migrate on their own schedule.
-func TestDeprecatedCallSilentOffSimPath(t *testing.T) {
-	pkg, _ := loadGolden(t, "deprecatedcall")
-	cfg := &Config{DeprecatedCalls: DefaultConfig().DeprecatedCalls} // no sim-path packages
-	if diags := Run([]*Package{pkg}, []*Analyzer{AnalyzerDeprecatedCall()}, cfg); len(diags) != 0 {
-		t.Errorf("deprecatedcall on non-sim-path package: got %d diagnostics, want 0", len(diags))
-	}
-}
-
 // TestSimPathSilentWhenNotConfigured pins the scoping: simdeterminism and
 // clockdiscipline must stay quiet on packages outside their police beat.
 func TestSimPathSilentWhenNotConfigured(t *testing.T) {

@@ -195,16 +195,20 @@ func TestLLCMissRateCrossPackage(t *testing.T) {
 }
 
 func TestProfileBandwidthErrors(t *testing.T) {
-	if _, err := ProfileBandwidth(XeonE5_2603v3(), 0, PlacementSamePackage, AttackBusSaturation, 0); err == nil {
+	spec := ProfileSpec{Host: XeonE5_2603v3(), Placement: PlacementSamePackage, Kind: AttackBusSaturation}
+	if _, err := Profile(spec); err == nil {
 		t.Error("zero VMs accepted")
 	}
-	if _, err := BandwidthSweep(XeonE5_2603v3(), 0, PlacementSamePackage, AttackBusSaturation, 0); err == nil {
-		t.Error("zero maxVMs accepted")
+	if _, err := Sweep(spec); err == nil {
+		t.Error("zero max VMs accepted")
 	}
-	bad := XeonE5_2603v3()
-	bad.Packages = 0
-	if _, err := ProfileBandwidth(bad, 1, PlacementSamePackage, AttackBusSaturation, 0); err == nil {
+	spec.VMs = 1
+	spec.Host.Packages = 0
+	if _, err := Profile(spec); err == nil {
 		t.Error("invalid config accepted")
+	}
+	if _, err := Sweep(spec); err == nil {
+		t.Error("invalid config accepted by Sweep")
 	}
 }
 

@@ -146,17 +146,3 @@ func Sweep(spec ProfileSpec) ([]BandwidthPoint, error) {
 	}
 	return out, nil
 }
-
-// ProfileBandwidth is the positional-argument form of Profile.
-//
-// Deprecated: use Profile with a ProfileSpec.
-func ProfileBandwidth(cfg HostConfig, vms int, placement PlacementMode, attack AttackKind, lockDuty float64) (BandwidthPoint, error) {
-	return Profile(ProfileSpec{Host: cfg, VMs: vms, Placement: placement, Kind: attack, LockDuty: lockDuty})
-}
-
-// BandwidthSweep is the positional-argument form of Sweep.
-//
-// Deprecated: use Sweep with a ProfileSpec.
-func BandwidthSweep(cfg HostConfig, maxVMs int, placement PlacementMode, attack AttackKind, lockDuty float64) ([]BandwidthPoint, error) {
-	return Sweep(ProfileSpec{Host: cfg, VMs: maxVMs, Placement: placement, Kind: attack, LockDuty: lockDuty})
-}

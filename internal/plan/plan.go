@@ -25,7 +25,8 @@ type Request struct {
 	SLO spec.SLO
 	// Adversary bounds the attacker (zero value: DefaultAdversary).
 	Adversary Adversary
-	// Options tune the search (zero value: DefaultOptions).
+	// Options tune the search (zero value: the defaults documented on
+	// Options' fields).
 	Options Options
 }
 
@@ -38,11 +39,6 @@ type Options struct {
 	// attacker's fill and drain times at no server cost). Empty means
 	// {1, 2, 4}.
 	ThreadScales []int
-}
-
-// DefaultOptions returns the default search caps.
-func DefaultOptions() Options {
-	return Options{MaxReplicas: 8, ThreadScales: []int{1, 2, 4}}
 }
 
 func (o Options) maxReplicas() int {

@@ -82,36 +82,6 @@ func (d Exponential) Sample(rng *rand.Rand) time.Duration {
 // Mean implements Dist.
 func (d Exponential) Mean() time.Duration { return secondsToDuration(d.mean) }
 
-// Uniform is a uniform distribution over [Lo, Hi].
-type Uniform struct {
-	Lo, Hi time.Duration
-}
-
-// NewUniform returns a uniform distribution over [lo, hi]. It panics when
-// hi < lo.
-func NewUniform(lo, hi time.Duration) Uniform {
-	if hi < lo {
-		panic(fmt.Sprintf("sim: uniform bounds inverted: [%v, %v]", lo, hi))
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
-// Sample implements Dist.
-func (d Uniform) Sample(rng *rand.Rand) time.Duration {
-	span := d.Hi - d.Lo
-	if span <= 0 {
-		return d.Lo
-	}
-	v := d.Lo + time.Duration(rng.Int63n(int64(span)+1))
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Mean implements Dist.
-func (d Uniform) Mean() time.Duration { return d.Lo + (d.Hi-d.Lo)/2 }
-
 // LogNormal is a log-normal distribution parameterized by the mean and
 // sigma of the underlying normal, useful for heavy-ish service times.
 type LogNormal struct {
@@ -141,76 +111,6 @@ func (d LogNormal) Sample(rng *rand.Rand) time.Duration {
 func (d LogNormal) Mean() time.Duration {
 	return secondsToDuration(math.Exp(d.Mu + d.Sigma*d.Sigma/2))
 }
-
-// Pareto is a bounded-minimum Pareto (power-law) distribution, used for
-// heavy-tailed sensitivity studies around the paper's exponential baseline.
-type Pareto struct {
-	Xm    time.Duration // scale (minimum value)
-	Alpha float64       // shape; > 1 for a finite mean
-}
-
-// NewPareto returns a Pareto distribution with minimum xm and shape alpha.
-func NewPareto(xm time.Duration, alpha float64) Pareto {
-	if xm <= 0 {
-		panic(fmt.Sprintf("sim: pareto scale must be positive, got %v", xm))
-	}
-	if alpha <= 0 {
-		panic(fmt.Sprintf("sim: pareto shape must be positive, got %v", alpha))
-	}
-	return Pareto{Xm: xm, Alpha: alpha}
-}
-
-// Sample implements Dist.
-func (d Pareto) Sample(rng *rand.Rand) time.Duration {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return secondsToDuration(d.Xm.Seconds() / math.Pow(u, 1/d.Alpha))
-}
-
-// Mean implements Dist. For alpha <= 1 the mean is infinite; Mean returns
-// the maximum representable duration in that case.
-func (d Pareto) Mean() time.Duration {
-	if d.Alpha <= 1 {
-		return math.MaxInt64
-	}
-	return secondsToDuration(d.Alpha * d.Xm.Seconds() / (d.Alpha - 1))
-}
-
-// Empirical samples uniformly from a fixed set of observed values, e.g.
-// service times measured from a trace.
-type Empirical struct {
-	values []time.Duration
-	mean   time.Duration
-}
-
-// NewEmpirical returns a distribution drawing uniformly from values. It
-// copies the slice and returns an error when values is empty or contains a
-// negative duration.
-func NewEmpirical(values []time.Duration) (Empirical, error) {
-	if len(values) == 0 {
-		return Empirical{}, fmt.Errorf("sim: empirical distribution needs at least one value")
-	}
-	cp := make([]time.Duration, len(values))
-	var sum time.Duration
-	for i, v := range values {
-		if v < 0 {
-			return Empirical{}, fmt.Errorf("sim: empirical value %d is negative: %v", i, v)
-		}
-		cp[i] = v
-		sum += v
-	}
-	return Empirical{values: cp, mean: sum / time.Duration(len(cp))}, nil
-}
-
-// Sample implements Dist.
-func (d Empirical) Sample(rng *rand.Rand) time.Duration {
-	return d.values[rng.Intn(len(d.values))]
-}
-
-// Mean implements Dist.
-func (d Empirical) Mean() time.Duration { return d.mean }
 
 // Erlang is the sum of K independent exponentials, giving a tunable
 // coefficient of variation below 1 (CV = 1/sqrt(K)).

@@ -11,7 +11,7 @@
 // value types addressing a generation-checked slot table, and freed slots
 // are recycled through a free list. Model code that needs per-event
 // context without allocating a closure uses the Actor scheduling path
-// (ScheduleCall/AtCall).
+// (ScheduleCall).
 package sim
 
 import (
@@ -27,7 +27,7 @@ import (
 // `any` without allocating.
 type Actor interface {
 	// Act handles one fired event. arg is whatever was passed to
-	// ScheduleCall/AtCall for this event.
+	// ScheduleCall for this event.
 	Act(arg any)
 }
 
@@ -180,17 +180,6 @@ func (e *Engine) ScheduleCall(delay time.Duration, actor Actor, arg any) Event {
 		delay = 0
 	}
 	return e.push(e.now+delay, nil, actor, arg)
-}
-
-// AtCall queues actor.Act(arg) at absolute virtual time t, clamped to the
-// present. It is the Actor counterpart of At.
-//
-//memca:hotpath
-func (e *Engine) AtCall(t time.Duration, actor Actor, arg any) Event {
-	if actor == nil {
-		panic("sim: AtCall called with nil actor")
-	}
-	return e.push(t, nil, actor, arg)
 }
 
 // push allocates a slot, appends the event, and restores the heap order.

@@ -199,16 +199,9 @@ func TestExponentialRateEquivalence(t *testing.T) {
 
 func TestDistributionsNeverNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	emp, err := NewEmpirical([]time.Duration{time.Millisecond, 3 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewEmpirical: %v", err)
-	}
 	dists := map[string]Dist{
 		"exponential":   NewExponential(time.Millisecond),
-		"uniform":       NewUniform(0, 10*time.Millisecond),
 		"lognormal":     NewLogNormalFromMean(5*time.Millisecond, 1.5),
-		"pareto":        NewPareto(time.Millisecond, 1.3),
-		"empirical":     emp,
 		"erlang":        NewErlang(4, 8*time.Millisecond),
 		"deterministic": NewDeterministic(2 * time.Millisecond),
 	}
@@ -258,15 +251,6 @@ func TestErlangVarianceBelowExponential(t *testing.T) {
 	vErl := variance(NewErlang(8, mean))
 	if vErl >= vExp {
 		t.Errorf("Erlang-8 variance %v not below exponential %v", vErl, vExp)
-	}
-}
-
-func TestEmpiricalRejectsBadInput(t *testing.T) {
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Error("empty empirical accepted")
-	}
-	if _, err := NewEmpirical([]time.Duration{-time.Second}); err == nil {
-		t.Error("negative empirical value accepted")
 	}
 }
 

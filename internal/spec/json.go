@@ -1,16 +1,15 @@
 package spec
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 )
 
-// PlanJSON is the file-facing planning schema: one document carrying the
-// system templates, the traffic forecast, and the SLO. Durations are Go
-// duration strings ("600us", "7s"); omitted sections fall back to the
-// RUBBoS defaults.
+// PlanJSON is the file-facing schema of the spec sections: the system
+// templates, the traffic forecast, and the SLO. core.Load embeds it in
+// the one config document both memca-sim and memca-plan read. Durations
+// are Go duration strings ("600us", "7s"); omitted sections fall back to
+// the RUBBoS defaults.
 type PlanJSON struct {
 	System *struct {
 		Tiers []struct {
@@ -38,21 +37,9 @@ type PlanJSON struct {
 	} `json:"slo,omitempty"`
 }
 
-// LoadPlan reads a PlanJSON file and resolves it into validated specs.
-func LoadPlan(path string) (System, Traffic, SLO, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return System{}, Traffic{}, SLO{}, fmt.Errorf("spec: reading plan: %w", err)
-	}
-	var j PlanJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return System{}, Traffic{}, SLO{}, fmt.Errorf("spec: parsing plan %s: %w", path, err)
-	}
-	return j.Resolve()
-}
-
-// parseDur parses a duration string, returning def for empty input.
-func parseDur(s string, def time.Duration) (time.Duration, error) {
+// ParseDuration parses a Go duration string, returning def for empty
+// input. It is the duration syntax of every config file section.
+func ParseDuration(s string, def time.Duration) (time.Duration, error) {
 	if s == "" {
 		return def, nil
 	}
@@ -74,7 +61,7 @@ func (j PlanJSON) Resolve() (System, Traffic, SLO, error) {
 	if j.System != nil {
 		sys = System{}
 		for _, t := range j.System.Tiers {
-			service, err := parseDur(t.Service, 0)
+			service, err := ParseDuration(t.Service, 0)
 			if err != nil {
 				return fail(err)
 			}
@@ -94,7 +81,7 @@ func (j PlanJSON) Resolve() (System, Traffic, SLO, error) {
 
 	traffic := RUBBoSTraffic()
 	if j.Traffic != nil {
-		think, err := parseDur(j.Traffic.ThinkTime, traffic.ThinkTime)
+		think, err := ParseDuration(j.Traffic.ThinkTime, traffic.ThinkTime)
 		if err != nil {
 			return fail(err)
 		}
@@ -115,7 +102,7 @@ func (j PlanJSON) Resolve() (System, Traffic, SLO, error) {
 
 	slo := DefaultSLO()
 	if j.SLO != nil {
-		target, err := parseDur(j.SLO.TargetRT, slo.TargetRT)
+		target, err := ParseDuration(j.SLO.TargetRT, slo.TargetRT)
 		if err != nil {
 			return fail(err)
 		}

@@ -5,7 +5,9 @@
 // victim daemon (victimd.SystemFromSpec) alike. The types are pure data —
 // conversions to the consumers' native configurations live with the
 // consumers, so this package depends only on the analytical model it
-// parameterizes.
+// parameterizes. PlanJSON is the sections' file form: core.Load reads it
+// as the system/traffic/slo part of the one config document that
+// memca-sim and memca-plan share.
 package spec
 
 import (
@@ -122,25 +124,6 @@ func (s System) CheckCondition1() error {
 		}
 	}
 	return nil
-}
-
-// Pooled returns an equivalent system with every tier's replicas folded
-// into its per-replica template (Replicas 1, pooled threads and servers).
-// This is the normal form Config.Spec round-trips through: a pooled fleet
-// and a single wide replica are indistinguishable to the simulator.
-func (s System) Pooled() System {
-	out := System{Tiers: make([]TierSpec, len(s.Tiers))}
-	for i, t := range s.Tiers {
-		out.Tiers[i] = TierSpec{
-			Name:         t.Name,
-			Threads:      t.PooledThreads(),
-			Servers:      t.PooledServers(),
-			Service:      t.Service,
-			DemandFactor: t.demandFactor(),
-			Replicas:     1,
-		}
-	}
-	return out
 }
 
 // WithReplicas returns a copy of the system with the given per-tier

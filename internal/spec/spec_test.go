@@ -66,15 +66,20 @@ func TestSystemPooledFoldsReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled := sys.Pooled()
-	for i, tier := range pooled.Tiers {
-		if tier.Replicas != 1 {
-			t.Errorf("pooled tier %d replicas = %d", i, tier.Replicas)
+	// A replicated fleet pools into one wide replica of equal capacity,
+	// the station FromSpec builds for the simulator.
+	for i, tier := range sys.Tiers {
+		wide := TierSpec{
+			Name:         tier.Name,
+			Threads:      tier.PooledThreads(),
+			Servers:      tier.PooledServers(),
+			Service:      tier.Service,
+			DemandFactor: tier.DemandFactor,
 		}
-		if tier.Threads != sys.Tiers[i].PooledThreads() {
-			t.Errorf("pooled tier %d threads = %d, want %d", i, tier.Threads, sys.Tiers[i].PooledThreads())
+		if wide.Threads != tier.Threads*tier.Replicas || wide.Servers != tier.Servers*tier.Replicas {
+			t.Errorf("tier %d pooled to %d threads / %d servers from %+v", i, wide.Threads, wide.Servers, tier)
 		}
-		if got, want := tier.Capacity(), sys.Tiers[i].Capacity(); got < want*0.999 || got > want*1.001 {
+		if got, want := wide.Capacity(), tier.Capacity(); got < want*0.999 || got > want*1.001 {
 			t.Errorf("pooled tier %d capacity = %v, want %v", i, got, want)
 		}
 	}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -90,29 +89,6 @@ func (li *LevelIntegrator) WindowAverage(from, to time.Duration) float64 {
 		acc += level * (to - since).Seconds()
 	}
 	return acc / (to - from).Seconds()
-}
-
-// AverageSeries resamples the window-averaged level into fixed-width
-// buckets over [0, horizon).
-func (li *LevelIntegrator) AverageSeries(width, horizon time.Duration) ([]Bucket, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("stats: level window must be positive, got %v", width)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("stats: level horizon must be positive, got %v", horizon)
-	}
-	n := int((horizon + width - 1) / width)
-	out := make([]Bucket, 0, n)
-	for i := 0; i < n; i++ {
-		from := time.Duration(i) * width
-		to := from + width
-		if to > horizon {
-			to = horizon
-		}
-		v := li.WindowAverage(from, to)
-		out = append(out, Bucket{Start: from, Mean: v, Max: v, Min: v, Count: 1})
-	}
-	return out, nil
 }
 
 // Transitions returns the recorded level changes. The slice is shared;

@@ -52,6 +52,18 @@ func TestLevelIntegratorWindowAverage(t *testing.T) {
 			t.Errorf("WindowAverage(%v,%v) = %v, want %v", tc.from, tc.to, got, tc.want)
 		}
 	}
+
+	// Back-to-back one-second windows over a step level read each step.
+	step := NewLevelIntegrator()
+	step.Set(0, 1)
+	step.Set(time.Second, 3)
+	step.Set(2*time.Second, 0)
+	for i, want := range []float64{1, 3, 0} {
+		from := time.Duration(i) * time.Second
+		if got := step.WindowAverage(from, from+time.Second); got != want {
+			t.Errorf("step window %d average = %v, want %v", i, got, want)
+		}
+	}
 }
 
 func TestLevelIntegratorDuplicateSetIgnored(t *testing.T) {
@@ -60,33 +72,6 @@ func TestLevelIntegratorDuplicateSetIgnored(t *testing.T) {
 	li.Set(2*time.Second, 3) // no-op
 	if n := len(li.Transitions()); n != 1 {
 		t.Errorf("duplicate set recorded: %d transitions", n)
-	}
-}
-
-func TestLevelIntegratorAverageSeries(t *testing.T) {
-	li := NewLevelIntegrator()
-	// 1 for [0,1s), 3 for [1s,2s).
-	li.Set(0, 1)
-	li.Set(time.Second, 3)
-	li.Set(2*time.Second, 0)
-	buckets, err := li.AverageSeries(time.Second, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buckets) != 3 {
-		t.Fatalf("got %d buckets", len(buckets))
-	}
-	want := []float64{1, 3, 0}
-	for i, b := range buckets {
-		if b.Mean != want[i] {
-			t.Errorf("bucket %d mean = %v, want %v", i, b.Mean, want[i])
-		}
-	}
-	if _, err := li.AverageSeries(0, time.Second); err == nil {
-		t.Error("zero width accepted")
-	}
-	if _, err := li.AverageSeries(time.Second, 0); err == nil {
-		t.Error("zero horizon accepted")
 	}
 }
 
@@ -151,23 +136,6 @@ func TestRunningAccessors(t *testing.T) {
 	}
 	if r.StdDev() <= 0 {
 		t.Errorf("StdDev = %v", r.StdDev())
-	}
-}
-
-func TestP2LinearInterpolationPath(t *testing.T) {
-	// Heavily skewed input forces the parabolic prediction out of
-	// bounds, exercising the linear fallback.
-	p2, err := NewP2Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := []float64{1, 1, 1, 1, 1000, 1, 1, 1000, 1, 1, 1, 1000, 1, 1}
-	for _, v := range vals {
-		p2.Add(v)
-	}
-	got := p2.Value()
-	if got < 1 || got > 1000 {
-		t.Errorf("estimate %v outside data range", got)
 	}
 }
 

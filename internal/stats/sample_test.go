@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,57 +109,6 @@ func TestSampleQuantilePropertyWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestP2MatchesExactQuantile(t *testing.T) {
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		rng := rand.New(rand.NewSource(17))
-		p2, err := NewP2Quantile(q)
-		if err != nil {
-			t.Fatalf("NewP2Quantile(%v): %v", q, err)
-		}
-		vals := make([]float64, 0, 50000)
-		for i := 0; i < 50000; i++ {
-			v := rng.ExpFloat64() * 100
-			p2.Add(v)
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
-		exact := vals[int(q*float64(len(vals)))]
-		got := p2.Value()
-		rel := (got - exact) / exact
-		if rel < -0.08 || rel > 0.08 {
-			t.Errorf("P2(q=%v) = %v, exact %v (rel err %.3f)", q, got, exact, rel)
-		}
-	}
-}
-
-func TestP2SmallSamples(t *testing.T) {
-	p2, err := NewP2Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Value() != 0 {
-		t.Error("empty estimator should return 0")
-	}
-	p2.Add(10)
-	p2.Add(20)
-	p2.Add(30)
-	v := p2.Value()
-	if v < 10 || v > 30 {
-		t.Errorf("small-sample estimate %v outside observed range", v)
-	}
-	if p2.Count() != 3 {
-		t.Errorf("Count = %d, want 3", p2.Count())
-	}
-}
-
-func TestP2RejectsBadQuantile(t *testing.T) {
-	for _, q := range []float64{0, 1, -0.5, 1.5} {
-		if _, err := NewP2Quantile(q); err == nil {
-			t.Errorf("NewP2Quantile(%v) accepted", q)
-		}
 	}
 }
 
@@ -324,27 +272,19 @@ func TestBusyIntegratorSeries(t *testing.T) {
 		b.SetBusy(start, true)
 		b.SetBusy(start+100*time.Millisecond, false)
 	}
-	fine, err := b.UtilizationSeries(100*time.Millisecond, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse, err := b.UtilizationSeries(time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Fine granularity sees saturation; coarse sees 10%.
 	maxFine := 0.0
-	for _, bk := range fine {
-		if bk.Mean > maxFine {
-			maxFine = bk.Mean
+	for from := time.Duration(0); from < 5*time.Second; from += 100 * time.Millisecond {
+		if u := b.Utilization(from, from+100*time.Millisecond); u > maxFine {
+			maxFine = u
 		}
 	}
 	if maxFine < 0.999 {
 		t.Errorf("fine-grained max utilization %v, want ~1.0", maxFine)
 	}
-	for _, bk := range coarse {
-		if bk.Mean < 0.099 || bk.Mean > 0.101 {
-			t.Errorf("coarse bucket at %v = %v, want ~0.1", bk.Start, bk.Mean)
+	for from := time.Duration(0); from < 5*time.Second; from += time.Second {
+		if u := b.Utilization(from, from+time.Second); u < 0.099 || u > 0.101 {
+			t.Errorf("coarse window at %v = %v, want ~0.1", from, u)
 		}
 	}
 }

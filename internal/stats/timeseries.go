@@ -224,27 +224,3 @@ func (b *BusyIntegrator) Utilization(from, to time.Duration) float64 {
 	}
 	return float64(busy) / float64(to-from)
 }
-
-// UtilizationSeries samples utilization in fixed windows of the given width
-// over [0, horizon), producing the signal a monitor of that granularity
-// would report.
-func (b *BusyIntegrator) UtilizationSeries(width, horizon time.Duration) ([]Bucket, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("stats: utilization window must be positive, got %v", width)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("stats: utilization horizon must be positive, got %v", horizon)
-	}
-	n := int((horizon + width - 1) / width)
-	out := make([]Bucket, 0, n)
-	for i := 0; i < n; i++ {
-		from := time.Duration(i) * width
-		to := from + width
-		if to > horizon {
-			to = horizon
-		}
-		u := b.Utilization(from, to)
-		out = append(out, Bucket{Start: from, Mean: u, Max: u, Min: u, Count: 1})
-	}
-	return out, nil
-}

@@ -49,18 +49,6 @@ type TraceHook interface {
 	TraceAbandoned(traceID uint64)
 }
 
-// DefaultGeneratorConfig returns the paper's workload: 3500 users, 7 s
-// mean think time, RFC 6298 retransmission.
-func DefaultGeneratorConfig() GeneratorConfig {
-	return GeneratorConfig{
-		Clients:    3500,
-		ThinkTime:  sim.NewExponential(7 * time.Second),
-		Profile:    RUBBoSProfile(),
-		Retransmit: queueing.DefaultRetransmit(),
-		RampUp:     10 * time.Second,
-	}
-}
-
 // genRetrans is one pending page retransmission, pooled so the drop-retry
 // path allocates nothing in steady state.
 type genRetrans struct {

@@ -249,13 +249,6 @@ func PlanAttack(m Model, goal PlanGoal, interval time.Duration) (ModelAttack, er
 	return analytical.PlanAttack(m, goal, interval)
 }
 
-// PlanAttackArgs is the positional-argument form of PlanAttack.
-//
-// Deprecated: use PlanAttack with a PlanGoal.
-func PlanAttackArgs(m Model, minImpact float64, maxMillibottleneck, interval time.Duration) (ModelAttack, error) {
-	return PlanAttack(m, PlanGoal{MinImpact: minImpact, MaxMillibottleneck: maxMillibottleneck}, interval)
-}
-
 // XeonE5_2603v3 returns the paper's private-cloud host model.
 func XeonE5_2603v3() HostConfig { return memmodel.XeonE5_2603v3() }
 
@@ -268,20 +261,6 @@ func Profile(spec ProfileSpec) (BandwidthPoint, error) { return memmodel.Profile
 
 // Sweep profiles 1..spec.VMs co-located VMs (one Figure 3 curve).
 func Sweep(spec ProfileSpec) ([]BandwidthPoint, error) { return memmodel.Sweep(spec) }
-
-// ProfileBandwidth is the positional-argument form of Profile.
-//
-// Deprecated: use Profile with a ProfileSpec.
-func ProfileBandwidth(cfg HostConfig, vms int, placement memmodel.PlacementMode, kind memmodel.AttackKind, lockDuty float64) (BandwidthPoint, error) {
-	return Profile(ProfileSpec{Host: cfg, VMs: vms, Placement: placement, Kind: kind, LockDuty: lockDuty})
-}
-
-// BandwidthSweep is the positional-argument form of Sweep.
-//
-// Deprecated: use Sweep with a ProfileSpec.
-func BandwidthSweep(cfg HostConfig, maxVMs int, placement memmodel.PlacementMode, kind memmodel.AttackKind, lockDuty float64) ([]BandwidthPoint, error) {
-	return Sweep(ProfileSpec{Host: cfg, VMs: maxVMs, Placement: placement, Kind: kind, LockDuty: lockDuty})
-}
 
 // DefaultAutoScaler returns the modelled AWS trigger: 85% average CPU over
 // one 1-minute CloudWatch period.

@@ -54,14 +54,6 @@ func TestFacadeAnalytical(t *testing.T) {
 	if planned.L <= 0 || planned.D <= 0 {
 		t.Errorf("planned attack wrong: %+v", planned)
 	}
-	// The deprecated positional form must keep returning the same plan.
-	legacy, err := memca.PlanAttackArgs(m, 0.05, time.Second, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != planned {
-		t.Errorf("PlanAttackArgs = %+v, want %+v", legacy, planned)
-	}
 }
 
 func TestFacadeBandwidthProfile(t *testing.T) {
@@ -77,14 +69,6 @@ func TestFacadeBandwidthProfile(t *testing.T) {
 	if point.PerVMMBps <= 0 {
 		t.Errorf("bandwidth point: %+v", point)
 	}
-	// The deprecated positional form must agree with the spec form.
-	legacy, err := memca.ProfileBandwidth(cfg, 3, memca.PlacementSamePackage, memca.AttackMemoryLock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != point {
-		t.Errorf("ProfileBandwidth = %+v, want %+v", legacy, point)
-	}
 	sweep, err := memca.Sweep(memca.ProfileSpec{
 		Host: cfg, VMs: 4, Placement: memca.PlacementRandomPackage, Kind: memca.AttackBusSaturation,
 	})
@@ -93,13 +77,6 @@ func TestFacadeBandwidthProfile(t *testing.T) {
 	}
 	if len(sweep) != 4 {
 		t.Errorf("sweep points = %d", len(sweep))
-	}
-	legacySweep, err := memca.BandwidthSweep(cfg, 4, memca.PlacementRandomPackage, memca.AttackBusSaturation, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacySweep) != len(sweep) || legacySweep[len(legacySweep)-1] != sweep[len(sweep)-1] {
-		t.Errorf("BandwidthSweep disagrees with Sweep: %+v vs %+v", legacySweep, sweep)
 	}
 	ec2 := memca.EC2DedicatedHost()
 	if ec2.BusBandwidthMBps <= cfg.BusBandwidthMBps {
