@@ -46,14 +46,16 @@ dsweep-smoke:
 	$(GO) run ./cmd/memca-sweep smoke
 
 # Short fuzz passes over the file-facing config schema, the stats
-# kernels, and the span exporters' encoder oracle (seed corpora are
-# checked in under the packages' testdata/fuzz or seeded from the
-# golden streams). FUZZTIME tunes the per-target budget.
+# kernels, the event engine's pop order against a reference queue, and
+# the span exporters' encoder oracle (seed corpora are checked in under
+# the packages' testdata/fuzz or seeded in the fuzz functions).
+# FUZZTIME tunes the per-target budget.
 FUZZTIME = 30s
 fuzz:
 	$(GO) test -run FuzzConfigJSON -fuzz FuzzConfigJSON -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzHistogramAdd -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSampleQuantile -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSpanExport -fuzztime $(FUZZTIME) ./internal/telemetry
 
 # Engine performance regression report and gate: run the kernel and
@@ -63,8 +65,10 @@ fuzz:
 # traced and untraced, are exact contracts on any machine); ns/op is
 # additionally gated per the baseline's gate_ns_pct when the CPU matches
 # the one that produced the baseline. The unanchored QueueingThroughput
-# pattern also matches its Traced variant.
-BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkQueueingThroughput|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract|BenchmarkSpanExport
+# pattern also matches its Traced variant; ExperimentMinute is one
+# simulated minute of the default experiment, the engine hot path end to
+# end.
+BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkQueueingThroughput|BenchmarkExperimentMinute|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract|BenchmarkSpanExport
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_REGRESSION)' -benchmem . \
 		| tee /dev/stderr \

@@ -214,7 +214,7 @@ func newMechanismsRun(opts Options) (*DistRun, error) {
 		if err != nil {
 			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
 		}
-		point, err := runModelAttack(e, n, sources, d, params, horizon)
+		point, err := runModelAttack(e, a, n, sources, d, params, horizon)
 		if err != nil {
 			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
 		}
@@ -352,8 +352,8 @@ func buildModelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, limits
 }
 
 // runModelAttack drives an open-loop model network under ON-OFF bursts
-// and summarizes client damage.
-func runModelAttack(e *sim.Engine, n *queueing.Network, sources []*queueing.Source, d float64, params attack.Params, horizon time.Duration) (AblationPoint, error) {
+// and summarizes client damage, merging client RTs into a sample of a.
+func runModelAttack(e *sim.Engine, a *stats.Arena, n *queueing.Network, sources []*queueing.Source, d float64, params attack.Params, horizon time.Duration) (AblationPoint, error) {
 	inj, err := attack.NewDirectInjector(n, 2, d)
 	if err != nil {
 		return AblationPoint{}, err
@@ -375,7 +375,7 @@ func runModelAttack(e *sim.Engine, n *queueing.Network, sources []*queueing.Sour
 	if err := e.RunAll(200_000_000); err != nil {
 		return AblationPoint{}, err
 	}
-	client := stats.NewSample(4096)
+	client := stats.NewSampleIn(a, 4096)
 	for _, s := range sources {
 		for _, rt := range s.ClientRT().Values() {
 			client.Add(rt)

@@ -373,14 +373,6 @@ func (n *Network) TierOccupancy(i int) (*stats.LevelIntegrator, error) {
 	return n.tiers[i].occupancy, nil
 }
 
-// TierBacklog returns the blocked-in-front level integrator of tier i.
-func (n *Network) TierBacklog(i int) (*stats.LevelIntegrator, error) {
-	if i < 0 || i >= len(n.tiers) {
-		return nil, fmt.Errorf("queueing: tier %d out of range [0,%d)", i, len(n.tiers))
-	}
-	return n.tiers[i].backlog, nil
-}
-
 // TierBusy returns the busy-stations level integrator of tier i; dividing
 // its window averages by Servers yields CPU utilization, the signal the
 // monitoring experiments sample at different granularities.

@@ -536,9 +536,6 @@ func TestAccessorsRejectOutOfRange(t *testing.T) {
 		if _, err := n.TierOccupancy(i); err == nil {
 			t.Errorf("TierOccupancy(%d) accepted", i)
 		}
-		if _, err := n.TierBacklog(i); err == nil {
-			t.Errorf("TierBacklog(%d) accepted", i)
-		}
 		if _, err := n.TierBusy(i); err == nil {
 			t.Errorf("TierBusy(%d) accepted", i)
 		}

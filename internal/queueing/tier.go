@@ -49,7 +49,6 @@ type tier struct {
 	busyStations       int
 
 	occupancy *stats.LevelIntegrator // slots in use over time
-	backlog   *stats.LevelIntegrator // requests blocked in front of the tier
 	busy      *stats.LevelIntegrator // busy stations over time
 	rt        *stats.Sample          // per-request tier response times
 
@@ -66,7 +65,6 @@ func newTier(cfg TierConfig, idx int, net *Network) *tier {
 		mult:      1,
 		scale:     1,
 		occupancy: stats.NewLevelIntegratorIn(a),
-		backlog:   stats.NewLevelIntegratorIn(a),
 		busy:      stats.NewLevelIntegratorIn(a),
 		rt:        stats.NewSampleIn(a, 1024),
 	}
@@ -122,14 +120,13 @@ func (t *tier) requestSlot(req *Request) {
 	// propagates queue overflow toward the front.
 	t.net.observe(req, SpanTierBlocked, t.idx)
 	t.pendingAdmit.push(req)
-	t.backlog.Set(t.now(), float64(t.pendingAdmit.len()))
 }
 
 func (t *tier) admit(req *Request) {
 	req.TierArrive[t.idx] = t.now()
 	t.net.observe(req, SpanTierAdmit, t.idx)
 	t.inUse++
-	t.occupancy.Set(t.now(), float64(t.inUse))
+	t.occupancy.Set(t.now(), t.inUse)
 	if t.busyStations < t.cfg.Servers {
 		t.startService(req)
 		return
@@ -141,7 +138,7 @@ func (t *tier) admit(req *Request) {
 func (t *tier) startService(req *Request) {
 	t.net.observe(req, SpanServiceStart, t.idx)
 	t.busyStations++
-	t.busy.Set(t.now(), float64(t.busyStations))
+	t.busy.Set(t.now(), t.busyStations)
 	base := t.cfg.Service.Sample(t.net.engine.Rand())
 	scale := 1.0
 	class := t.net.cfg.Classes[req.Class]
@@ -258,7 +255,7 @@ func (t *tier) serviceDone(run *serviceRun) {
 	t.unlinkRun(run)
 	t.net.putRun(run)
 	t.busyStations--
-	t.busy.Set(t.now(), float64(t.busyStations))
+	t.busy.Set(t.now(), t.busyStations)
 	if t.waitingService.len() > 0 {
 		t.startService(t.waitingService.pop())
 	}
@@ -292,10 +289,9 @@ func (t *tier) respond(req *Request) {
 // of the blocked backlog if any.
 func (t *tier) releaseSlot() {
 	t.inUse--
-	t.occupancy.Set(t.now(), float64(t.inUse))
+	t.occupancy.Set(t.now(), t.inUse)
 	if t.pendingAdmit.len() > 0 && !t.full() {
 		next := t.pendingAdmit.pop()
-		t.backlog.Set(t.now(), float64(t.pendingAdmit.len()))
 		t.admit(next)
 	}
 }

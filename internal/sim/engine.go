@@ -1,21 +1,36 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, an event heap, cancellable timers, and the probability
-// distributions used by the MemCA queueing and contention models.
+// a virtual clock, a monotone event queue, cancellable timers, and the
+// probability distributions used by the MemCA queueing and contention
+// models.
 //
 // All randomness flows through an injected *rand.Rand so that every
 // experiment is reproducible from a seed, and the engine never consults
 // wall-clock time.
 //
-// The engine's hot path is allocation-free in steady state: events live by
-// value in an index-addressed 4-ary min-heap, cancellation handles are
-// value types addressing a generation-checked slot table, and freed slots
-// are recycled through a free list. Model code that needs per-event
-// context without allocating a closure uses the Actor scheduling path
-// (ScheduleCall).
+// The event queue is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990),
+// which fits because virtual time never runs backwards. Its invariants:
+//
+//   - Every queued event's time is at or after last, the time of the most
+//     recent minimum; an event sits in bucket bits.Len64(at ^ last), so
+//     bucket 0 holds exactly the events due at last.
+//   - Bucket 0 is a FIFO in seq (scheduling) order, so events pop in the
+//     total (at, seq) order and same-time events fire in scheduling order.
+//   - Cancellation is lazy: Cancel flags the event's slot and the pop
+//     discards it. A slot's generation counter moves on every pop, so a
+//     handle whose generation matches the slot's is still queued and
+//     stale handles are inert.
+//
+// The hot path is allocation-free in steady state: events live by value
+// in a slot table, the buckets and the free list are intrusive lists
+// threaded through it, and cancellation handles are value types. Model
+// code that needs per-event context without allocating a closure uses the
+// Actor scheduling path (ScheduleCall).
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -65,36 +80,29 @@ func (ev Event) Canceled() bool {
 	return ev.e.canceled(ev.id, ev.gen)
 }
 
-// event is one queued entry in the engine's heap, stored by value.
-// Exactly one of fn and actor is set.
-type event struct {
+// nilSlot ends a bucket or free list.
+const nilSlot int32 = -1
+
+// buckets is the radix heap's bucket count: one per possible
+// bits.Len64(at ^ last), 0 through 64.
+const buckets = 65
+
+// slot holds one event by value. Exactly one of fn and actor is set while
+// the event is queued. next links the slot into its bucket while queued
+// and into the free list while free; gen distinguishes reuses of the same
+// id so stale handles are inert.
+type slot struct {
 	at    time.Duration
 	seq   uint64
 	fn    func()
 	actor Actor
 	arg   any
-	id    int32
-}
+	next  int32
+	gen   uint32
 
-// before is the heap order: (at, seq) ascending, so simultaneous events
-// fire in scheduling order (deterministic FIFO tie-break). seq is unique,
-// making the order total — heap arity therefore cannot change pop order.
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// slot is the cancellation-table entry backing one event id. pos tracks
-// the event's current heap index so Cancel is O(1); gen distinguishes
-// reuses of the same id so stale handles are inert.
-type slot struct {
-	pos      int32 // heap index, -1 while free
-	gen      uint32
 	canceled bool
 	// lastCanceled remembers whether the generation that most recently
-	// left the heap had been canceled, so Canceled() keeps answering
+	// left the queue had been canceled, so Canceled() keeps answering
 	// correctly on a handle whose event was just discarded.
 	lastCanceled bool
 }
@@ -107,13 +115,18 @@ type Engine struct {
 	seq uint64
 	rng *rand.Rand
 
-	// heap is an index-addressed 4-ary min-heap of event values. 4-ary
-	// beats binary here: pops dominate (every push is eventually popped),
-	// and the shallower tree trades a few extra comparisons per level for
-	// half the levels and better cache locality on the value slice.
-	heap  []event
 	slots []slot
-	free  []int32 // free slot ids, reused LIFO
+	free  int32 // head of the free slot list, reused LIFO
+
+	// last is the radix heap's reference key: the time of the most recent
+	// minimum, never after now between calls. head[b] starts bucket b's
+	// list; tail0 ends bucket 0's, which must stay in seq order. Bit b-1
+	// of nonEmpty is set iff bucket b > 0 holds an event.
+	last     time.Duration
+	head     [buckets]int32
+	tail0    int32
+	nonEmpty uint64
+	pending  int
 
 	// processed counts events fired since construction; useful for
 	// progress accounting and loop-guard tests.
@@ -122,13 +135,17 @@ type Engine struct {
 
 // NewEngine returns an engine whose random source is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return NewEngineWithRand(rand.New(rand.NewSource(seed)))
 }
 
 // NewEngineWithRand returns an engine using the provided random source.
 // The engine takes ownership of rng; callers must not share it.
 func NewEngineWithRand(rng *rand.Rand) *Engine {
-	return &Engine{rng: rng}
+	e := &Engine{rng: rng, free: nilSlot, tail0: nilSlot}
+	for b := range e.head {
+		e.head[b] = nilSlot
+	}
+	return e
 }
 
 // Now returns the current virtual time (time since simulation start).
@@ -140,7 +157,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events still queued (including canceled
 // events not yet discarded).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -182,109 +199,124 @@ func (e *Engine) ScheduleCall(delay time.Duration, actor Actor, arg any) Event {
 	return e.push(e.now+delay, nil, actor, arg)
 }
 
-// push allocates a slot, appends the event, and restores the heap order.
+// push takes a slot, fills it, and links it into its bucket.
 func (e *Engine) push(t time.Duration, fn func(), actor Actor, arg any) Event {
 	if t < e.now {
 		t = e.now
 	}
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
+	id := e.free
+	if id != nilSlot {
+		e.free = e.slots[id].next
 	} else {
 		e.slots = append(e.slots, slot{})
 		id = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[id]
+	s.at, s.seq = t, e.seq
+	s.fn, s.actor, s.arg = fn, actor, arg
 	s.canceled = false
-	ev := event{at: t, seq: e.seq, fn: fn, actor: actor, arg: arg, id: id}
 	e.seq++
-	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
+	e.pending++
+	e.link(id)
 	return Event{e: e, id: id, gen: s.gen, at: t}
 }
 
-// siftUp moves heap[i] toward the root until the order is restored.
-func (e *Engine) siftUp(i int) {
-	ev := e.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&e.heap[parent]) {
-			break
+// link files slot id into the bucket its time selects relative to last.
+// A bucket-0 event is due at last; it is appended, which keeps bucket 0 in
+// seq order for pushes (the newest seq is the largest).
+//
+//memca:hotpath
+func (e *Engine) link(id int32) {
+	s := &e.slots[id]
+	b := bits.Len64(uint64(s.at ^ e.last))
+	if b == 0 {
+		s.next = nilSlot
+		if e.head[0] == nilSlot {
+			e.head[0] = id
+		} else {
+			e.slots[e.tail0].next = id
 		}
-		e.heap[i] = e.heap[parent]
-		e.slots[e.heap[i].id].pos = int32(i)
-		i = parent
+		e.tail0 = id
+		return
 	}
-	e.heap[i] = ev
-	e.slots[ev.id].pos = int32(i)
+	s.next = e.head[b]
+	e.head[b] = id
+	e.nonEmpty |= 1 << (b - 1)
 }
 
-// siftDown moves heap[i] toward the leaves until the order is restored.
-func (e *Engine) siftDown(i int) {
-	ev := e.heap[i]
-	n := len(e.heap)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.heap[c].before(&e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.heap[best].before(&ev) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.slots[e.heap[i].id].pos = int32(i)
-		i = best
+// linkBySeq inserts slot id into bucket 0 at its seq position. A refill
+// uses it because the events it moves arrive in bucket-list order; the
+// head and tail checks make already sorted and reverse-sorted runs linear.
+//
+//memca:hotpath
+func (e *Engine) linkBySeq(id int32) {
+	s := &e.slots[id]
+	h := e.head[0]
+	if h == nilSlot || e.slots[e.tail0].seq < s.seq {
+		e.link(id)
+		return
 	}
-	e.heap[i] = ev
-	e.slots[ev.id].pos = int32(i)
+	if s.seq < e.slots[h].seq {
+		s.next = h
+		e.head[0] = id
+		return
+	}
+	p := h
+	for n := e.slots[p].next; e.slots[n].seq < s.seq; n = e.slots[p].next {
+		p = n
+	}
+	s.next = e.slots[p].next
+	e.slots[p].next = id
 }
 
-// popTop removes heap[0], returning its value and releasing its slot. The
-// vacated tail entry is zeroed so the heap does not retain callbacks or
-// args beyond the event's lifetime.
-func (e *Engine) popTop() event {
-	top := e.heap[0]
-	n := len(e.heap) - 1
-	if n > 0 {
-		e.heap[0] = e.heap[n]
+// refill makes bucket 0 non-empty when the earliest queued event is due at
+// or before until, and reports whether it is. The queue must not be
+// empty. When the earliest event is later than until, last stays where it
+// is, so the clock may still stop at until and accept pushes there.
+//
+//memca:hotpath
+func (e *Engine) refill(until time.Duration) bool {
+	if e.head[0] != nilSlot {
+		return e.last <= until
 	}
-	e.heap[n] = event{}
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(0)
+	b := bits.TrailingZeros64(e.nonEmpty) + 1
+	list := e.head[b]
+	minAt := e.slots[list].at
+	for id := e.slots[list].next; id != nilSlot; id = e.slots[id].next {
+		if at := e.slots[id].at; at < minAt {
+			minAt = at
+		}
 	}
-	s := &e.slots[top.id]
-	s.lastCanceled = s.canceled
-	s.canceled = false
-	s.gen++
-	s.pos = -1
-	e.free = append(e.free, top.id)
-	return top
+	if minAt > until {
+		return false
+	}
+	// Every event of bucket b moves to a lower bucket: relative to the new
+	// last they share all bits above b-1. Later buckets stay valid.
+	e.last = minAt
+	e.head[b] = nilSlot
+	e.nonEmpty &^= 1 << (b - 1)
+	for id := list; id != nilSlot; {
+		next := e.slots[id].next
+		if e.slots[id].at == minAt {
+			e.linkBySeq(id)
+		} else {
+			e.link(id)
+		}
+		id = next
+	}
+	return true
 }
 
-// cancel marks the event live under (id, gen) as canceled. The entry stays
-// in the heap and is discarded when popped (lazy cancellation keeps the
+// cancel marks the event queued under (id, gen) as canceled. The entry
+// stays queued and is discarded when popped (lazy cancellation keeps the
 // Pending semantics of the original engine).
 func (e *Engine) cancel(id int32, gen uint32) {
 	if int(id) >= len(e.slots) {
 		return
 	}
-	s := &e.slots[id]
-	if s.gen != gen || s.pos < 0 {
-		return
+	if s := &e.slots[id]; s.gen == gen {
+		s.canceled = true
 	}
-	s.canceled = true
 }
 
 // canceled reports the cancellation state for handle (id, gen).
@@ -308,28 +340,43 @@ func (e *Engine) canceled(id int32, gen uint32) bool {
 //
 //memca:hotpath
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		canceled := e.slots[e.heap[0].id].canceled
-		ev := e.popTop()
+	for e.pending > 0 {
+		e.refill(math.MaxInt64)
+		id := e.head[0]
+		s := &e.slots[id]
+		e.head[0] = s.next
+		e.pending--
+		at, fn, actor, arg, canceled := s.at, s.fn, s.actor, s.arg, s.canceled
+		// Release the slot before firing: the callback may schedule into
+		// it, and the queue must not retain callbacks or args.
+		s.fn, s.actor, s.arg = nil, nil, nil
+		s.lastCanceled = canceled
+		s.canceled = false
+		s.gen++
+		s.next = e.free
+		e.free = id
 		if canceled {
 			continue
 		}
-		e.now = ev.at
+		e.now = at
 		e.processed++
-		if ev.fn != nil {
-			ev.fn()
+		if fn != nil {
+			fn()
 		} else {
-			ev.actor.Act(ev.arg)
+			actor.Act(arg)
 		}
 		return true
 	}
+	// Drained (perhaps by discarding canceled events due after now):
+	// re-anchor so pushes at now land in the right bucket.
+	e.last = e.now
 	return false
 }
 
 // Run fires events until the clock would pass until, then sets the clock to
 // exactly until. Events scheduled at until are fired.
 func (e *Engine) Run(until time.Duration) {
-	for len(e.heap) > 0 && e.heap[0].at <= until {
+	for e.pending > 0 && e.refill(until) {
 		if !e.Step() {
 			break
 		}
@@ -352,7 +399,7 @@ func (e *Engine) RunChecked(until time.Duration, checkEvery uint64, check func()
 		return nil
 	}
 	var fired uint64
-	for len(e.heap) > 0 && e.heap[0].at <= until {
+	for e.pending > 0 && e.refill(until) {
 		if !e.Step() {
 			break
 		}

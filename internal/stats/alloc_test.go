@@ -19,7 +19,7 @@ func statsPass(a *Arena) {
 		d := time.Duration(i%977) * time.Millisecond
 		s.Add(d)
 		h.Add(d)
-		li.Set(time.Duration(i)*time.Millisecond, float64(i%3))
+		li.Set(time.Duration(i)*time.Millisecond, i%3)
 		ts.Add(time.Duration(i)*time.Millisecond, float64(i%7))
 	}
 	_ = s.Quantile(0.99) // radix path: n >= radixMinLen
@@ -46,6 +46,26 @@ func TestArenaStatsPathZeroAllocs(t *testing.T) {
 	}
 	if st := a.Stats(); st.Spills != 0 {
 		t.Errorf("stats pass spilled %d slabs past the default budget", st.Spills)
+	}
+}
+
+// TestHeapSampleQueryZeroAllocs pins the heap-backed sort path: once the
+// sorted buffer (with its radix scratch half) is sized, an Add followed by
+// a re-sorting query allocates nothing.
+func TestHeapSampleQueryZeroAllocs(t *testing.T) {
+	s := NewSample(4096)
+	for i := 0; i < 1024; i++ {
+		s.Add(time.Duration(i*7919%1024) * time.Microsecond)
+	}
+	_ = s.Quantile(0.99)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Add(time.Duration(i) * time.Microsecond)
+		i++
+		_ = s.Quantile(0.99)
+	})
+	if allocs != 0 {
+		t.Errorf("heap sample Add+Quantile allocates %v objects/op, want 0", allocs)
 	}
 }
 

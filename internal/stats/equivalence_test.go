@@ -180,7 +180,7 @@ func TestArenaStaleHandlePanics(t *testing.T) {
 // TestSortDurationsMatchesSlicesSort checks the radix sort against the
 // standard library across adversarial shapes: random with negatives and
 // extremes, all-equal (every pass skipped), already sorted, reversed, and
-// lengths straddling the radixMinLen fallback.
+// lengths straddling the radixMinLen comparison-sort cutoff.
 func TestSortDurationsMatchesSlicesSort(t *testing.T) {
 	const baseSeed = 23
 	lengths := []int{0, 1, 2, radixMinLen - 1, radixMinLen, radixMinLen + 1, 1000, 65536}
@@ -207,11 +207,6 @@ func TestSortDurationsMatchesSlicesSort(t *testing.T) {
 			sortDurations(got, scratch)
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d case=%d: radix path diverges from slices.Sort", n, ci)
-			}
-			got = slices.Clone(values)
-			sortDurations(got, nil) // comparison fallback
-			if !slices.Equal(got, want) {
-				t.Fatalf("n=%d case=%d: fallback path diverges from slices.Sort", n, ci)
 			}
 		}
 	}

@@ -6,13 +6,14 @@ import (
 )
 
 // LevelIntegrator tracks a piecewise-constant integer level over time (e.g.
-// busy server stations, queue occupancy) and integrates it exactly. It
-// generalizes BusyIntegrator to levels above 1.
+// busy server stations, queue occupancy) and integrates it exactly, as an
+// int64 count of level·nanoseconds. It generalizes BusyIntegrator to
+// levels above 1.
 type LevelIntegrator struct {
 	transitions []Point
-	level       float64
+	level       int
 	lastChange  time.Duration
-	integral    float64 // level-seconds
+	integral    int64 // level·ns
 
 	a   *Arena
 	gen uint64
@@ -27,36 +28,29 @@ func NewLevelIntegrator() *LevelIntegrator {
 // the same level again is a no-op.
 //
 //memca:hotpath
-func (li *LevelIntegrator) Set(t time.Duration, level float64) {
-	if ApproxEqual(level, li.level) {
+func (li *LevelIntegrator) Set(t time.Duration, level int) {
+	if level == li.level {
 		return
 	}
-	li.integral += li.level * (t - li.lastChange).Seconds()
+	li.integral += int64(li.level) * int64(t-li.lastChange)
 	li.level = level
 	li.lastChange = t
 	if li.a != nil && len(li.transitions) == cap(li.transitions) {
 		li.growTransitions(len(li.transitions) + 1)
 	}
-	li.transitions = append(li.transitions, Point{T: t, V: level})
-}
-
-// Add shifts the level by delta at time t.
-//
-//memca:hotpath
-func (li *LevelIntegrator) Add(t time.Duration, delta float64) {
-	li.Set(t, li.level+delta)
+	li.transitions = append(li.transitions, Point{T: t, V: float64(level)})
 }
 
 // Level returns the current level.
-func (li *LevelIntegrator) Level() float64 { return li.level }
+func (li *LevelIntegrator) Level() int { return li.level }
 
 // Integral returns the accumulated level-seconds up to time t.
 func (li *LevelIntegrator) Integral(t time.Duration) float64 {
 	total := li.integral
 	if t > li.lastChange {
-		total += li.level * (t - li.lastChange).Seconds()
+		total += int64(li.level) * int64(t-li.lastChange)
 	}
-	return total
+	return float64(total) / float64(time.Second)
 }
 
 // WindowAverage returns the time-weighted mean level over [from, to). It
@@ -89,19 +83,4 @@ func (li *LevelIntegrator) WindowAverage(from, to time.Duration) float64 {
 		acc += level * (to - since).Seconds()
 	}
 	return acc / (to - from).Seconds()
-}
-
-// Transitions returns the recorded level changes. The slice is shared;
-// callers must not modify it.
-func (li *LevelIntegrator) Transitions() []Point { return li.transitions }
-
-// MaxLevel returns the highest level ever set (0 if never changed).
-func (li *LevelIntegrator) MaxLevel() float64 {
-	max := 0.0
-	for _, tr := range li.transitions {
-		if tr.V > max {
-			max = tr.V
-		}
-	}
-	return max
 }

@@ -11,8 +11,8 @@ func TestLevelIntegratorBasics(t *testing.T) {
 		t.Fatal("new integrator not at level 0")
 	}
 	li.Set(time.Second, 2)
-	li.Add(2*time.Second, 3)  // level 5
-	li.Add(3*time.Second, -5) // level 0
+	li.Set(2*time.Second, 5)
+	li.Set(3*time.Second, 0)
 	if li.Level() != 0 {
 		t.Errorf("Level = %v, want 0", li.Level())
 	}
@@ -25,11 +25,26 @@ func TestLevelIntegratorBasics(t *testing.T) {
 	if got := li.Integral(6 * time.Second); got != 7+8 {
 		t.Errorf("Integral(6s) = %v, want 15", got)
 	}
-	if got := li.MaxLevel(); got != 5 {
-		t.Errorf("MaxLevel = %v, want 5", got)
-	}
-	if n := len(li.Transitions()); n != 4 {
+	if n := len(li.transitions); n != 4 {
 		t.Errorf("transitions = %d, want 4", n)
+	}
+}
+
+// TestLevelIntegratorIntegralExact pins the integer integral: level·ns
+// accumulates without rounding, where summing float level-seconds per
+// step would drift.
+func TestLevelIntegratorIntegralExact(t *testing.T) {
+	li := NewLevelIntegrator()
+	const steps = 100000
+	var want int64
+	for i := 0; i < steps; i++ {
+		level := 3 + i%2
+		li.Set(time.Duration(i)*time.Millisecond+time.Nanosecond, level)
+		want += int64(level) * int64(time.Millisecond)
+	}
+	end := time.Duration(steps)*time.Millisecond + time.Nanosecond
+	if got, w := li.Integral(end), float64(want)/1e9; got != w {
+		t.Errorf("Integral = %v, want %v", got, w)
 	}
 }
 
@@ -70,7 +85,7 @@ func TestLevelIntegratorDuplicateSetIgnored(t *testing.T) {
 	li := NewLevelIntegrator()
 	li.Set(time.Second, 3)
 	li.Set(2*time.Second, 3) // no-op
-	if n := len(li.Transitions()); n != 1 {
+	if n := len(li.transitions); n != 1 {
 		t.Errorf("duplicate set recorded: %d transitions", n)
 	}
 }

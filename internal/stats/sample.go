@@ -14,7 +14,8 @@ import (
 // Sample collects duration observations and answers exact quantile queries.
 // Observations are kept in insertion order; queries sort lazily into a
 // separate scratch slab, which is reused (and only re-filled after new
-// Adds), so a query burst like Summarize sorts once.
+// Adds), so a query burst like Summarize sorts once. Heap-backed and
+// arena-backed samples share one sort: the radix path of sortDurations.
 //
 // Samples come either from NewSample (heap-backed, grows via append) or
 // from an Arena (slab-backed, grows by trading up through the arena's size
@@ -82,22 +83,26 @@ func (s *Sample) sortedView() []time.Duration {
 	if s.sortedN == n {
 		return s.sorted[:n]
 	}
-	if cap(s.sorted) < n {
-		if s.a != nil {
+	var scratch []time.Duration
+	if s.a != nil {
+		if cap(s.sorted) < n {
 			s.a.check(s.gen)
 			s.a.putDur(s.sorted)
 			s.sorted = s.a.getDur(n)
-		} else {
-			s.sorted = make([]time.Duration, 0, cap(s.values))
 		}
+		scratch = s.a.sortScratch(n)
+	} else {
+		// A heap-backed sample keeps its radix scratch in the upper half
+		// of its own sorted buffer, sized off cap(values) so repeated
+		// queries between Adds reallocate only as values grows.
+		if cap(s.sorted) < 2*n {
+			s.sorted = make([]time.Duration, 0, 2*cap(s.values))
+		}
+		scratch = s.sorted[n : 2*n]
 	}
 	s.sorted = s.sorted[:n]
 	copy(s.sorted, s.values)
-	if s.a != nil {
-		sortDurations(s.sorted, s.a.sortScratch(n))
-	} else {
-		sortDurations(s.sorted, nil)
-	}
+	sortDurations(s.sorted, scratch)
 	s.sortedN = n
 	return s.sorted
 }

@@ -18,10 +18,9 @@ const radixMinLen = 128
 // least len(v) long); passes whose digit is constant across v are
 // skipped, so values spanning k significant bytes cost k linear passes.
 // The result is byte-identical to a comparison sort: sorting int64 keys
-// has exactly one output. A nil or short scratch falls back to
-// comparison sorting, as do small inputs.
+// has exactly one output. Small inputs use comparison sorting.
 func sortDurations(v, scratch []time.Duration) {
-	if len(v) < radixMinLen || len(scratch) < len(v) {
+	if len(v) < radixMinLen {
 		slices.Sort(v)
 		return
 	}
