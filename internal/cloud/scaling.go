@@ -38,7 +38,8 @@ type ScalingGroup struct {
 }
 
 // NewScalingGroup validates the wiring and builds a group with one
-// instance.
+// instance. It turns on the transition history of the tier's busy
+// integrator, so build the group before the run starts.
 func NewScalingGroup(cfg ScalingGroupConfig) (*ScalingGroup, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("cloud: engine must not be nil")
@@ -61,6 +62,12 @@ func NewScalingGroup(cfg ScalingGroupConfig) (*ScalingGroup, error) {
 	if cfg.ProvisionDelay == 0 {
 		cfg.ProvisionDelay = time.Minute
 	}
+	// Trigger evaluation reads utilization windows of the tier.
+	busy, err := cfg.Network.TierBusy(cfg.Tier)
+	if err != nil {
+		return nil, err
+	}
+	busy.KeepHistory()
 	return &ScalingGroup{cfg: cfg, instances: 1}, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"memca/internal/attack"
@@ -58,7 +59,7 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 	}
 	x.platform = cloud.NewPlatform()
 	for i, name := range tierNames {
-		if _, err := x.platform.AddHost(fmt.Sprintf("host%d", i+1), hostCfg); err != nil {
+		if _, err := x.platform.AddHost(hostName(i), hostCfg); err != nil {
 			return nil, fmt.Errorf("core: adding host for %s: %w", name, err)
 		}
 	}
@@ -67,7 +68,7 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 		instType = cloud.PrivateCloudVM()
 	}
 	for i, name := range tierNames {
-		if err := x.platform.Place(name, fmt.Sprintf("host%d", i+1), instType, 0); err != nil {
+		if err := x.platform.Place(name, hostName(i), instType, 0); err != nil {
 			return nil, fmt.Errorf("core: placing %s: %w", name, err)
 		}
 	}
@@ -117,6 +118,14 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The victim's CPU curve is the one window every report samples (and
+	// the figure drivers read after Run); the other tier integrators keep
+	// no transition history unless a caller asks for it.
+	busy, err := x.network.TierBusy(x.victimTier())
+	if err != nil {
+		return nil, err
+	}
+	busy.KeepHistory()
 	x.gen, err = workload.NewGenerator(x.network, genCfg)
 	if err != nil {
 		return nil, err
@@ -162,6 +171,11 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 	return x, nil
 }
 
+// hostName names the dedicated host of tier i. It avoids fmt: fmt's
+// printer pool refills after every GC, which would make the experiment's
+// allocation count depend on GC timing.
+func hostName(i int) string { return "host" + strconv.Itoa(i+1) }
+
 // victimTier is the bottleneck tier index (the back-most tier).
 func (x *Experiment) victimTier() int { return x.network.NumTiers() - 1 }
 
@@ -185,7 +199,7 @@ func tierLabels(tiers []queueing.TierConfig) []string {
 func (x *Experiment) wireAttack(spec AttackSpec) error {
 	adversaries := make([]string, 0, spec.AdversaryVMs)
 	for i := 0; i < spec.AdversaryVMs; i++ {
-		id := fmt.Sprintf("adversary%d", i+1)
+		id := "adversary" + strconv.Itoa(i+1)
 		if err := x.platform.CoLocate(id, "mysql", cloud.PrivateCloudVM(), 0); err != nil {
 			return fmt.Errorf("core: co-locating %s: %w", id, err)
 		}
@@ -398,7 +412,9 @@ func withinRun(x *Experiment) bool {
 // Engine exposes the simulation engine (for tests and figure scripts).
 func (x *Experiment) Engine() *sim.Engine { return x.engine }
 
-// Network exposes the n-tier system.
+// Network exposes the n-tier system. Only the victim tier's busy
+// integrator keeps transition history by default; to read windows of any
+// other tier integrator, call its KeepHistory before Run.
 func (x *Experiment) Network() *queueing.Network { return x.network }
 
 // Generator exposes the client population.

@@ -458,3 +458,37 @@ func TestBaselineReportHasNoAnalyticalCheck(t *testing.T) {
 		t.Error("baseline report carries an analytical check")
 	}
 }
+
+// TestHistoryIsAnObserver proves the opt-in transition history is a pure
+// observer: keeping it on every tier integrator yields the same Report,
+// byte for byte, as keeping only the victim busy history NewExperiment
+// asks for.
+func TestHistoryIsAnObserver(t *testing.T) {
+	run := func(allTiers bool) string {
+		x, err := NewExperiment(fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := x.Network()
+		for i := 0; allTiers && i < n.NumTiers(); i++ {
+			occ, err := n.TierOccupancy(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			busy, err := n.TierBusy(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			occ.KeepHistory()
+			busy.KeepHistory()
+		}
+		rep, err := x.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reportFingerprint(t, rep)
+	}
+	if all, victim := run(true), run(false); all != victim {
+		t.Errorf("history on every tier changed the report:\nall:    %.300s\nvictim: %.300s", all, victim)
+	}
+}

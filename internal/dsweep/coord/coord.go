@@ -38,7 +38,8 @@ type Options struct {
 	Retries int
 	// Poll is the progress-monitoring interval (0 = 500ms).
 	Poll time.Duration
-	// Log, when non-nil, receives human-readable progress lines.
+	// Log, when non-nil, receives human-readable progress lines. Run
+	// serializes its writes, so Log need not be safe for concurrent use.
 	Log io.Writer
 }
 
@@ -62,6 +63,10 @@ func Run(ctx context.Context, o Options) error {
 	poll := o.Poll
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
+	}
+	if o.Log != nil {
+		// Shard workers and the progress monitor log concurrently.
+		o.Log = &lockedWriter{w: o.Log}
 	}
 
 	pending, err := incompleteShards(m)
@@ -222,6 +227,19 @@ func progressLine(m *dsweep.Manifest) string {
 		parts = append(parts, fmt.Sprintf("s%d %d/%d", p.Shard, p.Done, p.Total))
 	}
 	return fmt.Sprintf("%d/%d jobs (%s)", done, total, strings.Join(parts, ", "))
+}
+
+// lockedWriter serializes writes to a log sink that need not be safe
+// for concurrent use.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // logf writes a progress line when a log sink is configured. Logging is

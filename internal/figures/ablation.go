@@ -354,6 +354,11 @@ func buildModelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, limits
 // runModelAttack drives an open-loop model network under ON-OFF bursts
 // and summarizes client damage, merging client RTs into a sample of a.
 func runModelAttack(e *sim.Engine, a *stats.Arena, n *queueing.Network, sources []*queueing.Source, d float64, params attack.Params, horizon time.Duration) (AblationPoint, error) {
+	busy, err := n.TierBusy(2)
+	if err != nil {
+		return AblationPoint{}, err
+	}
+	busy.KeepHistory()
 	inj, err := attack.NewDirectInjector(n, 2, d)
 	if err != nil {
 		return AblationPoint{}, err
@@ -380,10 +385,6 @@ func runModelAttack(e *sim.Engine, a *stats.Arena, n *queueing.Network, sources 
 		for _, rt := range s.ClientRT().Values() {
 			client.Add(rt)
 		}
-	}
-	busy, err := n.TierBusy(2)
-	if err != nil {
-		return AblationPoint{}, err
 	}
 	return AblationPoint{
 		ClientP95:  client.Percentile(95),

@@ -2,8 +2,10 @@ package figures
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"memca/internal/core"
 	"memca/internal/stats"
@@ -96,7 +98,7 @@ func newFig2Run(opts Options) (*DistRun, error) {
 			for _, t := range rec.Tiers {
 				names, curves = append(names, t.Name), append(curves, t.Curve)
 			}
-			if err := writeCurves(opts.path(fmt.Sprintf("fig2_%s.csv", fig2Envs[i])), core.FigurePercentiles, names, curves); err != nil {
+			if err := writeCurves(opts.path("fig2_"+fig2Envs[i].String()+".csv"), core.FigurePercentiles, names, curves); err != nil {
 				return nil, "", err
 			}
 
@@ -105,13 +107,24 @@ func newFig2Run(opts Options) (*DistRun, error) {
 			if mysql > tomcat+tol || tomcat > apache+tol || apache > rec.ClientP95+tol {
 				res.AmplificationOK = false
 			}
-			lines = append(lines, fmt.Sprintf("%-14s client p95 = %-8v p98 = %v",
-				rec.Env, rec.ClientP95.Round(time.Millisecond), rec.ClientP98.Round(time.Millisecond)))
+			lines = append(lines, padRight(rec.Env, 14)+" client p95 = "+
+				padRight(rec.ClientP95.Round(time.Millisecond).String(), 8)+
+				" p98 = "+rec.ClientP98.Round(time.Millisecond).String())
 		}
-		lines = append(lines, fmt.Sprintf("per-tier amplification ordering held: %v", res.AmplificationOK))
+		lines = append(lines, "per-tier amplification ordering held: "+strconv.FormatBool(res.AmplificationOK))
 		return res, strings.Join(lines, "\n"), nil
 	}
 	return newRun(len(fig2Envs), job, finalize), nil
+}
+
+// padRight pads s with spaces to width runes, like fmt's %-*s. Fig2's
+// summary avoids fmt because fmt's printer pool refills after every GC,
+// which would make the figure's allocation count depend on GC timing.
+func padRight(s string, width int) string {
+	if n := utf8.RuneCountInString(s); n < width {
+		return s + strings.Repeat(" ", width-n)
+	}
+	return s
 }
 
 // Fig2 runs the paper's headline experiment — the 3-minute RUBBoS run

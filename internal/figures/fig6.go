@@ -72,6 +72,13 @@ func newFig6Run(opts Options) (*DistRun, error) {
 		if err != nil {
 			return rr, err
 		}
+		var occs [3]*stats.LevelIntegrator
+		for i := range occs {
+			if occs[i], err = n.TierOccupancy(i); err != nil {
+				return rr, err
+			}
+			occs[i].KeepHistory()
+		}
 		inj, err := attack.NewDirectInjector(n, 2, d)
 		if err != nil {
 			return rr, err
@@ -120,11 +127,7 @@ func newFig6Run(opts Options) (*DistRun, error) {
 		const width = 20 * time.Millisecond
 		for t := attackStart; t < attackStart+8*time.Second; t += width {
 			row := []string{strconv.FormatFloat((t - attackStart).Seconds(), 'f', 3, 64)}
-			for i := 0; i < 3; i++ {
-				occ, err := n.TierOccupancy(i)
-				if err != nil {
-					return rr, err
-				}
+			for _, occ := range occs {
 				row = append(row, strconv.FormatFloat(occ.WindowAverage(t, t+width), 'f', 2, 64))
 			}
 			rr.Timeline = append(rr.Timeline, row)

@@ -53,6 +53,13 @@ func newFig9Run(opts Options) (*DistRun, error) {
 		if err != nil {
 			return fig9Record{}, fmt.Errorf("figures: fig9: %w", err)
 		}
+		var occs [3]*stats.LevelIntegrator
+		for i := range occs {
+			if occs[i], err = x.Network().TierOccupancy(i); err != nil {
+				return fig9Record{}, err
+			}
+			occs[i].KeepHistory()
+		}
 		if _, err := x.Run(); err != nil {
 			return fig9Record{}, fmt.Errorf("figures: fig9 run: %w", err)
 		}
@@ -81,11 +88,7 @@ func newFig9Run(opts Options) (*DistRun, error) {
 			}
 			rec.MySQLCPU = append(rec.MySQLCPU, stats.Bucket{Start: t - start, Mean: u, Max: u, Min: u, Count: 1})
 			row := []string{strconv.FormatFloat((t - start).Seconds(), 'f', 3, 64)}
-			for i := range peaks {
-				occ, err := x.Network().TierOccupancy(i)
-				if err != nil {
-					return fig9Record{}, err
-				}
+			for i, occ := range occs {
 				v := occ.WindowAverage(t, t+width)
 				if v > peaks[i] {
 					peaks[i] = v

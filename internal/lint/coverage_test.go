@@ -28,7 +28,7 @@ func TestSimPathCoversEngine(t *testing.T) {
 	}
 	for _, path := range []string{
 		"memca/cmd/benchjson",
-		"memca/cmd/membench",
+		"memca/cmd/memca-sim",
 		"memca/cmd/memca-trace",
 		"memca/examples/quickstart",
 	} {

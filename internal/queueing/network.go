@@ -366,6 +366,9 @@ func (n *Network) TierRT(i int) (*stats.Sample, error) {
 }
 
 // TierOccupancy returns the exact slots-in-use level integrator of tier i.
+// Its Level and Integral are always valid. Its WindowAverage needs the
+// transition history, which is off by default: a caller that reads
+// windows calls KeepHistory on the result before the run starts.
 func (n *Network) TierOccupancy(i int) (*stats.LevelIntegrator, error) {
 	if i < 0 || i >= len(n.tiers) {
 		return nil, fmt.Errorf("queueing: tier %d out of range [0,%d)", i, len(n.tiers))
@@ -375,7 +378,9 @@ func (n *Network) TierOccupancy(i int) (*stats.LevelIntegrator, error) {
 
 // TierBusy returns the busy-stations level integrator of tier i; dividing
 // its window averages by Servers yields CPU utilization, the signal the
-// monitoring experiments sample at different granularities.
+// monitoring experiments sample at different granularities. As with
+// TierOccupancy, a caller that reads windows calls KeepHistory on the
+// result before the run starts; TierBusy itself changes nothing.
 func (n *Network) TierBusy(i int) (*stats.LevelIntegrator, error) {
 	if i < 0 || i >= len(n.tiers) {
 		return nil, fmt.Errorf("queueing: tier %d out of range [0,%d)", i, len(n.tiers))
@@ -383,7 +388,9 @@ func (n *Network) TierBusy(i int) (*stats.LevelIntegrator, error) {
 	return n.tiers[i].busy, nil
 }
 
-// TierUtilization returns tier i's CPU utilization over [from, to).
+// TierUtilization returns tier i's CPU utilization over [from, to). It
+// reads the window from tier i's busy integrator, so KeepHistory must have
+// been called on TierBusy(i) before from; otherwise it panics.
 func (n *Network) TierUtilization(i int, from, to time.Duration) (float64, error) {
 	if i < 0 || i >= len(n.tiers) {
 		return 0, fmt.Errorf("queueing: tier %d out of range [0,%d)", i, len(n.tiers))

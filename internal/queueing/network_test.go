@@ -25,6 +25,17 @@ func singleTier(t *testing.T, e *sim.Engine, q, s int, mean time.Duration) *Netw
 	return n
 }
 
+// keepBusyHistory turns on the transition history of tier i's busy
+// integrator, which TierUtilization reads.
+func keepBusyHistory(t *testing.T, n *Network, i int) {
+	t.Helper()
+	busy, err := n.TierBusy(i)
+	if err != nil {
+		t.Fatalf("TierBusy(%d): %v", i, err)
+	}
+	busy.KeepHistory()
+}
+
 // threeTier builds the standard test topology: Apache-like, Tomcat-like,
 // MySQL-like with descending queue limits, deterministic or exponential
 // service.
@@ -90,6 +101,7 @@ func TestMM1MeanResponseTime(t *testing.T) {
 	// utilization 0.5.
 	e := sim.NewEngine(7)
 	n := singleTier(t, e, Infinite, 1, 10*time.Millisecond)
+	keepBusyHistory(t, n, 0)
 	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +134,7 @@ func TestMMcUtilization(t *testing.T) {
 	// M/M/4 with λ=200/s, per-server μ=100/s: utilization 0.5.
 	e := sim.NewEngine(11)
 	n := singleTier(t, e, Infinite, 4, 10*time.Millisecond)
+	keepBusyHistory(t, n, 0)
 	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 200})
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,7 @@ func TestSimulatorMatchesErlangC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			keepBusyHistory(t, n, 0)
 			src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: tc.lambda})
 			if err != nil {
 				t.Fatal(err)

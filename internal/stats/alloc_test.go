@@ -14,6 +14,7 @@ func statsPass(a *Arena) {
 	s := a.Sample(1024)
 	h := a.LatencyHistogram()
 	li := a.LevelIntegrator()
+	li.KeepHistory()
 	ts := a.TimeSeries("alloc-probe")
 	for i := 0; i < 4096; i++ {
 		d := time.Duration(i%977) * time.Millisecond
@@ -27,6 +28,7 @@ func statsPass(a *Arena) {
 	_ = s.Max()
 	_ = h.Quantile(0.99)
 	_ = li.Integral(4096 * time.Millisecond)
+	_ = li.WindowAverage(0, 4096*time.Millisecond)
 }
 
 // TestArenaStatsPathZeroAllocs is the gated allocation contract behind the

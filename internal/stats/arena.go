@@ -23,7 +23,8 @@ import (
 //   - Reset invalidates every object checked out since the previous Reset.
 //     Stale handles keep nil backing storage, so the first recording on
 //     one panics (in the grow path) instead of silently aliasing a slab
-//     that has been handed to a new object.
+//     that has been handed to a new object. A LevelIntegrator records
+//     only after KeepHistory; without it, Set touches no slab.
 //   - Results that outlive the run (reports, summaries, percentile
 //     curves) must be copied out of arena-backed objects before Reset;
 //     the exported query methods already return heap copies.
@@ -217,8 +218,9 @@ func (a *Arena) Sample(capacity int) *Sample {
 	return s
 }
 
-// LevelIntegrator checks an integrator (level 0 at time 0) out of the
-// arena. It is invalidated by the next Reset.
+// LevelIntegrator checks an integrator (level 0 at time 0, no history)
+// out of the arena. Its transition slab is drawn on the first recorded
+// transition after KeepHistory. It is invalidated by the next Reset.
 func (a *Arena) LevelIntegrator() *LevelIntegrator {
 	var li *LevelIntegrator
 	if k := len(a.freeLevels); k > 0 {
@@ -230,10 +232,13 @@ func (a *Arena) LevelIntegrator() *LevelIntegrator {
 	}
 	li.a = a
 	li.gen = a.gen
-	li.transitions = a.getPts(0)
+	li.transitions = nil
 	li.level = 0
 	li.lastChange = 0
 	li.integral = 0
+	li.history = false
+	li.histFrom = 0
+	li.histLevel = 0
 	a.levels = append(a.levels, li)
 	return li
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"sort"
 	"time"
 )
@@ -9,19 +10,48 @@ import (
 // busy server stations, queue occupancy) and integrates it exactly, as an
 // int64 count of level·nanoseconds. It generalizes BusyIntegrator to
 // levels above 1.
+//
+// The level and the integral are always maintained. The transition
+// history behind WindowAverage is opt-in: only an integrator on which
+// KeepHistory was called records transitions, so the many integrators
+// nobody reads windows from cost no memory per level change.
 type LevelIntegrator struct {
 	transitions []Point
 	level       int
 	lastChange  time.Duration
 	integral    int64 // level·ns
 
+	// history is set by KeepHistory; histFrom and histLevel are the
+	// level in force when history began and the time it took effect.
+	history   bool
+	histFrom  time.Duration
+	histLevel int
+
 	a   *Arena
 	gen uint64
 }
 
+// errNoHistory is the WindowAverage panic value for a window the
+// integrator has no history for. A package-level value keeps the panic
+// path free of a heap conversion.
+var errNoHistory = errors.New("stats: LevelIntegrator window starts before KeepHistory")
+
 // NewLevelIntegrator returns a heap-backed integrator at level 0 at time 0.
 func NewLevelIntegrator() *LevelIntegrator {
 	return &LevelIntegrator{}
+}
+
+// KeepHistory starts recording level transitions, so WindowAverage can
+// answer windows that start at or after the integrator's last level
+// change. Call it before the run for windows over the whole run; a
+// second call is a no-op.
+func (li *LevelIntegrator) KeepHistory() {
+	if li.history {
+		return
+	}
+	li.history = true
+	li.histFrom = li.lastChange
+	li.histLevel = li.level
 }
 
 // Set records the level at time t. Times must be non-decreasing; setting
@@ -35,6 +65,9 @@ func (li *LevelIntegrator) Set(t time.Duration, level int) {
 	li.integral += int64(li.level) * int64(t-li.lastChange)
 	li.level = level
 	li.lastChange = t
+	if !li.history {
+		return
+	}
 	if li.a != nil && len(li.transitions) == cap(li.transitions) {
 		li.growTransitions(len(li.transitions) + 1)
 	}
@@ -56,16 +89,24 @@ func (li *LevelIntegrator) Integral(t time.Duration) float64 {
 // WindowAverage returns the time-weighted mean level over [from, to). It
 // binary-searches for the window start, so periodic utilization sampling
 // stays cheap no matter how long the transition history has grown.
+//
+// It panics unless KeepHistory was called before the window starts: an
+// integrator without that history cannot answer, and a silent 0 would
+// read as an idle tier.
 func (li *LevelIntegrator) WindowAverage(from, to time.Duration) float64 {
+	if !li.history || from < li.histFrom {
+		panic(errNoHistory)
+	}
 	if to <= from {
 		return 0
 	}
 	// First transition strictly inside the window; the level in force at
-	// `from` is the one set by the transition before it (0 if none).
+	// `from` is the one set by the transition before it (the level when
+	// history began if none).
 	idx := sort.Search(len(li.transitions), func(i int) bool {
 		return li.transitions[i].T > from
 	})
-	level := 0.0
+	level := float64(li.histLevel)
 	if idx > 0 {
 		level = li.transitions[idx-1].V
 	}

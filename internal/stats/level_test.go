@@ -10,6 +10,7 @@ func TestLevelIntegratorBasics(t *testing.T) {
 	if li.Level() != 0 {
 		t.Fatal("new integrator not at level 0")
 	}
+	li.KeepHistory()
 	li.Set(time.Second, 2)
 	li.Set(2*time.Second, 5)
 	li.Set(3*time.Second, 0)
@@ -50,6 +51,7 @@ func TestLevelIntegratorIntegralExact(t *testing.T) {
 
 func TestLevelIntegratorWindowAverage(t *testing.T) {
 	li := NewLevelIntegrator()
+	li.KeepHistory()
 	li.Set(time.Second, 10)
 	li.Set(2*time.Second, 0)
 	tests := []struct {
@@ -70,6 +72,7 @@ func TestLevelIntegratorWindowAverage(t *testing.T) {
 
 	// Back-to-back one-second windows over a step level read each step.
 	step := NewLevelIntegrator()
+	step.KeepHistory()
 	step.Set(0, 1)
 	step.Set(time.Second, 3)
 	step.Set(2*time.Second, 0)
@@ -83,10 +86,78 @@ func TestLevelIntegratorWindowAverage(t *testing.T) {
 
 func TestLevelIntegratorDuplicateSetIgnored(t *testing.T) {
 	li := NewLevelIntegrator()
+	li.KeepHistory()
 	li.Set(time.Second, 3)
 	li.Set(2*time.Second, 3) // no-op
 	if n := len(li.transitions); n != 1 {
 		t.Errorf("duplicate set recorded: %d transitions", n)
+	}
+}
+
+// mustPanicNoHistory fails t unless WindowAverage(from, to) panics with
+// the no-history value.
+func mustPanicNoHistory(t *testing.T, li *LevelIntegrator, from, to time.Duration) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != errNoHistory {
+			t.Errorf("WindowAverage(%v,%v) recovered %v, want %v", from, to, r, errNoHistory)
+		}
+	}()
+	li.WindowAverage(from, to)
+}
+
+// TestLevelIntegratorHistoryOptIn pins the opt-in contract: without
+// KeepHistory the level and integral are exact but nothing is recorded,
+// and WindowAverage panics rather than answer 0.
+func TestLevelIntegratorHistoryOptIn(t *testing.T) {
+	off, on := NewLevelIntegrator(), NewLevelIntegrator()
+	on.KeepHistory()
+	for i := 0; i < 1000; i++ {
+		at, level := time.Duration(i)*time.Millisecond, i%5
+		off.Set(at, level)
+		on.Set(at, level)
+	}
+	if len(off.transitions) != 0 || cap(off.transitions) != 0 {
+		t.Errorf("integrator without history holds %d/%d transitions", len(off.transitions), cap(off.transitions))
+	}
+	if off.Level() != on.Level() || off.Integral(time.Second) != on.Integral(time.Second) {
+		t.Errorf("history changed the level or integral: %d/%v vs %d/%v",
+			off.Level(), off.Integral(time.Second), on.Level(), on.Integral(time.Second))
+	}
+	mustPanicNoHistory(t, off, 0, time.Second)
+	mustPanicNoHistory(t, off, time.Second, time.Second)
+
+	a := NewArena()
+	li := a.LevelIntegrator()
+	li.KeepHistory()
+	li.Set(time.Second, 1)
+	a.Reset()
+	if li = a.LevelIntegrator(); li.history {
+		t.Error("recycled arena integrator kept its history flag")
+	}
+	mustPanicNoHistory(t, li, 0, time.Second)
+	a.Reset()
+}
+
+// TestLevelIntegratorLateHistory starts history mid-run: windows from the
+// last level change on are exact, earlier windows panic.
+func TestLevelIntegratorLateHistory(t *testing.T) {
+	li := NewLevelIntegrator()
+	li.Set(time.Second, 2)
+	li.Set(2*time.Second, 4)
+	li.KeepHistory()
+	li.Set(4*time.Second, 0)
+	mustPanicNoHistory(t, li, 0, 3*time.Second)
+	mustPanicNoHistory(t, li, 2*time.Second-time.Nanosecond, 3*time.Second)
+	if got := li.WindowAverage(2*time.Second, 6*time.Second); got != 2 {
+		t.Errorf("WindowAverage(2s,6s) = %v, want 2", got)
+	}
+	if got := li.WindowAverage(3*time.Second, 4*time.Second); got != 4 {
+		t.Errorf("WindowAverage(3s,4s) = %v, want 4", got)
+	}
+	li.KeepHistory() // idempotent: history keeps its start
+	if got := li.WindowAverage(2*time.Second, 4*time.Second); got != 4 {
+		t.Errorf("after a second KeepHistory, WindowAverage(2s,4s) = %v, want 4", got)
 	}
 }
 
