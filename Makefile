@@ -46,9 +46,10 @@ dsweep-smoke:
 	$(GO) run ./cmd/memca-sweep smoke
 
 # Short fuzz passes over the file-facing config schema, the stats
-# kernels, the event engine's pop order against a reference queue, and
-# the span exporters' encoder oracle (seed corpora are checked in under
-# the packages' testdata/fuzz or seeded in the fuzz functions).
+# kernels, the event engine's pop order (and Reset) against a reference
+# queue, the span exporters' encoder oracle, and the live trace-context
+# header codec (seed corpora are checked in under the packages'
+# testdata/fuzz or seeded in the fuzz functions).
 # FUZZTIME tunes the per-target budget.
 FUZZTIME = 30s
 fuzz:
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSampleQuantile -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSpanExport -fuzztime $(FUZZTIME) ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzTraceHeader -fuzztime $(FUZZTIME) ./internal/telemetry/live
 
 # Engine performance regression report and gate: run the kernel and
 # headline-figure benchmarks for real (default benchtime), diff them

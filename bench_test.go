@@ -1,8 +1,8 @@
 // Package memca_test holds the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (one Benchmark per artifact)
-// plus micro-benchmarks of the simulation kernels. Benchmarks run the
-// experiments in quick mode with file output disabled and report the
-// headline metrics via b.ReportMetric, so
+// table and figure of the paper's evaluation (BenchmarkFigures, one
+// sub-benchmark per registered driver, plus the gated Figure 2 benchmark)
+// and micro-benchmarks of the simulation kernels. The figures run in
+// quick mode with file output disabled, so
 //
 //	go test -bench=. -benchmem
 //
@@ -19,7 +19,6 @@ import (
 
 	"memca"
 	"memca/internal/figures"
-	"memca/internal/monitor"
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
@@ -48,207 +47,20 @@ func BenchmarkFig2TailAmplification(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3BandwidthDegradation regenerates Figure 3: per-VM memory
-// bandwidth vs. co-located VM count, placement, and attack type.
-func BenchmarkFig3BandwidthDegradation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sat := res.Curves["same-package/bus-saturation"]
-		lock := res.Curves["same-package/memory-lock"]
-		b.ReportMetric(sat[0], "1vm-MBps")
-		b.ReportMetric(sat[5], "6vm-sat-MBps")
-		b.ReportMetric(lock[0], "1vm-lock-MBps")
-		if res.SingleVMSaturates || !res.LockBelowSaturation {
-			b.Fatal("Figure 3 findings violated")
-		}
-	}
-}
-
-// BenchmarkFig6QueueOverflow regenerates Figure 6: cross-tier queue
-// overflow (RPC model) vs. bottleneck-only queueing (tandem model).
-func BenchmarkFig6QueueOverflow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.TandemMySQLMax, "tandem-mysql-peak")
-		b.ReportMetric(res.RPCFillOrder[0].Seconds()*1000, "rpc-front-fill-ms")
-		if !res.RPCFilled {
-			b.Fatal("RPC overflow did not reach the front tier")
-		}
-	}
-}
-
-// BenchmarkFig7TailAmplification regenerates Figure 7: percentile curves
-// for the tandem, infinite-front, and finite model variants.
-func BenchmarkFig7TailAmplification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Cases[figures.Fig7Tandem].ClientP99.Milliseconds()), "tandem-p99-ms")
-		b.ReportMetric(float64(res.Cases[figures.Fig7InfiniteFront].ClientP99.Milliseconds()), "inf-front-p99-ms")
-		b.ReportMetric(float64(res.Cases[figures.Fig7Finite].ClientP99.Milliseconds()), "finite-p99-ms")
-	}
-}
-
-// BenchmarkFig8Controller regenerates the control-framework experiment:
-// the commander converges on the damage goal from a weak start.
-func BenchmarkFig8Controller(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Quick = false // convergence needs the full runway
-		res, err := figures.Fig8(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.TimeToGoal.Seconds(), "time-to-goal-s")
-		b.ReportMetric(res.SustainedFraction, "sustained-frac")
-		if !res.GoalReached {
-			b.Fatal("controller missed the goal")
-		}
-	}
-}
-
-// BenchmarkFig9Snapshot regenerates Figure 9: the 8-second fine-grained
-// view of bursts, CPU saturation, queue propagation, and client damage.
-func BenchmarkFig9Snapshot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.BurstsInWindow), "bursts-in-window")
-		b.ReportMetric(float64(res.MaxClientRT.Milliseconds()), "max-client-rt-ms")
-		if !res.MySQLSaturated || !res.QueuePropagated {
-			b.Fatal("snapshot invariants violated")
-		}
-	}
-}
-
-// BenchmarkFig10Stealthiness regenerates Figure 10: the CPU signal at
-// three monitoring granularities and the Auto Scaling verdict.
-func BenchmarkFig10Stealthiness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig10(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxByGranularity[monitor.GranularityCloud], "max-util-1min")
-		b.ReportMetric(res.MaxByGranularity[monitor.GranularityFine], "max-util-50ms")
-		if res.AutoScalingTriggered || res.ScaleEventsLive != 0 {
-			b.Fatal("MemCA triggered auto scaling")
-		}
-	}
-}
-
-// BenchmarkFig11LLCMisses regenerates Figure 11: LLC-miss periodicity
-// under bus saturation vs. memory locking.
-func BenchmarkFig11LLCMisses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig11(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SaturationPeriodicity, "sat-periodicity")
-		b.ReportMetric(res.LockPeriodicity, "lock-periodicity")
-		if res.SaturationPeriodicity <= res.LockPeriodicity {
-			b.Fatal("attack signatures not separable")
-		}
-	}
-}
-
-// BenchmarkTable1AnalyticalModel evaluates the analytical model
-// (Equations 2-10) plus the inverse planner.
-func BenchmarkTable1AnalyticalModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.Table1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Prediction.Impact, "rho")
-		b.ReportMetric(res.Prediction.Millibottleneck.Seconds()*1000, "millibottleneck-ms")
-		if !res.PlannedOK {
-			b.Fatal("inverse planning failed")
-		}
-	}
-}
-
-// BenchmarkAblationMechanisms quantifies each amplification mechanism's
-// contribution to the client tail (slot-holding, finite queues, TCP
-// retransmission).
-func BenchmarkAblationMechanisms(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.AblationMechanisms(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Points {
-			b.ReportMetric(float64(p.ClientP99.Milliseconds()), p.Label+"-p99-ms")
-		}
-	}
-}
-
-// BenchmarkAblationBurstLength sweeps L: the Equation (7)/(10) trade-off.
-func BenchmarkAblationBurstLength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.AblationBurstLength(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := res.Points[0], res.Points[len(res.Points)-1]
-		b.ReportMetric(float64(first.ClientP95.Milliseconds()), "L100ms-p95-ms")
-		b.ReportMetric(float64(last.ClientP95.Milliseconds()), "L800ms-p95-ms")
-	}
-}
-
-// BenchmarkDefenseEvaluation runs the countermeasure matrix: isolation
-// primitives crossed with attack kinds, plus millibottleneck detection.
-func BenchmarkDefenseEvaluation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.DefenseEvaluation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.DetectorEpisodes), "episodes-50ms")
-		b.ReportMetric(float64(res.CoarseDetectorEpisodes), "episodes-1s")
-	}
-}
-
-// BenchmarkJitterEvasion sweeps burst-interval jitter: damage persists
-// while the Figure 11 periodicity signature collapses.
-func BenchmarkJitterEvasion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.JitterEvasion(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := res.Points[0], res.Points[len(res.Points)-1]
-		b.ReportMetric(first.Periodicity, "periodicity-j0")
-		b.ReportMetric(last.Periodicity, "periodicity-j75")
-	}
-}
-
-// BenchmarkFigAttribution regenerates the latency-attribution figure:
-// attacked vs. baseline runs with full per-request tracing, tail
-// decomposition, and the dual-resolution blindness ratio.
-func BenchmarkFigAttribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := figures.FigAttribution(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.AttackedP99.Milliseconds()), "attacked-p99-ms")
-		b.ReportMetric(res.AttackedWaitShare, "attacked-wait-share")
-		b.ReportMetric(res.AttackedBlindness, "blindness-ratio")
-		if res.AttackedWaitShare < 0.5 {
-			b.Fatal("attacked tail not wait-dominated")
-		}
+// BenchmarkFigures runs every registered figure driver once per
+// iteration, in quick mode with seed 1, as one sub-benchmark each
+// (BenchmarkFigures/<driver>); a driver added to the registry is covered
+// without touching this file. Run with -benchmem for the per-driver
+// allocation profile.
+func BenchmarkFigures(b *testing.B) {
+	for _, name := range figures.DistDrivers() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := figures.RunLocal(name, benchOpts()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -48,7 +48,11 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 		return nil, err
 	}
 	x := &Experiment{cfg: cfg}
-	x.engine = sim.NewEngine(cfg.Seed)
+	if cfg.Arena != nil {
+		x.engine = cfg.Arena.Engine(cfg.Seed)
+	} else {
+		x.engine = sim.NewEngine(cfg.Seed)
+	}
 
 	// Cloud platform: one dedicated host per tier (the paper's Figure 8
 	// topology), the web/app/db VMs placed on them, adversaries

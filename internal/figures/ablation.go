@@ -209,7 +209,7 @@ func newMechanismsRun(opts Options) (*DistRun, error) {
 		if !v.infinite {
 			limits = rubbosModelLimits()
 		}
-		e := sim.NewEngine(opts.Seed)
+		e := a.Engine(opts.Seed)
 		n, sources, err := buildModelNetwork(e, a, v.mode, limits, v.retransmit)
 		if err != nil {
 			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
@@ -382,9 +382,7 @@ func runModelAttack(e *sim.Engine, a *stats.Arena, n *queueing.Network, sources 
 	}
 	client := stats.NewSampleIn(a, 4096)
 	for _, s := range sources {
-		for _, rt := range s.ClientRT().Values() {
-			client.Add(rt)
-		}
+		client.Merge(s.ClientRT())
 	}
 	return AblationPoint{
 		ClientP95:  client.Percentile(95),

@@ -8,7 +8,6 @@ import (
 	"memca/internal/analytical"
 	"memca/internal/attack"
 	"memca/internal/queueing"
-	"memca/internal/sim"
 	"memca/internal/stats"
 )
 
@@ -67,7 +66,7 @@ func newFig6Run(opts Options) (*DistRun, error) {
 	}
 	run := func(a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (fig6Record, error) {
 		rr := fig6Record{}
-		e := sim.NewEngine(opts.Seed)
+		e := a.Engine(opts.Seed)
 		n, sources, err := modelNetwork(e, a, mode, queueLimits)
 		if err != nil {
 			return rr, err

@@ -8,7 +8,6 @@ import (
 	"memca/internal/analytical"
 	"memca/internal/attack"
 	"memca/internal/queueing"
-	"memca/internal/sim"
 	"memca/internal/stats"
 )
 
@@ -78,7 +77,7 @@ func newFig7Run(opts Options) (*DistRun, error) {
 	}
 	return newRun(len(variants), func(a *stats.Arena, vi int) (fig7Record, error) {
 		v := variants[vi]
-		e := sim.NewEngine(opts.Seed)
+		e := a.Engine(opts.Seed)
 		n, sources, err := modelNetwork(e, a, v.mode, v.limits)
 		if err != nil {
 			return fig7Record{}, fmt.Errorf("figures: fig7 %s: %w", v.name, err)
@@ -109,9 +108,7 @@ func newFig7Run(opts Options) (*DistRun, error) {
 		// Client RT: merge the per-source samples (deep class dominates).
 		client := stats.NewSampleIn(a, 4096)
 		for _, s := range sources {
-			for _, rt := range s.ClientRT().Values() {
-				client.Add(rt)
-			}
+			client.Merge(s.ClientRT())
 		}
 		rec := fig7Record{Curves: [][]time.Duration{client.PercentileCurve(fig7Percentiles)}}
 		for i := range rubbosTierNames() {

@@ -148,6 +148,35 @@ func NewEngineWithRand(rng *rand.Rand) *Engine {
 	return e
 }
 
+// Reset returns the engine to the state NewEngine(seed) builds while
+// keeping its slot table, so a recycled engine schedules without growing
+// it. Every slot goes back on the free list with its callback and arg
+// references dropped and its generation moved on, so handles from the
+// earlier run stay inert: Cancel on one touches no new event, and
+// Canceled reports false. The random source is reseeded in place;
+// rng.Seed(seed) gives the stream of rand.New(rand.NewSource(seed)).
+func (e *Engine) Reset(seed int64) {
+	e.now, e.seq, e.last = 0, 0, 0
+	e.pending, e.processed = 0, 0
+	e.rng.Seed(seed)
+	for b := range e.head {
+		e.head[b] = nilSlot
+	}
+	e.tail0 = nilSlot
+	e.nonEmpty = 0
+	// Thread the free list so ids come back in ascending order, the order
+	// a fresh engine appends them in.
+	e.free = nilSlot
+	for id := int32(len(e.slots)) - 1; id >= 0; id-- {
+		s := &e.slots[id]
+		s.fn, s.actor, s.arg = nil, nil, nil
+		s.canceled, s.lastCanceled = false, false
+		s.gen++
+		s.next = e.free
+		e.free = id
+	}
+}
+
 // Now returns the current virtual time (time since simulation start).
 func (e *Engine) Now() time.Duration { return e.now }
 

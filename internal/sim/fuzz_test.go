@@ -10,7 +10,7 @@ import (
 // [op, a, b, c]. a is a signed amount scaled by 2^(b%34) ns, so one input
 // mixes ties, near neighbours and far-apart keys (every radix bucket);
 // c, when non-zero, makes the event schedule a child int8(c) ns after it
-// fires.
+// fires. opReset reseeds the engine with int16(a<<8|b).
 const (
 	opSchedule = iota
 	opAt
@@ -20,6 +20,7 @@ const (
 	opRunChecked
 	opStep
 	opDrainPush
+	opReset
 	opCount
 )
 
@@ -170,6 +171,13 @@ func (h *engineHarness) schedule(op int, amount, child time.Duration) {
 // Pending/Processed/Canceled after every operation. Scheduled times may lie
 // in the past (clamped), and Run's stopping rule, canceled-only tails and
 // pushes after a drain all move the radix heap's reference key.
+//
+// opReset recycles the engine mid-run with Reset(seed). From then on the
+// recycled engine must match both a fresh reference model and a fresh
+// NewEngine(seed) that runs only the operations after the Reset, down to
+// the first rand draws. No slot may keep a callback or arg, and every
+// handle from before the Reset stays inert: Canceled reports false, and
+// each opCancel also cancels one of them, which must touch no new event.
 func FuzzEngineOrder(f *testing.F) {
 	// Run(until) peeks past until and must leave the reference key alone:
 	// the event at 40 ns is scheduled after Run(20) stopped short of 100.
@@ -206,60 +214,75 @@ func FuzzEngineOrder(f *testing.F) {
 		opCancel, 1, 0, 0,
 		opRun, 127, 33, 0,
 	})
+	// A Reset with queued, canceled and fired events behind it; the
+	// cancels after it also hit stale handles.
+	f.Add([]byte{
+		opSchedule, 10, 0, 2,
+		opSchedule, 30, 4, 0,
+		opScheduleCall, 20, 0, 0,
+		opCancel, 1, 0, 0,
+		opStep, 0, 0, 0,
+		opReset, 0, 7, 0,
+		opSchedule, 5, 0, 0,
+		opCancel, 0, 0, 0,
+		opScheduleCall, 40, 2, 1,
+		opCancel, 2, 0, 0,
+		opRun, 100, 3, 0,
+	})
+	// The slot of a discarded canceled event is reused by an event still
+	// queued at the Reset: its stale handle must not inherit the
+	// discarded event's Canceled answer.
+	f.Add([]byte{
+		opSchedule, 10, 0, 0,
+		opCancel, 0, 0, 0,
+		opStep, 0, 0, 0,
+		opSchedule, 20, 0, 0,
+		opReset, 1, 0, 0,
+		opSchedule, 5, 0, 0,
+		opStep, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4*256 {
 			ops = ops[:4*256]
 		}
 		h := &engineHarness{t: t, e: NewEngine(1)}
 		m := &refEngine{}
-		errStop := errors.New("stop")
+		// fresh, once a Reset has happened, is NewEngine(seed) driven by
+		// the operations after it against its own model fm; stale holds
+		// the handles from before.
+		var fresh *engineHarness
+		var fm *refEngine
+		var stale []Event
 		for i := 0; i+4 <= len(ops); i += 4 {
 			op := int(ops[i] % opCount)
-			amount := fuzzAmount(ops[i+1], ops[i+2])
-			child := time.Duration(int8(ops[i+3]))
-			switch op {
-			case opSchedule, opScheduleCall:
-				h.schedule(op, amount, child)
-				m.push(m.now+amount, child)
-			case opAt:
-				h.schedule(op, h.e.Now()+amount, child)
-				m.push(m.now+amount, child)
-			case opCancel:
-				if len(h.handles) > 0 {
-					id := int(ops[i+1]) % len(h.handles)
-					h.handles[id].Cancel()
-					m.cancel(id)
-				}
-			case opRun:
-				h.e.Run(h.e.Now() + amount)
-				m.run(m.now+amount, 0)
-			case opRunChecked:
-				every := uint64(ops[i+3]%4) + 1
-				calls := 0
-				err := h.e.RunChecked(h.e.Now()+amount, every, func() error {
-					calls++
-					if calls == 2 {
-						return errStop
+			if op == opReset {
+				seed := int64(int16(uint16(ops[i+1])<<8 | uint16(ops[i+2])))
+				stale = append(stale, h.handles...)
+				h.e.Reset(seed)
+				checkReset(t, i/4, h.e, stale)
+				h = &engineHarness{t: t, e: h.e}
+				fresh = &engineHarness{t: t, e: NewEngine(seed)}
+				m, fm = &refEngine{}, &refEngine{}
+				for d := 0; d < 3; d++ {
+					if got, want := h.e.Rand().Int63(), fresh.e.Rand().Int63(); got != want {
+						t.Fatalf("op %d: rand draw %d after Reset(%d) = %d, fresh engine %d", i/4, d, seed, got, want)
 					}
-					return nil
-				})
-				if stopped := m.run(m.now+amount, 2*int(every)); (err != nil) != stopped {
-					t.Fatalf("op %d: RunChecked returned %v, model interrupted %v", i/4, err, stopped)
 				}
-			case opStep:
-				if got, want := h.e.Step(), m.step(); got != want {
-					t.Fatalf("op %d: Step = %v, model %v", i/4, got, want)
-				}
-			case opDrainPush:
-				if err := h.e.RunAll(0); err != nil {
-					t.Fatalf("op %d: RunAll: %v", i/4, err)
-				}
-				for m.step() {
-				}
-				h.schedule(opSchedule, amount, child)
-				m.push(m.now+amount, child)
+				continue
 			}
-			compareEngine(t, i/4, h, m)
+			if op == opCancel && len(stale) > 0 {
+				stale[int(ops[i+2])%len(stale)].Cancel()
+			}
+			applyOp(t, i/4, h, m, op, ops[i+1:i+4])
+			if fresh != nil {
+				applyOp(t, i/4, fresh, fm, op, ops[i+1:i+4])
+				compareEngine(t, i/4, h, fm)
+			}
+			for _, ev := range stale {
+				if ev.Canceled() {
+					t.Fatalf("op %d: a handle from before the Reset reports Canceled", i/4)
+				}
+			}
 		}
 		if err := h.e.RunAll(0); err != nil {
 			t.Fatalf("final RunAll: %v", err)
@@ -267,7 +290,93 @@ func FuzzEngineOrder(f *testing.F) {
 		for m.step() {
 		}
 		compareEngine(t, len(ops)/4, h, m)
+		if fresh != nil {
+			if err := fresh.e.RunAll(0); err != nil {
+				t.Fatalf("final RunAll: %v", err)
+			}
+			for fm.step() {
+			}
+			compareEngine(t, len(ops)/4, h, fm)
+			compareEngine(t, len(ops)/4, fresh, fm)
+		}
 	})
+}
+
+var errStop = errors.New("stop")
+
+// applyOp applies one decoded operation (args are the operation's a, b
+// and c bytes) to the engine of h and to the model m, then compares them.
+func applyOp(t *testing.T, op int, h *engineHarness, m *refEngine, code int, args []byte) {
+	t.Helper()
+	amount := fuzzAmount(args[0], args[1])
+	child := time.Duration(int8(args[2]))
+	switch code {
+	case opSchedule, opScheduleCall:
+		h.schedule(code, amount, child)
+		m.push(m.now+amount, child)
+	case opAt:
+		h.schedule(code, h.e.Now()+amount, child)
+		m.push(m.now+amount, child)
+	case opCancel:
+		if len(h.handles) > 0 {
+			id := int(args[0]) % len(h.handles)
+			h.handles[id].Cancel()
+			m.cancel(id)
+		}
+	case opRun:
+		h.e.Run(h.e.Now() + amount)
+		m.run(m.now+amount, 0)
+	case opRunChecked:
+		every := uint64(args[2]%4) + 1
+		calls := 0
+		err := h.e.RunChecked(h.e.Now()+amount, every, func() error {
+			calls++
+			if calls == 2 {
+				return errStop
+			}
+			return nil
+		})
+		if stopped := m.run(m.now+amount, 2*int(every)); (err != nil) != stopped {
+			t.Fatalf("op %d: RunChecked returned %v, model interrupted %v", op, err, stopped)
+		}
+	case opStep:
+		if got, want := h.e.Step(), m.step(); got != want {
+			t.Fatalf("op %d: Step = %v, model %v", op, got, want)
+		}
+	case opDrainPush:
+		if err := h.e.RunAll(0); err != nil {
+			t.Fatalf("op %d: RunAll: %v", op, err)
+		}
+		for m.step() {
+		}
+		h.schedule(opSchedule, amount, child)
+		m.push(m.now+amount, child)
+	}
+	compareEngine(t, op, h, m)
+}
+
+// checkReset asserts what Reset promises beyond matching a fresh engine:
+// no slot keeps a callback or arg, every slot is free, and every handle
+// from before the Reset is inert.
+func checkReset(t *testing.T, op int, e *Engine, stale []Event) {
+	t.Helper()
+	free := 0
+	for id := e.free; id != nilSlot; id = e.slots[id].next {
+		free++
+	}
+	if free != len(e.slots) {
+		t.Fatalf("op %d: %d of %d slots free after Reset", op, free, len(e.slots))
+	}
+	for id, s := range e.slots {
+		if s.fn != nil || s.actor != nil || s.arg != nil {
+			t.Fatalf("op %d: slot %d keeps a callback or arg after Reset", op, id)
+		}
+	}
+	for _, ev := range stale {
+		if ev.Canceled() {
+			t.Fatalf("op %d: a handle from before the Reset reports Canceled", op)
+		}
+	}
 }
 
 func compareEngine(t *testing.T, op int, h *engineHarness, m *refEngine) {

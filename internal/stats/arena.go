@@ -5,14 +5,16 @@ import (
 	"math/bits"
 	"sync"
 	"time"
+
+	"memca/internal/sim"
 )
 
 // Arena owns the slab storage behind the Samples, LevelIntegrators,
-// TimeSeries, and Histograms of one experiment run, so that repeated runs
-// (benchmark iterations, sweep jobs on the same worker) recycle storage
-// instead of re-allocating it. It mirrors the queueing package's request
-// pools: checkout via the constructor methods, recycle everything at once
-// via Reset.
+// TimeSeries, and Histograms of one experiment run, and the run's
+// simulation engine, so that repeated runs (benchmark iterations, sweep
+// jobs on the same worker) recycle storage instead of re-allocating it.
+// It mirrors the queueing package's request pools: checkout via the
+// constructor methods, recycle everything at once via Reset.
 //
 // Ownership rules:
 //
@@ -25,6 +27,10 @@ import (
 //     one panics (in the grow path) instead of silently aliasing a slab
 //     that has been handed to a new object. A LevelIntegrator records
 //     only after KeepHistory; without it, Set touches no slab.
+//   - An engine is the exception: Reset empties it (sim.Engine.Reset)
+//     and keeps it for the next checkout, so a stale *sim.Engine must not
+//     be used. Emptying drops every callback and arg the engine held, so
+//     a pooled arena pins no model objects.
 //   - Results that outlive the run (reports, summaries, percentile
 //     curves) must be copied out of arena-backed objects before Reset;
 //     the exported query methods already return heap copies.
@@ -53,12 +59,14 @@ type Arena struct {
 	series  []*TimeSeries
 	hists   []*Histogram
 	slabs   [][]time.Duration
+	engines []*sim.Engine
 
 	// Recycled object shells awaiting re-checkout.
 	freeSamples []*Sample
 	freeLevels  []*LevelIntegrator
 	freeSeries  []*TimeSeries
 	freeHists   []*Histogram
+	freeEngines []*sim.Engine
 
 	// scratch is the shared radix-sort ping-pong buffer (see
 	// sortDurations); every sample of the arena reuses it, which is safe
@@ -116,7 +124,8 @@ type ArenaStats struct {
 	Spills int64
 	// SpillBytes is the storage those allocations added.
 	SpillBytes int64
-	// Live is the number of currently checked-out objects.
+	// Live is the number of currently checked-out objects, engines
+	// included.
 	Live int
 	// Resets counts Reset calls over the arena's lifetime.
 	Resets uint64
@@ -129,7 +138,7 @@ func (a *Arena) Stats() ArenaStats {
 		BudgetBytes: a.budgetBytes,
 		Spills:      a.spills,
 		SpillBytes:  a.spillBytes,
-		Live:        len(a.samples) + len(a.levels) + len(a.series) + len(a.hists) + len(a.slabs),
+		Live:        len(a.samples) + len(a.levels) + len(a.series) + len(a.hists) + len(a.slabs) + len(a.engines),
 		Resets:      a.resets,
 	}
 }
@@ -316,6 +325,25 @@ func (a *Arena) DurationSlab(n int) []time.Duration {
 	return sl
 }
 
+// Engine checks a simulation engine seeded with seed out of the arena: a
+// recycled one after sim.Engine.Reset(seed), whose slot table is already
+// grown to the largest queue an earlier run held, or sim.NewEngine(seed)
+// when none is free. Either way it behaves as sim.NewEngine(seed). It is
+// emptied and taken back by the next Reset.
+func (a *Arena) Engine(seed int64) *sim.Engine {
+	var e *sim.Engine
+	if k := len(a.freeEngines); k > 0 {
+		e = a.freeEngines[k-1]
+		a.freeEngines[k-1] = nil
+		a.freeEngines = a.freeEngines[:k-1]
+		e.Reset(seed)
+	} else {
+		e = sim.NewEngine(seed)
+	}
+	a.engines = append(a.engines, e)
+	return e
+}
+
 // sortScratch returns the arena's shared sort scratch buffer with room
 // for at least n elements, growing it through the slab classes on demand.
 func (a *Arena) sortScratch(n int) []time.Duration {
@@ -327,9 +355,10 @@ func (a *Arena) sortScratch(n int) []time.Duration {
 }
 
 // Reset reclaims every slab into the class free lists and recycles the
-// object shells. All objects checked out since the previous Reset are
-// invalidated: their storage is gone, and their next recording panics.
-// The arena keeps its storage, so the following run's checkouts are warm.
+// object shells and engines. All objects checked out since the previous
+// Reset are invalidated: their storage is gone, and their next recording
+// panics. The arena keeps its storage, so the following run's checkouts
+// are warm.
 func (a *Arena) Reset() {
 	a.gen++
 	a.resets++
@@ -376,6 +405,12 @@ func (a *Arena) Reset() {
 		a.slabs[i] = nil
 	}
 	a.slabs = a.slabs[:0]
+	for i, e := range a.engines {
+		e.Reset(0)
+		a.engines[i] = nil
+		a.freeEngines = append(a.freeEngines, e)
+	}
+	a.engines = a.engines[:0]
 	a.putDur(a.scratch)
 	a.scratch = nil
 }

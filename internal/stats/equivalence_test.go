@@ -249,6 +249,106 @@ func TestSampleValuesInsertionOrderAfterQueries(t *testing.T) {
 	}
 }
 
+// TestSampleMerge checks Merge against the Add loop it replaces, for
+// heap- and arena-backed samples on either side: values in insertion
+// order and every quantile, across an arena slab-class boundary, for an
+// empty o, for s.Merge(s), and after a quantile was cached before the
+// merge.
+func TestSampleMerge(t *testing.T) {
+	const baseSeed = 29
+	a := NewArena()
+	defer a.Reset()
+	kinds := map[string]func() *Sample{
+		"heap":  func() *Sample { return NewSample(16) },
+		"arena": func() *Sample { return a.Sample(1 << minClassBits) },
+	}
+	sizes := []struct{ s, o int }{
+		{0, 0}, {5, 0}, {0, 7}, {1000, 100}, {1 << minClassBits, 1}, {3000, 5000},
+	}
+	for sName, newS := range kinds {
+		for oName, newO := range kinds {
+			for i, n := range sizes {
+				rng := rand.New(rand.NewSource(sweep.DeriveSeed(baseSeed, i)))
+				sv, ov := randomDurations(rng, n.s), randomDurations(rng, n.o)
+				s, o, ref := newS(), newO(), newS()
+				for _, v := range sv {
+					s.Add(v)
+					ref.Add(v)
+				}
+				for _, v := range ov {
+					o.Add(v)
+				}
+				_ = s.Quantile(0.5) // cache a sorted view the merge must invalidate
+				s.Merge(o)
+				for _, v := range o.Values() {
+					ref.Add(v)
+				}
+				want := append(slices.Clone(sv), ov...)
+				name := sName + "<-" + oName
+				checkMerged(t, name, s, ref, want)
+				if !slices.Equal(o.Values(), ov) {
+					t.Fatalf("%s n=%v: Merge changed its argument", name, n)
+				}
+			}
+		}
+		for i, n := range []int{0, 700, 3000} {
+			rng := rand.New(rand.NewSource(sweep.DeriveSeed(baseSeed, 100+i)))
+			sv := randomDurations(rng, n)
+			s, ref := newS(), newS()
+			for _, v := range sv {
+				s.Add(v)
+				ref.Add(v)
+			}
+			_ = s.Quantile(0.99)
+			s.Merge(s)
+			for _, v := range sv {
+				ref.Add(v)
+			}
+			checkMerged(t, sName+" self", s, ref, append(slices.Clone(sv), sv...))
+		}
+	}
+
+	// An arena-backed merge across a slab class grows once, from the
+	// arena's free lists: a warm cycle does not touch the heap.
+	b := NewArena()
+	cycle := func() {
+		o := b.Sample(4096)
+		for i := 0; i < 3000; i++ {
+			o.Add(time.Duration(i))
+		}
+		s := b.Sample(1 << minClassBits)
+		for i := 0; i < 1000; i++ {
+			s.Add(time.Duration(i))
+		}
+		s.Merge(o)
+		if s.Len() != 4000 {
+			t.Fatalf("merged length %d, want 4000", s.Len())
+		}
+		b.Reset()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("warm arena-backed Merge allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// checkMerged compares a merged sample with the Add-loop reference and
+// with the expected insertion-order values.
+func checkMerged(t *testing.T, name string, s, ref *Sample, want []time.Duration) {
+	t.Helper()
+	if !slices.Equal(s.Values(), want) || !slices.Equal(ref.Values(), want) {
+		t.Fatalf("%s (n=%d): merged values differ from the Add loop", name, len(want))
+	}
+	for _, q := range quantileGrid {
+		if got, w := s.Quantile(q), naiveQuantile(want, q); got != w || ref.Quantile(q) != w {
+			t.Fatalf("%s (n=%d) q=%v: got %d, Add loop %d, reference %d", name, len(want), q, got, ref.Quantile(q), w)
+		}
+	}
+	if s.Mean() != ref.Mean() {
+		t.Fatalf("%s (n=%d): mean %d, Add loop %d", name, len(want), s.Mean(), ref.Mean())
+	}
+}
+
 // TestArenaWorkerCountEquivalence runs the same arena-backed quantile jobs
 // through sweep.RunState at workers 1, 4, and 8 and demands identical
 // results — the per-worker arena contract of the figure drivers in

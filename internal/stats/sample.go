@@ -50,6 +50,17 @@ func (s *Sample) Add(v time.Duration) {
 	s.values = append(s.values, v)
 }
 
+// Merge appends o's observations to s in o's insertion order: the same
+// result as calling Add on each of o.Values(), without the copy. An
+// arena-backed s grows at most once. s.Merge(s) doubles s.
+func (s *Sample) Merge(o *Sample) {
+	n := len(o.values)
+	if s.a != nil && len(s.values)+n > cap(s.values) {
+		s.growValues(len(s.values) + n)
+	}
+	s.values = append(s.values, o.values...)
+}
+
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.values) }
 
