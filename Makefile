@@ -45,20 +45,21 @@ equivalence:
 dsweep-smoke:
 	$(GO) run ./cmd/memca-sweep smoke
 
-# Short fuzz passes over the file-facing config schema, the stats
-# kernels, the event engine's pop order (and Reset) against a reference
-# queue, the span exporters' encoder oracle, and the live trace-context
-# header codec (seed corpora are checked in under the packages'
-# testdata/fuzz or seeded in the fuzz functions).
-# FUZZTIME tunes the per-target budget.
+# Short fuzz passes over every fuzz target in the module: each package
+# of `go list ./...` is asked for its targets with `go test -list`, and
+# each target runs on its own (seed corpora are checked in under the
+# packages' testdata/fuzz or seeded in the fuzz functions), so a new or
+# deleted Fuzz function needs no edit here. FUZZTIME tunes the per-target
+# budget.
 FUZZTIME = 30s
 fuzz:
-	$(GO) test -run FuzzConfigJSON -fuzz FuzzConfigJSON -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzHistogramAdd -fuzztime $(FUZZTIME) ./internal/stats
-	$(GO) test -run '^$$' -fuzz FuzzSampleQuantile -fuzztime $(FUZZTIME) ./internal/stats
-	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzSpanExport -fuzztime $(FUZZTIME) ./internal/telemetry
-	$(GO) test -run '^$$' -fuzz FuzzTraceHeader -fuzztime $(FUZZTIME) ./internal/telemetry/live
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # Engine performance regression report and gate: run the kernel and
 # headline-figure benchmarks for real (default benchtime), diff them

@@ -142,7 +142,7 @@ func TestBursterBusySignal(t *testing.T) {
 	e.Run(8 * time.Second)
 	b.Stop()
 	// Average adversary activity = L/I = 25%.
-	u := b.Busy().Utilization(0, 8*time.Second)
+	u := b.Busy().WindowAverage(0, 8*time.Second)
 	if u < 0.24 || u > 0.26 {
 		t.Errorf("adversary activity %v, want ~0.25", u)
 	}

@@ -73,9 +73,9 @@ type Burster struct {
 	inBurst bool
 	bursts  int
 
-	// busy integrates the adversary VM's activity: 1 during ON bursts.
-	// This is what Figure 9a plots.
-	busy *stats.BusyIntegrator
+	// busy integrates the adversary VM's activity as a 0/1 level: 1
+	// during ON bursts. This is what Figure 9a plots.
+	busy *stats.LevelIntegrator
 
 	// cycleFn and endFn are bound once so each burst cycle schedules
 	// both flanks without materializing new closures.
@@ -98,8 +98,9 @@ func NewBurster(engine *sim.Engine, injector Injector, params Params) (*Burster,
 		engine:   engine,
 		injector: injector,
 		params:   params,
-		busy:     stats.NewBusyIntegrator(),
+		busy:     stats.NewLevelIntegrator(),
 	}
+	b.busy.KeepHistory()
 	b.cycleFn = b.cycle
 	b.endFn = func() {
 		if b.inBurst {
@@ -126,8 +127,10 @@ func (b *Burster) SetParams(p Params) error {
 // Bursts returns the number of bursts started.
 func (b *Burster) Bursts() int { return b.bursts }
 
-// Busy returns the adversary activity integrator (1 while a burst is ON).
-func (b *Burster) Busy() *stats.BusyIntegrator { return b.busy }
+// Busy returns the adversary activity integrator (level 1 while a burst
+// is ON, 0 otherwise). It keeps history, so any window from time 0 on can
+// be read with WindowAverage.
+func (b *Burster) Busy() *stats.LevelIntegrator { return b.busy }
 
 // InBurst reports whether an ON burst is in progress.
 func (b *Burster) InBurst() bool { return b.inBurst }
@@ -176,12 +179,12 @@ func (b *Burster) cycle() {
 func (b *Burster) beginBurst() {
 	b.inBurst = true
 	b.bursts++
-	b.busy.SetBusy(b.engine.Now(), true)
+	b.busy.Set(b.engine.Now(), 1)
 	b.injector.BurstStart(b.params.Intensity)
 }
 
 func (b *Burster) endBurst() {
 	b.inBurst = false
-	b.busy.SetBusy(b.engine.Now(), false)
+	b.busy.Set(b.engine.Now(), 0)
 	b.injector.BurstEnd()
 }

@@ -146,7 +146,7 @@ func (x *Experiment) buildReport(from, to time.Duration) (*Report, error) {
 
 	if x.burster != nil {
 		r.Bursts = x.burster.Bursts()
-		r.AdversaryDuty = x.burster.Busy().Utilization(from, to)
+		r.AdversaryDuty = x.burster.Busy().WindowAverage(from, to)
 		r.LastDegradation = x.injector.BurstD
 	}
 

@@ -10,14 +10,15 @@ import (
 // memcaSignal builds a utilization source with saturation bursts of the
 // given length every interval, over a base load.
 func memcaSignal(length, interval time.Duration, base float64, bursts int) func(from, to time.Duration) float64 {
-	b := stats.NewBusyIntegrator()
+	b := stats.NewLevelIntegrator()
+	b.KeepHistory()
 	for i := 0; i < bursts; i++ {
 		start := time.Duration(i) * interval
-		b.SetBusy(start, true)
-		b.SetBusy(start+length, false)
+		b.Set(start, 1)
+		b.Set(start+length, 0)
 	}
 	return func(from, to time.Duration) float64 {
-		u := b.Utilization(from, to)
+		u := b.WindowAverage(from, to)
 		return u + (1-u)*base
 	}
 }

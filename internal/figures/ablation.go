@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"memca/internal/analytical"
 	"memca/internal/attack"
 	"memca/internal/core"
 	"memca/internal/memmodel"
@@ -210,7 +209,7 @@ func newMechanismsRun(opts Options) (*DistRun, error) {
 			limits = rubbosModelLimits()
 		}
 		e := a.Engine(opts.Seed)
-		n, sources, err := buildModelNetwork(e, a, v.mode, limits, v.retransmit)
+		n, sources, err := modelNetwork(e, a, v.mode, limits, v.retransmit)
 		if err != nil {
 			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
 		}
@@ -324,31 +323,6 @@ func AblationServiceDistribution(opts Options) (*AblationResult, error) {
 func rubbosModelLimits() [3]int {
 	tiers := workload.RUBBoSTiers()
 	return [3]int{tiers[0].QueueLimit, tiers[1].QueueLimit, tiers[2].QueueLimit}
-}
-
-// buildModelNetwork is modelNetwork with a retransmission toggle.
-func buildModelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, limits [3]int, retransmit bool) (*queueing.Network, []*queueing.Source, error) {
-	n, sources, err := modelNetwork(e, a, mode, limits)
-	if err != nil {
-		return nil, nil, err
-	}
-	if retransmit {
-		return n, sources, nil
-	}
-	// Rebuild sources without retransmission (the originals were never
-	// started, so they generate no arrivals).
-	plain := make([]*queueing.Source, 0, len(sources))
-	for i, t := range analytical.RUBBoS3Tier().Tiers {
-		if t.ArrivalRate <= 0 {
-			continue
-		}
-		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{Class: i, Rate: t.ArrivalRate})
-		if err != nil {
-			return nil, nil, err
-		}
-		plain = append(plain, src)
-	}
-	return n, plain, nil
 }
 
 // runModelAttack drives an open-loop model network under ON-OFF bursts

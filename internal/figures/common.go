@@ -101,16 +101,14 @@ func writeSeries(path string, points []stats.Point) error {
 // RUBBoS model (one class per tier depth, rates from the model), used by
 // the model-level experiments of Figures 6 and 7. mode selects tandem or
 // RPC coupling; queueLimits overrides the per-tier limits (0 = Infinite).
-// a, when non-nil, backs the network's per-tier stats and the sources'
-// client samples (see stats.Arena).
-func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (*queueing.Network, []*queueing.Source, error) {
+// retransmit gives the sources the default TCP retransmission policy;
+// without it drops are final. a, when non-nil, backs the network's
+// per-tier stats and the sources' client samples (see stats.Arena).
+func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits [3]int, retransmit bool) (*queueing.Network, []*queueing.Source, error) {
 	m := analytical.RUBBoS3Tier()
 	tiers := make([]queueing.TierConfig, 3)
+	const servers = 2
 	for i, t := range m.Tiers {
-		servers := 2
-		if i == 2 {
-			servers = 2
-		}
 		tiers[i] = queueing.TierConfig{
 			Name:       t.Name,
 			QueueLimit: queueLimits[i],
@@ -127,16 +125,16 @@ func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits
 	if err != nil {
 		return nil, nil, err
 	}
+	var policy queueing.RetransmitPolicy
+	if retransmit {
+		policy = queueing.DefaultRetransmit()
+	}
 	sources := make([]*queueing.Source, 0, 3)
 	for i, t := range m.Tiers {
 		if t.ArrivalRate <= 0 {
 			continue
 		}
-		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{
-			Class:      i,
-			Rate:       t.ArrivalRate,
-			Retransmit: queueing.DefaultRetransmit(),
-		})
+		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{Class: i, Rate: t.ArrivalRate, Retransmit: policy})
 		if err != nil {
 			return nil, nil, err
 		}

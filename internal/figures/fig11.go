@@ -70,7 +70,7 @@ func newFig11Run(opts Options) (*DistRun, error) {
 		adv := x.LLCAdversarySeries().Series()
 		rec := fig11Record{Victim: victim.Points, Adversary: adv.Points}
 		horizon := cfg.Warmup + cfg.Duration
-		buckets, err := monitor.ToBuckets(victim, period, horizon)
+		buckets, err := victim.Resample(period, horizon)
 		if err != nil {
 			return fig11Record{}, err
 		}

@@ -76,7 +76,7 @@ func newFig9Run(opts Options) (*DistRun, error) {
 		prev, maxU, peaks := 0.0, 0.0, [3]float64{}
 		for t := start; t < end; t += width {
 			// Attack bursts, counted by rising edges.
-			u := adversary.Utilization(t, t+width)
+			u := adversary.WindowAverage(t, t+width)
 			if u > 0.5 && prev <= 0.5 {
 				res.BurstsInWindow++
 			}

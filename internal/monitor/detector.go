@@ -167,12 +167,3 @@ func Periodicity(buckets []stats.Bucket, lag int) (float64, error) {
 	}
 	return num / den, nil
 }
-
-// ToBuckets converts a sampled time series into equal-width buckets so
-// detectors and Periodicity can consume live-sampled signals.
-func ToBuckets(ts *stats.TimeSeries, width, horizon time.Duration) ([]stats.Bucket, error) {
-	if ts == nil {
-		return nil, fmt.Errorf("monitor: series must not be nil")
-	}
-	return ts.Resample(width, horizon)
-}

@@ -12,14 +12,15 @@ import (
 // `on` of every `period`, idle otherwise, and `base` busy in between — a
 // synthetic MemCA utilization signal.
 func burstSource(on, period time.Duration, base float64) UtilizationSource {
-	b := stats.NewBusyIntegrator()
+	b := stats.NewLevelIntegrator()
+	b.KeepHistory()
 	for i := 0; i < 600; i++ {
 		start := time.Duration(i) * period
-		b.SetBusy(start, true)
-		b.SetBusy(start+on, false)
+		b.Set(start, 1)
+		b.Set(start+on, 0)
 	}
 	return func(from, to time.Duration) float64 {
-		burst := b.Utilization(from, to)
+		burst := b.WindowAverage(from, to)
 		return burst + (1-burst)*base
 	}
 }
@@ -398,21 +399,5 @@ func TestPeriodicSamplerValidation(t *testing.T) {
 	}
 	if _, err := NewPeriodicSampler(e, "x", time.Second, nil); err == nil {
 		t.Error("nil gauge accepted")
-	}
-}
-
-func TestToBuckets(t *testing.T) {
-	ts := stats.NewTimeSeries("x")
-	ts.Add(0, 1)
-	ts.Add(time.Second, 2)
-	buckets, err := ToBuckets(ts, time.Second, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buckets) != 2 {
-		t.Errorf("got %d buckets", len(buckets))
-	}
-	if _, err := ToBuckets(nil, time.Second, time.Second); err == nil {
-		t.Error("nil series accepted")
 	}
 }

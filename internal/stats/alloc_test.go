@@ -12,21 +12,18 @@ import (
 func statsPass(a *Arena) {
 	defer a.Reset()
 	s := a.Sample(1024)
-	h := a.LatencyHistogram()
 	li := a.LevelIntegrator()
 	li.KeepHistory()
 	ts := a.TimeSeries("alloc-probe")
 	for i := 0; i < 4096; i++ {
 		d := time.Duration(i%977) * time.Millisecond
 		s.Add(d)
-		h.Add(d)
 		li.Set(time.Duration(i)*time.Millisecond, i%3)
 		ts.Add(time.Duration(i)*time.Millisecond, float64(i%7))
 	}
 	_ = s.Quantile(0.99) // radix path: n >= radixMinLen
 	_ = s.Mean()
 	_ = s.Max()
-	_ = h.Quantile(0.99)
 	_ = li.Integral(4096 * time.Millisecond)
 	_ = li.WindowAverage(0, 4096*time.Millisecond)
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"time"
@@ -9,8 +8,8 @@ import (
 	"memca/internal/sim"
 )
 
-// Arena owns the slab storage behind the Samples, LevelIntegrators,
-// TimeSeries, and Histograms of one experiment run, and the run's
+// Arena owns the slab storage behind the Samples, LevelIntegrators, and
+// TimeSeries of one experiment run, and the run's
 // simulation engine, so that repeated runs (benchmark iterations, sweep
 // jobs on the same worker) recycle storage instead of re-allocating it.
 // It mirrors the queueing package's request pools: checkout via the
@@ -51,13 +50,11 @@ type Arena struct {
 
 	durFree [slabClasses][][]time.Duration
 	ptFree  [slabClasses][][]Point
-	u64Free [slabClasses][][]uint64
 
 	// Live checked-out objects, harvested at Reset.
 	samples []*Sample
 	levels  []*LevelIntegrator
 	series  []*TimeSeries
-	hists   []*Histogram
 	slabs   [][]time.Duration
 	engines []*sim.Engine
 
@@ -65,7 +62,6 @@ type Arena struct {
 	freeSamples []*Sample
 	freeLevels  []*LevelIntegrator
 	freeSeries  []*TimeSeries
-	freeHists   []*Histogram
 	freeEngines []*sim.Engine
 
 	// scratch is the shared radix-sort ping-pong buffer (see
@@ -138,7 +134,7 @@ func (a *Arena) Stats() ArenaStats {
 		BudgetBytes: a.budgetBytes,
 		Spills:      a.spills,
 		SpillBytes:  a.spillBytes,
-		Live:        len(a.samples) + len(a.levels) + len(a.series) + len(a.hists) + len(a.slabs) + len(a.engines),
+		Live:        len(a.samples) + len(a.levels) + len(a.series) + len(a.slabs) + len(a.engines),
 		Resets:      a.resets,
 	}
 }
@@ -197,15 +193,12 @@ func slabPut[T any](a *Arena, free *[slabClasses][][]T, sl []T, elemBytes int64)
 const (
 	durBytes = int64(8)
 	ptBytes  = int64(16)
-	u64Bytes = int64(8)
 )
 
 func (a *Arena) getDur(minCap int) []time.Duration { return slabGet(a, &a.durFree, minCap, durBytes) }
 func (a *Arena) putDur(sl []time.Duration)         { slabPut(a, &a.durFree, sl, durBytes) }
 func (a *Arena) getPts(minCap int) []Point         { return slabGet(a, &a.ptFree, minCap, ptBytes) }
 func (a *Arena) putPts(sl []Point)                 { slabPut(a, &a.ptFree, sl, ptBytes) }
-func (a *Arena) getU64(minCap int) []uint64        { return slabGet(a, &a.u64Free, minCap, u64Bytes) }
-func (a *Arena) putU64(sl []uint64)                { slabPut(a, &a.u64Free, sl, u64Bytes) }
 
 // Sample checks an empty sample out of the arena with the given capacity
 // hint. It is invalidated by the next Reset.
@@ -269,49 +262,6 @@ func (a *Arena) TimeSeries(name string) *TimeSeries {
 	ts.Points = a.getPts(0)
 	a.series = append(a.series, ts)
 	return ts
-}
-
-// Histogram checks a log-spaced histogram out of the arena, validating
-// like NewHistogram. It is invalidated by the next Reset.
-func (a *Arena) Histogram(base time.Duration, growth float64, buckets int) (*Histogram, error) {
-	if base <= 0 {
-		return nil, fmt.Errorf("stats: histogram base must be positive, got %v", base)
-	}
-	if growth <= 1 {
-		return nil, fmt.Errorf("stats: histogram growth must exceed 1, got %v", growth)
-	}
-	if buckets <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bucket, got %d", buckets)
-	}
-	var h *Histogram
-	if k := len(a.freeHists); k > 0 {
-		h = a.freeHists[k-1]
-		a.freeHists[k-1] = nil
-		a.freeHists = a.freeHists[:k-1]
-	} else {
-		h = &Histogram{}
-	}
-	counts := a.getU64(buckets)[:buckets]
-	clear(counts)
-	h.base = base.Seconds()
-	h.growth = growth
-	h.counts = counts
-	h.under = 0
-	h.total = 0
-	h.sumSecs = 0
-	a.hists = append(a.hists, h)
-	return h, nil
-}
-
-// LatencyHistogram checks out a histogram with the standard latency
-// tuning (see NewLatencyHistogram).
-func (a *Arena) LatencyHistogram() *Histogram {
-	h, err := a.Histogram(100*time.Microsecond, 1.1, 150)
-	if err != nil {
-		// The fixed arguments above are valid; reaching here is a bug.
-		panic(err)
-	}
-	return h
 }
 
 // DurationSlab checks out a zeroed []time.Duration of length n (its
@@ -390,16 +340,6 @@ func (a *Arena) Reset() {
 		a.freeSeries = append(a.freeSeries, ts)
 	}
 	a.series = a.series[:0]
-	for i, h := range a.hists {
-		a.putU64(h.counts)
-		h.counts = nil
-		h.under = 0
-		h.total = 0
-		h.sumSecs = 0
-		a.hists[i] = nil
-		a.freeHists = append(a.freeHists, h)
-	}
-	a.hists = a.hists[:0]
 	for i, sl := range a.slabs {
 		a.putDur(sl)
 		a.slabs[i] = nil

@@ -16,11 +16,9 @@ func arenaJob(a *Arena, i int) time.Duration {
 	defer a.Reset()
 	rng := rand.New(rand.NewSource(sweep.DeriveSeed(41, i)))
 	s := a.Sample(128)
-	h := a.LatencyHistogram()
 	for j := 0; j < 1500; j++ {
 		d := time.Duration(rng.Int63n(int64(time.Second)))
 		s.Add(d)
-		h.Add(d)
 	}
 	return s.Quantile(0.999)
 }

@@ -234,15 +234,8 @@ func TestSampleValuesInsertionOrderAfterQueries(t *testing.T) {
 		if got := s.Values(); !slices.Equal(got, inserted) {
 			t.Fatalf("%s: Values after queries = %v, want insertion order %v", name, got, inserted)
 		}
-		wantSorted := slices.Clone(inserted)
-		slices.Sort(wantSorted)
-		if got := s.SortedValues(); !slices.Equal(got, wantSorted) {
-			t.Fatalf("%s: SortedValues = %v, want %v", name, got, wantSorted)
-		}
-		// Both accessors return copies: mutating them must not corrupt the
-		// sample.
+		// Values returns a copy: mutating it must not corrupt the sample.
 		s.Values()[0] = 0
-		s.SortedValues()[0] = 0
 		if got := s.Values(); !slices.Equal(got, inserted) {
 			t.Fatalf("%s: Values aliases sample storage", name)
 		}

@@ -6,57 +6,6 @@ import (
 	"time"
 )
 
-// FuzzHistogramAdd throws arbitrary durations — including zero, negative,
-// and math.MaxInt64 — at the standard latency histogram and checks its
-// invariants: no panic, bucket indices stay in [-1, buckets), the index is
-// monotone in the observation, and every observation is conserved as
-// either an underflow or a bucket count.
-func FuzzHistogramAdd(f *testing.F) {
-	f.Add(int64(0), int64(0))
-	f.Add(int64(-1), int64(1))
-	f.Add(int64(time.Microsecond), int64(100*time.Microsecond))
-	f.Add(int64(time.Second), int64(10*time.Second))
-	f.Add(int64(math.MaxInt64), int64(math.MinInt64))
-	f.Add(int64(99*time.Microsecond), int64(110*time.Microsecond)) // base boundary
-	f.Fuzz(func(t *testing.T, raw1, raw2 int64) {
-		v1, v2 := time.Duration(raw1), time.Duration(raw2)
-		h := NewLatencyHistogram()
-		i1, i2 := h.BucketIndex(v1), h.BucketIndex(v2)
-		for i, v := range map[int]time.Duration{i1: v1, i2: v2} {
-			if i < -1 || i >= h.Buckets() {
-				t.Fatalf("BucketIndex(%d) = %d, outside [-1, %d)", v, i, h.Buckets())
-			}
-		}
-		if v1 <= v2 && i1 > i2 {
-			t.Fatalf("bucket index not monotone: %d -> %d but %d -> %d", v1, i1, v2, i2)
-		}
-		h.Add(v1)
-		h.Add(v2)
-		var inBuckets uint64
-		for i := 0; i < h.Buckets(); i++ {
-			inBuckets += h.BucketCount(i)
-		}
-		if h.Under()+inBuckets != h.Count() {
-			t.Fatalf("conservation violated: under %d + buckets %d != total %d",
-				h.Under(), inBuckets, h.Count())
-		}
-		if h.Count() != 2 {
-			t.Fatalf("total = %d after 2 adds", h.Count())
-		}
-		// The arena-backed histogram shares the Add/BucketIndex kernels; its
-		// counts must agree observation for observation.
-		a := NewArena()
-		defer a.Reset()
-		ah := a.LatencyHistogram()
-		ah.Add(v1)
-		ah.Add(v2)
-		if ah.Under() != h.Under() || ah.Count() != h.Count() {
-			t.Fatalf("arena histogram diverges: under %d/%d total %d/%d",
-				ah.Under(), h.Under(), ah.Count(), h.Count())
-		}
-	})
-}
-
 // FuzzSampleQuantile feeds arbitrary observation triples to heap- and
 // arena-backed samples and checks the quantile kernel's invariants: no
 // panic anywhere in [min, max] queries, Quantile(0)/Quantile(1) hit the

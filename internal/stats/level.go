@@ -7,9 +7,9 @@ import (
 )
 
 // LevelIntegrator tracks a piecewise-constant integer level over time (e.g.
-// busy server stations, queue occupancy) and integrates it exactly, as an
-// int64 count of level·nanoseconds. It generalizes BusyIntegrator to
-// levels above 1.
+// busy server stations, queue occupancy, or the adversary's 0/1 burst
+// activity) and integrates it exactly, as an int64 count of
+// level·nanoseconds.
 //
 // The level and the integral are always maintained. The transition
 // history behind WindowAverage is opt-in: only an integrator on which

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -163,20 +164,19 @@ func TestLevelIntegratorLateHistory(t *testing.T) {
 
 func TestTimeSeriesAccessors(t *testing.T) {
 	ts := NewTimeSeries("x")
-	if ts.Len() != 0 || ts.MaxValue() != 0 || ts.MeanValue() != 0 {
-		t.Error("empty series accessors nonzero")
+	if ts.Name != "x" || len(ts.Points) != 0 {
+		t.Errorf("new series = %+v", ts)
 	}
 	ts.Add(time.Second, 2)
 	ts.Add(2*time.Second, 8)
 	ts.Add(3*time.Second, 5)
-	if ts.Len() != 3 {
-		t.Errorf("Len = %d", ts.Len())
+	want := []Point{{T: time.Second, V: 2}, {T: 2 * time.Second, V: 8}, {T: 3 * time.Second, V: 5}}
+	if !slices.Equal(ts.Points, want) {
+		t.Errorf("Points = %+v, want %+v", ts.Points, want)
 	}
-	if ts.MaxValue() != 8 {
-		t.Errorf("MaxValue = %v", ts.MaxValue())
-	}
-	if ts.MeanValue() != 5 {
-		t.Errorf("MeanValue = %v", ts.MeanValue())
+	ts.Reset()
+	if ts.Name != "x" || len(ts.Points) != 0 || cap(ts.Points) < 3 {
+		t.Errorf("after Reset: name %q, len %d, cap %d", ts.Name, len(ts.Points), cap(ts.Points))
 	}
 }
 
@@ -208,40 +208,4 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-func TestRunningAccessors(t *testing.T) {
-	var r Running
-	if r.Count() != 0 || r.StdDev() != 0 {
-		t.Error("zero-value accessors wrong")
-	}
-	r.Add(3)
-	r.Add(7)
-	if r.Count() != 2 {
-		t.Errorf("Count = %d", r.Count())
-	}
-	if r.StdDev() <= 0 {
-		t.Errorf("StdDev = %v", r.StdDev())
-	}
-}
-
-func TestHistogramDeepTail(t *testing.T) {
-	h := NewLatencyHistogram()
-	for i := 0; i < 100; i++ {
-		h.Add(time.Millisecond)
-	}
-	h.Add(5 * time.Minute) // beyond the last bucket: clamped
-	q := h.Quantile(1)
-	if q < time.Millisecond {
-		t.Errorf("max quantile %v too small", q)
-	}
-	if h.Mean() < 2*time.Second {
-		t.Errorf("mean %v should be dominated by the outlier", h.Mean())
-	}
-	// Bucket bounds are increasing.
-	lo0, hi0 := h.BucketBounds(0)
-	lo1, _ := h.BucketBounds(1)
-	if !(lo0 < hi0 && hi0 == lo1) {
-		t.Errorf("bucket bounds wrong: [%v,%v) then lo %v", lo0, hi0, lo1)
-	}
 }

@@ -2,67 +2,6 @@ package stats
 
 import "math"
 
-// Running tracks mean and variance online using Welford's algorithm.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add feeds one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// Count returns the number of observations.
-func (r *Running) Count() int { return r.n }
-
-// Mean returns the running mean, or 0 with no observations.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the sample variance (n-1 denominator), or 0 with fewer
-// than two observations.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest observation, or 0 with none.
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest observation, or 0 with none.
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.max
-}
-
 // EWMA is an exponentially weighted moving average, one of the smoothing
 // primitives behind the interference detectors.
 type EWMA struct {

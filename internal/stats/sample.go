@@ -1,13 +1,13 @@
 // Package stats provides the statistics kernels used throughout the MemCA
-// reproduction: exact and streaming percentiles, histograms, windowed time
-// series, running moments, and the EWMA/CUSUM primitives that back the
-// interference detectors.
+// reproduction: exact percentiles, level integrators (busy servers, queue
+// occupancy, adversary activity), resampled time series, the arena that
+// recycles their storage across runs, and the EWMA/CUSUM primitives that
+// back the interference detectors.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -72,18 +72,10 @@ func (s *Sample) Reset() {
 }
 
 // Values returns a copy of the raw observations in insertion order,
-// regardless of any quantile queries in between. Use SortedValues for
-// ascending order.
+// regardless of any quantile queries in between.
 func (s *Sample) Values() []time.Duration {
 	cp := make([]time.Duration, len(s.values))
 	copy(cp, s.values)
-	return cp
-}
-
-// SortedValues returns a copy of the observations in ascending order.
-func (s *Sample) SortedValues() []time.Duration {
-	cp := make([]time.Duration, len(s.values))
-	copy(cp, s.sortedView())
 	return cp
 }
 
@@ -172,23 +164,6 @@ func (s *Sample) Min() time.Duration {
 		return 0
 	}
 	return s.sortedView()[0]
-}
-
-// CountAbove returns how many observations strictly exceed threshold.
-func (s *Sample) CountAbove(threshold time.Duration) int {
-	v := s.sortedView()
-	// first index with value > threshold
-	idx := sort.Search(len(v), func(i int) bool { return v[i] > threshold })
-	return len(v) - idx
-}
-
-// FractionAbove returns the fraction of observations strictly above
-// threshold, or 0 for an empty sample.
-func (s *Sample) FractionAbove(threshold time.Duration) float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	return float64(s.CountAbove(threshold)) / float64(len(s.values))
 }
 
 // PercentileCurve evaluates the sample at each requested percentile. It is

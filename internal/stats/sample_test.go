@@ -33,9 +33,6 @@ func TestSampleEmpty(t *testing.T) {
 	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 {
 		t.Error("empty sample should return zeros")
 	}
-	if s.FractionAbove(time.Second) != 0 {
-		t.Error("empty FractionAbove should be 0")
-	}
 	sum := s.Summarize()
 	if sum.Count != 0 {
 		t.Errorf("empty summary count = %d", sum.Count)
@@ -52,22 +49,6 @@ func TestSampleAddAfterQuery(t *testing.T) {
 	s.Add(500 * time.Millisecond) // must invalidate the sort cache
 	if got := s.Min(); got != 500*time.Millisecond {
 		t.Errorf("Min after re-add = %v, want 500ms", got)
-	}
-}
-
-func TestSampleCountAbove(t *testing.T) {
-	s := NewSample(0)
-	for _, v := range []time.Duration{1, 2, 3, 4, 5} {
-		s.Add(v * time.Second)
-	}
-	if got := s.CountAbove(3 * time.Second); got != 2 {
-		t.Errorf("CountAbove(3s) = %d, want 2", got)
-	}
-	if got := s.CountAbove(0); got != 5 {
-		t.Errorf("CountAbove(0) = %d, want 5", got)
-	}
-	if got := s.FractionAbove(4 * time.Second); got != 0.2 {
-		t.Errorf("FractionAbove(4s) = %v, want 0.2", got)
 	}
 }
 
@@ -109,24 +90,6 @@ func TestSampleQuantilePropertyWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(v)
-	}
-	if r.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", r.Mean())
-	}
-	// Sample variance of the classic dataset is 32/7.
-	want := 32.0 / 7.0
-	if got := r.Variance(); got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", r.Min(), r.Max())
 	}
 }
 
@@ -206,24 +169,21 @@ func TestTimeSeriesResampleRejectsBadArgs(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesWindowAndSort(t *testing.T) {
-	ts := NewTimeSeries("x")
-	ts.Add(3*time.Second, 3)
-	ts.Add(1*time.Second, 1)
-	ts.Add(2*time.Second, 2)
-	ts.Sort()
-	w := ts.Window(time.Second, 3*time.Second)
-	if len(w) != 2 || w[0].V != 1 || w[1].V != 2 {
-		t.Errorf("Window = %+v", w)
-	}
+// busyIntegrator returns a LevelIntegrator used as a busy/idle signal,
+// the way attack.Burster records the adversary's ON bursts: level 1 while
+// busy, 0 while idle, with history for window queries.
+func busyIntegrator() *LevelIntegrator {
+	li := NewLevelIntegrator()
+	li.KeepHistory()
+	return li
 }
 
 func TestBusyIntegratorUtilization(t *testing.T) {
-	b := NewBusyIntegrator()
-	b.SetBusy(1*time.Second, true)
-	b.SetBusy(2*time.Second, false)
-	b.SetBusy(3*time.Second, true)
-	b.SetBusy(3500*time.Millisecond, false)
+	b := busyIntegrator()
+	b.Set(1*time.Second, 1)
+	b.Set(2*time.Second, 0)
+	b.Set(3*time.Second, 1)
+	b.Set(3500*time.Millisecond, 0)
 
 	tests := []struct {
 		from, to time.Duration
@@ -236,46 +196,46 @@ func TestBusyIntegratorUtilization(t *testing.T) {
 		{3 * time.Second, 4 * time.Second, 0.5},
 	}
 	for _, tc := range tests {
-		got := b.Utilization(tc.from, tc.to)
+		got := b.WindowAverage(tc.from, tc.to)
 		if got < tc.want-1e-9 || got > tc.want+1e-9 {
-			t.Errorf("Utilization(%v,%v) = %v, want %v", tc.from, tc.to, got, tc.want)
+			t.Errorf("WindowAverage(%v,%v) = %v, want %v", tc.from, tc.to, got, tc.want)
 		}
 	}
 }
 
 func TestBusyIntegratorOpenBusyPeriod(t *testing.T) {
-	b := NewBusyIntegrator()
-	b.SetBusy(time.Second, true)
-	if got := b.Utilization(0, 3*time.Second); got < 2.0/3-1e-9 || got > 2.0/3+1e-9 {
+	b := busyIntegrator()
+	b.Set(time.Second, 1)
+	if got := b.WindowAverage(0, 3*time.Second); got < 2.0/3-1e-9 || got > 2.0/3+1e-9 {
 		t.Errorf("open busy utilization = %v, want 2/3", got)
 	}
-	if got := b.TotalBusy(4 * time.Second); got != 3*time.Second {
-		t.Errorf("TotalBusy = %v, want 3s", got)
+	if got := b.Integral(4 * time.Second); got != 3 {
+		t.Errorf("busy seconds = %v, want 3", got)
 	}
 }
 
 func TestBusyIntegratorDuplicateStatesIgnored(t *testing.T) {
-	b := NewBusyIntegrator()
-	b.SetBusy(time.Second, true)
-	b.SetBusy(2*time.Second, true) // duplicate
-	b.SetBusy(3*time.Second, false)
-	if got := b.TotalBusy(3 * time.Second); got != 2*time.Second {
-		t.Errorf("TotalBusy = %v, want 2s", got)
+	b := busyIntegrator()
+	b.Set(time.Second, 1)
+	b.Set(2*time.Second, 1) // duplicate
+	b.Set(3*time.Second, 0)
+	if got := b.Integral(3 * time.Second); got != 2 {
+		t.Errorf("busy seconds = %v, want 2", got)
 	}
 }
 
 func TestBusyIntegratorSeries(t *testing.T) {
-	b := NewBusyIntegrator()
+	b := busyIntegrator()
 	// 100ms busy burst every second, like a miniature MemCA attack.
 	for i := 0; i < 5; i++ {
 		start := time.Duration(i) * time.Second
-		b.SetBusy(start, true)
-		b.SetBusy(start+100*time.Millisecond, false)
+		b.Set(start, 1)
+		b.Set(start+100*time.Millisecond, 0)
 	}
 	// Fine granularity sees saturation; coarse sees 10%.
 	maxFine := 0.0
 	for from := time.Duration(0); from < 5*time.Second; from += 100 * time.Millisecond {
-		if u := b.Utilization(from, from+100*time.Millisecond); u > maxFine {
+		if u := b.WindowAverage(from, from+100*time.Millisecond); u > maxFine {
 			maxFine = u
 		}
 	}
@@ -283,60 +243,8 @@ func TestBusyIntegratorSeries(t *testing.T) {
 		t.Errorf("fine-grained max utilization %v, want ~1.0", maxFine)
 	}
 	for from := time.Duration(0); from < 5*time.Second; from += time.Second {
-		if u := b.Utilization(from, from+time.Second); u < 0.099 || u > 0.101 {
+		if u := b.WindowAverage(from, from+time.Second); u < 0.099 || u > 0.101 {
 			t.Errorf("coarse window at %v = %v, want ~0.1", from, u)
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewLatencyHistogram()
-	rng := rand.New(rand.NewSource(8))
-	s := NewSample(0)
-	for i := 0; i < 100000; i++ {
-		v := time.Duration(rng.ExpFloat64() * float64(100*time.Millisecond))
-		h.Add(v)
-		s.Add(v)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := s.Quantile(q)
-		approx := h.Quantile(q)
-		ratio := float64(approx) / float64(exact)
-		if ratio < 0.85 || ratio > 1.15 {
-			t.Errorf("histogram q=%v: %v vs exact %v (ratio %.3f)", q, approx, exact, ratio)
-		}
-	}
-	if h.Count() != 100000 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	mean := h.Mean()
-	if mean < 95*time.Millisecond || mean > 105*time.Millisecond {
-		t.Errorf("Mean = %v, want ~100ms", mean)
-	}
-}
-
-func TestHistogramRejectsBadConfig(t *testing.T) {
-	if _, err := NewHistogram(0, 1.5, 10); err == nil {
-		t.Error("zero base accepted")
-	}
-	if _, err := NewHistogram(time.Millisecond, 1.0, 10); err == nil {
-		t.Error("growth 1.0 accepted")
-	}
-	if _, err := NewHistogram(time.Millisecond, 1.5, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}
-
-func TestHistogramUnderflow(t *testing.T) {
-	h, err := NewHistogram(time.Millisecond, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(time.Microsecond)
-	if h.Count() != 1 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if q := h.Quantile(0.5); q > time.Millisecond {
-		t.Errorf("underflow quantile = %v, want <= 1ms", q)
 	}
 }

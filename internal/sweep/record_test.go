@@ -112,3 +112,83 @@ func TestEncodeRecordsMergeIdentity(t *testing.T) {
 		}
 	}
 }
+
+// splitPayloads cuts data into consecutive payloads whose lengths come
+// from sizes (clamped to what is left); the remainder is the last payload.
+func splitPayloads(data, sizes []byte) [][]byte {
+	payloads := make([][]byte, 0, len(sizes)+1)
+	for _, n := range sizes {
+		k := min(int(n), len(data))
+		payloads = append(payloads, data[:k])
+		data = data[k:]
+	}
+	return append(payloads, data)
+}
+
+// FuzzDecodeRecords fuzzes the record framing that shard recovery and
+// merged-artifact reads decode. Three properties:
+//
+//   - arbitrary bytes never panic the decoder, and every error it returns
+//     is ErrRecordTruncated or ErrRecordCorrupt;
+//   - EncodeRecords of payloads cut from the input round-trips through
+//     DecodeRecords;
+//   - every proper prefix of that valid stream decodes to a prefix of its
+//     records (ending exactly on a record boundary) or reports
+//     ErrRecordTruncated.
+func FuzzDecodeRecords(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add(EncodeRecords([][]byte{[]byte("hello"), nil, {0}}), []byte{5, 0})
+	f.Add(bytes.Repeat([]byte{0xAB}, 300), []byte{200}) // multi-byte length varint
+	f.Add(bytes.Repeat([]byte{0xFF}, 11), []byte{})     // overlong index varint
+	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, []byte{1, 1, 1})
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		indices, got, err := DecodeRecords(data)
+		if err != nil {
+			if !errors.Is(err, ErrRecordTruncated) && !errors.Is(err, ErrRecordCorrupt) {
+				t.Fatalf("DecodeRecords(%x): unexpected error %v", data, err)
+			}
+		} else if len(indices) != len(got) {
+			t.Fatalf("DecodeRecords(%x): %d indices for %d payloads", data, len(indices), len(got))
+		}
+
+		payloads := splitPayloads(data, sizes)
+		stream := EncodeRecords(payloads)
+		indices, got, err = DecodeRecords(stream)
+		if err != nil {
+			t.Fatalf("round trip of %d payloads: %v", len(payloads), err)
+		}
+		if len(got) != len(payloads) {
+			t.Fatalf("round trip decoded %d records, want %d", len(got), len(payloads))
+		}
+		for i := range payloads {
+			if indices[i] != i || !bytes.Equal(got[i], payloads[i]) {
+				t.Fatalf("round trip record %d: index %d payload %x, want %x", i, indices[i], got[i], payloads[i])
+			}
+		}
+
+		// ends[k] is the stream length after the first k records.
+		ends := make([]int, 1, len(payloads)+1)
+		var framed []byte
+		for i, p := range payloads {
+			framed = AppendRecord(framed, i, p)
+			ends = append(ends, len(framed))
+		}
+		for cut := 0; cut < len(stream); cut++ {
+			indices, got, err := DecodeRecords(stream[:cut])
+			if err != nil {
+				if !errors.Is(err, ErrRecordTruncated) {
+					t.Fatalf("cut at %d of %d: got %v, want ErrRecordTruncated", cut, len(stream), err)
+				}
+				continue
+			}
+			if ends[len(got)] != cut {
+				t.Fatalf("cut at %d decoded %d records, which end at %d", cut, len(got), ends[len(got)])
+			}
+			for i := range got {
+				if indices[i] != i || !bytes.Equal(got[i], payloads[i]) {
+					t.Fatalf("cut at %d: record %d decoded wrong", cut, i)
+				}
+			}
+		}
+	})
+}

@@ -310,11 +310,11 @@ func TestRecordSeries(t *testing.T) {
 	if err := e.RunAll(0); err != nil {
 		t.Fatal(err)
 	}
-	if g.RTSeries().Len() == 0 {
+	if len(g.RTSeries().Points) == 0 {
 		t.Error("series not recorded")
 	}
-	if g.RTSeries().Len() != g.ClientRT().Len() {
-		t.Errorf("series %d entries, sample %d", g.RTSeries().Len(), g.ClientRT().Len())
+	if len(g.RTSeries().Points) != g.ClientRT().Len() {
+		t.Errorf("series %d entries, sample %d", len(g.RTSeries().Points), g.ClientRT().Len())
 	}
 	if _, err := g.PageRT(-1); err == nil {
 		t.Error("negative page accepted")
