@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-budget test race equivalence dsweep-smoke fuzz bench bench-baseline bench-smoke figures quick-figures trace demo demo-smoke plan-smoke clean
+.PHONY: all build vet fmt-check lint lint-budget test race equivalence dsweep-smoke fuzz bench bench-baseline bench-smoke figures quick-figures trace demo demo-smoke plan-smoke clean
 
 all: build vet lint test
 
@@ -16,8 +16,13 @@ vet:
 # gate over the zero-alloc packages; see DESIGN.md. On budget drift, fix
 # the allocation or accept it with `make lint-budget` and commit the
 # regenerated internal/lint/testdata/escape_budget.json.
-lint:
+lint: fmt-check
 	$(GO) run ./cmd/memca-lint ./...
+
+# Every Go file must be gofmt-clean: fails listing the files gofmt -l
+# reports (fix with gofmt -w).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # Deliberate escape-budget refresh: re-run the compiler's escape analysis
 # over the budgeted packages and rewrite the checked-in budget in place.

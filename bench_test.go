@@ -361,8 +361,8 @@ func spanExportEvents(n int) []telemetry.SpanEvent {
 // export plus one OTLP/JSON export of a fixed 2^16-event stream (the
 // shape of memca-trace's event ring after a wrap) to files in a temp
 // directory. The allocs/op contract pins the direct-appender encoders:
-// compact per-event records and one buffered writer per file, no
-// per-event encoding garbage.
+// compact per-event records, open-span state sized to the in-flight set,
+// and one buffered writer per file, no per-event encoding garbage.
 func BenchmarkSpanExport(b *testing.B) {
 	events := spanExportEvents(1 << 16)
 	tiers := []string{"apache", "tomcat", "mysql"}

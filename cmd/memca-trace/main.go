@@ -104,16 +104,15 @@ func traceRun(out string, attacked bool, duration, warmup time.Duration, seed in
 	// Exports: raw Chrome trace, the slowest-N and head-sample
 	// attributions, and one timeline CSV per resolution.
 	if ring > 0 {
-		// One copy of the event ring feeds both span exports.
-		ev := tr.Events()
+		// Both span exports read the tracer's event ring in place.
 		path := filepath.Join(out, fmt.Sprintf("trace_%s.json", name))
-		if err := telemetry.WriteChromeTrace(path, tierNames, ev); err != nil {
+		if err := tr.WriteChromeTrace(path); err != nil {
 			return err
 		}
-		fmt.Printf("  %s: %d span events (%d overwritten)\n", path, len(ev), tr.EventsDropped())
+		fmt.Printf("  %s: %d span events (%d overwritten)\n", path, tr.EventCount(), tr.EventsDropped())
 		if otlp {
 			path := filepath.Join(out, fmt.Sprintf("otlp_%s.json", name))
-			if err := telemetry.WriteOTLP(path, telemetry.DefaultOTLPSpec(), tierNames, ev); err != nil {
+			if err := tr.WriteOTLP(path, telemetry.DefaultOTLPSpec()); err != nil {
 				return err
 			}
 			fmt.Printf("  %s: OTLP span batches\n", path)

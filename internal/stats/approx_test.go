@@ -15,8 +15,8 @@ func TestApproxEqual(t *testing.T) {
 		{1, 1 + 1e-12, true},
 		{1e9, 1e9 * (1 + 1e-12), true},
 		{1, 1.0001, false},
-		{0, 1e-12, true},  // absolute tolerance near zero
-		{0, 1e-6, false},  // but not for clearly nonzero values
+		{0, 1e-12, true}, // absolute tolerance near zero
+		{0, 1e-6, false}, // but not for clearly nonzero values
 		{-2.5, -2.5, true},
 		{2.5, -2.5, false},
 		{0.95, 0.99, false}, // adjacent percentile grid points stay distinct

@@ -49,10 +49,6 @@ type chromeRecord struct {
 	order int32 // emission order: the final sort key, keeping the sort stable
 }
 
-func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-func msec(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // WriteChromeTrace reconstructs spans from a span-event sequence and
 // writes them as Chrome trace-event JSON, loadable in Perfetto or
 // about://tracing. Each tier is a process (pid = tier+1; the client is
@@ -66,11 +62,10 @@ func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) error
 	// Open spans: the client request per trace, queue and service per
 	// (trace, tier). reqOpen doubles as the dense trace index.
 	var reqOpen denseMap[openSpan]
-	var tierSpans denseMap[tierOpen]
-	openAt := func(e *SpanEvent) *tierOpen {
+	var tierSpans openTable
+	keyOf := func(e *SpanEvent) uint64 {
 		trace, _, _ := reqOpen.at(e.TraceID)
-		_, o, _ := tierSpans.at(tierKey(trace, e.Tier))
-		return o
+		return tierKey(trace, e.Tier)
 	}
 
 	recs := make([]chromeRecord, 0, len(events)+len(tierNames)+1)
@@ -98,23 +93,19 @@ func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) error
 				*req = openSpan{e.T, e.Seq, true}
 			}
 		case EventKind(queueing.SpanTierRequest):
-			openAt(e).queue = openSpan{e.T, e.Seq, true}
+			tierSpans.advance(keyOf(e), e)
 		case EventKind(queueing.SpanServiceStart):
-			o := openAt(e)
-			if o.queue.ok {
-				addX(chromeQueue, tierPID, e.TraceID, o.queue, e.T, e.Attempt)
-				o.queue.ok = false
+			if q := tierSpans.advance(keyOf(e), e); q.ok {
+				addX(chromeQueue, tierPID, e.TraceID, q, e.T, e.Attempt)
 			}
-			o.svc = openSpan{e.T, e.Seq, true}
 		case EventKind(queueing.SpanServiceEnd):
-			if o := openAt(e); o.svc.ok {
-				addX(chromeService, tierPID, e.TraceID, o.svc, e.T, e.Attempt)
-				o.svc.ok = false
+			if svc := tierSpans.advance(keyOf(e), e); svc.ok {
+				addX(chromeService, tierPID, e.TraceID, svc, e.T, e.Attempt)
 			}
 		case EventKind(queueing.SpanServicePreempt):
 			addI(chromePreempt, tierPID, e)
 		case EventKind(queueing.SpanDrop):
-			openAt(e).queue.ok = false
+			tierSpans.advance(keyOf(e), e)
 			addI(chromeDrop, tierPID, e)
 		case EventKind(queueing.SpanComplete):
 			if _, req, _ := reqOpen.at(e.TraceID); req.ok {
@@ -180,23 +171,23 @@ func appendChromeRecord(b []byte, r *chromeRecord, procNames [][]byte) []byte {
 		return append(b, "}}"...)
 	case chromeRequest, chromeQueue, chromeService:
 		b = append(b, `","ph":"X","ts":`...)
-		b = appendFloat(b, usec(r.ts))
+		b = appendUsec(b, r.ts)
 		b = append(b, `,"dur":`...)
-		b = appendFloat(b, usec(r.dur))
+		b = appendUsec(b, r.dur)
 		b = appendPIDTID(b, r)
 		b = append(b, `,"args":{"attempt":`...)
 		b = appendInt32(b, int32(r.att))
 		return append(b, "}}"...)
 	}
 	b = append(b, `","ph":"i","ts":`...)
-	b = appendFloat(b, usec(r.ts))
+	b = appendUsec(b, r.ts)
 	b = appendPIDTID(b, r)
 	b = append(b, `,"s":"t"`...)
 	if r.kind == chromeRetransmit {
 		b = append(b, `,"args":{"attempt":`...)
 		b = appendInt32(b, int32(r.att))
 		b = append(b, `,"fire_at_ms":`...)
-		b = appendFloat(b, msec(r.dur))
+		b = appendMsec(b, r.dur)
 		b = append(b, '}')
 	}
 	return append(b, '}')
@@ -212,7 +203,8 @@ func appendPIDTID(b []byte, r *chromeRecord) []byte {
 func appendInt32(b []byte, v int32) []byte { return strconv.AppendInt(b, int64(v), 10) }
 
 // WriteChromeTrace exports the tracer's event ring as Chrome trace-event
-// JSON.
+// JSON. It reads the ring in place, rotating a wrapped ring so its oldest
+// event comes first, so it must not run while the tracer records.
 func (t *Tracer) WriteChromeTrace(path string) error {
-	return WriteChromeTrace(path, t.TierNames(), t.Events())
+	return WriteChromeTrace(path, t.TierNames(), t.orderedEvents())
 }

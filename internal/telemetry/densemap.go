@@ -1,6 +1,10 @@
 package telemetry
 
-import "time"
+import (
+	"time"
+
+	"memca/internal/queueing"
+)
 
 // denseMap maps uint64 keys to values stored densely in first-insertion
 // order, which is the order the OTLP root spans are written in. It is
@@ -71,5 +75,126 @@ type openSpan struct {
 // tierOpen holds one trace's open queue and service span at one tier.
 type tierOpen struct{ queue, svc openSpan }
 
-// tierKey packs a dense trace index and a tier into one denseMap key.
+// tierKey packs a dense trace index and a tier into one openTable key.
 func tierKey(trace int32, tier int8) uint64 { return uint64(trace)<<8 | uint64(uint8(tier)) }
+
+// openTable maps tierKeys to the open spans of that (trace, tier) and
+// holds only the live ones: put removes an entry once both its spans are
+// closed, and get reads an absent key as two closed spans, which every
+// reader treats the same. The table therefore stays the size of the
+// in-flight set rather than of every (trace, tier) pair an export meets.
+// Like denseMap it is open addressing with linear probing over mix64, so
+// its allocations depend only on the keys; deletion shifts the following
+// run back instead of leaving tombstones.
+type openTable struct {
+	slots []openSlot
+	live  int
+}
+
+type openSlot struct {
+	key  uint64 // 1 + the tierKey; 0 marks an empty slot
+	open tierOpen
+}
+
+// get returns key's open spans, both closed when key is absent.
+func (m *openTable) get(key uint64) tierOpen {
+	if h, found := m.find(key); found {
+		return m.slots[h].open
+	}
+	return tierOpen{}
+}
+
+// put stores key's open spans, removing key when both are closed.
+func (m *openTable) put(key uint64, o tierOpen) {
+	if !o.queue.ok && !o.svc.ok {
+		m.remove(key)
+		return
+	}
+	h, found := m.find(key)
+	if !found {
+		// Keep the load at most one half once key is added.
+		if 2*(m.live+1) > len(m.slots) {
+			m.grow()
+			h, _ = m.find(key)
+		}
+		m.slots[h].key = key + 1
+		m.live++
+	}
+	m.slots[h].open = o
+}
+
+// advance applies e, a tier request, service start, service end or drop
+// at key's (trace, tier), and returns the span it closes: the queue span
+// at a service start, the service span at a service end. The returned
+// span is not ok when e closes none, including when its start was lost.
+func (m *openTable) advance(key uint64, e *SpanEvent) (closed openSpan) {
+	o := m.get(key)
+	switch e.Kind {
+	case EventKind(queueing.SpanTierRequest):
+		o.queue = openSpan{e.T, e.Seq, true}
+	case EventKind(queueing.SpanServiceStart):
+		closed, o.queue = o.queue, openSpan{}
+		o.svc = openSpan{e.T, e.Seq, true}
+	case EventKind(queueing.SpanServiceEnd):
+		closed, o.svc = o.svc, openSpan{}
+	case EventKind(queueing.SpanDrop):
+		o.queue = openSpan{}
+	}
+	m.put(key, o)
+	return closed
+}
+
+// find returns the slot holding key, or the empty slot ending its probe
+// run (none while the table has no slots).
+func (m *openTable) find(key uint64) (h uint64, found bool) {
+	if len(m.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(m.slots) - 1)
+	for h = mix64(key) & mask; ; h = (h + 1) & mask {
+		switch m.slots[h].key {
+		case key + 1:
+			return h, true
+		case 0:
+			return h, false
+		}
+	}
+}
+
+// remove deletes key if present, shifting each later entry of the probe
+// run back into the hole when the hole lies between that entry's home
+// slot and its current slot, so no probe run is ever broken.
+func (m *openTable) remove(key uint64) {
+	hole, found := m.find(key)
+	if !found {
+		return
+	}
+	mask := uint64(len(m.slots) - 1)
+	for j := (hole + 1) & mask; m.slots[j].key != 0; j = (j + 1) & mask {
+		home := mix64(m.slots[j].key-1) & mask
+		if (j-home)&mask >= (j-hole)&mask {
+			m.slots[hole] = m.slots[j]
+			hole = j
+		}
+	}
+	m.slots[hole] = openSlot{}
+	m.live--
+}
+
+// grow doubles the slot table (at least 64 slots) and re-inserts every
+// live entry.
+func (m *openTable) grow() {
+	old := m.slots
+	m.slots = make([]openSlot, max(64, 2*len(old)))
+	mask := uint64(len(m.slots) - 1)
+	for _, s := range old {
+		if s.key == 0 {
+			continue
+		}
+		h := mix64(s.key-1) & mask
+		for m.slots[h].key != 0 {
+			h = (h + 1) & mask
+		}
+		m.slots[h] = s
+	}
+}

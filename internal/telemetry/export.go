@@ -7,14 +7,6 @@ import (
 	"memca/internal/trace"
 )
 
-func fmtMs(d time.Duration) string {
-	return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64)
-}
-
-func fmtSecs(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'f', 6, 64)
-}
-
 // WriteAttributionCSV exports attribution records with one row per trace:
 // identity, response time, attempt/drop counts, and the per-tier
 // queue/service decomposition plus retransmission wait and residual.

@@ -134,7 +134,7 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 	// Root-span state per trace in first-appearance order, and the open
 	// queue and service spans per (trace, tier).
 	var traces denseMap[otlpTrace]
-	var open denseMap[tierOpen]
+	var open openTable
 	var rootEvents []otlpRootEvent
 	state := func(e *SpanEvent) (int32, *otlpTrace) {
 		i, st, added := traces.at(e.TraceID)
@@ -144,10 +144,9 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 		st.lastT = e.T
 		return i, st
 	}
-	openAt := func(e *SpanEvent) *tierOpen {
+	keyOf := func(e *SpanEvent) uint64 {
 		trace, _ := state(e)
-		_, o, _ := open.at(tierKey(trace, e.Tier))
-		return o
+		return tierKey(trace, e.Tier)
 	}
 	rootEvent := func(e *SpanEvent) *otlpTrace {
 		_, st := state(e)
@@ -164,7 +163,24 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 
 	// tierSpans[i] collects tier i's finished queue/service spans; the
 	// client resource holds only root spans, assembled after the walk.
+	// Every queue span ends at a service start and every service span at
+	// a service end, so counting those events per tier sizes each list
+	// up front, all out of one slab.
+	counts := make([]int, len(tierNames))
+	total := 0
+	for i := range events {
+		e := &events[i]
+		if tier := int(e.Tier); tier >= 0 && tier < len(tierNames) &&
+			(e.Kind == EventKind(queueing.SpanServiceStart) || e.Kind == EventKind(queueing.SpanServiceEnd)) {
+			counts[tier]++
+			total++
+		}
+	}
 	tierSpans := make([][]otlpTierSpan, len(tierNames))
+	slab := make([]otlpTierSpan, total)
+	for i, n := range counts {
+		tierSpans[i], slab = slab[:0:n], slab[n:]
+	}
 	addTierSpan := func(role uint8, e *SpanEvent, start time.Duration) {
 		tier := int(e.Tier)
 		if tier < 0 || tier >= len(tierNames) {
@@ -184,23 +200,19 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 				st.start = e.T
 			}
 		case EventKind(queueing.SpanTierRequest):
-			openAt(e).queue = openSpan{t: e.T, ok: true}
+			open.advance(keyOf(e), e)
 		case EventKind(queueing.SpanServiceStart):
-			o := openAt(e)
-			if o.queue.ok {
-				addTierSpan(otlpRoleQueue, e, o.queue.t)
-				o.queue.ok = false
+			if q := open.advance(keyOf(e), e); q.ok {
+				addTierSpan(otlpRoleQueue, e, q.t)
 			}
-			o.svc = openSpan{t: e.T, ok: true}
 		case EventKind(queueing.SpanServiceEnd):
-			if o := openAt(e); o.svc.ok {
-				addTierSpan(otlpRoleService, e, o.svc.t)
-				o.svc.ok = false
+			if svc := open.advance(keyOf(e), e); svc.ok {
+				addTierSpan(otlpRoleService, e, svc.t)
 			}
 		case EventKind(queueing.SpanServicePreempt):
 			rootEvent(e)
 		case EventKind(queueing.SpanDrop):
-			openAt(e).queue.ok = false
+			open.advance(keyOf(e), e)
 			rootEvent(e).drops++
 		case EventKind(queueing.SpanComplete):
 			_, st := state(e)
@@ -367,7 +379,7 @@ func appendOTLPRootEvent(b []byte, ev *otlpRootEvent, nanos func(time.Duration) 
 		b = append(b, `,"name":"retransmit-scheduled","attributes":[`...)
 		b = appendIntAttr(b, "memca.attempt", int64(ev.attempt))
 		b = append(b, `,{"key":"memca.fire_at_ms","value":{"doubleValue":`...)
-		b = appendFloat(b, msec(ev.aux))
+		b = appendMsec(b, ev.aux)
 		b = append(b, "}}"...)
 	default: // EvAbandoned carries no attributes
 		return append(b, `,"name":"abandoned"}`...)
@@ -398,7 +410,9 @@ func appendOTLPTierSpan(b []byte, sp *otlpTierSpan, tier int, name []byte) []byt
 	return append(b, "]}"...)
 }
 
-// WriteOTLP exports the tracer's event ring as OTLP/JSON.
+// WriteOTLP exports the tracer's event ring as OTLP/JSON. Like
+// WriteChromeTrace it reads the ring in place and must not run while the
+// tracer records.
 func (t *Tracer) WriteOTLP(path string, spec OTLPSpec) error {
-	return WriteOTLP(path, spec, t.TierNames(), t.Events())
+	return WriteOTLP(path, spec, t.TierNames(), t.orderedEvents())
 }

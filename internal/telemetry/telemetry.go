@@ -16,6 +16,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -239,7 +240,11 @@ type Tracer struct {
 	// with it TraceSlot — is not in flight).
 	pending map[uint64]int32
 
+	// events is the span-event ring: evNext is the slot the next event
+	// is written to, and eventSeq counts the events pushed since the last
+	// Reset. Once eventSeq exceeds the ring, the oldest event is at evNext.
 	events   []SpanEvent
+	evNext   int
 	eventSeq uint64
 
 	// tail is a min-heap on (RT, TraceID) of the slowest TailKeep closed
@@ -386,7 +391,10 @@ func (t *Tracer) pushEvent(now time.Duration, traceID uint64, kind EventKind, ti
 	if len(t.events) == 0 {
 		return
 	}
-	e := &t.events[t.eventSeq%uint64(len(t.events))]
+	e := &t.events[t.evNext]
+	if t.evNext++; t.evNext == len(t.events) {
+		t.evNext = 0
+	}
 	e.T = now
 	e.Seq = t.eventSeq
 	e.TraceID = traceID
@@ -620,7 +628,7 @@ func (t *Tracer) Reset(base time.Duration) {
 			t.slots[i].discard = true
 		}
 	}
-	t.eventSeq = 0
+	t.evNext, t.eventSeq = 0, 0
 	t.tail = t.tail[:0]
 	t.head = t.head[:0]
 	t.headNext = 0
@@ -731,23 +739,47 @@ func copyAttributions(recs []Attribution, tiers int) []Attribution {
 	return out
 }
 
-// Events returns the span-event ring in sequence order (oldest first).
-// The slice is freshly allocated.
+// Events returns a copy of the span-event ring in sequence order (oldest
+// first). The slice is freshly allocated, so it stays valid while the
+// tracer records on; the tracer's own WriteChromeTrace and WriteOTLP read
+// the ring in place instead.
 func (t *Tracer) Events() []SpanEvent {
 	if len(t.events) == 0 || t.eventSeq == 0 {
 		return nil
 	}
-	n := uint64(len(t.events))
-	if t.eventSeq <= n {
-		out := make([]SpanEvent, t.eventSeq)
-		copy(out, t.events[:t.eventSeq])
+	out := make([]SpanEvent, t.EventCount())
+	if t.eventSeq <= uint64(len(t.events)) {
+		copy(out, t.events)
 		return out
 	}
-	out := make([]SpanEvent, n)
-	start := t.eventSeq % n
-	copy(out, t.events[start:])
-	copy(out[n-start:], t.events[:start])
+	copy(out, t.events[t.evNext:])
+	copy(out[len(t.events)-t.evNext:], t.events[:t.evNext])
 	return out
+}
+
+// orderedEvents returns the span-event ring itself in sequence order
+// (oldest first), rotating a wrapped ring in place with three reversals
+// so that its oldest event sits at index 0 and no event is copied. The
+// rotation moves the write cursor with it, so recording can continue
+// afterwards; the slice aliases the ring and is valid until the next
+// recorded event.
+func (t *Tracer) orderedEvents() []SpanEvent {
+	if t.eventSeq <= uint64(len(t.events)) {
+		return t.events[:t.eventSeq]
+	}
+	if k := t.evNext; k != 0 {
+		slices.Reverse(t.events[:k])
+		slices.Reverse(t.events[k:])
+		slices.Reverse(t.events)
+		t.evNext = 0
+	}
+	return t.events
+}
+
+// EventCount returns how many span events the ring holds: those recorded
+// since the last Reset, at most the ring's capacity.
+func (t *Tracer) EventCount() int {
+	return int(min(t.eventSeq, uint64(len(t.events))))
 }
 
 // EventsDropped returns how many span events were overwritten in the ring.
