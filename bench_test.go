@@ -115,7 +115,8 @@ func BenchmarkEngineEvents(b *testing.B) {
 func BenchmarkQueueingThroughput(b *testing.B) {
 	e := sim.NewEngine(1)
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{
 			{Name: "a", QueueLimit: 100, Servers: 2, Service: sim.NewExponential(600 * time.Microsecond)},
 			{Name: "b", QueueLimit: 60, Servers: 2, Service: sim.NewExponential(1200 * time.Microsecond)},
@@ -155,6 +156,7 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 func BenchmarkQueueingThroughputTraced(b *testing.B) {
 	e := sim.NewEngine(1)
 	tr, err := telemetry.New(e, telemetry.Config{
+		Arena: stats.NewArena(),
 		Spec: telemetry.Spec{
 			MaxActive:   4096,
 			EventRing:   1 << 14,
@@ -171,7 +173,8 @@ func BenchmarkQueueingThroughputTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{
 			{Name: "a", QueueLimit: 100, Servers: 2, Service: sim.NewExponential(600 * time.Microsecond)},
 			{Name: "b", QueueLimit: 60, Servers: 2, Service: sim.NewExponential(1200 * time.Microsecond)},
@@ -219,12 +222,13 @@ func BenchmarkExperimentMinute(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(rep.Client.P95.Milliseconds()), "p95-ms")
+		x.Close()
 	}
 }
 
 // BenchmarkPercentileSample measures the exact-quantile kernel.
 func BenchmarkPercentileSample(b *testing.B) {
-	s := stats.NewSample(100000)
+	s := stats.NewArena().Sample(100000)
 	for i := 0; i < 100000; i++ {
 		s.Add(time.Duration(i*7919%100000) * time.Microsecond)
 	}

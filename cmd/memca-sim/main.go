@@ -136,6 +136,7 @@ func execute(cfg memca.Config, jsonOut string, runs, parallel int) error {
 	if err != nil {
 		return err
 	}
+	defer x.Close()
 	fmt.Printf("running %v for %v (%d clients, warmup %v)...\n", cfg.Env, cfg.Duration, cfg.Clients, cfg.Warmup)
 	start := time.Now()
 	rep, err := x.Run()

@@ -94,6 +94,7 @@ func traceRun(out string, attacked bool, duration, warmup time.Duration, seed in
 	if err != nil {
 		return err
 	}
+	defer x.Close()
 	rep, err := x.Run()
 	if err != nil {
 		return err

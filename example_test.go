@@ -123,6 +123,7 @@ func ExampleNewExperiment() {
 		fmt.Println("error:", err)
 		return
 	}
+	defer x.Close()
 	rep, err := x.Run()
 	if err != nil {
 		fmt.Println("error:", err)

@@ -59,6 +59,9 @@ func run() error {
 			v.name, rep.Client.P95.Round(time.Millisecond), rep.LastDegradation, verdict)
 		if v.spec == nil {
 			undefended = x
+			defer x.Close()
+		} else {
+			x.Close()
 		}
 	}
 

@@ -38,6 +38,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer x.Close()
 
 	// Print the controller trajectory every 20 simulated seconds.
 	engine := x.Engine()

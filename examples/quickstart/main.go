@@ -60,6 +60,7 @@ func runOne(ctx context.Context, cfg memca.Config) (*memca.Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer x.Close()
 	rep, err := x.RunContext(ctx)
 	if err != nil {
 		return nil, err

@@ -70,6 +70,7 @@ func run() error {
 		}
 		fmt.Printf("\n8-second snapshot: worst client RT %v, %d requests above 1s, %d attack bursts total\n\n",
 			worst.Round(time.Millisecond), over1s, rep.Bursts)
+		x.Close()
 	}
 	return nil
 }

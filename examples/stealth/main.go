@@ -59,6 +59,7 @@ func runOne(cfg memca.Config) (*memca.Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer x.Close()
 	rep, err := x.Run()
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"memca/internal/memmodel"
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 // recordingInjector logs burst edges for schedule assertions.
@@ -49,7 +50,7 @@ func TestParamsValidate(t *testing.T) {
 func TestBursterSchedule(t *testing.T) {
 	e := sim.NewEngine(1)
 	rec := &recordingInjector{engine: e}
-	b, err := NewBurster(e, rec, Params{Intensity: 1, BurstLength: 100 * time.Millisecond, Interval: 2 * time.Second})
+	b, err := NewBurster(e, stats.NewArena(), rec, Params{Intensity: 1, BurstLength: 100 * time.Millisecond, Interval: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestBursterSchedule(t *testing.T) {
 func TestBursterStopEndsOpenBurst(t *testing.T) {
 	e := sim.NewEngine(1)
 	rec := &recordingInjector{engine: e}
-	b, err := NewBurster(e, rec, Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second})
+	b, err := NewBurster(e, stats.NewArena(), rec, Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestBursterStopEndsOpenBurst(t *testing.T) {
 func TestBursterRetuneAppliesNextBurst(t *testing.T) {
 	e := sim.NewEngine(1)
 	rec := &recordingInjector{engine: e}
-	b, err := NewBurster(e, rec, Params{Intensity: 1, BurstLength: 100 * time.Millisecond, Interval: time.Second})
+	b, err := NewBurster(e, stats.NewArena(), rec, Params{Intensity: 1, BurstLength: 100 * time.Millisecond, Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestBursterRetuneAppliesNextBurst(t *testing.T) {
 func TestBursterBusySignal(t *testing.T) {
 	e := sim.NewEngine(1)
 	rec := &recordingInjector{engine: e}
-	b, err := NewBurster(e, rec, Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second})
+	b, err := NewBurster(e, stats.NewArena(), rec, Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +153,17 @@ func TestNewBursterValidation(t *testing.T) {
 	e := sim.NewEngine(1)
 	rec := &recordingInjector{engine: e}
 	ok := Params{Intensity: 1, BurstLength: time.Second, Interval: 2 * time.Second}
-	if _, err := NewBurster(nil, rec, ok); err == nil {
+	a := stats.NewArena()
+	if _, err := NewBurster(nil, a, rec, ok); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := NewBurster(e, nil, ok); err == nil {
+	if _, err := NewBurster(e, nil, rec, ok); err == nil {
+		t.Error("nil arena accepted")
+	}
+	if _, err := NewBurster(e, a, nil, ok); err == nil {
 		t.Error("nil injector accepted")
 	}
-	if _, err := NewBurster(e, rec, Params{}); err == nil {
+	if _, err := NewBurster(e, a, rec, Params{}); err == nil {
 		t.Error("zero params accepted")
 	}
 }
@@ -166,7 +171,8 @@ func TestNewBursterValidation(t *testing.T) {
 func newTestNetwork(t *testing.T, e *sim.Engine) *queueing.Network {
 	t.Helper()
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{
 			{Name: "front", QueueLimit: 50, Servers: 2, Service: sim.NewExponential(500 * time.Microsecond)},
 			{Name: "db", QueueLimit: 10, Servers: 1, Service: sim.NewExponential(2 * time.Millisecond)},
@@ -384,7 +390,7 @@ func TestEndToEndBurstsDegradeTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err = NewBurster(e, mi, Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second})
+			b, err = NewBurster(e, stats.NewArena(), mi, Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +443,7 @@ func TestParamsJitterValidation(t *testing.T) {
 func TestBursterJitterPreservesMeanRate(t *testing.T) {
 	e := sim.NewEngine(3)
 	rec := &recordingInjector{engine: e}
-	b, err := NewBurster(e, rec, Params{
+	b, err := NewBurster(e, stats.NewArena(), rec, Params{
 		Intensity: 1, BurstLength: 100 * time.Millisecond, Interval: 2 * time.Second, Jitter: 0.6,
 	})
 	if err != nil {

@@ -83,10 +83,14 @@ type Burster struct {
 	endFn   func()
 }
 
-// NewBurster builds a burster. Start must be called to begin attacking.
-func NewBurster(engine *sim.Engine, injector Injector, params Params) (*Burster, error) {
+// NewBurster builds a burster whose activity integrator is checked out of
+// the run's arena a. Start must be called to begin attacking.
+func NewBurster(engine *sim.Engine, a *stats.Arena, injector Injector, params Params) (*Burster, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("attack: engine must not be nil")
+	}
+	if a == nil {
+		return nil, fmt.Errorf("attack: arena must not be nil")
 	}
 	if injector == nil {
 		return nil, fmt.Errorf("attack: injector must not be nil")
@@ -98,7 +102,7 @@ func NewBurster(engine *sim.Engine, injector Injector, params Params) (*Burster,
 		engine:   engine,
 		injector: injector,
 		params:   params,
-		busy:     stats.NewLevelIntegrator(),
+		busy:     a.LevelIntegrator(),
 	}
 	b.busy.KeepHistory()
 	b.cycleFn = b.cycle

@@ -8,6 +8,7 @@ import (
 	"memca/internal/monitor"
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 func TestPlatformPlacement(t *testing.T) {
@@ -108,7 +109,8 @@ func scalingFixture(t *testing.T, seed int64) (*sim.Engine, *queueing.Network, *
 	t.Helper()
 	e := sim.NewEngine(seed)
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{
 			{Name: "web", QueueLimit: queueing.Infinite, Servers: 2, Service: sim.NewExponential(4 * time.Millisecond)},
 		},
@@ -178,7 +180,8 @@ func TestScalingGroupIgnoresMemCABursts(t *testing.T) {
 	// the elasticity bypass of Figure 10.
 	e := sim.NewEngine(7)
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{
 			{Name: "db", QueueLimit: queueing.Infinite, Servers: 2, Service: sim.NewExponential(4 * time.Millisecond)},
 		},
@@ -274,7 +277,8 @@ func TestCapacityScaleComposition(t *testing.T) {
 	// time: the knobs compose multiplicatively.
 	e := sim.NewEngine(1)
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{
 			{Name: "t", QueueLimit: queueing.Infinite, Servers: 1, Service: sim.NewDeterministic(100 * time.Millisecond)},
 		},

@@ -174,14 +174,17 @@ type Config struct {
 	// LLCSamplePeriod, when positive, samples the victim and adversary
 	// VMs' LLC miss rates (Figure 11).
 	LLCSamplePeriod time.Duration
-	// Arena, when non-nil, backs the run's simulation engine and every
-	// stats object of the run (tier and client samples, level integrators,
-	// the tracer's duration slab) with recycled storage; see stats.Arena.
-	// It is a runtime-only knob — the config file format (see Load) does
-	// not carry it. The arena must not be Reset before the run's Report
-	// has been built, and the Experiment must not be used after it: the
-	// Reset empties the engine for the next checkout. The Report itself
-	// holds only heap copies and survives a Reset.
+	// Arena backs the run's simulation engine and every stats object of
+	// the run (tier and client samples, level integrators, the burster's
+	// activity, the LLC series, the tracer's duration slab) with recycled
+	// storage; see stats.Arena. Nil makes NewExperiment take a warm arena
+	// from stats.GetArena, which Experiment.Close resets and returns. A
+	// caller-supplied arena is the caller's to Reset, and Close leaves it
+	// alone. It is a runtime-only knob — the config file format (see
+	// Load) does not carry it. The arena must not be Reset before the
+	// run's Report has been built, and the Experiment must not be used
+	// after it: the Reset empties the engine for the next checkout. The
+	// Report itself holds only heap copies and survives a Reset.
 	Arena *stats.Arena
 }
 

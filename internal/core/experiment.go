@@ -13,14 +13,19 @@ import (
 	"memca/internal/monitor"
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/stats"
 	"memca/internal/telemetry"
 	"memca/internal/workload"
 )
 
 // Experiment is one fully wired MemCA run. Build with NewExperiment, run
-// once with Run, then inspect the Report and the exposed components.
+// once with Run, inspect the Report and the exposed components, then
+// Close it.
 type Experiment struct {
+	// cfg.Arena is always set: the caller's arena, or one NewExperiment
+	// took from stats.GetArena (pooled), which Close gives back.
 	cfg      Config
+	pooled   bool
 	engine   *sim.Engine
 	platform *cloud.Platform
 	network  *queueing.Network
@@ -43,16 +48,18 @@ type Experiment struct {
 }
 
 // NewExperiment validates the configuration and wires every component.
+// Without cfg.Arena it takes a warm arena from stats.GetArena; Close
+// returns it (on an error the arena is left to the garbage collector).
 func NewExperiment(cfg Config) (*Experiment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	x := &Experiment{cfg: cfg}
-	if cfg.Arena != nil {
-		x.engine = cfg.Arena.Engine(cfg.Seed)
-	} else {
-		x.engine = sim.NewEngine(cfg.Seed)
+	if cfg.Arena == nil {
+		cfg.Arena = stats.GetArena()
+		x.cfg.Arena, x.pooled = cfg.Arena, true
 	}
+	x.engine = cfg.Arena.Engine(cfg.Seed)
 
 	// Cloud platform: one dedicated host per tier (the paper's Figure 8
 	// topology), the web/app/db VMs placed on them, adversaries
@@ -222,7 +229,7 @@ func (x *Experiment) wireAttack(spec AttackSpec) error {
 		return err
 	}
 	x.injector = injector
-	x.burster, err = attack.NewBurster(x.engine, injector, spec.Params)
+	x.burster, err = attack.NewBurster(x.engine, x.cfg.Arena, injector, spec.Params)
 	return err
 }
 
@@ -283,12 +290,12 @@ func (x *Experiment) wireLLCProfilers() error {
 		}
 	}
 	var err error
-	x.llcVictim, err = monitor.NewPeriodicSampler(x.engine, "llc-mysql", x.cfg.LLCSamplePeriod, gauge("mysql"))
+	x.llcVictim, err = monitor.NewPeriodicSampler(x.engine, x.cfg.Arena, "llc-mysql", x.cfg.LLCSamplePeriod, gauge("mysql"))
 	if err != nil {
 		return err
 	}
 	if x.cfg.Attack != nil && x.cfg.Attack.AdversaryVMs > 0 {
-		x.llcAdversary, err = monitor.NewPeriodicSampler(x.engine, "llc-adversary", x.cfg.LLCSamplePeriod, gauge("adversary1"))
+		x.llcAdversary, err = monitor.NewPeriodicSampler(x.engine, x.cfg.Arena, "llc-adversary", x.cfg.LLCSamplePeriod, gauge("adversary1"))
 		if err != nil {
 			return err
 		}
@@ -315,6 +322,7 @@ func (x *Experiment) Run() (*Report, error) { return x.RunContext(context.Backgr
 // perturb determinism: the event sequence up to the stop point is exactly
 // the uncancelled run's prefix.
 func (x *Experiment) RunContext(ctx context.Context) (*Report, error) {
+	x.live()
 	if x.ran {
 		return nil, fmt.Errorf("core: experiment already ran")
 	}
@@ -413,34 +421,54 @@ func withinRun(x *Experiment) bool {
 	return x.engine.Now() < x.cfg.Warmup+x.cfg.Duration
 }
 
+// Close ends the experiment. Its stats objects and engine live in the
+// run's arena: Close resets an arena NewExperiment took from the pool and
+// returns it, and leaves a caller-supplied cfg.Arena alone. Either way it
+// drops every component, so a later accessor call panics instead of
+// reading storage a following run may have checked out. A Report from Run
+// holds only heap copies and stays valid. Close is idempotent.
+func (x *Experiment) Close() {
+	if x.pooled {
+		stats.PutArena(x.cfg.Arena)
+	}
+	*x = Experiment{}
+}
+
+// live panics once the experiment is closed (Close drops the engine).
+func (x *Experiment) live() {
+	if x.engine == nil {
+		panic("core: Experiment used after Close")
+	}
+}
+
 // Engine exposes the simulation engine (for tests and figure scripts).
-func (x *Experiment) Engine() *sim.Engine { return x.engine }
+func (x *Experiment) Engine() *sim.Engine { x.live(); return x.engine }
 
 // Network exposes the n-tier system. Only the victim tier's busy
 // integrator keeps transition history by default; to read windows of any
 // other tier integrator, call its KeepHistory before Run.
-func (x *Experiment) Network() *queueing.Network { return x.network }
+func (x *Experiment) Network() *queueing.Network { x.live(); return x.network }
 
 // Generator exposes the client population.
-func (x *Experiment) Generator() *workload.Generator { return x.gen }
+func (x *Experiment) Generator() *workload.Generator { x.live(); return x.gen }
 
 // Burster exposes the attack scheduler, or nil without an attack.
-func (x *Experiment) Burster() *attack.Burster { return x.burster }
+func (x *Experiment) Burster() *attack.Burster { x.live(); return x.burster }
 
 // Commander exposes the feedback controller, or nil without feedback.
-func (x *Experiment) Commander() *control.Commander { return x.commander }
+func (x *Experiment) Commander() *control.Commander { x.live(); return x.commander }
 
 // Prober exposes the tail prober, or nil without feedback.
-func (x *Experiment) Prober() *control.Prober { return x.prober }
+func (x *Experiment) Prober() *control.Prober { x.live(); return x.prober }
 
 // Scaling exposes the auto-scaling group, or nil without scaling.
-func (x *Experiment) Scaling() *cloud.ScalingGroup { return x.scaling }
+func (x *Experiment) Scaling() *cloud.ScalingGroup { x.live(); return x.scaling }
 
 // Tracer exposes the per-request tracer, or nil when Config.Trace is unset.
-func (x *Experiment) Tracer() *telemetry.Tracer { return x.tracer }
+func (x *Experiment) Tracer() *telemetry.Tracer { x.live(); return x.tracer }
 
 // LLCVictimSeries returns the sampled MySQL-VM LLC miss series, or nil.
-func (x *Experiment) LLCVictimSeries() *monitor.PeriodicSampler { return x.llcVictim }
+func (x *Experiment) LLCVictimSeries() *monitor.PeriodicSampler { x.live(); return x.llcVictim }
 
 // LLCAdversarySeries returns the adversary-VM LLC miss series, or nil.
-func (x *Experiment) LLCAdversarySeries() *monitor.PeriodicSampler { return x.llcAdversary }
+func (x *Experiment) LLCAdversarySeries() *monitor.PeriodicSampler { x.live(); return x.llcAdversary }

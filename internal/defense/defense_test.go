@@ -10,7 +10,7 @@ import (
 // memcaSignal builds a utilization source with saturation bursts of the
 // given length every interval, over a base load.
 func memcaSignal(length, interval time.Duration, base float64, bursts int) func(from, to time.Duration) float64 {
-	b := stats.NewLevelIntegrator()
+	b := stats.NewArena().LevelIntegrator()
 	b.KeepHistory()
 	for i := 0; i < bursts; i++ {
 		start := time.Duration(i) * interval

@@ -337,7 +337,7 @@ func runModelAttack(e *sim.Engine, a *stats.Arena, n *queueing.Network, sources 
 	if err != nil {
 		return AblationPoint{}, err
 	}
-	b, err := attack.NewBurster(e, inj, params)
+	b, err := attack.NewBurster(e, a, inj, params)
 	if err != nil {
 		return AblationPoint{}, err
 	}
@@ -354,7 +354,7 @@ func runModelAttack(e *sim.Engine, a *stats.Arena, n *queueing.Network, sources 
 	if err := e.RunAll(200_000_000); err != nil {
 		return AblationPoint{}, err
 	}
-	client := stats.NewSampleIn(a, 4096)
+	client := a.Sample(4096)
 	for _, s := range sources {
 		client.Merge(s.ClientRT())
 	}

@@ -94,7 +94,7 @@ func writeSeries(path string, points []stats.Point) error {
 	if path == "" {
 		return nil
 	}
-	return trace.SeriesCSV(path, &stats.TimeSeries{Points: points})
+	return trace.SeriesCSV(path, points)
 }
 
 // modelNetwork builds the 3-tier queueing network matching the analytical
@@ -102,8 +102,8 @@ func writeSeries(path string, points []stats.Point) error {
 // the model-level experiments of Figures 6 and 7. mode selects tandem or
 // RPC coupling; queueLimits overrides the per-tier limits (0 = Infinite).
 // retransmit gives the sources the default TCP retransmission policy;
-// without it drops are final. a, when non-nil, backs the network's
-// per-tier stats and the sources' client samples (see stats.Arena).
+// without it drops are final. a backs the network's per-tier stats and
+// the sources' client samples (see stats.Arena).
 func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits [3]int, retransmit bool) (*queueing.Network, []*queueing.Source, error) {
 	m := analytical.RUBBoS3Tier()
 	tiers := make([]queueing.TierConfig, 3)

@@ -82,7 +82,7 @@ func newFig6Run(opts Options) (*DistRun, error) {
 		if err != nil {
 			return rr, err
 		}
-		b, err := attack.NewBurster(e, inj, params)
+		b, err := attack.NewBurster(e, a, inj, params)
 		if err != nil {
 			return rr, err
 		}

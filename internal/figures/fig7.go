@@ -86,7 +86,7 @@ func newFig7Run(opts Options) (*DistRun, error) {
 		if err != nil {
 			return fig7Record{}, err
 		}
-		b, err := attack.NewBurster(e, inj, params)
+		b, err := attack.NewBurster(e, a, inj, params)
 		if err != nil {
 			return fig7Record{}, err
 		}
@@ -106,7 +106,7 @@ func newFig7Run(opts Options) (*DistRun, error) {
 		}
 
 		// Client RT: merge the per-source samples (deep class dominates).
-		client := stats.NewSampleIn(a, 4096)
+		client := a.Sample(4096)
 		for _, s := range sources {
 			client.Merge(s.ClientRT())
 		}

@@ -11,7 +11,7 @@ import (
 // AnalyzerFloatCompare flags exact ==/!= comparisons between floating-point
 // operands. Accumulated rounding error makes exact float equality a
 // correctness trap; comparisons must go through the epsilon helpers in
-// internal/stats (stats.ApproxEqual / stats.ApproxZero).
+// internal/stats (stats.ApproxEqual / stats.ApproxEqualTol).
 //
 // Two comparisons are deliberately exempt:
 //

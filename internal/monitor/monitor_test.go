@@ -12,7 +12,7 @@ import (
 // `on` of every `period`, idle otherwise, and `base` busy in between — a
 // synthetic MemCA utilization signal.
 func burstSource(on, period time.Duration, base float64) UtilizationSource {
-	b := stats.NewLevelIntegrator()
+	b := stats.NewArena().LevelIntegrator()
 	b.KeepHistory()
 	for i := 0; i < 600; i++ {
 		start := time.Duration(i) * period
@@ -359,7 +359,7 @@ func TestPeriodicityLagEdgeCases(t *testing.T) {
 func TestPeriodicSampler(t *testing.T) {
 	e := sim.NewEngine(1)
 	val := 0.0
-	p, err := NewPeriodicSampler(e, "gauge", 100*time.Millisecond, func() float64 { return val })
+	p, err := NewPeriodicSampler(e, stats.NewArena(), "gauge", 100*time.Millisecond, func() float64 { return val })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,14 +390,18 @@ func TestPeriodicSampler(t *testing.T) {
 
 func TestPeriodicSamplerValidation(t *testing.T) {
 	e := sim.NewEngine(1)
+	a := stats.NewArena()
 	g := func() float64 { return 0 }
-	if _, err := NewPeriodicSampler(nil, "x", time.Second, g); err == nil {
+	if _, err := NewPeriodicSampler(nil, a, "x", time.Second, g); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := NewPeriodicSampler(e, "x", 0, g); err == nil {
+	if _, err := NewPeriodicSampler(e, nil, "x", time.Second, g); err == nil {
+		t.Error("nil arena accepted")
+	}
+	if _, err := NewPeriodicSampler(e, a, "x", 0, g); err == nil {
 		t.Error("zero period accepted")
 	}
-	if _, err := NewPeriodicSampler(e, "x", time.Second, nil); err == nil {
+	if _, err := NewPeriodicSampler(e, a, "x", time.Second, nil); err == nil {
 		t.Error("nil gauge accepted")
 	}
 }

@@ -92,10 +92,14 @@ type PeriodicSampler struct {
 	running bool
 }
 
-// NewPeriodicSampler builds a live sampler; Start begins sampling.
-func NewPeriodicSampler(engine *sim.Engine, name string, period time.Duration, gauge func() float64) (*PeriodicSampler, error) {
+// NewPeriodicSampler builds a live sampler whose series is checked out of
+// the run's arena a; Start begins sampling.
+func NewPeriodicSampler(engine *sim.Engine, a *stats.Arena, name string, period time.Duration, gauge func() float64) (*PeriodicSampler, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("monitor: engine must not be nil")
+	}
+	if a == nil {
+		return nil, fmt.Errorf("monitor: arena must not be nil")
 	}
 	if period <= 0 {
 		return nil, fmt.Errorf("monitor: period must be positive, got %v", period)
@@ -107,7 +111,7 @@ func NewPeriodicSampler(engine *sim.Engine, name string, period time.Duration, g
 		engine: engine,
 		period: period,
 		gauge:  gauge,
-		series: stats.NewTimeSeries(name),
+		series: a.TimeSeries(name),
 	}, nil
 }
 

@@ -232,6 +232,7 @@ func simulate(sys spec.System, traffic spec.Traffic, seed int64, duration, warmu
 	if err != nil {
 		return 0, 0, err
 	}
+	defer x.Close()
 	rep, err := x.Run()
 	if err != nil {
 		return 0, 0, err

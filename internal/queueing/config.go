@@ -120,12 +120,10 @@ type Config struct {
 	// else, keeping the uninstrumented hot path identical to a network
 	// built without observation.
 	Observer Observer
-	// Arena, when non-nil, backs the per-tier samples and level
-	// integrators (and those of sources bound to the network), so a run
-	// reuses slab storage instead of growing fresh slices. The caller owns
+	// Arena backs the per-tier samples and level integrators (and those
+	// of sources bound to the network); it is required. The caller owns
 	// the arena's lifecycle: it must outlive the network and must not be
-	// Reset while the network's metrics are still read. Nil keeps plain
-	// heap allocation.
+	// Reset while the network's metrics are still read.
 	Arena *stats.Arena
 }
 
@@ -136,6 +134,9 @@ func (c Config) Validate() error {
 	}
 	if len(c.Tiers) == 0 {
 		return fmt.Errorf("queueing: need at least one tier")
+	}
+	if c.Arena == nil {
+		return fmt.Errorf("queueing: Arena must not be nil")
 	}
 	for _, t := range c.Tiers {
 		if err := t.Validate(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 // singleTier returns a 1-tier network: queue limit q (Infinite allowed),
@@ -13,7 +14,8 @@ import (
 func singleTier(t *testing.T, e *sim.Engine, q, s int, mean time.Duration) *Network {
 	t.Helper()
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "only", QueueLimit: q, Servers: s, Service: sim.NewExponential(mean)},
 		},
@@ -48,7 +50,8 @@ func threeTier(t *testing.T, e *sim.Engine, q1, q2, q3 int, det bool) *Network {
 		return sim.NewExponential(mean)
 	}
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "apache", QueueLimit: q1, Servers: 2, Service: mk(400 * time.Microsecond)},
 			{Name: "tomcat", QueueLimit: q2, Servers: 2, Service: mk(800 * time.Microsecond)},
@@ -66,6 +69,7 @@ func TestConfigValidation(t *testing.T) {
 	e := sim.NewEngine(1)
 	svc := sim.NewExponential(time.Millisecond)
 	valid := Config{
+		Arena:   stats.NewArena(),
 		Mode:    ModeNTierRPC,
 		Tiers:   []TierConfig{{Name: "a", QueueLimit: 10, Servers: 2, Service: svc}},
 		Classes: []Class{{Name: "c", Depth: 0}},
@@ -78,16 +82,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 
 	bad := []Config{
-		{Mode: 0, Tiers: valid.Tiers, Classes: valid.Classes},
-		{Mode: ModeNTierRPC, Tiers: nil, Classes: valid.Classes},
-		{Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: -1, Servers: 1, Service: svc}}, Classes: valid.Classes},
-		{Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: 1, Servers: 0, Service: svc}}, Classes: valid.Classes},
-		{Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: 1, Servers: 2, Service: svc}}, Classes: valid.Classes},
-		{Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: 1, Servers: 1}}, Classes: valid.Classes},
-		{Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: nil},
-		{Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 5}}},
-		{Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 0, DemandScale: []float64{1, 2}}}},
-		{Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 0, DemandScale: []float64{0}}}},
+		{Arena: valid.Arena, Mode: 0, Tiers: valid.Tiers, Classes: valid.Classes},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: nil, Classes: valid.Classes},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: -1, Servers: 1, Service: svc}}, Classes: valid.Classes},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: 1, Servers: 0, Service: svc}}, Classes: valid.Classes},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: 1, Servers: 2, Service: svc}}, Classes: valid.Classes},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: []TierConfig{{Name: "a", QueueLimit: 1, Servers: 1}}, Classes: valid.Classes},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: nil},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 5}}},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 0, DemandScale: []float64{1, 2}}}},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 0, DemandScale: []float64{0}}}},
+		{Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: valid.Classes}, // no arena
 	}
 	for i, cfg := range bad {
 		if _, err := New(e, cfg); err == nil {
@@ -184,7 +189,8 @@ func TestFluidCapacityModulationExact(t *testing.T) {
 	// has 50ms of work left, draining at 0.5, so it completes at 150ms.
 	e := sim.NewEngine(1)
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "t", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(100 * time.Millisecond)},
 		},
@@ -215,7 +221,8 @@ func TestFullStallFreezesService(t *testing.T) {
 	// completion lands at 300ms.
 	e := sim.NewEngine(1)
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "t", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(100 * time.Millisecond)},
 		},
@@ -355,7 +362,8 @@ func TestTandemQueuesOnlyAtBottleneck(t *testing.T) {
 	// last tier; upstream occupancy stays bounded by its own service.
 	e := sim.NewEngine(13)
 	n, err := New(e, Config{
-		Mode: ModeTandem,
+		Arena: stats.NewArena(),
+		Mode:  ModeTandem,
 		Tiers: []TierConfig{
 			{Name: "apache", QueueLimit: Infinite, Servers: 2, Service: sim.NewExponential(400 * time.Microsecond)},
 			{Name: "tomcat", QueueLimit: Infinite, Servers: 2, Service: sim.NewExponential(800 * time.Microsecond)},
@@ -472,7 +480,8 @@ func TestDemandScale(t *testing.T) {
 	// A class with 3x demand at tier 0 takes 3x the deterministic base.
 	e := sim.NewEngine(1)
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "t", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(10 * time.Millisecond)},
 		},
@@ -593,7 +602,8 @@ func TestAnalyticalFillTimeAgreement(t *testing.T) {
 		d      = 0.1
 	)
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "front", QueueLimit: Infinite, Servers: 4, Service: sim.NewExponential(200 * time.Microsecond)},
 			{Name: "db", QueueLimit: qn, Servers: 1, Service: sim.NewExponential(1250 * time.Microsecond)},
@@ -654,7 +664,8 @@ func TestHopDelayAddsNetworkLatency(t *testing.T) {
 	// 2 downstream hops + 1 response delivery = 15ms on top of service.
 	e := sim.NewEngine(1)
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "a", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(time.Millisecond)},
 			{Name: "b", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(2 * time.Millisecond)},
@@ -683,7 +694,8 @@ func TestHopDelaySlotConservation(t *testing.T) {
 	// With hop delays in play, slots still reconcile to zero on drain.
 	e := sim.NewEngine(9)
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "a", QueueLimit: 40, Servers: 2, Service: sim.NewExponential(500 * time.Microsecond)},
 			{Name: "b", QueueLimit: 10, Servers: 1, Service: sim.NewExponential(2 * time.Millisecond)},

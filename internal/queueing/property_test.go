@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 // TestRandomTopologyConservation drives randomly shaped networks with
@@ -38,7 +39,7 @@ func TestRandomTopologyConservation(t *testing.T) {
 		classes := []Class{{Name: "deep", Depth: numTiers - 1}}
 
 		e := sim.NewEngine(seed)
-		n, err := New(e, Config{Mode: ModeNTierRPC, Tiers: tiers, Classes: classes})
+		n, err := New(e, Config{Arena: stats.NewArena(), Mode: ModeNTierRPC, Tiers: tiers, Classes: classes})
 		if err != nil {
 			return false
 		}
@@ -92,6 +93,7 @@ func TestRandomTopologyTierRTOrdering(t *testing.T) {
 			}
 		}
 		n, err := New(e, Config{
+			Arena:   stats.NewArena(),
 			Mode:    ModeNTierRPC,
 			Tiers:   tiers,
 			Classes: []Class{{Name: "c", Depth: 2}},

@@ -75,7 +75,7 @@ func NewPoissonSource(network *Network, cfg SourceConfig) (*Source, error) {
 		network:  network,
 		cfg:      cfg,
 		gap:      sim.NewExponentialRate(cfg.Rate),
-		clientRT: stats.NewSampleIn(network.cfg.Arena, 1024),
+		clientRT: network.cfg.Arena.Sample(1024),
 	}
 	s.onComplete = func(req *Request) { s.clientRT.Add(req.ClientRT()) }
 	s.onDrop = func(req *Request) { s.handleDrop(req) }

@@ -64,9 +64,9 @@ func newTier(cfg TierConfig, idx int, net *Network) *tier {
 		net:       net,
 		mult:      1,
 		scale:     1,
-		occupancy: stats.NewLevelIntegratorIn(a),
-		busy:      stats.NewLevelIntegratorIn(a),
-		rt:        stats.NewSampleIn(a, 1024),
+		occupancy: a.LevelIntegrator(),
+		busy:      a.LevelIntegrator(),
+		rt:        a.Sample(1024),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"memca/internal/analytical"
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 // TestSimulatorMatchesErlangC cross-validates the simulator's steady state
@@ -38,7 +39,8 @@ func TestSimulatorMatchesErlangC(t *testing.T) {
 			e := sim.NewEngine(42)
 			mean := time.Duration(float64(time.Second) / tc.mu)
 			n, err := New(e, Config{
-				Mode: ModeNTierRPC,
+				Arena: stats.NewArena(),
+				Mode:  ModeNTierRPC,
 				Tiers: []TierConfig{
 					{Name: "q", QueueLimit: Infinite, Servers: tc.servers, Service: sim.NewExponential(mean)},
 				},
@@ -87,7 +89,8 @@ func TestSimulatorMatchesDrainTime(t *testing.T) {
 	)
 	e := sim.NewEngine(11)
 	n, err := New(e, Config{
-		Mode: ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  ModeNTierRPC,
 		Tiers: []TierConfig{
 			{Name: "db", QueueLimit: qn, Servers: 1, Service: sim.NewExponentialRate(mu)},
 		},

@@ -48,11 +48,11 @@ func TestArenaStatsPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestHeapSampleQueryZeroAllocs pins the heap-backed sort path: once the
-// sorted buffer (with its radix scratch half) is sized, an Add followed by
+// TestSampleQueryZeroAllocs pins the sort path between Adds: once the
+// sorted slab and the arena's radix scratch are sized, an Add followed by
 // a re-sorting query allocates nothing.
-func TestHeapSampleQueryZeroAllocs(t *testing.T) {
-	s := NewSample(4096)
+func TestSampleQueryZeroAllocs(t *testing.T) {
+	s := NewArena().Sample(4096)
 	for i := 0; i < 1024; i++ {
 		s.Add(time.Duration(i*7919%1024) * time.Microsecond)
 	}
@@ -64,7 +64,7 @@ func TestHeapSampleQueryZeroAllocs(t *testing.T) {
 		_ = s.Quantile(0.99)
 	})
 	if allocs != 0 {
-		t.Errorf("heap sample Add+Quantile allocates %v objects/op, want 0", allocs)
+		t.Errorf("sample Add+Quantile allocates %v objects/op, want 0", allocs)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestHeapSampleQueryZeroAllocs(t *testing.T) {
 // with the overrun bytes, and pooled storage is re-counted only once.
 func TestArenaBudgetSpillAccounting(t *testing.T) {
 	a := NewArena()
-	a.SetBudgetBytes(8 << 10) // one minimum slab (1024 durations × 8 bytes) fits exactly
+	a.budgetBytes = 8 << 10 // one minimum slab (1024 durations × 8 bytes) fits exactly
 	s := a.Sample(1024)
 	if st := a.Stats(); st.Spills != 0 {
 		t.Fatalf("first in-budget slab counted as spill: %+v", st)

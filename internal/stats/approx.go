@@ -3,7 +3,7 @@ package stats
 import "math"
 
 // DefaultTolerance is the relative (and near-zero absolute) tolerance used
-// by ApproxEqual and ApproxZero. Accumulated rounding across a simulation
+// by ApproxEqual. Accumulated rounding across a simulation
 // run stays far below it, while any intentional parameter change (capacity
 // multipliers, queue levels, percentile grid points) is far above it.
 const DefaultTolerance = 1e-9
@@ -32,9 +32,4 @@ func ApproxEqualTol(a, b, tol float64) bool {
 		return true
 	}
 	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// ApproxZero reports whether x is within DefaultTolerance of zero.
-func ApproxZero(x float64) bool {
-	return math.Abs(x) <= DefaultTolerance
 }

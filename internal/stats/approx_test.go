@@ -42,12 +42,3 @@ func TestApproxEqualTol(t *testing.T) {
 		t.Error("ApproxEqualTol(100, 103, 0.02) = true, want false")
 	}
 }
-
-func TestApproxZero(t *testing.T) {
-	if !ApproxZero(0) || !ApproxZero(1e-12) || !ApproxZero(-1e-12) {
-		t.Error("ApproxZero should accept values within tolerance of zero")
-	}
-	if ApproxZero(1e-6) || ApproxZero(math.NaN()) || ApproxZero(math.Inf(1)) {
-		t.Error("ApproxZero should reject clearly nonzero values")
-	}
-}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math/bits"
 	"sync"
 	"time"
@@ -8,12 +9,13 @@ import (
 	"memca/internal/sim"
 )
 
-// Arena owns the slab storage behind the Samples, LevelIntegrators, and
-// TimeSeries of one experiment run, and the run's
-// simulation engine, so that repeated runs (benchmark iterations, sweep
-// jobs on the same worker) recycle storage instead of re-allocating it.
-// It mirrors the queueing package's request pools: checkout via the
-// constructor methods, recycle everything at once via Reset.
+// Arena owns the slab storage behind every Sample, LevelIntegrator, and
+// TimeSeries of one experiment run, and the run's simulation engine, so
+// that repeated runs (benchmark iterations, sweep jobs on the same worker)
+// recycle storage instead of re-allocating it. It is the only source of
+// those objects. It mirrors the queueing package's request pools:
+// checkout via the constructor methods, recycle everything at once via
+// Reset.
 //
 // Ownership rules:
 //
@@ -22,10 +24,16 @@ import (
 //     process-wide pool behind GetArena/PutArena is the only synchronized
 //     path.
 //   - Reset invalidates every object checked out since the previous Reset.
-//     Stale handles keep nil backing storage, so the first recording on
-//     one panics (in the grow path) instead of silently aliasing a slab
-//     that has been handed to a new object. A LevelIntegrator records
-//     only after KeepHistory; without it, Set touches no slab.
+//     A stale handle panics on its next query (Len, Quantile, Mean,
+//     Values, Integral, WindowAverage, ...) or on the recording that
+//     would grow it, instead of reading as empty or silently aliasing a
+//     slab that has been handed to a new object.
+//   - That check compares generations, so it holds only until the
+//     recycled shell is checked out again: the shell then carries the new
+//     generation, and a stale handle to it reads the next run's data
+//     undetected. Owners therefore drop their handles when they give the
+//     arena back; core.Experiment.Close does so for every component of a
+//     run.
 //   - An engine is the exception: Reset empties it (sim.Engine.Reset)
 //     and keeps it for the next checkout, so a stale *sim.Engine must not
 //     be used. Emptying drops every callback and arg the engine held, so
@@ -104,11 +112,6 @@ func NewArena() *Arena {
 	return &Arena{budgetBytes: DefaultArenaBudget}
 }
 
-// SetBudgetBytes caps the arena's owned slab bytes at n; growth past the
-// cap still succeeds but is counted as a spill. Non-positive disables the
-// cap.
-func (a *Arena) SetBudgetBytes(n int64) { a.budgetBytes = n }
-
 // ArenaStats describes an arena's storage accounting.
 type ArenaStats struct {
 	// OwnedBytes is the total slab storage the arena has allocated and
@@ -148,11 +151,15 @@ func (a *Arena) account(n int64) {
 	}
 }
 
+// errStale is check's panic value; a package-level value keeps the check,
+// which inlines into every query, free of a heap conversion.
+var errStale = errors.New("stats: object used after Arena.Reset")
+
 // check panics when a handle from a previous arena generation is used;
 // the slab it pointed at has been recycled.
 func (a *Arena) check(gen uint64) {
 	if gen != a.gen {
-		panic("stats: arena-backed object used after Arena.Reset")
+		panic(errStale)
 	}
 }
 
@@ -306,9 +313,9 @@ func (a *Arena) sortScratch(n int) []time.Duration {
 
 // Reset reclaims every slab into the class free lists and recycles the
 // object shells and engines. All objects checked out since the previous
-// Reset are invalidated: their storage is gone, and their next recording
-// panics. The arena keeps its storage, so the following run's checkouts
-// are warm.
+// Reset are invalidated: their storage is gone, and their next query or
+// growing recording panics. The arena keeps its storage, so the following
+// run's checkouts are warm.
 func (a *Arena) Reset() {
 	a.gen++
 	a.resets++
@@ -355,64 +362,15 @@ func (a *Arena) Reset() {
 	a.scratch = nil
 }
 
-// growValues moves s.values to a slab with room for at least need
-// elements, preserving contents. Arena-backed samples only.
-func (s *Sample) growValues(need int) {
-	s.a.check(s.gen)
-	nw := s.a.getDur(need)
-	nw = nw[:len(s.values)]
-	copy(nw, s.values)
-	s.a.putDur(s.values)
-	s.values = nw
-}
-
-// growTransitions moves li.transitions to a slab with room for at least
-// need elements, preserving contents. Arena-backed integrators only.
-func (li *LevelIntegrator) growTransitions(need int) {
-	li.a.check(li.gen)
-	nw := li.a.getPts(need)
-	nw = nw[:len(li.transitions)]
-	copy(nw, li.transitions)
-	li.a.putPts(li.transitions)
-	li.transitions = nw
-}
-
-// growPoints moves ts.Points to a slab with room for at least need
-// elements, preserving contents. Arena-backed series only.
-func (ts *TimeSeries) growPoints(need int) {
-	ts.a.check(ts.gen)
-	nw := ts.a.getPts(need)
-	nw = nw[:len(ts.Points)]
-	copy(nw, ts.Points)
-	ts.a.putPts(ts.Points)
-	ts.Points = nw
-}
-
-// NewSampleIn checks a sample out of a, or heap-allocates one when a is
-// nil, so call sites thread an optional arena in one line.
-func NewSampleIn(a *Arena, capacity int) *Sample {
-	if a == nil {
-		return NewSample(capacity)
-	}
-	return a.Sample(capacity)
-}
-
-// NewLevelIntegratorIn checks an integrator out of a, or heap-allocates
-// one when a is nil.
-func NewLevelIntegratorIn(a *Arena) *LevelIntegrator {
-	if a == nil {
-		return NewLevelIntegrator()
-	}
-	return a.LevelIntegrator()
-}
-
-// NewTimeSeriesIn checks a series out of a, or heap-allocates one when a
-// is nil.
-func NewTimeSeriesIn(a *Arena, name string) *TimeSeries {
-	if a == nil {
-		return NewTimeSeries(name)
-	}
-	return a.TimeSeries(name)
+// grow moves sl to a slab from free with room for at least need
+// elements, preserving contents. gen is the growing handle's generation:
+// a stale handle panics here instead of drawing from the new run's slabs.
+func grow[T any](a *Arena, gen uint64, free *[slabClasses][][]T, sl []T, need int, elemBytes int64) []T {
+	a.check(gen)
+	nw := slabGet(a, free, need, elemBytes)[:len(sl)]
+	copy(nw, sl)
+	slabPut(a, free, sl, elemBytes)
+	return nw
 }
 
 // arenaPool is the process-wide free list of warm arenas shared by
@@ -442,9 +400,6 @@ func GetArena() *Arena {
 // PutArena resets a and returns it to the process-wide pool. The caller
 // must hold no live handles into it.
 func PutArena(a *Arena) {
-	if a == nil {
-		return
-	}
 	a.Reset()
 	arenaPool.mu.Lock()
 	arenaPool.free = append(arenaPool.free, a)

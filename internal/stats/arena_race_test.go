@@ -34,7 +34,7 @@ func TestRaceArenaReuseMidSweepCancellation(t *testing.T) {
 		return arenaJob(a, i), nil
 	}
 
-	// Serial reference, heap-backed arena outside the pool.
+	// Serial reference, on a fresh arena outside the pool.
 	want := make([]time.Duration, jobs)
 	ref := NewArena()
 	for i := range want {

@@ -104,10 +104,10 @@ func checkSampleMatchesReference(t *testing.T, s *Sample, values []time.Duration
 	}
 }
 
-// TestArenaSampleMatchesNaiveReference is the tentpole equivalence
-// property: arena-backed and heap-backed samples agree bit-identically
-// with an independent sort-and-index reference across the quantile grid
-// and the length edge cases (empty, singleton, pair, odd, even, and a
+// TestArenaSampleMatchesNaiveReference is the equivalence property of the
+// quantile kernel: samples agree bit-identically with an independent
+// sort-and-index reference across the quantile grid and the length edge
+// cases (empty, singleton, pair, odd, even, and a
 // stream large enough to take the radix path several slab classes up).
 func TestArenaSampleMatchesNaiveReference(t *testing.T) {
 	const baseSeed = 7
@@ -117,7 +117,6 @@ func TestArenaSampleMatchesNaiveReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(sweep.DeriveSeed(baseSeed, i)))
 		values := randomDurations(rng, n)
 		checkSampleMatchesReference(t, a.Sample(16), values)
-		checkSampleMatchesReference(t, NewSample(16), values)
 		a.Reset()
 	}
 }
@@ -161,20 +160,49 @@ func TestArenaSampleReuseAfterReset(t *testing.T) {
 	}
 }
 
-// TestArenaStaleHandlePanics pins the ownership rule: recording into a
-// sample from a previous arena generation must panic, not silently alias a
-// recycled slab.
+// TestArenaStaleHandlePanics pins the ownership rule: recording into or
+// querying a sample or integrator from a previous arena generation must
+// panic, not silently alias a recycled slab or read as empty.
 func TestArenaStaleHandlePanics(t *testing.T) {
 	a := NewArena()
 	s := a.Sample(4)
 	s.Add(time.Millisecond)
+	_ = s.Quantile(0.5)
+	o := a.Sample(4)
+	li := a.LevelIntegrator()
+	li.KeepHistory()
+	li.Set(time.Second, 1)
 	a.Reset()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add on a stale arena-backed sample did not panic")
-		}
-	}()
-	s.Add(time.Millisecond)
+	// A live handle from another arena: a checkout from a would recycle
+	// one of the stale shells, which no check can tell from a fresh one.
+	fresh := NewArena().Sample(4)
+	cases := []struct {
+		name string
+		use  func()
+	}{
+		{"Sample.Add", func() { s.Add(time.Millisecond) }},
+		{"Sample.Merge", func() { s.Merge(s) }},
+		{"Sample.Merge stale argument", func() { fresh.Merge(o) }},
+		{"Sample.Len", func() { s.Len() }},
+		{"Sample.Quantile", func() { s.Quantile(0.5) }},
+		{"Sample.Max", func() { s.Max() }},
+		{"Sample.Mean", func() { s.Mean() }},
+		{"Sample.Values", func() { s.Values() }},
+		{"Sample.Summarize", func() { s.Summarize() }},
+		{"LevelIntegrator.Set", func() { li.Set(2*time.Second, 2) }},
+		{"LevelIntegrator.Integral", func() { li.Integral(time.Second) }},
+		{"LevelIntegrator.WindowAverage", func() { li.WindowAverage(0, time.Second) }},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a stale handle did not panic", tc.name)
+				}
+			}()
+			tc.use()
+		}()
+	}
 }
 
 // TestSortDurationsMatchesSlicesSort checks the radix sort against the
@@ -224,36 +252,35 @@ func TestSampleValuesInsertionOrderAfterQueries(t *testing.T) {
 	}
 	a := NewArena()
 	defer a.Reset()
-	for name, s := range map[string]*Sample{"heap": NewSample(0), "arena": a.Sample(0)} {
-		for _, v := range inserted {
-			s.Add(v)
-		}
-		// The writers query percentiles first, then export raw values.
-		_ = s.Quantile(0.99)
-		_ = s.Summarize()
-		if got := s.Values(); !slices.Equal(got, inserted) {
-			t.Fatalf("%s: Values after queries = %v, want insertion order %v", name, got, inserted)
-		}
-		// Values returns a copy: mutating it must not corrupt the sample.
-		s.Values()[0] = 0
-		if got := s.Values(); !slices.Equal(got, inserted) {
-			t.Fatalf("%s: Values aliases sample storage", name)
-		}
+	s := a.Sample(0)
+	for _, v := range inserted {
+		s.Add(v)
+	}
+	// The writers query percentiles first, then export raw values.
+	_ = s.Quantile(0.99)
+	_ = s.Summarize()
+	if got := s.Values(); !slices.Equal(got, inserted) {
+		t.Fatalf("Values after queries = %v, want insertion order %v", got, inserted)
+	}
+	// Values returns a copy: mutating it must not corrupt the sample.
+	s.Values()[0] = 0
+	if got := s.Values(); !slices.Equal(got, inserted) {
+		t.Fatal("Values aliases sample storage")
 	}
 }
 
-// TestSampleMerge checks Merge against the Add loop it replaces, for
-// heap- and arena-backed samples on either side: values in insertion
-// order and every quantile, across an arena slab-class boundary, for an
-// empty o, for s.Merge(s), and after a quantile was cached before the
-// merge.
+// TestSampleMerge checks Merge against the Add loop it replaces and the
+// plain concatenated slice, for small and slab-class capacity hints on
+// either side: values in insertion order and every quantile, across a
+// slab-class boundary, for an empty o, for s.Merge(s), and after a
+// quantile was cached before the merge.
 func TestSampleMerge(t *testing.T) {
 	const baseSeed = 29
 	a := NewArena()
 	defer a.Reset()
 	kinds := map[string]func() *Sample{
-		"heap":  func() *Sample { return NewSample(16) },
-		"arena": func() *Sample { return a.Sample(1 << minClassBits) },
+		"small": func() *Sample { return a.Sample(16) },
+		"class": func() *Sample { return a.Sample(1 << minClassBits) },
 	}
 	sizes := []struct{ s, o int }{
 		{0, 0}, {5, 0}, {0, 7}, {1000, 100}, {1 << minClassBits, 1}, {3000, 5000},

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// FuzzSampleQuantile feeds arbitrary observation triples to heap- and
-// arena-backed samples and checks the quantile kernel's invariants: no
-// panic anywhere in [min, max] queries, Quantile(0)/Quantile(1) hit the
-// extremes, results are monotone in q, interpolated values stay within
-// [min, max], and both backings answer bit-identically.
+// FuzzSampleQuantile feeds arbitrary observation triples to a sample and
+// checks the quantile kernel's invariants: no panic anywhere in [min, max]
+// queries, Quantile(0)/Quantile(1) hit the extremes, results are monotone
+// in q, interpolated values stay within [min, max], and every answer
+// matches the naive sort-and-index reference bit for bit.
 func FuzzSampleQuantile(f *testing.F) {
 	f.Add(int64(0), int64(0), int64(0), 0.5)
 	f.Add(int64(-5), int64(3), int64(3), 0.25)
@@ -20,20 +20,18 @@ func FuzzSampleQuantile(f *testing.F) {
 	f.Add(int64(7), int64(7), int64(7), 2.0)
 	f.Fuzz(func(t *testing.T, raw1, raw2, raw3 int64, q float64) {
 		values := []time.Duration{time.Duration(raw1), time.Duration(raw2), time.Duration(raw3)}
-		s := NewSample(0)
 		a := NewArena()
 		defer a.Reset()
-		as := a.Sample(0)
+		s := a.Sample(0)
 		for _, v := range values {
 			s.Add(v)
-			as.Add(v)
 		}
 		if math.IsNaN(q) {
 			q = 0.5
 		}
 		got := s.Quantile(q)
-		if ag := as.Quantile(q); ag != got {
-			t.Fatalf("arena quantile %d != heap quantile %d at q=%v", ag, got, q)
+		if want := naiveQuantile(values, q); got != want {
+			t.Fatalf("quantile %d != reference %d at q=%v", got, want, q)
 		}
 		min, max := s.Min(), s.Max()
 		if s.Quantile(0) != min || s.Quantile(1) != max {
@@ -55,6 +53,9 @@ func FuzzSampleQuantile(f *testing.F) {
 		prev := s.Quantile(0)
 		for _, g := range grid[1:] {
 			cur := s.Quantile(g)
+			if want := naiveQuantile(values, g); cur != want {
+				t.Fatalf("quantile %d != reference %d at q=%v", cur, want, g)
+			}
 			if cur < prev {
 				t.Fatalf("quantile not monotone in q: q=%v gives %d after %d", g, cur, prev)
 			}

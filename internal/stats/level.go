@@ -36,11 +36,6 @@ type LevelIntegrator struct {
 // path free of a heap conversion.
 var errNoHistory = errors.New("stats: LevelIntegrator window starts before KeepHistory")
 
-// NewLevelIntegrator returns a heap-backed integrator at level 0 at time 0.
-func NewLevelIntegrator() *LevelIntegrator {
-	return &LevelIntegrator{}
-}
-
 // KeepHistory starts recording level transitions, so WindowAverage can
 // answer windows that start at or after the integrator's last level
 // change. Call it before the run for windows over the whole run; a
@@ -68,8 +63,8 @@ func (li *LevelIntegrator) Set(t time.Duration, level int) {
 	if !li.history {
 		return
 	}
-	if li.a != nil && len(li.transitions) == cap(li.transitions) {
-		li.growTransitions(len(li.transitions) + 1)
+	if len(li.transitions) == cap(li.transitions) {
+		li.transitions = grow(li.a, li.gen, &li.a.ptFree, li.transitions, len(li.transitions)+1, ptBytes)
 	}
 	li.transitions = append(li.transitions, Point{T: t, V: float64(level)})
 }
@@ -77,8 +72,10 @@ func (li *LevelIntegrator) Set(t time.Duration, level int) {
 // Level returns the current level.
 func (li *LevelIntegrator) Level() int { return li.level }
 
-// Integral returns the accumulated level-seconds up to time t.
+// Integral returns the accumulated level-seconds up to time t. Like
+// WindowAverage, it panics on a handle from before the arena's last Reset.
 func (li *LevelIntegrator) Integral(t time.Duration) float64 {
+	li.a.check(li.gen)
 	total := li.integral
 	if t > li.lastChange {
 		total += int64(li.level) * int64(t-li.lastChange)
@@ -94,6 +91,7 @@ func (li *LevelIntegrator) Integral(t time.Duration) float64 {
 // integrator without that history cannot answer, and a silent 0 would
 // read as an idle tier.
 func (li *LevelIntegrator) WindowAverage(from, to time.Duration) float64 {
+	li.a.check(li.gen)
 	if !li.history || from < li.histFrom {
 		panic(errNoHistory)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLevelIntegratorBasics(t *testing.T) {
-	li := NewLevelIntegrator()
+	li := NewArena().LevelIntegrator()
 	if li.Level() != 0 {
 		t.Fatal("new integrator not at level 0")
 	}
@@ -36,7 +36,7 @@ func TestLevelIntegratorBasics(t *testing.T) {
 // accumulates without rounding, where summing float level-seconds per
 // step would drift.
 func TestLevelIntegratorIntegralExact(t *testing.T) {
-	li := NewLevelIntegrator()
+	li := NewArena().LevelIntegrator()
 	const steps = 100000
 	var want int64
 	for i := 0; i < steps; i++ {
@@ -51,7 +51,7 @@ func TestLevelIntegratorIntegralExact(t *testing.T) {
 }
 
 func TestLevelIntegratorWindowAverage(t *testing.T) {
-	li := NewLevelIntegrator()
+	li := NewArena().LevelIntegrator()
 	li.KeepHistory()
 	li.Set(time.Second, 10)
 	li.Set(2*time.Second, 0)
@@ -72,7 +72,7 @@ func TestLevelIntegratorWindowAverage(t *testing.T) {
 	}
 
 	// Back-to-back one-second windows over a step level read each step.
-	step := NewLevelIntegrator()
+	step := NewArena().LevelIntegrator()
 	step.KeepHistory()
 	step.Set(0, 1)
 	step.Set(time.Second, 3)
@@ -86,7 +86,7 @@ func TestLevelIntegratorWindowAverage(t *testing.T) {
 }
 
 func TestLevelIntegratorDuplicateSetIgnored(t *testing.T) {
-	li := NewLevelIntegrator()
+	li := NewArena().LevelIntegrator()
 	li.KeepHistory()
 	li.Set(time.Second, 3)
 	li.Set(2*time.Second, 3) // no-op
@@ -111,7 +111,8 @@ func mustPanicNoHistory(t *testing.T, li *LevelIntegrator, from, to time.Duratio
 // KeepHistory the level and integral are exact but nothing is recorded,
 // and WindowAverage panics rather than answer 0.
 func TestLevelIntegratorHistoryOptIn(t *testing.T) {
-	off, on := NewLevelIntegrator(), NewLevelIntegrator()
+	a := NewArena()
+	off, on := a.LevelIntegrator(), a.LevelIntegrator()
 	on.KeepHistory()
 	for i := 0; i < 1000; i++ {
 		at, level := time.Duration(i)*time.Millisecond, i%5
@@ -128,7 +129,7 @@ func TestLevelIntegratorHistoryOptIn(t *testing.T) {
 	mustPanicNoHistory(t, off, 0, time.Second)
 	mustPanicNoHistory(t, off, time.Second, time.Second)
 
-	a := NewArena()
+	a.Reset()
 	li := a.LevelIntegrator()
 	li.KeepHistory()
 	li.Set(time.Second, 1)
@@ -143,7 +144,7 @@ func TestLevelIntegratorHistoryOptIn(t *testing.T) {
 // TestLevelIntegratorLateHistory starts history mid-run: windows from the
 // last level change on are exact, earlier windows panic.
 func TestLevelIntegratorLateHistory(t *testing.T) {
-	li := NewLevelIntegrator()
+	li := NewArena().LevelIntegrator()
 	li.Set(time.Second, 2)
 	li.Set(2*time.Second, 4)
 	li.KeepHistory()
@@ -163,7 +164,7 @@ func TestLevelIntegratorLateHistory(t *testing.T) {
 }
 
 func TestTimeSeriesAccessors(t *testing.T) {
-	ts := NewTimeSeries("x")
+	ts := NewArena().TimeSeries("x")
 	if ts.Name != "x" || len(ts.Points) != 0 {
 		t.Errorf("new series = %+v", ts)
 	}
@@ -181,7 +182,7 @@ func TestTimeSeriesAccessors(t *testing.T) {
 }
 
 func TestSampleValuesAndString(t *testing.T) {
-	s := NewSample(2)
+	s := NewArena().Sample(2)
 	s.Add(2 * time.Second)
 	s.Add(time.Second)
 	vals := s.Values()

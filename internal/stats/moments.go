@@ -70,6 +70,3 @@ func (c *CUSUM) Add(x float64) bool {
 
 // Sum returns the current cumulative statistic.
 func (c *CUSUM) Sum() float64 { return c.sum }
-
-// Alarms returns how many times the detector has fired.
-func (c *CUSUM) Alarms() int { return c.alarms }

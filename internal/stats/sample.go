@@ -13,13 +13,11 @@ import (
 
 // Sample collects duration observations and answers exact quantile queries.
 // Observations are kept in insertion order; queries sort lazily into a
-// separate scratch slab, which is reused (and only re-filled after new
-// Adds), so a query burst like Summarize sorts once. Heap-backed and
-// arena-backed samples share one sort: the radix path of sortDurations.
+// separate slab, which is reused (and only re-filled after new Adds), so a
+// query burst like Summarize sorts once.
 //
-// Samples come either from NewSample (heap-backed, grows via append) or
-// from an Arena (slab-backed, grows by trading up through the arena's size
-// classes and is invalidated by Arena.Reset).
+// Samples come from an Arena (Arena.Sample): they grow by trading up
+// through the arena's size classes and are invalidated by Arena.Reset.
 type Sample struct {
 	values []time.Duration
 	// sorted caches an ascending copy of values; it is valid iff
@@ -31,38 +29,30 @@ type Sample struct {
 	gen uint64
 }
 
-// NewSample returns an empty heap-backed sample with the given capacity
-// hint.
-func NewSample(capacity int) *Sample {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Sample{values: make([]time.Duration, 0, capacity)}
-}
-
 // Add records one observation.
 //
 //memca:hotpath
 func (s *Sample) Add(v time.Duration) {
-	if s.a != nil && len(s.values) == cap(s.values) {
-		s.growValues(len(s.values) + 1)
+	if len(s.values) == cap(s.values) {
+		s.values = grow(s.a, s.gen, &s.a.durFree, s.values, len(s.values)+1, durBytes)
 	}
 	s.values = append(s.values, v)
 }
 
 // Merge appends o's observations to s in o's insertion order: the same
-// result as calling Add on each of o.Values(), without the copy. An
-// arena-backed s grows at most once. s.Merge(s) doubles s.
+// result as calling Add on each of o.Values(), without the copy. s grows
+// at most once. s.Merge(s) doubles s.
 func (s *Sample) Merge(o *Sample) {
-	n := len(o.values)
-	if s.a != nil && len(s.values)+n > cap(s.values) {
-		s.growValues(len(s.values) + n)
+	n := o.Len()
+	if len(s.values)+n > cap(s.values) {
+		s.values = grow(s.a, s.gen, &s.a.durFree, s.values, len(s.values)+n, durBytes)
 	}
 	s.values = append(s.values, o.values...)
 }
 
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.values) }
+// Len returns the number of observations. Like every query, it panics on
+// a handle from before the arena's last Reset.
+func (s *Sample) Len() int { s.a.check(s.gen); return len(s.values) }
 
 // Reset discards all observations in place, keeping the backing storage
 // for reuse (e.g. after a warm-up phase).
@@ -74,38 +64,25 @@ func (s *Sample) Reset() {
 // Values returns a copy of the raw observations in insertion order,
 // regardless of any quantile queries in between.
 func (s *Sample) Values() []time.Duration {
-	cp := make([]time.Duration, len(s.values))
+	cp := make([]time.Duration, s.Len())
 	copy(cp, s.values)
 	return cp
 }
 
 // sortedView returns the observations in ascending order, re-sorting the
-// scratch slab only when observations arrived since the last query.
+// sorted slab only when observations arrived since the last query.
 func (s *Sample) sortedView() []time.Duration {
-	n := len(s.values)
+	n := s.Len()
 	if s.sortedN == n {
 		return s.sorted[:n]
 	}
-	var scratch []time.Duration
-	if s.a != nil {
-		if cap(s.sorted) < n {
-			s.a.check(s.gen)
-			s.a.putDur(s.sorted)
-			s.sorted = s.a.getDur(n)
-		}
-		scratch = s.a.sortScratch(n)
-	} else {
-		// A heap-backed sample keeps its radix scratch in the upper half
-		// of its own sorted buffer, sized off cap(values) so repeated
-		// queries between Adds reallocate only as values grows.
-		if cap(s.sorted) < 2*n {
-			s.sorted = make([]time.Duration, 0, 2*cap(s.values))
-		}
-		scratch = s.sorted[n : 2*n]
+	if cap(s.sorted) < n {
+		s.a.putDur(s.sorted)
+		s.sorted = s.a.getDur(n)
 	}
 	s.sorted = s.sorted[:n]
 	copy(s.sorted, s.values)
-	sortDurations(s.sorted, scratch)
+	sortDurations(s.sorted, s.a.sortScratch(n))
 	s.sortedN = n
 	return s.sorted
 }
@@ -113,7 +90,7 @@ func (s *Sample) sortedView() []time.Duration {
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation
 // between order statistics. An empty sample yields 0.
 func (s *Sample) Quantile(q float64) time.Duration {
-	if len(s.values) == 0 {
+	if s.Len() == 0 {
 		return 0
 	}
 	v := s.sortedView()
@@ -139,7 +116,7 @@ func (s *Sample) Percentile(p float64) time.Duration { return s.Quantile(p / 100
 // Mean returns the arithmetic mean, or 0 for an empty sample. The sum
 // runs in insertion order.
 func (s *Sample) Mean() time.Duration {
-	if len(s.values) == 0 {
+	if s.Len() == 0 {
 		return 0
 	}
 	var sum float64
@@ -151,7 +128,7 @@ func (s *Sample) Mean() time.Duration {
 
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() time.Duration {
-	if len(s.values) == 0 {
+	if s.Len() == 0 {
 		return 0
 	}
 	v := s.sortedView()
@@ -160,7 +137,7 @@ func (s *Sample) Max() time.Duration {
 
 // Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() time.Duration {
-	if len(s.values) == 0 {
+	if s.Len() == 0 {
 		return 0
 	}
 	return s.sortedView()[0]

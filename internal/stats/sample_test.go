@@ -8,7 +8,7 @@ import (
 )
 
 func TestSampleQuantileBasics(t *testing.T) {
-	s := NewSample(0)
+	s := NewArena().Sample(0)
 	for i := 1; i <= 100; i++ {
 		s.Add(time.Duration(i) * time.Millisecond)
 	}
@@ -29,7 +29,7 @@ func TestSampleQuantileBasics(t *testing.T) {
 }
 
 func TestSampleEmpty(t *testing.T) {
-	s := NewSample(0)
+	s := NewArena().Sample(0)
 	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 {
 		t.Error("empty sample should return zeros")
 	}
@@ -40,7 +40,7 @@ func TestSampleEmpty(t *testing.T) {
 }
 
 func TestSampleAddAfterQuery(t *testing.T) {
-	s := NewSample(4)
+	s := NewArena().Sample(4)
 	s.Add(3 * time.Second)
 	s.Add(time.Second)
 	if got := s.Min(); got != time.Second {
@@ -54,7 +54,7 @@ func TestSampleAddAfterQuery(t *testing.T) {
 
 func TestSamplePercentileCurveMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := NewSample(0)
+	s := NewArena().Sample(0)
 	for i := 0; i < 10000; i++ {
 		s.Add(time.Duration(rng.Int63n(int64(10 * time.Second))))
 	}
@@ -72,7 +72,7 @@ func TestSampleQuantilePropertyWithinRange(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewSample(len(raw))
+		s := NewArena().Sample(len(raw))
 		var lo, hi time.Duration = 1 << 62, 0
 		for _, r := range raw {
 			d := time.Duration(r)
@@ -131,8 +131,8 @@ func TestCUSUMDetectsShift(t *testing.T) {
 	if !alarmed {
 		t.Error("CUSUM missed a 4-sigma-equivalent shift")
 	}
-	if c.Alarms() != 1 {
-		t.Errorf("Alarms = %d, want 1", c.Alarms())
+	if c.alarms != 1 {
+		t.Errorf("alarms = %d, want 1", c.alarms)
 	}
 	if c.Sum() != 0 {
 		t.Errorf("Sum not reset after alarm: %v", c.Sum())
@@ -140,7 +140,7 @@ func TestCUSUMDetectsShift(t *testing.T) {
 }
 
 func TestTimeSeriesResample(t *testing.T) {
-	ts := NewTimeSeries("cpu")
+	ts := NewArena().TimeSeries("cpu")
 	ts.Add(100*time.Millisecond, 1)
 	ts.Add(200*time.Millisecond, 3)
 	ts.Add(1100*time.Millisecond, 10)
@@ -160,7 +160,7 @@ func TestTimeSeriesResample(t *testing.T) {
 }
 
 func TestTimeSeriesResampleRejectsBadArgs(t *testing.T) {
-	ts := NewTimeSeries("x")
+	ts := NewArena().TimeSeries("x")
 	if _, err := ts.Resample(0, time.Second); err == nil {
 		t.Error("zero width accepted")
 	}
@@ -173,7 +173,7 @@ func TestTimeSeriesResampleRejectsBadArgs(t *testing.T) {
 // the way attack.Burster records the adversary's ON bursts: level 1 while
 // busy, 0 while idle, with history for window queries.
 func busyIntegrator() *LevelIntegrator {
-	li := NewLevelIntegrator()
+	li := NewArena().LevelIntegrator()
 	li.KeepHistory()
 	return li
 }

@@ -23,16 +23,11 @@ type TimeSeries struct {
 	gen uint64
 }
 
-// NewTimeSeries returns an empty heap-backed named series.
-func NewTimeSeries(name string) *TimeSeries {
-	return &TimeSeries{Name: name}
-}
-
 // Add appends an observation. Points keep insertion order, so callers
 // that need them in time order must append them in time order.
 func (ts *TimeSeries) Add(t time.Duration, v float64) {
-	if ts.a != nil && len(ts.Points) == cap(ts.Points) {
-		ts.growPoints(len(ts.Points) + 1)
+	if len(ts.Points) == cap(ts.Points) {
+		ts.Points = grow(ts.a, ts.gen, &ts.a.ptFree, ts.Points, len(ts.Points)+1, ptBytes)
 	}
 	ts.Points = append(ts.Points, Point{T: t, V: v})
 }

@@ -6,6 +6,7 @@ import (
 
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 // TestTracedSubmitZeroAllocs pins the enabled-path allocation contract:
@@ -27,12 +28,13 @@ func TestTracedSubmitZeroAllocs(t *testing.T) {
 		FeatureWindows: []time.Duration{50 * time.Millisecond, time.Second},
 		TailOver:       time.Second,
 	}
-	tr, err := New(e, Config{Spec: spec, Tiers: 1, Seed: 1, Horizon: time.Hour})
+	tr, err := New(e, Config{Arena: stats.NewArena(), Spec: spec, Tiers: 1, Seed: 1, Horizon: time.Hour})
 	if err != nil {
 		t.Fatalf("telemetry.New: %v", err)
 	}
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{{
 			Name: "front", QueueLimit: queueing.Infinite, Servers: 1,
 			Service: sim.NewDeterministic(50 * time.Microsecond),

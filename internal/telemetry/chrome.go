@@ -68,7 +68,20 @@ func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) error
 		return tierKey(trace, e.Tier)
 	}
 
-	recs := make([]chromeRecord, 0, len(events)+len(tierNames)+1)
+	// Besides the process rows, every record comes from one event of a
+	// kind the walk below emits on; the other kinds (submits, tier
+	// requests, ...) at most open spans. Counting the emitting kinds sizes
+	// recs up front, as OTLP sizes its span lists.
+	n := len(tierNames) + 1
+	for i := range events {
+		switch events[i].Kind {
+		case EventKind(queueing.SpanServiceStart), EventKind(queueing.SpanServiceEnd),
+			EventKind(queueing.SpanServicePreempt), EventKind(queueing.SpanDrop),
+			EventKind(queueing.SpanComplete), EvRetransmitScheduled, EvAbandoned:
+			n++
+		}
+	}
+	recs := make([]chromeRecord, 0, n)
 	add := func(r chromeRecord) {
 		r.order = int32(len(recs))
 		recs = append(recs, r)

@@ -9,6 +9,7 @@ import (
 
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -67,6 +68,7 @@ func goldenScenario(t testing.TB) *Tracer {
 		TailOver:       50 * time.Millisecond,
 	}
 	tr, err := New(e, Config{
+		Arena:     stats.NewArena(),
 		Spec:      spec,
 		Tiers:     2,
 		TierNames: []string{"apache", "tomcat"},
@@ -77,7 +79,8 @@ func goldenScenario(t testing.TB) *Tracer {
 		t.Fatalf("telemetry.New: %v", err)
 	}
 	n, err := queueing.New(e, queueing.Config{
-		Mode: queueing.ModeNTierRPC,
+		Arena: stats.NewArena(),
+		Mode:  queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{
 			{Name: "apache", QueueLimit: 2, Servers: 1, Service: sim.NewDeterministic(10 * time.Millisecond)},
 			{Name: "tomcat", QueueLimit: queueing.Infinite, Servers: 1, Service: sim.NewDeterministic(20 * time.Millisecond)},

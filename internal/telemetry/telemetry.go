@@ -124,10 +124,10 @@ type Config struct {
 	// Horizon bounds the timelines: they cover [base, base+Horizon] and
 	// traces closing beyond that (the post-run drain) are not booked.
 	Horizon time.Duration
-	// Arena, when non-nil, supplies the tracer's per-record duration slab
-	// from the run's shared stats arena, so the sim and trace paths draw
-	// from one allocator. The arena must outlive the tracer and must not
-	// be Reset while the tracer's attributions are still read.
+	// Arena supplies the tracer's per-record duration slab from the run's
+	// shared stats arena, so the sim and trace paths draw from one
+	// allocator; it is required. The arena must outlive the tracer and
+	// must not be Reset while the tracer's attributions are still read.
 	Arena *stats.Arena
 }
 
@@ -138,6 +138,9 @@ func (c Config) Validate() error {
 	}
 	if c.Tiers <= 0 {
 		return fmt.Errorf("telemetry: Tiers must be positive, got %d", c.Tiers)
+	}
+	if c.Arena == nil {
+		return fmt.Errorf("telemetry: Arena must not be nil")
 	}
 	if c.TierNames != nil && len(c.TierNames) != c.Tiers {
 		return fmt.Errorf("telemetry: got %d tier names for %d tiers", len(c.TierNames), c.Tiers)
@@ -294,11 +297,7 @@ func New(engine *sim.Engine, cfg Config) (*Tracer, error) {
 	// Pre-allocate every sample record's per-tier arrays out of one
 	// backing slab so tail replacement and head overwrite never allocate.
 	nRecs := cfg.TailKeep + cfg.HeadKeep
-	if cfg.Arena != nil {
-		t.backing = cfg.Arena.DurationSlab(nRecs * 2 * cfg.Tiers)
-	} else {
-		t.backing = make([]time.Duration, nRecs*2*cfg.Tiers)
-	}
+	t.backing = cfg.Arena.DurationSlab(nRecs * 2 * cfg.Tiers)
 	t.tail = make([]Attribution, 0, cfg.TailKeep)
 	if cfg.HeadEvery > 0 {
 		t.head = make([]Attribution, 0, cfg.HeadKeep)

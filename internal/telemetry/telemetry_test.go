@@ -6,6 +6,7 @@ import (
 
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/stats"
 	"memca/internal/sweep"
 )
 
@@ -18,7 +19,7 @@ func testSpec() Spec {
 // (queueLimit, servers, deterministic service) triples applied in order.
 func buildTraced(t *testing.T, e *sim.Engine, spec Spec, horizon time.Duration, tiers ...queueing.TierConfig) (*queueing.Network, *Tracer) {
 	t.Helper()
-	tr, err := New(e, Config{Spec: spec, Tiers: len(tiers), Seed: 1, Horizon: horizon})
+	tr, err := New(e, Config{Arena: stats.NewArena(), Spec: spec, Tiers: len(tiers), Seed: 1, Horizon: horizon})
 	if err != nil {
 		t.Fatalf("telemetry.New: %v", err)
 	}
@@ -27,6 +28,7 @@ func buildTraced(t *testing.T, e *sim.Engine, spec Spec, horizon time.Duration, 
 		classes[i] = queueing.Class{Name: "depth", Depth: i}
 	}
 	n, err := queueing.New(e, queueing.Config{
+		Arena:    stats.NewArena(),
 		Mode:     queueing.ModeNTierRPC,
 		Tiers:    tiers,
 		Classes:  classes,
@@ -420,22 +422,24 @@ func TestEventRingWraps(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	e := sim.NewEngine(1)
+	a := stats.NewArena()
 	bad := []Config{
-		{Spec: Spec{MaxActive: 0}, Tiers: 1},
-		{Spec: Spec{MaxActive: 8, EventRing: -1}, Tiers: 1},
-		{Spec: Spec{MaxActive: 8, TailKeep: -1}, Tiers: 1},
-		{Spec: Spec{MaxActive: 8, HeadEvery: 2, HeadKeep: 0}, Tiers: 1},
-		{Spec: Spec{MaxActive: 8, Resolutions: []time.Duration{0}}, Tiers: 1, Horizon: time.Second},
-		{Spec: Spec{MaxActive: 8, Resolutions: []time.Duration{time.Second}}, Tiers: 1},
-		{Spec: Spec{MaxActive: 8}, Tiers: 0},
-		{Spec: Spec{MaxActive: 8}, Tiers: 2, TierNames: []string{"one"}},
+		{Arena: a, Spec: Spec{MaxActive: 0}, Tiers: 1},
+		{Arena: a, Spec: Spec{MaxActive: 8, EventRing: -1}, Tiers: 1},
+		{Arena: a, Spec: Spec{MaxActive: 8, TailKeep: -1}, Tiers: 1},
+		{Arena: a, Spec: Spec{MaxActive: 8, HeadEvery: 2, HeadKeep: 0}, Tiers: 1},
+		{Arena: a, Spec: Spec{MaxActive: 8, Resolutions: []time.Duration{0}}, Tiers: 1, Horizon: time.Second},
+		{Arena: a, Spec: Spec{MaxActive: 8, Resolutions: []time.Duration{time.Second}}, Tiers: 1},
+		{Arena: a, Spec: Spec{MaxActive: 8}, Tiers: 0},
+		{Arena: a, Spec: Spec{MaxActive: 8}, Tiers: 2, TierNames: []string{"one"}},
+		{Spec: DefaultSpec(), Tiers: 3, Horizon: time.Minute}, // no arena
 	}
 	for i, cfg := range bad {
 		if _, err := New(e, cfg); err == nil {
 			t.Errorf("config %d accepted, want error: %+v", i, cfg)
 		}
 	}
-	if _, err := New(nil, Config{Spec: DefaultSpec(), Tiers: 3, Horizon: time.Minute}); err == nil {
+	if _, err := New(nil, Config{Spec: DefaultSpec(), Tiers: 3, Horizon: time.Minute, Arena: a}); err == nil {
 		t.Error("nil engine accepted")
 	}
 	if err := DefaultSpec().Validate(); err != nil {

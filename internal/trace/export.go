@@ -76,13 +76,10 @@ func BucketsCSV(path string, buckets []stats.Bucket) error {
 	return WriteCSV(path, []string{"start_s", "mean", "max", "min", "count"}, rows)
 }
 
-// SeriesCSV exports a raw time series as (t_s, value).
-func SeriesCSV(path string, ts *stats.TimeSeries) error {
-	if ts == nil {
-		return fmt.Errorf("trace: series must not be nil")
-	}
-	rows := make([][]string, 0, len(ts.Points))
-	for _, p := range ts.Points {
+// SeriesCSV exports the points of a raw time series as (t_s, value).
+func SeriesCSV(path string, points []stats.Point) error {
+	rows := make([][]string, 0, len(points))
+	for _, p := range points {
 		rows = append(rows, []string{formatSeconds(p.T), strconv.FormatFloat(p.V, 'g', 8, 64)})
 	}
 	return WriteCSV(path, []string{"t_s", "value"}, rows)

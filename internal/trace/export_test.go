@@ -68,9 +68,7 @@ func TestBucketsCSV(t *testing.T) {
 
 func TestSeriesCSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.csv")
-	ts := stats.NewTimeSeries("x")
-	ts.Add(500*time.Millisecond, 2.5)
-	if err := SeriesCSV(path, ts); err != nil {
+	if err := SeriesCSV(path, []stats.Point{{T: 500 * time.Millisecond, V: 2.5}}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -80,8 +78,11 @@ func TestSeriesCSV(t *testing.T) {
 	if !strings.Contains(string(data), "0.500000,2.5") {
 		t.Errorf("unexpected CSV: %s", data)
 	}
-	if err := SeriesCSV(path, nil); err == nil {
-		t.Error("nil series accepted")
+	if err := SeriesCSV(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "t_s,value\n" {
+		t.Errorf("empty series CSV = %q, %v; want the header alone", data, err)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestGoldenPercentileCurveCSV(t *testing.T) {
 }
 
 func TestGoldenBucketsCSV(t *testing.T) {
-	ts := stats.NewTimeSeries("cpu")
+	ts := stats.NewArena().TimeSeries("cpu")
 	// A deterministic sawtooth resampled at 1 s: exercises full,
 	// partial, and fractional-mean buckets.
 	for i := 0; i < 40; i++ {
@@ -75,16 +75,17 @@ func TestGoldenBucketsCSV(t *testing.T) {
 }
 
 func TestGoldenSeriesCSV(t *testing.T) {
-	ts := stats.NewTimeSeries("rt")
 	// Values picked to pin the 'g'/8-digit float formatting: integers,
 	// fractions that need rounding, very small and large magnitudes.
-	ts.Add(0, 0)
-	ts.Add(500*time.Millisecond, 1)
-	ts.Add(time.Second, 0.125)
-	ts.Add(1500*time.Millisecond, 2.0/3.0)
-	ts.Add(2*time.Second, 1e-9)
-	ts.Add(2500*time.Millisecond, 123456.789)
+	points := []stats.Point{
+		{T: 0, V: 0},
+		{T: 500 * time.Millisecond, V: 1},
+		{T: time.Second, V: 0.125},
+		{T: 1500 * time.Millisecond, V: 2.0 / 3.0},
+		{T: 2 * time.Second, V: 1e-9},
+		{T: 2500 * time.Millisecond, V: 123456.789},
+	}
 	checkGolden(t, "series.csv", func(path string) error {
-		return SeriesCSV(path, ts)
+		return SeriesCSV(path, points)
 	})
 }

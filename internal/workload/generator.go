@@ -27,10 +27,9 @@ type GeneratorConfig struct {
 	// Trace, when non-nil, observes the client-side trace events the
 	// network cannot see: scheduled retransmissions and abandoned pages.
 	Trace TraceHook
-	// Arena, when non-nil, backs the client-side samples and the RT
-	// series, so repeated runs reuse slab storage. The caller owns the
-	// arena's lifecycle (same rules as queueing.Config.Arena). Nil keeps
-	// plain heap allocation.
+	// Arena backs the client-side samples and the RT series; it is
+	// required. The caller owns the arena's lifecycle (same rules as
+	// queueing.Config.Arena).
 	Arena *stats.Arena
 }
 
@@ -104,6 +103,9 @@ func NewGenerator(network *queueing.Network, cfg GeneratorConfig) (*Generator, e
 	if cfg.ThinkTime == nil {
 		return nil, fmt.Errorf("workload: ThinkTime must not be nil")
 	}
+	if cfg.Arena == nil {
+		return nil, fmt.Errorf("workload: Arena must not be nil")
+	}
 	if cfg.Retransmit.RTOMin != 0 {
 		if err := cfg.Retransmit.Validate(); err != nil {
 			return nil, err
@@ -116,12 +118,12 @@ func NewGenerator(network *queueing.Network, cfg GeneratorConfig) (*Generator, e
 		engine:   network.Engine(),
 		network:  network,
 		cfg:      cfg,
-		clientRT: stats.NewSampleIn(cfg.Arena, 4096),
-		rtSeries: stats.NewTimeSeriesIn(cfg.Arena, "client-rt"),
+		clientRT: cfg.Arena.Sample(4096),
+		rtSeries: cfg.Arena.TimeSeries("client-rt"),
 	}
 	g.perPage = make([]*stats.Sample, len(cfg.Profile.Pages))
 	for i := range g.perPage {
-		g.perPage[i] = stats.NewSampleIn(cfg.Arena, 256)
+		g.perPage[i] = cfg.Arena.Sample(256)
 	}
 	g.onComplete = func(req *queueing.Request) {
 		page := req.UserData.(int)

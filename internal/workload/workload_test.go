@@ -7,11 +7,13 @@ import (
 
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 func rubbosNetwork(t *testing.T, e *sim.Engine) *queueing.Network {
 	t.Helper()
 	n, err := queueing.New(e, queueing.Config{
+		Arena:   stats.NewArena(),
 		Mode:    queueing.ModeNTierRPC,
 		Tiers:   RUBBoSTiers(),
 		Classes: RUBBoSClasses(),
@@ -86,6 +88,7 @@ func TestGeneratorValidation(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := rubbosNetwork(t, e)
 	good := GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   10,
 		ThinkTime: sim.NewExponential(time.Second),
 		Profile:   RUBBoSProfile(),
@@ -111,6 +114,11 @@ func TestGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(n, bad); err == nil {
 		t.Error("bad retransmit accepted")
 	}
+	bad = good
+	bad.Arena = nil
+	if _, err := NewGenerator(n, bad); err == nil {
+		t.Error("nil arena accepted")
+	}
 }
 
 func TestClosedLoopThroughputMatchesLittlesLaw(t *testing.T) {
@@ -118,6 +126,7 @@ func TestClosedLoopThroughputMatchesLittlesLaw(t *testing.T) {
 	e := sim.NewEngine(5)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:      stats.NewArena(),
 		Clients:    200,
 		ThinkTime:  sim.NewExponential(2 * time.Second),
 		Profile:    RUBBoSProfile(),
@@ -146,6 +155,7 @@ func TestBaselineTailUnder100ms(t *testing.T) {
 	e := sim.NewEngine(9)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:      stats.NewArena(),
 		Clients:    700,
 		ThinkTime:  sim.NewExponential(1400 * time.Millisecond), // same λ as 3500 @ 7s
 		Profile:    RUBBoSProfile(),
@@ -179,6 +189,7 @@ func TestPageMixRoughlyMatchesStationaryDistribution(t *testing.T) {
 	e := sim.NewEngine(11)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   300,
 		ThinkTime: sim.NewExponential(500 * time.Millisecond),
 		Profile:   RUBBoSProfile(),
@@ -233,6 +244,7 @@ func TestGeneratorRetransmitsOnDrop(t *testing.T) {
 	e := sim.NewEngine(13)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:      stats.NewArena(),
 		Clients:    700,
 		ThinkTime:  sim.NewExponential(1400 * time.Millisecond),
 		Profile:    RUBBoSProfile(),
@@ -265,6 +277,7 @@ func TestResetMetrics(t *testing.T) {
 	e := sim.NewEngine(17)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   50,
 		ThinkTime: sim.NewExponential(500 * time.Millisecond),
 		Profile:   RUBBoSProfile(),
@@ -296,6 +309,7 @@ func TestRecordSeries(t *testing.T) {
 	e := sim.NewEngine(19)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   20,
 		ThinkTime: sim.NewExponential(200 * time.Millisecond),
 		Profile:   RUBBoSProfile(),
@@ -325,6 +339,7 @@ func TestStopQuiescesPopulation(t *testing.T) {
 	e := sim.NewEngine(23)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   100,
 		ThinkTime: sim.NewExponential(300 * time.Millisecond),
 		Profile:   RUBBoSProfile(),
@@ -352,6 +367,7 @@ func TestSetPopulationGrowth(t *testing.T) {
 	e := sim.NewEngine(31)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   100,
 		ThinkTime: sim.NewExponential(time.Second),
 		Profile:   RUBBoSProfile(),
@@ -387,6 +403,7 @@ func TestSetPopulationShrinkAndRegrow(t *testing.T) {
 	e := sim.NewEngine(33)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   200,
 		ThinkTime: sim.NewExponential(500 * time.Millisecond),
 		Profile:   RUBBoSProfile(),
@@ -427,6 +444,7 @@ func TestSetPopulationBeforeStart(t *testing.T) {
 	e := sim.NewEngine(35)
 	n := rubbosNetwork(t, e)
 	g, err := NewGenerator(n, GeneratorConfig{
+		Arena:     stats.NewArena(),
 		Clients:   10,
 		ThinkTime: sim.NewExponential(time.Second),
 		Profile:   RUBBoSProfile(),

@@ -7,11 +7,13 @@
 // the monitoring/elasticity stack the attack evades.
 //
 // The public surface re-exports the orchestration layer: build a Config,
-// create an Experiment, Run it, and inspect the Report.
+// create an Experiment, Run it, inspect the Report, and Close the
+// Experiment to give its stats arena back (the Report stays valid).
 //
 //	cfg := memca.DefaultConfig()
 //	x, err := memca.NewExperiment(cfg)
 //	if err != nil { ... }
+//	defer x.Close()
 //	report, err := x.Run()
 //	fmt.Println(report.Render())
 //

@@ -20,6 +20,7 @@ func TestFacadeQuickExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer x.Close()
 	rep, err := x.Run()
 	if err != nil {
 		t.Fatal(err)
