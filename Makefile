@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-budget test race equivalence dsweep-smoke fuzz bench bench-baseline bench-smoke figures quick-figures trace demo demo-smoke plan-smoke clean
+.PHONY: all build vet fmt-check lint lint-budget loc test race equivalence dsweep-smoke fuzz bench bench-baseline bench-smoke figures quick-figures trace demo demo-smoke plan-smoke clean
 
 all: build vet lint test
 
@@ -12,8 +12,9 @@ vet:
 
 # memca-lint is the project's custom analyzer suite (sim determinism,
 # clock discipline, float comparison, dropped errors, hot-path allocation
-# discipline, atomic-access discipline) plus the allocbound escape-budget
-# gate over the zero-alloc packages; see DESIGN.md. On budget drift, fix
+# discipline, atomic-access discipline) plus two whole-module checks: the
+# allocbound escape-budget gate over the zero-alloc packages, and testonly
+# (no code kept alive only by its own tests); see DESIGN.md. On budget drift, fix
 # the allocation or accept it with `make lint-budget` and commit the
 # regenerated internal/lint/testdata/escape_budget.json.
 lint: fmt-check
@@ -28,6 +29,12 @@ fmt-check:
 # over the budgeted packages and rewrite the checked-in budget in place.
 lint-budget:
 	$(GO) run ./cmd/memca-lint -update-budget
+
+# Non-test Go lines: the size every simplicity change reports, counted
+# the same way each time (perfbench is a separate module; testdata holds
+# analyzer fixtures, not program code).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

@@ -23,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -31,6 +30,7 @@ import (
 	"memca/internal/attack"
 	"memca/internal/control"
 	"memca/internal/memcafw"
+	"memca/internal/stats"
 	"memca/internal/telemetry"
 	"memca/internal/telemetry/live"
 	"memca/internal/victimd"
@@ -360,12 +360,8 @@ func (lg *loadGen) Percentiles() (p50, p95, p99 time.Duration, n, errs int) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	n, errs = len(lg.rts), lg.errs
-	if n == 0 {
-		return 0, 0, 0, 0, errs
-	}
-	cp := make([]time.Duration, n)
-	copy(cp, lg.rts)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := func(p float64) time.Duration { return cp[int(p*float64(n-1))] }
-	return idx(0.5), idx(0.95), idx(0.99), n, errs
+	p50 = stats.NearestRank(lg.rts, 0.5)
+	p95 = stats.NearestRank(lg.rts, 0.95)
+	p99 = stats.NearestRank(lg.rts, 0.99)
+	return p50, p95, p99, n, errs
 }

@@ -4,9 +4,12 @@
 // simulated/wall clock boundary, epsilon float comparison, no silently
 // dropped errors, the //memca:hotpath allocation discipline, and the
 // atomic-access discipline — and exits non-zero on any finding so it can
-// gate CI. On top of the AST suite it runs the allocbound escape-budget
-// gate: the compiler's escape analysis over the hot-path packages must
-// match the checked-in budget (internal/lint/testdata/escape_budget.json).
+// gate CI. On top of the AST suite it runs two whole-module checks: the
+// allocbound escape-budget gate (the compiler's escape analysis over the
+// hot-path packages must match internal/lint/testdata/escape_budget.json)
+// and testonly (no declaration only tests reach, no exported field only
+// tests set), which always covers the whole module, whatever patterns
+// are given.
 //
 // Usage:
 //
@@ -28,7 +31,7 @@ import (
 
 func main() {
 	var (
-		names        = flag.String("analyzers", "", "comma-separated analyzer subset (default: all, plus the allocbound budget gate)")
+		names        = flag.String("analyzers", "", "comma-separated analyzer subset (default: all, plus the allocbound and testonly whole-module checks)")
 		list         = flag.Bool("list", false, "list available analyzers and exit")
 		jsonOut      = flag.Bool("json", false, "emit machine-readable JSON Lines (file, line, col, analyzer, message)")
 		github       = flag.Bool("github", false, "emit GitHub Actions ::error annotations alongside the plain findings")
@@ -44,6 +47,7 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		fmt.Printf("%-16s %s\n", "allocbound", "no heap escapes in hot-path packages beyond the checked-in budget")
+		fmt.Printf("%-16s %s\n", "testonly", "no declaration only tests reach and no exported field only tests set, module-wide")
 		return
 	}
 
@@ -62,15 +66,17 @@ func main() {
 		return
 	}
 
-	runBudget := !*skipBudget
+	runBudget, runTestOnly := !*skipBudget, true
 	if *names != "" {
 		want := make(map[string]bool)
 		for _, n := range strings.Split(*names, ",") {
 			want[strings.TrimSpace(n)] = true
 		}
-		// allocbound is not an AST analyzer; it runs iff selected.
-		runBudget = want["allocbound"]
+		// allocbound and testonly are whole-module checks, not per-package
+		// AST analyzers; each runs iff selected.
+		runBudget, runTestOnly = want["allocbound"], want["testonly"]
 		delete(want, "allocbound")
+		delete(want, "testonly")
 		var sel []*lint.Analyzer
 		for _, a := range analyzers {
 			if want[a.Name] {
@@ -95,6 +101,14 @@ func main() {
 	}
 
 	diags := lint.Run(pkgs, analyzers, cfg)
+
+	if runTestOnly {
+		module, err := lint.Load(wd, lint.APIPackage+"/...")
+		if err != nil {
+			fatal(err)
+		}
+		diags = append(diags, lint.CheckTestOnly(module, lint.APIPackage)...)
+	}
 
 	if runBudget {
 		budgetDiags, stale, err := lint.CheckEscapeBudget(wd, *budgetPath, cfg)

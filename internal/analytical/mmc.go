@@ -67,13 +67,10 @@ func (q MMc) MeanWait() time.Duration {
 }
 
 // MeanResponse returns the mean sojourn time W = Wq + 1/mu.
+//
+//memca:keep queueing/validation_test.go checks the simulator against this closed form
 func (q MMc) MeanResponse() time.Duration {
 	return q.MeanWait() + time.Duration(float64(time.Second)/q.Mu)
-}
-
-// MeanQueueLength returns Lq = lambda * Wq (Little's law).
-func (q MMc) MeanQueueLength() float64 {
-	return q.Lambda * q.MeanWait().Seconds()
 }
 
 // WaitQuantile returns the p-quantile of the waiting time (0 <= p < 1).

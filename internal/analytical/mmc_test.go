@@ -55,10 +55,6 @@ func TestMMcKnownValues(t *testing.T) {
 	if got := q.MeanWait(); math.Abs(float64(got-wantWq)) > float64(time.Microsecond) {
 		t.Errorf("Wq = %v, want %v", got, wantWq)
 	}
-	// Lq = lambda * Wq = 8/9.
-	if got := q.MeanQueueLength(); math.Abs(got-8.0/9) > 1e-6 {
-		t.Errorf("Lq = %v, want 8/9", got)
-	}
 }
 
 func TestWaitQuantile(t *testing.T) {

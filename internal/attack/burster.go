@@ -136,9 +136,6 @@ func (b *Burster) Bursts() int { return b.bursts }
 // be read with WindowAverage.
 func (b *Burster) Busy() *stats.LevelIntegrator { return b.busy }
 
-// InBurst reports whether an ON burst is in progress.
-func (b *Burster) InBurst() bool { return b.inBurst }
-
 // Start launches the ON-OFF cycle, with the first burst beginning
 // immediately. It is idempotent while running.
 func (b *Burster) Start() {

@@ -50,9 +50,6 @@ func TestPlatformPlacement(t *testing.T) {
 	if _, err := p.HostOf("ghost"); err == nil {
 		t.Error("unplaced VM accepted")
 	}
-	if len(p.Hosts()) != 1 {
-		t.Errorf("Hosts() = %d, want 1", len(p.Hosts()))
-	}
 }
 
 func TestCoLocation(t *testing.T) {
@@ -89,10 +86,6 @@ func TestCoLocation(t *testing.T) {
 	}
 	if err := p.CoLocate("adv2", "ghost", PrivateCloudVM(), 0); err == nil {
 		t.Error("co-location with unplaced target accepted")
-	}
-	pls := p.Placements()
-	if len(pls) != 2 {
-		t.Errorf("placements = %d, want 2", len(pls))
 	}
 }
 
@@ -164,13 +157,6 @@ func TestScalingGroupGrowsUnderSustainedLoad(t *testing.T) {
 	}
 	if util > 0.85 {
 		t.Errorf("utilization after scale-out = %v, want below threshold", util)
-	}
-	scale, err := n.CapacityScale(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale < 2 {
-		t.Errorf("capacity scale = %v, want >= 2", scale)
 	}
 }
 

@@ -21,6 +21,8 @@ type CoLocationCampaignConfig struct {
 }
 
 // DefaultCoLocationCampaign returns the midpoint of the measured range.
+//
+//memca:keep regenerates experiment E13 at the midpoint of the paper's measured range (EXPERIMENTS.md)
 func DefaultCoLocationCampaign() CoLocationCampaignConfig {
 	return CoLocationCampaignConfig{
 		SuccessProbability: 0.75,
@@ -56,6 +58,8 @@ type CoLocationOutcome struct {
 // RunCoLocationCampaign simulates the placement step: geometric trials at
 // the configured success probability. On success it actually places the
 // adversary VM next to the target on the platform.
+//
+//memca:keep regenerates experiment E13, the co-location campaign (EXPERIMENTS.md)
 func (p *Platform) RunCoLocationCampaign(rng *rand.Rand, cfg CoLocationCampaignConfig, adversaryID, targetVMID string, instType InstanceType) (CoLocationOutcome, error) {
 	if rng == nil {
 		return CoLocationOutcome{}, fmt.Errorf("cloud: rng must not be nil")

@@ -85,10 +85,6 @@ func (p *Platform) Host(id string) (*HostNode, error) {
 	return nil, fmt.Errorf("cloud: no host %q", id)
 }
 
-// Hosts returns all hosts in registration order (shared slice; do not
-// append).
-func (p *Platform) Hosts() []*HostNode { return p.hosts }
-
 // Place puts a VM of the given type on a host. pkg is the package pin, or
 // memmodel.FloatingPackage.
 func (p *Platform) Place(vmID, hostID string, instType InstanceType, pkg int) error {
@@ -125,13 +121,4 @@ func (p *Platform) CoLocate(adversaryID, targetVMID string, instType InstanceTyp
 		return fmt.Errorf("cloud: target VM %q not placed", targetVMID)
 	}
 	return p.Place(adversaryID, pl.Host, instType, pkg)
-}
-
-// Placements returns a copy of the placement table.
-func (p *Platform) Placements() map[string]Placement {
-	out := make(map[string]Placement, len(p.placements))
-	for k, v := range p.placements {
-		out[k] = v
-	}
-	return out
 }

@@ -117,9 +117,6 @@ func NewCommander(goal Goal, bounds Bounds, initial attack.Params) (*Commander, 
 	return &Commander{goal: goal, bounds: bounds, params: initial, kf: kf}, nil
 }
 
-// Params returns the current attack parameters.
-func (c *Commander) Params() attack.Params { return c.params }
-
 // Decisions returns how many observations have been processed.
 func (c *Commander) Decisions() int { return c.decisions }
 

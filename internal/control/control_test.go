@@ -34,11 +34,8 @@ func TestKalmanConvergesToConstant(t *testing.T) {
 	if got := kf.Value(); got < 4.8 || got > 5.2 {
 		t.Errorf("estimate %v, want ~5", got)
 	}
-	if kf.Variance() >= 1 {
-		t.Errorf("posterior variance %v not below measurement noise", kf.Variance())
-	}
-	if kf.Count() != 3000 {
-		t.Errorf("Count = %d", kf.Count())
+	if kf.p >= 1 {
+		t.Errorf("posterior variance %v not below measurement noise", kf.p)
 	}
 }
 
@@ -98,9 +95,6 @@ func TestProberWindowPercentile(t *testing.T) {
 
 	if p.Samples() != 10 {
 		t.Errorf("window holds %d, want 10", p.Samples())
-	}
-	if p.Total() < 25 {
-		t.Errorf("total probes %d, want >= 25", p.Total())
 	}
 	// The window holds the last 10 observations; its max is the largest.
 	if got := p.Percentile(100); got < 25*time.Millisecond {
@@ -169,7 +163,7 @@ func TestCommanderEscalatesWhenUnderGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := c.Params()
+	start := initialParams()
 	var p attack.Params
 	for i := 0; i < 20; i++ {
 		p = c.Decide(Observation{TailRT: 200 * time.Millisecond})
@@ -193,10 +187,10 @@ func TestCommanderEscalationOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	under := Observation{TailRT: 100 * time.Millisecond}
+	var p attack.Params
 	for i := 0; i < 200; i++ {
-		c.Decide(under)
+		p = c.Decide(under)
 	}
-	p := c.Params()
 	b := DefaultBounds()
 	if p.BurstLength != b.MaxBurst {
 		t.Errorf("burst length %v, want pinned at %v", p.BurstLength, b.MaxBurst)
@@ -219,10 +213,10 @@ func TestCommanderBacksOffWhenOvershooting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var p attack.Params
 	for i := 0; i < 30; i++ {
-		c.Decide(Observation{TailRT: 5 * time.Second})
+		p = c.Decide(Observation{TailRT: 5 * time.Second})
 	}
-	p := c.Params()
 	if p.Intensity >= 1 && p.Interval <= time.Second {
 		t.Errorf("no backoff despite 5x overshoot: %+v", p)
 	}
@@ -264,7 +258,7 @@ func TestCommanderConvergesInClosedLoop(t *testing.T) {
 		}
 		return time.Duration(rt * float64(time.Second))
 	}
-	p := c.Params()
+	p := initialParams()
 	for i := 0; i < 300; i++ {
 		p = c.Decide(Observation{TailRT: plant(p)})
 	}

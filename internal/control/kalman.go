@@ -21,7 +21,6 @@ type Kalman1D struct {
 	x      float64 // state estimate
 	p      float64 // estimate variance
 	primed bool
-	count  int
 }
 
 // NewKalman1D builds a filter with the given process and measurement
@@ -38,7 +37,6 @@ func NewKalman1D(processNoise, measurementNoise float64) (*Kalman1D, error) {
 
 // Update feeds one measurement and returns the posterior state estimate.
 func (k *Kalman1D) Update(z float64) float64 {
-	k.count++
 	if !k.primed {
 		k.x = z
 		k.p = k.r
@@ -56,12 +54,3 @@ func (k *Kalman1D) Update(z float64) float64 {
 
 // Value returns the current state estimate (0 before any measurement).
 func (k *Kalman1D) Value() float64 { return k.x }
-
-// Variance returns the current estimate variance.
-func (k *Kalman1D) Variance() float64 { return k.p }
-
-// Primed reports whether at least one measurement was processed.
-func (k *Kalman1D) Primed() bool { return k.primed }
-
-// Count returns the number of measurements processed.
-func (k *Kalman1D) Count() int { return k.count }

@@ -2,10 +2,10 @@ package control
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"memca/internal/sim"
+	"memca/internal/stats"
 )
 
 // SubmitFunc issues one lightweight probe request and invokes done with
@@ -39,7 +39,6 @@ type Prober struct {
 	ring    []time.Duration
 	next    int
 	filled  bool
-	total   uint64
 }
 
 // NewProber validates and builds a prober; Start begins probing.
@@ -87,7 +86,6 @@ func (p *Prober) tick() {
 func (p *Prober) record(rt time.Duration) {
 	p.ring[p.next] = rt
 	p.next++
-	p.total++
 	if p.next == len(p.ring) {
 		p.next = 0
 		p.filled = true
@@ -102,25 +100,8 @@ func (p *Prober) Samples() int {
 	return p.next
 }
 
-// Total returns the number of probe responses recorded overall.
-func (p *Prober) Total() uint64 { return p.total }
-
 // Percentile returns the pct-th percentile of the current window, or 0
 // with no samples.
 func (p *Prober) Percentile(pct float64) time.Duration {
-	n := p.Samples()
-	if n == 0 {
-		return 0
-	}
-	cp := make([]time.Duration, n)
-	copy(cp, p.ring[:n])
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(pct / 100 * float64(n-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return cp[idx]
+	return stats.NearestRank(p.ring[:p.Samples()], pct/100)
 }

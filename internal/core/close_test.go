@@ -48,7 +48,6 @@ func TestAccessorAfterClosePanics(t *testing.T) {
 		{"Burster", func() { x.Burster() }},
 		{"Commander", func() { x.Commander() }},
 		{"Prober", func() { x.Prober() }},
-		{"Scaling", func() { x.Scaling() }},
 		{"Tracer", func() { x.Tracer() }},
 		{"LLCVictimSeries", func() { x.LLCVictimSeries() }},
 		{"LLCAdversarySeries", func() { x.LLCAdversarySeries() }},

@@ -461,9 +461,6 @@ func (x *Experiment) Commander() *control.Commander { x.live(); return x.command
 // Prober exposes the tail prober, or nil without feedback.
 func (x *Experiment) Prober() *control.Prober { x.live(); return x.prober }
 
-// Scaling exposes the auto-scaling group, or nil without scaling.
-func (x *Experiment) Scaling() *cloud.ScalingGroup { x.live(); return x.scaling }
-
 // Tracer exposes the per-request tracer, or nil when Config.Trace is unset.
 func (x *Experiment) Tracer() *telemetry.Tracer { x.live(); return x.tracer }
 

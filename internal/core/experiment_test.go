@@ -242,7 +242,7 @@ func TestFeedbackLoopReachesGoal(t *testing.T) {
 		t.Errorf("burst length did not grow: %v", final.BurstLength)
 	}
 	// The prober must have seen the escalated tail.
-	if x.Prober().Total() == 0 {
+	if x.Prober().Samples() == 0 {
 		t.Error("prober recorded nothing")
 	}
 	// Damage by the end of the run (last third) should be near goal:

@@ -165,7 +165,7 @@ func (x *Experiment) buildReport(from, to time.Duration) (*Report, error) {
 		if g > horizon {
 			continue
 		}
-		sampler, err := monitor.NewSampler("cpu", g, source)
+		sampler, err := monitor.NewSampler(g, source)
 		if err != nil {
 			return nil, err
 		}

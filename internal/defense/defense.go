@@ -90,7 +90,7 @@ func NewDetector(cfg DetectorConfig) (*Detector, error) {
 // Detect samples the source over [0, horizon) at the detector's
 // granularity and returns every saturation episode of at least MinLength.
 func (d *Detector) Detect(source monitor.UtilizationSource, horizon time.Duration) ([]Millibottleneck, error) {
-	sampler, err := monitor.NewSampler("defense", d.cfg.Granularity, source)
+	sampler, err := monitor.NewSampler(d.cfg.Granularity, source)
 	if err != nil {
 		return nil, err
 	}

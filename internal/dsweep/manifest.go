@@ -1,7 +1,7 @@
 // Package dsweep is the distributed execution fabric layered on
 // internal/sweep: it runs one sweep's jobs across multiple worker
 // processes and merges their results back into a stream that is
-// byte-identical to what a single-process sweep.Run would have produced.
+// byte-identical to what a single-process sweep.RunState would have produced.
 //
 // The fabric has three pieces:
 //
@@ -10,8 +10,9 @@
 //     shard plan, carrying a content hash so results from mismatched
 //     manifests can never be merged;
 //   - shard artifact files: each worker owns the shard
-//     {i : sweep.Shard(i, shards) == s} and appends one self-validating,
-//     index-keyed record per completed job (see sweep.AppendRecord),
+//     {i : i mod shards == s} (sweep.ShardIndices) and appends one
+//     self-validating, index-keyed record per completed job (see
+//     sweep.AppendRecord),
 //     fsyncing in batches — the artifact doubles as the checkpoint, so a
 //     killed worker resumes from its last durable record;
 //   - a merge (Merge): once every shard is complete, the records are
@@ -60,7 +61,7 @@ type Manifest struct {
 	// Jobs is the total job count; job indices run 0..Jobs-1.
 	Jobs int `json:"jobs"`
 	// Shards is the shard count: shard s owns the job indices with
-	// sweep.Shard(i, Shards) == s.
+	// i mod Shards == s (sweep.ShardIndices).
 	Shards int `json:"shards"`
 	// Seed is the base seed every job derives its randomness from.
 	Seed int64 `json:"seed"`

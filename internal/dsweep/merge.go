@@ -13,7 +13,7 @@ import (
 // function of the job payloads — independent of the shard count and of
 // any kill/resume history — so a merge at 8 shards is byte-identical to
 // one at 1 shard, and both to the encoding of a single-process
-// sweep.Run's results. An incomplete, torn, or mismatched shard refuses
+// sweep.RunState's results. An incomplete, torn, or mismatched shard refuses
 // to merge; nothing partial is ever written.
 func Merge(m *Manifest) error {
 	payloads, err := collectShards(m)

@@ -7,7 +7,7 @@ import (
 )
 
 // Job computes the record payload for one global job index. Like
-// sweep.Job it must be a pure function of the index (randomness only via
+// sweep.StateJob it must be a pure function of the index (randomness only via
 // the manifest's seed and sweep.DeriveSeed), so that a shard can run
 // anywhere — and rerun after a crash — and produce the same bytes.
 type Job func(ctx context.Context, index int) ([]byte, error)

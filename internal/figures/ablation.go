@@ -140,12 +140,10 @@ func init() {
 	registerDist(DistDriver{Name: "ablation-mechanisms", New: newMechanismsRun})
 }
 
-// runAblation executes one registered ablation driver fully in-process.
-func runAblation(driver string, opts Options) (*AblationResult, error) {
-	return runAs[*AblationResult](driver, opts)
-}
-
-// burstLengthVariants sweeps the burst length L at fixed I = 2 s.
+// burstLengthVariants sweeps the burst length L at fixed I = 2 s: the
+// damage-vs-stealth trade-off of Equations (7) and (10). Short bursts
+// never complete the build-up stage (no damage); long bursts raise the
+// coarse utilization toward detectability.
 func burstLengthVariants() []attackVariant {
 	var variants []attackVariant
 	for _, l := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 350 * time.Millisecond, 500 * time.Millisecond, 800 * time.Millisecond} {
@@ -157,15 +155,8 @@ func burstLengthVariants() []attackVariant {
 	return variants
 }
 
-// AblationBurstLength sweeps the burst length L at fixed I = 2 s: the
-// damage-vs-stealth trade-off of Equations (7) and (10). Short bursts
-// never complete the build-up stage (no damage); long bursts raise the
-// coarse utilization toward detectability.
-func AblationBurstLength(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-burst-length", opts)
-}
-
-// intervalVariants sweeps the burst interval I at fixed L = 500 ms.
+// intervalVariants sweeps the burst interval I at fixed L = 500 ms: the
+// frequency axis of Equation (8), ρ = P_D / I.
 func intervalVariants() []attackVariant {
 	var variants []attackVariant
 	for _, iv := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second} {
@@ -175,12 +166,6 @@ func intervalVariants() []attackVariant {
 		}})
 	}
 	return variants
-}
-
-// AblationInterval sweeps the burst interval I at fixed L = 500 ms: the
-// frequency axis of Equation (8), ρ = P_D / I.
-func AblationInterval(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-interval", opts)
 }
 
 // mechanismVariants are the mechanism-removal ablation's cells.
@@ -232,11 +217,15 @@ func newMechanismsRun(opts Options) (*DistRun, error) {
 //   - "infinite-queues": nothing is ever dropped — only queueing delay
 //     remains;
 //   - "no-slot-holding": tandem coupling — overflow cannot propagate.
+//
+//memca:keep perfbench (a separate module) times this driver on fig-quick
 func AblationMechanisms(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-mechanisms", opts)
+	return runAs[*AblationResult]("ablation-mechanisms", opts)
 }
 
-// adversariesVariants sweeps the co-located adversary VM count.
+// adversariesVariants sweeps the co-located adversary VM count for the
+// bus-saturation attack (the lock attack needs only one, which is the
+// paper's point; saturation needs many to bite).
 func adversariesVariants() []attackVariant {
 	var variants []attackVariant
 	for _, k := range []int{1, 2, 4} {
@@ -255,14 +244,9 @@ func adversariesVariants() []attackVariant {
 	return variants
 }
 
-// AblationAdversaries sweeps the number of co-located adversary VMs for
-// the bus-saturation attack (the lock attack needs only one, which is the
-// paper's point; saturation needs many to bite).
-func AblationAdversaries(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-adversaries", opts)
-}
-
-// loadVariants sweeps the legitimate client population.
+// loadVariants sweeps the legitimate client population: condition 2
+// (λ_n > C_n,ON) needs enough background load for the degraded bottleneck
+// to overflow, so a lightly loaded system resists the same attack.
 func loadVariants() []attackVariant {
 	var variants []attackVariant
 	for _, clients := range []int{875, 1750, 3500, 5000} {
@@ -274,15 +258,11 @@ func loadVariants() []attackVariant {
 	return variants
 }
 
-// AblationLoad sweeps the legitimate client population: condition 2
-// (λ_n > C_n,ON) needs enough background load for the degraded bottleneck
-// to overflow, so a lightly loaded system resists the same attack.
-func AblationLoad(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-load", opts)
-}
-
 // serviceDistributionVariants swaps the per-tier service-time
-// distributions.
+// distributions (the paper assumes exponential capacities): tail
+// amplification should be robust to the distributional assumption
+// because it is driven by capacity starvation and drops, not by
+// service-time variance.
 func serviceDistributionVariants() []attackVariant {
 	base := workload.RUBBoSTiers()
 	variants := []struct {
@@ -308,15 +288,6 @@ func serviceDistributionVariants() []attackVariant {
 		}})
 	}
 	return cells
-}
-
-// AblationServiceDistribution swaps the per-tier service-time
-// distributions (the paper assumes exponential capacities) and reruns the
-// attack: tail amplification should be robust to the distributional
-// assumption because it is driven by capacity starvation and drops, not
-// by service-time variance.
-func AblationServiceDistribution(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-service-distribution", opts)
 }
 
 // rubbosModelLimits returns the analytical model's queue limits.

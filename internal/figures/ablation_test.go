@@ -7,7 +7,7 @@ import (
 
 func TestAblationBurstLength(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := AblationBurstLength(opts)
+	res, err := runAs[*AblationResult]("ablation-burst-length", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestAblationBurstLength(t *testing.T) {
 
 func TestAblationInterval(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := AblationInterval(opts)
+	res, err := runAs[*AblationResult]("ablation-interval", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAblationMechanisms(t *testing.T) {
 
 func TestAblationAdversaries(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := AblationAdversaries(opts)
+	res, err := runAs[*AblationResult]("ablation-adversaries", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAblationAdversaries(t *testing.T) {
 
 func TestAblationServiceDistribution(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := AblationServiceDistribution(opts)
+	res, err := runAs[*AblationResult]("ablation-service-distribution", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAblationServiceDistribution(t *testing.T) {
 
 func TestAblationLoad(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := AblationLoad(opts)
+	res, err := runAs[*AblationResult]("ablation-load", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

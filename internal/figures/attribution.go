@@ -161,14 +161,6 @@ func newAttributionRun(opts Options) (*DistRun, error) {
 	}), nil
 }
 
-// FigAttribution runs the attacked and baseline RUBBoS experiments with
-// per-request tracing and decomposes each run's >=p99 latency tail along
-// its critical path. It writes a component-share CSV, per-trace tail
-// attributions, and the dual-resolution timelines for both runs.
-func FigAttribution(opts Options) (*AttributionResult, error) {
-	return runAs[*AttributionResult]("attribution", opts)
-}
-
 func share(part, whole time.Duration) float64 {
 	if whole <= 0 {
 		return 0

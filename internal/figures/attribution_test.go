@@ -9,7 +9,7 @@ import "testing"
 // times either way.
 func TestFigAttribution(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := FigAttribution(opts)
+	res, err := runAs[*AttributionResult]("attribution", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,10 +247,3 @@ func newDefenseRun(opts Options) (*DistRun, error) {
 		return res, strings.Join(lines, "\n"), nil
 	}), nil
 }
-
-// DefenseEvaluation runs the attack under no defense, bandwidth
-// reservation, and split-lock protection, for both attack kinds, and runs
-// the millibottleneck detector against the undefended lock attack.
-func DefenseEvaluation(opts Options) (*DefenseResult, error) {
-	return runAs[*DefenseResult]("defense", opts)
-}

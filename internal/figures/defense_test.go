@@ -7,7 +7,7 @@ import (
 
 func TestDefenseEvaluation(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := DefenseEvaluation(opts)
+	res, err := runAs[*DefenseResult]("defense", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,28 +61,6 @@ type DetectorComparisonResult struct {
 	ROC []monitor.ROCPoint
 }
 
-// Alarms returns the alarm count of one grid cell.
-func (r *DetectorComparisonResult) Alarms(scenario, detector string, g time.Duration) (int, bool) {
-	for _, c := range r.Cells {
-		if c.Scenario == scenario && c.Detector == detector && c.Granularity == g {
-			return c.Alarms, true
-		}
-	}
-	return 0, false
-}
-
-// LegacyCPUDetectors returns the hand-picked constants the comparison used
-// before the auto-tuner existed. They are kept (and pinned by a regression
-// test) as the historical reference point: a threshold nobody trips, an
-// EWMA de-tuned to the noise floor, a CUSUM slack absorbing every burst.
-func LegacyCPUDetectors() []monitor.Detector {
-	return []monitor.Detector{
-		monitor.ThresholdDetector{Threshold: 0.9, MinConsecutive: 2},
-		monitor.EWMADetector{Alpha: 0.2, K: 4, Warmup: 20},
-		monitor.CUSUMDetector{Target: 0.55, Slack: 0.1, DecisionThreshold: 3},
-	}
-}
-
 // detectorScenarios enumerates the grid's three scenarios.
 var detectorScenarios = []struct {
 	name   string
@@ -178,7 +156,7 @@ func runDetectorScenario(opts Options, a *stats.Arena, seed int64, attack, flash
 		return busy.WindowAverage(cfg.Warmup+from, cfg.Warmup+to) / 2
 	}
 	for _, g := range detectorGranularities {
-		sampler, err := monitor.NewSampler("cpu", g, source)
+		sampler, err := monitor.NewSampler(g, source)
 		if err != nil {
 			return rec, err
 		}
@@ -303,13 +281,4 @@ func newDetectorRun(opts Options) (*DistRun, error) {
 		}
 		return res, strings.Join(lines, "\n"), nil
 	}), nil
-}
-
-// DetectorComparison evaluates the detector grid: three scenarios (attack,
-// clean, flash crowd) × {tuned CPU detectors, attribution detector} ×
-// {1 s, 50 ms}. Every run is replicated at a seed-derived tuning seed and
-// the evaluation seed; the tuners see only the tuning replications, so the
-// evaluated alarms are out-of-sample.
-func DetectorComparison(opts Options) (*DetectorComparisonResult, error) {
-	return runAs[*DetectorComparisonResult]("detectors", opts)
 }

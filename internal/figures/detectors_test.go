@@ -9,16 +9,18 @@ import (
 
 func TestDetectorComparison(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := DetectorComparison(opts)
+	res, err := runAs[*DetectorComparisonResult]("detectors", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alarms := func(scenario, det string, g time.Duration) int {
-		n, ok := res.Alarms(scenario, det, g)
-		if !ok {
-			t.Fatalf("missing cell %s/%s/%v", scenario, det, g)
+		for _, c := range res.Cells {
+			if c.Scenario == scenario && c.Detector == det && c.Granularity == g {
+				return c.Alarms
+			}
 		}
-		return n
+		t.Fatalf("missing cell %s/%s/%v", scenario, det, g)
+		return 0
 	}
 	granularities := []time.Duration{monitor.GranularityUser, monitor.GranularityFine}
 
@@ -67,26 +69,4 @@ func TestDetectorComparison(t *testing.T) {
 	}
 
 	requireFiles(t, opts.OutDir, "detector_comparison.csv", "detector_roc.csv")
-}
-
-// TestLegacyCPUDetectorConstants pins the hand-picked settings the
-// comparison shipped with before the auto-tuner: they remain the
-// documented historical reference point and must not drift.
-func TestLegacyCPUDetectorConstants(t *testing.T) {
-	legacy := LegacyCPUDetectors()
-	if len(legacy) != 3 {
-		t.Fatalf("got %d legacy detectors, want 3", len(legacy))
-	}
-	th, ok := legacy[0].(monitor.ThresholdDetector)
-	if !ok || th.Threshold != 0.9 || th.MinConsecutive != 2 {
-		t.Errorf("legacy threshold detector = %#v, want Threshold 0.9 MinConsecutive 2", legacy[0])
-	}
-	ew, ok := legacy[1].(monitor.EWMADetector)
-	if !ok || ew.Alpha != 0.2 || ew.K != 4 || ew.Warmup != 20 {
-		t.Errorf("legacy EWMA detector = %#v, want Alpha 0.2 K 4 Warmup 20", legacy[1])
-	}
-	cu, ok := legacy[2].(monitor.CUSUMDetector)
-	if !ok || cu.Target != 0.55 || cu.Slack != 0.1 || cu.DecisionThreshold != 3 {
-		t.Errorf("legacy CUSUM detector = %#v, want Target 0.55 Slack 0.1 DecisionThreshold 3", legacy[2])
-	}
 }

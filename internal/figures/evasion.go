@@ -76,7 +76,7 @@ func newEvasionRun(opts Options) (*DistRun, error) {
 
 		// Figure 11-style periodicity of the CPU signal at the mean
 		// interval.
-		sampler, err := monitor.NewSampler("cpu", 50*time.Millisecond, source)
+		sampler, err := monitor.NewSampler(50*time.Millisecond, source)
 		if err != nil {
 			return EvasionPoint{}, err
 		}
@@ -122,10 +122,4 @@ func newEvasionRun(opts Options) (*DistRun, error) {
 		}
 		return &EvasionResult{Points: points}, strings.Join(lines, "\n"), nil
 	}), nil
-}
-
-// JitterEvasion sweeps the attack's interval jitter and evaluates damage
-// versus detectability at each level.
-func JitterEvasion(opts Options) (*EvasionResult, error) {
-	return runAs[*EvasionResult]("evasion", opts)
 }

@@ -7,7 +7,7 @@ import (
 
 func TestJitterEvasion(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := JitterEvasion(opts)
+	res, err := runAs[*EvasionResult]("evasion", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func newFig10Run(opts Options) (*DistRun, error) {
 			return busy.WindowAverage(from+wFrom, from+wTo) / 2
 		}
 		for _, v := range fig10Views {
-			sampler, err := monitor.NewSampler("cpu", v.g, source)
+			sampler, err := monitor.NewSampler(v.g, source)
 			if err != nil {
 				return fig10Record{}, err
 			}
@@ -135,4 +135,6 @@ func newFig10Run(opts Options) (*DistRun, error) {
 
 // Fig10 runs the 3-minute attack with a live Auto Scaling group attached
 // to MySQL and exports the three sampled views.
+//
+//memca:keep perfbench (a separate module) times this driver on fig-quick
 func Fig10(opts Options) (*Fig10Result, error) { return runAs[*Fig10Result]("fig10", opts) }

@@ -105,7 +105,3 @@ func newFig11Run(opts Options) (*DistRun, error) {
 		return res, summary, nil
 	}), nil
 }
-
-// Fig11 runs the attack twice — bus saturation and memory lock — in the
-// private cloud with 50 ms LLC sampling, and writes the miss-rate series.
-func Fig11(opts Options) (*Fig11Result, error) { return runAs[*Fig11Result]("fig11", opts) }

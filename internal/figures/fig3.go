@@ -110,8 +110,3 @@ func newFig3Run(opts Options) (*DistRun, error) {
 		return res, strings.Join(lines, "\n"), nil
 	}), nil
 }
-
-// Fig3 sweeps 1-6 co-located VMs over {same, random} package placement
-// and {bus-saturation, memory-lock} attacks on the private-cloud host and
-// writes the four curves as one CSV.
-func Fig3(opts Options) (*Fig3Result, error) { return runAs[*Fig3Result]("fig3", opts) }

@@ -136,7 +136,3 @@ func newFig8Run(opts Options) (*DistRun, error) {
 		return &res, summary, nil
 	}), nil
 }
-
-// Fig8 runs the feedback-controlled attack from a deliberately weak start
-// and writes the parameter/tail trajectory.
-func Fig8(opts Options) (*Fig8Result, error) { return runAs[*Fig8Result]("fig8", opts) }

@@ -128,7 +128,3 @@ func newFig9Run(opts Options) (*DistRun, error) {
 		return &res, summary, nil
 	}), nil
 }
-
-// Fig9 runs the standard attack with fine-grained recording and exports
-// the four panels over an 8-second window.
-func Fig9(opts Options) (*Fig9Result, error) { return runAs[*Fig9Result]("fig9", opts) }

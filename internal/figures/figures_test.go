@@ -50,7 +50,7 @@ func TestFig2(t *testing.T) {
 
 func TestFig3(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := Fig3(opts)
+	res, err := runAs[*Fig3Result]("fig3", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFig7(t *testing.T) {
 func TestFig8(t *testing.T) {
 	opts := quickOpts(t)
 	opts.Quick = false // the controller needs its full convergence runway
-	res, err := Fig8(opts)
+	res, err := runAs[*Fig8Result]("fig8", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFig8(t *testing.T) {
 
 func TestFig9(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := Fig9(opts)
+	res, err := runAs[*Fig9Result]("fig9", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFig10(t *testing.T) {
 
 func TestFig11(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := Fig11(opts)
+	res, err := runAs[*Fig11Result]("fig11", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFig11(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := Table1(opts)
+	res, err := runAs[*Table1Result]("table1", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"memca/internal/core"
@@ -93,8 +92,8 @@ func newFlashCrowdRun(opts Options) (*DistRun, error) {
 				absorbedRTs = append(absorbedRTs, rt)
 			}
 		}
-		res.CrowdP95 = percentileOf(crowdRTs, 0.95)
-		res.AbsorbedP95 = percentileOf(absorbedRTs, 0.95)
+		res.CrowdP95 = stats.NearestRank(crowdRTs, 0.95)
+		res.AbsorbedP95 = stats.NearestRank(absorbedRTs, 0.95)
 		return flashCrowdRecord{Result: res, ClientRT: series.Points}, nil
 	}, func(recs []flashCrowdRecord) (any, string, error) {
 		if err := writeSeries(opts.path("flashcrowd.csv"), recs[0].ClientRT); err != nil {
@@ -106,22 +105,4 @@ func newFlashCrowdRun(opts Options) (*DistRun, error) {
 			res.CrowdP95.Round(time.Millisecond), res.AbsorbedP95.Round(time.Millisecond))
 		return &res, summary, nil
 	}), nil
-}
-
-// FlashCrowd doubles the client population for two minutes of a four-
-// minute attackless run with a live scaling group attached.
-func FlashCrowd(opts Options) (*FlashCrowdResult, error) {
-	return runAs[*FlashCrowdResult]("crowd", opts)
-}
-
-// percentileOf computes a simple order-statistic percentile.
-func percentileOf(vals []time.Duration, q float64) time.Duration {
-	if len(vals) == 0 {
-		return 0
-	}
-	cp := make([]time.Duration, len(vals))
-	copy(cp, vals)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(q * float64(len(cp)-1))
-	return cp[idx]
 }

@@ -7,7 +7,7 @@ import (
 
 func TestFlashCrowd(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := FlashCrowd(opts)
+	res, err := runAs[*FlashCrowdResult]("crowd", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func newPlannerRun(opts Options) (*DistRun, error) {
 		return nil, err
 	}
 	return newRun(v.Jobs(), func(_ *stats.Arena, i int) (plan.CellResult, error) {
-		// Planner runs manage their own stats (see plan.Validate); the
+		// Planner runs manage their own stats (see plan.Validation.Run); the
 		// worker arena is unused here.
 		return v.Run(i)
 	}, func(results []plan.CellResult) (any, string, error) {
@@ -82,11 +82,3 @@ func newPlannerRun(opts Options) (*DistRun, error) {
 		return res, summary, nil
 	}), nil
 }
-
-// FigPlanner validates the capacity planner against the simulator: each
-// grid cell is sized by plan.Solve, then the sizing and its minimality
-// witness are replayed attack-free through the full closed-loop
-// simulation at every seed. It writes planner_validation.csv (one row
-// per cell and seed, byte-identical at any worker count — and, via the
-// dist driver, at any shard count).
-func FigPlanner(opts Options) (*PlannerResult, error) { return runAs[*PlannerResult]("planner", opts) }

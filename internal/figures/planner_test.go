@@ -18,7 +18,7 @@ import (
 func TestPlannerValidationGrid(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{OutDir: dir, Quick: true, Seed: 7}
-	res, err := FigPlanner(opts)
+	res, err := runAs[*PlannerResult]("planner", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestSweepProgressTotals(t *testing.T) {
 			calls++
 			lastDone, lastTotal = done, total
 		}
-		if _, err := Fig3(opts); err != nil {
+		if _, err := runAs[*Fig3Result]("fig3", opts); err != nil {
 			t.Fatalf("Fig3 with %d workers: %v", workers, err)
 		}
 		if calls == 0 || lastDone != lastTotal {

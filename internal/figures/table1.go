@@ -97,6 +97,3 @@ func newTable1Run(opts Options) (*DistRun, error) {
 		return &res, strings.Join(lines, "\n"), nil
 	}), nil
 }
-
-// Table1 evaluates and exports the analytical model.
-func Table1(opts Options) (*Table1Result, error) { return runAs[*Table1Result]("table1", opts) }

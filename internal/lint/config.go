@@ -17,13 +17,6 @@ type Config struct {
 	// Entries ending in "/..." allow a whole subtree.
 	ClockAllowed []string
 
-	// Tools lists import paths that are development tooling rather than
-	// simulation or measurement code (the lint suite itself). They are
-	// exempt from both the determinism and the clock contracts, but the
-	// coverage completeness test requires every internal package to be
-	// classified into exactly one of the three lists.
-	Tools []string
-
 	// EscapeBudget lists the import paths under the allocbound gate: the
 	// zero-alloc hot-path packages whose compiler escape analysis must
 	// match the checked-in budget file. Entries are exact import paths.
@@ -94,9 +87,6 @@ func DefaultConfig() *Config {
 			"memca/cmd/...",
 			"memca/examples/...",
 		},
-		Tools: []string{
-			"memca/internal/lint",
-		},
 		EscapeBudget: []string{
 			"memca/internal/memmodel",
 			"memca/internal/queueing",
@@ -122,17 +112,6 @@ func (c *Config) IsSimPath(importPath string) bool {
 // IsClockAllowed reports whether the package may use the wall clock.
 func (c *Config) IsClockAllowed(importPath string) bool {
 	for _, p := range c.ClockAllowed {
-		if matchPattern(p, importPath) {
-			return true
-		}
-	}
-	return false
-}
-
-// IsTool reports whether the package is development tooling exempt from
-// both the determinism and clock contracts.
-func (c *Config) IsTool(importPath string) bool {
-	for _, p := range c.Tools {
 		if matchPattern(p, importPath) {
 			return true
 		}

@@ -67,7 +67,7 @@ func TestEngineFilesClean(t *testing.T) {
 
 // TestEveryInternalPackageClassified walks internal/ on disk and fails if
 // any package directory is classified neither SimPath, ClockAllowed, nor
-// Tools. This closes the PR-5 gap where a freshly added package
+// tooling (toolPackages). This closes the PR-5 gap where a freshly added package
 // (telemetry/live nearly did it) would silently fall outside every
 // contract: the default-deny model only works if "unclassified" is loud.
 func TestEveryInternalPackageClassified(t *testing.T) {
@@ -111,12 +111,12 @@ func TestEveryInternalPackageClassified(t *testing.T) {
 		if cfg.IsClockAllowed(importPath) {
 			n++
 		}
-		if cfg.IsTool(importPath) {
+		if isTool(importPath) {
 			n++
 		}
 		switch n {
 		case 0:
-			t.Errorf("package %s is classified neither SimPath, ClockAllowed, nor Tools: add it to DefaultConfig deliberately", importPath)
+			t.Errorf("package %s is classified neither SimPath, ClockAllowed, nor tooling: add it to DefaultConfig (or toolPackages) deliberately", importPath)
 		case 1:
 			// exactly one classification: correct
 		default:
@@ -127,4 +127,21 @@ func TestEveryInternalPackageClassified(t *testing.T) {
 	if err != nil {
 		t.Fatalf("walking internal/: %v", err)
 	}
+}
+
+// toolPackages are the import paths that are development tooling rather
+// than simulation or measurement code (the lint suite itself). No analyzer
+// reads them: they are under neither the determinism nor the clock
+// contract, and are listed here only so that the classification test
+// accounts for them.
+var toolPackages = []string{"memca/internal/lint"}
+
+// isTool reports whether the package is one of toolPackages.
+func isTool(importPath string) bool {
+	for _, p := range toolPackages {
+		if matchPattern(p, importPath) {
+			return true
+		}
+	}
+	return false
 }

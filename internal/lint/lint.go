@@ -20,6 +20,9 @@
 //   - allocbound (wired through cmd/memca-lint, not a per-package AST
 //     pass): the compiler's own escape analysis over the hot-path packages
 //     must match the checked-in budget; any new heap escape fails lint.
+//   - testonly (CheckTestOnly, also whole-module): no declaration only
+//     tests reach and no exported field only tests set, outside the memca
+//     API package and //memca:keep <reason> declarations.
 //
 // The analyzers are built on the standard library only (go/parser, go/types
 // with compiled export data from `go list -export`), so the suite adds no

@@ -114,11 +114,11 @@ func TestDefaultConfigPolicy(t *testing.T) {
 			t.Errorf("IsClockAllowed(%q) = %v, want %v", c.path, got, c.clockAllowed)
 		}
 	}
-	if !cfg.IsTool("memca/internal/lint") {
-		t.Error("IsTool(memca/internal/lint) = false, want true")
+	if !isTool("memca/internal/lint") {
+		t.Error("isTool(memca/internal/lint) = false, want true")
 	}
-	if cfg.IsTool("memca/internal/sim") {
-		t.Error("IsTool(memca/internal/sim) = true, want false")
+	if isTool("memca/internal/sim") {
+		t.Error("isTool(memca/internal/sim) = true, want false")
 	}
 	// Sanity: no package is both sim-path and clock-allowed, and tools are
 	// in neither contract.
@@ -127,7 +127,7 @@ func TestDefaultConfigPolicy(t *testing.T) {
 			t.Errorf("package %q is both sim-path and clock-allowed", p)
 		}
 	}
-	for _, p := range cfg.Tools {
+	for _, p := range toolPackages {
 		if cfg.IsSimPath(p) || cfg.IsClockAllowed(p) {
 			t.Errorf("tool package %q is also under a sim/clock contract", p)
 		}
@@ -153,5 +153,32 @@ func TestRunOrdersDiagnostics(t *testing.T) {
 		if prev.Filename > cur.Filename || (prev.Filename == cur.Filename && prev.Line > cur.Line) {
 			t.Errorf("diagnostics out of order: %v before %v", prev, cur)
 		}
+	}
+}
+
+// TestTestOnlyGolden runs the whole-module testonly check over a golden
+// module of three packages: the API package testonly and its imports a
+// and b.
+func TestTestOnlyGolden(t *testing.T) {
+	pkgs, err := Load(".", "./testdata/testonly/...")
+	if err != nil {
+		t.Fatalf("Load testdata/testonly: %v", err)
+	}
+	if len(pkgs) != 3 {
+		t.Fatalf("Load testdata/testonly: got %d packages, want 3", len(pkgs))
+	}
+	var files []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Syntax {
+			files = append(files, pkg.Fset.Position(f.Pos()).Filename)
+		}
+	}
+	diags := CheckTestOnly(pkgs, "memca/internal/lint/testdata/testonly")
+	problems, err := CheckExpectations(files, diags)
+	if err != nil {
+		t.Fatalf("CheckExpectations: %v", err)
+	}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }

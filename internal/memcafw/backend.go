@@ -212,9 +212,6 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 // FEInfo returns the connected frontend's hello.
 func (b *Backend) FEInfo() Hello { return b.feHello }
 
-// Commander exposes the controller for inspection.
-func (b *Backend) Commander() *control.Commander { return b.commander }
-
 // Reports returns a copy of the burst reports received so far, each
 // stamped with its receive time.
 func (b *Backend) Reports() []TimedReport {

@@ -77,6 +77,8 @@ func (f *Frontend) Bursts() int {
 }
 
 // Params returns the parameters currently in force.
+//
+//memca:keep TestFEBEEndToEnd observes the retunes the FE received over TCP only through it
 func (f *Frontend) Params() ParamsMsg {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -3,7 +3,6 @@ package memcafw
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,8 +32,6 @@ type AttackProgram interface {
 // tests it doubles as a harmless CPU/memory load.
 type StreamProgram struct {
 	buf []byte
-	// ops counts bytes touched, for the resource-share estimate.
-	ops atomic.Int64
 	// peakBytesPerSec is the calibrated single-core streaming peak used
 	// to normalize ResourceShare.
 	peakBytesPerSec float64
@@ -98,17 +95,12 @@ func (p *StreamProgram) Execute(ctx context.Context, intensity float64, length t
 		}
 	}
 	elapsed := time.Since(start)
-	p.ops.Add(touched)
 	share := float64(touched) / elapsed.Seconds() / p.peakBytesPerSec
 	if share > 1 {
 		share = 1
 	}
 	return ExecResult{Elapsed: elapsed, ResourceShare: share}, nil
 }
-
-// TotalBytes returns the cumulative bytes streamed (for tests and
-// reporting).
-func (p *StreamProgram) TotalBytes() int64 { return p.ops.Load() }
 
 // SimulatedProgram is a no-load stand-in for tests and demos: it sleeps
 // for the burst length and reports the intensity as the resource share.

@@ -78,20 +78,3 @@ func CapacityMultiplier(p VictimProfile, availMBps, lockSeverity float64) float6
 	}
 	return d
 }
-
-// DegradationIndex is the paper's Equation (2): D = (Rmax - R) / Rmax,
-// where R is the attack's resource consumption per burst and Rmax the
-// host's peak capacity. It returns a value clamped to [0, 1].
-func DegradationIndex(rMax, r float64) float64 {
-	if rMax <= 0 {
-		return 1
-	}
-	d := (rMax - r) / rMax
-	if d < 0 {
-		return 0
-	}
-	if d > 1 {
-		return 1
-	}
-	return d
-}

@@ -92,23 +92,6 @@ func TestCapacityMultiplierMonotoneInBandwidth(t *testing.T) {
 	}
 }
 
-func TestDegradationIndex(t *testing.T) {
-	tests := []struct {
-		rMax, r, want float64
-	}{
-		{100, 0, 1},
-		{100, 100, 0},
-		{100, 90, 0.1},
-		{100, 150, 0}, // over-consumption clamps to 0
-		{0, 50, 1},    // degenerate host
-	}
-	for _, tc := range tests {
-		if got := DegradationIndex(tc.rMax, tc.r); got < tc.want-1e-12 || got > tc.want+1e-12 {
-			t.Errorf("DegradationIndex(%v, %v) = %v, want %v", tc.rMax, tc.r, got, tc.want)
-		}
-	}
-}
-
 func TestVictimProfileValidate(t *testing.T) {
 	if err := MySQLProfile().Validate(); err != nil {
 		t.Errorf("MySQL profile rejected: %v", err)

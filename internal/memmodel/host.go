@@ -217,10 +217,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 // Config returns the host configuration.
 func (h *Host) Config() HostConfig { return h.cfg }
 
-// VMs returns the VMs in placement order. The returned slice is shared;
-// callers must not append to it.
-func (h *Host) VMs() []*VM { return h.vms }
-
 // AddVM places a VM on the host. It returns an error when the ID is
 // duplicated, the package index is invalid, or the host is out of cores
 // (each VM is single-vCPU, matching the paper's profiling setup).
@@ -464,16 +460,6 @@ func (h *Host) fairShare(perVM map[string]float64, lockFactor, capacity float64,
 		remaining -= grant
 		left--
 	}
-}
-
-// AvailableBandwidth returns the bandwidth available to one VM under the
-// current mix, in MB/s.
-func (h *Host) AvailableBandwidth(id string) (float64, error) {
-	if _, err := h.VM(id); err != nil {
-		return 0, err
-	}
-	bw, _ := h.VMAllocation(id)
-	return bw, nil
 }
 
 // LLCMissRate returns the current LLC miss rate (misses/s) a profiler like

@@ -35,11 +35,6 @@ func (h *Host) ReserveBandwidth(id string, mbps float64) error {
 	return nil
 }
 
-// Reservation returns a VM's bandwidth floor (0 when none).
-func (h *Host) Reservation(id string) float64 {
-	return h.reservations[id]
-}
-
 // SetSplitLockProtection toggles the split-lock mitigation: when enabled,
 // unaligned atomics that would assert a system-wide bus lock are trapped
 // and emulated, so the locking VM's interference collapses (at the cost of
@@ -47,6 +42,3 @@ func (h *Host) Reservation(id string) float64 {
 func (h *Host) SetSplitLockProtection(enabled bool) {
 	h.splitLockProtection = enabled
 }
-
-// SplitLockProtection reports whether the mitigation is enabled.
-func (h *Host) SplitLockProtection() bool { return h.splitLockProtection }

@@ -76,7 +76,7 @@ func (a *AutoScaler) Evaluate(source UtilizationSource, horizon time.Duration) (
 	if source == nil {
 		return nil, fmt.Errorf("monitor: source must not be nil")
 	}
-	sampler, err := NewSampler("autoscaler", a.cfg.Period, source)
+	sampler, err := NewSampler(a.cfg.Period, source)
 	if err != nil {
 		return nil, err
 	}

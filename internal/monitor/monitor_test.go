@@ -31,7 +31,7 @@ func TestSamplerGranularityEffect(t *testing.T) {
 	horizon := 3 * time.Minute
 
 	collect := func(g time.Duration) []stats.Bucket {
-		s, err := NewSampler("cpu", g, src)
+		s, err := NewSampler(g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,24 +76,18 @@ func TestSamplerGranularityEffect(t *testing.T) {
 
 func TestSamplerValidation(t *testing.T) {
 	src := burstSource(time.Second, 2*time.Second, 0)
-	if _, err := NewSampler("x", 0, src); err == nil {
+	if _, err := NewSampler(0, src); err == nil {
 		t.Error("zero granularity accepted")
 	}
-	if _, err := NewSampler("x", time.Second, nil); err == nil {
+	if _, err := NewSampler(time.Second, nil); err == nil {
 		t.Error("nil source accepted")
 	}
-	s, err := NewSampler("x", time.Second, src)
+	s, err := NewSampler(time.Second, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Collect(0); err == nil {
 		t.Error("zero horizon accepted")
-	}
-	if s.Name() != "x" || s.Granularity() != time.Second {
-		t.Error("accessors wrong")
-	}
-	if got := s.SamplesPerMinute(); got != 60 {
-		t.Errorf("SamplesPerMinute = %v, want 60", got)
 	}
 }
 
@@ -191,7 +185,7 @@ func TestThresholdDetectorGranularityDependence(t *testing.T) {
 	det := ThresholdDetector{Threshold: 0.9}
 
 	collect := func(g time.Duration) []stats.Bucket {
-		s, err := NewSampler("cpu", g, src)
+		s, err := NewSampler(g, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,27 +33,20 @@ type UtilizationSource func(from, to time.Duration) float64
 // Sampler resamples a utilization source at a fixed granularity, modelling
 // what a monitoring agent of that period would report.
 type Sampler struct {
-	name        string
 	granularity time.Duration
 	source      UtilizationSource
 }
 
 // NewSampler builds a sampler.
-func NewSampler(name string, granularity time.Duration, source UtilizationSource) (*Sampler, error) {
+func NewSampler(granularity time.Duration, source UtilizationSource) (*Sampler, error) {
 	if granularity <= 0 {
 		return nil, fmt.Errorf("monitor: granularity must be positive, got %v", granularity)
 	}
 	if source == nil {
 		return nil, fmt.Errorf("monitor: source must not be nil")
 	}
-	return &Sampler{name: name, granularity: granularity, source: source}, nil
+	return &Sampler{granularity: granularity, source: source}, nil
 }
-
-// Name returns the sampler's label.
-func (s *Sampler) Name() string { return s.name }
-
-// Granularity returns the sampling period.
-func (s *Sampler) Granularity() time.Duration { return s.granularity }
 
 // Collect returns one bucket per period over [0, horizon).
 func (s *Sampler) Collect(horizon time.Duration) ([]stats.Bucket, error) {
@@ -72,13 +65,6 @@ func (s *Sampler) Collect(horizon time.Duration) ([]stats.Bucket, error) {
 		out = append(out, stats.Bucket{Start: from, Mean: u, Max: u, Min: u, Count: 1})
 	}
 	return out, nil
-}
-
-// SamplesPerMinute returns the sampling rate, the driver of monitoring
-// overhead (providers budget under 1% — the reason CloudWatch samples at
-// one minute and the attack window exists).
-func (s *Sampler) SamplesPerMinute() float64 {
-	return float64(time.Minute) / float64(s.granularity)
 }
 
 // PeriodicSampler evaluates an instantaneous gauge on the simulation

@@ -13,17 +13,14 @@ import (
 // given retransmission-wait shares, one closed trace per window.
 func shareSeries(t *testing.T, shares ...float64) *telemetry.FeatureSeries {
 	t.Helper()
-	res := 100 * time.Millisecond
-	fs, err := telemetry.NewFeatureSeries(res, time.Duration(len(shares)+1)*res, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	windows := make([]telemetry.WindowFeatures, len(shares))
 	for i, share := range shares {
 		rt := 100 * time.Millisecond
 		retrans := time.Duration(share * float64(rt))
-		fs.Add(time.Duration(i)*res, rt, 0, rt-retrans, retrans, 1, 0)
+		windows[i].Observe(rt, 0, rt-retrans, retrans, 1, 0, 0)
 	}
-	return fs
+	fs := telemetry.RestoreFeatureSeries(100*time.Millisecond, 0, 0, windows)
+	return &fs
 }
 
 func TestAttributionDetector(t *testing.T) {

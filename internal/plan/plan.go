@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"memca/internal/spec"
 )
@@ -147,9 +146,6 @@ type Result struct {
 	// Evaluated counts the candidates the oracle scored before the first
 	// feasible one.
 	Evaluated int `json:"evaluated"`
-	// Elapsed is reserved for callers that want to stamp wall time into
-	// reports; the solver itself leaves it zero for determinism.
-	Elapsed time.Duration `json:"-"`
 }
 
 // Solve searches the sizing space in ascending cost order and returns the

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"time"
@@ -37,38 +36,23 @@ func DefaultGrid() []Cell {
 	}
 }
 
-// ValidateOptions tune the validation sweep.
+// ValidateOptions tune the validation sweep. The grid is DefaultGrid and
+// each cell replays validationSeeds seeds derived from BaseSeed, after a
+// validationWarmup that is discarded.
 type ValidateOptions struct {
-	// Cells is the load grid (empty: DefaultGrid).
-	Cells []Cell
-	// Seeds are the simulation seeds replayed per cell (empty: three
-	// seeds derived from BaseSeed).
-	Seeds []int64
-	// BaseSeed feeds seed derivation when Seeds is empty.
+	// BaseSeed feeds seed derivation.
 	BaseSeed int64
 	// Duration is the measured horizon per run (zero: 40 s).
 	Duration time.Duration
-	// Warmup is discarded before measurement (zero: 15 s).
-	Warmup time.Duration
-	// Workers bounds sweep concurrency (see sweep.Options); results are
-	// identical for every value.
-	Workers int
-	// Progress, when non-nil, receives (done, total) after each run.
-	Progress func(done, total int)
 }
 
-func (o ValidateOptions) cells() []Cell {
-	if len(o.Cells) == 0 {
-		return DefaultGrid()
-	}
-	return o.Cells
-}
+const (
+	validationSeeds  = 3
+	validationWarmup = 15 * time.Second
+)
 
 func (o ValidateOptions) seeds() []int64 {
-	if len(o.Seeds) > 0 {
-		return o.Seeds
-	}
-	seeds := make([]int64, 3)
+	seeds := make([]int64, validationSeeds)
 	for i := range seeds {
 		seeds[i] = sweep.DeriveSeed(o.BaseSeed, i)
 	}
@@ -80,13 +64,6 @@ func (o ValidateOptions) duration() time.Duration {
 		return 40 * time.Second
 	}
 	return o.Duration
-}
-
-func (o ValidateOptions) warmup() time.Duration {
-	if o.Warmup <= 0 {
-		return 15 * time.Second
-	}
-	return o.Warmup
 }
 
 // CellResult is one (cell, seed) validation verdict: the planner's
@@ -142,7 +119,7 @@ func NewValidation(slo spec.SLO, opts ValidateOptions) (*Validation, error) {
 	if err := slo.Validate(); err != nil {
 		return nil, err
 	}
-	v := &Validation{slo: slo, opts: opts, cells: opts.cells(), seeds: opts.seeds()}
+	v := &Validation{slo: slo, opts: opts, cells: DefaultGrid(), seeds: opts.seeds()}
 	v.plans = make([]sized, len(v.cells))
 	for i, cell := range v.cells {
 		req := Request{
@@ -183,37 +160,20 @@ func (v *Validation) Run(i int) (CellResult, error) {
 		ThreadScale:     p.res.Sizing.ThreadScale,
 		SmallerReplicas: p.res.NextSmaller.Replicas,
 	}
-	p99, dropRate, err := simulate(p.res.Sizing.System, p.req.Traffic, seed, v.opts.duration(), v.opts.warmup())
+	p99, dropRate, err := simulate(p.res.Sizing.System, p.req.Traffic, seed, v.opts.duration(), validationWarmup)
 	if err != nil {
 		return CellResult{}, err
 	}
 	out.SizedP99, out.SizedDropRate = p99, dropRate
 	out.SizedOK = p99 <= v.slo.TargetRT && dropRate <= v.slo.MaxDropRate
 
-	p99, dropRate, err = simulate(p.res.NextSmaller.System, p.req.Traffic, seed, v.opts.duration(), v.opts.warmup())
+	p99, dropRate, err = simulate(p.res.NextSmaller.System, p.req.Traffic, seed, v.opts.duration(), validationWarmup)
 	if err != nil {
 		return CellResult{}, err
 	}
 	out.SmallerP99, out.SmallerDropRate = p99, dropRate
 	out.SmallerViolates = p99 > v.slo.TargetRT || dropRate > v.slo.MaxDropRate
 	return out, nil
-}
-
-// Validate sizes every grid cell with Solve, replays both the chosen
-// sizing and its minimality witness through the full closed-loop
-// simulator (attack-free) at every seed, and reports whether the
-// simulator agrees with the planner's feasibility boundary. Runs fan out
-// over the sweep engine; results are returned in grid order and are
-// identical for every worker count.
-func Validate(slo spec.SLO, opts ValidateOptions) ([]CellResult, error) {
-	v, err := NewValidation(slo, opts)
-	if err != nil {
-		return nil, err
-	}
-	sweepOpts := sweep.Options{Workers: opts.Workers, Progress: opts.Progress}
-	return sweep.Run(context.Background(), sweepOpts, v.Jobs(), func(_ context.Context, i int) (CellResult, error) {
-		return v.Run(i)
-	})
 }
 
 // simulate replays one sizing through the closed-loop simulator

@@ -100,21 +100,6 @@ type Config struct {
 	Tiers []TierConfig
 	// Classes lists request classes; Submit refers to them by index.
 	Classes []Class
-	// HopDelay, when non-nil, models network latency: one sample is
-	// added on every downstream hop (tier i to tier i+1) and one on the
-	// final response delivery to the client, so a depth-d request pays
-	// d+1 samples. The paper's LAN deployments have negligible hop
-	// latency; this supports WAN sensitivity studies.
-	HopDelay sim.Dist
-	// RecordQueues enables exact per-change queue-length time series
-	// (memory grows with event count; keep off for long benches).
-	RecordQueues bool
-	// OnComplete, when non-nil, observes every completed request after
-	// metrics are recorded.
-	OnComplete func(*Request)
-	// OnDrop, when non-nil, observes every request rejected by the full
-	// front tier.
-	OnDrop func(*Request)
 	// Observer, when non-nil, receives every request lifecycle event (see
 	// SpanKind). Nil costs one branch per lifecycle point and nothing
 	// else, keeping the uninstrumented hot path identical to a network

@@ -199,47 +199,16 @@ func (n *Network) observe(req *Request, kind SpanKind, tier int) {
 func (n *Network) advance(req *Request, i int) {
 	depth := n.cfg.Classes[req.Class].Depth
 	if i < depth {
-		req.curTier = i + 1
-		req.phase = hopDescend
-		n.afterHop(req)
+		n.tiers[i+1].requestSlot(req)
 		return
 	}
 	// Deepest tier done: in RPC mode the response releases every held
 	// slot from the back to the front; in tandem mode tiers were already
-	// released one by one. The held slots free immediately (the threads
-	// unblock as the response passes); only the client-delivery hop is
-	// delayed.
+	// released one by one.
 	if n.cfg.Mode == ModeNTierRPC {
 		for j := i; j >= 0; j-- {
 			n.tiers[j].respond(req)
 		}
-	}
-	req.phase = hopComplete
-	n.afterHop(req)
-}
-
-// afterHop dispatches the request's pending phase now, or after one
-// network-hop delay when configured.
-func (n *Network) afterHop(req *Request) {
-	if n.cfg.HopDelay == nil {
-		n.hopArrive(req)
-		return
-	}
-	n.engine.ScheduleCall(n.cfg.HopDelay.Sample(n.engine.Rand()), n, req)
-}
-
-// Act makes the network the sim.Actor for its hop events: arg is the
-// *Request in flight, whose phase field says what the hop delivers.
-//
-//memca:hotpath
-func (n *Network) Act(arg any) { n.hopArrive(arg.(*Request)) }
-
-// hopArrive lands a request after a hop: either into the next tier on the
-// way down, or at the client with the finished response.
-func (n *Network) hopArrive(req *Request) {
-	if req.phase == hopDescend {
-		n.tiers[req.curTier].requestSlot(req)
-		return
 	}
 	req.Done = n.engine.Now()
 	n.completed++
@@ -247,9 +216,6 @@ func (n *Network) hopArrive(req *Request) {
 	n.observe(req, SpanComplete, -1)
 	if req.onComplete != nil {
 		req.onComplete(req)
-	}
-	if n.cfg.OnComplete != nil {
-		n.cfg.OnComplete(req)
 	}
 	n.putRequest(req)
 }
@@ -260,9 +226,6 @@ func (n *Network) notifyDrop(req *Request) {
 	n.inFlight--
 	if req.onDrop != nil {
 		req.onDrop(req)
-	}
-	if n.cfg.OnDrop != nil {
-		n.cfg.OnDrop(req)
 	}
 	n.putRequest(req)
 }
@@ -279,6 +242,8 @@ func (n *Network) SetCapacityMultiplier(i int, mult float64) error {
 }
 
 // CapacityMultiplier returns tier i's current multiplier.
+//
+//memca:keep the attack tests observe the injector's ON/OFF multiplier only through it
 func (n *Network) CapacityMultiplier(i int) (float64, error) {
 	if i < 0 || i >= len(n.tiers) {
 		return 0, fmt.Errorf("queueing: tier %d out of range [0,%d)", i, len(n.tiers))
@@ -297,14 +262,6 @@ func (n *Network) SetCapacityScale(i int, scale float64) error {
 	return nil
 }
 
-// CapacityScale returns tier i's current elastic-scaling factor.
-func (n *Network) CapacityScale(i int) (float64, error) {
-	if i < 0 || i >= len(n.tiers) {
-		return 0, fmt.Errorf("queueing: tier %d out of range [0,%d)", i, len(n.tiers))
-	}
-	return n.tiers[i].scale, nil
-}
-
 // ResetTierSamples discards the accumulated per-tier response-time
 // samples in place (e.g. after a warm-up phase), keeping their backing
 // storage. Level integrators keep their full history since utilization
@@ -319,9 +276,13 @@ func (n *Network) ResetTierSamples() {
 func (n *Network) Drops() uint64 { return n.drops }
 
 // Completed returns the number of requests that finished.
+//
+//memca:keep the conservation tests check sent = completed + retransmitted + failed only through it
 func (n *Network) Completed() uint64 { return n.completed }
 
 // InFlight returns the number of requests currently inside the network.
+//
+//memca:keep the conservation tests check that a drained network holds no request only through it
 func (n *Network) InFlight() int { return n.inFlight }
 
 // TierSnapshot is a read-only view of one tier's state and metrics.

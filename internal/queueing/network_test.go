@@ -658,76 +658,3 @@ func TestModeString(t *testing.T) {
 		t.Error("unknown mode string wrong")
 	}
 }
-
-func TestHopDelayAddsNetworkLatency(t *testing.T) {
-	// Deterministic services and a 5ms hop delay: a depth-2 request pays
-	// 2 downstream hops + 1 response delivery = 15ms on top of service.
-	e := sim.NewEngine(1)
-	n, err := New(e, Config{
-		Arena: stats.NewArena(),
-		Mode:  ModeNTierRPC,
-		Tiers: []TierConfig{
-			{Name: "a", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(time.Millisecond)},
-			{Name: "b", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(2 * time.Millisecond)},
-			{Name: "c", QueueLimit: Infinite, Servers: 1, Service: sim.NewDeterministic(3 * time.Millisecond)},
-		},
-		Classes:  []Class{{Name: "full", Depth: 2}},
-		HopDelay: sim.NewDeterministic(5 * time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rt time.Duration
-	if _, err := n.Submit(SubmitOpts{Class: 0, OnComplete: func(r *Request) { rt = r.ClientRT() }}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunAll(0); err != nil {
-		t.Fatal(err)
-	}
-	want := 6*time.Millisecond + 15*time.Millisecond
-	if rt != want {
-		t.Errorf("client RT = %v, want %v (service 6ms + 3 hops)", rt, want)
-	}
-}
-
-func TestHopDelaySlotConservation(t *testing.T) {
-	// With hop delays in play, slots still reconcile to zero on drain.
-	e := sim.NewEngine(9)
-	n, err := New(e, Config{
-		Arena: stats.NewArena(),
-		Mode:  ModeNTierRPC,
-		Tiers: []TierConfig{
-			{Name: "a", QueueLimit: 40, Servers: 2, Service: sim.NewExponential(500 * time.Microsecond)},
-			{Name: "b", QueueLimit: 10, Servers: 1, Service: sim.NewExponential(2 * time.Millisecond)},
-		},
-		Classes:  []Class{{Name: "full", Depth: 1}},
-		HopDelay: sim.NewExponential(time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 300, Retransmit: DefaultRetransmit()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Start()
-	e.Schedule(time.Second, func() { _ = n.SetCapacityMultiplier(1, 0.05) })
-	e.Schedule(1500*time.Millisecond, func() { _ = n.SetCapacityMultiplier(1, 1) })
-	e.Run(5 * time.Second)
-	src.Stop()
-	if err := e.RunAll(0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n.NumTiers(); i++ {
-		st, err := n.TierState(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.InUse != 0 || st.Backlog != 0 || st.BusyStations != 0 {
-			t.Errorf("tier %d not drained with hop delays: %+v", i, st)
-		}
-	}
-	if n.InFlight() != 0 {
-		t.Errorf("in flight after drain: %d", n.InFlight())
-	}
-}

@@ -51,21 +51,7 @@ type Request struct {
 
 	onComplete func(*Request)
 	onDrop     func(*Request)
-	curTier    int
-	// phase tells the network's hop dispatcher what to do with the
-	// request when a network-hop event fires.
-	phase hopPhase
 }
-
-// hopPhase is the pending action carried by a request across a network hop.
-type hopPhase uint8
-
-const (
-	// hopDescend admits the request into tiers[curTier].
-	hopDescend hopPhase = iota
-	// hopComplete delivers the response to the client.
-	hopComplete
-)
 
 // reset clears the request for reuse, keeping the TierArrive/TierLeave
 // backing arrays so steady-state submissions allocate nothing. The tier
@@ -86,8 +72,6 @@ func (r *Request) reset(depth int) {
 	r.UserData = nil
 	r.onComplete = nil
 	r.onDrop = nil
-	r.curTier = 0
-	r.phase = hopDescend
 }
 
 // resetDurations returns s resized to n with every element zeroed, reusing
@@ -116,6 +100,3 @@ func (r *Request) TierRT(i int) time.Duration {
 	}
 	return r.TierLeave[i] - r.TierArrive[i]
 }
-
-// Depth returns the deepest tier index this request visits.
-func (r *Request) Depth() int { return len(r.TierArrive) - 1 }

@@ -170,11 +170,17 @@ func (s *Source) handleDrop(req *Request) {
 func (s *Source) ClientRT() *stats.Sample { return s.clientRT }
 
 // Sent returns the number of submit attempts (including retransmissions).
+//
+//memca:keep the conservation tests check sent = completed + retransmitted + failed only through it
 func (s *Source) Sent() uint64 { return s.sent }
 
 // Retransmissions returns how many drops were retried.
+//
+//memca:keep the conservation and retransmission tests count retried drops only through it
 func (s *Source) Retransmissions() uint64 { return s.retrans }
 
 // Failures returns how many requests exhausted their retries (or were
 // dropped with retransmission disabled).
+//
+//memca:keep the conservation and retransmission tests count abandoned requests only through it
 func (s *Source) Failures() uint64 { return s.failures }

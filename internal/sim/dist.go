@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -138,29 +137,3 @@ func (d Erlang) Sample(rng *rand.Rand) time.Duration {
 
 // Mean implements Dist.
 func (d Erlang) Mean() time.Duration { return time.Duration(d.K) * d.each.Mean() }
-
-// Quantile computes the q-quantile (0 <= q <= 1) of an empirical sample by
-// linear interpolation. It is a convenience for tests; the stats package
-// holds the full toolkit.
-func Quantile(values []time.Duration, q float64) time.Duration {
-	if len(values) == 0 {
-		return 0
-	}
-	cp := make([]time.Duration, len(values))
-	copy(cp, values)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[len(cp)-1]
-	}
-	pos := q * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := pos - float64(lo)
-	return cp[lo] + time.Duration(frac*float64(cp[hi]-cp[lo]))
-}

@@ -57,10 +57,6 @@ type Event struct {
 	at  time.Duration
 }
 
-// Time reports the virtual time at which the event fires (or would have
-// fired, if canceled).
-func (ev Event) Time() time.Duration { return ev.at }
-
 // Cancel prevents the event's callback from running. Canceling an event
 // that already fired or was already canceled is a no-op.
 func (ev Event) Cancel() {
@@ -73,6 +69,8 @@ func (ev Event) Cancel() {
 // stays valid while the event is queued and through the pop that discards
 // it; once the engine reuses the underlying slot for a later event the
 // stale handle reports false.
+//
+//memca:keep FuzzEngineOrder checks cancellation state against its reference model only through it
 func (ev Event) Canceled() bool {
 	if ev.e == nil {
 		return false
@@ -186,9 +184,13 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events still queued (including canceled
 // events not yet discarded).
+//
+//memca:keep FuzzEngineOrder checks the queued-event count against its reference model only through it
 func (e *Engine) Pending() int { return e.pending }
 
 // Processed returns the number of events fired so far.
+//
+//memca:keep perfbench (a separate module) reports events per op from it
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Schedule queues fn to run after delay. A negative delay is treated as

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -251,47 +249,5 @@ func TestErlangVarianceBelowExponential(t *testing.T) {
 	vErl := variance(NewErlang(8, mean))
 	if vErl >= vExp {
 		t.Errorf("Erlang-8 variance %v not below exponential %v", vErl, vExp)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	vals := []time.Duration{4, 1, 3, 2, 5} // unsorted on purpose
-	tests := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4},
-	}
-	for _, tc := range tests {
-		if got := Quantile(vals, tc.q); got != tc.want {
-			t.Errorf("Quantile(%.2f) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("Quantile(nil) = %v, want 0", got)
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []uint32, q1, q2 float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]time.Duration, len(raw))
-		for i, r := range raw {
-			vals[i] = time.Duration(r)
-		}
-		norm := func(q float64) float64 {
-			q = math.Abs(q)
-			return q - math.Floor(q)
-		}
-		q1, q2 = norm(q1), norm(q2)
-		if q1 > q2 {
-			q1, q2 = q2, q1
-		}
-		return Quantile(vals, q1) <= Quantile(vals, q2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -152,17 +152,19 @@ func (h *engineHarness) fire(id int) {
 
 func (h *engineHarness) schedule(op int, amount, child time.Duration) {
 	id := len(h.handles)
+	at := h.e.Now() + max(amount, 0)
 	var ev Event
 	switch op {
 	case opAt:
 		ev = h.e.At(amount, func() { h.fire(id) })
+		at = max(amount, h.e.Now())
 	case opScheduleCall:
 		ev = h.e.ScheduleCall(amount, recordActor{h}, id)
 	default:
 		ev = h.e.Schedule(amount, func() { h.fire(id) })
 	}
 	h.handles = append(h.handles, ev)
-	h.atOf = append(h.atOf, ev.Time())
+	h.atOf = append(h.atOf, at)
 	h.childOf = append(h.childOf, child)
 }
 

@@ -1,13 +1,12 @@
 // Package spec defines the shared system/traffic/SLO vocabulary of the
 // reproduction: one description of an n-tier deployment, its offered
 // traffic, and its service-level objective that feeds the capacity planner
-// (internal/plan), the simulator (core.Config.FromSpec), and the live
-// victim daemon (victimd.SystemFromSpec) alike. The types are pure data —
-// conversions to the consumers' native configurations live with the
-// consumers, so this package depends only on the analytical model it
-// parameterizes. PlanJSON is the sections' file form: core.Load reads it
-// as the system/traffic/slo part of the one config document that
-// memca-sim and memca-plan share.
+// (internal/plan) and the simulator (core.Config.FromSpec) alike. The types
+// are pure data — conversions to the consumers' native configurations live
+// with the consumers, so this package depends only on the analytical model it
+// parameterizes. PlanJSON is the sections' file form: core.Load reads it as
+// the system/traffic/slo part of the one config document that memca-sim and
+// memca-plan share.
 package spec
 
 import (

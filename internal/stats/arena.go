@@ -131,6 +131,8 @@ type ArenaStats struct {
 }
 
 // Stats returns the arena's current storage accounting.
+//
+//memca:keep TestCloseArenaReuse observes the live-object and reset counts of a recycled arena only through it
 func (a *Arena) Stats() ArenaStats {
 	return ArenaStats{
 		OwnedBytes:  a.ownedBytes,

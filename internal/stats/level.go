@@ -70,10 +70,14 @@ func (li *LevelIntegrator) Set(t time.Duration, level int) {
 }
 
 // Level returns the current level.
+//
+//memca:keep the history tests compare history-on and history-off integrators' levels only through it
 func (li *LevelIntegrator) Level() int { return li.level }
 
 // Integral returns the accumulated level-seconds up to time t. Like
 // WindowAverage, it panics on a handle from before the arena's last Reset.
+//
+//memca:keep TestSeedDeterminism fingerprints the exact occupancy integral only through it
 func (li *LevelIntegrator) Integral(t time.Duration) float64 {
 	li.a.check(li.gen)
 	total := li.integral

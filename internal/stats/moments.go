@@ -44,7 +44,6 @@ type CUSUM struct {
 	slack     float64
 	threshold float64
 	sum       float64
-	alarms    int
 }
 
 // NewCUSUM returns a detector around the given target level. slack (k)
@@ -61,12 +60,8 @@ func (c *CUSUM) Add(x float64) bool {
 		c.sum = 0
 	}
 	if c.sum > c.threshold {
-		c.alarms++
 		c.sum = 0
 		return true
 	}
 	return false
 }
-
-// Sum returns the current cumulative statistic.
-func (c *CUSUM) Sum() float64 { return c.sum }

@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -63,6 +64,8 @@ func (s *Sample) Reset() {
 
 // Values returns a copy of the raw observations in insertion order,
 // regardless of any quantile queries in between.
+//
+//memca:keep the stats equivalence tests and TestSeedDeterminism compare samples value for value only through it
 func (s *Sample) Values() []time.Duration {
 	cp := make([]time.Duration, s.Len())
 	copy(cp, s.values)
@@ -112,6 +115,20 @@ func (s *Sample) Quantile(q float64) time.Duration {
 
 // Percentile returns the p-th percentile, p in [0, 100].
 func (s *Sample) Percentile(p float64) time.Duration { return s.Quantile(p / 100) }
+
+// NearestRank returns the order statistic of rank int(q*(n-1)) among
+// values, clamped to [0, n-1], or 0 when values is empty. It sorts a copy
+// and leaves values untouched. Unlike Sample.Quantile it never
+// interpolates: the value it returns was observed.
+func NearestRank(values []time.Duration, q float64) time.Duration {
+	n := len(values)
+	if n == 0 {
+		return 0
+	}
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return sorted[max(0, min(int(q*float64(n-1)), n-1))]
+}
 
 // Mean returns the arithmetic mean, or 0 for an empty sample. The sum
 // runs in insertion order.

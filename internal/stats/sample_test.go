@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,21 +123,28 @@ func TestCUSUMDetectsShift(t *testing.T) {
 			t.Fatal("CUSUM alarmed on in-control data")
 		}
 	}
-	alarmed := false
-	for i := 0; i < 20; i++ {
+	// A shift to 14 drifts the statistic by 14-10-1 = 3 per observation:
+	// the second shifted value crosses the threshold (6 > 5).
+	if c.Add(14) {
+		t.Fatal("CUSUM alarmed after one shifted value")
+	}
+	if !c.Add(14) {
+		t.Fatal("CUSUM missed a 4-sigma-equivalent shift")
+	}
+	// The alarm resets the statistic: the next shifted value (3) stays
+	// below the threshold, and the one after alarms again — exactly one
+	// alarm per two shifted values.
+	alarms := 0
+	for i := 0; i < 10; i++ {
 		if c.Add(14) {
-			alarmed = true
-			break
+			alarms++
+			if i%2 == 0 {
+				t.Fatalf("alarm on shifted value %d right after an alarm: statistic not reset", i)
+			}
 		}
 	}
-	if !alarmed {
-		t.Error("CUSUM missed a 4-sigma-equivalent shift")
-	}
-	if c.alarms != 1 {
-		t.Errorf("alarms = %d, want 1", c.alarms)
-	}
-	if c.Sum() != 0 {
-		t.Errorf("Sum not reset after alarm: %v", c.Sum())
+	if alarms != 5 {
+		t.Errorf("alarms = %d over 10 shifted values, want 5", alarms)
 	}
 }
 
@@ -246,5 +255,48 @@ func TestBusyIntegratorSeries(t *testing.T) {
 		if u := b.WindowAverage(from, from+time.Second); u < 0.099 || u > 0.101 {
 			t.Errorf("coarse window at %v = %v, want ~0.1", from, u)
 		}
+	}
+}
+
+func TestNearestRank(t *testing.T) {
+	vals := []time.Duration{4, 1, 3, 2, 5} // unsorted on purpose
+	for _, tc := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4},
+		{0.95, 4},       // rank int(0.95*4) = 3: never interpolated
+		{-1, 1}, {2, 5}, // clamped to the ends
+	} {
+		if got := NearestRank(vals, tc.q); got != tc.want {
+			t.Errorf("NearestRank(%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+	if !slices.Equal(vals, []time.Duration{4, 1, 3, 2, 5}) {
+		t.Errorf("NearestRank reordered its input: %v", vals)
+	}
+	if got := NearestRank(nil, 0.5); got != 0 {
+		t.Errorf("NearestRank(nil) = %v, want 0", got)
+	}
+}
+
+func TestNearestRankMonotoneProperty(t *testing.T) {
+	f := func(raw []uint32, q1, q2 float64) bool {
+		vals := make([]time.Duration, len(raw))
+		for i, r := range raw {
+			vals[i] = time.Duration(r)
+		}
+		norm := func(q float64) float64 {
+			q = math.Abs(q)
+			return q - math.Floor(q)
+		}
+		q1, q2 = norm(q1), norm(q2)
+		if q1 > q2 {
+			q1, q2 = q2, q1
+		}
+		return NearestRank(vals, q1) <= NearestRank(vals, q2)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -38,7 +38,7 @@ func TestRaceManySmallJobs(t *testing.T) {
 				t.Errorf("progress (%d, %d) out of range", done, total)
 			}
 		}}
-		res, err := Run(context.Background(), opts, jobs, func(_ context.Context, i int) (int, error) {
+		res, err := RunState(context.Background(), opts, jobs, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) {
 			rng := rand.New(rand.NewSource(DeriveSeed(7, i)))
 			spin(rng)
 			return i, nil
@@ -65,7 +65,7 @@ func TestRaceCancellationMidSweep(t *testing.T) {
 		rng := rand.New(rand.NewSource(DeriveSeed(99, round)))
 		cancelAt := rng.Intn(200)
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := Run(ctx, Options{Workers: 8}, 200, func(ctx context.Context, i int) (int, error) {
+		_, err := RunState(ctx, Options{Workers: 8}, 200, nil, nil, func(ctx context.Context, _ struct{}, i int) (int, error) {
 			jobRng := rand.New(rand.NewSource(DeriveSeed(int64(round), i)))
 			spin(jobRng)
 			if i == cancelAt {
@@ -87,7 +87,7 @@ func TestRaceErrorsUnderContention(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		rng := rand.New(rand.NewSource(DeriveSeed(123, round)))
 		failFrom := 1 + rng.Intn(50)
-		_, err := Run(context.Background(), Options{Workers: 8}, 300, func(_ context.Context, i int) (int, error) {
+		_, err := RunState(context.Background(), Options{Workers: 8}, 300, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) {
 			jobRng := rand.New(rand.NewSource(DeriveSeed(int64(round)+1000, i)))
 			spin(jobRng)
 			if i >= failFrom {

@@ -5,24 +5,11 @@ package sweep
 // Because every job is a pure function of its index (the package
 // contract), the partition is safe by construction: a shard can run in
 // another process — or on another machine — and the merged, index-ordered
-// results are exactly what a single-process Run would have produced.
+// results are exactly what a single-process RunState would have produced.
 //
-// The plan is frozen: manifests, shard artifact files, and checkpoint
-// resume positions all depend on Shard(index) = index mod shards, so
+// The plan is frozen: manifests, shard artifact files, and checkpoint resume
+// positions all depend on job index i belonging to shard i mod shards, so
 // changing it is a breaking change to every recorded distributed sweep.
-
-// Shard returns the shard that owns job index under a plan with shards
-// shards: index mod shards. It panics if shards < 1 or index < 0, which
-// are manifest-validation errors upstream, never data-dependent states.
-func Shard(index, shards int) int {
-	if shards < 1 {
-		panic("sweep: shard plan needs at least one shard")
-	}
-	if index < 0 {
-		panic("sweep: negative job index")
-	}
-	return index % shards
-}
 
 // ShardSize returns the number of jobs a shard owns in a sweep of jobs
 // jobs: the size of {i : 0 <= i < jobs, i mod shards == shard}.
@@ -50,7 +37,7 @@ func ShardIndices(jobs, shards, shard int) []int {
 }
 
 // checkShard validates a (shards, shard) pair; violations are manifest
-// bugs, not data-dependent states, so they panic like Shard does.
+// bugs, not data-dependent states, so they panic.
 func checkShard(shards, shard int) {
 	if shards < 1 {
 		panic("sweep: shard plan needs at least one shard")

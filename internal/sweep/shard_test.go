@@ -1,6 +1,9 @@
 package sweep
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestShardPartition pins the frozen plan: every job index lands in
 // exactly one shard, shards own ascending disjoint index sets, and the
@@ -24,8 +27,8 @@ func TestShardPartition(t *testing.T) {
 					t.Errorf("jobs=%d shards=%d shard=%d: indices not ascending: %v", tc.jobs, tc.shards, s, indices)
 				}
 				prev = i
-				if Shard(i, tc.shards) != s {
-					t.Errorf("index %d listed under shard %d but Shard()=%d", i, s, Shard(i, tc.shards))
+				if i%tc.shards != s {
+					t.Errorf("index %d listed under shard %d, want shard %d", i, s, i%tc.shards)
 				}
 				seen[i]++
 			}
@@ -45,10 +48,10 @@ func TestShardPartition(t *testing.T) {
 // the same way the DeriveSeed values are pinned: recorded manifests and
 // shard artifacts depend on it.
 func TestShardFrozenValues(t *testing.T) {
-	want := []int{0, 1, 2, 0, 1, 2, 0}
-	for i, w := range want {
-		if got := Shard(i, 3); got != w {
-			t.Errorf("Shard(%d, 3) = %d, want %d", i, got, w)
+	want := [][]int{{0, 3, 6}, {1, 4}, {2, 5}}
+	for s, w := range want {
+		if got := ShardIndices(7, 3, s); !slices.Equal(got, w) {
+			t.Errorf("ShardIndices(7, 3, %d) = %v, want %v", s, got, w)
 		}
 	}
 }
@@ -57,8 +60,8 @@ func TestShardFrozenValues(t *testing.T) {
 // manifest bugs, never data-dependent states.
 func TestShardPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { Shard(0, 0) },
-		func() { Shard(-1, 2) },
+		func() { ShardSize(4, 0, 0) },
+		func() { ShardIndices(4, 0, 0) },
 		func() { ShardSize(4, 2, 2) },
 		func() { ShardIndices(4, 2, -1) },
 	} {

@@ -151,8 +151,8 @@ func TestRunStateReleaseOnCancellation(t *testing.T) {
 	tracker.audit(t, 4, -1)
 }
 
-// TestRunStateNilHooks covers the Run delegation shape: nil acquire and
-// release are valid and the sweep behaves exactly like Run.
+// TestRunStateNilHooks covers the stateless shape: nil acquire and
+// release are valid.
 func TestRunStateNilHooks(t *testing.T) {
 	res, err := RunState(context.Background(), Options{Workers: 3}, 9, nil, nil,
 		func(_ context.Context, _ struct{}, i int) (int, error) { return i * 2, nil })
@@ -166,7 +166,7 @@ func TestRunStateNilHooks(t *testing.T) {
 	}
 }
 
-// TestRunStateNilJobRejected mirrors Run's nil-job validation.
+// TestRunStateNilJobRejected pins the nil-job validation.
 func TestRunStateNilJobRejected(t *testing.T) {
 	if _, err := RunState[int, struct{}](context.Background(), Options{}, 4, nil, nil, nil); err == nil {
 		t.Fatal("nil job accepted")

@@ -29,15 +29,6 @@ import (
 	"sync/atomic"
 )
 
-// Job computes the index-th result of a sweep. Implementations must be
-// pure functions of the index (plus read-only captured configuration):
-// any randomness must come from a generator seeded via the index, and no
-// mutable state may be shared between jobs. The context is canceled when
-// another job fails or the caller cancels the sweep; long-running jobs
-// may honor it, but ignoring it only delays shutdown, never corrupts
-// results.
-type Job[T any] func(ctx context.Context, index int) (T, error)
-
 // Options tune one sweep.
 type Options struct {
 	// Workers bounds concurrency: at most Workers jobs run at once.
@@ -69,41 +60,38 @@ func (o Options) workerCount(jobs int) int {
 	return w
 }
 
-// Run executes jobs 0..n-1 over the worker pool and returns their results
-// in job-index order. Indices are dispatched in ascending order, so with
-// Workers = 1 the execution order is exactly the serial loop's.
+// StateJob computes the index-th result of a sweep using per-worker
+// scratch state. Implementations must be pure functions of the index (plus
+// read-only captured configuration): any randomness must come from a
+// generator seeded via the index, and no mutable state may be shared
+// between jobs. The context is canceled when another job fails or the
+// caller cancels the sweep; long-running jobs may honor it, but ignoring
+// it only delays shutdown, never corrupts results. State is owned
+// exclusively by the calling worker for the duration of the call, so jobs
+// may mutate it freely — but the result must not depend on what previous
+// jobs left inside (reset it, or treat it as storage whose contents never
+// reach the output). That is exactly the contract of a stats.Arena reset
+// between jobs.
+type StateJob[T, S any] func(ctx context.Context, state S, index int) (T, error)
+
+// RunState executes jobs 0..n-1 over the worker pool and returns their
+// results in job-index order. Indices are dispatched in ascending order,
+// so with Workers = 1 the execution order is exactly the serial loop's.
+//
+// Each worker calls acquire once when it starts, passes the state to
+// every job it executes, and calls release when it exits (on success,
+// failure, and cancellation alike), so expensive reusable resources — a
+// stats.Arena, a scratch buffer pool — are paid for once per worker, not
+// once per job. Either of acquire and release may be nil; a sweep
+// without state passes nil for both and a struct{} state.
 //
 // On failure the remaining undispatched jobs are abandoned, in-flight
 // jobs run to completion (or observe ctx and stop early), and the error
 // of the lowest-indexed failing job is returned — deterministically,
 // because a lower-indexed failing job is always dispatched before the
 // failure that stopped the sweep. If the caller's context is canceled
-// and no job failed, Run returns the context's error even when every
-// job happened to complete.
-func Run[T any](ctx context.Context, opts Options, n int, job Job[T]) ([]T, error) {
-	if job == nil {
-		return nil, fmt.Errorf("sweep: job must not be nil")
-	}
-	return RunState(ctx, opts, n, nil, nil,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return job(ctx, i) })
-}
-
-// StateJob computes the index-th result of a sweep using per-worker
-// scratch state. The same purity rules as Job apply, with one relaxation:
-// state is owned exclusively by the calling worker for the duration of the
-// call, so jobs may mutate it freely — but the result must not depend on
-// what previous jobs left inside (reset it, or treat it as storage whose
-// contents never reach the output). That is exactly the contract of a
-// stats.Arena reset between jobs.
-type StateJob[T, S any] func(ctx context.Context, state S, index int) (T, error)
-
-// RunState is Run with per-worker scratch state: each worker calls acquire
-// once when it starts, passes the state to every job it executes, and
-// calls release when it exits (on success, failure, and cancellation
-// alike). It exists so expensive reusable resources — a stats.Arena, a
-// scratch buffer pool — are paid for once per worker, not once per job,
-// while keeping the job functions pure in everything that reaches the
-// results. Either of acquire and release may be nil.
+// and no job failed, RunState returns the context's error even when
+// every job happened to complete.
 func RunState[T, S any](ctx context.Context, opts Options, n int, acquire func() S, release func(S), job StateJob[T, S]) ([]T, error) {
 	if job == nil {
 		return nil, fmt.Errorf("sweep: job must not be nil")

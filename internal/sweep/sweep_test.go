@@ -15,7 +15,7 @@ import (
 // above the job count.
 func TestRunOrdersResults(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 4, 8, 64} {
-		res, err := Run(context.Background(), Options{Workers: workers}, 17, func(_ context.Context, i int) (int, error) {
+		res, err := RunState(context.Background(), Options{Workers: workers}, 17, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -39,7 +39,7 @@ func TestRunOrdersResults(t *testing.T) {
 func TestRunWorkerCountEquivalence(t *testing.T) {
 	const base = int64(42)
 	fingerprint := func(workers int) string {
-		res, err := Run(context.Background(), Options{Workers: workers}, 32, func(_ context.Context, i int) (string, error) {
+		res, err := RunState(context.Background(), Options{Workers: workers}, 32, nil, nil, func(_ context.Context, _ struct{}, i int) (string, error) {
 			rng := rand.New(rand.NewSource(DeriveSeed(base, i)))
 			return fmt.Sprintf("%d:%d:%d", i, rng.Int63(), rng.Int63()), nil
 		})
@@ -58,21 +58,21 @@ func TestRunWorkerCountEquivalence(t *testing.T) {
 
 // TestRunZeroJobs checks the n = 0 fast path.
 func TestRunZeroJobs(t *testing.T) {
-	res, err := Run(context.Background(), Options{}, 0, func(_ context.Context, _ int) (int, error) {
+	res, err := RunState(context.Background(), Options{}, 0, nil, nil, func(_ context.Context, _ struct{}, _ int) (int, error) {
 		t.Fatal("job ran for n = 0")
 		return 0, nil
 	})
 	if err != nil || res != nil {
-		t.Fatalf("Run(0 jobs) = (%v, %v), want (nil, nil)", res, err)
+		t.Fatalf("RunState(0 jobs) = (%v, %v), want (nil, nil)", res, err)
 	}
 }
 
 // TestRunRejectsBadInput covers nil jobs and negative counts.
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run[int](context.Background(), Options{}, 3, nil); err == nil {
+	if _, err := RunState[int, struct{}](context.Background(), Options{}, 3, nil, nil, nil); err == nil {
 		t.Error("nil job accepted")
 	}
-	if _, err := Run(context.Background(), Options{}, -1, func(_ context.Context, _ int) (int, error) { return 0, nil }); err == nil {
+	if _, err := RunState(context.Background(), Options{}, -1, nil, nil, func(_ context.Context, _ struct{}, _ int) (int, error) { return 0, nil }); err == nil {
 		t.Error("negative job count accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 func TestRunErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []int
-	_, err := Run(context.Background(), Options{Workers: 1}, 10, func(_ context.Context, i int) (int, error) {
+	_, err := RunState(context.Background(), Options{Workers: 1}, 10, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) {
 		ran = append(ran, i)
 		if i == 3 {
 			return 0, boom
@@ -105,7 +105,7 @@ func TestRunErrorPropagation(t *testing.T) {
 // parallelism, the lowest-indexed failure wins — matching what the
 // serial path would have reported.
 func TestRunErrorLowestIndex(t *testing.T) {
-	_, err := Run(context.Background(), Options{Workers: 8}, 16, func(_ context.Context, i int) (int, error) {
+	_, err := RunState(context.Background(), Options{Workers: 8}, 16, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) {
 		return 0, fmt.Errorf("fail-%d", i)
 	})
 	if err == nil {
@@ -121,7 +121,7 @@ func TestRunErrorLowestIndex(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	_, err := Run(ctx, Options{Workers: 2}, 100, func(ctx context.Context, i int) (int, error) {
+	_, err := RunState(ctx, Options{Workers: 2}, 100, nil, nil, func(ctx context.Context, _ struct{}, i int) (int, error) {
 		once.Do(cancel)
 		return i, nil
 	})
@@ -143,7 +143,7 @@ func TestRunProgress(t *testing.T) {
 		seen = append(seen, done)
 		mu.Unlock()
 	}}
-	if _, err := Run(context.Background(), opts, 20, func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
+	if _, err := RunState(context.Background(), opts, 20, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 20 {

@@ -46,46 +46,6 @@ func (a *Attribution) TotalQueue() time.Duration {
 	return s
 }
 
-// TotalService sums the per-tier service components.
-func (a *Attribution) TotalService() time.Duration {
-	var s time.Duration
-	for _, v := range a.Service {
-		s += v
-	}
-	return s
-}
-
-// Wait is the non-service share of the response time: queueing plus
-// retransmission wait.
-func (a *Attribution) Wait() time.Duration { return a.TotalQueue() + a.RetransWait }
-
-// Aggregate is the running sum of attribution components over closed
-// traces.
-type Aggregate struct {
-	// Count is the number of closed traces.
-	Count uint64
-	// Abandoned counts traces the client gave up on.
-	Abandoned uint64
-	// Attempts and Drops sum over all closed traces.
-	Attempts int
-	Drops    int
-	// RT is the summed client response time.
-	RT time.Duration
-	// Queue[i] / Service[i] are summed per-tier components.
-	Queue   []time.Duration
-	Service []time.Duration
-	// RetransWait and Other are the summed client-side components.
-	RetransWait time.Duration
-	Other       time.Duration
-}
-
-func newAggregate(tiers int) Aggregate {
-	return Aggregate{
-		Queue:   make([]time.Duration, tiers),
-		Service: make([]time.Duration, tiers),
-	}
-}
-
 // Breakdown is a normalized view over a set of attributions: total time
 // per component and the share of the summed response time each claims.
 type Breakdown struct {

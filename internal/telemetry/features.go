@@ -115,10 +115,9 @@ func newFeatureSeries(res, horizon, tailOver time.Duration) *FeatureSeries {
 }
 
 // NewFeatureSeries builds a standalone feature series covering
-// [0, horizon]. The simulator's Tracer builds its own series; this
-// constructor exists for offline assembly — the live collector books
-// wall-clock attributions into the same structure so the attribution
-// detector and the feature CSV export work identically on real runs.
+// [0, horizon]. The simulator's Tracer builds its own series.
+//
+//memca:keep BenchmarkFeatureExtract, whose 0 allocs/op is gated in bench/baseline.json, builds its series only through it
 func NewFeatureSeries(res, horizon, tailOver time.Duration) (*FeatureSeries, error) {
 	if res <= 0 {
 		return nil, fmt.Errorf("telemetry: feature window must be positive, got %v", res)

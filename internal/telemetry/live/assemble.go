@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"memca/internal/stats"
 	"memca/internal/telemetry"
 )
 
@@ -224,31 +225,6 @@ func (r *Report) Timelines(resolutions ...time.Duration) ([]*telemetry.Timeline,
 	return out, nil
 }
 
-// Features books every attribution into a per-window feature series at
-// the given resolution (covering [0, last close]) — the same detection
-// features the simulator's tracer streams, extracted from a live run.
-// tailOver sets the series' tail-count threshold (0 disables it).
-func (r *Report) Features(res, tailOver time.Duration) (*telemetry.FeatureSeries, error) {
-	horizon := time.Duration(0)
-	for i := range r.Attributions {
-		if end := r.Attributions[i].End; end > horizon {
-			horizon = end
-		}
-	}
-	if horizon == 0 {
-		horizon = time.Second
-	}
-	fs, err := telemetry.NewFeatureSeries(res, horizon, tailOver)
-	if err != nil {
-		return nil, err
-	}
-	for i := range r.Attributions {
-		a := &r.Attributions[i]
-		fs.Add(a.End, a.RT, a.TotalQueue(), a.TotalService(), a.RetransWait, a.Attempts, a.Drops)
-	}
-	return fs, nil
-}
-
 // TailOver returns the attributions with RT >= threshold — the records an
 // aggregate monitor would need to explain but cannot.
 func (r *Report) TailOver(threshold time.Duration) []telemetry.Attribution {
@@ -271,13 +247,5 @@ func (r *Report) PercentileRT(pct float64) time.Duration {
 	for i := range r.Attributions {
 		rts[i] = r.Attributions[i].RT
 	}
-	sort.Slice(rts, func(i, j int) bool { return rts[i] < rts[j] })
-	idx := int(pct / 100 * float64(len(rts)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(rts) {
-		idx = len(rts) - 1
-	}
-	return rts[idx]
+	return stats.NearestRank(rts, pct/100)
 }

@@ -58,9 +58,6 @@ type Config struct {
 	// drops events (counted) rather than overwriting — concurrent writers
 	// must never lap each other.
 	Events int
-	// Epoch is wall-clock time zero for event timestamps; the zero value
-	// means "now at New".
-	Epoch time.Time
 }
 
 // Validate reports the first configuration error, or nil.
@@ -96,15 +93,11 @@ func New(cfg Config) (*Collector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	epoch := cfg.Epoch
-	if epoch.IsZero() {
-		epoch = time.Now()
-	}
 	names := make([]string, len(cfg.Tiers))
 	copy(names, cfg.Tiers)
 	return &Collector{
 		tierNames: names,
-		epoch:     epoch,
+		epoch:     time.Now(),
 		ready:     make([]atomic.Uint32, cfg.Events),
 		events:    make([]telemetry.SpanEvent, cfg.Events),
 	}, nil

@@ -85,7 +85,10 @@ func TestAssembleAttribution(t *testing.T) {
 	if a.RetransWait != ms(20) {
 		t.Errorf("retransWait = %v, want 20ms", a.RetransWait)
 	}
-	want := a.RT - (a.TotalQueue() + a.TotalService() + a.RetransWait)
+	want := a.RT - a.TotalQueue() - a.RetransWait
+	for _, d := range a.Service {
+		want -= d
+	}
 	if a.Other != want {
 		t.Errorf("Other = %v, want %v (exact decomposition)", a.Other, want)
 	}

@@ -17,8 +17,8 @@ import (
 //
 // The tracker aggregates whatever its caller can observe. A single tier
 // sees its own queue wait, service time, and sheds, but not the client's
-// retransmission wait; the trace collector's Report.Features sees the
-// full cross-tier attribution. Both book into the same WindowFeatures.
+// retransmission wait, which only the assembled cross-tier attribution
+// carries.
 type WindowTracker struct {
 	res  time.Duration
 	tail time.Duration

@@ -3,8 +3,6 @@ package live
 import (
 	"testing"
 	"time"
-
-	"memca/internal/telemetry"
 )
 
 func TestWindowTrackerValidation(t *testing.T) {
@@ -57,48 +55,5 @@ func TestWindowTrackerRotation(t *testing.T) {
 	feat, start, ok = w.Last(epoch.Add(5500 * time.Millisecond))
 	if !ok || start != 4*time.Second || feat.Count != 0 {
 		t.Errorf("idle window = %+v at %v (ok %v), want empty at 4s", feat, start, ok)
-	}
-}
-
-func TestReportFeatures(t *testing.T) {
-	rep := Report{Attributions: []telemetry.Attribution{
-		{
-			TraceID: 1, Start: 0, End: 30 * time.Millisecond, RT: 30 * time.Millisecond,
-			Attempts: 1, Queue: []time.Duration{10 * time.Millisecond},
-			Service: []time.Duration{20 * time.Millisecond},
-		},
-		{
-			TraceID: 2, Start: 0, End: 1200 * time.Millisecond, RT: 1200 * time.Millisecond,
-			Attempts: 2, Drops: 1, Queue: []time.Duration{100 * time.Millisecond},
-			Service: []time.Duration{100 * time.Millisecond}, RetransWait: time.Second,
-		},
-	}}
-	fs, err := rep.Features(time.Second, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins := fs.Windows()
-	if len(wins) != 2 {
-		t.Fatalf("got %d windows, want 2", len(wins))
-	}
-	if wins[0].Count != 1 || wins[0].SumRT != 30*time.Millisecond {
-		t.Errorf("window 0 = %+v", wins[0])
-	}
-	w1 := wins[1]
-	if w1.Count != 1 || w1.Drops != 1 || w1.TailOver != 1 || w1.SumRetransWait != time.Second {
-		t.Errorf("window 1 = %+v", w1)
-	}
-	if share := w1.RetransShare(); share < 0.83 || share > 0.84 {
-		t.Errorf("retrans share = %v, want 1000/1200", share)
-	}
-
-	// Empty reports still produce a (one-window) series.
-	empty := Report{}
-	fs, err = empty.Features(time.Second, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs.Windows()) != 0 {
-		t.Errorf("empty report produced %d windows", len(fs.Windows()))
 	}
 }

@@ -264,7 +264,6 @@ type Tracer struct {
 	timelines []*Timeline
 	features  []*FeatureSeries
 
-	agg       Aggregate
 	closed    uint64
 	untracked uint64
 }
@@ -311,7 +310,6 @@ func New(engine *sim.Engine, cfg Config) (*Tracer, error) {
 	for i, res := range cfg.FeatureWindows {
 		t.features[i] = newFeatureSeries(res, cfg.Horizon, cfg.TailOver)
 	}
-	t.agg = newAggregate(cfg.Tiers)
 	return t, nil
 }
 
@@ -479,21 +477,6 @@ func (t *Tracer) closeSlot(si int32, end time.Duration, abandoned bool) {
 		totalService += t.tierWork[base+i].service
 	}
 
-	a := &t.agg
-	a.Count++
-	a.RT += rt
-	a.RetransWait += s.retransWait
-	a.Other += rt - totalQueue - totalService - s.retransWait
-	a.Attempts += s.attempts
-	a.Drops += s.drops
-	if abandoned {
-		a.Abandoned++
-	}
-	for i := 0; i < t.tiers; i++ {
-		a.Queue[i] += t.tierWork[base+i].queue
-		a.Service[i] += t.tierWork[base+i].service
-	}
-
 	for _, tl := range t.timelines {
 		tl.add(end, rt, totalQueue, s.drops)
 	}
@@ -632,7 +615,6 @@ func (t *Tracer) Reset(base time.Duration) {
 	t.head = t.head[:0]
 	t.headNext = 0
 	t.headCount = 0
-	t.agg = newAggregate(t.tiers)
 	t.closed = 0
 	t.untracked = 0
 	for _, tl := range t.timelines {
@@ -651,11 +633,9 @@ func (t *Tracer) Closed() uint64 { return t.closed }
 func (t *Tracer) Untracked() uint64 { return t.untracked }
 
 // OpenTraces returns the number of currently open trace slots.
+//
+//memca:keep perfbench (a separate module) checks trace-export leaves no trace open
 func (t *Tracer) OpenTraces() int { return len(t.slots) - len(t.freeSlots) }
-
-// Aggregate returns the running attribution totals over all closed traces.
-// The per-tier slices are shared; do not mutate.
-func (t *Tracer) Aggregate() Aggregate { return t.agg }
 
 // Timelines returns the dual-resolution timelines, in Resolutions order
 // (shared; do not mutate).
@@ -742,6 +722,8 @@ func copyAttributions(recs []Attribution, tiers int) []Attribution {
 // first). The slice is freshly allocated, so it stays valid while the
 // tracer records on; the tracer's own WriteChromeTrace and WriteOTLP read
 // the ring in place instead.
+//
+//memca:keep the ring-export tests check the in-place exporters against this copying reference
 func (t *Tracer) Events() []SpanEvent {
 	if len(t.events) == 0 || t.eventSeq == 0 {
 		return nil

@@ -76,7 +76,7 @@ func TestAttributionSingleRequest(t *testing.T) {
 	if r.RetransWait != 0 || r.Other != 0 || r.Attempts != 1 || r.Drops != 0 || r.Abandoned {
 		t.Errorf("unexpected components: %+v", r)
 	}
-	if got := r.TotalQueue() + r.TotalService() + r.RetransWait + r.Other; got != r.RT {
+	if got := r.TotalQueue() + sumDurations(r.Service) + r.RetransWait + r.Other; got != r.RT {
 		t.Errorf("attribution identity broken: components sum to %v, RT %v", got, r.RT)
 	}
 }
@@ -155,7 +155,7 @@ func TestRetransmissionWait(t *testing.T) {
 	if r.RT != rto+10*time.Millisecond {
 		t.Errorf("RT = %v, want %v", r.RT, rto+10*time.Millisecond)
 	}
-	if got := r.TotalQueue() + r.TotalService() + r.RetransWait + r.Other; got != r.RT {
+	if got := r.TotalQueue() + sumDurations(r.Service) + r.RetransWait + r.Other; got != r.RT {
 		t.Errorf("attribution identity broken: components sum to %v, RT %v", got, r.RT)
 	}
 }
@@ -184,10 +184,6 @@ func TestAbandonClosesTrace(t *testing.T) {
 	}
 	if tr.Closed() != 2 {
 		t.Fatalf("closed = %d, want 2", tr.Closed())
-	}
-	agg := tr.Aggregate()
-	if agg.Abandoned != 1 {
-		t.Errorf("abandoned = %d, want 1", agg.Abandoned)
 	}
 	var found bool
 	for _, r := range tr.TailAttributions() {
@@ -459,4 +455,13 @@ func TestEventKindStrings(t *testing.T) {
 			t.Errorf("EventKind(%d).String() = %q, want %q", k, got, want)
 		}
 	}
+}
+
+// sumDurations totals an attribution's per-tier components.
+func sumDurations(ds []time.Duration) time.Duration {
+	var s time.Duration
+	for _, d := range ds {
+		s += d
+	}
+	return s
 }

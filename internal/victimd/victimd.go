@@ -159,10 +159,9 @@ func StartTier(addr string, cfg TierConfig) (*Tier, error) {
 // URL returns the tier's base URL.
 func (t *Tier) URL() string { return "http://" + t.listener.Addr().String() }
 
-// Served returns the number of requests completed.
-func (t *Tier) Served() int64 { return t.served.Load() }
-
 // Rejected returns the number of requests shed by the full pool.
+//
+//memca:keep perfbench (a separate module) reports each tier's rejections from it
 func (t *Tier) Rejected() int64 { return t.rejected.Load() }
 
 // SetCapacityMultiplier scales the tier's service rate: 0.1 means work
@@ -452,23 +451,4 @@ func (s *System) Close() error {
 		}
 	}
 	return first
-}
-
-// Probe measures one end-to-end request against the web tier; rejected
-// requests report the error.
-func (s *System) Probe(ctx context.Context) (time.Duration, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.Web.URL()+"/", nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if err := resp.Body.Close(); err != nil {
-		return 0, 0, err
-	}
-	return time.Since(start), resp.StatusCode, nil
 }

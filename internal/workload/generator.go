@@ -223,9 +223,6 @@ func (g *Generator) SetPopulation(n int, rampUp time.Duration) int {
 	return prev
 }
 
-// Population returns the nominal live-session count.
-func (g *Generator) Population() int { return g.population }
-
 // Stop halts the population: sessions end after their current request or
 // think period.
 func (g *Generator) Stop() { g.running = false }
