@@ -319,38 +319,37 @@ func BenchmarkFeatureExtract(b *testing.B) {
 // benchmark's allocations are an exact contract.
 func spanExportEvents(n int) []telemetry.SpanEvent {
 	var evs []telemetry.SpanEvent
-	at := func(t time.Duration, id uint64, kind telemetry.EventKind, tier int8, attempt uint16, aux time.Duration) {
+	at := func(t time.Duration, id uint64, kind queueing.SpanKind, tier int8, attempt uint16, aux time.Duration) {
 		evs = append(evs, telemetry.SpanEvent{T: t, TraceID: id, Kind: kind, Tier: tier, Attempt: attempt, Aux: aux})
 	}
-	k := func(s queueing.SpanKind) telemetry.EventKind { return telemetry.EventKind(s) }
 	for id := uint64(1); len(evs) < n+n/4; id++ {
 		t := time.Duration(id) * 400 * time.Microsecond
 		var attempt uint16
-		at(t, id, k(queueing.SpanSubmit), -1, 0, 0)
+		at(t, id, queueing.SpanSubmit, -1, 0, 0)
 		if id%16 == 0 {
-			at(t, id, k(queueing.SpanTierRequest), 0, 0, 0)
-			at(t, id, k(queueing.SpanDrop), 0, 0, 0)
+			at(t, id, queueing.SpanTierRequest, 0, 0, 0)
+			at(t, id, queueing.SpanDrop, 0, 0, 0)
 			if id%64 == 0 {
-				at(t+time.Second, id, telemetry.EvAbandoned, -1, 0, 0)
+				at(t+time.Second, id, queueing.SpanAbandon, -1, 0, 0)
 				continue
 			}
 			attempt = 1
-			at(t, id, telemetry.EvRetransmitScheduled, -1, attempt, t+time.Second)
+			at(t, id, queueing.SpanRetransmit, -1, attempt, t+time.Second)
 			t += time.Second
-			at(t, id, k(queueing.SpanSubmit), -1, attempt, 0)
+			at(t, id, queueing.SpanSubmit, -1, attempt, 0)
 		}
 		for tier := int8(0); tier < 3; tier++ {
 			queued := time.Duration(id%7) * 137 * time.Microsecond
 			service := time.Duration(300+int(tier)*250+int(id%5)*61) * time.Microsecond
-			at(t, id, k(queueing.SpanTierRequest), tier, attempt, 0)
-			at(t+queued, id, k(queueing.SpanServiceStart), tier, attempt, 0)
+			at(t, id, queueing.SpanTierRequest, tier, attempt, 0)
+			at(t+queued, id, queueing.SpanServiceStart, tier, attempt, 0)
 			if tier == 1 && id%8 == 0 {
-				at(t+queued+service/2, id, k(queueing.SpanServicePreempt), tier, attempt, 0)
+				at(t+queued+service/2, id, queueing.SpanServicePreempt, tier, attempt, 0)
 			}
-			at(t+queued+service, id, k(queueing.SpanServiceEnd), tier, attempt, 0)
+			at(t+queued+service, id, queueing.SpanServiceEnd, tier, attempt, 0)
 			t += queued + service
 		}
-		at(t, id, k(queueing.SpanComplete), -1, attempt, 0)
+		at(t, id, queueing.SpanComplete, -1, attempt, 0)
 	}
 	// Interleave the requests as a tracer ring would hold them: time
 	// order, stamped with sequence numbers, the oldest n/4 overwritten.

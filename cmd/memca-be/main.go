@@ -54,15 +54,14 @@ func run() error {
 	// client-side trace (an instrumented victim's tiers see the header and
 	// record their own spans server-side).
 	var col *live.Collector
-	probe := memcafw.HTTPProbe(*target, *probeTmo)
 	if *traceOut != "" || *otlpOut != "" {
 		var err error
 		col, err = live.New(live.Config{Events: 1 << 16})
 		if err != nil {
 			return err
 		}
-		probe = memcafw.TracedHTTPProbe(*target, *probeTmo, col)
 	}
+	probe := memcafw.HTTPProbe(*target, *probeTmo, col)
 
 	be, err := memcafw.NewBackend(memcafw.BackendConfig{
 		FEAddr:      *feAddr,

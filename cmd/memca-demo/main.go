@@ -134,10 +134,7 @@ func run() error {
 		}
 	}()
 
-	probe := memcafw.HTTPProbe(sys.Web.URL()+"/", 2*time.Second)
-	if col != nil {
-		probe = memcafw.TracedHTTPProbe(sys.Web.URL()+"/", 2*time.Second, col)
-	}
+	probe := memcafw.HTTPProbe(sys.Web.URL()+"/", 2*time.Second, col)
 	be, err := memcafw.NewBackend(memcafw.BackendConfig{
 		FEAddr:      fe.Addr(),
 		Probe:       probe,

@@ -174,7 +174,8 @@ func newTestNetwork(t *testing.T, e *sim.Engine) *queueing.Network {
 			{Name: "front", QueueLimit: 50, Servers: 2, Service: sim.NewExponential(500 * time.Microsecond)},
 			{Name: "db", QueueLimit: 10, Servers: 1, Service: sim.NewExponential(2 * time.Millisecond)},
 		},
-		Classes: []queueing.Class{{Name: "c", Depth: 1}},
+		Classes:    []queueing.Class{{Name: "c", Depth: 1}},
+		Retransmit: queueing.DefaultRetransmit(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,9 +366,7 @@ func TestEndToEndBurstsDegradeTail(t *testing.T) {
 	run := func(attackOn bool) time.Duration {
 		e := sim.NewEngine(77)
 		n := newTestNetwork(t, e)
-		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{
-			Class: 0, Rate: 300, Retransmit: queueing.DefaultRetransmit(),
-		})
+		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{Class: 0, Rate: 300})
 		if err != nil {
 			t.Fatal(err)
 		}

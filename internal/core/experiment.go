@@ -50,7 +50,14 @@ type Experiment struct {
 // NewExperiment validates the configuration and wires every component.
 // Without cfg.Arena it takes a warm arena from stats.GetArena; Close
 // returns it (on an error the arena is left to the garbage collector).
+// Every client of the experiment retransmits under the RFC 6298 policy
+// (queueing.DefaultRetransmit).
 func NewExperiment(cfg Config) (*Experiment, error) {
+	return newExperiment(cfg, queueing.DefaultRetransmit())
+}
+
+// newExperiment is NewExperiment with the network's retransmission policy.
+func newExperiment(cfg Config, retransmit queueing.RetransmitPolicy) (*Experiment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -97,18 +104,18 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 	// assigning a nil *Tracer would produce a non-nil interface and charge
 	// every lifecycle point a virtual call into a nil receiver.
 	netCfg := queueing.Config{
-		Mode:    queueing.ModeNTierRPC,
-		Tiers:   tiers,
-		Classes: workload.RUBBoSClasses(),
-		Arena:   cfg.Arena,
+		Mode:       queueing.ModeNTierRPC,
+		Tiers:      tiers,
+		Classes:    workload.RUBBoSClasses(),
+		Retransmit: retransmit,
+		Arena:      cfg.Arena,
 	}
 	genCfg := workload.GeneratorConfig{
-		Clients:    cfg.Clients,
-		ThinkTime:  sim.NewExponential(cfg.ThinkTime),
-		Profile:    workload.RUBBoSProfile(),
-		Retransmit: queueing.DefaultRetransmit(),
-		RampUp:     10 * time.Second,
-		Arena:      cfg.Arena,
+		Clients:   cfg.Clients,
+		ThinkTime: sim.NewExponential(cfg.ThinkTime),
+		Profile:   workload.RUBBoSProfile(),
+		RampUp:    10 * time.Second,
+		Arena:     cfg.Arena,
 	}
 	if cfg.Trace != nil {
 		x.tracer, err = telemetry.New(x.engine, telemetry.Config{
@@ -123,7 +130,6 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 			return nil, err
 		}
 		netCfg.Observer = x.tracer
-		genCfg.Trace = x.tracer
 	}
 	x.network, err = queueing.New(x.engine, netCfg)
 	if err != nil {
@@ -237,38 +243,18 @@ func (x *Experiment) wireFeedback(spec FeedbackSpec) error {
 	// The probe behaves like a real HTTP client: a dropped connection is
 	// retransmitted after the TCP RTO, and the reported latency spans
 	// the whole exchange — so the commander sees the damage it causes.
-	policy := queueing.DefaultRetransmit()
-	var fire func(first time.Duration, attempt int, traceID uint64, done func(rt time.Duration))
-	fire = func(first time.Duration, attempt int, traceID uint64, done func(rt time.Duration)) {
-		_, err := x.network.Submit(queueing.SubmitOpts{
-			Class:        probeClass,
-			FirstAttempt: first,
-			Attempt:      attempt,
-			TraceID:      traceID,
-			OnComplete:   func(req *queueing.Request) { done(req.ClientRT()) },
-			OnDrop: func(req *queueing.Request) {
-				next := req.Attempt + 1
-				rto := policy.RTO(next)
-				if next > policy.MaxRetries {
-					// Give up; report the time burned so far.
-					if x.tracer != nil {
-						x.tracer.Abandon(req.TraceID)
-					}
-					done(x.engine.Now() + rto - req.FirstAttempt)
-					return
-				}
-				f, id := req.FirstAttempt, req.TraceID
-				if x.tracer != nil {
-					x.tracer.RetransmitScheduled(id, next, x.engine.Now()+rto)
-				}
-				x.engine.Schedule(rto, func() { fire(f, next, id, done) })
-			},
-		})
-		if err != nil {
-			panic(err) // probeClass is a valid constant
+	// Each probe's done callback rides on Request.UserData. A probe the
+	// client gives up on reports the time burned until its final timeout.
+	// The client is never stopped: probes keep retrying through the drain.
+	var probe *queueing.Client
+	probe = queueing.NewClient(x.network, func(req *queueing.Request) {
+		rt := req.ClientRT()
+		if req.Dropped {
+			rt = x.engine.Now() + probe.Timeout(req) - req.FirstAttempt
 		}
-	}
-	submit := func(done func(rt time.Duration)) { fire(0, 0, 0, done) }
+		req.UserData.(func(time.Duration))(rt)
+	})
+	submit := func(done func(rt time.Duration)) { probe.Submit(probeClass, done) }
 	prober, err := control.NewProber(x.engine, spec.Prober, submit)
 	if err != nil {
 		return err

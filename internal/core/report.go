@@ -140,9 +140,10 @@ func (x *Experiment) buildReport(from, to time.Duration) (*Report, error) {
 	}
 
 	r.Requests = x.gen.Requests()
-	r.Drops = x.gen.Drops()
 	r.Retransmissions = x.gen.Retransmissions()
 	r.Failures = x.gen.Failures()
+	// Every drop the client saw ends in a retransmission or a failure.
+	r.Drops = r.Retransmissions + r.Failures
 
 	if x.burster != nil {
 		r.Bursts = x.burster.Bursts()

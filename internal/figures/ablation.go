@@ -168,43 +168,49 @@ func intervalVariants() []attackVariant {
 	return variants
 }
 
-// mechanismVariants are the mechanism-removal ablation's cells.
-var mechanismVariants = []struct {
+// mechanismVariant is one cell of the mechanism-removal ablation.
+type mechanismVariant struct {
 	label      string
 	mode       queueing.Mode
 	infinite   bool
-	retransmit bool
-}{
-	{"full", queueing.ModeNTierRPC, false, true},
-	{"no-retransmit", queueing.ModeNTierRPC, false, false},
-	{"infinite-queues", queueing.ModeNTierRPC, true, false},
-	{"no-slot-holding", queueing.ModeTandem, true, false},
+	retransmit queueing.RetransmitPolicy
+}
+
+// mechanismVariants are the mechanism-removal ablation's cells.
+var mechanismVariants = []mechanismVariant{
+	{"full", queueing.ModeNTierRPC, false, queueing.DefaultRetransmit()},
+	{"no-retransmit", queueing.ModeNTierRPC, false, queueing.RetransmitPolicy{}},
+	{"infinite-queues", queueing.ModeNTierRPC, true, queueing.RetransmitPolicy{}},
+	{"no-slot-holding", queueing.ModeTandem, true, queueing.RetransmitPolicy{}},
 }
 
 // newMechanismsRun prepares the mechanism-removal ablation, which uses
 // the model-level network (open-loop arrivals) so the mechanisms can be
 // toggled independently of the closed-loop client population.
 func newMechanismsRun(opts Options) (*DistRun, error) {
-	d, params := fig6Attack()
-	horizon := opts.duration(2 * time.Minute)
 	return newRun(len(mechanismVariants), func(a *stats.Arena, i int) (AblationPoint, error) {
-		v := mechanismVariants[i]
-		limits := [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}
-		if !v.infinite {
-			limits = rubbosModelLimits()
-		}
-		e := a.Engine(opts.Seed)
-		n, sources, err := modelNetwork(e, a, v.mode, limits, v.retransmit)
-		if err != nil {
-			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
-		}
-		point, err := runModelAttack(e, a, n, sources, d, params, horizon)
-		if err != nil {
-			return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
-		}
-		point.Label = v.label
-		return point, nil
+		return mechanismPoint(a, opts, mechanismVariants[i])
 	}, newAblationFinalize(opts, "mechanisms", "ablation_mechanisms.csv")), nil
+}
+
+// mechanismPoint runs one mechanism-removal cell on a.
+func mechanismPoint(a *stats.Arena, opts Options, v mechanismVariant) (AblationPoint, error) {
+	d, params := fig6Attack()
+	limits := [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}
+	if !v.infinite {
+		limits = rubbosModelLimits()
+	}
+	e := a.Engine(opts.Seed)
+	n, sources, err := modelNetwork(e, a, v.mode, limits, v.retransmit)
+	if err != nil {
+		return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
+	}
+	point, err := runModelAttack(e, a, n, sources, d, params, opts.duration(2*time.Minute))
+	if err != nil {
+		return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
+	}
+	point.Label = v.label
+	return point, nil
 }
 
 // AblationMechanisms removes the three amplification mechanisms one at a

@@ -3,6 +3,9 @@ package figures
 import (
 	"testing"
 	"time"
+
+	"memca/internal/queueing"
+	"memca/internal/stats"
 )
 
 func TestAblationBurstLength(t *testing.T) {
@@ -157,4 +160,31 @@ func TestAblationLoad(t *testing.T) {
 		}
 	}
 	requireFiles(t, opts.OutDir, "ablation_load.csv")
+}
+
+// TestNoRetransmitIdentity pins the client's one "off" rule at the
+// figure level: the mechanism ablation's no-retransmit cell gives the
+// same point whether retransmission is off through the zero policy or
+// through a policy that allows no retries.
+func TestNoRetransmitIdentity(t *testing.T) {
+	opts := Options{Quick: true, Seed: 1}
+	v := mechanismVariants[1]
+	if v.label != "no-retransmit" {
+		t.Fatalf("cell 1 is %q, want no-retransmit", v.label)
+	}
+	off, err := mechanismPoint(stats.NewArena(), opts, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.retransmit = queueing.RetransmitPolicy{RTOMin: time.Second, Backoff: 2, MaxRetries: 0}
+	noRetries, err := mechanismPoint(stats.NewArena(), opts, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Drops == 0 {
+		t.Fatal("no-retransmit cell dropped nothing; the identity is vacuous")
+	}
+	if got, want := fingerprint(noRetries), fingerprint(off); got != want {
+		t.Errorf("MaxRetries 0 differs from the zero policy:\n%s\nvs\n%s", got, want)
+	}
 }

@@ -101,10 +101,10 @@ func writeSeries(path string, points []stats.Point) error {
 // RUBBoS model (one class per tier depth, rates from the model), used by
 // the model-level experiments of Figures 6 and 7. mode selects tandem or
 // RPC coupling; queueLimits overrides the per-tier limits (0 = Infinite).
-// retransmit gives the sources the default TCP retransmission policy;
-// without it drops are final. a backs the network's per-tier stats and
-// the sources' client samples (see stats.Arena).
-func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits [3]int, retransmit bool) (*queueing.Network, []*queueing.Source, error) {
+// retransmit is the sources' TCP retransmission policy; under the zero
+// policy drops are final. a backs the network's per-tier stats and the
+// sources' client samples (see stats.Arena).
+func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits [3]int, retransmit queueing.RetransmitPolicy) (*queueing.Network, []*queueing.Source, error) {
 	m := analytical.RUBBoS3Tier()
 	tiers := make([]queueing.TierConfig, 3)
 	const servers = 2
@@ -121,20 +121,16 @@ func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits
 		{Name: "to-tomcat", Depth: 1},
 		{Name: "to-mysql", Depth: 2},
 	}
-	n, err := queueing.New(e, queueing.Config{Mode: mode, Tiers: tiers, Classes: classes, Arena: a})
+	n, err := queueing.New(e, queueing.Config{Mode: mode, Tiers: tiers, Classes: classes, Retransmit: retransmit, Arena: a})
 	if err != nil {
 		return nil, nil, err
-	}
-	var policy queueing.RetransmitPolicy
-	if retransmit {
-		policy = queueing.DefaultRetransmit()
 	}
 	sources := make([]*queueing.Source, 0, 3)
 	for i, t := range m.Tiers {
 		if t.ArrivalRate <= 0 {
 			continue
 		}
-		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{Class: i, Rate: t.ArrivalRate, Retransmit: policy})
+		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{Class: i, Rate: t.ArrivalRate})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -67,7 +67,7 @@ func newFig6Run(opts Options) (*DistRun, error) {
 	run := func(a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (fig6Record, error) {
 		rr := fig6Record{}
 		e := a.Engine(opts.Seed)
-		n, sources, err := modelNetwork(e, a, mode, queueLimits, true)
+		n, sources, err := modelNetwork(e, a, mode, queueLimits, queueing.DefaultRetransmit())
 		if err != nil {
 			return rr, err
 		}

@@ -78,7 +78,7 @@ func newFig7Run(opts Options) (*DistRun, error) {
 	return newRun(len(variants), func(a *stats.Arena, vi int) (fig7Record, error) {
 		v := variants[vi]
 		e := a.Engine(opts.Seed)
-		n, sources, err := modelNetwork(e, a, v.mode, v.limits, true)
+		n, sources, err := modelNetwork(e, a, v.mode, v.limits, queueing.DefaultRetransmit())
 		if err != nil {
 			return fig7Record{}, fmt.Errorf("figures: fig7 %s: %w", v.name, err)
 		}

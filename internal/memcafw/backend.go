@@ -12,6 +12,7 @@ import (
 
 	"memca/internal/attack"
 	"memca/internal/control"
+	"memca/internal/queueing"
 	"memca/internal/telemetry/live"
 )
 
@@ -20,60 +21,47 @@ import (
 type ProbeFunc func(ctx context.Context) (time.Duration, error)
 
 // HTTPProbe returns a ProbeFunc that times a GET against the target web
-// system's front door — the lightweight probing of Section IV-C.
-func HTTPProbe(url string, timeout time.Duration) ProbeFunc {
+// system's front door — the lightweight probing of Section IV-C. With a
+// non-nil col each probe is also a client-side causal trace: it mints a
+// trace ID, injects the trace header so every victimd tier records its
+// spans, and closes the trace (complete on 200, abandoned on timeout or
+// refusal), so the probes appear in the collector's report alongside the
+// load generator's traffic. A nil col probes untraced.
+func HTTPProbe(url string, timeout time.Duration, col *live.Collector) ProbeFunc {
 	client := &http.Client{Timeout: timeout}
 	return func(ctx context.Context) (time.Duration, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return 0, fmt.Errorf("memcafw: building probe: %w", err)
 		}
+		var id uint64
+		record := func(kind queueing.SpanKind) {
+			if col != nil {
+				col.Record(id, kind, live.ClientTier, 0, 0)
+			}
+		}
+		if col != nil {
+			id = col.NextTraceID()
+			req.Header.Set(live.TraceHeader, live.FormatTraceHeader(id, 0))
+		}
 		start := time.Now()
+		record(live.KindSubmit)
 		resp, err := client.Do(req)
 		if err != nil {
 			// A timed-out probe is a damage signal: report the timeout
 			// itself as the observed latency.
-			return timeout, nil
-		}
-		if err := resp.Body.Close(); err != nil {
-			return 0, fmt.Errorf("memcafw: closing probe body: %w", err)
-		}
-		return time.Since(start), nil
-	}
-}
-
-// TracedHTTPProbe is HTTPProbe with client-side causal tracing: each
-// probe mints a trace ID, injects the trace header so every victimd tier
-// records its spans, and closes the trace (complete on 200, abandoned on
-// timeout or refusal). The probes then appear in the collector's report
-// alongside the load generator's traffic.
-func TracedHTTPProbe(url string, timeout time.Duration, col *live.Collector) ProbeFunc {
-	client := &http.Client{Timeout: timeout}
-	return func(ctx context.Context) (time.Duration, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return 0, fmt.Errorf("memcafw: building probe: %w", err)
-		}
-		id := col.NextTraceID()
-		req.Header.Set(live.TraceHeader, live.FormatTraceHeader(id, 0))
-		start := time.Now()
-		col.Record(id, live.KindSubmit, live.ClientTier, 0, 0)
-		resp, err := client.Do(req)
-		if err != nil {
-			// A timed-out probe is a damage signal: report the timeout
-			// itself as the observed latency.
-			col.Record(id, live.KindAbandoned, live.ClientTier, 0, 0)
+			record(live.KindAbandoned)
 			return timeout, nil
 		}
 		status := resp.StatusCode
 		if err := resp.Body.Close(); err != nil {
-			col.Record(id, live.KindAbandoned, live.ClientTier, 0, 0)
+			record(live.KindAbandoned)
 			return 0, fmt.Errorf("memcafw: closing probe body: %w", err)
 		}
 		if status == http.StatusOK {
-			col.Record(id, live.KindComplete, live.ClientTier, 0, 0)
+			record(live.KindComplete)
 		} else {
-			col.Record(id, live.KindAbandoned, live.ClientTier, 0, 0)
+			record(live.KindAbandoned)
 		}
 		return time.Since(start), nil
 	}

@@ -251,7 +251,7 @@ func TestFELostConnectionSurfaces(t *testing.T) {
 func TestHTTPProbeAgainstLocalServer(t *testing.T) {
 	// Serve a tiny delayed endpoint and verify the probe times it.
 	srv := newSlowServer(t, 20*time.Millisecond)
-	probe := HTTPProbe(srv, time.Second)
+	probe := HTTPProbe(srv, time.Second, nil)
 	rt, err := probe(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestHTTPProbeAgainstLocalServer(t *testing.T) {
 	}
 	// Timeout path: the probe reports the timeout as the latency.
 	slow := newSlowServer(t, 300*time.Millisecond)
-	probe = HTTPProbe(slow, 50*time.Millisecond)
+	probe = HTTPProbe(slow, 50*time.Millisecond, nil)
 	rt, err = probe(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -77,12 +77,12 @@ func TestTracedHTTPProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := newSlowServer(t, 5*time.Millisecond)
-	probe := TracedHTTPProbe(fast, time.Second, col)
+	probe := HTTPProbe(fast, time.Second, col)
 	if rt, err := probe(context.Background()); err != nil || rt < 5*time.Millisecond {
 		t.Fatalf("traced probe rt=%v err=%v", rt, err)
 	}
 	slow := newSlowServer(t, 300*time.Millisecond)
-	probe = TracedHTTPProbe(slow, 30*time.Millisecond, col)
+	probe = HTTPProbe(slow, 30*time.Millisecond, col)
 	if rt, err := probe(context.Background()); err != nil || rt != 30*time.Millisecond {
 		t.Fatalf("timed-out traced probe rt=%v err=%v, want 30ms", rt, err)
 	}

@@ -100,6 +100,10 @@ type Config struct {
 	Tiers []TierConfig
 	// Classes lists request classes; Submit refers to them by index.
 	Classes []Class
+	// Retransmit governs how every Client of the network retries a
+	// dropped request. The zero policy turns retransmission off: every
+	// drop is final.
+	Retransmit RetransmitPolicy
 	// Observer, when non-nil, receives every request lifecycle event (see
 	// SpanKind). Nil costs one branch per lifecycle point and nothing
 	// else, keeping the uninstrumented hot path identical to a network
@@ -122,6 +126,9 @@ func (c Config) Validate() error {
 	}
 	if c.Arena == nil {
 		return fmt.Errorf("queueing: Arena must not be nil")
+	}
+	if err := c.Retransmit.Validate(); err != nil {
+		return err
 	}
 	for _, t := range c.Tiers {
 		if err := t.Validate(); err != nil {
@@ -183,8 +190,12 @@ func (p RetransmitPolicy) RTO(attempt int) time.Duration {
 	return time.Duration(rto * float64(time.Second))
 }
 
-// Validate reports the first policy error, or nil.
+// Validate reports the first policy error, or nil. The zero policy is
+// valid: it turns retransmission off.
 func (p RetransmitPolicy) Validate() error {
+	if p == (RetransmitPolicy{}) {
+		return nil
+	}
 	if p.RTOMin <= 0 {
 		return fmt.Errorf("queueing: RTOMin must be positive, got %v", p.RTOMin)
 	}

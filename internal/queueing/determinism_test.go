@@ -16,16 +16,8 @@ import (
 func fingerprintRun(t *testing.T, seed int64) string {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	n := threeTier(t, e, 60, 30, 15, false)
-	src, err := NewPoissonSource(n, SourceConfig{
-		Class: 0,
-		Rate:  400,
-		Retransmit: RetransmitPolicy{
-			RTOMin:     200 * time.Millisecond,
-			Backoff:    2,
-			MaxRetries: 3,
-		},
-	})
+	n := threeTier(t, e, 60, 30, 15, false, RetransmitPolicy{RTOMin: 200 * time.Millisecond, Backoff: 2, MaxRetries: 3})
+	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 400})
 	if err != nil {
 		t.Fatalf("NewPoissonSource: %v", err)
 	}

@@ -40,8 +40,8 @@ func keepBusyHistory(t *testing.T, n *Network, i int) {
 
 // threeTier builds the standard test topology: Apache-like, Tomcat-like,
 // MySQL-like with descending queue limits, deterministic or exponential
-// service.
-func threeTier(t *testing.T, e *sim.Engine, q1, q2, q3 int, det bool) *Network {
+// service, and clients that retransmit under policy.
+func threeTier(t *testing.T, e *sim.Engine, q1, q2, q3 int, det bool, policy RetransmitPolicy) *Network {
 	t.Helper()
 	mk := func(mean time.Duration) sim.Dist {
 		if det {
@@ -49,6 +49,19 @@ func threeTier(t *testing.T, e *sim.Engine, q1, q2, q3 int, det bool) *Network {
 		}
 		return sim.NewExponential(mean)
 	}
+	return threeTierNetwork(t, e, q1, q2, q3, mk, policy, nil)
+}
+
+// threeTierObserved is threeTier with exponential service and an
+// observer.
+func threeTierObserved(t *testing.T, e *sim.Engine, q1, q2, q3 int, policy RetransmitPolicy, obs Observer) *Network {
+	t.Helper()
+	mk := func(mean time.Duration) sim.Dist { return sim.NewExponential(mean) }
+	return threeTierNetwork(t, e, q1, q2, q3, mk, policy, obs)
+}
+
+func threeTierNetwork(t *testing.T, e *sim.Engine, q1, q2, q3 int, mk func(time.Duration) sim.Dist, policy RetransmitPolicy, obs Observer) *Network {
+	t.Helper()
 	n, err := New(e, Config{
 		Arena: stats.NewArena(),
 		Mode:  ModeNTierRPC,
@@ -57,7 +70,9 @@ func threeTier(t *testing.T, e *sim.Engine, q1, q2, q3 int, det bool) *Network {
 			{Name: "tomcat", QueueLimit: q2, Servers: 2, Service: mk(800 * time.Microsecond)},
 			{Name: "mysql", QueueLimit: q3, Servers: 1, Service: mk(2 * time.Millisecond)},
 		},
-		Classes: []Class{{Name: "full", Depth: 2}},
+		Classes:    []Class{{Name: "full", Depth: 2}},
+		Retransmit: policy,
+		Observer:   obs,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -93,6 +108,8 @@ func TestConfigValidation(t *testing.T) {
 		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 0, DemandScale: []float64{1, 2}}}},
 		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: []Class{{Name: "c", Depth: 0, DemandScale: []float64{0}}}},
 		{Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: valid.Classes}, // no arena
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: valid.Classes, Retransmit: RetransmitPolicy{RTOMin: time.Second, Backoff: 0.5}},
+		{Arena: valid.Arena, Mode: ModeNTierRPC, Tiers: valid.Tiers, Classes: valid.Classes, Retransmit: RetransmitPolicy{Backoff: 2, MaxRetries: 1}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(e, cfg); err == nil {
@@ -249,7 +266,7 @@ func TestTierRTOrderingPerRequest(t *testing.T) {
 	// RPC semantics: the front tier's observed latency includes all
 	// downstream time, so per request RT_1 >= RT_2 >= RT_3.
 	e := sim.NewEngine(5)
-	n := threeTier(t, e, 100, 50, 20, false)
+	n := threeTier(t, e, 100, 50, 20, false, RetransmitPolicy{})
 	var checked int
 	for i := 0; i < 500; i++ {
 		delay := time.Duration(i) * 3 * time.Millisecond
@@ -275,8 +292,8 @@ func TestTierRTOrderingPerRequest(t *testing.T) {
 
 func TestSlotConservationAfterDrain(t *testing.T) {
 	e := sim.NewEngine(9)
-	n := threeTier(t, e, 40, 20, 8, false)
-	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 300, Retransmit: DefaultRetransmit()})
+	n := threeTier(t, e, 40, 20, 8, false, DefaultRetransmit())
+	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +336,7 @@ func TestCrossTierOverflowPropagation(t *testing.T) {
 	// Stall the bottleneck completely and watch the queues fill from the
 	// back tier toward the front (the paper's build-up stage).
 	e := sim.NewEngine(13)
-	n := threeTier(t, e, 60, 30, 10, false)
+	n := threeTier(t, e, 60, 30, 10, false, RetransmitPolicy{})
 	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 400})
 	if err != nil {
 		t.Fatal(err)
@@ -407,8 +424,8 @@ func TestFrontTierDropsAndRetransmission(t *testing.T) {
 	// A tiny front queue under a hard stall forces drops; with RFC 6298
 	// retransmission the client-perceived RT jumps past 1 second.
 	e := sim.NewEngine(21)
-	n := threeTier(t, e, 20, 10, 4, false)
-	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 300, Retransmit: DefaultRetransmit()})
+	n := threeTier(t, e, 20, 10, 4, false, DefaultRetransmit())
+	src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,8 +534,8 @@ func TestDemandScale(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func(seed int64) (uint64, time.Duration) {
 		e := sim.NewEngine(seed)
-		n := threeTier(t, e, 60, 30, 10, false)
-		src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 200, Retransmit: DefaultRetransmit()})
+		n := threeTier(t, e, 60, 30, 10, false, DefaultRetransmit())
+		src, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,9 +601,6 @@ func TestSourceValidation(t *testing.T) {
 	}
 	if _, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 0}); err == nil {
 		t.Error("zero rate accepted")
-	}
-	if _, err := NewPoissonSource(n, SourceConfig{Class: 0, Rate: 1, Retransmit: RetransmitPolicy{RTOMin: time.Second, Backoff: 0.5}}); err == nil {
-		t.Error("bad retransmit policy accepted")
 	}
 }
 

@@ -5,8 +5,8 @@ import "fmt"
 // SpanKind enumerates the request lifecycle points a Network reports to
 // its Observer. Together the kinds reconstruct the full causal path of a
 // request: client arrival, per-tier queue-enter/exit, service
-// start/preempt/end, the response walk, front-tier drops, and final
-// delivery.
+// start/preempt/end, the response walk, front-tier drops, the client's
+// retransmission or abandonment of a dropped request, and final delivery.
 type SpanKind uint8
 
 // Span kinds, in rough lifecycle order.
@@ -48,6 +48,15 @@ const (
 	// SpanComplete fires when the response reaches the client
 	// (tier = -1), before the completion callbacks run.
 	SpanComplete
+	// SpanRetransmit fires when a Client schedules the retransmission of
+	// a dropped attempt (tier = -1). The request is the dropped attempt
+	// with Attempt already advanced to the retransmission and Submit set
+	// to the time it will be sent.
+	SpanRetransmit
+	// SpanAbandon fires when a Client gives up on a request (tier = -1):
+	// its retries are spent, or its retransmission came due after the
+	// client stopped. The trace ends here.
+	SpanAbandon
 )
 
 // String implements fmt.Stringer.
@@ -75,6 +84,10 @@ func (k SpanKind) String() string {
 		return "drop"
 	case SpanComplete:
 		return "complete"
+	case SpanRetransmit:
+		return "retransmit-scheduled"
+	case SpanAbandon:
+		return "abandoned"
 	default:
 		return fmt.Sprintf("SpanKind(%d)", uint8(k))
 	}
@@ -93,6 +106,7 @@ func (k SpanKind) String() string {
 // request path allocation-free with observation enabled.
 type Observer interface {
 	// Observe handles one lifecycle event. tier is the tier index, or -1
-	// for the client-side SpanSubmit/SpanComplete events.
+	// for the client-side SpanSubmit, SpanComplete, SpanRetransmit and
+	// SpanAbandon events.
 	Observe(req *Request, kind SpanKind, tier int)
 }

@@ -5,25 +5,26 @@ import "time"
 // Request is one client request traveling through the tier chain. Fields
 // are written by the network; callers read them from callbacks.
 //
-// Requests are pooled: once the OnComplete/OnDrop callbacks return, the
-// network recycles the object for a later submission. Callbacks must copy
-// out any fields they need later and must not retain the pointer. The
-// value returned by Submit is likewise only valid until the next Submit on
-// the same network.
+// Requests are pooled: once the completion callback or the Client's drop
+// handling returns, the network recycles the object for a later
+// submission. Callbacks must copy out any fields they need later and must
+// not retain the pointer. The value returned by Submit is likewise only
+// valid until the next Submit on the same network.
 type Request struct {
 	// ID is unique per network, in submission order.
 	ID uint64
-	// TraceID links the retransmission attempts of one logical client
-	// request into a single causal trace. Submit assigns a fresh ID when
-	// SubmitOpts.TraceID is zero; retransmitting clients pass the
-	// original attempt's TraceID through so per-request telemetry can
-	// attribute the full retransmission wait to one trace.
+	// TraceID links the attempts of one logical client request into a
+	// single causal trace: Submit assigns a fresh ID to a first attempt,
+	// and a Client's retransmission carries the dropped attempt's ID, so
+	// per-request telemetry can attribute the full retransmission wait to
+	// one trace.
 	TraceID uint64
 	// TraceSlot is scratch storage reserved for the network's Observer
 	// (see Config.Observer): an index into the observer's own per-trace
 	// state, claimed at SpanSubmit and read back on later events without
-	// any map lookup. The network resets it to -1 between uses and never
-	// interprets it; other callers must not touch it.
+	// any map lookup. The network resets it to -1 for a first attempt and
+	// a Client's retransmission restores the dropped attempt's slot; the
+	// network never interprets it, and other callers must not touch it.
 	TraceSlot int32
 	// Class indexes Config.Classes.
 	Class int
@@ -50,7 +51,7 @@ type Request struct {
 	UserData any
 
 	onComplete func(*Request)
-	onDrop     func(*Request)
+	client     *Client
 }
 
 // reset clears the request for reuse, keeping the TierArrive/TierLeave
@@ -71,7 +72,7 @@ func (r *Request) reset(depth int) {
 	r.TierLeave = resetDurations(r.TierLeave, depth+1)
 	r.UserData = nil
 	r.onComplete = nil
-	r.onDrop = nil
+	r.client = nil
 }
 
 // resetDurations returns s resized to n with every element zeroed, reusing

@@ -75,9 +75,9 @@ func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) error
 	n := len(tierNames) + 1
 	for i := range events {
 		switch events[i].Kind {
-		case EventKind(queueing.SpanServiceStart), EventKind(queueing.SpanServiceEnd),
-			EventKind(queueing.SpanServicePreempt), EventKind(queueing.SpanDrop),
-			EventKind(queueing.SpanComplete), EvRetransmitScheduled, EvAbandoned:
+		case queueing.SpanServiceStart, queueing.SpanServiceEnd,
+			queueing.SpanServicePreempt, queueing.SpanDrop,
+			queueing.SpanComplete, queueing.SpanRetransmit, queueing.SpanAbandon:
 			n++
 		}
 	}
@@ -100,34 +100,34 @@ func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) error
 		e := &events[i]
 		tierPID := int32(e.Tier) + 1
 		switch e.Kind {
-		case EventKind(queueing.SpanSubmit):
+		case queueing.SpanSubmit:
 			if e.Attempt == 0 {
 				_, req, _ := reqOpen.at(e.TraceID)
 				*req = openSpan{e.T, e.Seq, true}
 			}
-		case EventKind(queueing.SpanTierRequest):
+		case queueing.SpanTierRequest:
 			tierSpans.advance(keyOf(e), e)
-		case EventKind(queueing.SpanServiceStart):
+		case queueing.SpanServiceStart:
 			if q := tierSpans.advance(keyOf(e), e); q.ok {
 				addX(chromeQueue, tierPID, e.TraceID, q, e.T, e.Attempt)
 			}
-		case EventKind(queueing.SpanServiceEnd):
+		case queueing.SpanServiceEnd:
 			if svc := tierSpans.advance(keyOf(e), e); svc.ok {
 				addX(chromeService, tierPID, e.TraceID, svc, e.T, e.Attempt)
 			}
-		case EventKind(queueing.SpanServicePreempt):
+		case queueing.SpanServicePreempt:
 			addI(chromePreempt, tierPID, e)
-		case EventKind(queueing.SpanDrop):
+		case queueing.SpanDrop:
 			tierSpans.advance(keyOf(e), e)
 			addI(chromeDrop, tierPID, e)
-		case EventKind(queueing.SpanComplete):
+		case queueing.SpanComplete:
 			if _, req, _ := reqOpen.at(e.TraceID); req.ok {
 				addX(chromeRequest, 0, e.TraceID, *req, e.T, e.Attempt)
 				req.ok = false
 			}
-		case EvRetransmitScheduled:
+		case queueing.SpanRetransmit:
 			addI(chromeRetransmit, 0, e)
-		case EvAbandoned:
+		case queueing.SpanAbandon:
 			_, req, _ := reqOpen.at(e.TraceID)
 			req.ok = false
 			addI(chromeAbandoned, 0, e)

@@ -130,14 +130,14 @@ func (m *openTable) put(key uint64, o tierOpen) {
 func (m *openTable) advance(key uint64, e *SpanEvent) (closed openSpan) {
 	o := m.get(key)
 	switch e.Kind {
-	case EventKind(queueing.SpanTierRequest):
+	case queueing.SpanTierRequest:
 		o.queue = openSpan{e.T, e.Seq, true}
-	case EventKind(queueing.SpanServiceStart):
+	case queueing.SpanServiceStart:
 		closed, o.queue = o.queue, openSpan{}
 		o.svc = openSpan{e.T, e.Seq, true}
-	case EventKind(queueing.SpanServiceEnd):
+	case queueing.SpanServiceEnd:
 		closed, o.svc = o.svc, openSpan{}
-	case EventKind(queueing.SpanDrop):
+	case queueing.SpanDrop:
 		o.queue = openSpan{}
 	}
 	m.put(key, o)

@@ -29,64 +29,63 @@ func edgeEvents() []SpanEvent {
 	const us = time.Microsecond
 	var evs []SpanEvent
 	var seq uint64
-	ev := func(t time.Duration, trace uint64, kind EventKind, tier int8, attempt uint16, aux time.Duration) {
+	ev := func(t time.Duration, trace uint64, kind queueing.SpanKind, tier int8, attempt uint16, aux time.Duration) {
 		seq++
 		evs = append(evs, SpanEvent{T: t, Seq: seq, TraceID: trace, Aux: aux, Kind: kind, Tier: tier, Attempt: attempt})
 	}
-	k := func(s queueing.SpanKind) EventKind { return EventKind(s) }
 
 	// Trace 7 starts mid-trace: submit, tier-request and service-start
 	// were overwritten, so only its service-end and completion survive.
-	ev(0, 7, k(queueing.SpanServiceEnd), 0, 0, 0)
-	ev(0, 7, k(queueing.SpanTierRespond), 0, 0, 0)
+	ev(0, 7, queueing.SpanServiceEnd, 0, 0, 0)
+	ev(0, 7, queueing.SpanTierRespond, 0, 0, 0)
 	// Trace 1: two tiers, preempted once mid-service at the front.
-	ev(50*us, 1, k(queueing.SpanSubmit), -1, 0, 0)
-	ev(50*us, 1, k(queueing.SpanTierRequest), 0, 0, 0)
-	ev(50*us, 1, k(queueing.SpanServiceStart), 0, 0, 0)
+	ev(50*us, 1, queueing.SpanSubmit, -1, 0, 0)
+	ev(50*us, 1, queueing.SpanTierRequest, 0, 0, 0)
+	ev(50*us, 1, queueing.SpanServiceStart, 0, 0, 0)
 	// Trace 2: dropped at the front, retransmitted at a fractional
 	// millisecond, served by tier 2 on attempt 1.
-	ev(60*us, 2, k(queueing.SpanSubmit), -1, 0, 0)
-	ev(60*us, 2, k(queueing.SpanTierRequest), 0, 0, 0)
-	ev(60*us, 2, k(queueing.SpanDrop), 0, 0, 0)
-	ev(60*us, 2, EvRetransmitScheduled, -1, 1, 1234567)
-	ev(75*us, 1, k(queueing.SpanServicePreempt), 0, 0, 0)
-	ev(100*us, 7, k(queueing.SpanComplete), -1, 0, 0)
+	ev(60*us, 2, queueing.SpanSubmit, -1, 0, 0)
+	ev(60*us, 2, queueing.SpanTierRequest, 0, 0, 0)
+	ev(60*us, 2, queueing.SpanDrop, 0, 0, 0)
+	ev(60*us, 2, queueing.SpanRetransmit, -1, 1, 1234567)
+	ev(75*us, 1, queueing.SpanServicePreempt, 0, 0, 0)
+	ev(100*us, 7, queueing.SpanComplete, -1, 0, 0)
 	// Trace 3: dropped at tier 3, a retransmission scheduled 1ns out,
 	// then abandoned.
-	ev(200*us, 3, k(queueing.SpanSubmit), -1, 0, 0)
-	ev(200*us, 3, k(queueing.SpanTierRequest), 3, 0, 0)
-	ev(200*us, 3, k(queueing.SpanDrop), 3, 0, 0)
-	ev(200*us, 3, EvRetransmitScheduled, -1, 1, 1)
-	ev(1250*us, 1, k(queueing.SpanServiceEnd), 0, 0, 0)
-	ev(1250*us, 1, k(queueing.SpanTierRequest), 1, 0, 0)
-	ev(1234567, 2, k(queueing.SpanSubmit), -1, 1, 0)
-	ev(1234567, 2, k(queueing.SpanTierRequest), 2, 1, 0)
-	ev(1234567, 2, k(queueing.SpanStationWait), 2, 1, 0)
-	ev(1300*us, 1, k(queueing.SpanServiceStart), 1, 0, 0)
-	ev(1300*us, 2, k(queueing.SpanServiceStart), 2, 1, 0)
+	ev(200*us, 3, queueing.SpanSubmit, -1, 0, 0)
+	ev(200*us, 3, queueing.SpanTierRequest, 3, 0, 0)
+	ev(200*us, 3, queueing.SpanDrop, 3, 0, 0)
+	ev(200*us, 3, queueing.SpanRetransmit, -1, 1, 1)
+	ev(1250*us, 1, queueing.SpanServiceEnd, 0, 0, 0)
+	ev(1250*us, 1, queueing.SpanTierRequest, 1, 0, 0)
+	ev(1234567, 2, queueing.SpanSubmit, -1, 1, 0)
+	ev(1234567, 2, queueing.SpanTierRequest, 2, 1, 0)
+	ev(1234567, 2, queueing.SpanStationWait, 2, 1, 0)
+	ev(1300*us, 1, queueing.SpanServiceStart, 1, 0, 0)
+	ev(1300*us, 2, queueing.SpanServiceStart, 2, 1, 0)
 	// Trace 4 is still open at export: queued and in service at tier 1.
-	ev(1400*us, 4, k(queueing.SpanSubmit), -1, 0, 0)
-	ev(1400*us, 4, k(queueing.SpanTierRequest), 1, 0, 0)
-	ev(1500*us, 3, EvAbandoned, -1, 0, 0)
+	ev(1400*us, 4, queueing.SpanSubmit, -1, 0, 0)
+	ev(1400*us, 4, queueing.SpanTierRequest, 1, 0, 0)
+	ev(1500*us, 3, queueing.SpanAbandon, -1, 0, 0)
 	// Trace 5: service spans at an out-of-range tier and the client tier.
-	ev(1600*us, 5, k(queueing.SpanSubmit), -1, 0, 0)
-	ev(1600*us, 5, k(queueing.SpanServiceStart), 9, 0, 0)
-	ev(1700*us, 5, k(queueing.SpanServiceEnd), 9, 0, 0)
-	ev(1700*us, 5, k(queueing.SpanServiceStart), -1, 0, 0)
-	ev(1800*us, 5, k(queueing.SpanServiceEnd), -1, 0, 0)
-	ev(1800*us, 5, k(queueing.SpanComplete), -1, 0, 0)
-	ev(2300*us, 1, k(queueing.SpanServiceEnd), 1, 0, 0)
-	ev(2300*us, 2, k(queueing.SpanServiceEnd), 2, 1, 0)
-	ev(2350*us, 2, k(queueing.SpanComplete), -1, 1, 0)
-	ev(2400*us, 1, k(queueing.SpanComplete), -1, 0, 0)
-	ev(2500*us, 4, k(queueing.SpanServiceStart), 1, 0, 0)
+	ev(1600*us, 5, queueing.SpanSubmit, -1, 0, 0)
+	ev(1600*us, 5, queueing.SpanServiceStart, 9, 0, 0)
+	ev(1700*us, 5, queueing.SpanServiceEnd, 9, 0, 0)
+	ev(1700*us, 5, queueing.SpanServiceStart, -1, 0, 0)
+	ev(1800*us, 5, queueing.SpanServiceEnd, -1, 0, 0)
+	ev(1800*us, 5, queueing.SpanComplete, -1, 0, 0)
+	ev(2300*us, 1, queueing.SpanServiceEnd, 1, 0, 0)
+	ev(2300*us, 2, queueing.SpanServiceEnd, 2, 1, 0)
+	ev(2350*us, 2, queueing.SpanComplete, -1, 1, 0)
+	ev(2400*us, 1, queueing.SpanComplete, -1, 0, 0)
+	ev(2500*us, 4, queueing.SpanServiceStart, 1, 0, 0)
 	// Trace 0xfedcba9876543210 lost its submit and tier-request: a bare
 	// service span at tier 1 and an unmatched completion.
-	ev(2600*us, 0xfedcba9876543210, k(queueing.SpanServiceStart), 1, 0, 0)
-	ev(2700*us, 0xfedcba9876543210, k(queueing.SpanServiceEnd), 1, 0, 0)
-	ev(2700*us, 0xfedcba9876543210, k(queueing.SpanComplete), -1, 0, 0)
+	ev(2600*us, 0xfedcba9876543210, queueing.SpanServiceStart, 1, 0, 0)
+	ev(2700*us, 0xfedcba9876543210, queueing.SpanServiceEnd, 1, 0, 0)
+	ev(2700*us, 0xfedcba9876543210, queueing.SpanComplete, -1, 0, 0)
 	// Trace 6: a lone preemption stamped before time zero.
-	ev(-5*us, 6, k(queueing.SpanServicePreempt), 2, 0, 0)
+	ev(-5*us, 6, queueing.SpanServicePreempt, 2, 0, 0)
 	return evs
 }
 

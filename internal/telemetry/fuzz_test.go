@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"memca/internal/queueing"
 )
 
 // fuzzTierNames is the tier-name and service-prefix palette of
@@ -71,7 +73,7 @@ func decodeSpanStream(data []byte) (tierNames []string, spec OTLPSpec, events []
 	var t time.Duration
 	var seq uint64
 	for len(data) >= 2 {
-		e := SpanEvent{Kind: EventKind(data[0]), Tier: int8(data[1])}
+		e := SpanEvent{Kind: queueing.SpanKind(data[0]), Tier: int8(data[1])}
 		data = data[2:]
 		attempt, ok1 := uvarint()
 		trace, ok2 := uvarint()

@@ -48,6 +48,25 @@ func checkGolden(t *testing.T, name string, write func(path string) error) {
 	}
 }
 
+// giveUpObserver forwards every event to the tracer and, wait after trace
+// is dropped, reports its abandonment: the golden scenario's client that
+// gives up between retries. No production client does that, so it drives
+// the tracer directly.
+type giveUpObserver struct {
+	*Tracer
+	e     *sim.Engine
+	trace uint64
+	wait  time.Duration
+}
+
+func (o giveUpObserver) Observe(req *queueing.Request, kind queueing.SpanKind, tier int) {
+	o.Tracer.Observe(req, kind, tier)
+	if kind == queueing.SpanDrop && req.TraceID == o.trace {
+		gone := &queueing.Request{TraceID: req.TraceID, TraceSlot: req.TraceSlot}
+		o.e.Schedule(o.wait, func() { o.Tracer.Observe(gone, queueing.SpanAbandon, -1) })
+	}
+}
+
 // goldenScenario runs a small deterministic two-tier scenario that
 // exercises every export surface: queueing, two-tier service, a drop
 // followed by a retransmission, and a drop followed by abandonment.
@@ -89,7 +108,8 @@ func goldenScenario(t testing.TB) *Tracer {
 			{Name: "static", Depth: 0},
 			{Name: "servlet", Depth: 1},
 		},
-		Observer: tr,
+		Retransmit: queueing.RetransmitPolicy{RTOMin: 40 * time.Millisecond, Backoff: 1, MaxRetries: 1},
+		Observer:   giveUpObserver{Tracer: tr, e: e, trace: 4, wait: 15 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("queueing.New: %v", err)
@@ -102,27 +122,12 @@ func goldenScenario(t testing.TB) *Tracer {
 	if _, err := n.Submit(queueing.SubmitOpts{Class: 0}); err != nil {
 		t.Fatal(err)
 	}
-	// Trace 3: refused by the full front tier, retransmitted after 40ms.
-	retransmit := func(req *queueing.Request) {
-		id, attempt, first := req.TraceID, req.Attempt+1, req.FirstAttempt
-		tr.RetransmitScheduled(id, attempt, e.Now()+40*time.Millisecond)
-		e.Schedule(40*time.Millisecond, func() {
-			if _, err := n.Submit(queueing.SubmitOpts{
-				Class: 0, TraceID: id, Attempt: attempt, FirstAttempt: first,
-			}); err != nil {
-				t.Errorf("resubmit: %v", err)
-			}
-		})
-	}
-	if _, err := n.Submit(queueing.SubmitOpts{Class: 0, OnDrop: retransmit}); err != nil {
-		t.Fatal(err)
-	}
-	// Trace 4: refused, client gives up 15ms later.
-	abandon := func(req *queueing.Request) {
-		id := req.TraceID
-		e.Schedule(15*time.Millisecond, func() { tr.Abandon(id) })
-	}
-	if _, err := n.Submit(queueing.SubmitOpts{Class: 0, OnDrop: abandon}); err != nil {
+	// Trace 3: refused by the full front tier, retransmitted by a client
+	// after the network's 40ms RTO.
+	queueing.NewClient(n, nil).Submit(0, nil)
+	// Trace 4: refused, and its client gives up 15ms later (see
+	// giveUpObserver).
+	if _, err := n.Submit(queueing.SubmitOpts{Class: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunAll(1000); err != nil {

@@ -26,8 +26,8 @@ type ClientConfig struct {
 // Client issues HTTP requests with full client-side trace instrumentation:
 // it mints the trace ID, injects the trace header, records submit/complete
 // events, and on a failed attempt schedules a retransmission of the same
-// trace ID with exponential backoff — the live mirror of the workload
-// generator's TraceHook lifecycle.
+// trace ID with exponential backoff — the live mirror of the simulator's
+// queueing.Client lifecycle.
 type Client struct {
 	col         *Collector
 	http        *http.Client

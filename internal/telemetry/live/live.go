@@ -29,19 +29,19 @@ import (
 )
 
 // Event kinds re-exported so clock-side packages (victimd, memcafw, cmd/)
-// record spans in the simulator's 11-point vocabulary without importing
+// record spans in the simulator's lifecycle vocabulary without importing
 // the queueing package themselves.
 const (
-	KindSubmit       = telemetry.EventKind(queueing.SpanSubmit)
-	KindTierRequest  = telemetry.EventKind(queueing.SpanTierRequest)
-	KindServiceStart = telemetry.EventKind(queueing.SpanServiceStart)
-	KindServiceEnd   = telemetry.EventKind(queueing.SpanServiceEnd)
-	KindTierRespond  = telemetry.EventKind(queueing.SpanTierRespond)
-	KindDrop         = telemetry.EventKind(queueing.SpanDrop)
-	KindComplete     = telemetry.EventKind(queueing.SpanComplete)
+	KindSubmit       = queueing.SpanSubmit
+	KindTierRequest  = queueing.SpanTierRequest
+	KindServiceStart = queueing.SpanServiceStart
+	KindServiceEnd   = queueing.SpanServiceEnd
+	KindTierRespond  = queueing.SpanTierRespond
+	KindDrop         = queueing.SpanDrop
+	KindComplete     = queueing.SpanComplete
 
-	KindRetransmitScheduled = telemetry.EvRetransmitScheduled
-	KindAbandoned           = telemetry.EvAbandoned
+	KindRetransmitScheduled = queueing.SpanRetransmit
+	KindAbandoned           = queueing.SpanAbandon
 )
 
 // ClientTier is the tier index of client-side events (submit, complete,
@@ -122,7 +122,7 @@ func (c *Collector) NextTraceID() uint64 { return c.nextTrace.Add(1) }
 // store publishing the slot.
 //
 //memca:hotpath
-func (c *Collector) Record(traceID uint64, kind telemetry.EventKind, tier, attempt int, aux time.Duration) {
+func (c *Collector) Record(traceID uint64, kind queueing.SpanKind, tier, attempt int, aux time.Duration) {
 	c.RecordAt(c.Now(), traceID, kind, tier, attempt, aux)
 }
 
@@ -130,7 +130,7 @@ func (c *Collector) Record(traceID uint64, kind telemetry.EventKind, tier, attem
 // since the epoch), for callers that already stamped the instant.
 //
 //memca:hotpath
-func (c *Collector) RecordAt(t time.Duration, traceID uint64, kind telemetry.EventKind, tier, attempt int, aux time.Duration) {
+func (c *Collector) RecordAt(t time.Duration, traceID uint64, kind queueing.SpanKind, tier, attempt int, aux time.Duration) {
 	seq := c.cursor.Add(1) - 1
 	if seq >= uint64(len(c.events)) {
 		return // capacity exhausted; counted by EventsDropped

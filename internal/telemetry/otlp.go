@@ -107,7 +107,7 @@ type otlpRootEvent struct {
 	t       time.Duration
 	aux     time.Duration
 	next    int32
-	kind    EventKind
+	kind    queueing.SpanKind
 	tier    int8
 	attempt uint16
 }
@@ -171,7 +171,7 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 	for i := range events {
 		e := &events[i]
 		if tier := int(e.Tier); tier >= 0 && tier < len(tierNames) &&
-			(e.Kind == EventKind(queueing.SpanServiceStart) || e.Kind == EventKind(queueing.SpanServiceEnd)) {
+			(e.Kind == queueing.SpanServiceStart || e.Kind == queueing.SpanServiceEnd) {
 			counts[tier]++
 			total++
 		}
@@ -195,32 +195,32 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 	for i := range events {
 		e := &events[i]
 		switch e.Kind {
-		case EventKind(queueing.SpanSubmit):
+		case queueing.SpanSubmit:
 			if _, st := state(e); e.Attempt == 0 {
 				st.start = e.T
 			}
-		case EventKind(queueing.SpanTierRequest):
+		case queueing.SpanTierRequest:
 			open.advance(keyOf(e), e)
-		case EventKind(queueing.SpanServiceStart):
+		case queueing.SpanServiceStart:
 			if q := open.advance(keyOf(e), e); q.ok {
 				addTierSpan(otlpRoleQueue, e, q.t)
 			}
-		case EventKind(queueing.SpanServiceEnd):
+		case queueing.SpanServiceEnd:
 			if svc := open.advance(keyOf(e), e); svc.ok {
 				addTierSpan(otlpRoleService, e, svc.t)
 			}
-		case EventKind(queueing.SpanServicePreempt):
+		case queueing.SpanServicePreempt:
 			rootEvent(e)
-		case EventKind(queueing.SpanDrop):
+		case queueing.SpanDrop:
 			open.advance(keyOf(e), e)
 			rootEvent(e).drops++
-		case EventKind(queueing.SpanComplete):
+		case queueing.SpanComplete:
 			_, st := state(e)
 			st.end = e.T
 			st.ended = true
-		case EvRetransmitScheduled:
+		case queueing.SpanRetransmit:
 			rootEvent(e)
-		case EvAbandoned:
+		case queueing.SpanAbandon:
 			st := rootEvent(e)
 			st.end = e.T
 			st.ended = true
@@ -367,21 +367,21 @@ func appendOTLPRootEvent(b []byte, ev *otlpRootEvent, nanos func(time.Duration) 
 	b = append(b, `{"timeUnixNano":`...)
 	b = appendQuotedInt(b, nanos(ev.t))
 	switch ev.kind {
-	case EventKind(queueing.SpanServicePreempt):
+	case queueing.SpanServicePreempt:
 		b = append(b, `,"name":"capacity-preempt","attributes":[`...)
 		b = appendIntAttr(b, "memca.tier", int64(ev.tier))
-	case EventKind(queueing.SpanDrop):
+	case queueing.SpanDrop:
 		b = append(b, `,"name":"drop","attributes":[`...)
 		b = appendIntAttr(b, "memca.tier", int64(ev.tier))
 		b = append(b, ',')
 		b = appendIntAttr(b, "memca.attempt", int64(ev.attempt))
-	case EvRetransmitScheduled:
+	case queueing.SpanRetransmit:
 		b = append(b, `,"name":"retransmit-scheduled","attributes":[`...)
 		b = appendIntAttr(b, "memca.attempt", int64(ev.attempt))
 		b = append(b, `,{"key":"memca.fire_at_ms","value":{"doubleValue":`...)
 		b = appendMsec(b, ev.aux)
 		b = append(b, "}}"...)
-	default: // EvAbandoned carries no attributes
+	default: // queueing.SpanAbandon carries no attributes
 		return append(b, `,"name":"abandoned"}`...)
 	}
 	return append(b, "]}"...)

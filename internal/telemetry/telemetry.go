@@ -8,10 +8,11 @@
 // The tracer is built for the simulator's zero-allocation discipline:
 // every per-event structure (trace slots, per-tier stamp arrays, the span
 // event ring, tail/head sample records) is pre-sized at construction, so
-// the steady-state request path — submit, queue, serve, respond, complete
-// — performs no heap allocations and no map operations. Maps are touched
-// only on the drop/retransmission path (rare by construction: drops are
-// the phenomenon under study, not the common case) and at export time.
+// every recording path — submit, queue, serve, respond, complete, and the
+// drop, retransmission and abandonment of a dropped request — performs no
+// heap allocations and no map operations: each event finds its trace
+// through Request.TraceSlot, which a Client's retransmission carries
+// across attempts. Maps are touched only at export time.
 package telemetry
 
 import (
@@ -154,33 +155,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// EventKind identifies one span event. Values below evClientBase mirror
-// queueing.SpanKind; the rest are client-side events the network cannot
-// observe.
-type EventKind uint8
-
-// Client-side event kinds.
-const (
-	evClientBase EventKind = 32
-	// EvRetransmitScheduled marks a dropped attempt queued for
-	// retransmission; Aux carries the scheduled resubmit time.
-	EvRetransmitScheduled EventKind = evClientBase + iota - 1
-	// EvAbandoned marks the client giving up on the trace.
-	EvAbandoned
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EvRetransmitScheduled:
-		return "retransmit-scheduled"
-	case EvAbandoned:
-		return "abandoned"
-	default:
-		return queueing.SpanKind(k).String()
-	}
-}
-
 // SpanEvent is one entry of the raw event ring.
 type SpanEvent struct {
 	// T is the virtual time of the event.
@@ -190,11 +164,12 @@ type SpanEvent struct {
 	Seq uint64
 	// TraceID identifies the logical client request.
 	TraceID uint64
-	// Aux carries kind-specific payload (EvRetransmitScheduled: the
-	// scheduled resubmit time).
+	// Aux carries kind-specific payload (SpanRetransmit: the scheduled
+	// resubmit time).
 	Aux time.Duration
-	// Kind is the event kind.
-	Kind EventKind
+	// Kind is the event kind: the queueing network's lifecycle vocabulary,
+	// including a client's retransmissions and abandonments.
+	Kind queueing.SpanKind
 	// Tier is the tier index, or -1 for client-side events.
 	Tier int8
 	// Attempt is the retransmission attempt of the observed request.
@@ -227,9 +202,8 @@ type traceSlot struct {
 	discard bool
 }
 
-// Tracer implements queueing.Observer (and, structurally, the workload
-// generator's TraceHook) to reconstruct per-request causal traces. All
-// methods run on the simulator goroutine.
+// Tracer implements queueing.Observer to reconstruct per-request causal
+// traces. All methods run on the simulator goroutine.
 type Tracer struct {
 	engine *sim.Engine
 	cfg    Config
@@ -238,10 +212,6 @@ type Tracer struct {
 	slots     []traceSlot
 	tierWork  []tierStamps // slot-major: [slot*tiers+tier]
 	freeSlots []int32
-	// pending maps traceID to slot for traces between a drop and the
-	// retransmitted submit (the only phase where the Request pointer — and
-	// with it TraceSlot — is not in flight).
-	pending map[uint64]int32
 
 	// events is the span-event ring: evNext is the slot the next event
 	// is written to, and eventSeq counts the events pushed since the last
@@ -269,8 +239,7 @@ type Tracer struct {
 }
 
 // New builds a tracer for a network with cfg.Tiers tiers driven by engine.
-// Wire it in via queueing.Config.Observer and (for retransmission-wait
-// attribution) the workload generator's Trace hook.
+// Wire it in via queueing.Config.Observer.
 func New(engine *sim.Engine, cfg Config) (*Tracer, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("telemetry: engine must not be nil")
@@ -285,7 +254,6 @@ func New(engine *sim.Engine, cfg Config) (*Tracer, error) {
 		slots:     make([]traceSlot, cfg.MaxActive),
 		tierWork:  make([]tierStamps, cfg.MaxActive*cfg.Tiers),
 		freeSlots: make([]int32, 0, cfg.MaxActive),
-		pending:   make(map[uint64]int32),
 	}
 	for i := cfg.MaxActive - 1; i >= 0; i-- {
 		t.freeSlots = append(t.freeSlots, int32(i))
@@ -326,7 +294,14 @@ func (t *Tracer) recBacking(idx int) (queue, service []time.Duration) {
 //memca:hotpath
 func (t *Tracer) Observe(req *queueing.Request, kind queueing.SpanKind, tier int) {
 	now := t.engine.Now()
-	t.pushEvent(now, req.TraceID, EventKind(kind), tier, req.Attempt, 0)
+	attempt, aux := req.Attempt, time.Duration(0)
+	switch kind {
+	case queueing.SpanRetransmit:
+		aux = req.Submit
+	case queueing.SpanAbandon:
+		attempt = 0
+	}
+	t.pushEvent(now, req.TraceID, kind, tier, attempt, aux)
 	switch kind {
 	case queueing.SpanSubmit:
 		t.onSubmit(req, now)
@@ -357,34 +332,14 @@ func (t *Tracer) Observe(req *queueing.Request, kind queueing.SpanKind, tier int
 		if si := req.TraceSlot; si >= 0 {
 			t.closeSlot(si, now, false)
 		}
+	case queueing.SpanAbandon:
+		if si := req.TraceSlot; si >= 0 {
+			t.closeSlot(si, now, true)
+		}
 	}
 }
 
-// RetransmitScheduled implements the workload generator's TraceHook: a
-// dropped attempt was queued for resubmission at fireAt.
-//
-//memca:hotpath
-func (t *Tracer) RetransmitScheduled(traceID uint64, attempt int, fireAt time.Duration) {
-	t.pushEvent(t.engine.Now(), traceID, EvRetransmitScheduled, -1, attempt, fireAt)
-}
-
-// TraceAbandoned implements the workload generator's TraceHook: the client
-// gave up on the trace (retries exhausted or session retired).
-func (t *Tracer) TraceAbandoned(traceID uint64) { t.Abandon(traceID) }
-
-// Abandon closes a trace that will never complete. It is safe to call for
-// unknown or untracked trace IDs.
-//
-//memca:hotpath
-func (t *Tracer) Abandon(traceID uint64) {
-	now := t.engine.Now()
-	t.pushEvent(now, traceID, EvAbandoned, -1, 0, 0)
-	if si, ok := t.pending[traceID]; ok {
-		t.closeSlot(si, now, true)
-	}
-}
-
-func (t *Tracer) pushEvent(now time.Duration, traceID uint64, kind EventKind, tier, attempt int, aux time.Duration) {
+func (t *Tracer) pushEvent(now time.Duration, traceID uint64, kind queueing.SpanKind, tier, attempt int, aux time.Duration) {
 	if len(t.events) == 0 {
 		return
 	}
@@ -408,13 +363,12 @@ func (t *Tracer) work(si int32, tier int) *tierStamps {
 
 func (t *Tracer) onSubmit(req *queueing.Request, now time.Duration) {
 	if req.Attempt > 0 {
-		// A retransmission rejoins its open trace through the pending map
-		// (the original Request object was recycled at the drop).
-		si, ok := t.pending[req.TraceID]
-		if !ok {
-			return // trace was untracked or already abandoned
+		// A retransmission rejoins its open trace through the slot the
+		// client carried over from the dropped attempt.
+		si := req.TraceSlot
+		if si < 0 {
+			return // the trace is untracked
 		}
-		req.TraceSlot = si
 		s := &t.slots[si]
 		s.attempts++
 		if s.lastDrop >= 0 {
@@ -459,12 +413,10 @@ func (t *Tracer) onDrop(req *queueing.Request, tier int, now time.Duration) {
 	// the dangling queue-enter stamp so it cannot leak into the next
 	// attempt's queueing time.
 	t.work(si, tier).reqAt = -1
-	t.pending[req.TraceID] = si
 }
 
 func (t *Tracer) closeSlot(si int32, end time.Duration, abandoned bool) {
 	s := &t.slots[si]
-	delete(t.pending, s.traceID)
 	if s.discard {
 		t.freeSlot(si)
 		return

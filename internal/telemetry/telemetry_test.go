@@ -19,6 +19,13 @@ func testSpec() Spec {
 // (queueLimit, servers, deterministic service) triples applied in order.
 func buildTraced(t *testing.T, e *sim.Engine, spec Spec, horizon time.Duration, tiers ...queueing.TierConfig) (*queueing.Network, *Tracer) {
 	t.Helper()
+	return buildTracedRetransmit(t, e, spec, horizon, queueing.RetransmitPolicy{}, tiers...)
+}
+
+// buildTracedRetransmit is buildTraced for a network whose clients
+// retransmit under policy.
+func buildTracedRetransmit(t *testing.T, e *sim.Engine, spec Spec, horizon time.Duration, policy queueing.RetransmitPolicy, tiers ...queueing.TierConfig) (*queueing.Network, *Tracer) {
+	t.Helper()
 	tr, err := New(e, Config{Arena: stats.NewArena(), Spec: spec, Tiers: len(tiers), Seed: 1, Horizon: horizon})
 	if err != nil {
 		t.Fatalf("telemetry.New: %v", err)
@@ -28,11 +35,12 @@ func buildTraced(t *testing.T, e *sim.Engine, spec Spec, horizon time.Duration, 
 		classes[i] = queueing.Class{Name: "depth", Depth: i}
 	}
 	n, err := queueing.New(e, queueing.Config{
-		Arena:    stats.NewArena(),
-		Mode:     queueing.ModeNTierRPC,
-		Tiers:    tiers,
-		Classes:  classes,
-		Observer: tr,
+		Arena:      stats.NewArena(),
+		Mode:       queueing.ModeNTierRPC,
+		Tiers:      tiers,
+		Classes:    classes,
+		Retransmit: policy,
+		Observer:   tr,
 	})
 	if err != nil {
 		t.Fatalf("queueing.New: %v", err)
@@ -115,26 +123,14 @@ func TestAttributionQueueing(t *testing.T) {
 func TestRetransmissionWait(t *testing.T) {
 	e := sim.NewEngine(1)
 	// QueueLimit 1: the second submission is refused while the first is in
-	// service.
-	n, tr := buildTraced(t, e, testSpec(), 0,
+	// service, and its client retransmits it 50ms later.
+	const rto = 50 * time.Millisecond
+	n, tr := buildTracedRetransmit(t, e, testSpec(), 0, queueing.RetransmitPolicy{RTOMin: rto, Backoff: 1, MaxRetries: 1},
 		detTier("front", 1, 1, 10*time.Millisecond))
 	if _, err := n.Submit(queueing.SubmitOpts{Class: 0}); err != nil {
 		t.Fatal(err)
 	}
-	const rto = 50 * time.Millisecond
-	resubmit := func(req *queueing.Request) {
-		id, attempt, first := req.TraceID, req.Attempt+1, req.FirstAttempt
-		e.Schedule(rto, func() {
-			if _, err := n.Submit(queueing.SubmitOpts{
-				Class: 0, TraceID: id, Attempt: attempt, FirstAttempt: first,
-			}); err != nil {
-				t.Errorf("resubmit: %v", err)
-			}
-		})
-	}
-	if _, err := n.Submit(queueing.SubmitOpts{Class: 0, OnDrop: resubmit}); err != nil {
-		t.Fatal(err)
-	}
+	queueing.NewClient(n, nil).Submit(0, nil)
 	if err := e.RunAll(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -162,25 +158,19 @@ func TestRetransmissionWait(t *testing.T) {
 
 func TestAbandonClosesTrace(t *testing.T) {
 	e := sim.NewEngine(1)
-	n, tr := buildTraced(t, e, testSpec(), 0,
+	// The second submission is refused; its client stops before the
+	// retransmission comes due 5ms later, so the trace is abandoned then.
+	n, tr := buildTracedRetransmit(t, e, testSpec(), 0, queueing.RetransmitPolicy{RTOMin: 5 * time.Millisecond, Backoff: 1, MaxRetries: 1},
 		detTier("front", 1, 1, 10*time.Millisecond))
 	if _, err := n.Submit(queueing.SubmitOpts{Class: 0}); err != nil {
 		t.Fatal(err)
 	}
-	var dropped uint64
-	abandon := func(req *queueing.Request) {
-		id := req.TraceID
-		dropped = id
-		e.Schedule(5*time.Millisecond, func() { tr.Abandon(id) })
-	}
-	if _, err := n.Submit(queueing.SubmitOpts{Class: 0, OnDrop: abandon}); err != nil {
-		t.Fatal(err)
-	}
+	c := queueing.NewClient(n, nil)
+	c.Submit(0, nil)
+	c.Stopped = true
+	dropped := uint64(2) // the network numbers traces from 1 in submit order
 	if err := e.RunAll(1000); err != nil {
 		t.Fatal(err)
-	}
-	if dropped == 0 {
-		t.Fatal("second submission was not dropped")
 	}
 	if tr.Closed() != 2 {
 		t.Fatalf("closed = %d, want 2", tr.Closed())
@@ -200,8 +190,11 @@ func TestAbandonClosesTrace(t *testing.T) {
 	if !found {
 		t.Error("abandoned trace missing from tail sample")
 	}
-	// Abandoning an unknown trace is a no-op.
-	tr.Abandon(999999)
+	if c.Retransmissions() != 1 || c.Failures() != 0 {
+		t.Errorf("retransmissions/failures = %d/%d, want 1/0", c.Retransmissions(), c.Failures())
+	}
+	// Abandoning an untracked trace is a no-op.
+	tr.Observe(&queueing.Request{TraceID: 999999, TraceSlot: -1}, queueing.SpanAbandon, -1)
 	if tr.Closed() != 2 {
 		t.Error("abandoning an unknown trace changed state")
 	}
@@ -444,15 +437,15 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	cases := map[EventKind]string{
-		EventKind(queueing.SpanSubmit):   "submit",
-		EventKind(queueing.SpanComplete): "complete",
-		EvRetransmitScheduled:            "retransmit-scheduled",
-		EvAbandoned:                      "abandoned",
+	cases := map[queueing.SpanKind]string{
+		queueing.SpanSubmit:     "submit",
+		queueing.SpanComplete:   "complete",
+		queueing.SpanRetransmit: "retransmit-scheduled",
+		queueing.SpanAbandon:    "abandoned",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
-			t.Errorf("EventKind(%d).String() = %q, want %q", k, got, want)
+			t.Errorf("SpanKind(%d).String() = %q, want %q", k, got, want)
 		}
 	}
 }

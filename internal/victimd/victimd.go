@@ -143,7 +143,6 @@ func StartTier(addr string, cfg TierConfig) (*Tier, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", t.handle)
 	mux.HandleFunc("/control/capacity", t.handleCapacity)
-	mux.HandleFunc("/stats", t.handleStats)
 	mux.HandleFunc("/debug/counters", t.handleCounters)
 	t.server = &http.Server{Handler: mux}
 	go func() {
@@ -359,16 +358,6 @@ func (t *Tier) handleCounters(w http.ResponseWriter, _ *http.Request) {
 	}
 	if _, err := io.WriteString(w, body); err != nil {
 		// The client disconnected mid-response; nothing left to do.
-		return
-	}
-}
-
-func (t *Tier) handleStats(w http.ResponseWriter, _ *http.Request) {
-	body := fmt.Sprintf(`{"name":%q,"served":%d,"rejected":%d,"slowdown_permille":%d}`+"\n",
-		t.cfg.Name, t.served.Load(), t.rejected.Load(), t.slowdown.Load())
-	if _, err := io.WriteString(w, body); err != nil {
-		// The client disconnected mid-response; the connection is gone,
-		// so there is nobody left to report the failure to.
 		return
 	}
 }

@@ -161,15 +161,15 @@ func TestStatsEndpoint(t *testing.T) {
 	if _, _, err := probe(ctx, s); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(s.DB.URL() + "/stats")
+	resp, err := http.Get(s.DB.URL() + "/debug/counters")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	buf := make([]byte, 256)
+	buf := make([]byte, 1024)
 	n, _ := resp.Body.Read(buf)
 	body := string(buf[:n])
-	for _, want := range []string{`"name":"db"`, `"served":1`} {
+	for _, want := range []string{"victimd.tier db\n", "victimd.served 1\n"} {
 		if !contains(body, want) {
 			t.Errorf("stats %q missing %q", body, want)
 		}

@@ -19,54 +19,26 @@ type GeneratorConfig struct {
 	ThinkTime sim.Dist
 	// Profile is the browsing model.
 	Profile Profile
-	// Retransmit governs dropped-request retries; zero RTOMin disables.
-	Retransmit queueing.RetransmitPolicy
 	// RampUp staggers session starts uniformly over this window so all
 	// clients don't fire at once; zero means start with one think draw.
 	RampUp time.Duration
-	// Trace, when non-nil, observes the client-side trace events the
-	// network cannot see: scheduled retransmissions and abandoned pages.
-	Trace TraceHook
 	// Arena backs the client-side samples and the RT series; it is
 	// required. The caller owns the arena's lifecycle (same rules as
 	// queueing.Config.Arena).
 	Arena *stats.Arena
 }
 
-// TraceHook receives the client-side lifecycle events of a traced request
-// that happen outside the queueing network: the retransmission timer that
-// fires between a drop and the next submit, and the moment a client gives
-// up on a page. internal/telemetry implements it; the generator only needs
-// this narrow view, which keeps workload free of a telemetry dependency.
-type TraceHook interface {
-	// RetransmitScheduled fires when a dropped attempt is queued for
-	// retransmission: the client will resubmit trace traceID as attempt
-	// `attempt` at virtual time fireAt.
-	RetransmitScheduled(traceID uint64, attempt int, fireAt time.Duration)
-	// TraceAbandoned fires when the client gives up on the trace: retries
-	// exhausted, or the session retired with a retransmission pending.
-	TraceAbandoned(traceID uint64)
-}
-
-// genRetrans is one pending page retransmission, pooled so the drop-retry
-// path allocates nothing in steady state.
-type genRetrans struct {
-	page    int
-	first   time.Duration
-	attempt int
-	traceID uint64
-}
-
-// Generator drives a client population against a network and aggregates
-// client-observed response times. The steady-state session loop —
-// think, visit, submit, complete — performs no heap allocations: page
-// context rides on Request.UserData (small ints convert to `any` without
-// allocating), submissions reuse two prebuilt callbacks, and think/visit
-// and retransmission events use the engine's Actor path.
+// Generator drives a client population against a network through a
+// queueing.Client, which retransmits dropped requests under the network's
+// Config.Retransmit, and aggregates client-observed response times. The
+// steady-state session loop — think, visit, submit, complete — performs
+// no heap allocations: page context rides on Request.UserData (small ints
+// convert to `any` without allocating) and think/visit events use the
+// engine's Actor path.
 type Generator struct {
-	engine  *sim.Engine
-	network *queueing.Network
-	cfg     GeneratorConfig
+	engine *sim.Engine
+	client *queueing.Client
+	cfg    GeneratorConfig
 
 	running bool
 	// population is the nominal live-session count.
@@ -80,15 +52,8 @@ type Generator struct {
 	perPage  []*stats.Sample
 	rtSeries *stats.TimeSeries // (completion time, RT in seconds), Fig 9d
 
-	onComplete  func(*queueing.Request)
-	onDrop      func(*queueing.Request)
-	freeRetrans []*genRetrans
-
 	recordSeries bool
 	requests     uint64
-	drops        uint64
-	retrans      uint64
-	failures     uint64
 }
 
 // NewGenerator validates the configuration against the network and builds
@@ -106,17 +71,11 @@ func NewGenerator(network *queueing.Network, cfg GeneratorConfig) (*Generator, e
 	if cfg.Arena == nil {
 		return nil, fmt.Errorf("workload: Arena must not be nil")
 	}
-	if cfg.Retransmit.RTOMin != 0 {
-		if err := cfg.Retransmit.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if err := cfg.Profile.Validate(network.NumClasses()); err != nil {
 		return nil, err
 	}
 	g := &Generator{
 		engine:   network.Engine(),
-		network:  network,
 		cfg:      cfg,
 		clientRT: cfg.Arena.Sample(4096),
 		rtSeries: cfg.Arena.TimeSeries("client-rt"),
@@ -125,42 +84,26 @@ func NewGenerator(network *queueing.Network, cfg GeneratorConfig) (*Generator, e
 	for i := range g.perPage {
 		g.perPage[i] = cfg.Arena.Sample(256)
 	}
-	g.onComplete = func(req *queueing.Request) {
+	// A page ends completed or failed; either way the user browses on
+	// after thinking.
+	g.client = queueing.NewClient(network, func(req *queueing.Request) {
 		page := req.UserData.(int)
-		rt := req.ClientRT()
-		g.clientRT.Add(rt)
-		g.perPage[page].Add(rt)
-		if g.recordSeries {
-			g.rtSeries.Add(req.Done, rt.Seconds())
+		if !req.Dropped {
+			rt := req.ClientRT()
+			g.clientRT.Add(rt)
+			g.perPage[page].Add(rt)
+			if g.recordSeries {
+				g.rtSeries.Add(req.Done, rt.Seconds())
+			}
 		}
 		g.think(page)
-	}
-	g.onDrop = func(req *queueing.Request) {
-		g.drops++
-		g.handleDrop(req.UserData.(int), req)
-	}
+	})
 	return g, nil
 }
 
-// Act makes the generator the sim.Actor for its session events: a bare
-// int arg is the next page visit, a *genRetrans is a due retransmission.
-func (g *Generator) Act(arg any) {
-	if rec, ok := arg.(*genRetrans); ok {
-		page, first, attempt, traceID := rec.page, rec.first, rec.attempt, rec.traceID
-		g.freeRetrans = append(g.freeRetrans, rec)
-		if !g.running {
-			// The population stopped with this retransmission pending; the
-			// trace will never close on its own.
-			if g.cfg.Trace != nil {
-				g.cfg.Trace.TraceAbandoned(traceID)
-			}
-			return
-		}
-		g.submit(page, first, attempt, traceID)
-		return
-	}
-	g.visit(arg.(int))
-}
+// Act makes the generator the sim.Actor for its session events: the int
+// arg is the next page visit.
+func (g *Generator) Act(arg any) { g.visit(arg.(int)) }
 
 // RecordSeries toggles per-completion (time, RT) series recording, used by
 // the fine-grained snapshot figure. Off by default to bound memory.
@@ -172,6 +115,7 @@ func (g *Generator) Start() {
 		return
 	}
 	g.running = true
+	g.client.Stopped = false
 	g.population = g.cfg.Clients
 	g.spawn(g.cfg.Clients, g.cfg.RampUp)
 }
@@ -224,8 +168,11 @@ func (g *Generator) SetPopulation(n int, rampUp time.Duration) int {
 }
 
 // Stop halts the population: sessions end after their current request or
-// think period.
-func (g *Generator) Stop() { g.running = false }
+// think period, and a pending retransmission abandons its page.
+func (g *Generator) Stop() {
+	g.running = false
+	g.client.Stopped = true
+}
 
 // sessionContinues reports whether the calling session should keep
 // running, consuming one pending retirement if any.
@@ -241,68 +188,14 @@ func (g *Generator) sessionContinues() bool {
 }
 
 // visit issues the request for the given page, then continues the session.
+// The page index travels on UserData so the shared completion callbacks
+// can attribute the response without a per-request closure.
 func (g *Generator) visit(page int) {
 	if !g.sessionContinues() {
 		return
 	}
 	g.requests++
-	g.submit(page, 0, 0, 0)
-}
-
-// submit sends one attempt of the current page request. The page index
-// travels on UserData so the shared completion callbacks can attribute the
-// response without a per-request closure. traceID is zero for first
-// attempts (the network assigns a fresh trace) and carries the original
-// trace across retransmissions.
-func (g *Generator) submit(page int, firstAttempt time.Duration, attempt int, traceID uint64) {
-	spec := g.cfg.Profile.Pages[page]
-	_, err := g.network.Submit(queueing.SubmitOpts{
-		Class:        spec.Class,
-		FirstAttempt: firstAttempt,
-		Attempt:      attempt,
-		TraceID:      traceID,
-		UserData:     page,
-		OnComplete:   g.onComplete,
-		OnDrop:       g.onDrop,
-	})
-	if err != nil {
-		// Classes were validated at construction; a failure is a bug.
-		panic(err)
-	}
-}
-
-func (g *Generator) handleDrop(page int, req *queueing.Request) {
-	next := req.Attempt + 1
-	if g.cfg.Retransmit.RTOMin == 0 || next > g.cfg.Retransmit.MaxRetries {
-		// The user gives up on this page and browses on after thinking.
-		g.failures++
-		if g.cfg.Trace != nil {
-			g.cfg.Trace.TraceAbandoned(req.TraceID)
-		}
-		g.think(page)
-		return
-	}
-	g.retrans++
-	if len(g.freeRetrans) == 0 {
-		// Refill in blocks: one allocation covers the next 64 pool
-		// misses during the cold-start ramp.
-		recs := make([]genRetrans, 64)
-		for i := range recs {
-			g.freeRetrans = append(g.freeRetrans, &recs[i])
-		}
-	}
-	k := len(g.freeRetrans)
-	rec := g.freeRetrans[k-1]
-	g.freeRetrans = g.freeRetrans[:k-1]
-	rec.page = page
-	rec.first = req.FirstAttempt
-	rec.attempt = next
-	rec.traceID = req.TraceID
-	rto := g.cfg.Retransmit.RTO(next)
-	if g.cfg.Trace != nil {
-		g.cfg.Trace.RetransmitScheduled(req.TraceID, next, g.engine.Now()+rto)
-	}
-	g.engine.ScheduleCall(rto, g, rec)
+	g.client.Submit(g.cfg.Profile.Pages[page].Class, page)
 }
 
 // think schedules the next page visit after a think-time draw.
@@ -357,18 +250,16 @@ func (g *Generator) ResetMetrics() {
 		g.perPage[i].Reset()
 	}
 	g.rtSeries.Reset()
-	g.requests, g.drops, g.retrans, g.failures = 0, 0, 0, 0
+	g.requests = 0
+	g.client.ResetCounters()
 }
 
 // Requests returns the number of page visits issued (first attempts).
 func (g *Generator) Requests() uint64 { return g.requests }
 
-// Drops returns the number of dropped attempts observed.
-func (g *Generator) Drops() uint64 { return g.drops }
-
 // Retransmissions returns how many drops were retried.
-func (g *Generator) Retransmissions() uint64 { return g.retrans }
+func (g *Generator) Retransmissions() uint64 { return g.client.Retransmissions() }
 
 // Failures returns how many page visits were abandoned after exhausting
 // retries.
-func (g *Generator) Failures() uint64 { return g.failures }
+func (g *Generator) Failures() uint64 { return g.client.Failures() }

@@ -10,13 +10,16 @@ import (
 	"memca/internal/stats"
 )
 
-func rubbosNetwork(t *testing.T, e *sim.Engine) *queueing.Network {
+// rubbosNetwork builds the RUBBoS topology whose clients retransmit
+// under policy.
+func rubbosNetwork(t *testing.T, e *sim.Engine, policy queueing.RetransmitPolicy) *queueing.Network {
 	t.Helper()
 	n, err := queueing.New(e, queueing.Config{
-		Arena:   stats.NewArena(),
-		Mode:    queueing.ModeNTierRPC,
-		Tiers:   RUBBoSTiers(),
-		Classes: RUBBoSClasses(),
+		Arena:      stats.NewArena(),
+		Mode:       queueing.ModeNTierRPC,
+		Tiers:      RUBBoSTiers(),
+		Classes:    RUBBoSClasses(),
+		Retransmit: policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +89,7 @@ func TestProfileValidation(t *testing.T) {
 
 func TestGeneratorValidation(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	good := GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   10,
@@ -110,11 +113,6 @@ func TestGeneratorValidation(t *testing.T) {
 		t.Error("nil think time accepted")
 	}
 	bad = good
-	bad.Retransmit = queueing.RetransmitPolicy{RTOMin: time.Second, Backoff: 0.1}
-	if _, err := NewGenerator(n, bad); err == nil {
-		t.Error("bad retransmit accepted")
-	}
-	bad = good
 	bad.Arena = nil
 	if _, err := NewGenerator(n, bad); err == nil {
 		t.Error("nil arena accepted")
@@ -124,14 +122,13 @@ func TestGeneratorValidation(t *testing.T) {
 func TestClosedLoopThroughputMatchesLittlesLaw(t *testing.T) {
 	// 200 clients, 2s think, fast service: throughput ≈ N/Z = 100/s.
 	e := sim.NewEngine(5)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.DefaultRetransmit())
 	g, err := NewGenerator(n, GeneratorConfig{
-		Arena:      stats.NewArena(),
-		Clients:    200,
-		ThinkTime:  sim.NewExponential(2 * time.Second),
-		Profile:    RUBBoSProfile(),
-		Retransmit: queueing.DefaultRetransmit(),
-		RampUp:     2 * time.Second,
+		Arena:     stats.NewArena(),
+		Clients:   200,
+		ThinkTime: sim.NewExponential(2 * time.Second),
+		Profile:   RUBBoSProfile(),
+		RampUp:    2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +150,13 @@ func TestBaselineTailUnder100ms(t *testing.T) {
 	// The paper's no-attack baseline: every request answers within
 	// ~100 ms. Scaled-down population with the same per-client load.
 	e := sim.NewEngine(9)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.DefaultRetransmit())
 	g, err := NewGenerator(n, GeneratorConfig{
-		Arena:      stats.NewArena(),
-		Clients:    700,
-		ThinkTime:  sim.NewExponential(1400 * time.Millisecond), // same λ as 3500 @ 7s
-		Profile:    RUBBoSProfile(),
-		Retransmit: queueing.DefaultRetransmit(),
-		RampUp:     2 * time.Second,
+		Arena:     stats.NewArena(),
+		Clients:   700,
+		ThinkTime: sim.NewExponential(1400 * time.Millisecond), // same λ as 3500 @ 7s
+		Profile:   RUBBoSProfile(),
+		RampUp:    2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +174,8 @@ func TestBaselineTailUnder100ms(t *testing.T) {
 	if p95 > 100*time.Millisecond {
 		t.Errorf("baseline p95 = %v, want <= 100ms", p95)
 	}
-	if g.Drops() != 0 {
-		t.Errorf("baseline dropped %d requests", g.Drops())
+	if drops := g.Retransmissions() + g.Failures(); drops != 0 {
+		t.Errorf("baseline dropped %d requests", drops)
 	}
 }
 
@@ -187,7 +183,7 @@ func TestPageMixRoughlyMatchesStationaryDistribution(t *testing.T) {
 	// Run the chain directly for many steps and compare against the
 	// generator's page visit counts.
 	e := sim.NewEngine(11)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	g, err := NewGenerator(n, GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   300,
@@ -242,14 +238,13 @@ func TestGeneratorRetransmitsOnDrop(t *testing.T) {
 	// A brutal stall on MySQL forces front-tier drops; clients must
 	// retransmit and eventually record RTs above the 1s RTO.
 	e := sim.NewEngine(13)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.DefaultRetransmit())
 	g, err := NewGenerator(n, GeneratorConfig{
-		Arena:      stats.NewArena(),
-		Clients:    700,
-		ThinkTime:  sim.NewExponential(1400 * time.Millisecond),
-		Profile:    RUBBoSProfile(),
-		Retransmit: queueing.DefaultRetransmit(),
-		RampUp:     time.Second,
+		Arena:     stats.NewArena(),
+		Clients:   700,
+		ThinkTime: sim.NewExponential(1400 * time.Millisecond),
+		Profile:   RUBBoSProfile(),
+		RampUp:    time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,11 +257,8 @@ func TestGeneratorRetransmitsOnDrop(t *testing.T) {
 	if err := e.RunAll(0); err != nil {
 		t.Fatal(err)
 	}
-	if g.Drops() == 0 {
-		t.Fatal("no drops under a 2-second full stall")
-	}
 	if g.Retransmissions() == 0 {
-		t.Fatal("no retransmissions recorded")
+		t.Fatal("no retransmissions under a 2-second full stall")
 	}
 	if max := g.ClientRT().Max(); max < time.Second {
 		t.Errorf("max client RT %v, want >= 1s (retransmitted requests)", max)
@@ -275,7 +267,7 @@ func TestGeneratorRetransmitsOnDrop(t *testing.T) {
 
 func TestResetMetrics(t *testing.T) {
 	e := sim.NewEngine(17)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	g, err := NewGenerator(n, GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   50,
@@ -307,7 +299,7 @@ func TestResetMetrics(t *testing.T) {
 
 func TestRecordSeries(t *testing.T) {
 	e := sim.NewEngine(19)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	g, err := NewGenerator(n, GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   20,
@@ -337,7 +329,7 @@ func TestRecordSeries(t *testing.T) {
 
 func TestStopQuiescesPopulation(t *testing.T) {
 	e := sim.NewEngine(23)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	g, err := NewGenerator(n, GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   100,
@@ -365,7 +357,7 @@ func TestStopQuiescesPopulation(t *testing.T) {
 
 func TestSetPopulationGrowth(t *testing.T) {
 	e := sim.NewEngine(31)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	g, err := NewGenerator(n, GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   100,
@@ -398,7 +390,7 @@ func TestSetPopulationGrowth(t *testing.T) {
 
 func TestSetPopulationShrinkAndRegrow(t *testing.T) {
 	e := sim.NewEngine(33)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	g, err := NewGenerator(n, GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   200,
@@ -439,7 +431,7 @@ func TestSetPopulationShrinkAndRegrow(t *testing.T) {
 
 func TestSetPopulationBeforeStart(t *testing.T) {
 	e := sim.NewEngine(35)
-	n := rubbosNetwork(t, e)
+	n := rubbosNetwork(t, e, queueing.RetransmitPolicy{})
 	g, err := NewGenerator(n, GeneratorConfig{
 		Arena:     stats.NewArena(),
 		Clients:   10,
