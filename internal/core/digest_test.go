@@ -18,22 +18,41 @@ import (
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/traced_digests.txt with current output")
 
-// tracedRunDigests runs one traced experiment at memca-trace's quick
-// settings (45 s measured, 20 s warm-up, seed 1, both feature windows)
-// and returns "<label>/<artifact> <sha256>" lines for its Report JSON,
-// every tracer export and the engine's processed-event count.
+// tracedRun is one traced configuration of the digest oracle.
+type tracedRun struct {
+	label string
+	cfg   Config
+}
+
+// tracedRuns returns the traced attacked run (the generator's
+// retransmissions and abandonments) and the traced feedback run (the
+// probe's as well) at memca-trace's quick settings: 45 s measured, 20 s
+// warm-up, seed 1, both feature windows, a 1 s tail threshold.
+func tracedRuns() []tracedRun {
+	fb := DefaultConfig()
+	feedback := DefaultFeedback()
+	fb.Feedback = &feedback
+	runs := []tracedRun{{"attacked", DefaultConfig()}, {"feedback", fb}}
+	for i := range runs {
+		cfg := &runs[i].cfg
+		cfg.Seed = 1
+		cfg.Duration = 45 * time.Second
+		cfg.Warmup = 20 * time.Second
+		spec := telemetry.DefaultSpec()
+		spec.TailKeep = 4096
+		spec.EventRing = 1 << 18
+		spec.FeatureWindows = []time.Duration{50 * time.Millisecond, time.Second}
+		spec.TailOver = time.Second
+		cfg.Trace = &spec
+	}
+	return runs
+}
+
+// tracedRunDigests runs one traced experiment and returns
+// "<label>/<artifact> <sha256>" lines for its Report JSON, every tracer
+// export and the engine's processed-event count.
 func tracedRunDigests(t *testing.T, label string, cfg Config) []string {
 	t.Helper()
-	cfg.Seed = 1
-	cfg.Duration = 45 * time.Second
-	cfg.Warmup = 20 * time.Second
-	spec := telemetry.DefaultSpec()
-	spec.TailKeep = 4096
-	spec.EventRing = 1 << 18
-	spec.FeatureWindows = []time.Duration{50 * time.Millisecond, time.Second}
-	spec.TailOver = time.Second
-	cfg.Trace = &spec
-
 	x, err := NewExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +114,10 @@ func tracedRunDigests(t *testing.T, label string, cfg Config) []string {
 // Regenerate deliberately with:
 // go test ./internal/core -run TestTracedRunDigests -update
 func TestTracedRunDigests(t *testing.T) {
-	fb := DefaultConfig()
-	feedback := DefaultFeedback()
-	fb.Feedback = &feedback
-	lines := append(tracedRunDigests(t, "attacked", DefaultConfig()), tracedRunDigests(t, "feedback", fb)...)
+	var lines []string
+	for _, run := range tracedRuns() {
+		lines = append(lines, tracedRunDigests(t, run.label, run.cfg)...)
+	}
 	sort.Strings(lines)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "traced_digests.txt")
