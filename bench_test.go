@@ -149,7 +149,7 @@ func BenchmarkQueueingThroughput(b *testing.B) {
 
 // BenchmarkQueueingThroughputTraced is BenchmarkQueueingThroughput with a
 // telemetry tracer attached: the per-request overhead of full span
-// recording, attribution stamping, sampling, and timeline booking. The
+// recording, attribution stamping, sampling, and window booking. The
 // gap to the untraced benchmark is the enabled-tracing cost; -benchmem
 // must report 1 alloc/op — the same request-pool amortization as the
 // untraced path, with zero additional allocations from tracing.
@@ -158,12 +158,12 @@ func BenchmarkQueueingThroughputTraced(b *testing.B) {
 	tr, err := telemetry.New(e, telemetry.Config{
 		Arena: stats.NewArena(),
 		Spec: telemetry.Spec{
-			MaxActive:   4096,
-			EventRing:   1 << 14,
-			TailKeep:    512,
-			HeadEvery:   64,
-			HeadKeep:    512,
-			Resolutions: []time.Duration{50 * time.Millisecond, time.Second},
+			MaxActive:      4096,
+			EventRing:      1 << 14,
+			TailKeep:       512,
+			HeadEvery:      64,
+			HeadKeep:       512,
+			FeatureWindows: []time.Duration{50 * time.Millisecond, time.Second},
 		},
 		Tiers:   3,
 		Seed:    1,

@@ -214,7 +214,7 @@ func exportTrace(col *live.Collector, be *memcafw.Backend, sys *victimd.System, 
 	// Dual-resolution blindness on the live run.
 	if tls, err := rep.Timelines(50*time.Millisecond, time.Second); err == nil {
 		fmt.Printf("  monitoring blindness: 50ms vs 1s window-mean peak ratio %.2fx\n",
-			telemetry.BlindnessRatio(tls[0], tls[1]))
+			tls[0].BlindnessRatio(tls[1]))
 	}
 
 	// Burst-aligned probe windows: how many bursts contain a tail probe.

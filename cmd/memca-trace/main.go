@@ -86,7 +86,6 @@ func traceRun(out string, attacked bool, duration, warmup time.Duration, seed in
 	spec := memca.DefaultTraceSpec()
 	spec.TailKeep = tailKeep
 	spec.EventRing = ring
-	spec.FeatureWindows = []time.Duration{50 * time.Millisecond, time.Second}
 	spec.TailOver = time.Second
 	cfg.Trace = &spec
 
@@ -103,7 +102,7 @@ func traceRun(out string, attacked bool, duration, warmup time.Duration, seed in
 	tierNames := tr.TierNames()
 
 	// Exports: raw Chrome trace, the slowest-N and head-sample
-	// attributions, and one timeline CSV per resolution.
+	// attributions, and per window width a timeline and a features CSV.
 	if ring > 0 {
 		// Both span exports read the tracer's event ring in place.
 		path := filepath.Join(out, fmt.Sprintf("trace_%s.json", name))
@@ -128,16 +127,15 @@ func traceRun(out string, attacked bool, duration, warmup time.Duration, seed in
 			return err
 		}
 	}
-	for _, tl := range tr.Timelines() {
-		path := filepath.Join(out, fmt.Sprintf("timeline_%s_%dms.csv", name, tl.Res.Milliseconds()))
-		if err := telemetry.WriteTimelineCSV(path, tl); err != nil {
+	// Each window series exports its latency timeline and its detection
+	// features: one CSV of each per window width, plus the OTLP gauge
+	// export for metrics backends.
+	for _, fs := range tr.Features() {
+		path := filepath.Join(out, fmt.Sprintf("timeline_%s_%dms.csv", name, fs.Res.Milliseconds()))
+		if err := telemetry.WriteTimelineCSV(path, fs); err != nil {
 			return err
 		}
-	}
-	// The per-window detection feature series: one CSV per window width,
-	// plus the OTLP gauge export for metrics backends.
-	for _, fs := range tr.Features() {
-		path := filepath.Join(out, fmt.Sprintf("features_%s_%dms.csv", name, fs.Res.Milliseconds()))
+		path = filepath.Join(out, fmt.Sprintf("features_%s_%dms.csv", name, fs.Res.Milliseconds()))
 		if err := telemetry.WriteFeaturesCSV(path, fs); err != nil {
 			return err
 		}
@@ -181,10 +179,10 @@ func traceRun(out string, attacked bool, duration, warmup time.Duration, seed in
 	for _, line := range splitLines(tbl.Render()) {
 		fmt.Printf("    %s\n", line)
 	}
-	fine, coarse := tr.Timeline(50*time.Millisecond), tr.Timeline(time.Second)
+	fine, coarse := tr.FeaturesAt(50*time.Millisecond), tr.FeaturesAt(time.Second)
 	if fine != nil && coarse != nil {
 		fmt.Printf("  peak window-mean RT: %v at 50ms vs the 1s view of the same instant — blindness %.2fx\n",
-			fine.PeakMeanRT().Round(time.Millisecond), telemetry.BlindnessRatio(fine, coarse))
+			fine.PeakMeanRT().Round(time.Millisecond), fine.BlindnessRatio(coarse))
 	}
 	fmt.Println()
 	return nil

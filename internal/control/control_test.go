@@ -268,3 +268,19 @@ func TestCommanderConvergesInClosedLoop(t *testing.T) {
 		t.Errorf("closed loop settled at %v, want near 1-1.8s band", tail)
 	}
 }
+
+// TestProberTickZeroAllocs pins the probe loop's allocation contract:
+// once the engine's event pool is warm, a steady-state tick (submit, and
+// schedule the next tick) allocates nothing.
+func TestProberTickZeroAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	p, err := NewProber(e, ProberConfig{Period: time.Second, Window: 8}, func(done func(time.Duration)) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	e.Run(10 * time.Second)
+	if allocs := testing.AllocsPerRun(100, func() { e.Run(e.Now() + time.Second) }); allocs != 0 {
+		t.Errorf("a probe tick allocates %v objects, want 0", allocs)
+	}
+}

@@ -34,10 +34,14 @@ type Prober struct {
 	engine *sim.Engine
 	cfg    ProberConfig
 	submit SubmitFunc
+	// done and next are record and tick bound once, so a probe passes
+	// and schedules them without allocating a closure or method value.
+	done func(rt time.Duration)
+	next func()
 
 	running bool
 	ring    []time.Duration
-	next    int
+	cursor  int
 	filled  bool
 }
 
@@ -55,12 +59,14 @@ func NewProber(engine *sim.Engine, cfg ProberConfig, submit SubmitFunc) (*Prober
 	if submit == nil {
 		return nil, fmt.Errorf("control: submit must not be nil")
 	}
-	return &Prober{
+	p := &Prober{
 		engine: engine,
 		cfg:    cfg,
 		submit: submit,
 		ring:   make([]time.Duration, cfg.Window),
-	}, nil
+	}
+	p.done, p.next = p.record, p.tick
+	return p, nil
 }
 
 // Start begins periodic probing. Idempotent while running.
@@ -79,15 +85,15 @@ func (p *Prober) tick() {
 	if !p.running {
 		return
 	}
-	p.submit(func(rt time.Duration) { p.record(rt) })
-	p.engine.Schedule(p.cfg.Period, p.tick)
+	p.submit(p.done)
+	p.engine.Schedule(p.cfg.Period, p.next)
 }
 
 func (p *Prober) record(rt time.Duration) {
-	p.ring[p.next] = rt
-	p.next++
-	if p.next == len(p.ring) {
-		p.next = 0
+	p.ring[p.cursor] = rt
+	p.cursor++
+	if p.cursor == len(p.ring) {
+		p.cursor = 0
 		p.filled = true
 	}
 }
@@ -97,7 +103,7 @@ func (p *Prober) Samples() int {
 	if p.filled {
 		return len(p.ring)
 	}
-	return p.next
+	return p.cursor
 }
 
 // Percentile returns the pct-th percentile of the current window, or 0

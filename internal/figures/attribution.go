@@ -28,7 +28,7 @@ type AttributionResult struct {
 	// work, not waiting.
 	BaselineServiceShare float64
 	// AttackedBlindness / BaselineBlindness are the 50ms-vs-1s peak
-	// window-mean RT ratios (see telemetry.BlindnessRatio).
+	// window-mean RT ratios (see telemetry.FeatureSeries.BlindnessRatio).
 	AttackedBlindness float64
 	BaselineBlindness float64
 	// AttackedTailTraces is how many traces the attacked >=p99 breakdown
@@ -42,14 +42,8 @@ type attributionRecord struct {
 	Tail      []telemetry.Attribution
 	Breakdown telemetry.Breakdown
 	Blindness float64
-	Timelines []timelineRecord
+	Timelines []featuresRecord
 	TierNames []string
-}
-
-// timelineRecord is a telemetry.Timeline as plain record values.
-type timelineRecord struct {
-	Res, Base time.Duration
-	Points    []telemetry.TimelinePoint
 }
 
 // attributionResolutions are the dual monitoring resolutions contrasted by
@@ -77,7 +71,7 @@ func newAttributionRun(opts Options) (*DistRun, error) {
 		}
 		spec := telemetry.DefaultSpec()
 		spec.TailKeep = 4096
-		spec.Resolutions = attributionResolutions
+		spec.FeatureWindows = attributionResolutions
 		cfg.Trace = &spec
 		x, err := core.NewExperiment(cfg)
 		if err != nil {
@@ -93,8 +87,8 @@ func newAttributionRun(opts Options) (*DistRun, error) {
 			Tail:      tr.TailAttributions(),
 			TierNames: tr.TierNames(),
 		}
-		for _, tl := range tr.Timelines() {
-			rec.Timelines = append(rec.Timelines, timelineRecord{Res: tl.Res, Base: tl.Base(), Points: tl.Points()})
+		for _, fs := range tr.Features() {
+			rec.Timelines = append(rec.Timelines, captureFeatures(fs))
 		}
 		// Summarize only the traces at or above the run's own p99: the
 		// slowest-N sample reaches deeper, but the claim is about the tail
@@ -106,8 +100,7 @@ func newAttributionRun(opts Options) (*DistRun, error) {
 			}
 		}
 		rec.Breakdown = telemetry.Summarize(len(rec.TierNames), over)
-		rec.Blindness = telemetry.BlindnessRatio(
-			tr.Timeline(attributionResolutions[0]), tr.Timeline(attributionResolutions[1]))
+		rec.Blindness = tr.FeaturesAt(attributionResolutions[0]).BlindnessRatio(tr.FeaturesAt(attributionResolutions[1]))
 		return rec, nil
 	}, func(runs []attributionRecord) (any, string, error) {
 		att, base := runs[0], runs[1]
@@ -142,9 +135,8 @@ func newAttributionRun(opts Options) (*DistRun, error) {
 					return nil, "", err
 				}
 				for _, r := range run.Timelines {
-					tl := telemetry.RestoreTimeline(r.Res, r.Base, r.Points)
 					path := opts.path(fmt.Sprintf("attribution_timeline_%s_%dms.csv", name, r.Res.Milliseconds()))
-					if err := telemetry.WriteTimelineCSV(path, &tl); err != nil {
+					if err := telemetry.WriteTimelineCSV(path, r.series()); err != nil {
 						return nil, "", err
 					}
 				}

@@ -99,7 +99,6 @@ func featureTrace(windows ...time.Duration) *telemetry.Spec {
 	spec.TailKeep = 0
 	spec.HeadEvery = 0
 	spec.HeadKeep = 0
-	spec.Resolutions = nil
 	spec.FeatureWindows = windows
 	spec.TailOver = time.Second
 	return &spec

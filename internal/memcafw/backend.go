@@ -6,13 +6,13 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"memca/internal/attack"
 	"memca/internal/control"
 	"memca/internal/queueing"
+	"memca/internal/stats"
 	"memca/internal/telemetry/live"
 )
 
@@ -248,20 +248,15 @@ func (b *Backend) BurstWindows(pad time.Duration) []BurstWindow {
 func (b *Backend) TailRT(pct float64) time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.samples) == 0 {
-		return 0
-	}
 	recent := b.samples
 	if len(recent) > b.cfg.Window {
 		recent = recent[len(recent)-b.cfg.Window:]
 	}
-	cp := make([]time.Duration, len(recent))
+	rts := make([]time.Duration, len(recent))
 	for i, s := range recent {
-		cp[i] = s.RT
+		rts[i] = s.RT
 	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(pct / 100 * float64(len(cp)-1))
-	return cp[idx]
+	return stats.NearestRank(rts, pct/100)
 }
 
 // Run drives the control loop until ctx is canceled or the FE disconnects.

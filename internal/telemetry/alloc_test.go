@@ -12,19 +12,16 @@ import (
 // TestTracedSubmitZeroAllocs pins the enabled-path allocation contract:
 // once the tracer's slabs and the network's pools are warm, a fully
 // traced submit → service → complete round trip — slot claim, per-tier
-// stamps, event-ring pushes, tail/head sampling, timeline booking, slot
+// stamps, event-ring pushes, tail/head sampling, window booking, slot
 // recycle — performs no heap allocations.
 func TestTracedSubmitZeroAllocs(t *testing.T) {
 	e := sim.NewEngine(11)
 	spec := Spec{
-		MaxActive:   256,
-		EventRing:   1 << 12,
-		TailKeep:    64,
-		HeadEvery:   8,
-		HeadKeep:    64,
-		Resolutions: []time.Duration{50 * time.Millisecond, time.Second},
-		// Feature extraction rides the same close path and must keep the
-		// zero-alloc contract.
+		MaxActive:      256,
+		EventRing:      1 << 12,
+		TailKeep:       64,
+		HeadEvery:      8,
+		HeadKeep:       64,
 		FeatureWindows: []time.Duration{50 * time.Millisecond, time.Second},
 		TailOver:       time.Second,
 	}
@@ -82,7 +79,6 @@ func TestTracedRetryCycleZeroAllocs(t *testing.T) {
 		TailKeep:       16,
 		HeadEvery:      4,
 		HeadKeep:       16,
-		Resolutions:    []time.Duration{50 * time.Millisecond},
 		FeatureWindows: []time.Duration{50 * time.Millisecond},
 		TailOver:       time.Millisecond,
 	}

@@ -44,18 +44,20 @@ func WriteAttributionCSV(path string, tierNames []string, recs []Attribution) er
 	return trace.WriteCSV(path, header, rows)
 }
 
-// WriteTimelineCSV exports one timeline with one row per window.
-func WriteTimelineCSV(path string, tl *Timeline) error {
+// WriteTimelineCSV exports the latency timeline of one series with one
+// row per window: the close count, drops, and mean and peak response and
+// queueing time.
+func WriteTimelineCSV(path string, fs *FeatureSeries) error {
 	header := []string{"window_start_s", "count", "drops", "mean_rt_ms", "max_rt_ms", "mean_queue_ms", "max_queue_ms"}
-	pts := tl.Points()
-	rows := make([][]string, 0, len(pts))
-	for i, p := range pts {
+	wins := fs.Windows()
+	rows := make([][]string, 0, len(wins))
+	for i, p := range wins {
 		meanQ := time.Duration(0)
 		if p.Count > 0 {
 			meanQ = p.SumQueue / time.Duration(p.Count)
 		}
 		rows = append(rows, []string{
-			fmtSecs(tl.WindowStart(i)),
+			fmtSecs(fs.WindowStart(i)),
 			strconv.Itoa(p.Count),
 			strconv.Itoa(p.Drops),
 			fmtMs(p.MeanRT()),

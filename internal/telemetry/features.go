@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// WindowFeatures aggregates the attribution components of the traces that
-// closed inside one feature window — the streaming detection features the
-// paper's stealthiness analysis says CPU sampling cannot see. Raw sums and
-// counts are stored; the share accessors derive the normalized features on
-// read, so booking a closed trace performs no divisions and no
-// allocations.
+// WindowFeatures aggregates the traces that closed inside one window:
+// their response times and peaks (the monitoring view a latency timeline
+// draws) and their attribution components (the streaming detection
+// features the paper's stealthiness analysis says CPU sampling cannot
+// see). Raw sums, maxima and counts are stored; the share accessors derive
+// the normalized features on read, so booking a closed trace performs no
+// divisions and no allocations.
 type WindowFeatures struct {
 	// Count is the number of traces closed in the window.
 	Count int
@@ -21,11 +22,14 @@ type WindowFeatures struct {
 	// TailOver counts closed traces whose response time reached the
 	// series' tail threshold — the per-window damage indicator.
 	TailOver int
-	// SumRT is the summed client response time.
+	// SumRT / MaxRT aggregate client response time.
 	SumRT time.Duration
+	MaxRT time.Duration
 	// SumQueue / SumService / SumRetransWait sum the per-trace critical-
-	// path components (all tiers folded together).
+	// path components (all tiers folded together); MaxQueue is the largest
+	// per-trace queueing total.
 	SumQueue       time.Duration
+	MaxQueue       time.Duration
 	SumService     time.Duration
 	SumRetransWait time.Duration
 }
@@ -88,15 +92,24 @@ func (w *WindowFeatures) Observe(rt, queue, service, retransWait time.Duration, 
 		w.TailOver++
 	}
 	w.SumRT += rt
+	if rt > w.MaxRT {
+		w.MaxRT = rt
+	}
 	w.SumQueue += queue
+	if queue > w.MaxQueue {
+		w.MaxQueue = queue
+	}
 	w.SumService += service
 	w.SumRetransWait += retransWait
 }
 
-// FeatureSeries aggregates closed traces into fixed windows of per-window
-// detection features, incrementally as the tracer closes slots. Like
-// Timeline it is pre-sized at construction for the full horizon, so the
-// booking path performs zero heap allocations in steady state.
+// FeatureSeries aggregates closed traces into fixed windows of
+// WindowFeatures, incrementally as the tracer closes slots. It is
+// pre-sized at construction for the full horizon, so the booking path
+// performs zero heap allocations in steady state. Two series at different
+// widths make the paper's monitoring-blindness argument concrete: a
+// transient RT spike that saturates a 50ms window averages away in a 1s
+// window (BlindnessRatio).
 type FeatureSeries struct {
 	// Res is the window width.
 	Res time.Duration
@@ -115,9 +128,9 @@ func newFeatureSeries(res, horizon, tailOver time.Duration) *FeatureSeries {
 }
 
 // NewFeatureSeries builds a standalone feature series covering
-// [0, horizon]. The simulator's Tracer builds its own series.
-//
-//memca:keep BenchmarkFeatureExtract, whose 0 allocs/op is gated in bench/baseline.json, builds its series only through it
+// [0, horizon]. The simulator's Tracer builds its own series; the live
+// report books wall-clock attributions into standalone ones, so
+// BlindnessRatio and the CSV exports work identically on real runs.
 func NewFeatureSeries(res, horizon, tailOver time.Duration) (*FeatureSeries, error) {
 	if res <= 0 {
 		return nil, fmt.Errorf("telemetry: feature window must be positive, got %v", res)
@@ -135,7 +148,9 @@ func NewFeatureSeries(res, horizon, tailOver time.Duration) (*FeatureSeries, err
 // response time, queue/service/retransWait the trace's summed critical-
 // path components, and attempts/drops its submit and rejection counts.
 // The series covers [base, base+horizon]; traces closing outside it
-// (warmup remnants, the post-run drain) are dropped, mirroring Timeline.
+// (warmup remnants, the post-run drain) are dropped — folding the drain's
+// late retransmission tails into the last window would distort it
+// identically at every width.
 //
 //memca:hotpath
 func (fs *FeatureSeries) Add(end, rt, queue, service, retransWait time.Duration, attempts, drops int) {
@@ -168,6 +183,49 @@ func (fs *FeatureSeries) Windows() []WindowFeatures { return fs.windows }
 // WindowStart returns the left edge of window i.
 func (fs *FeatureSeries) WindowStart(i int) time.Duration {
 	return fs.base + time.Duration(i)*fs.Res
+}
+
+// PeakMeanRT returns the largest window-mean response time.
+func (fs *FeatureSeries) PeakMeanRT() time.Duration {
+	m, _ := fs.peakMeanRT()
+	return m
+}
+
+// peakMeanRT returns the largest window-mean response time and its window
+// index (-1 when the series is empty).
+func (fs *FeatureSeries) peakMeanRT() (time.Duration, int) {
+	var peak time.Duration
+	idx := -1
+	for i, w := range fs.windows {
+		if m := w.MeanRT(); m > peak {
+			peak = m
+			idx = i
+		}
+	}
+	return peak, idx
+}
+
+// BlindnessRatio quantifies monitoring blindness: the peak window-mean
+// response time of this (fine) series, divided by what the coarse series
+// reports for the window covering that same instant. A transient
+// millibottleneck yields a ratio well above 1 — the spike the fine
+// monitor resolves is averaged into a full coarse window of ordinary
+// traffic. Returns 0 when either view has no traffic at that instant.
+func (fs *FeatureSeries) BlindnessRatio(coarse *FeatureSeries) float64 {
+	fp, fi := fs.peakMeanRT()
+	if fi < 0 {
+		return 0
+	}
+	at := fs.WindowStart(fi)
+	ci := int((at - coarse.base) / coarse.Res)
+	if ci < 0 || ci >= len(coarse.windows) {
+		return 0
+	}
+	cm := coarse.windows[ci].MeanRT()
+	if cm <= 0 {
+		return 0
+	}
+	return float64(fp) / float64(cm)
 }
 
 // RestoreFeatureSeries rebuilds a read-only feature series from another

@@ -286,3 +286,45 @@ func TestSpanStreamCodec(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAssemble holds Assemble to its contract over any span-event stream,
+// sorted or not: it never panics, every trace it sees is either closed
+// (one record) or counted open, every record's decomposition sums exactly
+// to its response time, and the records come out ordered by
+// (Start, TraceID).
+func FuzzAssemble(f *testing.F) {
+	tr := goldenScenario(f)
+	f.Add(encodeSpanStream(tr.TierNames(), DefaultOTLPSpec(), tr.Events()))
+	f.Add(encodeSpanStream(edgeTierNames, edgeSpec, edgeEvents()))
+	f.Add(encodeSpanStream(nil, DefaultOTLPSpec(), nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tierNames, _, events := decodeSpanStream(data)
+		attrs, open, _ := Assemble(len(tierNames), events)
+		ids := make(map[uint64]bool)
+		for _, e := range events {
+			ids[e.TraceID] = true
+		}
+		if len(attrs)+open != len(ids) {
+			t.Fatalf("%d closed + %d open traces, want %d distinct trace IDs", len(attrs), open, len(ids))
+		}
+		for i := range attrs {
+			a := &attrs[i]
+			if len(a.Queue) != len(tierNames) || len(a.Service) != len(tierNames) {
+				t.Fatalf("trace %d: %d queue and %d service entries for %d tiers", a.TraceID, len(a.Queue), len(a.Service), len(tierNames))
+			}
+			sum := a.RetransWait + a.Other
+			for j := range a.Queue {
+				sum += a.Queue[j] + a.Service[j]
+			}
+			if sum != a.RT {
+				t.Fatalf("trace %d: components sum to %v, RT %v", a.TraceID, sum, a.RT)
+			}
+			if i > 0 {
+				p := &attrs[i-1]
+				if p.Start > a.Start || (p.Start == a.Start && p.TraceID >= a.TraceID) {
+					t.Fatalf("record %d (start %v, trace %d) after (start %v, trace %d)", i, a.Start, a.TraceID, p.Start, p.TraceID)
+				}
+			}
+		}
+	})
+}

@@ -74,15 +74,14 @@ func goldenScenario(t testing.TB) *Tracer {
 	t.Helper()
 	e := sim.NewEngine(1)
 	spec := Spec{
-		MaxActive:   64,
-		EventRing:   1 << 10,
-		TailKeep:    16,
-		HeadEvery:   2,
-		HeadKeep:    16,
-		Resolutions: []time.Duration{50 * time.Millisecond},
-		// One feature window per timeline resolution; the 50ms tail
-		// threshold puts the retransmitted trace (rt 50ms: 40ms wait +
-		// 10ms service), but not the directly served ones, in tail_over.
+		MaxActive: 64,
+		EventRing: 1 << 10,
+		TailKeep:  16,
+		HeadEvery: 2,
+		HeadKeep:  16,
+		// One 50ms window series; the 50ms tail threshold puts the
+		// retransmitted trace (rt 50ms: 40ms wait + 10ms service), but
+		// not the directly served ones, in tail_over.
 		FeatureWindows: []time.Duration{50 * time.Millisecond},
 		TailOver:       50 * time.Millisecond,
 	}
@@ -156,7 +155,7 @@ func TestGoldenAttributionCSV(t *testing.T) {
 func TestGoldenTimelineCSV(t *testing.T) {
 	tr := goldenScenario(t)
 	checkGolden(t, "timeline_50ms.csv", func(path string) error {
-		return WriteTimelineCSV(path, tr.Timeline(50*time.Millisecond))
+		return WriteTimelineCSV(path, tr.FeaturesAt(50*time.Millisecond))
 	})
 }
 

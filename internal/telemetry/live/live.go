@@ -2,7 +2,8 @@
 // 3-tier path (internal/victimd, the memcafw probes, the demo load
 // generator) using the exact span vocabulary of the simulator's
 // queueing.Observer, and assembles them into the internal/telemetry record
-// types — so WriteChromeTrace, WriteOTLP, attribution CSVs, timelines, and
+// types with telemetry.Assemble, the simulator tracer's own per-trace
+// rules — so WriteChromeTrace, WriteOTLP, attribution CSVs, timelines, and
 // BlindnessRatio work unchanged whether the events came from virtual or
 // wall-clock time.
 //

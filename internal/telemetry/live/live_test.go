@@ -239,7 +239,7 @@ func TestLiveEventsFeedSharedExporters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Timelines: %v", err)
 	}
-	if len(tls) != 2 || tls[0].Points()[0].Count != 1 {
+	if len(tls) != 2 || tls[0].Windows()[0].Count != 1 {
 		t.Errorf("timeline booking failed: %+v", tls)
 	}
 }

@@ -1,9 +1,15 @@
 // Package telemetry reconstructs per-request causal traces from the
 // queueing network's Observer hook: where each request spent its time
 // (per-tier queueing vs service vs retransmission wait), which requests
-// landed in the latency tail, and what the timeline of client latency
-// looks like at monitoring resolutions fine enough to see a
-// millibottleneck and coarse enough to miss it.
+// landed in the latency tail, and, in one FeatureSeries per window width,
+// what client latency and the detection features look like at monitoring
+// resolutions fine enough to see a millibottleneck and coarse enough to
+// miss it.
+//
+// One state machine (traceBook) holds the rules that turn a trace's span
+// events into its Attribution. The Tracer drives it as the simulation
+// runs; Assemble drives it over a recorded span log, which is how the
+// live collector's wall-clock runs are attributed.
 //
 // The tracer is built for the simulator's zero-allocation discipline:
 // every per-event structure (trace slots, per-tier stamp arrays, the span
@@ -47,14 +53,13 @@ type Spec struct {
 	HeadEvery int
 	// HeadKeep bounds the head-sample reservoir (overwrite-oldest).
 	HeadKeep int
-	// Resolutions lists the timeline aggregation windows, e.g. 50ms and
-	// 1s to contrast fine-grained and coarse monitoring views.
-	Resolutions []time.Duration
-	// FeatureWindows lists the streaming feature-extraction windows: for
-	// each width the tracer maintains a FeatureSeries of per-window
-	// detection features (retransmission-wait share, drop rate, queue-vs-
-	// service split, tail-over count) booked incrementally as traces
-	// close. Empty disables feature extraction.
+	// FeatureWindows lists the window widths of the tracer's series: for
+	// each width it maintains one FeatureSeries, booked once per closed
+	// trace, that holds both the latency timeline (mean and peak response
+	// and queueing time; 50ms against 1s contrasts fine-grained and coarse
+	// monitoring views) and the per-window detection features
+	// (retransmission-wait share, drop rate, queue-vs-service split,
+	// tail-over count). Empty disables both.
 	FeatureWindows []time.Duration
 	// TailOver is the response-time threshold for the per-window TailOver
 	// count (the paper's 1 s damage line is the canonical choice); zero
@@ -64,16 +69,16 @@ type Spec struct {
 
 // DefaultSpec returns tracer settings sized for the paper's experiments:
 // room for every concurrent client of the default workload, a 64K event
-// ring, 512-deep tail and head samples, and the 50ms-vs-1s dual-resolution
-// timelines from the monitoring-blindness analysis.
+// ring, 512-deep tail and head samples, and the 50ms and 1s window series
+// of the monitoring-blindness analysis.
 func DefaultSpec() Spec {
 	return Spec{
-		MaxActive:   16384,
-		EventRing:   1 << 16,
-		TailKeep:    512,
-		HeadEvery:   64,
-		HeadKeep:    512,
-		Resolutions: []time.Duration{50 * time.Millisecond, time.Second},
+		MaxActive:      16384,
+		EventRing:      1 << 16,
+		TailKeep:       512,
+		HeadEvery:      64,
+		HeadKeep:       512,
+		FeatureWindows: []time.Duration{50 * time.Millisecond, time.Second},
 	}
 }
 
@@ -93,11 +98,6 @@ func (s Spec) Validate() error {
 	}
 	if s.HeadEvery > 0 && s.HeadKeep <= 0 {
 		return fmt.Errorf("telemetry: HeadKeep must be positive when HeadEvery is set, got %d", s.HeadKeep)
-	}
-	for i, r := range s.Resolutions {
-		if r <= 0 {
-			return fmt.Errorf("telemetry: resolution %d must be positive, got %v", i, r)
-		}
 	}
 	for i, w := range s.FeatureWindows {
 		if w <= 0 {
@@ -122,8 +122,8 @@ type Config struct {
 	// sweep seed so sampling never draws from the engine RNG (which would
 	// perturb the simulated system).
 	Seed int64
-	// Horizon bounds the timelines: they cover [base, base+Horizon] and
-	// traces closing beyond that (the post-run drain) are not booked.
+	// Horizon bounds the window series: they cover [base, base+Horizon]
+	// and traces closing beyond that (the post-run drain) are not booked.
 	Horizon time.Duration
 	// Arena supplies the tracer's per-record duration slab from the run's
 	// shared stats arena, so the sim and trace paths draw from one
@@ -145,9 +145,6 @@ func (c Config) Validate() error {
 	}
 	if c.TierNames != nil && len(c.TierNames) != c.Tiers {
 		return fmt.Errorf("telemetry: got %d tier names for %d tiers", len(c.TierNames), c.Tiers)
-	}
-	if len(c.Resolutions) > 0 && c.Horizon <= 0 {
-		return fmt.Errorf("telemetry: Horizon must be positive when timelines are enabled, got %v", c.Horizon)
 	}
 	if len(c.FeatureWindows) > 0 && c.Horizon <= 0 {
 		return fmt.Errorf("telemetry: Horizon must be positive when feature windows are enabled, got %v", c.Horizon)
@@ -176,32 +173,6 @@ type SpanEvent struct {
 	Attempt uint16
 }
 
-// tierStamps accumulates one trace's time at one tier. reqAt/svcAt are the
-// open span starts (-1 when no span is open); queue/service are the closed
-// totals across attempts.
-type tierStamps struct {
-	reqAt   time.Duration
-	svcAt   time.Duration
-	queue   time.Duration
-	service time.Duration
-}
-
-// traceSlot is the per-open-trace state, pooled in a flat array and
-// addressed by Request.TraceSlot.
-type traceSlot struct {
-	traceID     uint64
-	first       time.Duration
-	lastDrop    time.Duration
-	retransWait time.Duration
-	class       int
-	attempts    int
-	drops       int
-	open        bool
-	// discard marks a slot opened before the last Reset: its timing mixes
-	// warmup with measurement, so it is freed without being sampled.
-	discard bool
-}
-
 // Tracer implements queueing.Observer to reconstruct per-request causal
 // traces. All methods run on the simulator goroutine.
 type Tracer struct {
@@ -209,8 +180,9 @@ type Tracer struct {
 	cfg    Config
 	tiers  int
 
-	slots     []traceSlot
-	tierWork  []tierStamps // slot-major: [slot*tiers+tier]
+	// book holds the open traces' state, one slot per trace, addressed
+	// by Request.TraceSlot; freeSlots lists the slots not in use.
+	book      traceBook
 	freeSlots []int32
 
 	// events is the span-event ring: evNext is the slot the next event
@@ -231,8 +203,7 @@ type Tracer struct {
 	headPhase uint64
 	backing   []time.Duration
 
-	timelines []*Timeline
-	features  []*FeatureSeries
+	features []*FeatureSeries
 
 	closed    uint64
 	untracked uint64
@@ -248,11 +219,14 @@ func New(engine *sim.Engine, cfg Config) (*Tracer, error) {
 		return nil, err
 	}
 	t := &Tracer{
-		engine:    engine,
-		cfg:       cfg,
-		tiers:     cfg.Tiers,
-		slots:     make([]traceSlot, cfg.MaxActive),
-		tierWork:  make([]tierStamps, cfg.MaxActive*cfg.Tiers),
+		engine: engine,
+		cfg:    cfg,
+		tiers:  cfg.Tiers,
+		book: traceBook{
+			tiers: cfg.Tiers,
+			slots: make([]traceSlot, cfg.MaxActive),
+			work:  make([]tierStamps, cfg.MaxActive*cfg.Tiers),
+		},
 		freeSlots: make([]int32, 0, cfg.MaxActive),
 	}
 	for i := cfg.MaxActive - 1; i >= 0; i-- {
@@ -269,10 +243,6 @@ func New(engine *sim.Engine, cfg Config) (*Tracer, error) {
 	if cfg.HeadEvery > 0 {
 		t.head = make([]Attribution, 0, cfg.HeadKeep)
 		t.headPhase = uint64(sweep.DeriveSeed(cfg.Seed, 0)) % uint64(cfg.HeadEvery)
-	}
-	t.timelines = make([]*Timeline, len(cfg.Resolutions))
-	for i, res := range cfg.Resolutions {
-		t.timelines[i] = newTimeline(res, cfg.Horizon)
 	}
 	t.features = make([]*FeatureSeries, len(cfg.FeatureWindows))
 	for i, res := range cfg.FeatureWindows {
@@ -302,40 +272,22 @@ func (t *Tracer) Observe(req *queueing.Request, kind queueing.SpanKind, tier int
 		attempt = 0
 	}
 	t.pushEvent(now, req.TraceID, kind, tier, attempt, aux)
+	si := req.TraceSlot
 	switch kind {
 	case queueing.SpanSubmit:
-		t.onSubmit(req, now)
-	case queueing.SpanTierRequest:
-		if si := req.TraceSlot; si >= 0 {
-			t.work(si, tier).reqAt = now
+		if req.Attempt == 0 {
+			// A first attempt opens its trace; a retransmission rejoins
+			// it through the slot the client carried over.
+			si = t.openSlot(req, now)
 		}
-	case queueing.SpanServiceStart:
-		if si := req.TraceSlot; si >= 0 {
-			w := t.work(si, tier)
-			if w.reqAt >= 0 {
-				w.queue += now - w.reqAt
-				w.reqAt = -1
-			}
-			w.svcAt = now
+	case queueing.SpanComplete, queueing.SpanAbandon:
+		if si >= 0 {
+			t.closeSlot(si, now, kind == queueing.SpanAbandon)
 		}
-	case queueing.SpanServiceEnd:
-		if si := req.TraceSlot; si >= 0 {
-			w := t.work(si, tier)
-			if w.svcAt >= 0 {
-				w.service += now - w.svcAt
-				w.svcAt = -1
-			}
-		}
-	case queueing.SpanDrop:
-		t.onDrop(req, tier, now)
-	case queueing.SpanComplete:
-		if si := req.TraceSlot; si >= 0 {
-			t.closeSlot(si, now, false)
-		}
-	case queueing.SpanAbandon:
-		if si := req.TraceSlot; si >= 0 {
-			t.closeSlot(si, now, true)
-		}
+		return
+	}
+	if si >= 0 {
+		t.book.step(si, kind, tier, attempt, now)
 	}
 }
 
@@ -357,81 +309,30 @@ func (t *Tracer) pushEvent(now time.Duration, traceID uint64, kind queueing.Span
 	t.eventSeq++
 }
 
-func (t *Tracer) work(si int32, tier int) *tierStamps {
-	return &t.tierWork[int(si)*t.tiers+tier]
-}
-
-func (t *Tracer) onSubmit(req *queueing.Request, now time.Duration) {
-	if req.Attempt > 0 {
-		// A retransmission rejoins its open trace through the slot the
-		// client carried over from the dropped attempt.
-		si := req.TraceSlot
-		if si < 0 {
-			return // the trace is untracked
-		}
-		s := &t.slots[si]
-		s.attempts++
-		if s.lastDrop >= 0 {
-			s.retransWait += now - s.lastDrop
-			s.lastDrop = -1
-		}
-		return
-	}
+// openSlot claims a free slot for req's trace and records it in
+// req.TraceSlot, or counts the trace untracked and returns -1 when
+// MaxActive traces are open.
+func (t *Tracer) openSlot(req *queueing.Request, now time.Duration) int32 {
 	k := len(t.freeSlots)
 	if k == 0 {
 		t.untracked++
-		return
+		return -1
 	}
 	si := t.freeSlots[k-1]
 	t.freeSlots = t.freeSlots[:k-1]
 	req.TraceSlot = si
-	s := &t.slots[si]
-	s.traceID = req.TraceID
-	s.first = now
-	s.lastDrop = -1
-	s.retransWait = 0
-	s.class = req.Class
-	s.attempts = 1
-	s.drops = 0
-	s.open = true
-	s.discard = false
-	base := int(si) * t.tiers
-	for i := 0; i < t.tiers; i++ {
-		t.tierWork[base+i] = tierStamps{reqAt: -1, svcAt: -1}
-	}
-}
-
-func (t *Tracer) onDrop(req *queueing.Request, tier int, now time.Duration) {
-	si := req.TraceSlot
-	if si < 0 {
-		return
-	}
-	s := &t.slots[si]
-	s.drops++
-	s.lastDrop = now
-	// The refusing tier fired SpanTierRequest at the same instant; clear
-	// the dangling queue-enter stamp so it cannot leak into the next
-	// attempt's queueing time.
-	t.work(si, tier).reqAt = -1
+	t.book.open(si, req.TraceID, req.Class, now)
+	return si
 }
 
 func (t *Tracer) closeSlot(si int32, end time.Duration, abandoned bool) {
-	s := &t.slots[si]
+	s := &t.book.slots[si]
 	if s.discard {
 		t.freeSlot(si)
 		return
 	}
 	rt := end - s.first
-	base := int(si) * t.tiers
-	var totalQueue, totalService time.Duration
-	for i := 0; i < t.tiers; i++ {
-		totalQueue += t.tierWork[base+i].queue
-		totalService += t.tierWork[base+i].service
-	}
-
-	for _, tl := range t.timelines {
-		tl.add(end, rt, totalQueue, s.drops)
-	}
+	totalQueue, totalService := t.book.totals(si)
 	for _, fs := range t.features {
 		fs.Add(end, rt, totalQueue, totalService, s.retransWait, s.attempts, s.drops)
 	}
@@ -440,39 +341,14 @@ func (t *Tracer) closeSlot(si int32, end time.Duration, abandoned bool) {
 	idx := t.closed
 	t.closed++
 	if t.cfg.HeadEvery > 0 && idx%uint64(t.cfg.HeadEvery) == t.headPhase {
-		t.sampleHead(si, rt, end, abandoned)
+		t.sampleHead(si, end, abandoned)
 	}
 	t.freeSlot(si)
 }
 
 func (t *Tracer) freeSlot(si int32) {
-	t.slots[si].open = false
+	t.book.slots[si].open = false
 	t.freeSlots = append(t.freeSlots, si)
-}
-
-// fill writes the slot's attribution into rec, reusing rec's Queue/Service
-// arrays (they must already have t.tiers entries).
-func (t *Tracer) fill(rec *Attribution, si int32, rt, end time.Duration, abandoned bool) {
-	s := &t.slots[si]
-	rec.TraceID = s.traceID
-	rec.Class = s.class
-	rec.Start = s.first
-	rec.End = end
-	rec.RT = rt
-	rec.Attempts = s.attempts
-	rec.Drops = s.drops
-	rec.Abandoned = abandoned
-	rec.RetransWait = s.retransWait
-	base := int(si) * t.tiers
-	var tq, ts time.Duration
-	for i := 0; i < t.tiers; i++ {
-		q, sv := t.tierWork[base+i].queue, t.tierWork[base+i].service
-		rec.Queue[i] = q
-		rec.Service[i] = sv
-		tq += q
-		ts += sv
-	}
-	rec.Other = rt - tq - ts - rec.RetransWait
 }
 
 // tailLess orders the tail min-heap: the root is the fastest kept trace,
@@ -494,15 +370,15 @@ func (t *Tracer) sampleTail(si int32, rt, end time.Duration, abandoned bool) {
 		if rec.Queue == nil {
 			rec.Queue, rec.Service = t.recBacking(len(t.tail) - 1)
 		}
-		t.fill(rec, si, rt, end, abandoned)
+		t.book.fill(rec, si, end, abandoned)
 		t.tailSiftUp(len(t.tail) - 1)
 		return
 	}
 	root := &t.tail[0]
-	if rt < root.RT || (rt == root.RT && t.slots[si].traceID <= root.TraceID) {
+	if rt < root.RT || (rt == root.RT && t.book.slots[si].traceID <= root.TraceID) {
 		return
 	}
-	t.fill(root, si, rt, end, abandoned)
+	t.book.fill(root, si, end, abandoned)
 	t.tailSiftDown(0)
 }
 
@@ -535,7 +411,7 @@ func (t *Tracer) tailSiftDown(i int) {
 	}
 }
 
-func (t *Tracer) sampleHead(si int32, rt, end time.Duration, abandoned bool) {
+func (t *Tracer) sampleHead(si int32, end time.Duration, abandoned bool) {
 	var rec *Attribution
 	if len(t.head) < t.cfg.HeadKeep {
 		t.head = t.head[:len(t.head)+1]
@@ -548,18 +424,18 @@ func (t *Tracer) sampleHead(si int32, rt, end time.Duration, abandoned bool) {
 	}
 	t.headNext = (t.headNext + 1) % t.cfg.HeadKeep
 	t.headCount++
-	t.fill(rec, si, rt, end, abandoned)
+	t.book.fill(rec, si, end, abandoned)
 }
 
 // Reset starts a fresh measurement window at virtual time base: samples,
-// aggregates, timelines, and the event ring are cleared, and every trace
+// aggregates, window series, and the event ring are cleared, and every trace
 // still open (its timing mixes warmup with measurement) is marked to be
 // discarded when it closes. Call it after the warmup phase, mirroring the
 // metric resets of the surrounding experiment.
 func (t *Tracer) Reset(base time.Duration) {
-	for i := range t.slots {
-		if t.slots[i].open {
-			t.slots[i].discard = true
+	for i := range t.book.slots {
+		if s := &t.book.slots[i]; s.open {
+			s.discard = true
 		}
 	}
 	t.evNext, t.eventSeq = 0, 0
@@ -569,9 +445,6 @@ func (t *Tracer) Reset(base time.Duration) {
 	t.headCount = 0
 	t.closed = 0
 	t.untracked = 0
-	for _, tl := range t.timelines {
-		tl.reset(base)
-	}
 	for _, fs := range t.features {
 		fs.reset(base)
 	}
@@ -587,21 +460,12 @@ func (t *Tracer) Untracked() uint64 { return t.untracked }
 // OpenTraces returns the number of currently open trace slots.
 //
 //memca:keep perfbench (a separate module) checks trace-export leaves no trace open
-func (t *Tracer) OpenTraces() int { return len(t.slots) - len(t.freeSlots) }
+func (t *Tracer) OpenTraces() int { return len(t.book.slots) - len(t.freeSlots) }
 
-// Timelines returns the dual-resolution timelines, in Resolutions order
-// (shared; do not mutate).
-func (t *Tracer) Timelines() []*Timeline { return t.timelines }
-
-// Timeline returns the timeline at the given resolution, or nil.
-func (t *Tracer) Timeline(res time.Duration) *Timeline {
-	for _, tl := range t.timelines {
-		if tl.Res == res {
-			return tl
-		}
-	}
-	return nil
-}
+// Timelines returns the window series, like Features.
+//
+//memca:keep perfbench (a separate module) reads the timelines through it
+func (t *Tracer) Timelines() []*FeatureSeries { return t.features }
 
 // Features returns the streaming feature series, in FeatureWindows order
 // (shared; do not mutate).

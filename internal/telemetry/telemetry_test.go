@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 	"memca/internal/sweep"
 )
 
-// testSpec returns a small spec with timelines disabled.
+// testSpec returns a small spec with window series disabled.
 func testSpec() Spec {
 	return Spec{MaxActive: 64, EventRing: 4096, TailKeep: 16}
 }
@@ -330,7 +331,7 @@ func TestUntrackedOverflow(t *testing.T) {
 func TestTimelineWindows(t *testing.T) {
 	e := sim.NewEngine(1)
 	spec := testSpec()
-	spec.Resolutions = []time.Duration{50 * time.Millisecond, 200 * time.Millisecond}
+	spec.FeatureWindows = []time.Duration{50 * time.Millisecond, 200 * time.Millisecond}
 	n, tr := buildTraced(t, e, spec, 400*time.Millisecond,
 		detTier("only", queueing.Infinite, 1, 10*time.Millisecond))
 	// One completion at 10ms, a burst of three finishing at 110/120/130ms.
@@ -347,15 +348,15 @@ func TestTimelineWindows(t *testing.T) {
 	if err := e.RunAll(1000); err != nil {
 		t.Fatal(err)
 	}
-	fine := tr.Timeline(50 * time.Millisecond)
-	coarse := tr.Timeline(200 * time.Millisecond)
+	fine := tr.FeaturesAt(50 * time.Millisecond)
+	coarse := tr.FeaturesAt(200 * time.Millisecond)
 	if fine == nil || coarse == nil {
 		t.Fatal("timelines missing")
 	}
-	if tr.Timeline(time.Hour) != nil {
+	if tr.FeaturesAt(time.Hour) != nil {
 		t.Error("lookup of an unconfigured resolution should return nil")
 	}
-	fp := fine.Points()
+	fp := fine.Windows()
 	if len(fp) != 3 {
 		t.Fatalf("fine timeline has %d windows, want 3 (last completion at 130ms)", len(fp))
 	}
@@ -366,14 +367,14 @@ func TestTimelineWindows(t *testing.T) {
 	if fp[2].MeanRT() != 20*time.Millisecond || fp[2].MaxRT != 30*time.Millisecond {
 		t.Errorf("fine window 2 mean/max = %v/%v, want 20ms/30ms", fp[2].MeanRT(), fp[2].MaxRT)
 	}
-	cp := coarse.Points()
+	cp := coarse.Windows()
 	if len(cp) != 1 || cp[0].Count != 4 {
 		t.Fatalf("coarse timeline = %+v, want one window with 4 closes", cp)
 	}
 	// Blindness: fine peak 20ms vs the coarse view of that instant,
 	// (10+10+20+30)/4 = 17.5ms.
 	want := float64(20*time.Millisecond) / float64(17500*time.Microsecond)
-	if got := BlindnessRatio(fine, coarse); got != want {
+	if got := fine.BlindnessRatio(coarse); got != want {
 		t.Errorf("blindness ratio = %v, want %v", got, want)
 	}
 }
@@ -417,8 +418,8 @@ func TestSpecValidation(t *testing.T) {
 		{Arena: a, Spec: Spec{MaxActive: 8, EventRing: -1}, Tiers: 1},
 		{Arena: a, Spec: Spec{MaxActive: 8, TailKeep: -1}, Tiers: 1},
 		{Arena: a, Spec: Spec{MaxActive: 8, HeadEvery: 2, HeadKeep: 0}, Tiers: 1},
-		{Arena: a, Spec: Spec{MaxActive: 8, Resolutions: []time.Duration{0}}, Tiers: 1, Horizon: time.Second},
-		{Arena: a, Spec: Spec{MaxActive: 8, Resolutions: []time.Duration{time.Second}}, Tiers: 1},
+		{Arena: a, Spec: Spec{MaxActive: 8, FeatureWindows: []time.Duration{0}}, Tiers: 1, Horizon: time.Second},
+		{Arena: a, Spec: Spec{MaxActive: 8, FeatureWindows: []time.Duration{time.Second}}, Tiers: 1},
 		{Arena: a, Spec: Spec{MaxActive: 8}, Tiers: 0},
 		{Arena: a, Spec: Spec{MaxActive: 8}, Tiers: 2, TierNames: []string{"one"}},
 		{Spec: DefaultSpec(), Tiers: 3, Horizon: time.Minute}, // no arena
@@ -457,4 +458,30 @@ func sumDurations(ds []time.Duration) time.Duration {
 		s += d
 	}
 	return s
+}
+
+// TestAssembleMatchesTracer checks Assemble against the tracer on the
+// golden scenario: the recorded span log reassembles every trace's
+// attribution exactly, except Class, which span events do not carry.
+func TestAssembleMatchesTracer(t *testing.T) {
+	tr := goldenScenario(t)
+	attrs, open, orphans := Assemble(len(tr.TierNames()), tr.Events())
+	if open != 0 || orphans != 0 {
+		t.Errorf("open %d, orphans %d; want 0, 0", open, orphans)
+	}
+	want := tr.TailAttributions()
+	if len(attrs) != len(want) {
+		t.Fatalf("assembled %d traces, want %d", len(attrs), len(want))
+	}
+	byID := make(map[uint64]Attribution)
+	for _, a := range attrs {
+		byID[a.TraceID] = a
+	}
+	for _, w := range want {
+		got := byID[w.TraceID]
+		got.Class = w.Class
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("trace %d:\n assembled %+v\n tracer    %+v", w.TraceID, got, w)
+		}
+	}
 }
