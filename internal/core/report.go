@@ -170,25 +170,29 @@ func (x *Experiment) buildReport(from, to time.Duration) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		buckets, err := sampler.Collect(horizon)
-		if err != nil {
-			return nil, err
-		}
 		view := UtilizationView{Granularity: g}
-		for _, b := range buckets {
+		n := 0
+		add := func(b stats.Bucket) {
+			n++
 			view.Mean += b.Mean
 			if b.Mean > view.Max {
 				view.Max = b.Mean
 			}
 		}
-		if len(buckets) > 0 {
-			view.Mean /= float64(len(buckets))
-		}
 		// Keep full buckets only for the coarse views; the 50 ms series
-		// can run to thousands of points and belongs in CSV exports.
+		// can run to thousands of points and belongs in CSV exports, so
+		// it is summarized as the sampler walks it.
 		if g >= monitor.GranularityUser {
-			view.Buckets = buckets
+			if view.Buckets, err = sampler.Collect(horizon); err != nil {
+				return nil, err
+			}
+			for _, b := range view.Buckets {
+				add(b)
+			}
+		} else if err := sampler.Walk(horizon, add); err != nil {
+			return nil, err
 		}
+		view.Mean /= float64(n) // g <= horizon, so there is a bucket
 		r.VictimUtilization = append(r.VictimUtilization, view)
 	}
 

@@ -3,10 +3,12 @@ package dsweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"memca/internal/sweep"
@@ -35,7 +37,7 @@ func testManifest(t *testing.T, jobs, shards, fsyncEvery int) *Manifest {
 }
 
 // syntheticJob derives a deterministic, variable-length payload from the
-// job index and the manifest seed, mimicking a gob-encoded result.
+// job index and the manifest seed, mimicking an encoded job record.
 func syntheticJob(m *Manifest) Job {
 	return func(_ context.Context, index int) ([]byte, error) {
 		seed := sweep.DeriveSeed(m.Seed, index)
@@ -262,6 +264,28 @@ func TestMismatchedManifestRefused(t *testing.T) {
 	}
 	if err := Merge(other); !errors.Is(err, ErrShardArtifact) {
 		t.Errorf("merge under mismatched manifest: got %v, want ErrShardArtifact", err)
+	}
+}
+
+// TestVersionOneManifestRefused pins the schema bump away from gob job
+// records: a version-1 manifest, self-consistently hashed as the build
+// that wrote it would have, is refused with the version error rather than
+// driving workers whose shard artifacts it would misread.
+func TestVersionOneManifestRefused(t *testing.T) {
+	m := &Manifest{Version: 1, Figure: "fig2", Jobs: 2, Shards: 1, Seed: 7, Quick: true,
+		ArtifactDir: t.TempDir(), FsyncEvery: DefaultFsyncEvery}
+	m.Hash = m.ComputeHash()
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(m.ArtifactDir, "manifest.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("manifest version 1, this build understands %d", ManifestVersion)
+	if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadManifest of a version-1 manifest: got %v, want an error containing %q", err, want)
 	}
 }
 

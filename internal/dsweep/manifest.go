@@ -37,8 +37,9 @@ import (
 
 // ManifestVersion is the current manifest schema version. It participates
 // in the content hash, so artifacts from different schema generations
-// never merge.
-const ManifestVersion = 1
+// never merge. Version 2 is the first whose job records are the figures
+// record codec's bytes; version 1 artifacts hold gob records.
+const ManifestVersion = 2
 
 // DefaultFsyncEvery is the default checkpoint batch: the artifact file is
 // fsynced after every batch of this many records (and always at shard

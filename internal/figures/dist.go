@@ -1,9 +1,7 @@
 package figures
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -79,12 +77,16 @@ func LookupDist(name string) (DistDriver, bool) {
 }
 
 // newRun builds a driver's DistRun from a typed job and finalizer. Job
-// returns a plain value record, which is gob-encoded before the arena is
-// reset (so anything read from live experiment state must be copied into
-// the record inside the job); the finalizer sees the records decoded and
-// in index order. A record stream of the wrong length or with an
-// undecodable record is rejected before the finalizer runs, so a bad
-// merged artifact is an error, never a panic.
+// returns a plain value record, which the record codec (record.go)
+// encodes before the arena is reset (so anything read from live
+// experiment state must be copied into the record inside the job); the
+// finalizer sees the records decoded and in index order. A record stream
+// of the wrong length or with an undecodable record is rejected before
+// the finalizer runs, so a bad merged artifact is an error, never a
+// panic. The codec is looked up inside Job and Finalize, never here:
+// preparing a driver (NewManifest and newDistRun both do) costs no codec
+// work and no allocation beyond the run itself, and each record type's
+// codec is built once per process.
 func newRun[R any](jobs int, job func(a *stats.Arena, i int) (R, error), finalize func(recs []R) (any, string, error)) *DistRun {
 	return &DistRun{
 		Jobs: jobs,
@@ -149,25 +151,6 @@ func runAs[T any](name string, o Options) (T, error) {
 		return zero, err
 	}
 	return res.(T), nil
-}
-
-// encodeRecord gob-encodes one job record with a fresh encoder, so the
-// bytes are a pure function of the value (no stream state). Record types
-// must avoid maps — gob iterates them in random order.
-func encodeRecord(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("figures: encoding job record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeRecord is encodeRecord's inverse.
-func decodeRecord(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("figures: decoding job record: %w", err)
-	}
-	return nil
 }
 
 // DistOptions reconstructs the figure Options a manifest's jobs run

@@ -31,8 +31,9 @@ type fig2Tier struct {
 }
 
 // fig2Record is one environment's job record: everything Finalize needs
-// to write the environment's CSV and judge amplification. No maps — gob
-// iterates maps in random order, and records must encode to stable bytes.
+// to write the environment's CSV and judge amplification. Like every
+// record it holds plain values only (the record codec refuses maps), so
+// it encodes to stable bytes.
 type fig2Record struct {
 	Env         string
 	ClientP95   time.Duration

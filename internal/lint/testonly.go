@@ -290,7 +290,6 @@ var reflectiveInterfaces = map[string][]string{
 	"fmt":           {"Stringer", "GoStringer", "Formatter"},
 	"encoding":      {"TextMarshaler", "TextUnmarshaler"},
 	"encoding/json": {"Marshaler", "Unmarshaler"},
-	"encoding/gob":  {"GobEncoder", "GobDecoder"},
 }
 
 // collectDispatch records, in pkg's view of the module, which methods of

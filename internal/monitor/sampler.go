@@ -50,21 +50,39 @@ func NewSampler(granularity time.Duration, source UtilizationSource) (*Sampler, 
 
 // Collect returns one bucket per period over [0, horizon).
 func (s *Sampler) Collect(horizon time.Duration) ([]stats.Bucket, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("monitor: horizon must be positive, got %v", horizon)
+	out := make([]stats.Bucket, 0, s.periods(horizon))
+	err := s.Walk(horizon, func(b stats.Bucket) { out = append(out, b) })
+	if err != nil {
+		return nil, err
 	}
-	n := int((horizon + s.granularity - 1) / s.granularity)
-	out := make([]stats.Bucket, 0, n)
-	for i := 0; i < n; i++ {
+	return out, nil
+}
+
+// Walk calls visit with each period's bucket over [0, horizon), in
+// order, for a reader that needs no bucket slice.
+func (s *Sampler) Walk(horizon time.Duration, visit func(stats.Bucket)) error {
+	if horizon <= 0 {
+		return fmt.Errorf("monitor: horizon must be positive, got %v", horizon)
+	}
+	for i, n := 0, s.periods(horizon); i < n; i++ {
 		from := time.Duration(i) * s.granularity
 		to := from + s.granularity
 		if to > horizon {
 			to = horizon
 		}
 		u := s.source(from, to)
-		out = append(out, stats.Bucket{Start: from, Mean: u, Max: u, Min: u, Count: 1})
+		visit(stats.Bucket{Start: from, Mean: u, Max: u, Min: u, Count: 1})
 	}
-	return out, nil
+	return nil
+}
+
+// periods is the number of buckets over [0, horizon), 0 for an empty
+// horizon.
+func (s *Sampler) periods(horizon time.Duration) int {
+	if horizon <= 0 {
+		return 0
+	}
+	return int((horizon + s.granularity - 1) / s.granularity)
 }
 
 // PeriodicSampler evaluates an instantaneous gauge on the simulation
