@@ -63,23 +63,19 @@ func run() error {
 	}
 	probe := memcafw.HTTPProbe(*target, *probeTmo, col)
 
+	loop := control.DefaultConfig()
+	loop.Goal.TargetRT, loop.Goal.MaxMillibottleneck = *goalP95, *maxMB
+	loop.ProbePeriod, loop.Window, loop.DecisionEvery = *probeEach, 30, *decide
 	be, err := memcafw.NewBackend(memcafw.BackendConfig{
-		FEAddr:      *feAddr,
-		Probe:       probe,
-		ProbePeriod: *probeEach,
-		Goal: control.Goal{
-			Percentile:         95,
-			TargetRT:           *goalP95,
-			MaxMillibottleneck: *maxMB,
-		},
-		Bounds: control.DefaultBounds(),
+		Config: loop,
+		FEAddr: *feAddr,
+		Probe:  probe,
 		Initial: attack.Params{
 			Intensity:   0.5,
 			BurstLength: 100 * time.Millisecond,
 			Interval:    2 * time.Second,
 		},
-		DecisionEvery: *decide,
-		Logger:        log.New(os.Stderr, "memca-be ", log.LstdFlags),
+		Logger: log.New(os.Stderr, "memca-be ", log.LstdFlags),
 	})
 	if err != nil {
 		return err

@@ -135,13 +135,14 @@ func run() error {
 	}()
 
 	probe := memcafw.HTTPProbe(sys.Web.URL()+"/", 2*time.Second, col)
+	loop := control.DefaultConfig()
+	loop.Goal.TargetRT = 300 * time.Millisecond
+	loop.ProbePeriod, loop.Window, loop.DecisionEvery = 500*time.Millisecond, 30, 5*time.Second
 	be, err := memcafw.NewBackend(memcafw.BackendConfig{
-		FEAddr:      fe.Addr(),
-		Probe:       probe,
-		ProbePeriod: 500 * time.Millisecond,
-		Goal:        control.Goal{Percentile: 95, TargetRT: 300 * time.Millisecond, MaxMillibottleneck: time.Second},
-		Bounds:      control.DefaultBounds(),
-		Initial:     attack.Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second},
+		Config:  loop,
+		FEAddr:  fe.Addr(),
+		Probe:   probe,
+		Initial: attack.Params{Intensity: 1, BurstLength: 500 * time.Millisecond, Interval: 2 * time.Second},
 	})
 	if err != nil {
 		return err
@@ -152,7 +153,7 @@ func run() error {
 
 	measure("attack")
 	fmt.Printf("           FE executed %d bursts; BE received %d reports; BE window p95 = %v\n",
-		fe.Bursts(), len(be.Reports()), be.TailRT(95).Round(time.Millisecond))
+		fe.Bursts(), len(be.Reports()), be.TailRT().Round(time.Millisecond))
 
 	stopAttack()
 	if err := <-beDone; err != nil {

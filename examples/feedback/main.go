@@ -48,7 +48,7 @@ func run() error {
 		fmt.Printf("t=%-6v R=%.2f  L=%-8v I=%-6v  probe p95=%v\n",
 			engine.Now().Round(time.Second), p.Intensity,
 			p.BurstLength.Round(time.Millisecond), p.Interval.Round(time.Millisecond),
-			x.Prober().Percentile(95).Round(time.Millisecond))
+			x.Feedback().TailRT().Round(time.Millisecond))
 		if engine.Now() < cfg.Warmup+cfg.Duration {
 			engine.Schedule(20*time.Second, watch)
 		}
@@ -60,13 +60,14 @@ func run() error {
 		return err
 	}
 
+	c := x.Feedback().Commander()
 	fmt.Printf("\ncommander: %d decisions, %d escalations, %d backoffs\n",
-		x.Commander().Decisions(), x.Commander().Escalations(), x.Commander().Backoffs())
+		c.Decisions(), c.Escalations(), c.Backoffs())
 	fmt.Printf("final params: R=%.2f L=%v I=%v\n",
 		x.Burster().Params().Intensity,
 		x.Burster().Params().BurstLength.Round(time.Millisecond),
 		x.Burster().Params().Interval.Round(time.Millisecond))
 	fmt.Printf("whole-run client p95 = %v (mixes the weak early phase)\n", rep.Client.P95.Round(time.Millisecond))
-	fmt.Printf("smoothed tail estimate at the end: %v\n", x.Commander().SmoothedTailRT().Round(time.Millisecond))
+	fmt.Printf("smoothed tail estimate at the end: %v\n", c.SmoothedTailRT().Round(time.Millisecond))
 	return nil
 }

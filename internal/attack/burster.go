@@ -67,7 +67,8 @@ type Burster struct {
 	engine   *sim.Engine
 	injector Injector
 	params   Params
-	pending  *Params // applied at the next burst boundary
+	pending  Params // applied at the next burst boundary when retune is set
+	retune   bool
 
 	running bool
 	inBurst bool
@@ -123,8 +124,7 @@ func (b *Burster) SetParams(p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	cp := p
-	b.pending = &cp
+	b.pending, b.retune = p, true
 	return nil
 }
 
@@ -162,9 +162,8 @@ func (b *Burster) cycle() {
 	if !b.running {
 		return
 	}
-	if b.pending != nil {
-		b.params = *b.pending
-		b.pending = nil
+	if b.retune {
+		b.params, b.retune = b.pending, false
 	}
 	b.beginBurst()
 	p := b.params

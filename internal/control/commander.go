@@ -70,18 +70,7 @@ func (b Bounds) Validate() error {
 	return nil
 }
 
-// Observation is one decision epoch's measurement, assembled by MemCA-BE
-// from the prober (tail RT) and MemCA-FE's report (millibottleneck
-// estimate from the attack program's execution time).
-type Observation struct {
-	// TailRT is the measured percentile response time.
-	TailRT time.Duration
-	// Millibottleneck is the FE-estimated millibottleneck length; zero
-	// means "unknown this epoch".
-	Millibottleneck time.Duration
-}
-
-// Commander adjusts attack parameters from observations: a Kalman filter
+// Commander adjusts attack parameters from measurements: a Kalman filter
 // smooths the tail-RT signal, then a bounded multiplicative law escalates
 // (longer, denser, stronger bursts) while under the damage goal and backs
 // off when the stealth bound is at risk or the damage goal is far
@@ -126,23 +115,30 @@ func (c *Commander) Escalations() int { return c.escalated }
 // Backoffs returns how many decisions decreased attack pressure.
 func (c *Commander) Backoffs() int { return c.backedOff }
 
+// Params returns the parameters of the latest decision, or the initial
+// ones before the first.
+func (c *Commander) Params() attack.Params { return c.params }
+
 // SmoothedTailRT returns the Kalman estimate of the tail response time.
 func (c *Commander) SmoothedTailRT() time.Duration {
 	return time.Duration(c.kf.Value() * float64(time.Second))
 }
 
-// Decide ingests one observation and returns the parameters to use from
-// the next burst.
-func (c *Commander) Decide(obs Observation) attack.Params {
+// Decide ingests one decision epoch's measurements and returns the
+// parameters to use from the next burst: tailRT is the measured
+// percentile response time, and millibottleneck the estimated
+// millibottleneck length (the attack program's execution time), zero
+// when unknown.
+func (c *Commander) Decide(tailRT, millibottleneck time.Duration) attack.Params {
 	c.decisions++
-	smoothed := c.kf.Update(obs.TailRT.Seconds())
+	smoothed := c.kf.Update(tailRT.Seconds())
 	tail := time.Duration(smoothed * float64(time.Second))
 
 	p := c.params
 
 	// Stealth has priority: if the millibottleneck approaches the bound,
 	// shorten the burst regardless of damage.
-	if obs.Millibottleneck > 0 && obs.Millibottleneck > c.goal.MaxMillibottleneck {
+	if millibottleneck > 0 && millibottleneck > c.goal.MaxMillibottleneck {
 		p.BurstLength = clampDuration(scaleDuration(p.BurstLength, 0.7), c.bounds.MinBurst, c.bounds.MaxBurst)
 		c.backedOff++
 		c.params = c.clamp(p)

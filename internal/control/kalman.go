@@ -1,9 +1,10 @@
 // Package control implements the feedback machinery of MemCA's
 // implementation section (IV-C): a scalar Kalman filter for smoothing the
-// noisy percentile-response-time signal, a ring-buffer prober that
-// measures the target's tail online, and the commander that retunes the
+// noisy percentile-response-time signal, the commander that retunes the
 // attack parameters (R, L, I) toward the damage goal while respecting the
-// stealthiness bound — all without knowing the target system's internals.
+// stealthiness bound, and the Loop around them (probe window and decision
+// step) that simulated and live runs both drive — all without knowing the
+// target system's internals.
 package control
 
 import (

@@ -46,8 +46,7 @@ func TestAccessorAfterClosePanics(t *testing.T) {
 		{"Network", func() { x.Network() }},
 		{"Generator", func() { x.Generator() }},
 		{"Burster", func() { x.Burster() }},
-		{"Commander", func() { x.Commander() }},
-		{"Prober", func() { x.Prober() }},
+		{"Feedback", func() { x.Feedback() }},
 		{"Tracer", func() { x.Tracer() }},
 		{"LLCVictimSeries", func() { x.LLCVictimSeries() }},
 		{"LLCAdversarySeries", func() { x.LLCAdversarySeries() }},

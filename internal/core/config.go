@@ -80,46 +80,6 @@ func (s AttackSpec) Validate() error {
 	return nil
 }
 
-// FeedbackSpec enables the MemCA-BE control loop.
-type FeedbackSpec struct {
-	// Goal is the damage/stealth objective.
-	Goal control.Goal
-	// Bounds clamp the commander's search.
-	Bounds control.Bounds
-	// Prober configures tail measurement.
-	Prober control.ProberConfig
-	// DecisionEvery separates commander decisions.
-	DecisionEvery time.Duration
-}
-
-// DefaultFeedback returns the paper's goal: client p95 above 1 s with
-// millibottlenecks under 1 s, decided every 10 s.
-func DefaultFeedback() FeedbackSpec {
-	return FeedbackSpec{
-		Goal:          control.Goal{Percentile: 95, TargetRT: time.Second, MaxMillibottleneck: time.Second},
-		Bounds:        control.DefaultBounds(),
-		Prober:        control.DefaultProberConfig(),
-		DecisionEvery: 10 * time.Second,
-	}
-}
-
-// Validate reports the first feedback-spec error, or nil.
-func (s FeedbackSpec) Validate() error {
-	if err := s.Goal.Validate(); err != nil {
-		return err
-	}
-	if err := s.Bounds.Validate(); err != nil {
-		return err
-	}
-	if s.Prober.Period <= 0 || s.Prober.Window <= 0 {
-		return fmt.Errorf("core: invalid prober config %+v", s.Prober)
-	}
-	if s.DecisionEvery <= 0 {
-		return fmt.Errorf("core: DecisionEvery must be positive, got %v", s.DecisionEvery)
-	}
-	return nil
-}
-
 // ScalingSpec enables the cloud's elastic scaling during the run.
 type ScalingSpec struct {
 	// Trigger is the CloudWatch-style policy.
@@ -160,7 +120,7 @@ type Config struct {
 	// Attack enables the adversary; nil runs the clean baseline.
 	Attack *AttackSpec
 	// Feedback enables the MemCA-BE control loop (requires Attack).
-	Feedback *FeedbackSpec
+	Feedback *control.Config
 	// Scaling enables elastic scaling of the bottleneck tier.
 	Scaling *ScalingSpec
 	// Defense enables host-side countermeasures on the victim host.

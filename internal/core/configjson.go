@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"memca/internal/attack"
+	"memca/internal/control"
 	"memca/internal/memmodel"
 	"memca/internal/monitor"
 	"memca/internal/spec"
@@ -164,7 +165,7 @@ func (j document) toConfig(traffic spec.Traffic) (Config, error) {
 	}
 
 	if j.Feedback != nil {
-		fb := DefaultFeedback()
+		fb := control.DefaultConfig()
 		if fb.Goal.TargetRT, err = spec.ParseDuration(j.Feedback.TargetP95, fb.Goal.TargetRT); err != nil {
 			return Config{}, err
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"memca/internal/control"
 	"memca/internal/telemetry"
 )
 
@@ -30,7 +31,7 @@ type tracedRun struct {
 // warm-up, seed 1, both feature windows, a 1 s tail threshold.
 func tracedRuns() []tracedRun {
 	fb := DefaultConfig()
-	feedback := DefaultFeedback()
+	feedback := control.DefaultConfig()
 	fb.Feedback = &feedback
 	runs := []tracedRun{{"attacked", DefaultConfig()}, {"feedback", fb}}
 	for i := range runs {

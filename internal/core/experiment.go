@@ -32,12 +32,13 @@ type Experiment struct {
 	gen      *workload.Generator
 
 	// Attack-side components (nil without an AttackSpec).
-	injector  *attack.MemoryInjector
-	burster   *attack.Burster
-	prober    *control.Prober
-	commander *control.Commander
-	scaling   *cloud.ScalingGroup
-	victim    *cloud.HostNode
+	injector *attack.MemoryInjector
+	burster  *attack.Burster
+	prober   *control.Prober
+	loop     *control.Loop
+	decideFn func() // decide, bound once so a decision allocates no closure
+	scaling  *cloud.ScalingGroup
+	victim   *cloud.HostNode
 
 	llcVictim    *monitor.PeriodicSampler
 	llcAdversary *monitor.PeriodicSampler
@@ -239,7 +240,7 @@ func (x *Experiment) wireAttack(spec AttackSpec) error {
 	return err
 }
 
-func (x *Experiment) wireFeedback(spec FeedbackSpec) error {
+func (x *Experiment) wireFeedback(cfg control.Config) error {
 	// The probe behaves like a real HTTP client: a dropped connection is
 	// retransmitted after the TCP RTO, and the reported latency spans
 	// the whole exchange — so the commander sees the damage it causes.
@@ -255,12 +256,12 @@ func (x *Experiment) wireFeedback(spec FeedbackSpec) error {
 		req.UserData.(func(time.Duration))(rt)
 	})
 	submit := func(done func(rt time.Duration)) { probe.Submit(probeClass, done) }
-	prober, err := control.NewProber(x.engine, spec.Prober, submit)
+	loop, err := control.NewLoop(cfg, x.burster.Params())
 	if err != nil {
 		return err
 	}
-	x.prober = prober
-	x.commander, err = control.NewCommander(spec.Goal, spec.Bounds, x.burster.Params())
+	x.loop, x.decideFn = loop, x.decide
+	x.prober, err = control.NewProber(x.engine, loop, submit)
 	return err
 }
 
@@ -347,8 +348,8 @@ func (x *Experiment) RunContext(ctx context.Context) (*Report, error) {
 	if x.llcAdversary != nil {
 		x.llcAdversary.Start()
 	}
-	if x.commander != nil {
-		x.scheduleDecision()
+	if x.loop != nil {
+		x.engine.Schedule(x.cfg.Feedback.DecisionEvery, x.decideFn)
 	}
 
 	end := measureStart + x.cfg.Duration
@@ -382,29 +383,19 @@ func (x *Experiment) RunContext(ctx context.Context) (*Report, error) {
 	return x.buildReport(measureStart, end)
 }
 
-func (x *Experiment) scheduleDecision() {
-	every := x.cfg.Feedback.DecisionEvery
-	x.engine.Schedule(every, func() {
-		if x.burster == nil || !withinRun(x) {
-			return
-		}
-		obs := control.Observation{
-			TailRT: x.prober.Percentile(x.cfg.Feedback.Goal.Percentile),
-			// The FE's conservative millibottleneck estimate is the
-			// attack program's execution time, i.e. the burst length.
-			Millibottleneck: x.burster.Params().BurstLength,
-		}
-		next := x.commander.Decide(obs)
-		if err := x.burster.SetParams(next); err != nil {
-			panic(err) // commander clamps to valid bounds
-		}
-		x.scheduleDecision()
-	})
-}
-
-// withinRun reports whether the measured phase is still in progress.
-func withinRun(x *Experiment) bool {
-	return x.engine.Now() < x.cfg.Warmup+x.cfg.Duration
+// decide is one decision epoch of the feedback loop: it retunes the
+// attack and schedules the next epoch until the measured phase ends.
+func (x *Experiment) decide() {
+	if x.engine.Now() >= x.cfg.Warmup+x.cfg.Duration {
+		return
+	}
+	// The FE's conservative millibottleneck estimate is the attack
+	// program's execution time, i.e. the burst length.
+	next := x.loop.Decide(x.burster.Params().BurstLength)
+	if err := x.burster.SetParams(next); err != nil {
+		panic(err) // commander clamps to valid bounds
+	}
+	x.engine.Schedule(x.cfg.Feedback.DecisionEvery, x.decideFn)
 }
 
 // Close ends the experiment. Its stats objects and engine live in the
@@ -441,11 +432,9 @@ func (x *Experiment) Generator() *workload.Generator { x.live(); return x.gen }
 // Burster exposes the attack scheduler, or nil without an attack.
 func (x *Experiment) Burster() *attack.Burster { x.live(); return x.burster }
 
-// Commander exposes the feedback controller, or nil without feedback.
-func (x *Experiment) Commander() *control.Commander { x.live(); return x.commander }
-
-// Prober exposes the tail prober, or nil without feedback.
-func (x *Experiment) Prober() *control.Prober { x.live(); return x.prober }
+// Feedback exposes the feedback loop (probe window and commander), or
+// nil without feedback.
+func (x *Experiment) Feedback() *control.Loop { x.live(); return x.loop }
 
 // Tracer exposes the per-request tracer, or nil when Config.Trace is unset.
 func (x *Experiment) Tracer() *telemetry.Tracer { x.live(); return x.tracer }

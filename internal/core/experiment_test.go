@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"memca/internal/attack"
+	"memca/internal/control"
 	"memca/internal/memmodel"
 	"memca/internal/monitor"
 )
@@ -36,11 +37,11 @@ func TestConfigValidation(t *testing.T) {
 		{"zero adversaries", func(c *Config) { c.Attack.AdversaryVMs = 0 }},
 		{"feedback without attack", func(c *Config) {
 			c.Attack = nil
-			fb := DefaultFeedback()
+			fb := control.DefaultConfig()
 			c.Feedback = &fb
 		}},
 		{"bad feedback", func(c *Config) {
-			fb := DefaultFeedback()
+			fb := control.DefaultConfig()
 			fb.DecisionEvery = 0
 			c.Feedback = &fb
 		}},
@@ -220,7 +221,7 @@ func TestFeedbackLoopReachesGoal(t *testing.T) {
 		BurstLength: 60 * time.Millisecond,
 		Interval:    4 * time.Second,
 	}
-	fb := DefaultFeedback()
+	fb := control.DefaultConfig()
 	fb.DecisionEvery = 5 * time.Second
 	cfg.Feedback = &fb
 	x, err := NewExperiment(cfg)
@@ -231,10 +232,11 @@ func TestFeedbackLoopReachesGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Commander().Decisions() < 10 {
-		t.Errorf("only %d commander decisions in 3 minutes", x.Commander().Decisions())
+	c := x.Feedback().Commander()
+	if c.Decisions() < 10 {
+		t.Errorf("only %d commander decisions in 5 minutes", c.Decisions())
 	}
-	if x.Commander().Escalations() == 0 {
+	if c.Escalations() == 0 {
 		t.Error("commander never escalated from a weak start")
 	}
 	final := x.Burster().Params()
@@ -242,16 +244,41 @@ func TestFeedbackLoopReachesGoal(t *testing.T) {
 		t.Errorf("burst length did not grow: %v", final.BurstLength)
 	}
 	// The prober must have seen the escalated tail.
-	if x.Prober().Samples() == 0 {
-		t.Error("prober recorded nothing")
+	if x.Feedback().TailRT() == 0 {
+		t.Error("the probe window is empty")
 	}
 	// Damage by the end of the run (last third) should be near goal:
 	// check the smoothed estimate rather than the whole-run percentile,
 	// which mixes in the weak early phase.
-	if got := x.Commander().SmoothedTailRT(); got < 500*time.Millisecond {
+	if got := c.SmoothedTailRT(); got < 500*time.Millisecond {
 		t.Errorf("smoothed tail RT %v, want approaching 1s", got)
 	}
 	_ = rep
+}
+
+// TestFeedbackDecisionZeroAllocs pins the simulated decision's allocation
+// contract: once the engine's event pool is warm, a decision epoch (read
+// the window, decide, retune the burster, schedule the next epoch)
+// allocates nothing.
+func TestFeedbackDecisionZeroAllocs(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Duration = time.Hour
+	fb := control.DefaultConfig()
+	cfg.Feedback = &fb
+	x, err := NewExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	every := fb.DecisionEvery
+	x.engine.Schedule(every, x.decideFn)
+	x.engine.Run(3 * every)
+	if allocs := testing.AllocsPerRun(100, func() { x.engine.Run(x.engine.Now() + every) }); allocs != 0 {
+		t.Errorf("a decision epoch allocates %v objects, want 0", allocs)
+	}
+	if got := x.loop.Commander().Decisions(); got != 104 {
+		t.Errorf("%d decisions ran, want 104", got)
+	}
 }
 
 func TestLLCProfiles(t *testing.T) {

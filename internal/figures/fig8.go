@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"memca/internal/attack"
+	"memca/internal/control"
 	"memca/internal/core"
 	"memca/internal/stats"
 )
@@ -60,7 +61,7 @@ func newFig8Run(opts Options) (*DistRun, error) {
 			BurstLength: 60 * time.Millisecond,
 			Interval:    4 * time.Second,
 		}
-		fb := core.DefaultFeedback()
+		fb := control.DefaultConfig()
 		fb.DecisionEvery = 5 * time.Second
 		cfg.Feedback = &fb
 		x, err := core.NewExperiment(cfg)
@@ -81,7 +82,7 @@ func newFig8Run(opts Options) (*DistRun, error) {
 			traj = append(traj, sample{
 				t:      engine.Now(),
 				params: x.Burster().Params(),
-				tail:   x.Prober().Percentile(fb.Goal.Percentile),
+				tail:   x.Feedback().TailRT(),
 			})
 			if engine.Now() < cfg.Warmup+cfg.Duration {
 				engine.Schedule(fb.DecisionEvery, record)
@@ -94,9 +95,9 @@ func newFig8Run(opts Options) (*DistRun, error) {
 		}
 
 		rec := fig8Record{Result: Fig8Result{
-			Decisions:   x.Commander().Decisions(),
+			Decisions:   x.Feedback().Commander().Decisions(),
 			FinalParams: x.Burster().Params(),
-			FinalTailRT: x.Prober().Percentile(fb.Goal.Percentile),
+			FinalTailRT: x.Feedback().TailRT(),
 		}}
 		res := &rec.Result
 		var post, sustained int

@@ -12,7 +12,6 @@ import (
 	"memca/internal/attack"
 	"memca/internal/control"
 	"memca/internal/queueing"
-	"memca/internal/stats"
 	"memca/internal/telemetry/live"
 )
 
@@ -111,44 +110,37 @@ func (w BurstWindow) MaxRT() time.Duration {
 	return max
 }
 
-// BackendConfig parameterizes MemCA-BE.
+// BackendConfig parameterizes MemCA-BE: the feedback loop's Config
+// (goal, bounds, probe period, window, decision interval) plus the FE to
+// drive and how to probe the target.
 type BackendConfig struct {
+	control.Config
 	// FEAddr is the frontend's TCP address.
 	FEAddr string
 	// Probe measures the target's response time.
 	Probe ProbeFunc
-	// ProbePeriod separates probes (default 1 s).
-	ProbePeriod time.Duration
-	// Window is how many recent probes the percentile uses (default 30).
-	Window int
-	// Goal is the damage/stealth objective.
-	Goal control.Goal
-	// Bounds clamp the commander's search.
-	Bounds control.Bounds
 	// Initial are the attack parameters to start from.
 	Initial attack.Params
-	// DecisionEvery separates commander decisions (default 5 s).
-	DecisionEvery time.Duration
 	// Logger receives operational messages; nil disables logging.
 	Logger *log.Logger
 }
 
-// Backend is the MemCA-BE controller: it probes the target, smooths the
-// tail signal, decides new parameters, and pushes them to the FE.
+// Backend is the MemCA-BE controller: it probes the target on one ticker,
+// decides new parameters through the feedback loop on another, and
+// pushes them to the FE.
 type Backend struct {
-	cfg       BackendConfig
-	conn      *conn
-	commander *control.Commander
+	cfg     BackendConfig
+	conn    *conn
+	feHello Hello
 
-	mu       sync.Mutex
-	samples  []ProbeSample
-	reports  []TimedReport
-	feHello  Hello
-	lastSent attack.Params
+	// mu guards the loop and the histories that the prober and the FE
+	// reader append to.
+	mu      sync.Mutex
+	loop    *control.Loop
+	samples []ProbeSample
+	reports []TimedReport
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // NewBackend validates the configuration, dials the FE, and reads its
@@ -157,16 +149,7 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 	if cfg.Probe == nil {
 		return nil, fmt.Errorf("memcafw: BE needs a probe function")
 	}
-	if cfg.ProbePeriod <= 0 {
-		cfg.ProbePeriod = time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 30
-	}
-	if cfg.DecisionEvery <= 0 {
-		cfg.DecisionEvery = 5 * time.Second
-	}
-	commander, err := control.NewCommander(cfg.Goal, cfg.Bounds, cfg.Initial)
+	loop, err := control.NewLoop(cfg.Config, cfg.Initial)
 	if err != nil {
 		return nil, err
 	}
@@ -184,17 +167,7 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		_ = c.close()
 		return nil, fmt.Errorf("memcafw: expected hello, got %q", env.Type)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	b := &Backend{
-		cfg:       cfg,
-		conn:      c,
-		commander: commander,
-		feHello:   *env.Hello,
-		lastSent:  cfg.Initial,
-		ctx:       ctx,
-		cancel:    cancel,
-	}
-	return b, nil
+	return &Backend{cfg: cfg, conn: c, loop: loop, feHello: *env.Hello}, nil
 }
 
 // FEInfo returns the connected frontend's hello.
@@ -243,33 +216,28 @@ func (b *Backend) BurstWindows(pad time.Duration) []BurstWindow {
 	return out
 }
 
-// TailRT returns the configured-window percentile of the most recent
-// probe response times.
-func (b *Backend) TailRT(pct float64) time.Duration {
+// TailRT returns the goal percentile of the loop's probe window.
+func (b *Backend) TailRT() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	recent := b.samples
-	if len(recent) > b.cfg.Window {
-		recent = recent[len(recent)-b.cfg.Window:]
-	}
-	rts := make([]time.Duration, len(recent))
-	for i, s := range recent {
-		rts[i] = s.RT
-	}
-	return stats.NearestRank(rts, pct/100)
+	return b.loop.TailRT()
 }
 
 // Run drives the control loop until ctx is canceled or the FE disconnects.
 // It sends the initial parameters immediately, probes continuously, and
-// decides periodically.
+// decides periodically. On every way out it cancels the one context the
+// prober and an in-flight probe run under, so it returns without waiting
+// out a probe's timeout.
 func (b *Backend) Run(ctx context.Context) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	if err := b.sendParams(b.cfg.Initial); err != nil {
 		return err
 	}
 
 	// Reader: collect burst reports.
 	readErr := make(chan error, 1)
-	b.wg.Add(1)
+	b.wg.Add(2)
 	go func() {
 		defer b.wg.Done()
 		for {
@@ -279,23 +247,18 @@ func (b *Backend) Run(ctx context.Context) error {
 				return
 			}
 			if env.Type == MsgBurstReport {
-				b.mu.Lock()
-				b.reports = append(b.reports, TimedReport{BurstReport: *env.Report, At: time.Now()})
-				b.mu.Unlock()
+				b.receive(TimedReport{BurstReport: *env.Report, At: time.Now()})
 			}
 		}
 	}()
 
 	// Prober: one probe per period.
-	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
 		ticker := time.NewTicker(b.cfg.ProbePeriod)
 		defer ticker.Stop()
 		for {
 			select {
-			case <-b.ctx.Done():
-				return
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
@@ -304,82 +267,82 @@ func (b *Backend) Run(ctx context.Context) error {
 					b.logf("be: probe: %v", err)
 					continue
 				}
-				b.record(rt)
+				b.record(time.Now(), rt)
 			}
 		}
 	}()
 
 	decide := time.NewTicker(b.cfg.DecisionEvery)
 	defer decide.Stop()
+	var err error
+run:
 	for {
 		select {
 		case <-ctx.Done():
-			return b.shutdown()
-		case err := <-readErr:
-			b.cancel()
-			b.wg.Wait()
-			return fmt.Errorf("memcafw: FE connection lost: %w", err)
-		case <-decide.C:
-			obs := control.Observation{
-				TailRT:          b.TailRT(b.cfg.Goal.Percentile),
-				Millibottleneck: b.lastExec(),
+			if serr := b.conn.send(Envelope{Type: MsgStop}); serr != nil {
+				b.logf("be: sending stop: %v", serr)
 			}
-			next := b.commander.Decide(obs)
-			if next != b.lastSent {
-				if err := b.sendParams(next); err != nil {
-					b.cancel()
-					b.wg.Wait()
-					return err
+			break run
+		case rerr := <-readErr:
+			err = fmt.Errorf("memcafw: FE connection lost: %w", rerr)
+			break run
+		case <-decide.C:
+			if next, changed := b.decide(); changed {
+				if err = b.sendParams(next); err != nil {
+					break run
 				}
 				b.logf("be: retuned to R=%.2f L=%v I=%v (tail %v)",
-					next.Intensity, next.BurstLength, next.Interval, obs.TailRT)
+					next.Intensity, next.BurstLength, next.Interval, b.TailRT())
 			}
 		}
 	}
-}
-
-// shutdown tells the FE to stop and releases resources.
-func (b *Backend) shutdown() error {
-	if err := b.conn.send(Envelope{Type: MsgStop}); err != nil {
-		b.logf("be: sending stop: %v", err)
+	// Closing the connection ends the reader; cancel ends the prober.
+	cancel()
+	if cerr := b.conn.close(); cerr != nil && err == nil {
+		err = fmt.Errorf("memcafw: closing FE connection: %w", cerr)
 	}
-	b.cancel()
-	err := b.conn.close()
 	b.wg.Wait()
-	if err != nil {
-		return fmt.Errorf("memcafw: closing FE connection: %w", err)
-	}
-	return nil
+	return err
 }
 
-// record appends one timestamped probe sample. The full history is kept
-// (one sample per probe period, bounded by run length) so burst windows
-// can be cut out of it after the fact; TailRT reads only the recent
-// cfg.Window samples.
-func (b *Backend) record(rt time.Duration) {
+// record adds one timestamped probe sample to the full history and to the
+// loop's window. The history (one sample per probe period, bounded by run
+// length) lets burst windows be cut out of it after the fact; decisions
+// read only the window.
+func (b *Backend) record(at time.Time, rt time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.samples = append(b.samples, ProbeSample{At: time.Now(), RT: rt})
+	b.samples = append(b.samples, ProbeSample{At: at, RT: rt})
+	b.loop.Record(rt)
 }
 
-// lastExec returns the FE's latest execution-time report as the
-// millibottleneck estimate, or 0 when none arrived yet.
-func (b *Backend) lastExec() time.Duration {
+// receive keeps one burst report from the FE.
+func (b *Backend) receive(r TimedReport) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.reports) == 0 {
-		return 0
+	b.reports = append(b.reports, r)
+}
+
+// decide makes one decision of the loop and reports whether it changed
+// the parameters. The millibottleneck estimate is the FE's latest
+// execution-time report, or 0 (unknown) before the first.
+//
+//memca:hotpath
+func (b *Backend) decide() (next attack.Params, changed bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var mb time.Duration
+	if n := len(b.reports); n > 0 {
+		mb = time.Duration(b.reports[n-1].ExecMs) * time.Millisecond
 	}
-	return time.Duration(b.reports[len(b.reports)-1].ExecMs) * time.Millisecond
+	prev := b.loop.Commander().Params()
+	next = b.loop.Decide(mb)
+	return next, next != prev
 }
 
 func (b *Backend) sendParams(p attack.Params) error {
 	msg := paramsToMsg(p.Intensity, p.BurstLength, p.Interval)
-	if err := b.conn.send(Envelope{Type: MsgSetParams, Params: &msg}); err != nil {
-		return err
-	}
-	b.lastSent = p
-	return nil
+	return b.conn.send(Envelope{Type: MsgSetParams, Params: &msg})
 }
 
 func (b *Backend) logf(format string, args ...any) {

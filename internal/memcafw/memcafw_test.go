@@ -147,18 +147,20 @@ func TestFEBEEndToEnd(t *testing.T) {
 		return time.Duration(4 * duty * float64(time.Second) / 4), nil // up to 1s at duty 1
 	}
 	be, err := NewBackend(BackendConfig{
-		FEAddr:      fe.Addr(),
-		Probe:       probe,
-		ProbePeriod: 5 * time.Millisecond,
-		Window:      20,
-		Goal:        control.Goal{Percentile: 95, TargetRT: 200 * time.Millisecond, MaxMillibottleneck: time.Second},
-		Bounds: control.Bounds{
-			MinBurst: 2 * time.Millisecond, MaxBurst: 18 * time.Millisecond,
-			MinInterval: 20 * time.Millisecond, MaxInterval: 100 * time.Millisecond,
-			MinIntensity: 0.1,
+		Config: control.Config{
+			Goal: control.Goal{Percentile: 95, TargetRT: 200 * time.Millisecond, MaxMillibottleneck: time.Second},
+			Bounds: control.Bounds{
+				MinBurst: 2 * time.Millisecond, MaxBurst: 18 * time.Millisecond,
+				MinInterval: 20 * time.Millisecond, MaxInterval: 100 * time.Millisecond,
+				MinIntensity: 0.1,
+			},
+			ProbePeriod:   5 * time.Millisecond,
+			Window:        20,
+			DecisionEvery: 25 * time.Millisecond,
 		},
-		Initial:       attack.Params{Intensity: 0.5, BurstLength: 5 * time.Millisecond, Interval: 20 * time.Millisecond},
-		DecisionEvery: 25 * time.Millisecond,
+		FEAddr:  fe.Addr(),
+		Probe:   probe,
+		Initial: attack.Params{Intensity: 0.5, BurstLength: 5 * time.Millisecond, Interval: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +194,9 @@ func TestFEBEEndToEnd(t *testing.T) {
 func TestBackendValidation(t *testing.T) {
 	fe := startFE(t)
 	ok := BackendConfig{
+		Config:  liveConfig(time.Second),
 		FEAddr:  fe.Addr(),
 		Probe:   func(context.Context) (time.Duration, error) { return 0, nil },
-		Goal:    control.Goal{Percentile: 95, TargetRT: time.Second, MaxMillibottleneck: time.Second},
-		Bounds:  control.DefaultBounds(),
 		Initial: attack.Params{Intensity: 1, BurstLength: 100 * time.Millisecond, Interval: 2 * time.Second},
 	}
 	bad := ok
@@ -207,6 +208,11 @@ func TestBackendValidation(t *testing.T) {
 	bad.Goal = control.Goal{}
 	if _, err := NewBackend(bad); err == nil {
 		t.Error("zero goal accepted")
+	}
+	bad = ok
+	bad.Window = 0
+	if _, err := NewBackend(bad); err == nil {
+		t.Error("zero window accepted")
 	}
 	bad = ok
 	bad.FEAddr = "127.0.0.1:1" // nothing listens there
@@ -224,27 +230,55 @@ func TestBackendValidation(t *testing.T) {
 	}
 }
 
+// liveConfig is the live loop's configuration in these tests: the
+// paper's goal over a 30-probe window, decided every 5 s.
+func liveConfig(probeEvery time.Duration) control.Config {
+	cfg := control.DefaultConfig()
+	cfg.ProbePeriod, cfg.Window, cfg.DecisionEvery = probeEvery, 30, 5*time.Second
+	return cfg
+}
+
+// TestFELostConnectionSurfaces: when the FE drops, Run reports it, and
+// returns promptly even with a probe in flight that would otherwise run
+// until its own timeout: the probe's context is Run's.
 func TestFELostConnectionSurfaces(t *testing.T) {
 	fe := startFE(t)
+	probing := make(chan struct{}, 1)
 	be, err := NewBackend(BackendConfig{
-		FEAddr:  fe.Addr(),
-		Probe:   func(context.Context) (time.Duration, error) { return time.Millisecond, nil },
-		Goal:    control.Goal{Percentile: 95, TargetRT: time.Second, MaxMillibottleneck: time.Second},
-		Bounds:  control.DefaultBounds(),
+		Config: liveConfig(5 * time.Millisecond),
+		FEAddr: fe.Addr(),
+		Probe: func(ctx context.Context) (time.Duration, error) {
+			select {
+			case probing <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			return 0, ctx.Err()
+		},
 		Initial: attack.Params{Intensity: 1, BurstLength: 100 * time.Millisecond, Interval: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill the FE shortly after the BE starts.
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		_ = fe.Close()
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
+	closed := make(chan time.Time, 1)
+	go func() {
+		<-probing
+		closed <- time.Now()
+		_ = fe.Close()
+	}()
 	if err := be.Run(ctx); err == nil {
 		t.Error("lost FE connection not reported")
+	}
+	returned := time.Now()
+	select {
+	case at := <-closed:
+		if d := returned.Sub(at); d > time.Second {
+			t.Errorf("Run returned %v after the FE closed, want under 1s", d)
+		}
+	default:
+		t.Fatal("Run returned before a probe was in flight")
 	}
 }
 

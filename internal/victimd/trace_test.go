@@ -5,7 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,4 +388,80 @@ func BenchmarkHandleTraced(b *testing.B) {
 		rec.Body.Reset()
 		tier.handle(rec, req)
 	}
+}
+
+// TestOverloadWithCancellation drives the traced chain past every tier's
+// capacity while half the clients hang up mid-flight: tiers shed, block
+// on their downstream call, and lose callers while waiting for a worker,
+// in service, and in the downstream call. After Close every goroutine the
+// chain and its clients started must be gone, and every trace must be
+// closed with no tier span left open.
+func TestOverloadWithCancellation(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	col, err := live.New(live.Config{Tiers: TierNames(), Events: 1 << 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultSystem()
+	cfg.DBService = 20 * time.Millisecond // 8 db workers: 400 req/s
+	cfg.Trace = col
+	sys, err := StartSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transport := &http.Transport{MaxIdleConnsPerHost: 64}
+	cl, err := live.NewClient(live.ClientConfig{Collector: col, HTTP: &http.Client{Transport: transport, Timeout: 5 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 48 closed-loop clients, 6x the db pool, for 400 ms; odd clients
+	// cancel each request after 1-15 ms.
+	const clients = 48
+	stop := time.Now().Add(400 * time.Millisecond)
+	var wg sync.WaitGroup
+	var completed, failed atomic.Int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; time.Now().Before(stop); i++ {
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if c%2 == 1 {
+					ctx, cancel = context.WithTimeout(ctx, time.Duration(1+(c*7+i)%15)*time.Millisecond)
+				}
+				if cl.Get(ctx, sys.Web.URL()+"/").OK {
+					completed.Add(1)
+				} else {
+					failed.Add(1)
+				}
+				cancel()
+			}
+		}(c)
+	}
+	wg.Wait()
+	if err := sys.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	transport.CloseIdleConnections()
+
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+
+	shed := sys.Web.Rejected() + sys.App.Rejected() + sys.DB.Rejected()
+	if completed.Load() == 0 || failed.Load() == 0 || shed == 0 {
+		t.Fatalf("completed %d, failed %d, shed %d: the chain was not driven past capacity with cancellations",
+			completed.Load(), failed.Load(), shed)
+	}
+	rep := col.Report()
+	if rep.Open != 0 || rep.Orphans != 0 || rep.DroppedEvents != 0 {
+		t.Errorf("Open %d, Orphans %d, DroppedEvents %d; want all 0", rep.Open, rep.Orphans, rep.DroppedEvents)
+	}
+	t.Logf("%d completed, %d failed, %d shed, %d traces", completed.Load(), failed.Load(), shed, len(rep.Attributions))
 }

@@ -47,7 +47,7 @@ type (
 	// AttackSpec configures the adversary.
 	AttackSpec = core.AttackSpec
 	// FeedbackSpec enables the MemCA-BE control loop.
-	FeedbackSpec = core.FeedbackSpec
+	FeedbackSpec = control.Config
 	// ScalingSpec enables elastic scaling during the run.
 	ScalingSpec = core.ScalingSpec
 	// DefenseSpec enables host-side countermeasures on the victim host.
@@ -222,7 +222,7 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // DefaultFeedback returns the paper's control goal: client p95 above 1 s
 // with millibottlenecks under 1 s.
-func DefaultFeedback() FeedbackSpec { return core.DefaultFeedback() }
+func DefaultFeedback() FeedbackSpec { return control.DefaultConfig() }
 
 // NewExperiment validates a configuration and wires every component.
 func NewExperiment(cfg Config) (*Experiment, error) { return core.NewExperiment(cfg) }
