@@ -51,9 +51,10 @@ race:
 equivalence:
 	$(GO) test -run 'TestSweepWorkerEquivalence|TestSweepProgressTotals|TestReplicateWorkerEquivalence|TestDistShardEquivalence|TestDistKillResumeEquivalence' -v ./internal/figures ./internal/core
 
-# Distributed-sweep smoke: coordinate a quick Fig2 across 3 worker
-# subprocesses, kill one mid-run, resume, and diff the merged artifact
-# and CSVs against a single-process run — any byte of divergence fails.
+# Distributed-sweep smoke: coordinate the quick interval ablation (4 jobs)
+# across 3 worker subprocesses, kill shard 0's worker after its first
+# record, resume it mid-shard, and diff the merged artifact, summary and
+# CSVs against a single-process run — any byte of divergence fails.
 dsweep-smoke:
 	$(GO) run ./cmd/memca-sweep smoke
 

@@ -30,14 +30,15 @@ func benchOpts() figures.Options {
 }
 
 // BenchmarkFig2TailAmplification regenerates Figure 2: per-tier percentile
-// response times under MemCA in both cloud environments. Reported metrics:
-// client p95/p98 in milliseconds per environment.
+// response times under MemCA, one run drawn as both cloud environments.
+// Reported metrics: client p95/p98 in milliseconds per environment.
 func BenchmarkFig2TailAmplification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig2(benchOpts())
+		out, _, err := figures.RunLocal("fig2", benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := out.(*figures.Fig2Result)
 		b.ReportMetric(float64(res.ClientP95["ec2"].Milliseconds()), "ec2-p95-ms")
 		b.ReportMetric(float64(res.ClientP98["ec2"].Milliseconds()), "ec2-p98-ms")
 		b.ReportMetric(float64(res.ClientP95["private-cloud"].Milliseconds()), "private-p95-ms")

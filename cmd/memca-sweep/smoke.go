@@ -15,11 +15,16 @@ import (
 	"memca/internal/figures"
 )
 
-// cmdSmoke is the CI smoke for the fabric: a quick Fig2 coordinated
-// across 3 worker subprocesses, with one worker killed mid-run
-// (deterministically, via -crash-after), then resumed; the merged
-// artifact and CSVs are diffed against a single-process run. Any
-// divergence — bytes or scalars — fails the command.
+// smokeDriver is the smoke's figure: four jobs over three shards, so
+// shard 0 owns jobs 0 and 3 and its killed worker resumes mid-shard.
+const smokeDriver = "ablation-interval"
+
+// cmdSmoke is the CI smoke for the fabric: a quick smokeDriver run
+// coordinated across 3 worker subprocesses, with shard 0's worker killed
+// after its first record (deterministically, via -crash-after), then
+// resumed from that checkpoint; the merged artifact, summary, scalars and
+// CSVs are diffed against a single-process run. Any divergence fails the
+// command.
 func cmdSmoke(args []string) error {
 	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
 	var (
@@ -49,7 +54,7 @@ func cmdSmoke(args []string) error {
 	manifestPath := filepath.Join(scratch, "manifest.json")
 	distOut := filepath.Join(scratch, "out-dist")
 	opts := figures.Options{OutDir: distOut, Quick: true, Seed: 1}
-	m, err := figures.NewManifest("fig2", opts, shards, filepath.Join(scratch, "artifacts"))
+	m, err := figures.NewManifest(smokeDriver, opts, shards, filepath.Join(scratch, "artifacts"))
 	if err != nil {
 		return err
 	}
@@ -57,17 +62,18 @@ func cmdSmoke(args []string) error {
 	if err := dsweep.WriteManifest(manifestPath, m); err != nil {
 		return err
 	}
-	fmt.Printf("smoke: %d jobs over %d shards under %s\n", m.Jobs, m.Shards, scratch)
+	fmt.Printf("smoke: %s, %d jobs over %d shards under %s\n", smokeDriver, m.Jobs, m.Shards, scratch)
 
-	// Round 1: shard 0's worker is killed right after its durable header
-	// (-crash-after 0), with no retries — the coordinated run must fail.
-	fmt.Println("smoke: round 1 — killing shard 0's worker mid-run")
+	// Round 1: shard 0's worker is killed right after its first durable
+	// record (-crash-after 1), with no retries — the coordinated run must
+	// fail.
+	fmt.Println("smoke: round 1 — killing shard 0's worker mid-shard")
 	err = coord.Run(context.Background(), coord.Options{
 		Manifest: m,
 		Worker: func(shard int) (*exec.Cmd, error) {
 			crash := -1
 			if shard == 0 {
-				crash = 0
+				crash = 1
 			}
 			return selfWorker(manifestPath, shard, crash)
 		},
@@ -81,9 +87,12 @@ func cmdSmoke(args []string) error {
 	if _, err := os.Stat(m.MergedPath()); !os.IsNotExist(err) {
 		return fmt.Errorf("smoke: merged artifact exists after the failed round (stat: %v)", err)
 	}
+	if p, err := dsweep.Status(m); err != nil || p[0].Done != 1 {
+		return fmt.Errorf("smoke: killed shard 0 must hold exactly 1 durable record (status %+v, %v)", p, err)
+	}
 
 	// Round 2: resume. Complete shards are skipped, the killed shard picks
-	// up from its checkpoint, and the merge runs.
+	// up after its first record, and the merge runs.
 	fmt.Println("smoke: round 2 — resuming")
 	err = coord.Run(context.Background(), coord.Options{
 		Manifest: m,
@@ -126,18 +135,18 @@ func cmdSmoke(args []string) error {
 	}
 	fmt.Printf("smoke: merged artifacts byte-identical across shard counts (%d bytes)\n", len(distBytes))
 
-	// Reference 2: the plain in-process figure function. Its CSVs and
-	// scalars must match the distributed run's exactly.
+	// Reference 2: the plain in-process run of the driver. Its summary,
+	// scalars and CSVs must match the distributed run's exactly.
 	singleOut := filepath.Join(scratch, "out-single")
-	singleRes, err := figures.Fig2(figures.Options{OutDir: singleOut, Quick: true, Seed: 1})
+	singleRes, singleSummary, err := figures.RunLocal(smokeDriver, figures.Options{OutDir: singleOut, Quick: true, Seed: 1})
 	if err != nil {
 		return err
 	}
-	dist := distRes.(*figures.Fig2Result)
-	if dist.AmplificationOK != singleRes.AmplificationOK ||
-		fmt.Sprint(dist.ClientP95) != fmt.Sprint(singleRes.ClientP95) ||
-		fmt.Sprint(dist.ClientP98) != fmt.Sprint(singleRes.ClientP98) {
-		return fmt.Errorf("smoke: distributed scalars %+v differ from single-process %+v", dist, singleRes)
+	if distSummary != singleSummary {
+		return fmt.Errorf("smoke: distributed summary differs from single-process:\n%s\nvs\n%s", distSummary, singleSummary)
+	}
+	if dist, single := fmt.Sprintf("%#v", distRes), fmt.Sprintf("%#v", singleRes); dist != single {
+		return fmt.Errorf("smoke: distributed scalars %s differ from single-process %s", dist, single)
 	}
 	entries, err := os.ReadDir(singleOut)
 	if err != nil {

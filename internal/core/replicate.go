@@ -21,7 +21,8 @@ type Replication struct {
 // ReplicateOptions control parallel replication.
 type ReplicateOptions struct {
 	// Workers bounds the worker count: 0 means one per available CPU,
-	// 1 forces the serial path. Results are identical for every value.
+	// 1 runs every job on the calling goroutine. Results are identical
+	// for every value.
 	Workers int
 	// Progress, when non-nil, is called after each completed run with
 	// (completed, total) counts.

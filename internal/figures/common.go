@@ -27,9 +27,9 @@ type Options struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Parallel bounds the worker count for multi-run drivers: 0 means
-	// one worker per available CPU, 1 forces the serial path. Results
-	// and CSV artifacts are byte-identical for every value (see
-	// internal/sweep).
+	// one worker per available CPU, 1 runs every job on the calling
+	// goroutine. Results and CSV artifacts are byte-identical for every
+	// value (see internal/sweep).
 	Parallel int
 	// Progress, when non-nil, is called after each independent run of a
 	// multi-run driver with (completed, total) counts. Completion order

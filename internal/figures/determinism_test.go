@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// fig2Fingerprint runs the full Figure 2 pipeline (two cloud environments,
-// complete experiment wiring: workload, attack bursts, memory model,
-// queueing network) and serializes the result. fmt prints map keys in
+// fig2Fingerprint runs the full Figure 2 pipeline (complete experiment
+// wiring: workload, attack bursts, memory model, queueing network) and
+// serializes the result. fmt prints map keys in
 // sorted order, so equal fingerprints mean equal results.
 func fig2Fingerprint(t *testing.T, seed int64) string {
 	t.Helper()
-	res, err := Fig2(Options{OutDir: "", Quick: true, Seed: seed})
+	res, err := runAs[*Fig2Result]("fig2", Options{OutDir: "", Quick: true, Seed: seed})
 	if err != nil {
 		t.Fatalf("Fig2(seed=%d): %v", seed, err)
 	}

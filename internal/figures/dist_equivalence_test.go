@@ -16,10 +16,10 @@ import (
 )
 
 // distEquivalenceDrivers get the full shard ladder and the kill/resume
-// test: the headline figure, one ablation sweep, and the planner
+// test: a small multi-job figure, one ablation sweep, and the planner
 // validation (the largest job grid). Every other driver is pinned at
 // distShards.
-var distEquivalenceDrivers = []string{"fig2", "ablation-interval", "planner"}
+var distEquivalenceDrivers = []string{"fig7", "ablation-interval", "planner"}
 
 // distShards is the shard count every driver is checked at: more shards
 // than most drivers have jobs, so empty shards must merge too.
@@ -266,7 +266,7 @@ func TestDistFinalizeRejectsBadRecords(t *testing.T) {
 		}
 		return payloads
 	}
-	fig2NoTiers, err := encodeRecord(fig2Record{Env: "ec2"})
+	fig2NoTiers, err := encodeRecord(fig2Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestDistFinalizeRejectsBadRecords(t *testing.T) {
 			"garbage": garbage(r.Jobs),
 		}
 		if name == "fig2" {
-			cases["no tiers"] = [][]byte{fig2NoTiers, fig2NoTiers}
+			cases["no tiers"] = [][]byte{fig2NoTiers}
 		}
 		for what, payloads := range cases {
 			func() {

@@ -30,7 +30,15 @@ func requireFiles(t *testing.T, dir string, names ...string) {
 
 func TestFig2(t *testing.T) {
 	opts := quickOpts(t)
-	res, err := Fig2(opts)
+	d, _ := LookupDist("fig2")
+	r, err := d.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Jobs != 1 {
+		t.Fatalf("fig2 prepares %d jobs, want 1: one run draws both clouds", r.Jobs)
+	}
+	res, err := runAs[*Fig2Result]("fig2", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,3 +106,30 @@ func TestRaceErrorsUnderContention(t *testing.T) {
 		}
 	}
 }
+
+// TestRaceFailureBeatsCallerCancel makes a rand-chosen job cancel the
+// caller's context and fail, with every later job failing too, on four
+// workers: the lowest-indexed failure is still the reported error, never
+// the cancellation, because every lower index was claimed first.
+func TestRaceFailureBeatsCallerCancel(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		rng := rand.New(rand.NewSource(DeriveSeed(321, round)))
+		failFrom := 1 + rng.Intn(50)
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := RunState(ctx, Options{Workers: 4}, 100, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) {
+			jobRng := rand.New(rand.NewSource(DeriveSeed(int64(round)+2000, i)))
+			spin(jobRng)
+			if i == failFrom {
+				cancel()
+			}
+			if i >= failFrom {
+				return 0, fmt.Errorf("planned failure %d", i)
+			}
+			return i, nil
+		})
+		cancel()
+		if want := fmt.Sprintf("sweep: job %d: planned failure %d", failFrom, failFrom); err == nil || err.Error() != want {
+			t.Fatalf("round %d: error %v, want %q", round, err, want)
+		}
+	}
+}

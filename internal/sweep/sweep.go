@@ -33,8 +33,8 @@ import (
 type Options struct {
 	// Workers bounds concurrency: at most Workers jobs run at once.
 	// Zero or negative means one worker per available CPU
-	// (runtime.GOMAXPROCS); 1 forces the serial path. The results are
-	// identical for every value.
+	// (runtime.GOMAXPROCS); 1 runs every job on the calling goroutine.
+	// The results are identical for every value.
 	Workers int
 
 	// Progress, when non-nil, is called after each job completes, with
@@ -51,13 +51,7 @@ func (o Options) workerCount(jobs int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(w, jobs)
 }
 
 // StateJob computes the index-th result of a sweep using per-worker
@@ -75,8 +69,10 @@ func (o Options) workerCount(jobs int) int {
 type StateJob[T, S any] func(ctx context.Context, state S, index int) (T, error)
 
 // RunState executes jobs 0..n-1 over the worker pool and returns their
-// results in job-index order. Indices are dispatched in ascending order,
-// so with Workers = 1 the execution order is exactly the serial loop's.
+// results in job-index order. Workers claim indices in ascending order
+// from one counter, and the caller is one of the workers, so with
+// Workers = 1 the sweep is exactly the serial loop on the calling
+// goroutine.
 //
 // Each worker calls acquire once when it starts, passes the state to
 // every job it executes, and calls release when it exits (on success,
@@ -85,13 +81,13 @@ type StateJob[T, S any] func(ctx context.Context, state S, index int) (T, error)
 // once per job. Either of acquire and release may be nil; a sweep
 // without state passes nil for both and a struct{} state.
 //
-// On failure the remaining undispatched jobs are abandoned, in-flight
-// jobs run to completion (or observe ctx and stop early), and the error
-// of the lowest-indexed failing job is returned — deterministically,
-// because a lower-indexed failing job is always dispatched before the
-// failure that stopped the sweep. If the caller's context is canceled
-// and no job failed, RunState returns the context's error even when
-// every job happened to complete.
+// On failure the remaining unclaimed jobs are abandoned, in-flight jobs
+// run to completion (or observe ctx and stop early), and the error of the
+// lowest-indexed failing job is returned — deterministically, because a
+// lower-indexed failing job is always claimed before the failure that
+// stopped the sweep. If the caller's context is canceled and no job
+// failed, RunState returns the context's error even when every job
+// happened to complete.
 func RunState[T, S any](ctx context.Context, opts Options, n int, acquire func() S, release func(S), job StateJob[T, S]) ([]T, error) {
 	if job == nil {
 		return nil, fmt.Errorf("sweep: job must not be nil")
@@ -112,27 +108,6 @@ func RunState[T, S any](ctx context.Context, opts Options, n int, acquire func()
 	errs := make([]error, n)
 	ran := make([]bool, n)
 
-	// minFailed tracks the lowest failing job index (n when none). A
-	// worker skips any index above a recorded failure, which preserves
-	// serial first-error semantics (with one worker, nothing after the
-	// failure runs) without ever skipping a lower-indexed job — so the
-	// reported error is deterministically the lowest-indexed failure.
-	var minFailed atomic.Int64
-	minFailed.Store(int64(n))
-
-	// Dispatch indices in ascending order; stop feeding on cancellation.
-	indices := make(chan int)
-	go func() {
-		defer close(indices)
-		for i := 0; i < n; i++ {
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
 	var (
 		progressMu sync.Mutex
 		done       int
@@ -143,45 +118,52 @@ func RunState[T, S any](ctx context.Context, opts Options, n int, acquire func()
 		}
 		progressMu.Lock()
 		done++
-		d := done
-		opts.Progress(d, n)
+		opts.Progress(done, n)
 		progressMu.Unlock()
 	}
 
+	// Workers claim indices in ascending order from one counter and stop
+	// claiming once the sweep is canceled, which a failing job does
+	// before its worker claims again: with one worker nothing after the
+	// failure runs, and no worker ever skips an index it claimed, so
+	// every index below the lowest failure runs and that failure is the
+	// reported error whatever the worker count.
+	var next atomic.Int64
+	work := func() {
+		var state S
+		if acquire != nil {
+			state = acquire()
+		}
+		if release != nil {
+			defer release(state)
+		}
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			res, err := job(ctx, state, i)
+			ran[i] = true
+			if err != nil {
+				errs[i] = err
+				cancel()
+				return
+			}
+			results[i] = res
+			finish()
+		}
+	}
+
+	// The caller is worker 0, so a one-worker sweep starts no goroutine.
 	var wg sync.WaitGroup
-	for w := opts.workerCount(n); w > 0; w-- {
+	for w := opts.workerCount(n) - 1; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var state S
-			if acquire != nil {
-				state = acquire()
-			}
-			if release != nil {
-				defer release(state)
-			}
-			for i := range indices {
-				if minFailed.Load() < int64(i) {
-					return
-				}
-				res, err := job(ctx, state, i)
-				ran[i] = true
-				if err != nil {
-					errs[i] = err
-					for {
-						cur := minFailed.Load()
-						if int64(i) >= cur || minFailed.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					cancel()
-					continue
-				}
-				results[i] = res
-				finish()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 
 	for i, err := range errs {

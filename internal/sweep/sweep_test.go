@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +101,42 @@ func TestRunErrorPropagation(t *testing.T) {
 		t.Errorf("serial sweep ran %v after the failure, want jobs 0-3 only", ran)
 	}
 }
+
+// TestRunOneWorkerOnCaller checks that a one-worker sweep runs every job
+// on the calling goroutine: no goroutine is started, so the count seen
+// inside each job is the count before the call. A goroutine of an earlier
+// test may still be exiting, so the count may fall but never rise.
+func TestRunOneWorkerOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, err := RunState(context.Background(), Options{Workers: 1}, 5, nil, nil, func(_ context.Context, _ struct{}, i int) (int, error) {
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("job %d: %d goroutines, %d before the sweep", i, got, before)
+		}
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunOneJobAllocs pins what a one-job stateless sweep allocates: the
+// result, error and ran slices, the derived context and the worker
+// closure's captures, and no goroutine, channel or WaitGroup waiter.
+func TestRunOneJobAllocs(t *testing.T) {
+	job := func(_ context.Context, _ struct{}, i int) (int, error) { return i, nil }
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := RunState(context.Background(), Options{Workers: 1}, 1, nil, nil, job); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != oneJobAllocs {
+		t.Errorf("one-job sweep allocates %v times, want %d", allocs, oneJobAllocs)
+	}
+}
+
+// oneJobAllocs is the exact allocation count of a one-job stateless
+// sweep.
+const oneJobAllocs = 11
 
 // TestRunErrorLowestIndex checks that when several jobs fail under
 // parallelism, the lowest-indexed failure wins — matching what the
