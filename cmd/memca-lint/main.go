@@ -6,7 +6,7 @@
 // atomic-access discipline — and exits non-zero on any finding so it can
 // gate CI. On top of the AST suite it runs two whole-module checks: the
 // allocbound escape-budget gate (the compiler's escape analysis over the
-// hot-path packages must match internal/lint/testdata/escape_budget.json)
+// hot-path packages must stay within internal/lint/testdata/escape_budget.json)
 // and testonly (no declaration only tests reach, no exported field only
 // tests set), which always covers the whole module, whatever patterns
 // are given.

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -15,41 +18,55 @@ import (
 
 // allocbound is the escape-budget gate: it drives the compiler's own escape
 // analysis (`go build -gcflags=-m`) over the hot-path packages, normalizes
-// the "escapes to heap" / "moved to heap" diagnostics into a position-keyed
-// set, and diffs that set against a checked-in budget file. Any escape the
-// budget does not already account for fails lint with the compiler's reason
-// string — so a new heap allocation on a zero-alloc path is caught at review
-// time, on every path the compiler sees, not only on the paths a benchmark
-// happens to exercise.
+// the "escapes to heap" / "moved to heap" diagnostics, tallies them by
+// enclosing function and message, and diffs the tally against a checked-in
+// budget file. Any escape the budget does not already account for fails
+// lint with the compiler's reason string — so a new heap allocation on a
+// zero-alloc path is caught at review time, on every path the compiler
+// sees, not only on the paths a benchmark happens to exercise. The budget
+// names no file, line or column, so an edit that only moves code leaves it
+// unchanged, and a budget diff names the function that gained an escape.
 //
 // Unlike the AST analyzers, allocbound is not a per-package syntax pass: it
 // shells out to the go tool (stdlib-subprocess only, same dependency budget
 // as the loader) and is wired through cmd/memca-lint beside the Run suite.
 
-// Escape is one heap-escape diagnostic from the compiler, keyed by source
-// position. File is slash-separated and relative to the module root.
+// Escape is one heap-escape diagnostic from the compiler. File is
+// slash-separated and relative to the module root (absolute for a
+// standard-library body inlined into a budgeted package); Func is the
+// enclosing function (see enclosingFunc).
 type Escape struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
+	File    string
+	Line    int
+	Col     int
+	Func    string
+	Message string
+}
+
+// BudgetEntry allows Count heap escapes with one compiler message inside
+// one function.
+type BudgetEntry struct {
+	Func    string `json:"func"`
 	Message string `json:"message"`
+	Count   int    `json:"count"`
 }
 
 // EscapeBudget is the checked-in allowance: for every budgeted package, the
-// exact set of heap escapes the current code is known (and accepted) to
-// have. The map is keyed by import path; entries are kept sorted so the
-// JSON encoding is byte-stable across regenerations of identical code.
+// heap escapes the current code is known (and accepted) to have, counted by
+// (function, message). The map is keyed by import path; entries are kept
+// sorted so the JSON encoding is byte-stable across regenerations of
+// identical code.
 type EscapeBudget struct {
 	// Comment documents the file's purpose and regeneration command inside
 	// the artifact itself.
 	Comment string `json:"comment"`
-	// Packages maps import path -> sorted escape set.
-	Packages map[string][]Escape `json:"packages"`
+	// Packages maps import path -> sorted entries.
+	Packages map[string][]BudgetEntry `json:"packages"`
 }
 
 const budgetComment = "Escape budget for the zero-alloc hot-path packages. " +
-	"Every entry is one heap escape the compiler reports today and the project accepts. " +
-	"memca-lint fails on any escape not listed here. " +
+	"Each entry allows count heap escapes with one compiler message in one function, as the compiler reports them today. " +
+	"memca-lint fails on any escape beyond these counts. " +
 	"Regenerate deliberately with: go run ./cmd/memca-lint -update-budget"
 
 // DefaultBudgetPath is where the budget lives, relative to the module root.
@@ -57,9 +74,10 @@ const DefaultBudgetPath = "internal/lint/testdata/escape_budget.json"
 
 // CollectEscapes compiles the given packages (import paths or ./-relative
 // patterns, resolved in dir) with -gcflags=-m and returns the heap-escape
-// diagnostics grouped by package, each group sorted by position. The go
-// tool replays compiler output from the build cache, so repeated runs over
-// unchanged code are fast and byte-identical.
+// diagnostics grouped by package, each group sorted by position and each
+// escape named by its enclosing function. The go tool replays compiler
+// output from the build cache, so repeated runs over unchanged code are
+// fast and byte-identical.
 func CollectEscapes(dir string, pkgs ...string) (map[string][]Escape, error) {
 	if len(pkgs) == 0 {
 		return map[string][]Escape{}, nil
@@ -72,7 +90,99 @@ func CollectEscapes(dir string, pkgs ...string) (map[string][]Escape, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("lint: go build -gcflags=-m %v: %w\n%s", pkgs, err, out.String())
 	}
-	return ParseEscapes(out.String()), nil
+	byPkg := ParseEscapes(out.String())
+	funcs := funcResolver{dir: dir, fset: token.NewFileSet(), files: map[string]*ast.File{}}
+	for pkg, es := range byPkg {
+		for i := range es {
+			name, err := funcs.enclosingFunc(es[i], path.Base(pkg))
+			if err != nil {
+				return nil, err
+			}
+			es[i].Func = name
+		}
+	}
+	return byPkg, nil
+}
+
+// funcResolver maps escape positions to their enclosing functions, parsing
+// each source file once.
+type funcResolver struct {
+	dir   string
+	fset  *token.FileSet
+	files map[string]*ast.File
+}
+
+// enclosingFunc names the top-level declaration holding e: "F" for a
+// function, "T.M" or "(*T).M" for a method (a closure counts as part of
+// the function it is written in), or the first name of a package-level
+// var. A body the compiler inlined from another package (pkgName is the
+// budgeted package's name) is qualified with its own package name, as in
+// "slices.Insert".
+func (r *funcResolver) enclosingFunc(e Escape, pkgName string) (string, error) {
+	file := filepath.FromSlash(e.File)
+	if !filepath.IsAbs(file) {
+		file = filepath.Join(r.dir, file)
+	}
+	f, ok := r.files[file]
+	if !ok {
+		var err error
+		if f, err = parser.ParseFile(r.fset, file, nil, parser.SkipObjectResolution); err != nil {
+			return "", fmt.Errorf("lint: resolving escape %s:%d: %w", e.File, e.Line, err)
+		}
+		r.files[file] = f
+	}
+	tf := r.fset.File(f.Pos())
+	if e.Line < 1 || e.Line > tf.LineCount() {
+		return "", fmt.Errorf("lint: escape %s:%d:%d lies outside the file", e.File, e.Line, e.Col)
+	}
+	pos := tf.LineStart(e.Line) + token.Pos(e.Col-1)
+	name := ""
+	for _, d := range f.Decls {
+		if pos < d.Pos() || pos >= d.End() {
+			continue
+		}
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			name = funcDeclName(d)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok && pos >= vs.Pos() && pos < vs.End() {
+					name = vs.Names[0].Name
+				}
+			}
+		}
+	}
+	if name == "" {
+		return "", fmt.Errorf("lint: escape %s:%d:%d has no enclosing declaration", e.File, e.Line, e.Col)
+	}
+	if f.Name.Name != pkgName {
+		name = f.Name.Name + "." + name
+	}
+	return name, nil
+}
+
+// funcDeclName renders a function or method name with its receiver type,
+// without type parameters.
+func funcDeclName(d *ast.FuncDecl) string {
+	if d.Recv == nil || len(d.Recv.List) == 0 {
+		return d.Name.Name
+	}
+	typ := d.Recv.List[0].Type
+	star := false
+	if s, ok := typ.(*ast.StarExpr); ok {
+		typ, star = s.X, true
+	}
+	switch t := typ.(type) {
+	case *ast.IndexExpr:
+		typ = t.X
+	case *ast.IndexListExpr:
+		typ = t.X
+	}
+	recv := typ.(*ast.Ident).Name // a receiver's base type is a type name
+	if star {
+		return "(*" + recv + ")." + d.Name.Name
+	}
+	return recv + "." + d.Name.Name
 }
 
 // ParseEscapes extracts the heap-escape diagnostics from `go build
@@ -80,7 +190,8 @@ func CollectEscapes(dir string, pkgs ...string) (map[string][]Escape, error) {
 // a "# import/path" header line; within a group, escape lines have the
 // form "file.go:line:col: <what> escapes to heap" (or "moved to heap:
 // <what>"). Inlining and parameter-leak chatter is ignored: only messages
-// that mean "this allocation lands on the heap" are budgeted.
+// that mean "this allocation lands on the heap" are budgeted. Func is left
+// empty; CollectEscapes fills it in.
 func ParseEscapes(output string) map[string][]Escape {
 	byPkg := make(map[string][]Escape)
 	pkg := ""
@@ -142,13 +253,40 @@ func sortEscapes(es []Escape) {
 	})
 }
 
+// budgetKey identifies one budget entry.
+type budgetKey struct{ fn, msg string }
+
+// Tally counts escapes by (function, message), sorted by function, then
+// message.
+func Tally(es []Escape) []BudgetEntry {
+	counts := make(map[budgetKey]int)
+	for _, e := range es {
+		counts[budgetKey{e.Func, e.Message}]++
+	}
+	out := make([]BudgetEntry, 0, len(counts))
+	for k, n := range counts {
+		out = append(out, BudgetEntry{Func: k.fn, Message: k.msg, Count: n})
+	}
+	sortEntries(out)
+	return out
+}
+
+func sortEntries(es []BudgetEntry) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].Func != es[j].Func {
+			return es[i].Func < es[j].Func
+		}
+		return es[i].Message < es[j].Message
+	})
+}
+
 // EncodeBudget renders the budget deterministically: sorted packages
 // (encoding/json sorts map keys), sorted entries, two-space indentation,
 // trailing newline. Two regenerations of identical code are byte-identical.
-func EncodeBudget(byPkg map[string][]Escape) ([]byte, error) {
+func EncodeBudget(byPkg map[string][]BudgetEntry) ([]byte, error) {
 	b := EscapeBudget{Comment: budgetComment, Packages: byPkg}
 	for p := range b.Packages {
-		sortEscapes(b.Packages[p])
+		sortEntries(b.Packages[p])
 	}
 	data, err := json.MarshalIndent(&b, "", "  ")
 	if err != nil {
@@ -168,13 +306,13 @@ func ReadBudget(path string) (*EscapeBudget, error) {
 		return nil, fmt.Errorf("lint: decoding escape budget %s: %w", path, err)
 	}
 	if b.Packages == nil {
-		b.Packages = map[string][]Escape{}
+		b.Packages = map[string][]BudgetEntry{}
 	}
 	return &b, nil
 }
 
 // WriteBudget collects the current escapes of the budgeted packages and
-// writes the budget file. It returns the total entry count.
+// writes the budget file. It returns the number of escapes it accepted.
 func WriteBudget(dir, path string, pkgs []string) (int, error) {
 	byPkg, err := CollectEscapes(dir, pkgs...)
 	if err != nil {
@@ -182,58 +320,58 @@ func WriteBudget(dir, path string, pkgs []string) (int, error) {
 	}
 	// Budgeted packages with zero escapes still get an (empty) entry so the
 	// file names the full contract surface, not just its current offenders.
+	budget := make(map[string][]BudgetEntry, len(pkgs))
+	n := 0
 	for _, p := range pkgs {
-		if byPkg[p] == nil {
-			byPkg[p] = []Escape{}
-		}
+		budget[p] = Tally(byPkg[p])
+		n += len(byPkg[p])
 	}
-	data, err := EncodeBudget(byPkg)
+	data, err := EncodeBudget(budget)
 	if err != nil {
 		return 0, err
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return 0, fmt.Errorf("lint: writing escape budget: %w", err)
 	}
-	n := 0
-	for _, es := range byPkg {
-		n += len(es)
-	}
 	return n, nil
 }
 
-// DiffEscapes compares the current escape set of one package against its
-// budget. New escapes (present now, absent from the budget) are the gate's
-// failures; stale entries (budgeted but no longer produced) mean the code
+// DiffEscapes compares the current escapes of one package against its
+// budget. Where a (function, message) key has more escapes than the budget
+// allows, the surplus, last in source order, comes back as fresh: the
+// gate's failures. Where it has fewer, the entry comes back in stale with
+// Count set to how many budgeted escapes are no longer produced: the code
 // improved and the budget can be tightened by regenerating.
-func DiffEscapes(budget, current []Escape) (fresh, stale []Escape) {
-	key := func(e Escape) string {
-		return fmt.Sprintf("%s:%d:%d:%s", e.File, e.Line, e.Col, e.Message)
+func DiffEscapes(budget []BudgetEntry, current []Escape) (fresh []Escape, stale []BudgetEntry) {
+	allowed := make(map[budgetKey]int, len(budget))
+	for _, b := range budget {
+		allowed[budgetKey{b.Func, b.Message}] += b.Count
 	}
-	have := make(map[string]bool, len(budget))
-	for _, e := range budget {
-		have[key(e)] = true
-	}
-	now := make(map[string]bool, len(current))
+	byKey := make(map[budgetKey][]Escape)
 	for _, e := range current {
-		now[key(e)] = true
-		if !have[key(e)] {
-			fresh = append(fresh, e)
+		k := budgetKey{e.Func, e.Message}
+		byKey[k] = append(byKey[k], e)
+	}
+	for k, es := range byKey {
+		if surplus := len(es) - allowed[k]; surplus > 0 {
+			sortEscapes(es)
+			fresh = append(fresh, es[len(es)-surplus:]...)
 		}
 	}
-	for _, e := range budget {
-		if !now[key(e)] {
-			stale = append(stale, e)
+	for _, b := range budget {
+		if gone := b.Count - len(byKey[budgetKey{b.Func, b.Message}]); gone > 0 {
+			stale = append(stale, BudgetEntry{Func: b.Func, Message: b.Message, Count: gone})
 		}
 	}
 	sortEscapes(fresh)
-	sortEscapes(stale)
+	sortEntries(stale)
 	return fresh, stale
 }
 
 // CheckEscapeBudget runs the allocbound gate: collect the current escapes
 // of every budgeted package and diff them against the budget file. New
 // escapes come back as diagnostics (one per escape, carrying the compiler's
-// reason); stale budget entries come back separately as non-fatal notices.
+// reason); counts that fell come back separately as non-fatal notices.
 func CheckEscapeBudget(dir, budgetPath string, cfg *Config) (diags []Diagnostic, staleNotes []string, err error) {
 	if cfg == nil {
 		cfg = DefaultConfig()
@@ -256,11 +394,11 @@ func CheckEscapeBudget(dir, budgetPath string, cfg *Config) (diags []Diagnostic,
 			diags = append(diags, Diagnostic{
 				Pos:      token.Position{Filename: e.File, Line: e.Line, Column: e.Col},
 				Analyzer: "allocbound",
-				Message:  fmt.Sprintf("new heap escape in budgeted package %s: %s (accept deliberately with `go run ./cmd/memca-lint -update-budget`)", pkg, e.Message),
+				Message:  fmt.Sprintf("new heap escape in budgeted package %s, function %s: %s (accept deliberately with `go run ./cmd/memca-lint -update-budget`)", pkg, e.Func, e.Message),
 			})
 		}
-		for _, e := range stale {
-			staleNotes = append(staleNotes, fmt.Sprintf("%s:%d:%d: budgeted escape no longer produced (%s) — tighten with -update-budget", e.File, e.Line, e.Col, e.Message))
+		for _, b := range stale {
+			staleNotes = append(staleNotes, fmt.Sprintf("%s %s: %d budgeted escape(s) no longer produced (%s) — tighten with -update-budget", pkg, b.Func, b.Count, b.Message))
 		}
 	}
 	sort.Strings(staleNotes)

@@ -43,21 +43,80 @@ func TestParseEscapes(t *testing.T) {
 	}
 }
 
+// TestCollectEscapesNamesFunctions pins how escapes are keyed: by the
+// enclosing function, with a method's receiver type, and a closure's
+// escapes under the function that declares it.
+func TestCollectEscapesNamesFunctions(t *testing.T) {
+	byPkg, err := CollectEscapes(".", fixturePkg)
+	if err != nil {
+		t.Fatalf("CollectEscapes: %v", err)
+	}
+	got := map[string]string{}
+	for _, e := range byPkg[fixturePkg] {
+		got[e.Message] = e.Func
+	}
+	want := map[string]string{
+		"moved to heap: v":               "Leak",
+		"n escapes to heap":              "Box",
+		"make([]int, n) escapes to heap": "Grow",
+		"c.n escapes to heap":            "(*Counter).Box",
+		"moved to heap: sum":             "Counter.Adder",
+		"func literal escapes to heap":   "Counter.Adder",
+	}
+	for msg, fn := range want {
+		if got[msg] != fn {
+			t.Errorf("%q: enclosing function %q, want %q", msg, got[msg], fn)
+		}
+	}
+}
+
+// TestDiffEscapes covers the gate's four cases on one budget: an escape
+// with a new message fails, a second escape with a budgeted message in the
+// same function fails, a function that moved to another file or line
+// passes, and a count that fell is a stale note, not a failure.
 func TestDiffEscapes(t *testing.T) {
-	budget := []Escape{
-		{File: "a.go", Line: 1, Col: 1, Message: "x escapes to heap"},
-		{File: "a.go", Line: 9, Col: 1, Message: "moved to heap: gone"},
+	budget := []BudgetEntry{
+		{Func: "F", Message: "x escapes to heap", Count: 1},
+		{Func: "G", Message: "moved to heap: y", Count: 2},
+		{Func: "H", Message: "moved to heap: gone", Count: 1},
 	}
-	current := []Escape{
-		{File: "a.go", Line: 1, Col: 1, Message: "x escapes to heap"},
-		{File: "b.go", Line: 3, Col: 7, Message: "y escapes to heap"},
+	moved := []Escape{
+		// F and G moved to another file and other lines.
+		{File: "b.go", Line: 40, Col: 3, Func: "F", Message: "x escapes to heap"},
+		{File: "b.go", Line: 50, Col: 2, Func: "G", Message: "moved to heap: y"},
+		{File: "b.go", Line: 51, Col: 2, Func: "G", Message: "moved to heap: y"},
+		{File: "b.go", Line: 60, Col: 2, Func: "H", Message: "moved to heap: gone"},
 	}
-	fresh, stale := DiffEscapes(budget, current)
-	if len(fresh) != 1 || fresh[0].File != "b.go" {
-		t.Errorf("fresh = %v, want the b.go escape only", fresh)
+	if fresh, stale := DiffEscapes(budget, moved); len(fresh) != 0 || len(stale) != 0 {
+		t.Errorf("moved code: fresh = %v, stale = %v, want neither", fresh, stale)
 	}
-	if len(stale) != 1 || stale[0].Line != 9 {
-		t.Errorf("stale = %v, want the line-9 entry only", stale)
+
+	newMsg := append(moved[:4:4], Escape{File: "b.go", Line: 41, Col: 9, Func: "F", Message: "z escapes to heap"})
+	if fresh, _ := DiffEscapes(budget, newMsg); len(fresh) != 1 || fresh[0].Message != "z escapes to heap" {
+		t.Errorf("new message: fresh = %v, want the z escape", fresh)
+	}
+
+	second := append(moved[:4:4], Escape{File: "b.go", Line: 45, Col: 5, Func: "F", Message: "x escapes to heap"})
+	if fresh, _ := DiffEscapes(budget, second); len(fresh) != 1 || fresh[0].Line != 45 {
+		t.Errorf("second same-message escape in F: fresh = %v, want the line-45 escape", fresh)
+	}
+
+	fell := moved[:2] // G lost one escape, H lost its only one
+	fresh, stale := DiffEscapes(budget, fell)
+	if len(fresh) != 0 {
+		t.Errorf("fallen counts: fresh = %v, want none", fresh)
+	}
+	wantStale := []BudgetEntry{
+		{Func: "G", Message: "moved to heap: y", Count: 1},
+		{Func: "H", Message: "moved to heap: gone", Count: 1},
+	}
+	if len(stale) != len(wantStale) {
+		t.Fatalf("fallen counts: stale = %v, want %v", stale, wantStale)
+	}
+	for i := range wantStale {
+		if stale[i] != wantStale[i] {
+			t.Errorf("stale %d = %+v, want %+v", i, stale[i], wantStale[i])
+		}
 	}
 }
 
@@ -73,11 +132,11 @@ func TestBudgetByteStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CollectEscapes (second run): %v", err)
 	}
-	a, err := EncodeBudget(first)
+	a, err := EncodeBudget(map[string][]BudgetEntry{fixturePkg: Tally(first[fixturePkg])})
 	if err != nil {
 		t.Fatalf("EncodeBudget: %v", err)
 	}
-	b, err := EncodeBudget(second)
+	b, err := EncodeBudget(map[string][]BudgetEntry{fixturePkg: Tally(second[fixturePkg])})
 	if err != nil {
 		t.Fatalf("EncodeBudget (second run): %v", err)
 	}
@@ -112,8 +171,12 @@ func TestBudgetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadBudget: %v", err)
 	}
-	if len(b.Packages[fixturePkg]) != n {
-		t.Errorf("round-trip lost entries: wrote %d, read %d", n, len(b.Packages[fixturePkg]))
+	read := 0
+	for _, e := range b.Packages[fixturePkg] {
+		read += e.Count
+	}
+	if read != n {
+		t.Errorf("round-trip lost escapes: wrote %d, read %d", n, read)
 	}
 	if !strings.Contains(b.Comment, "-update-budget") {
 		t.Errorf("budget comment must carry the regeneration command, got %q", b.Comment)
@@ -147,10 +210,10 @@ func TestNewEscapeReported(t *testing.T) {
 	}
 	// Plus a bogus entry the code no longer produces, to exercise the
 	// stale-note path.
-	trimmed = append(trimmed, Escape{File: "testdata/allocbound/escapes.go", Line: 999, Col: 1, Message: "ghost escapes to heap"})
+	entries := append(Tally(trimmed), BudgetEntry{Func: "Leak", Message: "ghost escapes to heap", Count: 1})
 
 	path := filepath.Join(t.TempDir(), "budget.json")
-	data, err := EncodeBudget(map[string][]Escape{fixturePkg: trimmed})
+	data, err := EncodeBudget(map[string][]BudgetEntry{fixturePkg: entries})
 	if err != nil {
 		t.Fatalf("EncodeBudget: %v", err)
 	}
@@ -173,8 +236,8 @@ func TestNewEscapeReported(t *testing.T) {
 	if d.Pos.Filename != removed.File || d.Pos.Line != removed.Line {
 		t.Errorf("diagnostic at %s:%d, want %s:%d", d.Pos.Filename, d.Pos.Line, removed.File, removed.Line)
 	}
-	if !strings.Contains(d.Message, removed.Message) {
-		t.Errorf("diagnostic %q must carry the compiler reason %q", d.Message, removed.Message)
+	if !strings.Contains(d.Message, removed.Message) || !strings.Contains(d.Message, removed.Func) {
+		t.Errorf("diagnostic %q must carry the compiler reason %q and the function %q", d.Message, removed.Message, removed.Func)
 	}
 	if !strings.Contains(d.Message, "-update-budget") {
 		t.Errorf("diagnostic %q must point at the regeneration command", d.Message)
@@ -188,7 +251,7 @@ func TestNewEscapeReported(t *testing.T) {
 // package has no entry at all in the file.
 func TestCheckEscapeBudgetMissingPackage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "budget.json")
-	data, err := EncodeBudget(map[string][]Escape{})
+	data, err := EncodeBudget(map[string][]BudgetEntry{})
 	if err != nil {
 		t.Fatalf("EncodeBudget: %v", err)
 	}

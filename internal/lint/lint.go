@@ -19,7 +19,8 @@
 //     and typed atomics are never copied by value.
 //   - allocbound (wired through cmd/memca-lint, not a per-package AST
 //     pass): the compiler's own escape analysis over the hot-path packages
-//     must match the checked-in budget; any new heap escape fails lint.
+//     must stay within the checked-in budget, a count per (function,
+//     message); any escape beyond its count fails lint.
 //   - testonly (CheckTestOnly, also whole-module): no declaration only
 //     tests reach and no exported field only tests set, outside the memca
 //     API package and //memca:keep <reason> declarations.

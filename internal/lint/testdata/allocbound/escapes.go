@@ -30,3 +30,21 @@ func Stay(n int) int {
 	}
 	return buf[0]
 }
+
+// Counter's methods and closures are budgeted under the method's name.
+type Counter struct{ n int }
+
+// Box boxes the count from a pointer-receiver method.
+func (c *Counter) Box() any {
+	return c.n
+}
+
+// Adder returns a closure over a local: the local moves to the heap inside
+// the method that declares it.
+func (c Counter) Adder() func() int {
+	sum := c.n
+	return func() int {
+		sum++
+		return sum
+	}
+}
