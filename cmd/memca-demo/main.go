@@ -6,12 +6,13 @@
 // over TCP. It prints per-phase client latency percentiles: baseline,
 // under attack, and after the attack stops.
 //
-// With -trace-out/-otlp-out/-attrib-out the whole run is causally traced:
-// every client request carries a trace ID through web→app→db, each tier
-// records wall-clock spans into a shared collector, and the same exporters
-// the simulator uses write Chrome trace-event JSON, OTLP/JSON, and
-// per-trace attribution CSVs — one telemetry pipeline for simulated and
-// real runs.
+// The whole run is causally traced: every client request carries a trace
+// ID through web→app→db, each tier records wall-clock spans into a shared
+// collector, and the same exporters the simulator uses write Chrome
+// trace-event JSON, OTLP/JSON, and per-trace attribution CSVs — one
+// telemetry pipeline for simulated and real runs. -trace-out, -otlp-out
+// and -attrib-out choose which of these artifacts to write; they do not
+// change the run.
 //
 //	go run ./cmd/memca-demo -duration 20s -trace-out out/demo/trace.json -otlp-out out/demo/otlp.json
 package main
@@ -51,18 +52,13 @@ func run() error {
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of the live run (empty disables)")
 		otlpOut     = flag.String("otlp-out", "", "write an OTLP/JSON export of the live run (empty disables)")
 		attribOut   = flag.String("attrib-out", "", "write a per-trace attribution CSV of the live run (empty disables)")
-		traceEvents = flag.Int("trace-events", 1<<18, "live span-event log capacity when tracing")
+		traceEvents = flag.Int("trace-events", 1<<18, "live span-event log capacity")
 	)
 	flag.Parse()
 
-	// Any export target switches the full causal-tracing pipeline on.
-	var col *live.Collector
-	if *traceOut != "" || *otlpOut != "" || *attribOut != "" {
-		var err error
-		col, err = live.New(live.Config{Tiers: victimd.TierNames(), Events: *traceEvents})
-		if err != nil {
-			return err
-		}
+	col, err := live.New(live.Config{Tiers: victimd.TierNames(), Events: *traceEvents})
+	if err != nil {
+		return err
 	}
 
 	sysCfg := victimd.DefaultSystem()
@@ -79,20 +75,17 @@ func run() error {
 	fmt.Printf("victim 3-tier system: web %s -> app %s -> db %s\n",
 		sys.Web.URL(), sys.App.URL(), sys.DB.URL())
 
-	// Closed-loop client population against the web tier; when tracing,
-	// every client request is a traced logical request with up to three
-	// attempts (the paper's RTO-driven retransmission behaviour).
-	var tcl *live.Client
-	if col != nil {
-		tcl, err = live.NewClient(live.ClientConfig{
-			Collector:   col,
-			HTTP:        &http.Client{Timeout: 5 * time.Second},
-			MaxAttempts: 3,
-			Backoff:     100 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
+	// Closed-loop client population against the web tier: every client
+	// request is a traced logical request with up to three attempts (the
+	// paper's RTO-driven retransmission behaviour).
+	tcl, err := live.NewClient(live.ClientConfig{
+		Collector:   col,
+		HTTP:        &http.Client{Timeout: 5 * time.Second},
+		MaxAttempts: 3,
+		Backoff:     100 * time.Millisecond,
+	})
+	if err != nil {
+		return err
 	}
 	lg := newLoadGen(sys.Web.URL()+"/", *clients, tcl)
 	lg.Start()
@@ -162,12 +155,7 @@ func run() error {
 
 	measure("recovery")
 
-	if col != nil {
-		if err := exportTrace(col, be, sys, *traceOut, *otlpOut, *attribOut); err != nil {
-			return err
-		}
-	}
-	return nil
+	return exportTrace(col, be, sys, *traceOut, *otlpOut, *attribOut)
 }
 
 // exportTrace assembles the live collector after the run quiesces, writes
@@ -271,13 +259,11 @@ func counterLine(url string) (string, error) {
 		vals["tier"], vals["served"], vals["rejected"], vals["queue_wait_ns_total"], vals["service_ns_total"]), nil
 }
 
-// loadGen is a minimal closed-loop HTTP client population. With a traced
-// client each request becomes a traced logical request (retries included);
-// without one it degrades to plain GETs.
+// loadGen is a minimal closed-loop HTTP client population; each request
+// is a traced logical request, retries included.
 type loadGen struct {
 	url     string
 	clients int
-	client  *http.Client
 	traced  *live.Client
 
 	mu    sync.Mutex
@@ -291,7 +277,6 @@ func newLoadGen(url string, clients int, traced *live.Client) *loadGen {
 	return &loadGen{
 		url:     url,
 		clients: clients,
-		client:  &http.Client{Timeout: 5 * time.Second},
 		traced:  traced,
 		stopC:   make(chan struct{}),
 	}
@@ -328,18 +313,8 @@ func (lg *loadGen) Start() {
 }
 
 func (lg *loadGen) request() (time.Duration, bool) {
-	if lg.traced != nil {
-		res := lg.traced.Get(context.Background(), lg.url)
-		return res.RT, res.OK
-	}
-	start := time.Now()
-	resp, err := lg.client.Get(lg.url)
-	ok := err == nil && resp.StatusCode == http.StatusOK
-	if err == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}
-	return time.Since(start), ok
+	res := lg.traced.Get(context.Background(), lg.url)
+	return res.RT, res.OK
 }
 
 func (lg *loadGen) Stop() {

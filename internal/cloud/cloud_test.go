@@ -1,100 +1,37 @@
 package cloud
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
-	"memca/internal/memmodel"
 	"memca/internal/monitor"
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
 )
 
-func TestPlatformPlacement(t *testing.T) {
-	p := NewPlatform()
-	if _, err := p.AddHost("host1", memmodel.XeonE5_2603v3()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AddHost("host1", memmodel.XeonE5_2603v3()); err == nil {
-		t.Error("duplicate host accepted")
-	}
-	if _, err := p.AddHost("", memmodel.XeonE5_2603v3()); err == nil {
-		t.Error("empty host ID accepted")
-	}
-	bad := memmodel.XeonE5_2603v3()
-	bad.Packages = 0
-	if _, err := p.AddHost("host2", bad); err == nil {
-		t.Error("invalid host config accepted")
-	}
-
-	if err := p.Place("mysql", "host1", C3Large(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Place("mysql", "host1", C3Large(), 0); err != nil {
-		// placement is recorded once
-	} else {
-		t.Error("duplicate VM placement accepted")
-	}
-	if err := p.Place("x", "ghost", C3Large(), 0); err == nil {
-		t.Error("unknown host accepted")
-	}
-
-	h, err := p.HostOf("mysql")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ID != "host1" {
-		t.Errorf("HostOf = %q, want host1", h.ID)
-	}
-	if _, err := p.HostOf("ghost"); err == nil {
-		t.Error("unplaced VM accepted")
-	}
-}
-
+// TestCoLocation checks the campaign's placement step: a certain campaign
+// puts the adversary on the target's host, where both VMs share its
+// memory model, and a second adversary with the same ID is refused.
 func TestCoLocation(t *testing.T) {
-	p := NewPlatform()
-	if _, err := p.AddHost("host1", memmodel.XeonE5_2603v3()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AddHost("host2", memmodel.XeonE5_2603v3()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Place("mysql", "host2", C3Large(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CoLocate("adversary", "mysql", PrivateCloudVM(), 0); err != nil {
-		t.Fatal(err)
-	}
-	advHost, err := p.HostOf("adversary")
+	h := campaignHost(t)
+	certain := CoLocationCampaignConfig{SuccessProbability: 1}
+	rng := rand.New(rand.NewSource(1))
+	out, err := RunCoLocationCampaign(rng, certain, h, "adversary", "mysql")
 	if err != nil {
 		t.Fatal(err)
 	}
-	victimHost, err := p.HostOf("mysql")
-	if err != nil {
-		t.Fatal(err)
+	if !out.Succeeded || out.Attempts != 1 {
+		t.Errorf("certain campaign: %+v, want success on the first attempt", out)
 	}
-	if advHost.ID != victimHost.ID {
-		t.Errorf("adversary on %q, victim on %q: not co-located", advHost.ID, victimHost.ID)
+	for _, id := range []string{"adversary", "mysql"} {
+		if _, err := h.VM(id); err != nil {
+			t.Errorf("%s not in the host's memory model: %v", id, err)
+		}
 	}
-	// Both VMs visible to the shared memory model.
-	if _, err := advHost.Mem.VM("adversary"); err != nil {
-		t.Errorf("adversary not in memory model: %v", err)
-	}
-	if _, err := advHost.Mem.VM("mysql"); err != nil {
-		t.Errorf("victim not in memory model: %v", err)
-	}
-	if err := p.CoLocate("adv2", "ghost", PrivateCloudVM(), 0); err == nil {
-		t.Error("co-location with unplaced target accepted")
-	}
-}
-
-func TestInstanceTypes(t *testing.T) {
-	if C3Large().VCPUs != 2 {
-		t.Error("c3.large should have 2 vCPUs")
-	}
-	if PrivateCloudVM().VCPUs != 1 {
-		t.Error("private VM should have 1 vCPU")
+	if _, err := RunCoLocationCampaign(rng, certain, h, "adversary", "mysql"); err == nil {
+		t.Error("duplicate adversary placed")
 	}
 }
 

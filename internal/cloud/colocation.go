@@ -3,6 +3,8 @@ package cloud
 import (
 	"fmt"
 	"math/rand"
+
+	"memca/internal/memmodel"
 )
 
 // CoLocationCampaignConfig models the adversary's placement step (Section
@@ -56,19 +58,19 @@ type CoLocationOutcome struct {
 }
 
 // RunCoLocationCampaign simulates the placement step: geometric trials at
-// the configured success probability. On success it actually places the
-// adversary VM next to the target on the platform.
+// the configured success probability. On success it places the adversary
+// VM on host, the target VM's host.
 //
 //memca:keep regenerates experiment E13, the co-location campaign (EXPERIMENTS.md)
-func (p *Platform) RunCoLocationCampaign(rng *rand.Rand, cfg CoLocationCampaignConfig, adversaryID, targetVMID string, instType InstanceType) (CoLocationOutcome, error) {
+func RunCoLocationCampaign(rng *rand.Rand, cfg CoLocationCampaignConfig, host *memmodel.Host, adversaryID, targetVMID string) (CoLocationOutcome, error) {
 	if rng == nil {
 		return CoLocationOutcome{}, fmt.Errorf("cloud: rng must not be nil")
 	}
 	if err := cfg.Validate(); err != nil {
 		return CoLocationOutcome{}, err
 	}
-	if _, ok := p.placements[targetVMID]; !ok {
-		return CoLocationOutcome{}, fmt.Errorf("cloud: target VM %q not placed", targetVMID)
+	if _, err := host.VM(targetVMID); err != nil {
+		return CoLocationOutcome{}, fmt.Errorf("cloud: campaign target: %w", err)
 	}
 	out := CoLocationOutcome{}
 	for {
@@ -85,7 +87,7 @@ func (p *Platform) RunCoLocationCampaign(rng *rand.Rand, cfg CoLocationCampaignC
 	if !out.Succeeded {
 		return out, nil
 	}
-	if err := p.CoLocate(adversaryID, targetVMID, instType, 0); err != nil {
+	if _, err := host.AddVM(memmodel.VM{ID: adversaryID}); err != nil {
 		return out, fmt.Errorf("cloud: campaign placement: %w", err)
 	}
 	return out, nil

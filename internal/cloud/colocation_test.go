@@ -7,44 +7,45 @@ import (
 	"memca/internal/memmodel"
 )
 
-func campaignPlatform(t *testing.T) *Platform {
+// campaignHost returns a host running the target VM "mysql".
+func campaignHost(t *testing.T) *memmodel.Host {
 	t.Helper()
-	p := NewPlatform()
-	if _, err := p.AddHost("host1", memmodel.XeonE5_2603v3()); err != nil {
+	h, err := memmodel.NewHost(memmodel.XeonE5_2603v3())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Place("mysql", "host1", C3Large(), 0); err != nil {
+	if _, err := h.AddVM(memmodel.VM{ID: "mysql"}); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return h
 }
 
 func TestCoLocationCampaignValidation(t *testing.T) {
-	p := campaignPlatform(t)
+	h := campaignHost(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := p.RunCoLocationCampaign(nil, DefaultCoLocationCampaign(), "adv", "mysql", PrivateCloudVM()); err == nil {
+	if _, err := RunCoLocationCampaign(nil, DefaultCoLocationCampaign(), h, "adv", "mysql"); err == nil {
 		t.Error("nil rng accepted")
 	}
 	bad := DefaultCoLocationCampaign()
 	bad.SuccessProbability = 0
-	if _, err := p.RunCoLocationCampaign(rng, bad, "adv", "mysql", PrivateCloudVM()); err == nil {
+	if _, err := RunCoLocationCampaign(rng, bad, h, "adv", "mysql"); err == nil {
 		t.Error("zero probability accepted")
 	}
 	bad = DefaultCoLocationCampaign()
 	bad.CostPerAttempt = -1
-	if _, err := p.RunCoLocationCampaign(rng, bad, "adv", "mysql", PrivateCloudVM()); err == nil {
+	if _, err := RunCoLocationCampaign(rng, bad, h, "adv", "mysql"); err == nil {
 		t.Error("negative cost accepted")
 	}
-	if _, err := p.RunCoLocationCampaign(rng, DefaultCoLocationCampaign(), "adv", "ghost", PrivateCloudVM()); err == nil {
+	if _, err := RunCoLocationCampaign(rng, DefaultCoLocationCampaign(), h, "adv", "ghost"); err == nil {
 		t.Error("unplaced target accepted")
 	}
 }
 
 func TestCoLocationCampaignSucceedsAndPlaces(t *testing.T) {
-	p := campaignPlatform(t)
+	h := campaignHost(t)
 	rng := rand.New(rand.NewSource(7))
 	cfg := DefaultCoLocationCampaign()
-	out, err := p.RunCoLocationCampaign(rng, cfg, "adv", "mysql", PrivateCloudVM())
+	out, err := RunCoLocationCampaign(rng, cfg, h, "adv", "mysql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +55,8 @@ func TestCoLocationCampaignSucceedsAndPlaces(t *testing.T) {
 	if out.Cost != float64(out.Attempts)*cfg.CostPerAttempt {
 		t.Errorf("cost %v for %d attempts at %v each", out.Cost, out.Attempts, cfg.CostPerAttempt)
 	}
-	advHost, err := p.HostOf("adv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if advHost.ID != "host1" {
-		t.Errorf("adversary on %q, want host1", advHost.ID)
+	if _, err := h.VM("adv"); err != nil {
+		t.Errorf("adversary not placed on the target's host: %v", err)
 	}
 }
 
@@ -72,14 +69,8 @@ func TestCoLocationCampaignCostMatchesPaperRange(t *testing.T) {
 	total := 0.0
 	const runs = 2000
 	for i := 0; i < runs; i++ {
-		p := NewPlatform()
-		if _, err := p.AddHost("h", memmodel.XeonE5_2603v3()); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Place("mysql", "h", C3Large(), 0); err != nil {
-			t.Fatal(err)
-		}
-		out, err := p.RunCoLocationCampaign(rng, cfg, "adv", "mysql", PrivateCloudVM())
+		h := campaignHost(t)
+		out, err := RunCoLocationCampaign(rng, cfg, h, "adv", "mysql")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,10 +87,10 @@ func TestCoLocationCampaignCostMatchesPaperRange(t *testing.T) {
 }
 
 func TestCoLocationCampaignBounded(t *testing.T) {
-	p := campaignPlatform(t)
+	h := campaignHost(t)
 	rng := rand.New(rand.NewSource(1))
 	cfg := CoLocationCampaignConfig{SuccessProbability: 1e-9, CostPerAttempt: 1, MaxAttempts: 5}
-	out, err := p.RunCoLocationCampaign(rng, cfg, "adv", "mysql", PrivateCloudVM())
+	out, err := RunCoLocationCampaign(rng, cfg, h, "adv", "mysql")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +100,7 @@ func TestCoLocationCampaignBounded(t *testing.T) {
 	if out.Attempts != 5 {
 		t.Errorf("attempts = %d, want capped 5", out.Attempts)
 	}
-	if _, err := p.HostOf("adv"); err == nil {
+	if _, err := h.VM("adv"); err == nil {
 		t.Error("failed campaign still placed the adversary")
 	}
 }

@@ -1,3 +1,7 @@
+// Package cloud models the IaaS side of the study: the adversary's
+// co-location campaign onto the victim's host, and a live Auto Scaling
+// group that grows a tier's fleet when the CloudWatch-style trigger fires
+// — the elasticity mechanism the MemCA attack is shown to bypass.
 package cloud
 
 import (
@@ -30,10 +34,9 @@ type ScalingGroupConfig struct {
 // of the offline monitor.AutoScaler analysis.
 type ScalingGroup struct {
 	cfg       ScalingGroupConfig
+	trigger   monitor.Trigger
 	instances int
 	running   bool
-	breaching int
-	cooldown  time.Duration
 	events    []monitor.ScaleEvent
 }
 
@@ -68,7 +71,7 @@ func NewScalingGroup(cfg ScalingGroupConfig) (*ScalingGroup, error) {
 		return nil, err
 	}
 	busy.KeepHistory()
-	return &ScalingGroup{cfg: cfg, instances: 1}, nil
+	return &ScalingGroup{cfg: cfg, trigger: monitor.NewTrigger(cfg.Trigger), instances: 1}, nil
 }
 
 // Instances returns the current fleet size (including booting instances).
@@ -113,19 +116,12 @@ func (g *ScalingGroup) evaluate() {
 	if err != nil {
 		panic(err) // tier validated at construction
 	}
-	if util > g.cfg.Trigger.Threshold {
-		g.breaching++
-	} else {
-		g.breaching = 0
-	}
-	if g.breaching < g.cfg.Trigger.ConsecutivePeriods || now < g.cooldown {
+	// A fleet at its cap never shrinks, so leaving the trigger uncommitted
+	// there changes no later decision.
+	if !g.trigger.Breached(now, util) || g.instances >= g.cfg.MaxInstances {
 		return
 	}
-	if g.instances >= g.cfg.MaxInstances {
-		return
-	}
-	g.breaching = 0
-	g.cooldown = now + g.cfg.Trigger.Cooldown
+	g.trigger.Fire(now)
 	g.instances++
 	g.events = append(g.events, monitor.ScaleEvent{At: now, Utilization: util})
 	target := float64(g.instances)

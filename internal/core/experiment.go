@@ -24,12 +24,14 @@ import (
 type Experiment struct {
 	// cfg.Arena is always set: the caller's arena, or one NewExperiment
 	// took from stats.GetArena (pooled), which Close gives back.
-	cfg      Config
-	pooled   bool
-	engine   *sim.Engine
-	platform *cloud.Platform
-	network  *queueing.Network
-	gen      *workload.Generator
+	cfg     Config
+	pooled  bool
+	engine  *sim.Engine
+	network *queueing.Network
+	gen     *workload.Generator
+	// victim is the MySQL VM's host: the one host a run models, which
+	// the adversary VMs share.
+	victim *memmodel.Host
 
 	// Attack-side components (nil without an AttackSpec).
 	injector *attack.MemoryInjector
@@ -38,7 +40,6 @@ type Experiment struct {
 	loop     *control.Loop
 	decideFn func() // decide, bound once so a decision allocates no closure
 	scaling  *cloud.ScalingGroup
-	victim   *cloud.HostNode
 
 	llcVictim    *monitor.PeriodicSampler
 	llcAdversary *monitor.PeriodicSampler
@@ -69,31 +70,18 @@ func newExperiment(cfg Config, retransmit queueing.RetransmitPolicy) (*Experimen
 	}
 	x.engine = cfg.Arena.Engine(cfg.Seed)
 
-	// Cloud platform: one dedicated host per tier (the paper's Figure 8
-	// topology), the web/app/db VMs placed on them, adversaries
-	// co-located with MySQL.
+	// The MySQL VM's host: the adversaries co-locate with it (wireAttack).
+	// The web and app tiers run on hosts of their own that nothing
+	// attacks, so they are not modelled.
 	hostCfg, err := cfg.Env.HostConfig()
 	if err != nil {
 		return nil, err
 	}
-	x.platform = cloud.NewPlatform()
-	for i, name := range tierNames {
-		if _, err := x.platform.AddHost(hostName(i), hostCfg); err != nil {
-			return nil, fmt.Errorf("core: adding host for %s: %w", name, err)
-		}
-	}
-	instType := cloud.C3Large()
-	if cfg.Env == EnvPrivateCloud {
-		instType = cloud.PrivateCloudVM()
-	}
-	for i, name := range tierNames {
-		if err := x.platform.Place(name, hostName(i), instType, 0); err != nil {
-			return nil, fmt.Errorf("core: placing %s: %w", name, err)
-		}
-	}
-	x.victim, err = x.platform.HostOf("mysql")
-	if err != nil {
+	if x.victim, err = memmodel.NewHost(hostCfg); err != nil {
 		return nil, err
+	}
+	if _, err := x.victim.AddVM(memmodel.VM{ID: "mysql"}); err != nil {
+		return nil, fmt.Errorf("core: placing mysql: %w", err)
 	}
 
 	// n-tier system and client population.
@@ -151,9 +139,9 @@ func newExperiment(cfg Config, retransmit queueing.RetransmitPolicy) (*Experimen
 	x.gen.RecordSeries(cfg.RecordSeries)
 
 	if cfg.Defense != nil {
-		x.victim.Mem.SetSplitLockProtection(cfg.Defense.SplitLockProtection)
+		x.victim.SetSplitLockProtection(cfg.Defense.SplitLockProtection)
 		if cfg.Defense.VictimReservationMBps > 0 {
-			if err := x.victim.Mem.ReserveBandwidth("mysql", cfg.Defense.VictimReservationMBps); err != nil {
+			if err := x.victim.ReserveBandwidth("mysql", cfg.Defense.VictimReservationMBps); err != nil {
 				return nil, fmt.Errorf("core: victim reservation: %w", err)
 			}
 		}
@@ -189,11 +177,6 @@ func newExperiment(cfg Config, retransmit queueing.RetransmitPolicy) (*Experimen
 	return x, nil
 }
 
-// hostName names the dedicated host of tier i. It avoids fmt: fmt's
-// printer pool refills after every GC, which would make the experiment's
-// allocation count depend on GC timing.
-func hostName(i int) string { return "host" + strconv.Itoa(i+1) }
-
 // victimTier is the bottleneck tier index (the back-most tier).
 func (x *Experiment) victimTier() int { return x.network.NumTiers() - 1 }
 
@@ -217,14 +200,17 @@ func tierLabels(tiers []queueing.TierConfig) []string {
 func (x *Experiment) wireAttack(spec AttackSpec) error {
 	adversaries := make([]string, 0, spec.AdversaryVMs)
 	for i := 0; i < spec.AdversaryVMs; i++ {
+		// strconv, not fmt: fmt's printer pool refills after every GC,
+		// which would make the experiment's allocation count depend on
+		// GC timing.
 		id := "adversary" + strconv.Itoa(i+1)
-		if err := x.platform.CoLocate(id, "mysql", cloud.PrivateCloudVM(), 0); err != nil {
+		if _, err := x.victim.AddVM(memmodel.VM{ID: id}); err != nil {
 			return fmt.Errorf("core: co-locating %s: %w", id, err)
 		}
 		adversaries = append(adversaries, id)
 	}
 	injector, err := attack.NewMemoryInjector(attack.MemoryInjectorConfig{
-		Host:         x.victim.Mem,
+		Host:         x.victim,
 		Kind:         spec.Kind,
 		AdversaryVMs: adversaries,
 		VictimVM:     "mysql",
@@ -266,7 +252,7 @@ func (x *Experiment) wireFeedback(cfg control.Config) error {
 }
 
 func (x *Experiment) wireLLCProfilers() error {
-	mem := x.victim.Mem
+	mem := x.victim
 	gauge := func(vmID string) func() float64 {
 		return func() float64 {
 			rate, err := mem.LLCMissRate(vmID)

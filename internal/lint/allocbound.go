@@ -91,74 +91,44 @@ func CollectEscapes(dir string, pkgs ...string) (map[string][]Escape, error) {
 		return nil, fmt.Errorf("lint: go build -gcflags=-m %v: %w\n%s", pkgs, err, out.String())
 	}
 	byPkg := ParseEscapes(out.String())
-	funcs := funcResolver{dir: dir, fset: token.NewFileSet(), files: map[string]*ast.File{}}
+	fset, files := token.NewFileSet(), map[string]*ast.File{}
 	for pkg, es := range byPkg {
-		for i := range es {
-			name, err := funcs.enclosingFunc(es[i], path.Base(pkg))
-			if err != nil {
-				return nil, err
+		for i, e := range es {
+			file := filepath.FromSlash(e.File)
+			if !filepath.IsAbs(file) {
+				file = filepath.Join(dir, file)
 			}
-			es[i].Func = name
+			f, ok := files[file]
+			if !ok {
+				var err error
+				if f, err = parser.ParseFile(fset, file, nil, parser.SkipObjectResolution); err != nil {
+					return nil, fmt.Errorf("lint: naming the function of an escape: %w", err)
+				}
+				files[file] = f
+			}
+			es[i].Func = enclosingFunc(fset, f, e.Line, path.Base(pkg))
 		}
 	}
 	return byPkg, nil
 }
 
-// funcResolver maps escape positions to their enclosing functions, parsing
-// each source file once.
-type funcResolver struct {
-	dir   string
-	fset  *token.FileSet
-	files map[string]*ast.File
-}
-
-// enclosingFunc names the top-level declaration holding e: "F" for a
-// function, "T.M" or "(*T).M" for a method (a closure counts as part of
-// the function it is written in), or the first name of a package-level
-// var. A body the compiler inlined from another package (pkgName is the
-// budgeted package's name) is qualified with its own package name, as in
+// enclosingFunc names the function declared in f around line: "F", or
+// "T.M" / "(*T).M" for a method. A closure counts toward the function it
+// is written in, and package-level initialization toward "init". A body
+// the compiler inlined from another package (pkgName is the budgeted
+// package's name) is qualified with its own package name, as in
 // "slices.Insert".
-func (r *funcResolver) enclosingFunc(e Escape, pkgName string) (string, error) {
-	file := filepath.FromSlash(e.File)
-	if !filepath.IsAbs(file) {
-		file = filepath.Join(r.dir, file)
-	}
-	f, ok := r.files[file]
-	if !ok {
-		var err error
-		if f, err = parser.ParseFile(r.fset, file, nil, parser.SkipObjectResolution); err != nil {
-			return "", fmt.Errorf("lint: resolving escape %s:%d: %w", e.File, e.Line, err)
-		}
-		r.files[file] = f
-	}
-	tf := r.fset.File(f.Pos())
-	if e.Line < 1 || e.Line > tf.LineCount() {
-		return "", fmt.Errorf("lint: escape %s:%d:%d lies outside the file", e.File, e.Line, e.Col)
-	}
-	pos := tf.LineStart(e.Line) + token.Pos(e.Col-1)
-	name := ""
+func enclosingFunc(fset *token.FileSet, f *ast.File, line int, pkgName string) string {
+	name := "init"
 	for _, d := range f.Decls {
-		if pos < d.Pos() || pos >= d.End() {
-			continue
+		if fd, ok := d.(*ast.FuncDecl); ok && fset.Position(fd.Pos()).Line <= line && line <= fset.Position(fd.End()).Line {
+			name = funcDeclName(fd)
 		}
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			name = funcDeclName(d)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok && pos >= vs.Pos() && pos < vs.End() {
-					name = vs.Names[0].Name
-				}
-			}
-		}
-	}
-	if name == "" {
-		return "", fmt.Errorf("lint: escape %s:%d:%d has no enclosing declaration", e.File, e.Line, e.Col)
 	}
 	if f.Name.Name != pkgName {
 		name = f.Name.Name + "." + name
 	}
-	return name, nil
+	return name
 }
 
 // funcDeclName renders a function or method name with its receiver type,

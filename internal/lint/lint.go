@@ -56,7 +56,6 @@ func (d Diagnostic) String() string {
 // under the go test harness with its own timeouts and failure reporting.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Syntax     []*ast.File
 	Types      *types.Package

@@ -22,7 +22,6 @@ type listedPackage struct {
 	Name       string
 	GoFiles    []string
 	Export     string
-	Incomplete bool
 }
 
 // Load enumerates the packages matching the go-list patterns (relative to
@@ -96,7 +95,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, t listedPackage) (*Pa
 	}
 	return &Package{
 		ImportPath: t.ImportPath,
-		Dir:        t.Dir,
 		Fset:       fset,
 		Syntax:     files,
 		Types:      tpkg,

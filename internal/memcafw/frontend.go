@@ -32,10 +32,9 @@ type Frontend struct {
 	cfg      FrontendConfig
 	listener net.Listener
 
-	mu      sync.Mutex
-	params  ParamsMsg
-	running bool
-	bursts  int
+	mu     sync.Mutex
+	params ParamsMsg
+	bursts int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -139,10 +138,6 @@ func (f *Frontend) handle(c *conn) {
 	// closing the raw connection is the only way out of a blocked recv.
 	stopWatch := context.AfterFunc(sessionCtx, func() { _ = c.raw.Close() })
 	defer stopWatch()
-
-	f.mu.Lock()
-	f.running = true
-	f.mu.Unlock()
 
 	reports := make(chan BurstReport)
 	wg.Add(1)

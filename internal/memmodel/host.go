@@ -68,8 +68,6 @@ type HostConfig struct {
 	Packages int
 	// CoresPerPackage bounds how many single-vCPU VMs a package hosts.
 	CoresPerPackage int
-	// LLCPerPackageMB is the last-level cache per package in MiB.
-	LLCPerPackageMB float64
 	// BusBandwidthMBps is the measured per-package memory bus capacity in
 	// MB/s (aggregate across channels, as a streaming benchmark sees it).
 	BusBandwidthMBps float64
@@ -134,7 +132,6 @@ func XeonE5_2603v3() HostConfig {
 	return HostConfig{
 		Packages:               2,
 		CoresPerPackage:        6,
-		LLCPerPackageMB:        15,
 		BusBandwidthMBps:       17000,
 		SingleCoreDemandMBps:   9000,
 		ContentionOverhead:     0.03,
@@ -153,7 +150,6 @@ func XeonE5_2603v3() HostConfig {
 func EC2DedicatedHost() HostConfig {
 	cfg := XeonE5_2603v3()
 	cfg.CoresPerPackage = 10
-	cfg.LLCPerPackageMB = 25
 	cfg.BusBandwidthMBps = 25000
 	cfg.SingleCoreDemandMBps = 11000
 	return cfg

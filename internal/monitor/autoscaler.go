@@ -90,20 +90,48 @@ func (a *AutoScaler) Evaluate(source UtilizationSource, horizon time.Duration) (
 // EvaluateBuckets applies the trigger to pre-sampled periods.
 func (a *AutoScaler) EvaluateBuckets(buckets []stats.Bucket) []ScaleEvent {
 	var events []ScaleEvent
-	breaching := 0
-	var cooldownUntil time.Duration
+	trigger := NewTrigger(a.cfg)
 	for _, b := range buckets {
 		end := b.Start + a.cfg.Period
-		if b.Mean > a.cfg.Threshold {
-			breaching++
-		} else {
-			breaching = 0
-		}
-		if breaching >= a.cfg.ConsecutivePeriods && end >= cooldownUntil {
+		if trigger.Breached(end, b.Mean) {
+			trigger.Fire(end)
 			events = append(events, ScaleEvent{At: end, Utilization: b.Mean})
-			breaching = 0
-			cooldownUntil = end + a.cfg.Cooldown
 		}
 	}
 	return events
+}
+
+// Trigger is the scale-out rule both the offline AutoScaler and the live
+// cloud.ScalingGroup step, one evaluation period at a time: it fires once
+// ConsecutivePeriods periods in a row breach the threshold, unless the
+// cooldown after the last scale-out is still running.
+type Trigger struct {
+	cfg       AutoScalerConfig
+	breaching int
+	// quietUntil is the end of the cooldown; a period ending earlier
+	// never fires.
+	quietUntil time.Duration
+}
+
+// NewTrigger returns a trigger with no breaching period booked. cfg must
+// be valid.
+func NewTrigger(cfg AutoScalerConfig) Trigger { return Trigger{cfg: cfg} }
+
+// Breached books the period ending at end, whose average utilization was
+// util, and reports whether a scale-out should fire now. It commits
+// nothing: a caller that acts calls Fire.
+func (t *Trigger) Breached(end time.Duration, util float64) bool {
+	if util > t.cfg.Threshold {
+		t.breaching++
+	} else {
+		t.breaching = 0
+	}
+	return t.breaching >= t.cfg.ConsecutivePeriods && end >= t.quietUntil
+}
+
+// Fire commits a scale-out at end: the breach count restarts and the
+// cooldown begins.
+func (t *Trigger) Fire(end time.Duration) {
+	t.breaching = 0
+	t.quietUntil = end + t.cfg.Cooldown
 }

@@ -24,7 +24,6 @@ type Network struct {
 	// nil observer costs one predictable branch per lifecycle point.
 	obs Observer
 
-	nextID uint64
 	// nextTraceID assigns trace identities to first attempts; IDs start
 	// at 1 so zero always means "unset".
 	nextTraceID uint64
@@ -169,13 +168,11 @@ func (n *Network) Submit(opts SubmitOpts) (*Request, error) {
 func (n *Network) submit(opts SubmitOpts) *Request {
 	now := n.engine.Now()
 	req := n.getRequest(n.cfg.Classes[opts.Class].Depth)
-	req.ID = n.nextID
 	req.Class = opts.Class
 	req.Submit = now
 	req.UserData = opts.UserData
 	req.onComplete = opts.OnComplete
 	req.client = opts.client
-	n.nextID++
 	if r := opts.resend; r != nil {
 		req.FirstAttempt = r.first
 		req.Attempt = int(r.attempt)

@@ -11,8 +11,6 @@ import "time"
 // not retain the pointer. The value returned by Submit is likewise only
 // valid until the next Submit on the same network.
 type Request struct {
-	// ID is unique per network, in submission order.
-	ID uint64
 	// TraceID links the attempts of one logical client request into a
 	// single causal trace: Submit assigns a fresh ID to a first attempt,
 	// and a Client's retransmission carries the dropped attempt's ID, so
@@ -59,7 +57,6 @@ type Request struct {
 // slices are resized to depth+1 and zeroed (a recycled request must never
 // leak a prior run's timestamps into latency stats).
 func (r *Request) reset(depth int) {
-	r.ID = 0
 	r.TraceID = 0
 	r.TraceSlot = -1
 	r.Class = 0

@@ -54,7 +54,6 @@ type Event struct {
 	e   *Engine
 	id  int32
 	gen uint32
-	at  time.Duration
 }
 
 // Cancel prevents the event's callback from running. Canceling an event
@@ -249,7 +248,7 @@ func (e *Engine) push(t time.Duration, fn func(), actor Actor, arg any) Event {
 	e.seq++
 	e.pending++
 	e.link(id)
-	return Event{e: e, id: id, gen: s.gen, at: t}
+	return Event{e: e, id: id, gen: s.gen}
 }
 
 // link files slot id into the bucket its time selects relative to last.
