@@ -9,7 +9,8 @@
 //	memca-bench -fig fig2              # only Figure 2
 //	memca-bench -fig 'ablation-*'      # every ablation sweep
 //	memca-bench -quick                 # ~4x shorter horizons (smoke run)
-//	memca-bench -fig fig7 -shards 2    # Figure 7 over 2 worker processes
+//
+// Sharded runs over worker processes are memca-sweep's (plan, then run).
 package main
 
 import (
@@ -32,17 +33,12 @@ func main() {
 }
 
 func run() error {
-	if worker, err := maybeRunWorker(); worker {
-		return err
-	}
 	var (
-		fig         = flag.String("fig", "all", "figure driver to regenerate: a name, a pattern such as 'ablation-*', or all (drivers: "+strings.Join(figures.DistDrivers(), ", ")+")")
-		out         = flag.String("out", "out", "output directory for CSV artifacts")
-		quick       = flag.Bool("quick", false, "shorter horizons for a smoke run")
-		seed        = flag.Int64("seed", 1, "simulation seed")
-		parallel    = flag.Int("parallel", runtime.NumCPU(), "worker count for a driver's independent runs (1 = serial; artifacts are identical either way)")
-		shards      = flag.Int("shards", 1, "run each -fig driver sharded over this many worker subprocesses (artifacts are byte-identical to -shards 1)")
-		manifestOut = flag.String("manifest-out", "", "write dsweep manifests for -fig into this directory and exit (run them with memca-sweep)")
+		fig      = flag.String("fig", "all", "figure driver to regenerate: a name, a pattern such as 'ablation-*', or all (drivers: "+strings.Join(figures.DistDrivers(), ", ")+")")
+		out      = flag.String("out", "out", "output directory for CSV artifacts")
+		quick    = flag.Bool("quick", false, "shorter horizons for a smoke run")
+		seed     = flag.Int64("seed", 1, "simulation seed")
+		parallel = flag.Int("parallel", runtime.NumCPU(), "worker count for a driver's independent runs (1 = serial; artifacts are identical either way)")
 	)
 	flag.Parse()
 
@@ -51,9 +47,6 @@ func run() error {
 		return err
 	}
 	opts := figures.Options{OutDir: *out, Quick: *quick, Seed: *seed, Parallel: *parallel}
-	if *shards > 1 || *manifestOut != "" {
-		return runDistributedBench(drivers, opts, *shards, *manifestOut)
-	}
 	opts.Progress = func(done, total int) {
 		fmt.Fprintf(os.Stderr, "    run %d/%d\n", done, total)
 	}

@@ -72,7 +72,7 @@ func cmdPlan(args []string) error {
 		seed      = fs.Int64("seed", 1, "simulation seed")
 		quick     = fs.Bool("quick", false, "shorter horizons for a smoke run")
 		out       = fs.String("out", "out", "output directory for the figure's CSV artifacts")
-		artifacts = fs.String("artifacts", "", "directory for shard artifacts and checkpoints (default: <manifest dir>/artifacts)")
+		artifacts = fs.String("artifacts", "", "directory for shard artifacts (default: <manifest dir>/artifacts)")
 		fsync     = fs.Int("fsync-every", dsweep.DefaultFsyncEvery, "checkpoint batch: fsync after this many records")
 		manifest  = fs.String("manifest", "manifest.json", "manifest file to write")
 	)
@@ -122,7 +122,6 @@ func cmdRun(args []string) error {
 	var (
 		manifest = fs.String("manifest", "manifest.json", "manifest file")
 		retries  = fs.Int("retries", 1, "respawns per dead shard before giving up")
-		poll     = fs.Duration("poll", 2*time.Second, "progress-report interval")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,7 +134,6 @@ func cmdRun(args []string) error {
 		Manifest: m,
 		Worker:   func(shard int) (*exec.Cmd, error) { return selfWorker(*manifest, shard, -1) },
 		Retries:  *retries,
-		Poll:     *poll,
 		Log:      os.Stderr,
 	})
 	if err != nil {
@@ -180,26 +178,26 @@ func cmdStatus(args []string) error {
 	if err != nil {
 		return err
 	}
-	progress, err := dsweep.Status(m)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("driver %s: %d jobs over %d shards (hash %.12s)\n", m.Figure, m.Jobs, m.Shards, m.Hash)
 	done := 0
-	for _, p := range progress {
-		done += p.Done
+	for s := 0; s < m.Shards; s++ {
+		// The artifact is the only progress record; its age is the time
+		// since the shard's last record, not proof that a worker lives.
+		state, err := dsweep.RecoverShard(m, s)
+		if err != nil {
+			return err
+		}
+		done += state.Done
 		age := "-"
-		if p.FromCheckpoint {
-			if info, err := os.Stat(p.CheckpointPath); err == nil {
-				age = time.Since(info.ModTime()).Round(time.Second).String()
-			}
+		if info, err := os.Stat(m.ShardArtifactPath(s)); err == nil {
+			age = time.Since(info.ModTime()).Round(time.Second).String()
 		}
-		state := "running"
-		if p.Done == p.Total {
-			state = "complete"
+		word := "incomplete" // missing records, or a torn tail to repair
+		if state.Complete() && state.Clean() {
+			word = "complete"
 		}
-		fmt.Printf("  shard %d: %d/%d %-9s last index %d, checkpoint age %s\n",
-			p.Shard, p.Done, p.Total, state, p.LastIndex, age)
+		fmt.Printf("  shard %d: %d/%d %-10s last index %d, artifact age %s\n",
+			s, state.Done, len(state.Indices), word, state.LastIndex(), age)
 	}
 	fmt.Printf("total: %d/%d jobs\n", done, m.Jobs)
 	return nil

@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"time"
 
 	"memca/internal/dsweep"
 	"memca/internal/dsweep/coord"
@@ -77,8 +76,7 @@ func cmdSmoke(args []string) error {
 			}
 			return selfWorker(manifestPath, shard, crash)
 		},
-		Poll: time.Second,
-		Log:  os.Stderr,
+		Log: os.Stderr,
 	})
 	if err == nil {
 		return fmt.Errorf("smoke: round 1 succeeded despite the killed worker")
@@ -87,8 +85,8 @@ func cmdSmoke(args []string) error {
 	if _, err := os.Stat(m.MergedPath()); !os.IsNotExist(err) {
 		return fmt.Errorf("smoke: merged artifact exists after the failed round (stat: %v)", err)
 	}
-	if p, err := dsweep.Status(m); err != nil || p[0].Done != 1 {
-		return fmt.Errorf("smoke: killed shard 0 must hold exactly 1 durable record (status %+v, %v)", p, err)
+	if state, err := dsweep.RecoverShard(m, 0); err != nil || state.Done != 1 {
+		return fmt.Errorf("smoke: killed shard 0 must hold exactly 1 durable record (recovery error: %v)", err)
 	}
 
 	// Round 2: resume. Complete shards are skipped, the killed shard picks
@@ -97,7 +95,6 @@ func cmdSmoke(args []string) error {
 	err = coord.Run(context.Background(), coord.Options{
 		Manifest: m,
 		Worker:   func(shard int) (*exec.Cmd, error) { return selfWorker(manifestPath, shard, -1) },
-		Poll:     time.Second,
 		Log:      os.Stderr,
 	})
 	if err != nil {

@@ -262,8 +262,7 @@ func (w *shardWriter) append(payload []byte) error {
 	return nil
 }
 
-// checkpoint makes the appended records durable and refreshes the
-// progress sidecar.
+// checkpoint makes the appended records durable.
 func (w *shardWriter) checkpoint() error {
 	if w.sinceSync == 0 {
 		return nil
@@ -272,7 +271,7 @@ func (w *shardWriter) checkpoint() error {
 		return fmt.Errorf("dsweep: syncing shard %d artifact: %w", w.state.Shard, err)
 	}
 	w.sinceSync = 0
-	return writeCheckpoint(w.m, w.state)
+	return nil
 }
 
 // Close flushes a final checkpoint and closes the artifact.

@@ -1,12 +1,14 @@
 // Package coord is the process-orchestration half of the distributed
-// sweep fabric: it spawns one worker subprocess per shard, watches their
-// checkpoint sidecars on the wall clock, retries shards whose workers
-// die, and merges the shard artifacts once every shard is complete.
+// sweep fabric: it spawns one worker subprocess per shard, retries shards
+// whose workers die, and merges the shard artifacts once every shard is
+// complete. Each worker reports its own progress; the shard artifact is
+// the only progress record.
 //
 // Everything that determines results — shard math, record framing,
 // recovery, merging — lives in internal/dsweep and never touches the
-// clock; this package only decides when to look and whether to respawn,
-// which is why it (alone) sits on the wall-clock side of the boundary.
+// clock; this package only runs processes and decides whether to
+// respawn, which is why it (alone) sits on the wall-clock side of the
+// boundary.
 package coord
 
 import (
@@ -14,11 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"os/exec"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"memca/internal/dsweep"
 )
@@ -36,8 +37,6 @@ type Options struct {
 	// the run gives up on it. Respawned workers resume from the shard's
 	// durable checkpoint, so a retry never repeats completed work.
 	Retries int
-	// Poll is the progress-monitoring interval (0 = 500ms).
-	Poll time.Duration
 	// Log, when non-nil, receives human-readable progress lines. Run
 	// serializes its writes, so Log need not be safe for concurrent use.
 	Log io.Writer
@@ -45,10 +44,10 @@ type Options struct {
 
 // Run coordinates a full distributed sweep: it recovers every shard's
 // durable state, spawns workers only for incomplete shards (so a rerun
-// after a kill is automatically a resume), monitors their checkpoints,
-// retries dead workers up to Retries times, and — once every shard is
-// complete — merges the artifacts into the manifest's merged file. The
-// merge is not reached unless every shard succeeded.
+// after a kill is automatically a resume), retries dead workers up to
+// Retries times, and — once every shard is complete — merges the
+// artifacts into the manifest's merged file. The merge is not reached
+// unless every shard succeeded.
 func Run(ctx context.Context, o Options) error {
 	m := o.Manifest
 	if m == nil {
@@ -60,12 +59,8 @@ func Run(ctx context.Context, o Options) error {
 	if o.Worker == nil {
 		return fmt.Errorf("coord: options need a worker command builder")
 	}
-	poll := o.Poll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
 	if o.Log != nil {
-		// Shard workers and the progress monitor log concurrently.
+		// The per-shard goroutines log concurrently.
 		o.Log = &lockedWriter{w: o.Log}
 	}
 
@@ -76,7 +71,6 @@ func Run(ctx context.Context, o Options) error {
 	if len(pending) > 0 {
 		o.logf("coord: %d/%d shards incomplete, spawning workers", len(pending), m.Shards)
 
-		parent := ctx
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
@@ -92,25 +86,7 @@ func Run(ctx context.Context, o Options) error {
 				}
 			}(k, shard)
 		}
-
-		monitorDone := make(chan struct{})
-		go func() {
-			defer close(monitorDone)
-			ticker := time.NewTicker(poll)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-ticker.C:
-					o.logf("coord: %s", progressLine(m))
-				}
-			}
-		}()
-
 		wg.Wait()
-		cancel()
-		<-monitorDone
 		// Prefer the shard failure that caused the cancellation over the
 		// context.Canceled its siblings died with.
 		var firstErr error
@@ -125,7 +101,7 @@ func Run(ctx context.Context, o Options) error {
 		if firstErr != nil {
 			return firstErr
 		}
-		if err := parent.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
@@ -188,7 +164,9 @@ func runCmd(ctx context.Context, cmd *exec.Cmd) error {
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		if err := cmd.Process.Kill(); err != nil {
+		// A worker that exited as ctx was canceled is already reaped, and
+		// Kill reports ErrProcessDone: a normal exit, not a kill failure.
+		if err := cmd.Process.Kill(); err != nil && !errors.Is(err, os.ErrProcessDone) {
 			return fmt.Errorf("coord: killing worker after cancel: %w", err)
 		}
 		<-done
@@ -209,24 +187,7 @@ func incompleteShards(m *dsweep.Manifest) ([]int, error) {
 			pending = append(pending, s)
 		}
 	}
-	sort.Ints(pending)
 	return pending, nil
-}
-
-// progressLine renders a one-line status summary from the checkpoints.
-func progressLine(m *dsweep.Manifest) string {
-	progress, err := dsweep.Status(m)
-	if err != nil {
-		return fmt.Sprintf("status unavailable: %v", err)
-	}
-	done, total := 0, 0
-	parts := make([]string, 0, len(progress))
-	for _, p := range progress {
-		done += p.Done
-		total += p.Total
-		parts = append(parts, fmt.Sprintf("s%d %d/%d", p.Shard, p.Done, p.Total))
-	}
-	return fmt.Sprintf("%d/%d jobs (%s)", done, total, strings.Join(parts, ", "))
 }
 
 // lockedWriter serializes writes to a log sink that need not be safe

@@ -301,38 +301,32 @@ func TestIncompleteShardRefusesMerge(t *testing.T) {
 	}
 }
 
-// TestStatusProgress pins the status surface: sidecar-backed progress
-// after runs, artifact-scan fallback when the sidecar is gone, and empty
-// shards reported as 0/0.
+// TestStatusProgress pins the status surface: the shard artifact is the
+// only progress record, so after a clean run RecoverShard reports every
+// shard complete and clean at its full size, and an empty shard as 0/0.
 func TestStatusProgress(t *testing.T) {
 	m := testManifest(t, 5, 3, 1) // shard 2 owns index 2 only; sizes 2,2,1
 	runAllShards(t, m)
-	progress, err := Status(m)
-	if err != nil {
-		t.Fatalf("Status: %v", err)
-	}
-	if len(progress) != 3 {
-		t.Fatalf("Status returned %d shards", len(progress))
-	}
-	for _, p := range progress {
-		want := sweep.ShardSize(m.Jobs, m.Shards, p.Shard)
-		if p.Done != want || p.Total != want {
-			t.Errorf("shard %d: %d/%d, want %d/%d", p.Shard, p.Done, p.Total, want, want)
+	for s := 0; s < m.Shards; s++ {
+		state, err := RecoverShard(m, s)
+		if err != nil {
+			t.Fatalf("RecoverShard(%d): %v", s, err)
 		}
-		if !p.FromCheckpoint {
-			t.Errorf("shard %d progress not from checkpoint after a clean run", p.Shard)
+		want := sweep.ShardSize(m.Jobs, m.Shards, s)
+		if state.Done != want || len(state.Indices) != want || !state.Complete() || !state.Clean() {
+			t.Errorf("shard %d: %d/%d complete=%v clean=%v, want %d/%d complete and clean",
+				s, state.Done, len(state.Indices), state.Complete(), state.Clean(), want, want)
 		}
 	}
-	// Remove a sidecar: the artifact scan must agree.
-	if err := os.Remove(m.CheckpointPath(0)); err != nil {
-		t.Fatalf("removing checkpoint: %v", err)
-	}
-	progress, err = Status(m)
+	empty := testManifest(t, 2, 4, 1) // shards 2 and 3 own no jobs
+	runAllShards(t, empty)
+	state, err := RecoverShard(empty, 3)
 	if err != nil {
-		t.Fatalf("Status after sidecar removal: %v", err)
+		t.Fatalf("RecoverShard of the empty shard: %v", err)
 	}
-	if progress[0].FromCheckpoint || progress[0].Done != progress[0].Total {
-		t.Errorf("artifact-scan fallback wrong: %+v", progress[0])
+	if state.Done != 0 || len(state.Indices) != 0 || !state.Complete() || !state.Clean() {
+		t.Errorf("empty shard: %d/%d complete=%v clean=%v, want 0/0 complete and clean",
+			state.Done, len(state.Indices), state.Complete(), state.Clean())
 	}
 }
 

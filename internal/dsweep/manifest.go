@@ -22,8 +22,8 @@
 // Everything here is deterministic — shard math, record framing, hashing,
 // merging — and never reads the wall clock or any RNG; the package sits
 // on the simulated side of the clock boundary like internal/sweep itself.
-// Process orchestration (spawning workers, monitoring their checkpoints
-// on real time, retrying dead shards) lives in dsweep/coord.
+// Process orchestration (spawning workers on real time, retrying dead
+// shards) lives in dsweep/coord.
 package dsweep
 
 import (
@@ -71,8 +71,7 @@ type Manifest struct {
 	// OutDir receives the figure's CSV artifacts at finalize time; only
 	// the merge/finalize step writes there, never the workers.
 	OutDir string `json:"out_dir"`
-	// ArtifactDir holds the per-shard artifact, checkpoint, and merged
-	// files.
+	// ArtifactDir holds the per-shard artifacts and the merged file.
 	ArtifactDir string `json:"artifact_dir"`
 	// FsyncEvery is the checkpoint batch size in records (>= 1).
 	FsyncEvery int `json:"fsync_every"`
@@ -162,12 +161,6 @@ func LoadManifest(path string) (*Manifest, error) {
 // ShardArtifactPath returns the shard's record artifact file.
 func (m *Manifest) ShardArtifactPath(shard int) string {
 	return filepath.Join(m.ArtifactDir, fmt.Sprintf("shard-%04d.rec", shard))
-}
-
-// CheckpointPath returns the shard's progress sidecar file. The sidecar
-// is monitoring state only — recovery truth lives in the artifact itself.
-func (m *Manifest) CheckpointPath(shard int) string {
-	return filepath.Join(m.ArtifactDir, fmt.Sprintf("shard-%04d.ckpt", shard))
 }
 
 // MergedPath returns the merged artifact file.

@@ -94,6 +94,9 @@ func CollectEscapes(dir string, pkgs ...string) (map[string][]Escape, error) {
 	fset, files := token.NewFileSet(), map[string]*ast.File{}
 	for pkg, es := range byPkg {
 		for i, e := range es {
+			if e.Func != "" {
+				continue // a compiler-generated wrapper has no source
+			}
 			file := filepath.FromSlash(e.File)
 			if !filepath.IsAbs(file) {
 				file = filepath.Join(dir, file)
@@ -161,7 +164,7 @@ func funcDeclName(d *ast.FuncDecl) string {
 // form "file.go:line:col: <what> escapes to heap" (or "moved to heap:
 // <what>"). Inlining and parameter-leak chatter is ignored: only messages
 // that mean "this allocation lands on the heap" are budgeted. Func is left
-// empty; CollectEscapes fills it in.
+// empty except in compiler wrappers; CollectEscapes fills in the rest.
 func ParseEscapes(output string) map[string][]Escape {
 	byPkg := make(map[string][]Escape)
 	pkg := ""
@@ -185,11 +188,25 @@ func ParseEscapes(output string) map[string][]Escape {
 	return byPkg
 }
 
-// parseEscapeLine splits "file:line:col: message" into an Escape.
+// autogenerated is the compiler's file name for the wrappers it writes,
+// such as the pointer-receiver wrapper of a value method.
+const autogenerated = "<autogenerated>"
+
+// parseEscapeLine splits "file:line:col: message" into an Escape. A
+// compiler-generated wrapper's "<autogenerated>:line: message" has no
+// column and no source, so its Func is "<autogenerated>".
 func parseEscapeLine(line string) (Escape, bool) {
+	rest := strings.TrimSpace(line)
+	if gen, ok := strings.CutPrefix(rest, autogenerated+":"); ok {
+		lineNo, msg, ok := strings.Cut(gen, ":")
+		n, err := strconv.Atoi(lineNo)
+		if !ok || err != nil {
+			return Escape{}, false
+		}
+		return Escape{File: autogenerated, Line: n, Func: autogenerated, Message: strings.TrimSpace(msg)}, true
+	}
 	// The message itself may contain colons (type literals), so split the
 	// position prefix field by field from the left.
-	rest := strings.TrimSpace(line)
 	parts := strings.SplitN(rest, ":", 4)
 	if len(parts) != 4 {
 		return Escape{}, false

@@ -79,8 +79,8 @@ func DefaultConfig() *Config {
 			// wall-clock side of the boundary (SimPath entries are exact,
 			// so the parent package stays under the contract).
 			"memca/internal/telemetry/live",
-			// The worker-process coordinator polls checkpoint files and
-			// retries dead shards on real time; everything that determines
+			// The worker-process coordinator spawns workers and retries
+			// dead shards on real time; everything that determines
 			// results stays in the sim-path internal/dsweep (SimPath
 			// entries are exact, so the parent stays under the contract).
 			"memca/internal/dsweep/coord",
