@@ -79,7 +79,8 @@ func LookupDist(name string) (DistDriver, bool) {
 // newRun builds a driver's DistRun from a typed job and finalizer. Job
 // returns a plain value record, which the record codec (record.go)
 // encodes before the arena is reset (so anything read from live
-// experiment state must be copied into the record inside the job); the
+// experiment state must be copied into the record inside the job) into a
+// scratch buffer the job's arena keeps, and returns an exact-size copy; the
 // finalizer sees the records decoded and in index order. A record stream
 // of the wrong length or with an undecodable record is rejected before
 // the finalizer runs, so a bad merged artifact is an error, never a
@@ -95,7 +96,15 @@ func newRun[R any](jobs int, job func(a *stats.Arena, i int) (R, error), finaliz
 			if err != nil {
 				return nil, err
 			}
-			return encodeRecord(rec)
+			buf := a.Keep(recordBufKey{}, func() stats.Recycler { return &recordBuf{} }).(*recordBuf)
+			b, err := appendRecord(buf.b[:0], rec)
+			if err != nil {
+				return nil, err
+			}
+			buf.b = b
+			out := make([]byte, len(b))
+			copy(out, b)
+			return out, nil
 		},
 		Finalize: func(payloads [][]byte) (any, string, error) {
 			if len(payloads) != jobs {
@@ -111,6 +120,16 @@ func newRun[R any](jobs int, job func(a *stats.Arena, i int) (R, error), finaliz
 		},
 	}
 }
+
+// recordBuf is the record encoder's scratch buffer, kept in a job's arena
+// so its capacity carries over to the arena's next job.
+type recordBuf struct{ b []byte }
+
+// recordBufKey keys the recordBuf in an arena.
+type recordBufKey struct{}
+
+// Recycle keeps the buffer: its bytes are dead once Job has copied them.
+func (*recordBuf) Recycle() {}
 
 // RunLocal executes a registered driver fully in-process and returns its
 // result and human summary. This is the one place jobs fan out: over the

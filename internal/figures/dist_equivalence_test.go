@@ -266,7 +266,7 @@ func TestDistFinalizeRejectsBadRecords(t *testing.T) {
 		}
 		return payloads
 	}
-	fig2NoTiers, err := encodeRecord(fig2Record{})
+	fig2NoTiers, err := appendRecord(nil, fig2Record{})
 	if err != nil {
 		t.Fatal(err)
 	}

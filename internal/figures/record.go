@@ -70,17 +70,17 @@ func codecFor(t reflect.Type) (*recordCodec, error) {
 	return e.c, e.err
 }
 
-// encodeRecord encodes one job record.
-func encodeRecord[R any](rec R) ([]byte, error) {
+// appendRecord appends the encoding of one job record to b.
+func appendRecord[R any](b []byte, rec R) ([]byte, error) {
 	c, err := codecFor(reflect.TypeFor[R]())
 	if err != nil {
 		return nil, err
 	}
-	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 256), c.fingerprint)
+	b = binary.LittleEndian.AppendUint64(b, c.fingerprint)
 	return c.enc(b, reflect.ValueOf(&rec).Elem()), nil
 }
 
-// decodeRecord is encodeRecord's inverse.
+// decodeRecord is appendRecord's inverse.
 func decodeRecord[R any](data []byte, rec *R) error {
 	c, err := codecFor(reflect.TypeFor[R]())
 	if err != nil {

@@ -112,7 +112,7 @@ func FuzzRecordCodec(f *testing.F) {
 	f.Add(false, int64(math.MinInt64), math.Inf(-1), "x", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, flag bool, i int64, fl float64, s string, data []byte) {
 		want := probeFrom(flag, i, fl, s, data)
-		enc, err := encodeRecord(want)
+		enc, err := appendRecord(nil, want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +173,8 @@ func TestRecordCodecRejects(t *testing.T) {
 			t.Errorf("codec for %v: got %v, want an errRecordType containing %q", tc.t, err, tc.want)
 		}
 	}
-	if _, err := encodeRecord(withMap{}); err == nil {
-		t.Errorf("encodeRecord accepted a record with a map")
+	if _, err := appendRecord(nil, withMap{}); err == nil {
+		t.Errorf("appendRecord accepted a record with a map")
 	}
 
 	// Positional decoding must not read a record of another layout, even
@@ -191,7 +191,7 @@ func TestRecordCodecRejects(t *testing.T) {
 		B int
 		A int
 	}
-	enc, err := encodeRecord(written{A: 1, B: 2})
+	enc, err := appendRecord(nil, written{A: 1, B: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

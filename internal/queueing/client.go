@@ -16,10 +16,9 @@ import (
 // generator and the feedback probe all submit through it.
 //
 // Each retransmission and each abandonment reaches the network's Observer
-// as SpanRetransmit and SpanAbandon. Pending retries are records from a
-// pool the network's clients share, riding the engine's Actor path, so
-// the drop → retransmit → resubmit cycle allocates nothing in steady
-// state.
+// as SpanRetransmit and SpanAbandon. Pending retries are records from the
+// network's pool, riding the engine's Actor path, so the drop →
+// retransmit → resubmit cycle allocates nothing in steady state.
 type Client struct {
 	network *Network
 	engine  *sim.Engine
@@ -49,34 +48,6 @@ type retry struct {
 	class   int32
 	attempt int32
 	slot    int32
-	// next links the network's free records.
-	next *retry
-}
-
-// getRetry checks a record out of the network's retry pool. An empty
-// pool is refilled with a block as large as the pool so far, from 8 up
-// to 64 records: a network that rarely drops holds few records, and a
-// busy one's cold-start ramp costs one allocation per 64 records.
-func (n *Network) getRetry() *retry {
-	if n.freeRetries == nil {
-		k := min(max(n.retries, 8), 64)
-		recs := make([]retry, k)
-		for i := range recs[:k-1] {
-			recs[i].next = &recs[i+1]
-		}
-		n.freeRetries = &recs[0]
-		n.retries += k
-	}
-	r := n.freeRetries
-	n.freeRetries = r.next
-	return r
-}
-
-// putRetry returns a record to the network's retry pool.
-func (n *Network) putRetry(r *retry) {
-	r.data = nil
-	r.next = n.freeRetries
-	n.freeRetries = r
 }
 
 // NewClient binds a client to a network, whose Config.Retransmit governs
@@ -121,7 +92,7 @@ func (c *Client) drop(req *Request) {
 	}
 	c.retrans++
 	rto := c.policy.RTO(next)
-	r := c.network.getRetry()
+	r := c.network.pool.getRetry()
 	*r = retry{first: req.FirstAttempt, traceID: req.TraceID, data: req.UserData, class: int32(req.Class), attempt: int32(next), slot: req.TraceSlot}
 	req.Attempt, req.Submit = next, c.engine.Now()+rto
 	c.network.observe(req, SpanRetransmit, -1)
@@ -141,7 +112,7 @@ func (c *Client) Act(arg any) {
 	} else {
 		c.submit(int(r.class), r.data, r)
 	}
-	c.network.putRetry(r)
+	c.network.pool.putRetry(r)
 }
 
 // Timeout returns the RTO the client waits after req was dropped before

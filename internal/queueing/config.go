@@ -110,9 +110,10 @@ type Config struct {
 	// built without observation.
 	Observer Observer
 	// Arena backs the per-tier samples and level integrators (and those
-	// of sources bound to the network); it is required. The caller owns
-	// the arena's lifecycle: it must outlive the network and must not be
-	// Reset while the network's metrics are still read.
+	// of sources bound to the network) and keeps the network's request,
+	// retry, service-run and ring pools; it is required. The caller owns
+	// the arena's lifecycle: it must outlive the network, and its Reset
+	// ends the network, which must not be used or read afterwards.
 	Arena *stats.Arena
 }
 

@@ -12,10 +12,10 @@ import (
 // single-threaded: all methods must run on the simulator goroutine (inside
 // engine callbacks or between engine runs).
 //
-// The steady-state request path allocates nothing: Request objects and
-// service runs are recycled through free lists, tier queues are ring
-// buffers, and network-hop events use the engine's Actor path instead of
-// closures.
+// The steady-state request path allocates nothing: requests, retry
+// records and service runs are recycled through the pool its arena keeps,
+// tier queues are ring buffers from the same pool, and network-hop events
+// use the engine's Actor path instead of closures.
 type Network struct {
 	engine *sim.Engine
 	cfg    Config
@@ -31,17 +31,11 @@ type Network struct {
 	completed   uint64
 	inFlight    int
 
-	// freeReqs and freeRuns are the recycling pools. Objects are reset on
-	// checkout, so a recycled Request still carries its final field values
-	// until reused (Submit's return value stays readable until the next
-	// Submit).
-	freeReqs []*Request
-	freeRuns []*serviceRun
-	// freeRetries is the pool of retry records the network's clients
-	// share, linked through retry.next; retries counts the records
-	// allocated.
-	freeRetries *retry
-	retries     int
+	// pool holds the request, retry, service-run and ring storage; the
+	// arena keeps it, shared with every network of the same tier count
+	// on that arena, and its Reset takes everything back, so a network
+	// must not be used after its arena's Reset.
+	pool *pool
 }
 
 // New builds a network from the configuration.
@@ -52,74 +46,12 @@ func New(engine *sim.Engine, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{engine: engine, cfg: cfg, obs: cfg.Observer}
+	n := &Network{engine: engine, cfg: cfg, obs: cfg.Observer, pool: poolFor(cfg.Arena, len(cfg.Tiers))}
 	n.tiers = make([]*tier, len(cfg.Tiers))
 	for i, tc := range cfg.Tiers {
 		n.tiers[i] = newTier(tc, i, n)
 	}
 	return n, nil
-}
-
-// reqBlock is how many requests a pool refill allocates at once. Blocks
-// turn the cold-pool ramp (thousands of in-flight requests for a large
-// client population) into two allocations each instead of three per
-// request.
-const reqBlock = 64
-
-// getRequest checks a request out of the pool, reset for a class of the
-// given depth.
-func (n *Network) getRequest(depth int) *Request {
-	if len(n.freeReqs) == 0 {
-		n.growRequests()
-	}
-	k := len(n.freeReqs)
-	req := n.freeReqs[k-1]
-	n.freeReqs = n.freeReqs[:k-1]
-	req.reset(depth)
-	return req
-}
-
-// growRequests refills the pool with one block of requests whose
-// TierArrive/TierLeave slices are carved from a single backing slab, each
-// with capacity for the deepest class so Request.reset never reallocates.
-func (n *Network) growRequests() {
-	width := len(n.tiers)
-	reqs := make([]Request, reqBlock)
-	backing := make([]time.Duration, reqBlock*2*width)
-	for i := range reqs {
-		off := i * 2 * width
-		reqs[i].TierArrive = backing[off : off : off+width]
-		reqs[i].TierLeave = backing[off+width : off+width : off+2*width]
-		n.freeReqs = append(n.freeReqs, &reqs[i])
-	}
-}
-
-// putRequest returns a finished request to the pool. Callbacks have
-// already run; the object must not be referenced by the caller afterwards.
-func (n *Network) putRequest(req *Request) {
-	// Drop the callback references eagerly so the pool doesn't pin
-	// caller state between submissions.
-	req.onComplete = nil
-	req.client = nil
-	req.UserData = nil
-	n.freeReqs = append(n.freeReqs, req)
-}
-
-// getRun checks a service run out of the pool.
-func (n *Network) getRun() *serviceRun {
-	if k := len(n.freeRuns); k > 0 {
-		run := n.freeRuns[k-1]
-		n.freeRuns = n.freeRuns[:k-1]
-		return run
-	}
-	return &serviceRun{}
-}
-
-// putRun recycles a completed service run.
-func (n *Network) putRun(run *serviceRun) {
-	run.req = nil
-	run.ev = sim.Event{}
-	n.freeRuns = append(n.freeRuns, run)
 }
 
 // Engine returns the bound simulation engine.
@@ -167,7 +99,7 @@ func (n *Network) Submit(opts SubmitOpts) (*Request, error) {
 // submit is Submit for a class known to exist.
 func (n *Network) submit(opts SubmitOpts) *Request {
 	now := n.engine.Now()
-	req := n.getRequest(n.cfg.Classes[opts.Class].Depth)
+	req := n.pool.getRequest(n.cfg.Classes[opts.Class].Depth)
 	req.Class = opts.Class
 	req.Submit = now
 	req.UserData = opts.UserData
@@ -219,7 +151,7 @@ func (n *Network) advance(req *Request, i int) {
 	if req.onComplete != nil {
 		req.onComplete(req)
 	}
-	n.putRequest(req)
+	n.pool.putRequest(req)
 }
 
 // notifyDrop hands a rejected request to its Client, then recycles it.
@@ -228,7 +160,7 @@ func (n *Network) notifyDrop(req *Request) {
 	if req.client != nil {
 		req.client.drop(req)
 	}
-	n.putRequest(req)
+	n.pool.putRequest(req)
 }
 
 // SetCapacityMultiplier scales tier i's service rate: 1 is full capacity

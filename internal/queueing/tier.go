@@ -11,7 +11,7 @@ import (
 // remaining-work bookkeeping that lets the network retarget completion
 // times when the tier's capacity multiplier changes mid-service.
 //
-// Runs are pooled on the network and linked into their tier's in-service
+// Runs are pooled (see pool) and linked into their tier's in-service
 // list (an intrusive doubly-linked list in admission order — deterministic,
 // unlike map iteration, and allocation-free, unlike map inserts).
 type serviceRun struct {
@@ -119,7 +119,7 @@ func (t *tier) requestSlot(req *Request) {
 	// every upstream tier — this is the cross-tier back-pressure that
 	// propagates queue overflow toward the front.
 	t.net.observe(req, SpanTierBlocked, t.idx)
-	t.pendingAdmit.push(req)
+	t.pendingAdmit.push(t.net.pool, req)
 }
 
 func (t *tier) admit(req *Request) {
@@ -132,7 +132,7 @@ func (t *tier) admit(req *Request) {
 		return
 	}
 	t.net.observe(req, SpanStationWait, t.idx)
-	t.waitingService.push(req)
+	t.waitingService.push(t.net.pool, req)
 }
 
 func (t *tier) startService(req *Request) {
@@ -145,7 +145,7 @@ func (t *tier) startService(req *Request) {
 	if class.DemandScale != nil {
 		scale = class.DemandScale[t.idx]
 	}
-	run := t.net.getRun()
+	run := t.net.pool.getRun()
 	run.req = req
 	run.remaining = base.Seconds() * scale
 	run.lastUpdate = t.now()
@@ -253,7 +253,7 @@ func (t *tier) serviceDone(run *serviceRun) {
 	req := run.req
 	t.net.observe(req, SpanServiceEnd, t.idx)
 	t.unlinkRun(run)
-	t.net.putRun(run)
+	t.net.pool.putRun(run)
 	t.busyStations--
 	t.busy.Set(t.now(), t.busyStations)
 	if t.waitingService.len() > 0 {

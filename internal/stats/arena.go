@@ -13,9 +13,9 @@ import (
 // TimeSeries of one experiment run, and the run's simulation engine, so
 // that repeated runs (benchmark iterations, sweep jobs on the same worker)
 // recycle storage instead of re-allocating it. It is the only source of
-// those objects. It mirrors the queueing package's request pools:
-// checkout via the constructor methods, recycle everything at once via
-// Reset.
+// those objects. It also keeps the queueing package's request pools (see
+// Keep): checkout via the constructor methods, recycle everything at once
+// via Reset.
 //
 // Ownership rules:
 //
@@ -37,7 +37,9 @@ import (
 //   - An engine is the exception: Reset empties it (sim.Engine.Reset)
 //     and keeps it for the next checkout, so a stale *sim.Engine must not
 //     be used. Emptying drops every callback and arg the engine held, so
-//     a pooled arena pins no model objects.
+//     a pooled arena pins no model objects. A kept value (see Keep) is
+//     recycled the same way, and what its owner built on it must not be
+//     used after Reset either.
 //   - Results that outlive the run (reports, summaries, percentile
 //     curves) must be copied out of arena-backed objects before Reset;
 //     the exported query methods already return heap copies.
@@ -71,6 +73,9 @@ type Arena struct {
 	freeLevels  []*LevelIntegrator
 	freeSeries  []*TimeSeries
 	freeEngines []*sim.Engine
+
+	// kept holds the values of Keep, recycled in place at every Reset.
+	kept []keptValue
 
 	// scratch is the shared radix-sort ping-pong buffer (see
 	// sortDurations); every sample of the arena reuses it, which is safe
@@ -303,6 +308,34 @@ func (a *Arena) Engine(seed int64) *sim.Engine {
 	return e
 }
 
+// Recycler is a value an arena keeps across Reset (see Arena.Keep).
+// Recycle takes back everything the value handed out since it was built,
+// including what is still checked out; it must not depend on the order in
+// which an arena recycles its values.
+type Recycler interface{ Recycle() }
+
+type keptValue struct {
+	key any
+	r   Recycler
+}
+
+// Keep returns the value kept under key, calling build on the first
+// request for the key. Every later Keep with an equal key returns the
+// same value, and every Reset calls its Recycle once. It lets a package
+// that stats cannot import (queueing imports stats) store its pools in
+// the arena; a package-private key type keeps its keys apart from every
+// other package's.
+func (a *Arena) Keep(key any, build func() Recycler) Recycler {
+	for _, k := range a.kept {
+		if k.key == key {
+			return k.r
+		}
+	}
+	r := build()
+	a.kept = append(a.kept, keptValue{key, r})
+	return r
+}
+
 // sortScratch returns the arena's shared sort scratch buffer with room
 // for at least n elements, growing it through the slab classes on demand.
 func (a *Arena) sortScratch(n int) []time.Duration {
@@ -314,10 +347,10 @@ func (a *Arena) sortScratch(n int) []time.Duration {
 }
 
 // Reset reclaims every slab into the class free lists and recycles the
-// object shells and engines. All objects checked out since the previous
-// Reset are invalidated: their storage is gone, and their next query or
-// growing recording panics. The arena keeps its storage, so the following
-// run's checkouts are warm.
+// object shells, engines and kept values. All objects checked out since
+// the previous Reset are invalidated: their storage is gone, and their
+// next query or growing recording panics. The arena keeps its storage,
+// so the following run's checkouts are warm.
 func (a *Arena) Reset() {
 	a.gen++
 	a.resets++
@@ -360,6 +393,9 @@ func (a *Arena) Reset() {
 		a.freeEngines = append(a.freeEngines, e)
 	}
 	a.engines = a.engines[:0]
+	for _, k := range a.kept {
+		k.r.Recycle()
+	}
 	a.putDur(a.scratch)
 	a.scratch = nil
 }
