@@ -83,8 +83,8 @@ fuzz:
 # the one that produced the baseline. The unanchored QueueingThroughput
 # pattern also matches its Traced variant; ExperimentMinute is one
 # simulated minute of the default experiment, the engine hot path end to
-# end.
-BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkQueueingThroughput|BenchmarkExperimentMinute|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract|BenchmarkSpanExport
+# end; CSVExport pins the streaming CSV writers at a fixed count per file.
+BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkQueueingThroughput|BenchmarkExperimentMinute|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract|BenchmarkSpanExport|BenchmarkCSVExport
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_REGRESSION)' -benchmem . \
 		| tee /dev/stderr \

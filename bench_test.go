@@ -23,6 +23,7 @@ import (
 	"memca/internal/sim"
 	"memca/internal/stats"
 	"memca/internal/telemetry"
+	"memca/internal/trace"
 )
 
 func benchOpts() figures.Options {
@@ -379,6 +380,57 @@ func BenchmarkSpanExport(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := telemetry.WriteOTLP(otlp, telemetry.DefaultOTLPSpec(), tiers, events); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCSVExport measures the CSV layer on fixed inputs: a 4,096-bucket
+// 50 ms view (BucketsCSV), a Figure 7 shaped percentile-curve CSV (16
+// percentiles, four curves) and 4,096 three-tier attribution records,
+// written to files in a temp directory. The allocs/op contract pins the
+// streaming writers: each file costs a fixed handful of allocations, none
+// per row or cell.
+func BenchmarkCSVExport(b *testing.B) {
+	buckets := make([]stats.Bucket, 4096)
+	for i := range buckets {
+		buckets[i] = stats.Bucket{Start: time.Duration(i) * 50 * time.Millisecond,
+			Mean: float64(i%97) / 97, Max: float64(i%13) / 13, Min: float64(i%7) / 70, Count: 25 + i%5}
+	}
+	percentiles := []float64{50, 60, 70, 75, 80, 85, 90, 92, 94, 95, 96, 97, 98, 99, 99.5, 99.9}
+	names := []string{"client", "apache", "tomcat", "mysql"}
+	curves := make([][]time.Duration, len(names))
+	for c := range curves {
+		for i := range percentiles {
+			curves[c] = append(curves[c], time.Duration((c+1)*(i+1)*(i+1))*1237*time.Microsecond)
+		}
+	}
+	tiers := []string{"apache", "tomcat", "mysql"}
+	recs := make([]telemetry.Attribution, 4096)
+	for i := range recs {
+		start := time.Duration(i) * 7331 * time.Microsecond
+		q := []time.Duration{time.Duration(i%11) * 173 * time.Microsecond, time.Duration(i%5) * 91 * time.Microsecond, 0}
+		s := []time.Duration{412 * time.Microsecond, time.Duration(600+i%9*37) * time.Microsecond, 1890 * time.Microsecond}
+		wait := time.Duration(0)
+		if i%16 == 0 {
+			wait = time.Second
+		}
+		rt := q[0] + q[1] + s[0] + s[1] + s[2] + wait + 3*time.Microsecond
+		recs[i] = telemetry.Attribution{TraceID: uint64(i + 1), Class: i % 3, Start: start, End: start + rt, RT: rt,
+			Attempts: 1 + i%16/15, Drops: i % 16 / 15, Queue: q, Service: s, RetransWait: wait, Other: 3 * time.Microsecond}
+	}
+	dir := b.TempDir()
+	bucketPath, curvePath, attrPath := filepath.Join(dir, "buckets.csv"), filepath.Join(dir, "curves.csv"), filepath.Join(dir, "attribution.csv")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trace.BucketsCSV(bucketPath, buckets); err != nil {
+			b.Fatal(err)
+		}
+		if err := trace.PercentileCurveCSV(curvePath, percentiles, names, curves); err != nil {
+			b.Fatal(err)
+		}
+		if err := telemetry.WriteAttributionCSV(attrPath, tiers, recs); err != nil {
 			b.Fatal(err)
 		}
 	}

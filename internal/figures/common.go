@@ -7,7 +7,6 @@
 package figures
 
 import (
-	"fmt"
 	"path/filepath"
 	"time"
 
@@ -71,14 +70,7 @@ func writeCurves(path string, percentiles []float64, names []string, curves [][]
 	if path == "" {
 		return nil
 	}
-	if len(curves) != len(names) {
-		return fmt.Errorf("figures: %d curves for %d names", len(curves), len(names))
-	}
-	byName := make(map[string][]time.Duration, len(names))
-	for i, name := range names {
-		byName[name] = curves[i]
-	}
-	return trace.PercentileCurveCSV(path, percentiles, names, byName)
+	return trace.PercentileCurveCSV(path, percentiles, names, curves)
 }
 
 // writeBuckets writes a bucket CSV unless output is disabled.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"memca/internal/queueing"
+	"memca/internal/trace"
 )
 
 // chromeKind names one kind of Chrome trace-event record.
@@ -154,21 +155,21 @@ func WriteChromeTrace(path string, tierNames []string, events []SpanEvent) error
 		procNames = append(procNames, appendString(nil, "tier"+strconv.Itoa(i)+":"+name))
 	}
 
-	x, err := createExport(path)
+	x, err := trace.Create(path, jsonBuffer)
 	if err != nil {
 		return err
 	}
 	// One event per line keeps the file diffable and the goldens readable.
-	x.put(append(x.line(), "{\"traceEvents\":[\n"...))
+	x.Put(append(x.Line(), "{\"traceEvents\":[\n"...))
 	for i := range recs {
-		b := appendChromeRecord(x.line(), &recs[i], procNames)
+		b := appendChromeRecord(x.Line(), &recs[i], procNames)
 		if i < len(recs)-1 {
 			b = append(b, ',')
 		}
-		x.put(append(b, '\n'))
+		x.Put(append(b, '\n'))
 	}
-	x.put(append(x.line(), "],\"displayTimeUnit\":\"ms\"}\n"...))
-	return x.close()
+	x.Put(append(x.Line(), "],\"displayTimeUnit\":\"ms\"}\n"...))
+	return x.Close()
 }
 
 // appendChromeRecord appends r's trace-event object.

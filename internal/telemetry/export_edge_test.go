@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -133,10 +134,10 @@ func TestGoldenEdgeEmpty(t *testing.T) {
 	})
 }
 
-// TestExportWriteErrorsSurface points every JSON exporter and the
-// attribution CSV writer at /dev/full, where every write fails with
-// ENOSPC: each must return that error, so buffering can never swallow a
-// failed write at Flush or Close.
+// TestExportWriteErrorsSurface points every JSON exporter and every CSV
+// writer at /dev/full, where every write fails with ENOSPC: each must
+// return that error with the path in its message, so buffering can never
+// swallow a failed write at Flush or Close.
 func TestExportWriteErrorsSurface(t *testing.T) {
 	const full = "/dev/full"
 	if _, err := os.Stat(full); err != nil {
@@ -155,9 +156,18 @@ func TestExportWriteErrorsSurface(t *testing.T) {
 		{"attribution-csv", func() error {
 			return WriteAttributionCSV(full, tr.TierNames(), tr.TailAttributions())
 		}},
+		{"timeline-csv", func() error { return WriteTimelineCSV(full, tr.FeaturesAt(50*time.Millisecond)) }},
+		{"features-csv", func() error { return WriteFeaturesCSV(full, tr.FeaturesAt(50*time.Millisecond)) }},
+		{"breakdown-csv", func() error {
+			b := Summarize(len(tr.TierNames()), tr.TailAttributions())
+			return WriteBreakdownCSV(full, tr.TierNames(), []string{"attacked"}, []Breakdown{b})
+		}},
 	} {
-		if err := tc.write(); !errors.Is(err, syscall.ENOSPC) {
+		err := tc.write()
+		if !errors.Is(err, syscall.ENOSPC) {
 			t.Errorf("%s export to %s returned %v, want ENOSPC", tc.name, full, err)
+		} else if !strings.Contains(err.Error(), full) {
+			t.Errorf("%s export error %q does not name %s", tc.name, err, full)
 		}
 	}
 }

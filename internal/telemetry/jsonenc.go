@@ -1,68 +1,23 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 )
 
 // The span and metric exporters write their JSON with direct appenders
-// instead of encoding/json reflection: each line is appended into one
-// reused scratch slice and handed to a single buffered writer, so an
-// export of a quarter-million events costs a few hundred write syscalls
-// and almost no garbage. Every appender reproduces encoding/json's output
-// for the one value shape it writes, so the files stay byte-identical to
-// a json.Marshal of the documented Chrome trace-event and OTLP shapes;
-// the golden files and FuzzSpanExport hold them to that.
+// instead of encoding/json reflection, one line at a time through a
+// trace.Artifact, so an export of a quarter-million events costs a few
+// hundred write syscalls and almost no garbage. Every appender reproduces
+// encoding/json's output for the one value shape it writes, so the files
+// stay byte-identical to a json.Marshal of the documented Chrome
+// trace-event and OTLP shapes; the golden files and FuzzSpanExport hold
+// them to that.
 
-// exportFile is one export artifact: the created file behind a buffered
-// writer, plus the scratch slice lines are appended into.
-type exportFile struct {
-	path    string
-	f       *os.File
-	w       *bufio.Writer
-	scratch []byte
-}
-
-// createExport creates path (and its directory) for writing.
-func createExport(path string) (*exportFile, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("telemetry: creating directory for %s: %w", path, err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: creating %s: %w", path, err)
-	}
-	return &exportFile{path: path, f: f, w: bufio.NewWriterSize(f, 1<<16), scratch: make([]byte, 0, 4096)}, nil
-}
-
-// line returns the empty scratch slice to append the next output into.
-func (x *exportFile) line() []byte { return x.scratch[:0] }
-
-// put writes b (appended onto line()) and keeps its storage as the
-// scratch for the next line. bufio.Writer errors are sticky: after a
-// failed write every later put is a no-op and close reports the error.
-func (x *exportFile) put(b []byte) {
-	x.scratch = b[:0]
-	_, _ = x.w.Write(b)
-}
-
-// close flushes and closes the file, returning the first write, flush
-// or close error.
-func (x *exportFile) close() error {
-	err := x.w.Flush()
-	if err != nil {
-		err = fmt.Errorf("telemetry: writing %s: %w", x.path, err)
-	}
-	if cerr := x.f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("telemetry: closing %s: %w", x.path, cerr)
-	}
-	return err
-}
+// jsonBuffer is the write buffer of a JSON export: its files run to
+// megabytes, so a large buffer keeps the write syscalls few.
+const jsonBuffer = 64 << 10
 
 // appendString appends s as a JSON string. Printable ASCII other than the
 // quote, the backslash and the HTML-sensitive <, > and & needs no escape;

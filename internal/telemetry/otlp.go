@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"memca/internal/queueing"
+	"memca/internal/trace"
 )
 
 // The OTLP exporter emits the standard OTLP/JSON trace encoding (the
@@ -246,23 +247,23 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 		})
 	}
 
-	x, err := createExport(path)
+	x, err := trace.Create(path, jsonBuffer)
 	if err != nil {
 		return err
 	}
 	// One span per line keeps the file diffable and the goldens readable.
-	x.put(append(x.line(), "{\"resourceSpans\":[\n"...))
+	x.Put(append(x.Line(), "{\"resourceSpans\":[\n"...))
 
 	// Root spans, in first-appearance order. Traces still open at export
 	// (the post-run drain) end at their last observed event with an unset
 	// status, so no child span is ever left without its parent.
 	putResourceHeader(x, spec.ServicePrefix+"-client", -1)
 	for i := range traces.vals {
-		b := appendOTLPRoot(x.line(), traces.keys[i], &traces.vals[i], rootEvents, nanos)
+		b := appendOTLPRoot(x.Line(), traces.keys[i], &traces.vals[i], rootEvents, nanos)
 		if i < len(traces.vals)-1 {
 			b = append(b, ',')
 		}
-		x.put(append(b, '\n'))
+		x.Put(append(b, '\n'))
 	}
 	putResourceFooter(x, len(tierNames) == 0)
 
@@ -274,37 +275,37 @@ func WriteOTLP(path string, spec OTLPSpec, tierNames []string, events []SpanEven
 		putResourceHeader(x, spec.ServicePrefix+"-"+name, tier)
 		spans := tierSpans[tier]
 		for i := range spans {
-			b := appendOTLPTierSpan(x.line(), &spans[i], tier, spanNames[spans[i].role])
+			b := appendOTLPTierSpan(x.Line(), &spans[i], tier, spanNames[spans[i].role])
 			if i < len(spans)-1 {
 				b = append(b, ',')
 			}
-			x.put(append(b, '\n'))
+			x.Put(append(b, '\n'))
 		}
 		putResourceFooter(x, tier == len(tierNames)-1)
 	}
-	x.put(append(x.line(), "]}\n"...))
-	return x.close()
+	x.Put(append(x.Line(), "]}\n"...))
+	return x.Close()
 }
 
 // putResourceHeader opens one resource's span list: service.name, plus
 // memca.tier for a tier resource (tier >= 0).
-func putResourceHeader(x *exportFile, service string, tier int) {
-	b := append(x.line(), `{"resource":{"attributes":[{"key":"service.name","value":{"stringValue":`...)
+func putResourceHeader(x *trace.Artifact, service string, tier int) {
+	b := append(x.Line(), `{"resource":{"attributes":[{"key":"service.name","value":{"stringValue":`...)
 	b = appendString(b, service)
 	b = append(b, "}}"...)
 	if tier >= 0 {
 		b = append(b, ',')
 		b = appendIntAttr(b, "memca.tier", int64(tier))
 	}
-	x.put(append(b, "]},\"scopeSpans\":[{\"scope\":{\"name\":\"memca/telemetry\"},\"spans\":[\n"...))
+	x.Put(append(b, "]},\"scopeSpans\":[{\"scope\":{\"name\":\"memca/telemetry\"},\"spans\":[\n"...))
 }
 
-func putResourceFooter(x *exportFile, last bool) {
-	b := append(x.line(), "]}]}"...)
+func putResourceFooter(x *trace.Artifact, last bool) {
+	b := append(x.Line(), "]}]}"...)
 	if !last {
 		b = append(b, ',')
 	}
-	x.put(append(b, '\n'))
+	x.Put(append(b, '\n'))
 }
 
 // appendSpanIDs appends the traceId and spanId members that open every

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"fmt"
+
+	"memca/internal/trace"
 )
 
 // The metrics exporter emits the feature series in the standard OTLP/JSON
@@ -50,18 +52,18 @@ func WriteFeaturesOTLP(path string, spec OTLPSpec, fs *FeatureSeries) error {
 	nanos := func(i int, edge int64) int64 {
 		return spec.EpochNanos + fs.WindowStart(i).Nanoseconds() + edge*fs.Res.Nanoseconds()
 	}
-	x, err := createExport(path)
+	x, err := trace.Create(path, jsonBuffer)
 	if err != nil {
 		return err
 	}
-	b := append(x.line(), "{\"resourceMetrics\":[\n{\"resource\":{\"attributes\":[{\"key\":\"service.name\",\"value\":{\"stringValue\":"...)
+	b := append(x.Line(), "{\"resourceMetrics\":[\n{\"resource\":{\"attributes\":[{\"key\":\"service.name\",\"value\":{\"stringValue\":"...)
 	b = appendString(b, spec.ServicePrefix+"-features")
 	b = append(b, "}},"...)
 	b = appendIntAttr(b, "memca.feature_window_ms", fs.Res.Milliseconds())
-	x.put(append(b, "]},\"scopeMetrics\":[{\"scope\":{\"name\":\"memca/telemetry\"},\"metrics\":[\n"...))
+	x.Put(append(b, "]},\"scopeMetrics\":[{\"scope\":{\"name\":\"memca/telemetry\"},\"metrics\":[\n"...))
 	wins := fs.Windows()
 	for mi, m := range featureMetrics {
-		b := append(x.line(), `{"name":"`...)
+		b := append(x.Line(), `{"name":"`...)
 		b = append(b, m.name...)
 		b = append(b, `","description":"`...)
 		b = append(b, m.desc...)
@@ -89,8 +91,8 @@ func WriteFeaturesOTLP(path string, spec OTLPSpec, fs *FeatureSeries) error {
 		if mi < len(featureMetrics)-1 {
 			b = append(b, ',')
 		}
-		x.put(append(b, '\n'))
+		x.Put(append(b, '\n'))
 	}
-	x.put(append(x.line(), "]}]}\n]}\n"...))
-	return x.close()
+	x.Put(append(x.Line(), "]}]}\n]}\n"...))
+	return x.Close()
 }

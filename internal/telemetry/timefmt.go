@@ -96,13 +96,3 @@ func appendFrac(b []byte, frac int64, digits int) []byte {
 	}
 	return b
 }
-
-func fmtMs(d time.Duration) string {
-	var buf [24]byte
-	return string(appendFixedMs(buf[:0], d))
-}
-
-func fmtSecs(d time.Duration) string {
-	var buf [24]byte
-	return string(appendFixedSecs(buf[:0], d))
-}

@@ -18,8 +18,8 @@ func checkDurationFormat(t *testing.T, d time.Duration) {
 	}{
 		{"usec", string(appendUsec(nil, d)), string(appendFloat(nil, float64(d)/1e3))},
 		{"msec", string(appendMsec(nil, d)), string(appendFloat(nil, float64(d)/1e6))},
-		{"fmtMs", fmtMs(d), strconv.FormatFloat(float64(d)/1e6, 'f', 3, 64)},
-		{"fmtSecs", fmtSecs(d), strconv.FormatFloat(d.Seconds(), 'f', 6, 64)},
+		{"fixedMs", string(appendFixedMs(nil, d)), strconv.FormatFloat(float64(d)/1e6, 'f', 3, 64)},
+		{"fixedSecs", string(appendFixedSecs(nil, d)), strconv.FormatFloat(d.Seconds(), 'f', 6, 64)},
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s(%d) = %q, want %q", c.name, int64(d), c.got, c.want)

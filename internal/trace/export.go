@@ -3,7 +3,6 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -16,33 +15,16 @@ import (
 )
 
 // WriteCSV writes a header and rows to path, creating parent directories.
-func WriteCSV(path string, header []string, rows [][]string) (err error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("trace: creating directory for %s: %w", path, err)
-	}
-	f, err := os.Create(path)
+func WriteCSV(path string, header []string, rows [][]string) error {
+	a, err := Create(path, CSVBuffer)
 	if err != nil {
-		return fmt.Errorf("trace: creating %s: %w", path, err)
+		return err
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("trace: closing %s: %w", path, cerr)
-		}
-	}()
-	w := csv.NewWriter(f)
-	if err := w.Write(header); err != nil {
-		return fmt.Errorf("trace: writing header to %s: %w", path, err)
+	a.Put(AppendCSVRecord(a.Line(), header))
+	for _, row := range rows {
+		a.Put(AppendCSVRecord(a.Line(), row))
 	}
-	for i, row := range rows {
-		if err := w.Write(row); err != nil {
-			return fmt.Errorf("trace: writing row %d to %s: %w", i, path, err)
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		return fmt.Errorf("trace: flushing %s: %w", path, err)
-	}
-	return nil
+	return a.Close()
 }
 
 // WriteJSON writes v as indented JSON to path, creating parent
@@ -63,58 +45,71 @@ func WriteJSON(path string, v any) error {
 
 // BucketsCSV exports sampled buckets as (start_s, mean, max, min, count).
 func BucketsCSV(path string, buckets []stats.Bucket) error {
-	rows := make([][]string, 0, len(buckets))
-	for _, b := range buckets {
-		rows = append(rows, []string{
-			formatSeconds(b.Start),
-			strconv.FormatFloat(b.Mean, 'g', 8, 64),
-			strconv.FormatFloat(b.Max, 'g', 8, 64),
-			strconv.FormatFloat(b.Min, 'g', 8, 64),
-			strconv.Itoa(b.Count),
-		})
+	a, err := Create(path, CSVBuffer)
+	if err != nil {
+		return err
 	}
-	return WriteCSV(path, []string{"start_s", "mean", "max", "min", "count"}, rows)
+	a.Put(append(a.Line(), "start_s,mean,max,min,count\n"...))
+	for i := range buckets {
+		bk := &buckets[i]
+		b := appendSeconds(a.Line(), bk.Start)
+		b = strconv.AppendFloat(append(b, ','), bk.Mean, 'g', 8, 64)
+		b = strconv.AppendFloat(append(b, ','), bk.Max, 'g', 8, 64)
+		b = strconv.AppendFloat(append(b, ','), bk.Min, 'g', 8, 64)
+		b = strconv.AppendInt(append(b, ','), int64(bk.Count), 10)
+		a.Put(append(b, '\n'))
+	}
+	return a.Close()
 }
 
 // SeriesCSV exports the points of a raw time series as (t_s, value).
 func SeriesCSV(path string, points []stats.Point) error {
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		rows = append(rows, []string{formatSeconds(p.T), strconv.FormatFloat(p.V, 'g', 8, 64)})
+	a, err := Create(path, CSVBuffer)
+	if err != nil {
+		return err
 	}
-	return WriteCSV(path, []string{"t_s", "value"}, rows)
+	a.Put(append(a.Line(), "t_s,value\n"...))
+	for _, p := range points {
+		b := appendSeconds(a.Line(), p.T)
+		b = strconv.AppendFloat(append(b, ','), p.V, 'g', 8, 64)
+		a.Put(append(b, '\n'))
+	}
+	return a.Close()
 }
 
-// PercentileCurveCSV exports percentile curves (one column per named
-// series), the format of the paper's Figures 2 and 7. Order fixes the
-// column order for the named series.
-func PercentileCurveCSV(path string, percentiles []float64, order []string, curves map[string][]time.Duration) error {
-	header := make([]string, 0, len(order)+1)
+// PercentileCurveCSV exports percentile curves, the format of the
+// paper's Figures 2 and 7: one column per curve, headed by its name. A
+// missing or short curve is an error, reported before the file is
+// created.
+func PercentileCurveCSV(path string, percentiles []float64, names []string, curves [][]time.Duration) error {
+	if len(curves) != len(names) {
+		return fmt.Errorf("trace: %d curves for %d names", len(curves), len(names))
+	}
+	header := make([]string, 0, len(names)+1)
 	header = append(header, "percentile")
-	for _, name := range order {
-		if _, ok := curves[name]; !ok {
-			return fmt.Errorf("trace: curve %q missing", name)
+	for i, name := range names {
+		if len(curves[i]) < len(percentiles) {
+			return fmt.Errorf("trace: curve %q has %d points, want %d", name, len(curves[i]), len(percentiles))
 		}
 		header = append(header, name+"_ms")
 	}
-	rows := make([][]string, 0, len(percentiles))
-	for i, p := range percentiles {
-		row := make([]string, 0, len(header))
-		row = append(row, strconv.FormatFloat(p, 'g', 6, 64))
-		for _, name := range order {
-			curve := curves[name]
-			if i >= len(curve) {
-				return fmt.Errorf("trace: curve %q has %d points, want %d", name, len(curve), len(percentiles))
-			}
-			row = append(row, strconv.FormatFloat(float64(curve[i])/float64(time.Millisecond), 'f', 3, 64))
-		}
-		rows = append(rows, row)
+	a, err := Create(path, CSVBuffer)
+	if err != nil {
+		return err
 	}
-	return WriteCSV(path, header, rows)
+	a.Put(AppendCSVRecord(a.Line(), header))
+	for i, p := range percentiles {
+		b := strconv.AppendFloat(a.Line(), p, 'g', 6, 64)
+		for _, curve := range curves {
+			b = strconv.AppendFloat(append(b, ','), float64(curve[i])/float64(time.Millisecond), 'f', 3, 64)
+		}
+		a.Put(append(b, '\n'))
+	}
+	return a.Close()
 }
 
-func formatSeconds(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'f', 6, 64)
+func appendSeconds(b []byte, d time.Duration) []byte {
+	return strconv.AppendFloat(b, d.Seconds(), 'f', 6, 64)
 }
 
 // Table renders aligned text tables for terminal reports.

@@ -48,10 +48,10 @@ func checkGolden(t *testing.T, name string, write func(path string) error) {
 
 func TestGoldenPercentileCurveCSV(t *testing.T) {
 	percentiles := []float64{50, 90, 95, 99, 99.9}
-	curves := map[string][]time.Duration{
-		"client": {120 * time.Millisecond, 340 * time.Millisecond, 612 * time.Millisecond, 1850 * time.Millisecond, 3210 * time.Millisecond},
-		"apache": {80 * time.Millisecond, 210 * time.Millisecond, 400 * time.Millisecond, 1200 * time.Millisecond, 2900 * time.Millisecond},
-		"mysql":  {2 * time.Millisecond, 9 * time.Millisecond, 25 * time.Millisecond, 310 * time.Millisecond, 450 * time.Millisecond},
+	curves := [][]time.Duration{
+		{120 * time.Millisecond, 340 * time.Millisecond, 612 * time.Millisecond, 1850 * time.Millisecond, 3210 * time.Millisecond},
+		{80 * time.Millisecond, 210 * time.Millisecond, 400 * time.Millisecond, 1200 * time.Millisecond, 2900 * time.Millisecond},
+		{2 * time.Millisecond, 9 * time.Millisecond, 25 * time.Millisecond, 310 * time.Millisecond, 450 * time.Millisecond},
 	}
 	checkGolden(t, "percentile_curve.csv", func(path string) error {
 		return PercentileCurveCSV(path, percentiles, []string{"client", "apache", "mysql"}, curves)
