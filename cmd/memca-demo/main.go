@@ -52,7 +52,7 @@ func run() error {
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of the live run (empty disables)")
 		otlpOut     = flag.String("otlp-out", "", "write an OTLP/JSON export of the live run (empty disables)")
 		attribOut   = flag.String("attrib-out", "", "write a per-trace attribution CSV of the live run (empty disables)")
-		traceEvents = flag.Int("trace-events", 1<<18, "live span-event log capacity")
+		traceEvents = flag.Int("trace-events", 1<<19, "live span-event log capacity (a default run records about 270,000 events)")
 	)
 	flag.Parse()
 

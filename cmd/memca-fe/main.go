@@ -48,6 +48,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		defer func() {
+			if cerr := p.Close(); cerr != nil {
+				log.Printf("memca-fe: close stream program: %v", cerr)
+			}
+		}()
 		prog = p
 	case "simulated":
 		prog = memcafw.SimulatedProgram{}

@@ -79,6 +79,9 @@ func DefaultConfig() *Config {
 			// wall-clock side of the boundary (SimPath entries are exact,
 			// so the parent package stays under the contract).
 			"memca/internal/telemetry/live",
+			// The precise wall-clock wait the live tiers and the stream
+			// program time their work with.
+			"memca/internal/walltimer",
 			// The worker-process coordinator spawns workers and retries
 			// dead shards on real time; everything that determines
 			// results stays in the sim-path internal/dsweep (SimPath

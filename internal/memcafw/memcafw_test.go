@@ -74,6 +74,11 @@ func TestStreamProgramProducesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if err := p.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
 	res, err := p.Execute(context.Background(), 1, 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"memca/internal/walltimer"
 )
 
 // ExecResult is what an attack program measures about its own burst.
@@ -35,6 +37,9 @@ type StreamProgram struct {
 	// peakBytesPerSec is the calibrated single-core streaming peak used
 	// to normalize ResourceShare.
 	peakBytesPerSec float64
+	// pause times the duty cycle's sub-millisecond rests, which a
+	// time.After wait would stretch to about a millisecond.
+	pause *walltimer.Timer
 }
 
 // NewStreamProgram allocates the streaming buffer. sizeMB should exceed
@@ -47,11 +52,19 @@ func NewStreamProgram(sizeMB int, peakMBps float64) (*StreamProgram, error) {
 	if peakMBps <= 0 {
 		return nil, fmt.Errorf("memcafw: peak bandwidth must be positive, got %v", peakMBps)
 	}
+	pause, err := walltimer.New()
+	if err != nil {
+		return nil, fmt.Errorf("memcafw: stream program: %w", err)
+	}
 	return &StreamProgram{
 		buf:             make([]byte, sizeMB<<20),
 		peakBytesPerSec: peakMBps * 1e6,
+		pause:           pause,
 	}, nil
 }
+
+// Close releases the program's timer; a running Execute fails.
+func (p *StreamProgram) Close() error { return p.pause.Close() }
 
 // Name implements AttackProgram.
 func (p *StreamProgram) Name() string { return "stream" }
@@ -59,6 +72,7 @@ func (p *StreamProgram) Name() string { return "stream" }
 // Execute implements AttackProgram: stream through the buffer until the
 // burst ends. Intensity modulates the duty cycle inside the burst
 // (work/pause slicing), matching how a lock program modulates lock duty.
+// It runs one burst at a time.
 func (p *StreamProgram) Execute(ctx context.Context, intensity float64, length time.Duration) (ExecResult, error) {
 	if intensity <= 0 || intensity > 1 {
 		return ExecResult{}, fmt.Errorf("memcafw: intensity %v out of (0,1]", intensity)
@@ -86,12 +100,11 @@ func (p *StreamProgram) Execute(ctx context.Context, intensity float64, length t
 				break
 			}
 		}
-		if pause := time.Duration(float64(slice) * (1 - intensity)); pause > 0 {
-			select {
-			case <-ctx.Done():
-				return ExecResult{}, ctx.Err()
-			case <-time.After(pause):
+		if pause := time.Duration(float64(slice) * (1 - intensity)); pause > 0 && !p.pause.Wait(ctx, pause) {
+			if err := ctx.Err(); err != nil {
+				return ExecResult{}, err
 			}
+			return ExecResult{}, fmt.Errorf("memcafw: stream program closed mid-burst")
 		}
 	}
 	elapsed := time.Since(start)

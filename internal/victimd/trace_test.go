@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"memca/internal/telemetry/live"
+	"memca/internal/walltimer"
 )
 
 func newChainCollector(t *testing.T) *live.Collector {
@@ -332,6 +333,26 @@ func TestCountersEndpoint(t *testing.T) {
 	}
 }
 
+// testSlots builds the idle-worker pool a StartTier-constructed tier
+// would carry, for tests that assemble a Tier literal directly.
+func testSlots(t testing.TB, workers int) chan *walltimer.Timer {
+	t.Helper()
+	slots := make(chan *walltimer.Timer, workers)
+	for range workers {
+		tm, err := walltimer.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := tm.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		slots <- tm
+	}
+	return slots
+}
+
 // testTracker builds the feature tracker a StartTier-constructed tier
 // would carry, for tests that assemble a Tier literal directly.
 func testTracker(t testing.TB) *live.WindowTracker {
@@ -357,7 +378,7 @@ func TestHandleZeroAllocOverhead(t *testing.T) {
 			t.Errorf("%s: handle allocates %v objects/request, want 0", name, allocs)
 		}
 	}
-	plain := &Tier{cfg: TierConfig{Name: "plain", Workers: 2}, okBody: []byte("plain ok\n"), slots: make(chan struct{}, 2), features: testTracker(t)}
+	plain := &Tier{cfg: TierConfig{Name: "plain", Workers: 2}, okBody: []byte("plain ok\n"), slots: testSlots(t, 2), features: testTracker(t)}
 	plain.slowdown.Store(1000)
 	run("disabled", plain, httptest.NewRequest(http.MethodGet, "/", nil))
 
@@ -365,7 +386,7 @@ func TestHandleZeroAllocOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("live.New: %v", err)
 	}
-	traced := &Tier{cfg: TierConfig{Name: "traced", Workers: 2, Trace: col}, okBody: []byte("traced ok\n"), slots: make(chan struct{}, 2), features: testTracker(t)}
+	traced := &Tier{cfg: TierConfig{Name: "traced", Workers: 2, Trace: col}, okBody: []byte("traced ok\n"), slots: testSlots(t, 2), features: testTracker(t)}
 	traced.slowdown.Store(1000)
 	req := httptest.NewRequest(http.MethodGet, "/", nil)
 	req.Header.Set(live.TraceHeader, live.FormatTraceHeader(col.NextTraceID(), 0))
@@ -377,7 +398,7 @@ func BenchmarkHandleTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tier := &Tier{cfg: TierConfig{Name: "bench", Workers: 4, Trace: col}, okBody: []byte("bench ok\n"), slots: make(chan struct{}, 4), features: testTracker(b)}
+	tier := &Tier{cfg: TierConfig{Name: "bench", Workers: 4, Trace: col}, okBody: []byte("bench ok\n"), slots: testSlots(b, 4), features: testTracker(b)}
 	tier.slowdown.Store(1000)
 	req := httptest.NewRequest(http.MethodGet, "/", nil)
 	req.Header.Set(live.TraceHeader, live.FormatTraceHeader(col.NextTraceID(), 0))

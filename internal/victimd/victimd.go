@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"memca/internal/telemetry/live"
+	"memca/internal/walltimer"
 )
 
 // TierConfig describes one tier of the live system.
@@ -81,9 +82,12 @@ type Tier struct {
 	client   *http.Client
 	okBody   []byte
 
-	// slots is the worker-pool semaphore; acquisition is non-blocking:
-	// a full pool rejects with 503, modelling the finite accept queue.
-	slots chan struct{}
+	// slots holds the idle workers, each one the timer its service wait
+	// runs on: a handler takes one to start and returns it when done. A
+	// full pool rejects with 503, modelling the finite accept queue.
+	slots chan *walltimer.Timer
+	// timers is every worker's timer, for Close.
+	timers []*walltimer.Timer
 	// slowdown scales the service time (1000 = 1.0x), adjusted through
 	// the control endpoint. Stored as millis to stay atomic.
 	slowdown atomic.Int64
@@ -131,13 +135,29 @@ func StartTier(addr string, cfg TierConfig) (*Tier, error) {
 		_ = ln.Close()
 		return nil, err
 	}
+	// Keep an idle connection for every worker that may call downstream
+	// at once, so back-pressure episodes reuse connections rather than
+	// dialing new ones (the default transport keeps 2 per host).
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = cfg.Workers
 	t := &Tier{
 		cfg:      cfg,
 		listener: ln,
-		client:   &http.Client{Timeout: 10 * time.Second},
+		client:   &http.Client{Transport: transport, Timeout: 10 * time.Second},
 		okBody:   []byte(cfg.Name + " ok\n"),
-		slots:    make(chan struct{}, cfg.Workers),
+		slots:    make(chan *walltimer.Timer, cfg.Workers),
 		features: features,
+	}
+	for range cfg.Workers {
+		tm, err := walltimer.New()
+		if err != nil {
+			// The timer failure is the error to report.
+			_ = t.closeTimers()
+			_ = ln.Close()
+			return nil, fmt.Errorf("victimd: tier %s worker timer: %w", cfg.Name, err)
+		}
+		t.timers = append(t.timers, tm)
+		t.slots <- tm
 	}
 	t.slowdown.Store(1000)
 	mux := http.NewServeMux()
@@ -173,9 +193,26 @@ func (t *Tier) SetCapacityMultiplier(m float64) error {
 	return nil
 }
 
-// Close shuts the tier down.
+// Close shuts the tier down. A handler still in its service wait wakes
+// and takes the hang-up path.
 func (t *Tier) Close() error {
-	return t.server.Close()
+	err := t.server.Close()
+	if terr := t.closeTimers(); err == nil {
+		err = terr
+	}
+	t.client.CloseIdleConnections()
+	return err
+}
+
+// closeTimers closes every worker timer, returning the first error.
+func (t *Tier) closeTimers() error {
+	var first error
+	for _, tm := range t.timers {
+		if err := tm.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 func (t *Tier) handle(w http.ResponseWriter, r *http.Request) {
@@ -192,7 +229,8 @@ func (t *Tier) handle(w http.ResponseWriter, r *http.Request) {
 	}
 
 	enq := time.Now()
-	if !t.acquire(r.Context()) {
+	timer := t.acquire(r.Context())
+	if timer == nil {
 		t.rejected.Add(1)
 		waited := time.Since(enq)
 		t.features.Observe(time.Now(), waited, waited, 0, 0, 1, 1)
@@ -207,7 +245,7 @@ func (t *Tier) handle(w http.ResponseWriter, r *http.Request) {
 	t.inflight.Add(1)
 	defer func() {
 		t.inflight.Add(-1)
-		<-t.slots
+		t.slots <- timer
 	}()
 
 	if traced {
@@ -216,20 +254,16 @@ func (t *Tier) handle(w http.ResponseWriter, r *http.Request) {
 	svcStart := time.Now()
 	// Local work, stretched by the current slowdown.
 	d := time.Duration(float64(t.cfg.Service) * float64(t.slowdown.Load()) / 1000)
-	if d > 0 {
-		select {
-		case <-time.After(d):
-		case <-r.Context().Done():
-			// The caller hung up mid-service; close the span so the trace
-			// never reports an orphan service interval.
-			svc := time.Since(svcStart)
-			t.serviceNs.Add(svc.Nanoseconds())
-			t.features.Observe(time.Now(), time.Since(enq), wait, svc, 0, 1, 0)
-			if traced {
-				t.cfg.Trace.Record(traceID, live.KindServiceEnd, t.cfg.TierIndex, attempt, 0)
-			}
-			return
+	if d > 0 && !timer.Wait(r.Context(), d) {
+		// The caller hung up mid-service (or the tier closed); close the
+		// span so the trace never reports an orphan service interval.
+		svc := time.Since(svcStart)
+		t.serviceNs.Add(svc.Nanoseconds())
+		t.features.Observe(time.Now(), time.Since(enq), wait, svc, 0, 1, 0)
+		if traced {
+			t.cfg.Trace.Record(traceID, live.KindServiceEnd, t.cfg.TierIndex, attempt, 0)
 		}
+		return
 	}
 	svc := time.Since(svcStart)
 	t.serviceNs.Add(svc.Nanoseconds())
@@ -282,24 +316,24 @@ func (t *Tier) handle(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// acquire takes a worker slot, waiting up to the configured timeout. It
-// reports whether the slot was obtained.
-func (t *Tier) acquire(ctx context.Context) bool {
+// acquire takes an idle worker, waiting up to the configured timeout. It
+// returns the worker's timer, or nil when the request is shed.
+func (t *Tier) acquire(ctx context.Context) *walltimer.Timer {
 	select {
-	case t.slots <- struct{}{}:
-		return true
+	case tm := <-t.slots:
+		return tm
 	default:
 	}
 	if t.cfg.AcquireTimeout <= 0 {
-		return false
+		return nil
 	}
 	select {
-	case t.slots <- struct{}{}:
-		return true
+	case tm := <-t.slots:
+		return tm
 	case <-time.After(t.cfg.AcquireTimeout):
-		return false
+		return nil
 	case <-ctx.Done():
-		return false
+		return nil
 	}
 }
 

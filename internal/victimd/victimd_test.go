@@ -3,11 +3,17 @@ package victimd
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"memca/internal/telemetry/live"
 )
 
 func startTestSystem(t *testing.T) *System {
@@ -202,4 +208,172 @@ func probe(ctx context.Context, s *System) (time.Duration, int, error) {
 		return 0, 0, err
 	}
 	return time.Since(start), resp.StatusCode, nil
+}
+
+// TestServiceTimeFidelity pins the tier's service wait to its configured
+// length: a 200 µs service measured as a traced span. A time.After wait
+// takes about 1.1 ms here, since an idle Go process sleeps in the
+// netpoller with a millisecond timeout.
+func TestServiceTimeFidelity(t *testing.T) {
+	const service = 200 * time.Microsecond
+	col, err := live.New(live.Config{Tiers: []string{"svc"}, Events: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, err := StartTier("127.0.0.1:0", TierConfig{Name: "svc", Workers: 2, Service: service, Trace: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := tier.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	cl, err := live.NewClient(live.ClientConfig{Collector: col, HTTP: &http.Client{Transport: transport, Timeout: 5 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if r := cl.Get(context.Background(), tier.URL()+"/"); !r.OK {
+			t.Fatalf("request %d: status %d, err %v", i, r.Status, r.Err)
+		}
+	}
+	rep := col.Report()
+	spans := make([]time.Duration, 0, len(rep.Attributions))
+	for _, a := range rep.Attributions {
+		if a.Service[0] < service {
+			t.Fatalf("trace %d: service span %v shorter than the configured %v", a.TraceID, a.Service[0], service)
+		}
+		spans = append(spans, a.Service[0])
+	}
+	if len(spans) != 100 {
+		t.Fatalf("%d traced service spans, want 100", len(spans))
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i] < spans[j] })
+	if p50 := spans[len(spans)/2]; p50 >= 600*time.Microsecond {
+		t.Errorf("median service span %v for a %v service, want < 600µs", p50, service)
+	}
+}
+
+// TestStartCloseNoFDLeak checks that Close releases everything a chain
+// opens: listeners, connections and every worker's timer.
+func TestStartCloseNoFDLeak(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	openFiles := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	cycle := func() {
+		s := startTestSystem(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if _, status, err := probe(ctx, s); err != nil || status != http.StatusOK {
+			t.Fatalf("probe: status %d, err %v", status, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	}
+	cycle() // the runtime's own poller and lazily opened files
+	baseline := openFiles()
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	// Closed connections release their descriptors once their reading
+	// goroutines notice, so wait for the count to settle.
+	deadline := time.Now().Add(5 * time.Second)
+	n := openFiles()
+	for n > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = openFiles()
+	}
+	if n > baseline {
+		t.Errorf("%d open files after 20 start/close cycles, baseline %d", n, baseline)
+	}
+}
+
+// TestBackendConnectionsReused drives waves of concurrent downstream calls
+// through an app tier. Every wave needs as many connections as the tier
+// has workers; the first wave opens them, and later waves must find them
+// all idle rather than dial again in the middle of a back-pressure
+// episode.
+func TestBackendConnectionsReused(t *testing.T) {
+	const workers, waves = 8, 4
+	arrived := make(chan struct{}, workers)
+	release := make(chan struct{}, workers)
+	var dials atomic.Int64
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		arrived <- struct{}{}
+		<-release
+		w.WriteHeader(http.StatusOK)
+	}))
+	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+	app, err := StartTier("127.0.0.1:0", TierConfig{Name: "app", Workers: workers, Backend: backend.URL + "/", AcquireTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := app.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers}, Timeout: 5 * time.Second}
+	defer client.CloseIdleConnections()
+
+	var afterFirst int64
+	for wave := 0; wave < waves; wave++ {
+		var wg sync.WaitGroup
+		var failed atomic.Int64
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := client.Get(app.URL() + "/")
+				if err != nil {
+					failed.Add(1)
+					return
+				}
+				if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+					failed.Add(1)
+				}
+				if err := resp.Body.Close(); err != nil {
+					failed.Add(1)
+				}
+			}()
+		}
+		// Hold the wave until every worker is in its downstream call.
+		for i := 0; i < workers; i++ {
+			<-arrived
+		}
+		for i := 0; i < workers; i++ {
+			release <- struct{}{}
+		}
+		wg.Wait()
+		if failed.Load() != 0 {
+			t.Fatalf("wave %d: %d requests failed", wave, failed.Load())
+		}
+		if wave == 0 {
+			afterFirst = dials.Load()
+		}
+	}
+	if afterFirst != workers {
+		t.Errorf("first wave opened %d backend connections, want %d", afterFirst, workers)
+	}
+	if extra := dials.Load() - afterFirst; extra != 0 {
+		t.Errorf("waves 2-%d opened %d new backend connections, want 0", waves, extra)
+	}
 }
