@@ -14,10 +14,16 @@ import (
 var updateDigests = flag.Bool("update", false, "rewrite testdata/quick_digests.txt with current output")
 
 // digestDrivers are the quick figures whose CSVs pin the client
-// retransmission paths: fig2 runs closed-loop generators, fig6, fig7 and
-// ablation-mechanisms open-loop Poisson sources, and fig8 the feedback
-// probe next to the generator.
-var digestDrivers = []string{"fig2", "fig6", "fig7", "ablation-mechanisms", "fig8"}
+// retransmission paths and the victim's CPU signal: fig2 runs closed-loop
+// generators, fig6, fig7 and ablation-mechanisms open-loop Poisson
+// sources, and fig8 the feedback probe next to the generator; fig9,
+// fig10, detectors, defense and evasion sample the bottleneck tier's
+// utilization, and ablation-service-distribution rebuilds the default
+// topology with other service-time distributions.
+var digestDrivers = []string{
+	"fig2", "fig6", "fig7", "ablation-mechanisms", "fig8",
+	"fig9", "fig10", "detectors", "defense", "evasion", "ablation-service-distribution",
+}
 
 // TestQuickArtifactDigests pins the sha256 of every quick CSV of
 // digestDrivers at the serial path against testdata/quick_digests.txt.
