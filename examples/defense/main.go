@@ -67,13 +67,7 @@ func run() error {
 
 	// Detection: run the millibottleneck detector over the undefended
 	// run's exact CPU signal at two granularities.
-	busy, err := undefended.Network().TierBusy(2)
-	if err != nil {
-		return err
-	}
-	source := func(from, to time.Duration) float64 {
-		return busy.WindowAverage(20*time.Second+from, 20*time.Second+to) / 2
-	}
+	source := undefended.VictimCPU()
 	fmt.Println()
 	for _, g := range []time.Duration{50 * time.Millisecond, time.Second} {
 		cfg := defense.DefaultDetector()

@@ -321,10 +321,10 @@ func PlanAttack(m Model, goal Goal, interval time.Duration) (Attack, error) {
 }
 
 // RUBBoS3Tier returns the model parameters matching the reproduction's
-// RUBBoS-style deployment (workload.RUBBoSTiers): Apache, Tomcat, MySQL
-// with descending concurrency limits, MySQL as the bottleneck, and arrival
-// rates for 3500 users with 7 s mean think time (≈ 500 req/s total, 70%
-// touching the database).
+// RUBBoS-style deployment (spec.RUBBoSSystem): Apache, Tomcat, MySQL with
+// descending concurrency limits, MySQL as the bottleneck, and arrival
+// rates for 3500 users with 7 s mean think time (≈ 500 req/s total, a
+// rounded 10/20/70% web/app/db mix; the simulated chain's is 7/13/80%).
 func RUBBoS3Tier() Model {
 	return Model{Tiers: []Tier{
 		{Name: "apache", Queue: 100, CapacityOFF: 3330, ArrivalRate: 50},

@@ -13,6 +13,7 @@ import (
 	"memca/internal/monitor"
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/spec"
 	"memca/internal/stats"
 	"memca/internal/telemetry"
 	"memca/internal/workload"
@@ -24,8 +25,11 @@ import (
 type Experiment struct {
 	// cfg.Arena is always set: the caller's arena, or one NewExperiment
 	// took from stats.GetArena (pooled), which Close gives back.
-	cfg     Config
-	pooled  bool
+	cfg    Config
+	pooled bool
+	// tiers is the simulated topology: cfg.Tiers, or the RUBBoS
+	// deployment of spec.RUBBoSSystem when that is nil.
+	tiers   []queueing.TierConfig
 	engine  *sim.Engine
 	network *queueing.Network
 	gen     *workload.Generator
@@ -85,16 +89,16 @@ func newExperiment(cfg Config, retransmit queueing.RetransmitPolicy) (*Experimen
 	}
 
 	// n-tier system and client population.
-	tiers := cfg.Tiers
-	if tiers == nil {
-		tiers = workload.RUBBoSTiers()
+	x.tiers = cfg.Tiers
+	if x.tiers == nil {
+		x.tiers = SpecTiers(spec.RUBBoSSystem())
 	}
 	// The observer interface fields are only set when tracing is enabled:
 	// assigning a nil *Tracer would produce a non-nil interface and charge
 	// every lifecycle point a virtual call into a nil receiver.
 	netCfg := queueing.Config{
 		Mode:       queueing.ModeNTierRPC,
-		Tiers:      tiers,
+		Tiers:      x.tiers,
 		Classes:    workload.RUBBoSClasses(),
 		Retransmit: retransmit,
 		Arena:      cfg.Arena,
@@ -109,8 +113,8 @@ func newExperiment(cfg Config, retransmit queueing.RetransmitPolicy) (*Experimen
 	if cfg.Trace != nil {
 		x.tracer, err = telemetry.New(x.engine, telemetry.Config{
 			Spec:      *cfg.Trace,
-			Tiers:     len(tiers),
-			TierNames: tierLabels(tiers),
+			Tiers:     len(x.tiers),
+			TierNames: tierLabels(x.tiers),
 			Seed:      cfg.Seed,
 			Horizon:   cfg.Duration,
 			Arena:     cfg.Arena,
@@ -411,6 +415,22 @@ func (x *Experiment) Engine() *sim.Engine { x.live(); return x.engine }
 // integrator keeps transition history by default; to read windows of any
 // other tier integrator, call its KeepHistory before Run.
 func (x *Experiment) Network() *queueing.Network { x.live(); return x.network }
+
+// VictimCPU is the bottleneck tier's CPU utilization, the MySQL VM's
+// signal every monitor samples: a window [from, to) is an offset from the
+// end of warm-up, and reads the tier's busy stations over its configured
+// servers (Network.TierUtilization). Read it after Run and before Close.
+func (x *Experiment) VictimCPU() monitor.UtilizationSource {
+	x.live()
+	n, tier, start := x.network, x.victimTier(), x.cfg.Warmup
+	return func(from, to time.Duration) float64 {
+		u, err := n.TierUtilization(tier, start+from, start+to)
+		if err != nil {
+			panic(err) // the victim tier is in range by construction
+		}
+		return u
+	}
+}
 
 // Generator exposes the client population.
 func (x *Experiment) Generator() *workload.Generator { x.live(); return x.gen }

@@ -9,7 +9,6 @@ import (
 	"memca/internal/monitor"
 	"memca/internal/stats"
 	"memca/internal/trace"
-	"memca/internal/workload"
 )
 
 // FigurePercentiles is the percentile grid used by the paper's tail plots
@@ -153,14 +152,7 @@ func (x *Experiment) buildReport(from, to time.Duration) (*Report, error) {
 
 	// Victim CPU utilization at the three granularities, over the
 	// measured window (shifted so buckets start at 0 for export).
-	busy, err := x.network.TierBusy(x.victimTier())
-	if err != nil {
-		return nil, err
-	}
-	servers := float64(x.victimServers())
-	source := func(wFrom, wTo time.Duration) float64 {
-		return busy.WindowAverage(from+wFrom, from+wTo) / servers
-	}
+	source := x.VictimCPU()
 	horizon := to - from
 	for _, g := range []time.Duration{monitor.GranularityCloud, monitor.GranularityUser, monitor.GranularityFine} {
 		if g > horizon {
@@ -220,10 +212,7 @@ func (x *Experiment) buildReport(from, to time.Duration) (*Report, error) {
 // tier configuration and measured arrival rates, then evaluates Equations
 // (4)-(10) for the attack that actually ran.
 func (x *Experiment) analyticalCheck(from, to time.Duration) (*AnalyticalCheck, bool) {
-	tiers := x.cfg.Tiers
-	if tiers == nil {
-		tiers = workload.RUBBoSTiers()
-	}
+	tiers := x.tiers
 	window := (to - from).Seconds()
 	if window <= 0 {
 		return nil, false
@@ -277,17 +266,6 @@ func (x *Experiment) analyticalCheck(from, to time.Duration) (*AnalyticalCheck, 
 		Impact:          pred.Impact,
 		QueuesAllFill:   pred.QueuesAllFill,
 	}, true
-}
-
-// victimServers returns the bottleneck tier's station count.
-func (x *Experiment) victimServers() int {
-	tiers := x.cfg.Tiers
-	if tiers == nil {
-		// Default topology: read from the network config indirectly via
-		// the workload defaults.
-		return 2
-	}
-	return tiers[len(tiers)-1].Servers
 }
 
 // Render returns the report as human-readable text.

@@ -7,11 +7,9 @@ import (
 )
 
 // FromSpec returns a copy of the config with the tier topology and the
-// client population replaced by the shared spec description: each tier
-// becomes a pooled multi-server station (QueueLimit = Threads * Replicas,
-// Servers * Replicas stations behind an ideal balancer) with an
-// exponential service-time distribution at the template's mean, and the
-// traffic's base population becomes Clients/ThinkTime. Everything else —
+// client population replaced by the shared spec description: the system
+// becomes the topology through SpecTiers, and the traffic's base
+// population becomes Clients/ThinkTime. Everything else —
 // seed, environment, durations, attack, defense — carries over from the
 // receiver, so the same spec can be replayed under any scenario.
 //
@@ -25,6 +23,18 @@ func (c Config) FromSpec(sys spec.System, traffic spec.Traffic) (Config, error) 
 	if err := traffic.Validate(); err != nil {
 		return Config{}, err
 	}
+	c.Tiers = SpecTiers(sys)
+	c.Clients = traffic.Clients
+	c.ThinkTime = traffic.ThinkTime
+	return c, nil
+}
+
+// SpecTiers converts a valid system into the simulator's topology: each
+// tier becomes a pooled multi-server station (QueueLimit = Threads *
+// Replicas, Servers * Replicas stations behind an ideal balancer) with an
+// exponential service time at the template's mean. The request classes,
+// not DemandFactor, scale each tier's demand.
+func SpecTiers(sys spec.System) []queueing.TierConfig {
 	tiers := make([]queueing.TierConfig, len(sys.Tiers))
 	for i, t := range sys.Tiers {
 		tiers[i] = queueing.TierConfig{
@@ -34,8 +44,5 @@ func (c Config) FromSpec(sys spec.System, traffic spec.Traffic) (Config, error) 
 			Service:    sim.NewExponential(t.Service),
 		}
 	}
-	c.Tiers = tiers
-	c.Clients = traffic.Clients
-	c.ThinkTime = traffic.ThinkTime
-	return c, nil
+	return tiers
 }

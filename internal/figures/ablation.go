@@ -11,8 +11,8 @@ import (
 	"memca/internal/memmodel"
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/spec"
 	"memca/internal/stats"
-	"memca/internal/workload"
 )
 
 // AblationPoint is one configuration's outcome in a sweep.
@@ -270,7 +270,7 @@ func loadVariants() []attackVariant {
 // because it is driven by capacity starvation and drops, not by
 // service-time variance.
 func serviceDistributionVariants() []attackVariant {
-	base := workload.RUBBoSTiers()
+	sys := spec.RUBBoSSystem()
 	variants := []struct {
 		label string
 		make  func(mean time.Duration) sim.Dist
@@ -280,15 +280,13 @@ func serviceDistributionVariants() []attackVariant {
 		{"lognormal-1.2", func(m time.Duration) sim.Dist { return sim.NewLogNormalFromMean(m, 1.2) }},
 		{"deterministic", func(m time.Duration) sim.Dist { return sim.NewDeterministic(m) }},
 	}
-	means := []time.Duration{600 * time.Microsecond, 1200 * time.Microsecond, 1600 * time.Microsecond}
 	cells := make([]attackVariant, 0, len(variants))
 	for _, v := range variants {
 		v := v
 		cells = append(cells, attackVariant{v.label, func(c *core.Config) {
-			tiers := make([]queueing.TierConfig, len(base))
-			copy(tiers, base)
-			for i := range tiers {
-				tiers[i].Service = v.make(means[i])
+			tiers := core.SpecTiers(sys)
+			for i, t := range sys.Tiers {
+				tiers[i].Service = v.make(t.Service)
 			}
 			c.Tiers = tiers
 		}})
@@ -296,10 +294,10 @@ func serviceDistributionVariants() []attackVariant {
 	return cells
 }
 
-// rubbosModelLimits returns the analytical model's queue limits.
+// rubbosModelLimits returns the RUBBoS deployment's pooled queue limits.
 func rubbosModelLimits() [3]int {
-	tiers := workload.RUBBoSTiers()
-	return [3]int{tiers[0].QueueLimit, tiers[1].QueueLimit, tiers[2].QueueLimit}
+	tiers := spec.RUBBoSSystem().Tiers
+	return [3]int{tiers[0].PooledThreads(), tiers[1].PooledThreads(), tiers[2].PooledThreads()}
 }
 
 // runModelAttack drives an open-loop model network under ON-OFF bursts
@@ -335,10 +333,14 @@ func runModelAttack(e *sim.Engine, a *stats.Arena, n *queueing.Network, sources 
 	for _, s := range sources {
 		client.Merge(s.ClientRT())
 	}
+	coarse, err := n.TierUtilization(2, 5*time.Second, 5*time.Second+horizon)
+	if err != nil {
+		return AblationPoint{}, err
+	}
 	return AblationPoint{
 		ClientP95:  client.Percentile(95),
 		ClientP99:  client.Percentile(99),
-		CoarseUtil: busy.WindowAverage(5*time.Second, 5*time.Second+horizon) / 2,
+		CoarseUtil: coarse,
 		Drops:      n.Drops(),
 	}, nil
 }

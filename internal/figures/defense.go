@@ -151,13 +151,7 @@ func newDefenseRun(opts Options) (*DistRun, error) {
 
 		// Detection side: run the fine- and coarse-grained detectors over
 		// this run's exact CPU signal.
-		busy, err := x.Network().TierBusy(2)
-		if err != nil {
-			return defenseRecord{}, err
-		}
-		source := func(from, to time.Duration) float64 {
-			return busy.WindowAverage(cfg.Warmup+from, cfg.Warmup+to) / 2
-		}
+		source := x.VictimCPU()
 		fine, err := defense.NewDetector(defense.DefaultDetector())
 		if err != nil {
 			return defenseRecord{}, err

@@ -147,13 +147,7 @@ func runDetectorScenario(opts Options, a *stats.Arena, seed int64, attack, flash
 	if _, err := x.Run(); err != nil {
 		return rec, err
 	}
-	busy, err := x.Network().TierBusy(2)
-	if err != nil {
-		return rec, err
-	}
-	source := func(from, to time.Duration) float64 {
-		return busy.WindowAverage(cfg.Warmup+from, cfg.Warmup+to) / 2
-	}
+	source := x.VictimCPU()
 	for _, g := range detectorGranularities {
 		sampler, err := monitor.NewSampler(g, source)
 		if err != nil {

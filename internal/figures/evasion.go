@@ -66,13 +66,7 @@ func newEvasionRun(opts Options) (*DistRun, error) {
 		}
 		point := EvasionPoint{Jitter: jitter, ClientP95: rep.Client.P95}
 
-		busy, err := x.Network().TierBusy(2)
-		if err != nil {
-			return EvasionPoint{}, err
-		}
-		source := func(from, to time.Duration) float64 {
-			return busy.WindowAverage(cfg.Warmup+from, cfg.Warmup+to) / 2
-		}
+		source := x.VictimCPU()
 
 		// Figure 11-style periodicity of the CPU signal at the mean
 		// interval.

@@ -67,15 +67,8 @@ func newFig10Run(opts Options) (*DistRun, error) {
 			return fig10Record{}, fmt.Errorf("figures: fig10 run: %w", err)
 		}
 		rec := fig10Record{ScaleEventsLive: len(rep.ScaleEvents)}
-		busy, err := x.Network().TierBusy(2)
-		if err != nil {
-			return fig10Record{}, err
-		}
-		from := cfg.Warmup
 		horizon := cfg.Duration
-		source := func(wFrom, wTo time.Duration) float64 {
-			return busy.WindowAverage(from+wFrom, from+wTo) / 2
-		}
+		source := x.VictimCPU()
 		for _, v := range fig10Views {
 			sampler, err := monitor.NewSampler(v.g, source)
 			if err != nil {

@@ -68,10 +68,6 @@ func newFig9Run(opts Options) (*DistRun, error) {
 		const width = 50 * time.Millisecond
 		var rec fig9Record
 		res := &rec.Result
-		busy, err := x.Network().TierBusy(2)
-		if err != nil {
-			return fig9Record{}, err
-		}
 		adversary := x.Burster().Busy()
 		prev, maxU, peaks := 0.0, 0.0, [3]float64{}
 		for t := start; t < end; t += width {
@@ -82,7 +78,9 @@ func newFig9Run(opts Options) (*DistRun, error) {
 			}
 			prev = u
 			rec.Bursts = append(rec.Bursts, stats.Bucket{Start: t - start, Mean: u, Max: u, Min: u, Count: 1})
-			u = busy.WindowAverage(t, t+width) / 2 // 2 servers
+			if u, err = x.Network().TierUtilization(2, t, t+width); err != nil {
+				return fig9Record{}, err
+			}
 			if u > maxU {
 				maxU = u
 			}

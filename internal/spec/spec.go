@@ -1,7 +1,8 @@
 // Package spec defines the shared system/traffic/SLO vocabulary of the
 // reproduction: one description of an n-tier deployment, its offered
 // traffic, and its service-level objective that feeds the capacity planner
-// (internal/plan) and the simulator (core.Config.FromSpec) alike. The types
+// (internal/plan), the simulator (core.Config.FromSpec and its default
+// topology) and the live chain (victimd.StartSystem) alike. The types
 // are pure data — conversions to the consumers' native configurations live
 // with the consumers, so this package depends only on the analytical model it
 // parameterizes. PlanJSON is the sections' file form: core.Load reads it as
@@ -188,10 +189,10 @@ type Traffic struct {
 	TierMix []float64 `json:"tier_mix,omitempty"`
 }
 
-// RUBBoSTierMix is the terminating-share mix of the RUBBoS browsing
-// profile for a 3-tier deployment: the stationary distribution of the
-// page-transition Markov chain puts ~8% of requests on static content
-// (web only), ~17% on servlets (app), and ~75% on the database.
+// RUBBoSTierMix is the terminating-share mix the planner assumes for a
+// 3-tier RUBBoS deployment: ~8% of requests on static content (web only),
+// ~17% on servlets (app), and ~75% on the database. The simulated page
+// chain (workload.RUBBoSProfile) terminates 0.070/0.126/0.804 instead.
 var RUBBoSTierMix = []float64{0.08, 0.17, 0.75}
 
 // growth returns the effective growth multiplier (zero-value = 1).
@@ -322,10 +323,12 @@ func (s SLO) Validate() error {
 }
 
 // RUBBoSSystem returns the per-replica tier templates of the
-// reproduction's RUBBoS deployment (workload.RUBBoSTiers' thread pools,
-// stations, and base service times). The demand factors fold the request
-// mix's per-tier demand scaling in, so each tier's Capacity matches the
-// effective capacities of analytical.RUBBoS3Tier.
+// reproduction's RUBBoS deployment, the simulator's default topology:
+// two vCPUs per tier (the paper's c3.large) and descending pools. The
+// demand factors fold the request mix's per-tier demand scaling in, so
+// each tier's Capacity matches the effective capacities of
+// analytical.RUBBoS3Tier (the simulator's request classes scale demand
+// themselves: about 1.10 at tomcat and 1.59 at mysql).
 func RUBBoSSystem() System {
 	return System{Tiers: []TierSpec{
 		{Name: "apache", Threads: 100, Servers: 2, Service: 600 * time.Microsecond, DemandFactor: 1.0, Replicas: 1},

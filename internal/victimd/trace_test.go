@@ -424,7 +424,7 @@ func TestOverloadWithCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultSystem()
-	cfg.DBService = 20 * time.Millisecond // 8 db workers: 400 req/s
+	cfg.System.Tiers[2].Service = 20 * time.Millisecond // 8 db workers: 400 req/s
 	cfg.Trace = col
 	sys, err := StartSystem(cfg)
 	if err != nil {

@@ -26,6 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"memca/internal/spec"
+	"memca/internal/stats"
 	"memca/internal/telemetry/live"
 	"memca/internal/walltimer"
 )
@@ -401,68 +403,95 @@ type System struct {
 	Web, App, DB *Tier
 }
 
-// SystemConfig sizes the live 3-tier chain.
+// SystemConfig describes the live 3-tier chain.
 type SystemConfig struct {
-	// WebWorkers/AppWorkers/DBWorkers are the per-tier pools; they must
-	// descend (condition 1 of the model).
-	WebWorkers, AppWorkers, DBWorkers int
-	// WebService/AppService/DBService are per-tier local service times.
-	WebService, AppService, DBService time.Duration
-	// Trace, when non-nil, instruments all three tiers into one shared
-	// collector with tier indices web=0, app=1, db=2. The collector's
-	// tier-name table must have at least three entries (in that order) —
-	// use TierNames for the canonical labels.
+	// System is the chain front to back, in the vocabulary the planner
+	// and the simulator read. StartSystem refuses what a live chain
+	// cannot run; see checkSystem.
+	System spec.System
+	// Trace, when non-nil, instruments every tier into one shared
+	// collector, tier i at trace index i. The collector's tier-name table
+	// must have an entry per tier; TierNames is the default chain's.
 	Trace *live.Collector
 }
 
-// TierNames returns the canonical tier labels in trace-index order, the
-// table to size a live.Collector with when tracing a System.
-func TierNames() []string { return []string{"web", "app", "db"} }
+// acquirePatience is how long a request waits for a worker before its
+// tier sheds it, standing in for a TCP accept queue. It is the live
+// chain's one semantic difference from the simulator, whose full front
+// tier drops at once and whose full interior tier blocks the caller.
+const acquirePatience = 20 * time.Millisecond
+
+// TierNames returns the default chain's tier labels in trace-index order,
+// the table to size a live.Collector with when tracing it.
+func TierNames() []string {
+	tiers := DefaultSystem().System.Tiers
+	names := make([]string, len(tiers))
+	for i, t := range tiers {
+		names[i] = t.Name
+	}
+	return names
+}
 
 // DefaultSystem returns a laptop-scale chain mirroring the simulation's
 // proportions.
 func DefaultSystem() SystemConfig {
-	return SystemConfig{
-		WebWorkers: 32, AppWorkers: 16, DBWorkers: 8,
-		WebService: 200 * time.Microsecond,
-		AppService: 500 * time.Microsecond,
-		DBService:  2 * time.Millisecond,
-	}
+	return SystemConfig{System: spec.System{Tiers: []spec.TierSpec{
+		{Name: "web", Threads: 32, Servers: 32, Service: 200 * time.Microsecond},
+		{Name: "app", Threads: 16, Servers: 16, Service: 500 * time.Microsecond},
+		{Name: "db", Threads: 8, Servers: 8, Service: 2 * time.Millisecond},
+	}}}
 }
 
-// StartSystem launches db, app, and web tiers on ephemeral localhost
-// ports, chained back to front.
+// checkSystem reports why a live chain cannot run sys, or nil: it runs
+// exactly three tiers (System's Web, App and DB), each one process whose
+// workers sleep through their base service (Servers = Threads, Replicas
+// and DemandFactor 0 or 1), with pools descending front to back.
+func checkSystem(sys spec.System) error {
+	if len(sys.Tiers) != 3 {
+		return fmt.Errorf("victimd: the live chain has 3 tiers, the spec %d", len(sys.Tiers))
+	}
+	if err := sys.Validate(); err != nil {
+		return fmt.Errorf("victimd: %w", err)
+	}
+	for _, t := range sys.Tiers {
+		switch {
+		case t.Servers != t.Threads:
+			return fmt.Errorf("victimd: tier %q Servers %d must equal Threads %d: a worker sleeps through its service", t.Name, t.Servers, t.Threads)
+		case t.Replicas > 1:
+			return fmt.Errorf("victimd: tier %q Replicas %d: a live tier is one instance", t.Name, t.Replicas)
+		case t.DemandFactor != 0 && !stats.ApproxEqual(t.DemandFactor, 1):
+			return fmt.Errorf("victimd: tier %q DemandFactor %v: a live tier serves its base service time", t.Name, t.DemandFactor)
+		}
+	}
+	if err := sys.CheckCondition1(); err != nil {
+		return fmt.Errorf("victimd: %w", err)
+	}
+	return nil
+}
+
+// StartSystem launches the chain's tiers on ephemeral localhost ports,
+// back to front, each calling the one behind it.
 func StartSystem(cfg SystemConfig) (*System, error) {
-	if cfg.WebWorkers <= cfg.AppWorkers || cfg.AppWorkers <= cfg.DBWorkers {
-		return nil, fmt.Errorf("victimd: worker pools must descend front to back (got %d/%d/%d)",
-			cfg.WebWorkers, cfg.AppWorkers, cfg.DBWorkers)
-	}
-	const patience = 20 * time.Millisecond
-	db, err := StartTier("127.0.0.1:0", TierConfig{
-		Name: "db", Workers: cfg.DBWorkers, Service: cfg.DBService, AcquireTimeout: patience,
-		Trace: cfg.Trace, TierIndex: 2,
-	})
-	if err != nil {
+	if err := checkSystem(cfg.System); err != nil {
 		return nil, err
 	}
-	app, err := StartTier("127.0.0.1:0", TierConfig{
-		Name: "app", Workers: cfg.AppWorkers, Service: cfg.AppService, Backend: db.URL() + "/", AcquireTimeout: patience,
-		Trace: cfg.Trace, TierIndex: 1,
-	})
-	if err != nil {
-		_ = db.Close()
-		return nil, err
+	specs := cfg.System.Tiers
+	tiers := make([]*Tier, len(specs))
+	backend := ""
+	for i := len(specs) - 1; i >= 0; i-- {
+		t, err := StartTier("127.0.0.1:0", TierConfig{
+			Name: specs[i].Name, Workers: specs[i].Threads, Service: specs[i].Service,
+			Backend: backend, AcquireTimeout: acquirePatience, Trace: cfg.Trace, TierIndex: i,
+		})
+		if err != nil {
+			for _, started := range tiers[i+1:] {
+				_ = started.Close()
+			}
+			return nil, err
+		}
+		tiers[i], backend = t, t.URL()+"/"
 	}
-	web, err := StartTier("127.0.0.1:0", TierConfig{
-		Name: "web", Workers: cfg.WebWorkers, Service: cfg.WebService, Backend: app.URL() + "/", AcquireTimeout: patience,
-		Trace: cfg.Trace, TierIndex: 0,
-	})
-	if err != nil {
-		_ = db.Close()
-		_ = app.Close()
-		return nil, err
-	}
-	return &System{Web: web, App: app, DB: db}, nil
+	return &System{Web: tiers[0], App: tiers[1], DB: tiers[2]}, nil
 }
 
 // Close tears the chain down, returning the first error.

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"memca/internal/spec"
 	"memca/internal/telemetry/live"
 )
 
@@ -20,9 +22,10 @@ func startTestSystem(t *testing.T) *System {
 	t.Helper()
 	cfg := DefaultSystem()
 	// Keep service times tiny so tests are fast.
-	cfg.WebService = 0
-	cfg.AppService = 0
-	cfg.DBService = time.Millisecond
+	tiers := cfg.System.Tiers
+	tiers[0].Service = time.Microsecond
+	tiers[1].Service = time.Microsecond
+	tiers[2].Service = time.Millisecond
 	s, err := StartSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +48,66 @@ func TestTierConfigValidation(t *testing.T) {
 	if _, err := StartTier("127.0.0.1:0", TierConfig{Name: "x", Workers: 1, Service: -time.Second}); err == nil {
 		t.Error("negative service accepted")
 	}
-	if _, err := StartSystem(SystemConfig{WebWorkers: 2, AppWorkers: 4, DBWorkers: 8}); err == nil {
-		t.Error("ascending pools accepted")
+}
+
+// TestStartSystemRefusesSpecs holds StartSystem to the specs a live chain
+// can run: each refusal names what it refuses.
+func TestStartSystemRefusesSpecs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(sys *spec.System)
+		want   string
+	}{
+		{"ascending pools", func(sys *spec.System) {
+			for i, n := range []int{2, 4, 8} {
+				sys.Tiers[i].Threads, sys.Tiers[i].Servers = n, n
+			}
+		}, "condition 1"},
+		{"servers below threads", func(sys *spec.System) { sys.Tiers[1].Servers = 2 }, `"app" Servers 2 must equal Threads 16`},
+		{"replicas", func(sys *spec.System) { sys.Tiers[2].Replicas = 2 }, `"db" Replicas 2`},
+		{"demand factor", func(sys *spec.System) { sys.Tiers[2].DemandFactor = 1.5 }, `"db" DemandFactor 1.5`},
+		{"two tiers", func(sys *spec.System) { sys.Tiers = sys.Tiers[:2] }, "3 tiers, the spec 2"},
+		{"zero service", func(sys *spec.System) { sys.Tiers[0].Service = 0 }, `"web" Service must be positive`},
+	} {
+		cfg := DefaultSystem()
+		c.mutate(&cfg.System)
+		s, err := StartSystem(cfg)
+		if err == nil {
+			_ = s.Close()
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestDefaultSystem pins the default live chain: 32/16/8 workers with
+// 200 µs, 500 µs and 2 ms of service, labelled by TierNames.
+func TestDefaultSystem(t *testing.T) {
+	tiers := DefaultSystem().System.Tiers
+	want := []struct {
+		name    string
+		workers int
+		service time.Duration
+	}{
+		{"web", 32, 200 * time.Microsecond},
+		{"app", 16, 500 * time.Microsecond},
+		{"db", 8, 2 * time.Millisecond},
+	}
+	names := TierNames()
+	if len(tiers) != len(want) || len(names) != len(want) {
+		t.Fatalf("%d tiers and %d names, want %d", len(tiers), len(names), len(want))
+	}
+	for i, w := range want {
+		got := tiers[i]
+		if got.Name != w.name || names[i] != w.name || got.Threads != w.workers || got.Servers != w.workers || got.Service != w.service {
+			t.Errorf("tier %d = %+v named %q, want %s with %d workers and %v", i, got, names[i], w.name, w.workers, w.service)
+		}
+	}
+	if err := checkSystem(DefaultSystem().System); err != nil {
+		t.Errorf("default system refused: %v", err)
 	}
 }
 

@@ -7,10 +7,8 @@ package workload
 
 import (
 	"fmt"
-	"time"
 
 	"memca/internal/queueing"
-	"memca/internal/sim"
 )
 
 // PageSpec names one page type and binds it to a queueing request class.
@@ -102,22 +100,11 @@ func RUBBoSClasses() []queueing.Class {
 	}
 }
 
-// RUBBoSTiers returns the 3-tier topology used across the reproduction's
-// RUBBoS experiments: Apache, Tomcat, MySQL with descending concurrency
-// limits (condition 1 of the analytical model) and two vCPUs per instance
-// (the paper's c3.large).
-func RUBBoSTiers() []queueing.TierConfig {
-	return []queueing.TierConfig{
-		{Name: "apache", QueueLimit: 100, Servers: 2, Service: sim.NewExponential(600 * time.Microsecond)},
-		{Name: "tomcat", QueueLimit: 60, Servers: 2, Service: sim.NewExponential(1200 * time.Microsecond)},
-		{Name: "mysql", QueueLimit: 25, Servers: 2, Service: sim.NewExponential(1600 * time.Microsecond)},
-	}
-}
-
 // RUBBoSProfile returns a browsing model over nine representative RUBBoS
 // interactions (the full benchmark has 24; these carry almost all of its
-// load, with the same web/app/db mix: roughly 10% static, 20% app-only,
-// 70% database-bound).
+// load). The chain's stationary distribution terminates about 7% of
+// requests at the web tier (static), 13% at the app tier and 80% at the
+// database (TestRUBBoSStationaryMix).
 func RUBBoSProfile() Profile {
 	pages := []PageSpec{
 		{Name: "StoriesOfTheDay", Class: ClassDBLight},         // 0 (home)

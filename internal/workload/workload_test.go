@@ -1,23 +1,31 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"memca/internal/queueing"
 	"memca/internal/sim"
+	"memca/internal/spec"
 	"memca/internal/stats"
 )
 
-// rubbosNetwork builds the RUBBoS topology whose clients retransmit
-// under policy.
+// rubbosNetwork builds the RUBBoS topology of spec.RUBBoSSystem (one
+// replica per tier) whose clients retransmit under policy.
 func rubbosNetwork(t *testing.T, e *sim.Engine, policy queueing.RetransmitPolicy) *queueing.Network {
 	t.Helper()
+	var tiers []queueing.TierConfig
+	for _, ts := range spec.RUBBoSSystem().Tiers {
+		tiers = append(tiers, queueing.TierConfig{
+			Name: ts.Name, QueueLimit: ts.Threads, Servers: ts.Servers, Service: sim.NewExponential(ts.Service),
+		})
+	}
 	n, err := queueing.New(e, queueing.Config{
 		Arena:      stats.NewArena(),
 		Mode:       queueing.ModeNTierRPC,
-		Tiers:      RUBBoSTiers(),
+		Tiers:      tiers,
 		Classes:    RUBBoSClasses(),
 		Retransmit: policy,
 	})
@@ -34,12 +42,54 @@ func TestRUBBoSProfileValid(t *testing.T) {
 	}
 }
 
-func TestRUBBoSTiersSatisfyCondition1(t *testing.T) {
-	tiers := RUBBoSTiers()
-	for i := 1; i < len(tiers); i++ {
-		if tiers[i-1].QueueLimit <= tiers[i].QueueLimit {
-			t.Errorf("queue limits not descending: %s %d <= %s %d",
-				tiers[i-1].Name, tiers[i-1].QueueLimit, tiers[i].Name, tiers[i].QueueLimit)
+// TestRUBBoSStationaryMix pins the share of requests whose deepest tier
+// is web, app and db under the browsing chain's stationary distribution,
+// and the mean demand a request that reaches a tier puts on it. Sessions
+// never restart, so the initial distribution does not matter. The
+// stationary mix differs from spec.RUBBoSTierMix (0.08/0.17/0.75) and
+// the db demand from spec.RUBBoSSystem's DemandFactor (1.36): the
+// planner and the analytical tables describe a rounder workload than the
+// simulated one.
+func TestRUBBoSStationaryMix(t *testing.T) {
+	p := RUBBoSProfile()
+	n := len(p.Pages)
+	pi := make([]float64, n)
+	for i := range pi {
+		pi[i] = 1 / float64(n)
+	}
+	next := make([]float64, n)
+	for iter := 0; iter < 10_000; iter++ {
+		clear(next)
+		for i, row := range p.Transitions {
+			for j, v := range row {
+				next[j] += pi[i] * v
+			}
+		}
+		pi, next = next, pi
+	}
+	classes := RUBBoSClasses()
+	mix := make([]float64, 3)
+	reach, demand := make([]float64, 3), make([]float64, 3)
+	for i, page := range p.Pages {
+		c := classes[page.Class]
+		mix[c.Depth] += pi[i]
+		for tier, scale := range c.DemandScale {
+			reach[tier] += pi[i]
+			demand[tier] += pi[i] * scale
+		}
+	}
+	for tier := range demand {
+		demand[tier] /= reach[tier]
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"web mix", mix[0], 0.070}, {"app mix", mix[1], 0.126}, {"db mix", mix[2], 0.804},
+		{"app demand", demand[1], 1.101}, {"db demand", demand[2], 1.586},
+	} {
+		if math.Abs(c.got-c.want) > 1e-3 {
+			t.Errorf("%s = %.4f, want %.3f", c.name, c.got, c.want)
 		}
 	}
 }

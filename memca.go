@@ -122,8 +122,9 @@ type PlanGoal = analytical.Goal
 
 // Re-exported deployment-spec vocabulary (see internal/spec): one
 // description of an n-tier system, its traffic forecast, and its SLO,
-// shared by the capacity planner, the simulator (Config.FromSpec /
-// Config.Spec), and the live victim daemon.
+// shared by the capacity planner, the simulator (Config.FromSpec, and the
+// default topology when Config.Tiers is nil), and the live victim chain
+// (victimd.StartSystem).
 type (
 	// SystemSpec describes an n-tier deployment as per-replica templates.
 	SystemSpec = spec.System
@@ -163,7 +164,7 @@ var ErrInfeasible = analytical.ErrInfeasible
 var ErrNoFeasibleSizing = plan.ErrNoFeasibleSizing
 
 // RUBBoSSpec returns the per-replica tier templates of the paper's
-// RUBBoS deployment — the spec-level twin of the default Config topology.
+// RUBBoS deployment, which the simulator runs when Config.Tiers is nil.
 func RUBBoSSpec() SystemSpec { return spec.RUBBoSSystem() }
 
 // RUBBoSTrafficSpec returns the paper's evaluation population (3500
