@@ -26,14 +26,17 @@ type tracedRun struct {
 }
 
 // tracedRuns returns the traced attacked run (the generator's
-// retransmissions and abandonments) and the traced feedback run (the
-// probe's as well) at memca-trace's quick settings: 45 s measured, 20 s
-// warm-up, seed 1, both feature windows, a 1 s tail threshold.
+// retransmissions and abandonments), the traced feedback run (the
+// probe's as well) and the traced baseline at the settings of
+// `memca-sim -trace DIR -duration 45s`: 45 s measured, 20 s warm-up,
+// seed 1, both feature windows, a 1 s tail threshold.
 func tracedRuns() []tracedRun {
 	fb := DefaultConfig()
 	feedback := control.DefaultConfig()
 	fb.Feedback = &feedback
-	runs := []tracedRun{{"attacked", DefaultConfig()}, {"feedback", fb}}
+	base := DefaultConfig()
+	base.Attack = nil
+	runs := []tracedRun{{"attacked", DefaultConfig()}, {"feedback", fb}, {"baseline", base}}
 	for i := range runs {
 		cfg := &runs[i].cfg
 		cfg.Seed = 1
@@ -109,8 +112,9 @@ func tracedRunDigests(t *testing.T, label string, cfg Config) []string {
 }
 
 // TestTracedRunDigests pins every artifact of a traced attacked run (the
-// generator's retransmissions and abandonments) and of a traced feedback
-// run (the probe's as well) against testdata/traced_digests.txt. A
+// generator's retransmissions and abandonments), of a traced feedback
+// run (the probe's as well) and of a traced baseline against
+// testdata/traced_digests.txt. A
 // refactor of the client or tracer paths must leave every byte unchanged.
 // Regenerate deliberately with:
 // go test ./internal/core -run TestTracedRunDigests -update
