@@ -116,10 +116,11 @@ quick-figures:
 	$(GO) run ./cmd/memca-bench -out out -quick
 
 # Per-request causal traces: attacked + baseline runs with full tracing,
-# exporting Chrome trace JSON, attribution CSVs, and dual-resolution
-# timelines into out/trace/.
+# exporting Chrome trace JSON, OTLP/JSON, attribution CSVs, and
+# dual-resolution timelines into out/trace/.
 trace:
-	$(GO) run ./cmd/memca-trace -out out/trace
+	$(GO) run ./cmd/memca-sim -trace out/trace
+	$(GO) run ./cmd/memca-sim -trace out/trace -baseline
 
 # Config-file smoke: plan the RUBBoS plan file and the paper-default
 # scenario file (forecast shaping, default spec sections) on the reduced

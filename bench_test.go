@@ -364,7 +364,7 @@ func spanExportEvents(n int) []telemetry.SpanEvent {
 
 // BenchmarkSpanExport measures the span exporters: one Chrome trace-event
 // export plus one OTLP/JSON export of a fixed 2^16-event stream (the
-// shape of memca-trace's event ring after a wrap) to files in a temp
+// shape of a `memca-sim -trace` event ring after a wrap) to files in a temp
 // directory. The allocs/op contract pins the direct-appender encoders:
 // compact per-event records, open-span state sized to the in-flight set,
 // and one buffered writer per file, no per-event encoding garbage.

@@ -1,5 +1,11 @@
 // Command memca-sim runs one MemCA experiment — baseline or attack, with
 // optional feedback control and elastic scaling — and prints the report.
+// With -trace it also traces every request and exports what aggregate
+// metrics hide: Chrome trace-event JSON (load it in Perfetto or
+// about://tracing to walk one request's path through the tiers), OTLP
+// span batches, per-trace critical-path attribution CSVs, and
+// dual-resolution latency timelines and detection features showing
+// monitoring blindness.
 //
 // Usage:
 //
@@ -14,6 +20,9 @@
 //	memca-sim -scaling -duration 5m            # with a live auto-scaling group attached
 //	memca-sim -json report.json                # also write the machine-readable report
 //	memca-sim -runs 8 -parallel 4              # 8 replications with derived seeds, 4 workers
+//	memca-sim -trace out/trace                 # traced attacked run, artifacts in out/trace/
+//	memca-sim -trace out/trace -baseline       # traced baseline into the same directory
+//	memca-sim -config configs/defended.json -trace out/defended  # traced config-file scenario
 package main
 
 import (
@@ -39,12 +48,12 @@ func main() {
 
 // configFlags are the flags that still apply alongside -config; every
 // other flag sets a scenario field the config file owns.
-var configFlags = map[string]bool{"config": true, "json": true, "runs": true, "parallel": true}
+var configFlags = map[string]bool{"config": true, "json": true, "runs": true, "parallel": true, "trace": true}
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("memca-sim", flag.ExitOnError)
 	var (
-		configPath = fs.String("config", "", "JSON config file (see configs/); combines only with -json, -runs and -parallel")
+		configPath = fs.String("config", "", "JSON config file (see configs/); combines only with -json, -runs, -parallel and -trace")
 		baseline   = fs.Bool("baseline", false, "run without the attack")
 		env        = fs.String("env", "ec2", "environment: ec2 or private")
 		kind       = fs.String("attack", "lock", "attack kind: lock or saturation")
@@ -60,9 +69,13 @@ func run(args []string) error {
 		jsonOut    = fs.String("json", "", "write the report as JSON to this path")
 		runs       = fs.Int("runs", 1, "independent replications with deterministically derived seeds")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "worker count when -runs > 1 (1 = serial; results are identical either way)")
+		traceDir   = fs.String("trace", "", "trace every request and write the trace artifacts into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *traceDir != "" && *runs > 1 {
+		return fmt.Errorf("-trace traces one run: it cannot be combined with -runs %d", *runs)
 	}
 
 	if *configPath != "" {
@@ -79,7 +92,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return execute(cfg, *jsonOut, *runs, *parallel)
+		return execute(cfg, *jsonOut, *traceDir, *runs, *parallel)
 	}
 
 	cfg := memca.DefaultConfig()
@@ -123,14 +136,19 @@ func run(args []string) error {
 		cfg.Scaling = &memca.ScalingSpec{Trigger: memca.DefaultAutoScaler(), MaxInstances: 4}
 	}
 
-	return execute(cfg, *jsonOut, *runs, *parallel)
+	return execute(cfg, *jsonOut, *traceDir, *runs, *parallel)
 }
 
 // execute runs one configured experiment (or several replications of it)
-// and prints/writes the report(s).
-func execute(cfg memca.Config, jsonOut string, runs, parallel int) error {
+// and prints/writes the report(s), and the trace artifacts when traceDir
+// is set.
+func execute(cfg memca.Config, jsonOut, traceDir string, runs, parallel int) error {
 	if runs > 1 {
 		return executeReplicated(cfg, jsonOut, runs, parallel)
+	}
+	if traceDir != "" {
+		spec := traceSpec()
+		cfg.Trace = &spec
 	}
 	x, err := memca.NewExperiment(cfg)
 	if err != nil {
@@ -145,6 +163,11 @@ func execute(cfg memca.Config, jsonOut string, runs, parallel int) error {
 	}
 	fmt.Printf("done in %v (wall clock)\n\n", time.Since(start).Round(time.Millisecond))
 	fmt.Println(rep.Render())
+	if traceDir != "" {
+		if err := writeTrace(traceDir, cfg.Attack != nil, x.Tracer(), rep.Client.P99); err != nil {
+			return err
+		}
+	}
 	if jsonOut != "" {
 		if err := trace.WriteJSON(jsonOut, rep); err != nil {
 			return err

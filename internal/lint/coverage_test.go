@@ -29,7 +29,6 @@ func TestSimPathCoversEngine(t *testing.T) {
 	for _, path := range []string{
 		"memca/cmd/benchjson",
 		"memca/cmd/memca-sim",
-		"memca/cmd/memca-trace",
 		"memca/examples/quickstart",
 	} {
 		if cfg.IsSimPath(path) {
@@ -52,7 +51,7 @@ func TestEngineFilesClean(t *testing.T) {
 	pkgs, err := Load("../..",
 		"./internal/sim", "./internal/queueing", "./internal/workload",
 		"./internal/core", "./internal/telemetry", "./internal/telemetry/live",
-		"./internal/stats", "./cmd/memca-trace")
+		"./internal/stats", "./cmd/memca-sim")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -3,6 +3,9 @@ package memcafw
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +23,8 @@ func TestEnvelopeValidate(t *testing.T) {
 		{Type: MsgHello, Hello: &Hello{FEID: "fe1", Program: "simulated"}},
 		{Type: MsgSetParams, Params: &ParamsMsg{Intensity: 0.5, BurstMs: 100, IntervalMs: 2000}},
 		{Type: MsgBurstReport, Report: &BurstReport{Burst: 1, ExecMs: 100}},
+		{Type: MsgSetParams, Params: &ParamsMsg{Intensity: 1, BurstMs: maxMs, IntervalMs: maxMs}},
+		{Type: MsgBurstReport, Report: &BurstReport{Burst: 1, ExecMs: maxMs}},
 		{Type: MsgStop},
 	}
 	for i, e := range good {
@@ -34,7 +39,11 @@ func TestEnvelopeValidate(t *testing.T) {
 		{Type: MsgSetParams, Params: &ParamsMsg{Intensity: 1.5, BurstMs: 100, IntervalMs: 2000}},
 		{Type: MsgSetParams, Params: &ParamsMsg{Intensity: 0.5, BurstMs: 0, IntervalMs: 2000}},
 		{Type: MsgSetParams, Params: &ParamsMsg{Intensity: 0.5, BurstMs: 3000, IntervalMs: 2000}},
+		{Type: MsgSetParams, Params: &ParamsMsg{Intensity: 1, BurstMs: 1, IntervalMs: maxMs + 1}},
+		{Type: MsgSetParams, Params: &ParamsMsg{Intensity: 1, BurstMs: maxMs + 1, IntervalMs: maxMs + 1}},
 		{Type: MsgBurstReport},
+		{Type: MsgBurstReport, Report: &BurstReport{Burst: 1, ExecMs: -1}},
+		{Type: MsgBurstReport, Report: &BurstReport{Burst: 1, ExecMs: maxMs + 1}},
 		{Type: "bogus"},
 	}
 	for i, e := range bad {
@@ -308,4 +317,53 @@ func TestHTTPProbeAgainstLocalServer(t *testing.T) {
 	if rt != 50*time.Millisecond {
 		t.Errorf("timed-out probe RT %v, want 50ms", rt)
 	}
+}
+
+// FuzzRecv feeds arbitrary bytes, one envelope per line, through the
+// FE/BE link's reader. recv never panics, and every envelope it returns
+// passes Validate and converts to non-negative durations, so neither
+// daemon can read a wrapped-negative burst, interval or execution time.
+func FuzzRecv(f *testing.F) {
+	for _, s := range []string{
+		`{"type":"hello","hello":{"fe_id":"fe1","program":"simulated"}}`,
+		`{"type":"set_params","params":{"intensity":0.5,"burst_ms":500,"interval_ms":2000}}`,
+		`{"type":"burst_report","report":{"burst":1,"exec_ms":480,"resource_share":0.9}}` + "\n" + `{"type":"stop"}`,
+		`{"type":"set_params","params":{"intensity":1,"burst_ms":9223372036855,"interval_ms":9223372036855}}`,
+		`{"type":"burst_report","report":{"burst":1,"exec_ms":9223372036855}}`,
+		`{"type":"burst_report","report":{"burst":1,"exec_ms":-1}}`,
+		`{"type":"set_params"}` + "\r\n" + `not json`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		client, server := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = io.WriteString(client, data)
+			_ = client.Close()
+		}()
+		c := newConn(server)
+		for i := 0; i <= strings.Count(data, "\n"); i++ {
+			e, err := c.recv()
+			if err != nil {
+				continue
+			}
+			if err := e.Validate(); err != nil {
+				t.Fatalf("recv returned an invalid envelope %+v: %v", e, err)
+			}
+			switch e.Type {
+			case MsgSetParams:
+				if time.Duration(e.Params.BurstMs)*time.Millisecond <= 0 || time.Duration(e.Params.IntervalMs)*time.Millisecond <= 0 {
+					t.Fatalf("recv returned params %+v that read as non-positive durations", *e.Params)
+				}
+			case MsgBurstReport:
+				if time.Duration(e.Report.ExecMs)*time.Millisecond < 0 {
+					t.Fatalf("recv returned report %+v that reads as a negative duration", *e.Report)
+				}
+			}
+		}
+		_ = c.close()
+		<-done
+	})
 }

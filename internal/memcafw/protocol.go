@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"time"
 )
@@ -74,6 +75,11 @@ type Envelope struct {
 	Report *BurstReport `json:"report,omitempty"`
 }
 
+// maxMs is the longest millisecond count that time.Duration holds. Each
+// wire field is read as time.Duration(ms)*time.Millisecond, which wraps
+// negative past it.
+const maxMs = math.MaxInt64 / int64(time.Millisecond)
+
 // Validate reports the first envelope error, or nil.
 func (e Envelope) Validate() error {
 	switch e.Type {
@@ -91,9 +97,15 @@ func (e Envelope) Validate() error {
 		if e.Params.BurstMs <= 0 || e.Params.IntervalMs <= 0 || e.Params.BurstMs > e.Params.IntervalMs {
 			return fmt.Errorf("memcafw: invalid burst/interval %d/%d ms", e.Params.BurstMs, e.Params.IntervalMs)
 		}
+		if e.Params.IntervalMs > maxMs { // and so BurstMs too
+			return fmt.Errorf("memcafw: interval %d ms exceeds the longest duration, %d ms", e.Params.IntervalMs, maxMs)
+		}
 	case MsgBurstReport:
 		if e.Report == nil {
 			return fmt.Errorf("memcafw: burst_report envelope missing body")
+		}
+		if e.Report.ExecMs < 0 || e.Report.ExecMs > maxMs {
+			return fmt.Errorf("memcafw: exec time %d ms out of [0, %d]", e.Report.ExecMs, maxMs)
 		}
 	case MsgStop:
 		// No body.

@@ -186,13 +186,25 @@ func (t *Tier) URL() string { return "http://" + t.listener.Addr().String() }
 func (t *Tier) Rejected() int64 { return t.rejected.Load() }
 
 // SetCapacityMultiplier scales the tier's service rate: 0.1 means work
-// takes 10x longer (the MemCA millibottleneck lever).
+// takes 10x longer (the MemCA millibottleneck lever). A multiplier so
+// small that the stretched service overflows time.Duration is an error.
 func (t *Tier) SetCapacityMultiplier(m float64) error {
 	if m <= 0 || m > 1 || math.IsNaN(m) {
 		return fmt.Errorf("victimd: multiplier must be in (0,1], got %v", m)
 	}
-	t.slowdown.Store(int64(1000 / m))
+	// float64(math.MaxInt64) is 2^63, the first value past the bound.
+	slowdown := 1000 / m
+	if slowdown >= math.MaxInt64 || float64(t.cfg.Service)*math.Trunc(slowdown)/1000 >= math.MaxInt64 {
+		return fmt.Errorf("victimd: multiplier %v stretches the %v service past %v, the longest duration", m, t.cfg.Service, time.Duration(math.MaxInt64))
+	}
+	t.slowdown.Store(int64(slowdown))
 	return nil
+}
+
+// serviceTime is the tier's local work, stretched by the current
+// slowdown.
+func (t *Tier) serviceTime() time.Duration {
+	return time.Duration(float64(t.cfg.Service) * float64(t.slowdown.Load()) / 1000)
 }
 
 // Close shuts the tier down. A handler still in its service wait wakes
@@ -254,9 +266,7 @@ func (t *Tier) handle(w http.ResponseWriter, r *http.Request) {
 		t.cfg.Trace.Record(traceID, live.KindServiceStart, t.cfg.TierIndex, attempt, 0)
 	}
 	svcStart := time.Now()
-	// Local work, stretched by the current slowdown.
-	d := time.Duration(float64(t.cfg.Service) * float64(t.slowdown.Load()) / 1000)
-	if d > 0 && !timer.Wait(r.Context(), d) {
+	if d := t.serviceTime(); d > 0 && !timer.Wait(r.Context(), d) {
 		// The caller hung up mid-service (or the tier closed); close the
 		// span so the trace never reports an orphan service interval.
 		svc := time.Since(svcStart)

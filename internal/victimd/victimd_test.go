@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -437,4 +438,34 @@ func TestBackendConnectionsReused(t *testing.T) {
 	if extra := dials.Load() - afterFirst; extra != 0 {
 		t.Errorf("waves 2-%d opened %d new backend connections, want 0", waves, extra)
 	}
+}
+
+// FuzzCapacityQuery feeds any multiplier string to /control/capacity. The
+// handler answers 200 or 400, and a 200 never leaves the tier serving
+// faster than its configured service time: a multiplier whose stretched
+// service overflows time.Duration (at 2 ms, anything below about 2e-13)
+// must be refused, not wrapped to a zero or negative wait.
+func FuzzCapacityQuery(f *testing.F) {
+	for _, s := range []string{"1", "0.05", "1e-12", "1e-13", "1e-300", "5e-324", "0", "-0", "2", "NaN", "Inf", "abc", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, multiplier string) {
+		tier := &Tier{cfg: TierConfig{Name: "db", Service: 2 * time.Millisecond}}
+		tier.slowdown.Store(1000)
+		req := httptest.NewRequest(http.MethodGet, "/control/capacity?"+url.Values{"multiplier": {multiplier}}.Encode(), nil)
+		rec := httptest.NewRecorder()
+		tier.handleCapacity(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+			if d := tier.serviceTime(); d < tier.cfg.Service {
+				t.Fatalf("multiplier %q accepted: service wait %v, below the configured %v", multiplier, d, tier.cfg.Service)
+			}
+		case http.StatusBadRequest:
+			if d := tier.serviceTime(); d != tier.cfg.Service {
+				t.Fatalf("multiplier %q refused but the service wait moved to %v", multiplier, d)
+			}
+		default:
+			t.Fatalf("multiplier %q: status %d, want 200 or 400", multiplier, rec.Code)
+		}
+	})
 }
