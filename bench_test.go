@@ -19,6 +19,7 @@ import (
 
 	"memca"
 	"memca/internal/figures"
+	"memca/internal/memmodel"
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
@@ -270,15 +271,15 @@ func BenchmarkStatsRecord(b *testing.B) {
 
 // BenchmarkBandwidthAllocation measures the host bandwidth allocator.
 func BenchmarkBandwidthAllocation(b *testing.B) {
-	spec := memca.ProfileSpec{
-		Host:      memca.XeonE5_2603v3(),
+	spec := memmodel.ProfileSpec{
+		Host:      memmodel.XeonE5_2603v3(),
 		VMs:       6,
-		Placement: memca.PlacementSamePackage,
-		Kind:      memca.AttackMemoryLock,
+		Placement: memmodel.PlacementSamePackage,
+		Kind:      memmodel.AttackMemoryLock,
 		LockDuty:  1.0,
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := memca.Profile(spec); err != nil {
+		if _, err := memmodel.Profile(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

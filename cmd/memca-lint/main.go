@@ -8,8 +8,8 @@
 // allocbound escape-budget gate (the compiler's escape analysis over the
 // hot-path packages must stay within internal/lint/testdata/escape_budget.json)
 // and testonly (no declaration only tests reach, no exported field only
-// tests set), which always covers the whole module, whatever patterns
-// are given.
+// tests set or only tests read), which always covers the whole module,
+// whatever patterns are given.
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		fmt.Printf("%-16s %s\n", "allocbound", "no heap escapes in hot-path packages beyond the checked-in budget")
-		fmt.Printf("%-16s %s\n", "testonly", "no declaration only tests reach and no exported field only tests set, module-wide")
+		fmt.Printf("%-16s %s\n", "testonly", "no declaration only tests reach and no exported field only tests set or read, module-wide")
 		return
 	}
 
@@ -103,11 +103,11 @@ func main() {
 	diags := lint.Run(pkgs, analyzers, cfg)
 
 	if runTestOnly {
-		module, err := lint.Load(wd, lint.APIPackage+"/...")
+		module, err := lint.Load(wd, "memca/...")
 		if err != nil {
 			fatal(err)
 		}
-		diags = append(diags, lint.CheckTestOnly(module, lint.APIPackage)...)
+		diags = append(diags, lint.CheckTestOnly(module)...)
 	}
 
 	if runBudget {

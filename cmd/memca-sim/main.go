@@ -74,6 +74,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs %d: want at least one run", *runs)
+	}
 	if *traceDir != "" && *runs > 1 {
 		return fmt.Errorf("-trace traces one run: it cannot be combined with -runs %d", *runs)
 	}

@@ -82,3 +82,18 @@ func TestTraceFlagCombinations(t *testing.T) {
 		t.Errorf("traced config run: %v", err)
 	}
 }
+
+// TestRejectsRunsBelowOne pins that -runs below 1 is an error naming the
+// flag, with or without -config, rather than a silent single run.
+func TestRejectsRunsBelowOne(t *testing.T) {
+	config := filepath.Join("..", "..", "configs", "paper-default.json")
+	for _, args := range [][]string{
+		{"-runs", "0"},
+		{"-runs", "-3"},
+		{"-config", config, "-runs", "0"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-runs") {
+			t.Errorf("run %q = %v, want an error naming -runs", args, err)
+		}
+	}
+}

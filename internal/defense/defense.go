@@ -137,10 +137,9 @@ func (d *Detector) Detect(source monitor.UtilizationSource, horizon time.Duratio
 
 // Classification summarizes what the detected episodes look like.
 type Classification struct {
-	// Episodes is the number of millibottlenecks found.
-	Episodes int
 	// MeanLength and MeanInterval describe the ON-OFF pattern.
-	MeanLength   time.Duration
+	MeanLength time.Duration
+	//memca:keep TestDefenseEvaluation checks the detected episodes recur at burst spacing only through it
 	MeanInterval time.Duration
 	// IntervalCV is the coefficient of variation of inter-episode gaps:
 	// a pulsating attack is near-periodic (CV << 1), organic load
@@ -156,7 +155,7 @@ type Classification struct {
 // Classify inspects detected millibottlenecks for the MemCA signature:
 // at least minEpisodes short episodes at near-regular intervals.
 func Classify(episodes []Millibottleneck, minEpisodes int) Classification {
-	c := Classification{Episodes: len(episodes)}
+	var c Classification
 	if len(episodes) == 0 {
 		return c
 	}

@@ -205,7 +205,7 @@ func newDefenseRun(opts Options) (*DistRun, error) {
 			return nil, "", fmt.Errorf("figures: tuning defense trigger: %w", err)
 		}
 		res.Attribution = attribution
-		res.AttributionAlarms = len(attribution.DetectFeatures(lockFeatures))
+		res.AttributionAlarms = attribution.DetectFeatures(lockFeatures)
 		res.AttributionTriggered = res.AttributionAlarms > 0
 		res.TriggeredP95 = lock.Point.ClientP95
 		if res.AttributionTriggered {

@@ -237,7 +237,7 @@ func newDetectorRun(opts Options) (*DistRun, error) {
 						Scenario:    scen.name,
 						Detector:    det.Name(),
 						Granularity: g,
-						Alarms:      len(det.Detect(rec.Buckets[gi])),
+						Alarms:      det.Detect(rec.Buckets[gi]),
 					})
 				}
 			}

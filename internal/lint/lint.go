@@ -22,8 +22,8 @@
 //     must stay within the checked-in budget, a count per (function,
 //     message); any escape beyond its count fails lint.
 //   - testonly (CheckTestOnly, also whole-module): no declaration only
-//     tests reach and no exported field only tests set, outside the memca
-//     API package and //memca:keep <reason> declarations.
+//     tests reach and no exported field only tests set or read, outside
+//     //memca:keep <reason> declarations and fields.
 //
 // The analyzers are built on the standard library only (go/parser, go/types
 // with compiled export data from `go list -export`), so the suite adds no

@@ -157,15 +157,15 @@ func TestRunOrdersDiagnostics(t *testing.T) {
 }
 
 // TestTestOnlyGolden runs the whole-module testonly check over a golden
-// module of three packages: the API package testonly and its imports a
-// and b.
+// module of four packages: a main, the API package testonly it imports,
+// and that package's imports a and b.
 func TestTestOnlyGolden(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/testonly/...")
 	if err != nil {
 		t.Fatalf("Load testdata/testonly: %v", err)
 	}
-	if len(pkgs) != 3 {
-		t.Fatalf("Load testdata/testonly: got %d packages, want 3", len(pkgs))
+	if len(pkgs) != 4 {
+		t.Fatalf("Load testdata/testonly: got %d packages, want 4", len(pkgs))
 	}
 	var files []string
 	for _, pkg := range pkgs {
@@ -173,7 +173,7 @@ func TestTestOnlyGolden(t *testing.T) {
 			files = append(files, pkg.Fset.Position(f.Pos()).Filename)
 		}
 	}
-	diags := CheckTestOnly(pkgs, "memca/internal/lint/testdata/testonly")
+	diags := CheckTestOnly(pkgs)
 	problems, err := CheckExpectations(files, diags)
 	if err != nil {
 		t.Fatalf("CheckExpectations: %v", err)

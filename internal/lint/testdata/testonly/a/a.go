@@ -99,3 +99,25 @@ type Config struct {
 
 // Pair is built positionally.
 type Pair struct{ X, Y int }
+
+// Status is written by the api package; main reads Code.
+type Status struct {
+	Code  int
+	Probe int // want `field Status\.Probe is never read outside tests`
+	// Last is only assigned with a plain =, which writes without reading.
+	Last int // want `field Status\.Last is never read outside tests`
+	// KeptProbe is read by tests only.
+	KeptProbe int //memca:keep golden case for a kept read-side field
+}
+
+// Export is encoded: its tagged field and the fields of what it holds
+// count as read.
+type Export struct {
+	Items []Item `json:"items"`
+}
+
+// Item is held by a json-tagged field.
+type Item struct{ Weight int }
+
+// SolveResult is a result: callers read its fields.
+type SolveResult struct{ Cost int }

@@ -11,4 +11,6 @@ func TestHelpers(t *testing.T) {
 	Kept()
 	NoReason()
 	_ = c.hidden
+	var st Status
+	_ = st.Probe + st.KeptProbe
 }

@@ -18,48 +18,51 @@ import (
 //	func Fig10(o Options) (*Fig10Result, error) { ... }
 const KeepDirective = "//memca:keep"
 
-// APIPackage is the module's public API. Its declarations are roots of the
-// testonly check: the examples and the module's users call them.
-const APIPackage = "memca"
-
 // CheckTestOnly is the whole-module testonly check. pkgs must hold every
 // non-test package of the module (the check reads no _test.go file, so a
-// name that only tests use looks unused here); api is the import path
-// whose declarations are all public API.
+// name that only tests use looks unused here).
 //
-// It reports two kinds of dead weight:
+// It reports three kinds of dead weight:
 //
 //   - every package-level func, method, type, var and const that no root
 //     reaches. An iota const group counts as one declaration: it is
-//     reached when any member is. Roots are main and init functions, every declaration of the
-//     api package, and every declaration marked //memca:keep; a root
-//     reaches what its declaration names, transitively. A method is also
-//     reached when its (reached) receiver type implements an interface
-//     whose method of that name a reached declaration calls, or an
-//     interface from outside the module (fmt.Stringer, error,
-//     http.Handler, ...), whose callers live in the standard library.
+//     reached when any member is. Roots are main and init functions and
+//     every declaration marked //memca:keep; a root reaches what its
+//     declaration names, transitively. A method is also reached when its
+//     (reached) receiver type implements an interface whose method of
+//     that name a reached declaration calls, or an interface from outside
+//     the module (fmt.Stringer, error, http.Handler, ...), whose callers
+//     live in the standard library.
 //   - every exported field of a reached exported struct that no non-test
 //     code writes. A write is a composite-literal key or position, an
 //     assignment or range assignment (to x.F, x.F[i], x.F.G, *x.F), an
 //     inc/dec, &x.F, or a pointer-method call on x.F. A field with a json
 //     tag counts as written by decoding.
+//   - every such field that non-test code writes but never reads. A read
+//     is any selector x.F except the whole left-hand side of a plain =.
+//     Encoding reads a field with a json tag and every exported field of a
+//     struct type such a field holds (through pointers, slices, arrays and
+//     maps, transitively); callers read every field of an exported type
+//     whose name ends in Result.
 //
 // Each package is type-checked on its own against export data, so one
 // declaration is several types.Objects across the module; the check
 // identifies declarations by key (objKey, fieldKey) instead.
-func CheckTestOnly(pkgs []*Package, api string) []Diagnostic {
+func CheckTestOnly(pkgs []*Package) []Diagnostic {
 	c := &testOnly{
 		module:    make(map[string]bool, len(pkgs)),
 		units:     make(map[string]*declUnit),
 		usedIface: make(map[string]bool),
 		written:   make(map[string]bool),
+		read:      make(map[string]bool),
+		encoded:   make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
 		c.module[pkg.ImportPath] = true
 	}
 	for _, pkg := range pkgs {
-		c.collectUnits(pkg, pkg.ImportPath == api)
-		c.collectWrites(pkg)
+		c.collectUnits(pkg)
+		c.collectAccesses(pkg)
 	}
 	for _, pkg := range pkgs {
 		c.collectDispatch(pkg)
@@ -82,9 +85,7 @@ func CheckTestOnly(pkgs []*Package, api string) []Diagnostic {
 		}
 	}
 	for _, pkg := range pkgs {
-		if pkg.ImportPath != api {
-			diags = append(diags, c.unsetFields(pkg)...)
-		}
+		diags = append(diags, c.deadFields(pkg)...)
 	}
 	return diags
 }
@@ -114,10 +115,14 @@ type testOnly struct {
 	dispatch  []dispatch
 	usedIface map[string]bool
 	written   map[string]bool
+	read      map[string]bool
+	// encoded holds the struct types (by objKey) a json-tagged field
+	// holds: encoding/json reads all their exported fields.
+	encoded map[string]bool
 }
 
 // collectUnits records every package-level declaration of pkg.
-func (c *testOnly) collectUnits(pkg *Package, isAPI bool) {
+func (c *testOnly) collectUnits(pkg *Package) {
 	isMain := pkg.Types.Name() == "main"
 	for _, file := range pkg.Syntax {
 		for _, d := range file.Decls {
@@ -126,7 +131,7 @@ func (c *testOnly) collectUnits(pkg *Package, isAPI bool) {
 				u := &declUnit{pkg: pkg, node: d}
 				name := d.Name.Name
 				plain := d.Recv == nil
-				u.root = isAPI || (plain && name == "init") || (plain && isMain && name == "main")
+				u.root = plain && (name == "init" || isMain && name == "main")
 				if obj := pkg.Info.Defs[d.Name]; obj != nil && name != "_" && !(plain && name == "init") {
 					u.objs = []types.Object{obj}
 				}
@@ -138,10 +143,10 @@ func (c *testOnly) collectUnits(pkg *Package, isAPI bool) {
 				// Deleting one member of an iota group renumbers the rest,
 				// so the group is one unit, reached when any member is.
 				group := d.Tok == token.CONST && usesIota(pkg, d)
-				u, docs := &declUnit{pkg: pkg, node: d, root: isAPI}, []*ast.CommentGroup{d.Doc}
+				u, docs := &declUnit{pkg: pkg, node: d}, []*ast.CommentGroup{d.Doc}
 				for _, spec := range d.Specs {
 					if !group {
-						u, docs = &declUnit{pkg: pkg, node: spec, root: isAPI}, docs[:1]
+						u, docs = &declUnit{pkg: pkg, node: spec}, docs[:1]
 					}
 					var names []*ast.Ident
 					switch s := spec.(type) {
@@ -433,9 +438,13 @@ func fieldKey(t types.Type, name string) string {
 	return obj.Pkg().Path() + "." + obj.Name() + "." + name
 }
 
-// collectWrites records every struct field pkg's code writes.
-func (c *testOnly) collectWrites(pkg *Package) {
+// collectAccesses records every struct field pkg's code writes or reads,
+// and the struct types its json-tagged fields hold.
+func (c *testOnly) collectAccesses(pkg *Package) {
 	info := pkg.Info
+	// assigned holds the selectors that are the whole left-hand side of a
+	// plain =: they write their field without reading it.
+	assigned := make(map[*ast.SelectorExpr]bool)
 	for _, file := range pkg.Syntax {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -456,9 +465,18 @@ func (c *testOnly) collectWrites(pkg *Package) {
 					}
 					c.written[fieldKey(t, name)] = true
 				}
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					if jsonTagged(field) {
+						c.encode(info.TypeOf(field.Type))
+					}
+				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					c.writeTo(info, lhs)
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && n.Tok == token.ASSIGN {
+						assigned[sel] = true
+					}
 				}
 			case *ast.RangeStmt:
 				if n.Tok == token.ASSIGN {
@@ -472,9 +490,19 @@ func (c *testOnly) collectWrites(pkg *Package) {
 					c.writeTo(info, n.X)
 				}
 			case *ast.SelectorExpr:
-				// x.F.M() with a pointer receiver takes &x.F implicitly.
 				sel := info.Selections[n]
-				if sel == nil || sel.Kind() != types.MethodVal {
+				if sel == nil {
+					break
+				}
+				// The fields a selection passes through are read; so is the
+				// selected field, unless a plain = only writes it.
+				path := len(sel.Index())
+				if sel.Kind() != types.FieldVal || assigned[n] {
+					path--
+				}
+				markPath(c.read, sel, path)
+				// x.F.M() with a pointer receiver takes &x.F implicitly.
+				if sel.Kind() != types.MethodVal {
 					break
 				}
 				recv := sel.Obj().Type().(*types.Signature).Recv()
@@ -503,16 +531,7 @@ func (c *testOnly) writeTo(info *types.Info, e ast.Expr) {
 			e = x.X
 		case *ast.SelectorExpr:
 			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-				t := sel.Recv()
-				for _, idx := range sel.Index() {
-					st, ok := derefType(t).Underlying().(*types.Struct)
-					if !ok {
-						break
-					}
-					f := st.Field(idx)
-					c.written[fieldKey(t, f.Name())] = true
-					t = f.Type()
-				}
+				markPath(c.written, sel, len(sel.Index()))
 			}
 			e = x.X
 		default:
@@ -521,9 +540,58 @@ func (c *testOnly) writeTo(info *types.Info, e ast.Expr) {
 	}
 }
 
-// unsetFields reports the exported fields of pkg's live exported structs
-// that no non-test code writes.
-func (c *testOnly) unsetFields(pkg *Package) []Diagnostic {
+// markPath marks the first n fields on a selection's path (the embedded
+// fields it passes through, then the selected field) in set.
+func markPath(set map[string]bool, sel *types.Selection, n int) {
+	t := sel.Recv()
+	for _, idx := range sel.Index()[:n] {
+		st, ok := derefType(t).Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		f := st.Field(idx)
+		set[fieldKey(t, f.Name())] = true
+		t = f.Type()
+	}
+}
+
+// encode records the named struct type t holds, directly or through
+// pointers, slices, arrays and maps, and what its exported fields hold.
+func (c *testOnly) encode(t types.Type) {
+	switch t := types.Unalias(t).(type) {
+	case interface{ Elem() types.Type }: // pointer, slice, array, map
+		c.encode(t.Elem())
+	case *types.Named:
+		st, ok := t.Underlying().(*types.Struct)
+		key := objKey(t.Origin().Obj())
+		if !ok || c.encoded[key] {
+			return
+		}
+		c.encoded[key] = true
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				c.encode(f.Type())
+			}
+		}
+	}
+}
+
+// jsonTagged reports whether a field has a json tag that encodes it.
+func jsonTagged(field *ast.Field) bool {
+	if field.Tag == nil {
+		return false
+	}
+	tag, err := strconv.Unquote(field.Tag.Value)
+	if err != nil {
+		return false
+	}
+	name, ok := reflect.StructTag(tag).Lookup("json")
+	return ok && name != "-"
+}
+
+// deadFields reports the exported fields of pkg's live exported structs
+// that no non-test code writes, or writes but never reads.
+func (c *testOnly) deadFields(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, file := range pkg.Syntax {
 		for _, d := range file.Decls {
@@ -541,8 +609,11 @@ func (c *testOnly) unsetFields(pkg *Package) []Diagnostic {
 				if u := c.units[objKey(tn)]; u == nil || !u.live {
 					continue
 				}
+				// Encoding reads every field of an encoded type, and callers
+				// read every field of a result.
+				output := c.encoded[objKey(tn)] || strings.HasSuffix(tn.Name(), "Result")
 				for _, field := range st.Fields.List {
-					diags = append(diags, c.unsetField(pkg, tn, field)...)
+					diags = append(diags, c.deadField(pkg, tn, field, output)...)
 				}
 			}
 		}
@@ -550,13 +621,9 @@ func (c *testOnly) unsetFields(pkg *Package) []Diagnostic {
 	return diags
 }
 
-func (c *testOnly) unsetField(pkg *Package, tn types.Object, field *ast.Field) []Diagnostic {
-	if field.Tag != nil {
-		if tag, err := strconv.Unquote(field.Tag.Value); err == nil {
-			if name, ok := reflect.StructTag(tag).Lookup("json"); ok && name != "-" {
-				return nil
-			}
-		}
+func (c *testOnly) deadField(pkg *Package, tn types.Object, field *ast.Field, output bool) []Diagnostic {
+	if jsonTagged(field) {
+		return nil
 	}
 	keep, reason := keepDirective(field.Doc, field.Comment)
 	if keep && reason {
@@ -574,13 +641,19 @@ func (c *testOnly) unsetField(pkg *Package, tn types.Object, field *ast.Field) [
 		if keep {
 			diags = append(diags, noReason(pkg, id.Pos()))
 		}
-		if c.written[fieldKey(tn.Type(), id.Name)] {
+		key, verb := fieldKey(tn.Type(), id.Name), ""
+		switch {
+		case !c.written[key]:
+			verb = "set"
+		case !output && !c.read[key]:
+			verb = "read"
+		default:
 			continue
 		}
 		diags = append(diags, Diagnostic{
 			Pos:      pkg.Fset.Position(id.Pos()),
 			Analyzer: "testonly",
-			Message:  fmt.Sprintf("field %s.%s is never set outside tests: delete it, or mark it %s <reason>", tn.Name(), id.Name, KeepDirective),
+			Message:  fmt.Sprintf("field %s.%s is never %s outside tests: delete it, or mark it %s <reason>", tn.Name(), id.Name, verb, KeepDirective),
 		})
 	}
 	return diags

@@ -90,8 +90,6 @@ type TimedReport struct {
 // after the burst — where the paper's tail amplification lives — is
 // captured too.
 type BurstWindow struct {
-	// Report is the burst's telemetry.
-	Report TimedReport
 	// Start and End bound the window.
 	Start, End time.Time
 	// Samples are the probe measurements inside the window, in time order.
@@ -201,11 +199,10 @@ func (b *Backend) BurstWindows(pad time.Duration) []BurstWindow {
 	samples := b.ProbeSamples()
 	out := make([]BurstWindow, 0, len(reports))
 	for _, r := range reports {
-		w := BurstWindow{
-			Report: r,
-			Start:  r.At.Add(-time.Duration(r.ExecMs)*time.Millisecond - pad),
-			End:    r.At.Add(pad),
-		}
+		// Two steps: ExecMs ≤ maxMs keeps exec a valid Duration, but
+		// exec+pad can pass the shortest one.
+		exec := time.Duration(r.ExecMs) * time.Millisecond
+		w := BurstWindow{Start: r.At.Add(-exec).Add(-pad), End: r.At.Add(pad)}
 		for _, s := range samples {
 			if !s.At.Before(w.Start) && !s.At.After(w.End) {
 				w.Samples = append(w.Samples, s)

@@ -55,6 +55,22 @@ func TestBurstWindowsAlignment(t *testing.T) {
 	}
 }
 
+// TestBurstWindowsLongestExec: a report of the longest execution time a
+// message may carry, padded as memca-demo pads it, still yields a window
+// that starts no later than the report and ends pad after it.
+func TestBurstWindowsLongestExec(t *testing.T) {
+	at := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	pad := 500 * time.Millisecond
+	b := &Backend{reports: []TimedReport{{BurstReport: BurstReport{Burst: 1, ExecMs: maxMs}, At: at}}}
+	wins := b.BurstWindows(pad)
+	if len(wins) != 1 {
+		t.Fatalf("windows = %d, want 1", len(wins))
+	}
+	if w := wins[0]; w.Start.After(at) || !w.End.Equal(at.Add(pad)) {
+		t.Errorf("window [%v, %v] for a report at %v, want Start <= At and End = At+%v", w.Start, w.End, at, pad)
+	}
+}
+
 // newReplayBackend builds a Backend with its feedback loop and no FE
 // connection, for driving the record and decide path directly.
 func newReplayBackend(t *testing.T, cfg control.Config, initial attack.Params) *Backend {

@@ -293,34 +293,26 @@ func (h *Host) lockSeverity() float64 {
 	return duty
 }
 
-// Allocation is the result of dividing bus bandwidth among active VMs.
-type Allocation struct {
-	// PerVM maps VM ID to available bandwidth in MB/s. Idle and locking
-	// VMs get an entry of 0 and their own (tiny) demand respectively.
-	PerVM map[string]float64
-	// LockSeverity is the system-wide bus-lock duty in effect.
-	LockSeverity float64
-}
-
-// Allocate computes the bandwidth available to every VM under the current
-// workload mix using max-min fair sharing of per-package (or pooled, for
-// floating VMs) capacity, after subtracting lock-attack degradation and
-// per-VM contention overhead. The returned map is freshly allocated and
-// owned by the caller; the burst-transition hot path uses VMAllocation
-// instead.
-func (h *Host) Allocate() Allocation {
-	perVM, severity := h.allocate()
+// Allocate computes the bandwidth available to every VM, in MB/s by VM
+// ID, under the current workload mix using max-min fair sharing of
+// per-package (or pooled, for floating VMs) capacity, after subtracting
+// lock-attack degradation and per-VM contention overhead. Idle and locking
+// VMs get an entry of 0 and their own (tiny) demand respectively. The
+// returned map is freshly allocated and owned by the caller; the
+// burst-transition hot path uses VMAllocation instead.
+func (h *Host) Allocate() map[string]float64 {
+	perVM, _ := h.allocate()
 	out := make(map[string]float64, len(perVM))
 	for id, bw := range perVM {
 		out[id] = bw
 	}
-	return Allocation{PerVM: out, LockSeverity: severity}
+	return out
 }
 
 // VMAllocation returns the bandwidth available to one VM and the
-// system-wide lock severity without materializing an Allocation. A
-// missing ID yields 0 bandwidth, matching an absent Allocation.PerVM
-// entry. Attack burst transitions call this on every flank, so it reuses
+// system-wide bus-lock duty in effect without materializing Allocate's
+// map. A missing ID yields 0 bandwidth, matching an absent entry of that
+// map. Attack burst transitions call this on every flank, so it reuses
 // host-owned scratch and performs no steady-state allocations.
 //
 //memca:hotpath

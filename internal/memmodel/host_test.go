@@ -147,6 +147,28 @@ func TestFinding3LockBeatsSaturation(t *testing.T) {
 	}
 }
 
+// TestProfileSweepAndHosts: a sweep profiles 1..VMs co-located VMs, one
+// point each, and the EC2 dedicated host has more bus bandwidth than the
+// private-cloud Xeon.
+func TestProfileSweepAndHosts(t *testing.T) {
+	cfg := XeonE5_2603v3()
+	sweep, err := Sweep(ProfileSpec{Host: cfg, VMs: 4, Placement: PlacementRandomPackage, Kind: AttackBusSaturation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep) != 4 {
+		t.Fatalf("sweep points = %d, want 4", len(sweep))
+	}
+	for i, p := range sweep {
+		if p.VMs != i+1 || p.PerVMMBps <= 0 {
+			t.Errorf("sweep point %d: %+v", i, p)
+		}
+	}
+	if ec2 := EC2DedicatedHost(); ec2.BusBandwidthMBps <= cfg.BusBandwidthMBps {
+		t.Errorf("EC2 bus %v MB/s not above the private host's %v", ec2.BusBandwidthMBps, cfg.BusBandwidthMBps)
+	}
+}
+
 func TestAllocateMaxMinFairness(t *testing.T) {
 	cfg := XeonE5_2603v3()
 	cfg.ContentionOverhead = 0
@@ -159,14 +181,14 @@ func TestAllocateMaxMinFairness(t *testing.T) {
 	mustAdd(t, h, VM{ID: "big1", Package: 0, Workload: WorkloadStream, DemandMBps: 9000})
 	mustAdd(t, h, VM{ID: "big2", Package: 0, Workload: WorkloadStream, DemandMBps: 9000})
 	alloc := h.Allocate()
-	if got := alloc.PerVM["small"]; got != 1000 {
+	if got := alloc["small"]; got != 1000 {
 		t.Errorf("small demand got %v, want fully satisfied 1000", got)
 	}
 	// Remaining 16000 split evenly between the two big demands.
-	if alloc.PerVM["big1"] != alloc.PerVM["big2"] {
-		t.Errorf("equal demands got unequal shares: %v vs %v", alloc.PerVM["big1"], alloc.PerVM["big2"])
+	if alloc["big1"] != alloc["big2"] {
+		t.Errorf("equal demands got unequal shares: %v vs %v", alloc["big1"], alloc["big2"])
 	}
-	if got := alloc.PerVM["big1"]; got != 8000 {
+	if got := alloc["big1"]; got != 8000 {
 		t.Errorf("big demand got %v, want 8000", got)
 	}
 }
@@ -191,7 +213,7 @@ func TestAllocateConservation(t *testing.T) {
 		alloc := h.Allocate()
 		total := 0.0
 		for i := 0; i < n; i++ {
-			bw := alloc.PerVM[fmt.Sprintf("vm%d", i)]
+			bw := alloc[fmt.Sprintf("vm%d", i)]
 			if bw < 0 {
 				return false
 			}
@@ -219,12 +241,12 @@ func TestLockSeverityCapsAtOne(t *testing.T) {
 	mustAdd(t, h, VM{ID: "l1", Package: 0, Workload: WorkloadLock, LockDuty: 0.8})
 	mustAdd(t, h, VM{ID: "l2", Package: 0, Workload: WorkloadLock, LockDuty: 0.8})
 	mustAdd(t, h, VM{ID: "victim", Package: 0, Workload: WorkloadVictim, DemandMBps: 3000})
-	alloc := h.Allocate()
-	if alloc.LockSeverity != 1 {
-		t.Errorf("LockSeverity = %v, want capped 1", alloc.LockSeverity)
+	victim, severity := h.VMAllocation("victim")
+	if severity != 1 {
+		t.Errorf("lock severity = %v, want capped 1", severity)
 	}
-	if alloc.PerVM["victim"] <= 0 {
-		t.Errorf("victim bandwidth %v, want positive floor", alloc.PerVM["victim"])
+	if victim <= 0 {
+		t.Errorf("victim bandwidth %v, want positive floor", victim)
 	}
 }
 

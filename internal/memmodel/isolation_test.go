@@ -94,13 +94,12 @@ func TestSplitLockProtectionNeutralizesLockAttack(t *testing.T) {
 		t.Fatalf("lock attack ineffective even unprotected: %v", before)
 	}
 	h.SetSplitLockProtection(true)
-	after, _ := h.VMAllocation("victim")
+	after, severity := h.VMAllocation("victim")
 	if after != 3000 {
 		t.Errorf("protected victim got %v, want full 3000", after)
 	}
-	alloc := h.Allocate()
-	if alloc.LockSeverity != 0 {
-		t.Errorf("lock severity %v under protection, want 0", alloc.LockSeverity)
+	if severity != 0 {
+		t.Errorf("lock severity %v under protection, want 0", severity)
 	}
 }
 

@@ -121,7 +121,7 @@ func Profile(spec ProfileSpec) (BandwidthPoint, error) {
 	alloc := h.Allocate()
 	point := BandwidthPoint{VMs: vms, Placement: placement, Attack: attack}
 	for i := 0; i < vms; i++ {
-		bw := alloc.PerVM[fmt.Sprintf("meas-%d", i)]
+		bw := alloc[fmt.Sprintf("meas-%d", i)]
 		point.AggregateMBps += bw
 	}
 	point.PerVMMBps = point.AggregateMBps / float64(vms)

@@ -12,8 +12,8 @@ import (
 // wait — is visible per window in the tracer's feature series.
 type FeatureDetector interface {
 	// DetectFeatures scans the series' windows in time order and returns
-	// all alarms.
-	DetectFeatures(fs *telemetry.FeatureSeries) []Alarm
+	// how many alarms they raise.
+	DetectFeatures(fs *telemetry.FeatureSeries) int
 	// Name labels the detector in reports.
 	Name() string
 }
@@ -36,17 +36,17 @@ type AttributionDetector struct {
 func (d AttributionDetector) Name() string { return "attribution" }
 
 // DetectFeatures implements FeatureDetector.
-func (d AttributionDetector) DetectFeatures(fs *telemetry.FeatureSeries) []Alarm {
+func (d AttributionDetector) DetectFeatures(fs *telemetry.FeatureSeries) int {
 	if fs == nil {
-		return nil
+		return 0
 	}
-	var alarms []Alarm
-	for i, w := range fs.Windows() {
+	alarms := 0
+	for _, w := range fs.Windows() {
 		if w.Count < d.MinCount {
 			continue
 		}
-		if share := w.RetransShare(); share > d.ShareThreshold {
-			alarms = append(alarms, Alarm{At: fs.WindowStart(i), Value: share})
+		if w.RetransShare() > d.ShareThreshold {
+			alarms++
 		}
 	}
 	return alarms
@@ -70,7 +70,7 @@ func BridgeFeatures(d FeatureDetector, fs *telemetry.FeatureSeries) Detector {
 func (b featureBridge) Name() string { return b.d.Name() }
 
 // Detect implements Detector.
-func (b featureBridge) Detect(_ []stats.Bucket) []Alarm { return b.d.DetectFeatures(b.fs) }
+func (b featureBridge) Detect(_ []stats.Bucket) int { return b.d.DetectFeatures(b.fs) }
 
 // Verify interface compliance.
 var (

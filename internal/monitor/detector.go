@@ -3,25 +3,17 @@ package monitor
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"memca/internal/stats"
 )
-
-// Alarm is one detection event.
-type Alarm struct {
-	// At is the sample time that raised the alarm.
-	At time.Duration
-	// Value is the offending observation.
-	Value float64
-}
 
 // Detector inspects a sampled signal and reports alarms. Implementations
 // model the provider- and user-centric interference detectors the paper's
 // stealthiness evaluation bypasses.
 type Detector interface {
-	// Detect scans the buckets in time order and returns all alarms.
-	Detect(buckets []stats.Bucket) []Alarm
+	// Detect scans the buckets in time order and returns how many
+	// alarms they raise.
+	Detect(buckets []stats.Bucket) int
 	// Name labels the detector in reports.
 	Name() string
 }
@@ -40,18 +32,18 @@ type ThresholdDetector struct {
 func (d ThresholdDetector) Name() string { return "threshold" }
 
 // Detect implements Detector.
-func (d ThresholdDetector) Detect(buckets []stats.Bucket) []Alarm {
+func (d ThresholdDetector) Detect(buckets []stats.Bucket) int {
 	need := d.MinConsecutive
 	if need < 1 {
 		need = 1
 	}
-	var alarms []Alarm
+	alarms := 0
 	run := 0
 	for _, b := range buckets {
 		if b.Mean > d.Threshold {
 			run++
 			if run >= need {
-				alarms = append(alarms, Alarm{At: b.Start, Value: b.Mean})
+				alarms++
 				run = 0
 			}
 		} else {
@@ -77,13 +69,13 @@ type EWMADetector struct {
 func (d EWMADetector) Name() string { return "ewma" }
 
 // Detect implements Detector.
-func (d EWMADetector) Detect(buckets []stats.Bucket) []Alarm {
+func (d EWMADetector) Detect(buckets []stats.Bucket) int {
 	if d.Alpha <= 0 || d.Alpha > 1 || len(buckets) == 0 {
-		return nil
+		return 0
 	}
 	mean := stats.NewEWMA(d.Alpha)
 	varEW := stats.NewEWMA(d.Alpha)
-	var alarms []Alarm
+	alarms := 0
 	for i, b := range buckets {
 		if !mean.Primed() {
 			mean.Add(b.Mean)
@@ -94,7 +86,7 @@ func (d EWMADetector) Detect(buckets []stats.Bucket) []Alarm {
 		dev := b.Mean - prior
 		sigma := math.Sqrt(varEW.Value())
 		if i >= d.Warmup && sigma > 0 && math.Abs(dev) > d.K*sigma {
-			alarms = append(alarms, Alarm{At: b.Start, Value: b.Mean})
+			alarms++
 		}
 		mean.Add(b.Mean)
 		varEW.Add(dev * dev)
@@ -118,12 +110,12 @@ type CUSUMDetector struct {
 func (d CUSUMDetector) Name() string { return "cusum" }
 
 // Detect implements Detector.
-func (d CUSUMDetector) Detect(buckets []stats.Bucket) []Alarm {
+func (d CUSUMDetector) Detect(buckets []stats.Bucket) int {
 	c := stats.NewCUSUM(d.Target, d.Slack, d.DecisionThreshold)
-	var alarms []Alarm
+	alarms := 0
 	for _, b := range buckets {
 		if c.Add(b.Mean) {
-			alarms = append(alarms, Alarm{At: b.Start, Value: b.Mean})
+			alarms++
 		}
 	}
 	return alarms

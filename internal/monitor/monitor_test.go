@@ -195,10 +195,10 @@ func TestThresholdDetectorGranularityDependence(t *testing.T) {
 		}
 		return b
 	}
-	if alarms := det.Detect(collect(GranularityCloud)); len(alarms) != 0 {
-		t.Errorf("coarse monitoring alarmed %d times", len(alarms))
+	if alarms := det.Detect(collect(GranularityCloud)); alarms != 0 {
+		t.Errorf("coarse monitoring alarmed %d times", alarms)
 	}
-	if alarms := det.Detect(collect(GranularityFine)); len(alarms) == 0 {
+	if alarms := det.Detect(collect(GranularityFine)); alarms == 0 {
 		t.Error("fine monitoring missed the millibottlenecks")
 	}
 }
@@ -210,8 +210,8 @@ func TestThresholdDetectorDebounce(t *testing.T) {
 		{Mean: 0.9}, {Mean: 0.9}, {Mean: 0.9}, // run of 3: alarm
 	}
 	alarms := det.Detect(buckets)
-	if len(alarms) != 1 {
-		t.Errorf("got %d alarms, want 1", len(alarms))
+	if alarms != 1 {
+		t.Errorf("got %d alarms, want 1", alarms)
 	}
 }
 
@@ -222,23 +222,23 @@ func TestEWMADetector(t *testing.T) {
 		v := 0.5 + 0.01*float64(i%3) // mild noise
 		buckets = append(buckets, stats.Bucket{Start: time.Duration(i) * time.Second, Mean: v})
 	}
-	if alarms := det.Detect(buckets); len(alarms) != 0 {
-		t.Errorf("EWMA alarmed on steady signal: %d", len(alarms))
+	if alarms := det.Detect(buckets); alarms != 0 {
+		t.Errorf("EWMA alarmed on steady signal: %d", alarms)
 	}
 	buckets = append(buckets, stats.Bucket{Start: 51 * time.Second, Mean: 0.99})
 	alarms := det.Detect(buckets)
-	if len(alarms) == 0 {
+	if alarms == 0 {
 		t.Error("EWMA missed an obvious spike")
 	}
 }
 
 func TestEWMADetectorDegenerateInputs(t *testing.T) {
 	det := EWMADetector{Alpha: 0, K: 3}
-	if alarms := det.Detect([]stats.Bucket{{Mean: 1}}); alarms != nil {
+	if alarms := det.Detect([]stats.Bucket{{Mean: 1}}); alarms != 0 {
 		t.Error("invalid alpha should detect nothing")
 	}
 	det = EWMADetector{Alpha: 0.5, K: 3}
-	if alarms := det.Detect(nil); alarms != nil {
+	if alarms := det.Detect(nil); alarms != 0 {
 		t.Error("empty input should detect nothing")
 	}
 }
@@ -249,13 +249,13 @@ func TestCUSUMDetectorShift(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		buckets = append(buckets, stats.Bucket{Start: time.Duration(i) * time.Second, Mean: 0.5})
 	}
-	if alarms := det.Detect(buckets); len(alarms) != 0 {
-		t.Errorf("CUSUM alarmed in control: %d", len(alarms))
+	if alarms := det.Detect(buckets); alarms != 0 {
+		t.Errorf("CUSUM alarmed in control: %d", alarms)
 	}
 	for i := 60; i < 80; i++ {
 		buckets = append(buckets, stats.Bucket{Start: time.Duration(i) * time.Second, Mean: 0.65})
 	}
-	if alarms := det.Detect(buckets); len(alarms) == 0 {
+	if alarms := det.Detect(buckets); alarms == 0 {
 		t.Error("CUSUM missed a sustained shift")
 	}
 }

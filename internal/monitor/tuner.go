@@ -132,7 +132,7 @@ func TuneCPUDetectors(clean []stats.Bucket) (TunedCPUDetectors, error) {
 	found := false
 	for level := 5; level <= 95; level += 5 {
 		d := ThresholdDetector{Threshold: float64(level) / 100, MinConsecutive: 2}
-		if len(d.Detect(clean)) == 0 {
+		if d.Detect(clean) == 0 {
 			tuned.Threshold = d
 			found = true
 			break
@@ -148,7 +148,7 @@ func TuneCPUDetectors(clean []stats.Bucket) (TunedCPUDetectors, error) {
 	for k := 2; k <= 8 && !found; k++ {
 		for _, alpha := range []float64{0.1, 0.2, 0.3} {
 			d := EWMADetector{Alpha: alpha, K: float64(k), Warmup: 20}
-			if len(d.Detect(clean)) == 0 {
+			if d.Detect(clean) == 0 {
 				tuned.EWMA = d
 				found = true
 				break
@@ -170,7 +170,7 @@ func TuneCPUDetectors(clean []stats.Bucket) (TunedCPUDetectors, error) {
 	for _, h := range []float64{0.5, 1, 2, 3, 5, 8} {
 		for _, slack := range []float64{0.02, 0.05, 0.1, 0.2} {
 			d := CUSUMDetector{Target: mean, Slack: slack, DecisionThreshold: h}
-			if len(d.Detect(clean)) == 0 {
+			if d.Detect(clean) == 0 {
 				tuned.CUSUM = d
 				found = true
 				break

@@ -220,18 +220,18 @@ func (n *Network) InFlight() int { return n.inFlight }
 
 // TierSnapshot is a read-only view of one tier's state and metrics.
 type TierSnapshot struct {
-	Name string
 	// InUse is the current number of held concurrency slots.
 	InUse int
 	// Backlog is the number of requests blocked in front of the tier.
+	//
+	//memca:keep the drain tests check a drained tier holds no blocked request only through it
 	Backlog int
 	// BusyStations is the number of stations serving right now.
+	//
+	//memca:keep the drain tests check a drained tier serves nothing only through it
 	BusyStations int
 	// Completions counts responses the tier has returned.
 	Completions uint64
-	// Drops counts rejections at this tier (front tier, or interior
-	// tiers in tandem mode).
-	Drops uint64
 }
 
 // TierState returns a snapshot of tier i.
@@ -241,12 +241,10 @@ func (n *Network) TierState(i int) (TierSnapshot, error) {
 	}
 	t := n.tiers[i]
 	return TierSnapshot{
-		Name:         t.cfg.Name,
 		InUse:        t.inUse,
 		Backlog:      t.pendingAdmit.len(),
 		BusyStations: t.busyStations,
 		Completions:  t.completions,
-		Drops:        t.drops,
 	}, nil
 }
 

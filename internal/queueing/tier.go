@@ -53,7 +53,6 @@ type tier struct {
 	rt        *stats.Sample          // per-request tier response times
 
 	completions uint64
-	drops       uint64 // tandem-mode drops at this tier
 }
 
 func newTier(cfg TierConfig, idx int, net *Network) *tier {
@@ -95,20 +94,11 @@ func (t *tier) requestSlot(req *Request) {
 		t.admit(req)
 		return
 	}
-	if t.idx == 0 {
+	if t.idx == 0 || t.net.cfg.Mode == ModeTandem {
 		// The front tier sheds load: the connection is refused and the
-		// client's TCP stack will retransmit after its RTO.
-		t.drops++
-		req.Dropped = true
-		t.net.drops++
-		t.net.observe(req, SpanDrop, t.idx)
-		t.net.notifyDrop(req)
-		return
-	}
-	if t.net.cfg.Mode == ModeTandem {
-		// Independent tiers have no upstream to hold the request; a
-		// finite interior queue in tandem mode is a loss queue.
-		t.drops++
+		// client's TCP stack will retransmit after its RTO. Independent
+		// tiers have no upstream to hold the request either; a finite
+		// interior queue in tandem mode is a loss queue.
 		req.Dropped = true
 		t.net.drops++
 		t.net.observe(req, SpanDrop, t.idx)

@@ -43,8 +43,8 @@ func TestArenaStatsPathZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { statsPass(a) }); allocs != 0 {
 		t.Errorf("stats pass allocated %.1f objects per run after warm-up, want 0", allocs)
 	}
-	if st := a.Stats(); st.Spills != 0 {
-		t.Errorf("stats pass spilled %d slabs past the default budget", st.Spills)
+	if a.spills != 0 {
+		t.Errorf("stats pass spilled %d slabs past the default budget", a.spills)
 	}
 }
 
@@ -75,29 +75,28 @@ func TestArenaBudgetSpillAccounting(t *testing.T) {
 	a := NewArena()
 	a.budgetBytes = 8 << 10 // one minimum slab (1024 durations × 8 bytes) fits exactly
 	s := a.Sample(1024)
-	if st := a.Stats(); st.Spills != 0 {
-		t.Fatalf("first in-budget slab counted as spill: %+v", st)
+	if a.spills != 0 {
+		t.Fatalf("first in-budget slab counted as spill: %d spills", a.spills)
 	}
 	for i := 0; i < 2048; i++ { // grow past the budgeted slab
 		s.Add(time.Duration(i))
 	}
-	st := a.Stats()
-	if st.Spills == 0 || st.SpillBytes == 0 {
-		t.Fatalf("over-budget growth not recorded as spill: %+v", st)
+	if a.spills == 0 || a.spillBytes == 0 {
+		t.Fatalf("over-budget growth not recorded as spill: %d spills, %d bytes", a.spills, a.spillBytes)
 	}
-	if st.OwnedBytes <= st.BudgetBytes {
-		t.Fatalf("owned bytes %d not past budget %d despite spill", st.OwnedBytes, st.BudgetBytes)
+	if a.ownedBytes <= a.budgetBytes {
+		t.Fatalf("owned bytes %d not past budget %d despite spill", a.ownedBytes, a.budgetBytes)
 	}
 	if got, want := s.Len(), 2048; got != want {
 		t.Fatalf("spilled sample lost observations: len %d, want %d", got, want)
 	}
-	spillsBefore := st.Spills
+	spillsBefore := a.spills
 	a.Reset()
 	s = a.Sample(1024)
 	for i := 0; i < 2048; i++ {
 		s.Add(time.Duration(i))
 	}
-	if st := a.Stats(); st.Spills != spillsBefore {
-		t.Fatalf("recycled slabs re-counted as spills: %d -> %d", spillsBefore, st.Spills)
+	if a.spills != spillsBefore {
+		t.Fatalf("recycled slabs re-counted as spills: %d -> %d", spillsBefore, a.spills)
 	}
 }

@@ -86,7 +86,7 @@ type Arena struct {
 
 // DefaultArenaBudget is the slab budget of arenas built by NewArena:
 // large enough that full-scale figure runs stay spill-free, small enough
-// that a runaway recording loop shows up in ArenaStats.
+// that a runaway recording loop shows up in the spill counters.
 const DefaultArenaBudget = 256 << 20
 
 const (
@@ -117,35 +117,26 @@ func NewArena() *Arena {
 	return &Arena{budgetBytes: DefaultArenaBudget}
 }
 
-// ArenaStats describes an arena's storage accounting.
+// ArenaStats counts an arena's checked-out objects and resets.
 type ArenaStats struct {
-	// OwnedBytes is the total slab storage the arena has allocated and
-	// still owns (live or pooled).
-	OwnedBytes int64
-	// BudgetBytes is the configured cap (0 = uncapped).
-	BudgetBytes int64
-	// Spills counts fresh allocations made while past the budget.
-	Spills int64
-	// SpillBytes is the storage those allocations added.
-	SpillBytes int64
 	// Live is the number of currently checked-out objects, engines
 	// included.
+	//
+	//memca:keep TestCloseArenaReuse checks a recycled arena holds no checkout only through it
 	Live int
 	// Resets counts Reset calls over the arena's lifetime.
+	//
+	//memca:keep TestCloseLeavesCallerArena checks Close never resets a caller's arena only through it
 	Resets uint64
 }
 
-// Stats returns the arena's current storage accounting.
+// Stats returns the arena's checkout and reset counts.
 //
 //memca:keep TestCloseArenaReuse observes the live-object and reset counts of a recycled arena only through it
 func (a *Arena) Stats() ArenaStats {
 	return ArenaStats{
-		OwnedBytes:  a.ownedBytes,
-		BudgetBytes: a.budgetBytes,
-		Spills:      a.spills,
-		SpillBytes:  a.spillBytes,
-		Live:        len(a.samples) + len(a.levels) + len(a.series) + len(a.slabs) + len(a.engines),
-		Resets:      a.resets,
+		Live:   len(a.samples) + len(a.levels) + len(a.series) + len(a.slabs) + len(a.engines),
+		Resets: a.resets,
 	}
 }
 

@@ -47,42 +47,6 @@ func TestFacadeAnalytical(t *testing.T) {
 	if !pred.QueuesAllFill || pred.Impact <= 0 {
 		t.Errorf("prediction wrong: %+v", pred)
 	}
-	goal := memca.PlanGoal{MinImpact: 0.05, MaxMillibottleneck: time.Second}
-	planned, err := memca.PlanAttack(m, goal, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planned.L <= 0 || planned.D <= 0 {
-		t.Errorf("planned attack wrong: %+v", planned)
-	}
-}
-
-func TestFacadeBandwidthProfile(t *testing.T) {
-	cfg := memca.XeonE5_2603v3()
-	spec := memca.ProfileSpec{
-		Host: cfg, VMs: 3, Placement: memca.PlacementSamePackage,
-		Kind: memca.AttackMemoryLock, LockDuty: 1,
-	}
-	point, err := memca.Profile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if point.PerVMMBps <= 0 {
-		t.Errorf("bandwidth point: %+v", point)
-	}
-	sweep, err := memca.Sweep(memca.ProfileSpec{
-		Host: cfg, VMs: 4, Placement: memca.PlacementRandomPackage, Kind: memca.AttackBusSaturation,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep) != 4 {
-		t.Errorf("sweep points = %d", len(sweep))
-	}
-	ec2 := memca.EC2DedicatedHost()
-	if ec2.BusBandwidthMBps <= cfg.BusBandwidthMBps {
-		t.Error("EC2 host should have more bandwidth than the private host")
-	}
 }
 
 func TestFacadePercentilesCopy(t *testing.T) {
