@@ -155,6 +155,9 @@ func run() error {
 
 	measure("recovery")
 
+	// Stop the clients, waiting out their in-flight requests, so the
+	// trace snapshot holds only closed traces.
+	lg.Stop()
 	return exportTrace(col, be, sys, *traceOut, *otlpOut, *attribOut)
 }
 
@@ -266,11 +269,12 @@ type loadGen struct {
 	clients int
 	traced  *live.Client
 
-	mu    sync.Mutex
-	rts   []time.Duration
-	errs  int
-	stopC chan struct{}
-	wg    sync.WaitGroup
+	mu       sync.Mutex
+	rts      []time.Duration
+	errs     int
+	stopC    chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 }
 
 func newLoadGen(url string, clients int, traced *live.Client) *loadGen {
@@ -317,8 +321,10 @@ func (lg *loadGen) request() (time.Duration, bool) {
 	return res.RT, res.OK
 }
 
+// Stop ends every client after its current request and waits for them;
+// calling it again is a no-op.
 func (lg *loadGen) Stop() {
-	close(lg.stopC)
+	lg.stopOnce.Do(func() { close(lg.stopC) })
 	lg.wg.Wait()
 }
 

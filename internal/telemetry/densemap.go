@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"time"
-
-	"memca/internal/queueing"
-)
+import "memca/internal/queueing"
 
 // denseMap maps uint64 keys to values stored densely in first-insertion
 // order, which is the order the OTLP root spans are written in. It is
@@ -65,12 +61,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// openSpan is a span start awaiting its end event.
-type openSpan struct {
-	t   time.Duration
-	seq uint64
-	ok  bool
-}
+// openSpan is a span start awaiting its end event: 1 + the index of the
+// slot the exporter reserved for the span at its opening event, where
+// the closing event writes the span's end. 0 marks no open span. The
+// start itself is read back from the opening event.
+type openSpan int32
 
 // tierOpen holds one trace's open queue and service span at one tier.
 type tierOpen struct{ queue, svc openSpan }
@@ -106,7 +101,7 @@ func (m *openTable) get(key uint64) tierOpen {
 
 // put stores key's open spans, removing key when both are closed.
 func (m *openTable) put(key uint64, o tierOpen) {
-	if !o.queue.ok && !o.svc.ok {
+	if o.queue == 0 && o.svc == 0 {
 		m.remove(key)
 		return
 	}
@@ -123,22 +118,24 @@ func (m *openTable) put(key uint64, o tierOpen) {
 	m.slots[h].open = o
 }
 
-// advance applies e, a tier request, service start, service end or drop
-// at key's (trace, tier), and returns the span it closes: the queue span
-// at a service start, the service span at a service end. The returned
-// span is not ok when e closes none, including when its start was lost.
-func (m *openTable) advance(key uint64, e *SpanEvent) (closed openSpan) {
+// advance applies an event of kind at key's (trace, tier): a tier
+// request opens the queue span as opened, a service start closes the
+// queue span and opens the service span as opened, a service end closes
+// the service span, and a drop discards the queue span. It returns the
+// span the event closes: the queue span at a service start, the service
+// span at a service end; 0 when it closes none, including when the
+// span's start was lost.
+func (m *openTable) advance(key uint64, kind queueing.SpanKind, opened openSpan) (closed openSpan) {
 	o := m.get(key)
-	switch e.Kind {
+	switch kind {
 	case queueing.SpanTierRequest:
-		o.queue = openSpan{e.T, e.Seq, true}
+		o.queue = opened
 	case queueing.SpanServiceStart:
-		closed, o.queue = o.queue, openSpan{}
-		o.svc = openSpan{e.T, e.Seq, true}
+		closed, o.queue, o.svc = o.queue, 0, opened
 	case queueing.SpanServiceEnd:
-		closed, o.svc = o.svc, openSpan{}
+		closed, o.svc = o.svc, 0
 	case queueing.SpanDrop:
-		o.queue = openSpan{}
+		o.queue = 0
 	}
 	m.put(key, o)
 	return closed

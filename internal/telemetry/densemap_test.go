@@ -3,31 +3,34 @@ package telemetry
 import (
 	"math/bits"
 	"testing"
-	"time"
+
+	"memca/internal/queueing"
 )
 
-// FuzzOpenTable drives an openTable with random sequences of span opens
-// and closes and holds it to a map reference in which an absent key reads
-// as two closed spans. Each op is two bytes: the top two bits pick the
-// op (open or close the queue or service span) and the other fourteen the
-// key. After every op each key seen so far must read back as in the
-// reference, the live count must equal the reference's size, and the
-// slot table must stay within the next power of two of twice the peak
-// live count (64 slots at least).
+// FuzzOpenTable drives an openTable with random sequences of span
+// events through advance and holds it to a map reference in which an
+// absent key reads as two closed spans. Each op is two bytes: the top two
+// bits pick the event (tier request, service start, service end or drop)
+// and the other fourteen the key. Each event must close the span the
+// reference closes; after every op each key seen so far must read back as
+// in the reference, the live count must equal the reference's size, and
+// the slot table must stay within the next power of two of twice the
+// peak live count (64 slots at least).
 func FuzzOpenTable(f *testing.F) {
 	var seq []byte
-	for k := 0; k < 100; k++ { // open 100 queue spans, then their services
+	for k := 0; k < 100; k++ { // 100 tier requests, then their service starts
 		seq = append(seq, byte(k>>8), byte(k))
 	}
 	for k := 0; k < 100; k++ {
-		seq = append(seq, 0x40|byte(k>>8), byte(k), 0x80|byte(k>>8), byte(k))
+		seq = append(seq, 0x40|byte(k>>8), byte(k))
 	}
-	for k := 99; k >= 0; k -= 3 { // close every third service, newest first
-		seq = append(seq, 0xc0|byte(k>>8), byte(k))
+	for k := 99; k >= 0; k -= 3 { // end every third service, newest first
+		seq = append(seq, 0x80|byte(k>>8), byte(k))
 	}
 	f.Add(seq)
-	f.Add([]byte{0x00, 0x01, 0x40, 0x01, 0x80, 0x01, 0xc0, 0x01, 0xc0, 0x01})
+	f.Add([]byte{0x00, 0x01, 0xc0, 0x01, 0x00, 0x01, 0x40, 0x01, 0x80, 0x01, 0x80, 0x01})
 	f.Add([]byte{})
+	kinds := [...]queueing.SpanKind{queueing.SpanTierRequest, queueing.SpanServiceStart, queueing.SpanServiceEnd, queueing.SpanDrop}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab openTable
 		ref := map[uint64]tierOpen{}
@@ -39,26 +42,26 @@ func FuzzOpenTable(f *testing.F) {
 			if _, ok := ref[key]; !ok {
 				seen = append(seen, key)
 			}
-			at := openSpan{t: time.Duration(i), seq: uint64(i), ok: true}
-			apply := func(o tierOpen) tierOpen {
-				switch op {
-				case 0:
-					o.queue = at
-				case 1:
-					o.svc = at
-				case 2:
-					o.queue.ok = false
-				case 3:
-					o.svc.ok = false
-				}
-				return o
+			at := openSpan(i/2 + 1)
+			o, want := ref[key], openSpan(0)
+			switch op {
+			case 0:
+				o.queue = at
+			case 1:
+				want, o.queue, o.svc = o.queue, 0, at
+			case 2:
+				want, o.svc = o.svc, 0
+			case 3:
+				o.queue = 0
 			}
-			if o := apply(ref[key]); o.queue.ok || o.svc.ok {
+			if o.queue != 0 || o.svc != 0 {
 				ref[key] = o
 			} else {
 				delete(ref, key)
 			}
-			tab.put(key, apply(tab.get(key)))
+			if got := tab.advance(key, kinds[op], at); got != want {
+				t.Fatalf("op %d: %v at %#x closed %d, want %d", i/2, kinds[op], key, got, want)
+			}
 
 			peak = max(peak, len(ref))
 			if tab.live != len(ref) {
